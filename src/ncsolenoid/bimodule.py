@@ -313,7 +313,7 @@ def convolve(A: AlgElem, B: AlgElem, theta: float) -> AlgElem:
 
 @dataclass(frozen=True)
 class BimCtx:
-    """Level-2n kernel constants, exact identities asserted then lowered to floats."""
+    """Level-2n kernel constants, exact identities checked then lowered to floats."""
 
     spec: SolenoidSpec
     proj: ProjectionData
@@ -338,10 +338,11 @@ class BimCtx:
         mob = ab_normalized(line, alpha)
         gamma = 1 / (alpha * line.c + line.d)
         # gamma is level-independent; the action identities below rely on it
-        assert gamma == 1 / (spec.theta * proj.c0 + proj.d0)
+        if gamma != 1 / (spec.theta * proj.c0 + proj.d0):
+            raise ArithmeticError(f"gamma at level {n} differs from 1/tau")
         beta = mob.apply(alpha)
-        assert (QuadReal(mob.a) - gamma) / line.c == beta
-        assert (1 / gamma - line.d) / QuadReal(line.c) == alpha
+        if (QuadReal(mob.a) - gamma) / line.c != beta or (1 / gamma - line.d) / QuadReal(line.c) != alpha:
+            raise ArithmeticError(f"Mobius identities fail at level {n}")
         return cls(
             spec,
             proj,
@@ -454,7 +455,8 @@ def inner_left(ctx: BimCtx, F1: ModElem, F2: ModElem) -> AlgElem:
     _check_modulus(ctx, F1)
     _check_modulus(ctx, F2)
     M, cc, g = ctx.modulus, ctx.c, ctx.gamma_f
-    assert g > 0
+    if not g > 0:
+        raise ValueError(f"gamma must be positive, got {g}")
     pair_data: dict[int, list] = {}
     for j1 in F1.terms:
         s1 = F1.support(j1)
@@ -495,7 +497,8 @@ def inner_right(ctx: BimCtx, F1: ModElem, F2: ModElem) -> AlgElem:
     _check_modulus(ctx, F1)
     _check_modulus(ctx, F2)
     M, cc, g = ctx.modulus, ctx.c, ctx.gamma_f
-    assert g > 0
+    if not g > 0:
+        raise ValueError(f"gamma must be positive, got {g}")
     pair_data: dict[int, list] = {}
     for j1 in F1.terms:
         s1 = F1.support(j1)

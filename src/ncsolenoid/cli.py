@@ -30,8 +30,6 @@ from .morita import (
 from .padic import PAdic, frac_part
 from .solenoid import SolenoidSpec, alpha_at
 
-TOLERANCE = 1e-9
-
 
 def _resolve_seed(value) -> int:
     if value is not None:
@@ -54,16 +52,15 @@ def _add_spec_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _build_spec(parser: argparse.ArgumentParser, args, allow_default: bool = False) -> SolenoidSpec:
+    if args.spec:
+        return _load_spec_file(parser, args.spec)
+    if args.p is None and allow_default:
+        return suite_mod.default_spec()
+    if args.p is None or args.theta is None or args.digits is None:
+        parser.error("provide --spec FILE or all of --p/--theta/--digits")
     try:
-        if args.spec:
-            with open(args.spec) as fh:
-                return SolenoidSpec.from_json(json.load(fh))
-        if args.p is None and allow_default:
-            return suite_mod.default_spec()
-        if args.p is None or args.theta is None or args.digits is None:
-            parser.error("provide --spec FILE or all of --p/--theta/--digits")
         return SolenoidSpec(args.p, QuadReal.parse(args.theta), _parse_digits(args.p, args.digits))
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         parser.error(f"bad spec: {exc}")
 
 
@@ -71,7 +68,7 @@ def _load_spec_file(parser: argparse.ArgumentParser, path: str) -> SolenoidSpec:
     try:
         with open(path) as fh:
             return SolenoidSpec.from_json(json.load(fh))
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, ZeroDivisionError, OSError, KeyError) as exc:
         parser.error(f"bad spec file {path}: {exc}")
 
 
@@ -135,7 +132,11 @@ def _cmd_padic(parser, args) -> int:
 def _cmd_solenoid(parser, args) -> int:
     spec = _build_spec(parser, args)
     if args.solenoid_cmd == "alpha":
-        report = {"inputs": spec.to_json(), "n": args.n, "alpha": str(alpha_at(spec, args.n))}
+        try:
+            alpha = alpha_at(spec, args.n)
+        except ValueError as exc:
+            parser.error(str(exc))
+        report = {"inputs": spec.to_json(), "n": args.n, "alpha": str(alpha)}
         _emit(report, args.format)
         return 0
     if args.solenoid_cmd == "check-coherence":
@@ -177,7 +178,11 @@ def _cmd_morita(parser, args) -> int:
 
     spec = _build_spec(parser, args)
     if args.morita_cmd == "heisenberg":
-        _emit(_heisenberg_report(spec, args.entries), args.format)
+        try:
+            report = _heisenberg_report(spec, args.entries)
+        except ValueError as exc:
+            parser.error(str(exc))
+        _emit(report, args.format)
         return 0
     if args.morita_cmd == "projection":
         proj = ProjectionData(args.m, args.c0, args.d0)
@@ -318,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--points", type=int, default=200)
     sp.add_argument("--hats", type=int, default=20)
-    sp.add_argument("--tolerance", type=float, default=TOLERANCE)
+    sp.add_argument("--tolerance", type=float, default=suite_mod.DEFAULT_TOLERANCE)
 
     st = subs.add_parser("suite", help="run every module property suite")
     st.add_argument("--seed", type=int, default=None)

@@ -178,39 +178,36 @@ def _square_split(n: int) -> tuple[int, int]:
 
 
 class QuadReal:
-    """Exact real a + b*sqrt(D) with rational a, b and squarefree radicand D >= 0.
+    """Exact real (A + B*sqrt(D))/M with integers A, B, M and squarefree radicand D >= 0.
 
-    Rational values normalize to D = 0.  Operands with two different
-    irrational radicands are rejected (RadicandMismatchError); the radicand is
-    a per-context constant.  Order comparisons are decided exactly by signed
-    squaring, never by floating point.
+    Normal form: M > 0, gcd(A, B, M) = 1, and B = 0 exactly when D = 0, so
+    rational values carry D = 0 and equal values have equal fields.  Operands
+    with two different irrational radicands are rejected
+    (RadicandMismatchError); the radicand is a per-context constant.  Order
+    comparisons are decided exactly by integer squaring, never by floating
+    point.
     """
 
-    __slots__ = ("a", "b", "D")
+    __slots__ = ("A", "B", "M", "D")
 
     def __init__(self, a=0, b=0, D: int = 0):
-        a = Fraction(a)
-        b = Fraction(b)
+        a = a if isinstance(a, (int, Fraction)) else Fraction(a)
+        b = b if isinstance(b, (int, Fraction)) else Fraction(b)
         D = int(D)
         if D < 0:
             raise ValueError(f"radicand must be nonnegative, got {D}")
-        if b == 0:
-            D = 0
-        elif D in (0, 1):
-            a += b * D
-            b = Fraction(0)
-            D = 0
-        else:
-            s, core = _square_split(D)
-            b *= s
-            if core == 1:
-                a += b
-                b = Fraction(0)
-                core = 0
-            D = core
-        self.a = a
-        self.b = b
-        self.D = D
+        M = math.lcm(a.denominator, b.denominator)
+        A = a.numerator * (M // a.denominator)
+        B = b.numerator * (M // b.denominator)
+        if B and D > 1:
+            s, D = _square_split(D)
+            B *= s
+        if D <= 1 or not B:
+            # sqrt(D) is 0 or 1 here, or it has no coefficient
+            A += B * D
+            B = D = 0
+        g = math.gcd(A, B, M)
+        self.A, self.B, self.M, self.D = A // g, B // g, M // g, D
 
     @classmethod
     def sqrt_of(cls, D: int) -> "QuadReal":
@@ -223,15 +220,15 @@ class QuadReal:
         if isinstance(x, QuadReal):
             return x
         if isinstance(x, (int, Fraction)):
-            return QuadReal(x)
+            return _quad(x.numerator, 0, x.denominator, 0)
         if isinstance(x, PFrac):
-            return QuadReal(x.as_fraction())
+            return _quad(x.j, 0, x.p**x.k, 0)
         return None
 
     def _radicand_with(self, other: "QuadReal") -> int:
-        if self.b and other.b and self.D != other.D:
+        if self.B and other.B and self.D != other.D:
             raise RadicandMismatchError(f"sqrt({self.D}) vs sqrt({other.D})")
-        return self.D if self.b else other.D
+        return self.D or other.D
 
     # -- ring / field operations -------------------------------------------
 
@@ -240,40 +237,43 @@ class QuadReal:
         if o is None:
             return NotImplemented
         D = self._radicand_with(o)
-        return QuadReal(self.a + o.a, self.b + o.b, D)
+        return _quad(self.A * o.M + o.A * self.M, self.B * o.M + o.B * self.M, self.M * o.M, D)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadReal(-self.a, -self.b, self.D)
+        return _quad(-self.A, -self.B, self.M, self.D)
 
     def __sub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        D = self._radicand_with(o)
+        return _quad(self.A * o.M - o.A * self.M, self.B * o.M - o.B * self.M, self.M * o.M, D)
 
     def __rsub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
         D = self._radicand_with(o)
-        return QuadReal(self.a * o.a + self.b * o.b * D, self.a * o.b + self.b * o.a, D)
+        A1, B1, A2, B2 = self.A, self.B, o.A, o.B
+        return _quad(A1 * A2 + B1 * B2 * D, A1 * B2 + B1 * A2, self.M * o.M, D)
 
     __rmul__ = __mul__
 
     def _inverse(self) -> "QuadReal":
-        if self.b == 0:
-            return QuadReal(1 / self.a)  # Fraction raises ZeroDivisionError on 0
-        norm = self.a * self.a - self.b * self.b * self.D
-        # norm = 0 with b != 0 would force D to be a rational square
-        return QuadReal(self.a / norm, -self.b / norm, self.D)
+        A, B, M, D = self.A, self.B, self.M, self.D
+        # the norm A^2 - B^2 D vanishes only at 0, because D is squarefree
+        norm = A * A - B * B * D
+        if norm == 0:
+            raise ZeroDivisionError("QuadReal division by zero")
+        return _quad(M * A, -M * B, norm, D)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -292,7 +292,7 @@ class QuadReal:
             return NotImplemented
         if n < 0:
             return (self**(-n))._inverse()
-        out = QuadReal(1)
+        out = _quad(1, 0, 1, 0)
         base = self
         while n:
             if n & 1:
@@ -304,20 +304,13 @@ class QuadReal:
     # -- exact order --------------------------------------------------------
 
     def _sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        aa, bb = a * a, b * b * self.D
-        if aa == bb:
-            return 0
-        big_is_a = aa > bb
-        return 1 if (a > 0) == big_is_a else -1
+        A, B = self.A, self.B
+        if B == 0 or A == 0 or (A > 0) == (B > 0):
+            s = A or B
+            return (s > 0) - (s < 0)
+        # A and B have opposite signs: the larger of A^2 and B^2 D wins
+        aa, bb = A * A, B * B * self.D
+        return 1 if (aa > bb) == (A > 0) else -1
 
     def _cmp(self, other) -> int:
         o = self._lift(other)
@@ -341,56 +334,45 @@ class QuadReal:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self.a == o.a and self.b == o.b and self.D == o.D
+        return self.A == o.A and self.B == o.B and self.M == o.M and self.D == o.D
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.D))
+        if self.B == 0:
+            return hash(self.A) if self.M == 1 else hash(Fraction(self.A, self.M))
+        return hash((self.A, self.B, self.M, self.D))
 
     def __bool__(self):
-        return bool(self.a or self.b)
+        return bool(self.A or self.B)
 
     def __floor__(self) -> int:
-        if self.b == 0:
-            return math.floor(self.a)
-        # write self = (A + B*sqrt(D)) / M with integers A, B and M > 0
-        qa, qb = self.a.denominator, self.b.denominator
-        M = qa * qb // math.gcd(qa, qb)
-        A = self.a.numerator * (M // qa)
-        B = self.b.numerator * (M // qb)
+        A, B, M = self.A, self.B, self.M
+        if B == 0:
+            return A // M
+        # B*sqrt(D) is never an integer, so it lies strictly between s and s+1
+        # (B > 0) or between -s-1 and -s (B < 0); floor((A + t)/M) = floor(A + t) // M
         s = math.isqrt(B * B * self.D)
-        # B*sqrt(D) lies in [s, s+1) for B >= 0 and in (-s-1, -s] for B < 0
-        n = (A + (s if B >= 0 else -s)) // M
-        while self._cmp(n) < 0:
-            n -= 1
-        while self._cmp(n + 1) >= 0:
-            n += 1
-        return n
+        return (A + s) // M if B > 0 else (A - s - 1) // M
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.D)
+        # int / int is correctly rounded, so each term equals float(Fraction(., M))
+        return self.A / self.M + self.B / self.M * math.sqrt(self.D)
 
     # -- views ---------------------------------------------------------------
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.B == 0
 
     def as_fraction(self) -> Fraction:
-        if self.b != 0:
+        if self.B != 0:
             raise ValueError(f"{self} is irrational")
-        return self.a
+        return Fraction(self.A, self.M)
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        qa, qb = self.a.denominator, self.b.denominator
-        M = qa * qb // math.gcd(qa, qb)
-        A = self.a.numerator * (M // qa)
-        B = self.b.numerator * (M // qb)
-        sign = "+" if B >= 0 else "-"
-        return f"({A} {sign} {abs(B)}*sqrt({self.D}))/{M}"
+        if self.B == 0:
+            return str(self.A) if self.M == 1 else f"{self.A}/{self.M}"
+        sign = "+" if self.B >= 0 else "-"
+        return f"({self.A} {sign} {abs(self.B)}*sqrt({self.D}))/{self.M}"
 
     def __repr__(self) -> str:
         return f"QuadReal({self})"
@@ -417,6 +399,16 @@ class QuadReal:
             bb = -1 if b == "-" else (1 if b in ("", "+") else int(b))
             return cls(0, Fraction(bb, den), int(D))
         return cls(Fraction(s))
+
+
+def _quad(A: int, B: int, M: int, D: int) -> QuadReal:
+    """An arithmetic result (A + B*sqrt(D))/M, M != 0, over an already squarefree D, in normal form."""
+    if M < 0:
+        A, B, M = -A, -B, -M
+    g = math.gcd(A, B, M)
+    x = object.__new__(QuadReal)
+    x.A, x.B, x.M, x.D = A // g, B // g, M // g, D if B else 0
+    return x
 
 
 def floor(x) -> int:

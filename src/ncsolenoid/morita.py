@@ -97,10 +97,7 @@ def trace_line(spec: SolenoidSpec, proj: ProjectionData, n: int) -> TraceLine:
     """Coefficients at level 2n: c = c0 p^(2n), d = d0 - c0 * sum_{j<2n} x_j p^j."""
     c = proj.c0 * spec.p ** (2 * n)
     d = proj.d0 - proj.c0 * int(spec.digits.truncate_sum(0, 2 * n - 1).as_fraction())
-    line = TraceLine(n, c, d)
-    # the trace value is level-independent by construction
-    assert alpha_at(spec, 2 * n) * c + d == spec.theta * proj.c0 + proj.d0
-    return line
+    return TraceLine(n, c, d)
 
 
 def ab_normalized(line: TraceLine, alpha_2n: QuadReal) -> MobiusPair:
@@ -149,9 +146,11 @@ def projection_partner(spec: SolenoidSpec, proj: ProjectionData, N: int) -> SeqW
     """Even-index window 2n <= 2N of normalized Mobius images beta_2n in [0,1).
 
     Requires the coprimality condition; on failure the first non-coprime
-    trace line (n <= 25) is reported as a witness.
+    trace line (n <= 25) is reported as a witness.  The trace value
+    alpha_2n * c_2n + d_2n is level-independent; a level where it is not
+    raises ArithmeticError.
     """
-    validate_projection(spec, proj)
+    tau = validate_projection(spec, proj)
     if not condition_check(spec.p, proj, spec.x(0)):
         witness = None
         for n in range(26):
@@ -167,8 +166,10 @@ def projection_partner(spec: SolenoidSpec, proj: ProjectionData, N: int) -> SeqW
     out = []
     for n in range(N + 1):
         line = trace_line(spec, proj, n)
-        mob = ab_normalized(line, alpha_at(spec, 2 * n))
-        out.append((2 * n, mob.apply(alpha_at(spec, 2 * n))))
+        alpha = alpha_at(spec, 2 * n)
+        if alpha * line.c + line.d != tau:
+            raise ArithmeticError(f"trace value at level {n} differs from tau = {tau}")
+        out.append((2 * n, ab_normalized(line, alpha).apply(alpha)))
     return SeqWindow(tuple(out))
 
 
@@ -273,10 +274,17 @@ def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = 
     candidate projections (c0, d0) on even truncations k of `a` are
     enumerated lexicographically; the first whose partner window matches the
     canonical image of `b` (directly or through the mod-1 flip) is returned.
+    A `b` whose digit horizon ends inside the window matches nothing.
     """
     if a.p != b.p:
         return CertificateResult(status="impossible")
     N = bounds.entries
+    try:
+        alphas = [alpha_at(b, 2 * n) for n in range(N + 1)]
+    except ValueError:
+        return CertificateResult(status="inconclusive")
+    # partner windows lie in [0,1), so they are compared with b's images mod 1 as they are
+    images = {"direct": [frac1(v) for v in alphas], "flipped": [frac1(-v) for v in alphas]}
     for k in range(0, bounds.max_k + 1, 2):
         trunc = truncate_spec(a, k)
         for c0 in range(1, bounds.max_c0 + 1):
@@ -289,27 +297,16 @@ def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = 
                 if not condition_check(trunc.p, proj, trunc.x(0)):
                     continue
                 window = projection_partner(trunc, proj, N)
-                orientation = _window_matches_spec(window, b)
-                if orientation:
-                    return CertificateResult(
-                        status="found",
-                        c0=c0,
-                        d0=d0,
-                        m=m,
-                        k=k,
-                        matched_entries=window.indices(),
-                        orientation=orientation,
-                    )
+                values = [v for _, v in window]
+                for orientation, image in images.items():
+                    if values == image:
+                        return CertificateResult(
+                            status="found",
+                            c0=c0,
+                            d0=d0,
+                            m=m,
+                            k=k,
+                            matched_entries=window.indices(),
+                            orientation=orientation,
+                        )
     return CertificateResult(status="inconclusive")
-
-
-def _window_matches_spec(window: SeqWindow, spec: SolenoidSpec) -> str | None:
-    try:
-        direct = all(frac1(v) == frac1(alpha_at(spec, n)) for n, v in window)
-        if direct:
-            return "direct"
-        if all(frac1(v) == frac1(-alpha_at(spec, n)) for n, v in window):
-            return "flipped"
-    except ValueError:
-        return None  # spec window too short (digit horizon)
-    return None

@@ -55,6 +55,23 @@ def test_bad_theta_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solenoid", "alpha", *SPEC_FLAGS, "--n", "-3"],
+        ["morita", "heisenberg", "--p", "2", "--theta", "0", "--digits", "x=1"],
+        ["solenoid", "alpha", "--p", "2", "--theta", "sqrt(2)", "--digits", "x=1/0", "--n", "1"],
+    ],
+    ids=["negative-index", "zero-theta", "zero-denominator-digits"],
+)
+def test_domain_errors_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.strip().splitlines()[-1].startswith("ncsolenoid")
+
+
 def test_padic_inverse_frozen(capsys):
     code, rep = run_json(capsys, ["padic", "inv", "--p", "5", "--value", "7"])
     assert code == 0
@@ -152,6 +169,11 @@ def test_morita_certify_bad_file_usage_error(tmp_path):
     missing = str(tmp_path / "nope.json")
     with pytest.raises(SystemExit) as exc:
         main(["morita", "certify", "--spec-a", missing, "--spec-b", missing])
+    assert exc.value.code == 2
+    zero_den = tmp_path / "zero.json"
+    zero_den.write_text(json.dumps({"p": 2, "theta": "1/0", "digits": {"p": 2, "ord": 0, "preperiod": [1], "period": [0]}}))
+    with pytest.raises(SystemExit) as exc:
+        main(["morita", "certify", "--spec-a", str(zero_den), "--spec-b", str(zero_den)])
     assert exc.value.code == 2
 
 

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncsolenoid.exactnum import (
     PFrac,
@@ -190,3 +192,97 @@ def test_quadreal_division_errors():
 def test_quadreal_float_lowering():
     x = QuadReal(Fraction(1, 4), Fraction(-2, 3), 5)
     assert abs(float(x) - (0.25 - 2.0 / 3.0 * math.sqrt(5))) < 1e-15
+
+
+# -- properties of the integer normal form, against Fraction arithmetic ----------
+
+# derandomized: every run checks the same examples; no example database is written
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+squarefree = st.sampled_from([2, 3, 5, 6, 7, 10, 11])
+
+
+def parts(x: QuadReal) -> tuple[Fraction, Fraction, int]:
+    """(rational part, surd coefficient, radicand) of x."""
+    return Fraction(x.A, x.M), Fraction(x.B, x.M), x.D
+
+
+def ref_sign(a: Fraction, b: Fraction, D: int) -> int:
+    """Sign of a + b*sqrt(D) from Fractions alone."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa == sb or sb == 0 or sa == 0:
+        return sa or sb
+    return sa if a * a > b * b * D else sb
+
+
+def is_squarefree(D: int) -> bool:
+    return all(D % (f * f) for f in range(2, math.isqrt(D) + 1))
+
+
+@PROPERTY
+@given(rationals, rationals, st.integers(0, 200))
+def test_normal_form_invariants(a, b, D):
+    x = QuadReal(a, b, D)
+    assert x.M > 0
+    assert math.gcd(x.A, x.B, x.M) == 1
+    assert (x.B == 0) == (x.D == 0)
+    assert is_squarefree(x.D)
+    # same value: the rational parts agree and the surds have equal square and sign
+    r = math.isqrt(D)
+    xa, xb, xD = parts(x)
+    if r * r == D:
+        assert (xa, xb) == (a + b * r, 0)
+    else:
+        assert xa == a and xb * xb * xD == b * b * D and (xb > 0) == (b > 0)
+
+
+@PROPERTY
+@given(rationals, rationals, rationals, rationals, squarefree)
+def test_field_operations_match_fractions(a1, b1, a2, b2, D):
+    x, y = QuadReal(a1, b1, D), QuadReal(a2, b2, D)
+    assert parts(x + y)[:2] == (a1 + a2, b1 + b2)
+    assert parts(x - y)[:2] == (a1 - a2, b1 - b2)
+    assert parts(x * y)[:2] == (a1 * a2 + b1 * b2 * D, a1 * b2 + b1 * a2)
+    if a2 or b2:
+        norm = a2 * a2 - b2 * b2 * D
+        assert parts(x / y)[:2] == ((a1 * a2 - b1 * b2 * D) / norm, (b1 * a2 - a1 * b2) / norm)
+    assert x._cmp(y) == ref_sign(a1 - a2, b1 - b2, D)
+
+
+@PROPERTY
+@given(rationals, rationals, squarefree)
+def test_floor_brackets_value(a, b, D):
+    x = QuadReal(a, b, D)
+    n = floor(x)
+    assert ref_sign(a - n, b, D) >= 0
+    assert ref_sign(a - n - 1, b, D) < 0
+
+
+@PROPERTY
+@given(rationals, rationals, squarefree)
+def test_float_matches_fraction_formula(a, b, D):
+    assert float(QuadReal(a, b, D)) == float(a) + float(b) * math.sqrt(D)
+
+
+@PROPERTY
+@given(rationals, rationals, st.integers(0, 200))
+def test_parse_inverts_str(a, b, D):
+    x = QuadReal(a, b, D)
+    assert QuadReal.parse(str(x)) == x
+
+
+@PROPERTY
+@given(rationals, st.integers(-10**30, 10**30))
+def test_rationals_hash_and_compare_like_fractions(q, n):
+    assert QuadReal(q) == q and hash(QuadReal(q)) == hash(q)
+    assert QuadReal(n) == n and hash(QuadReal(n)) == hash(n)
+    assert QuadReal(q, 0, 7).D == 0
+
+
+@PROPERTY
+@given(rationals, rationals.filter(bool), rationals, rationals.filter(bool), st.lists(squarefree, min_size=2, max_size=2, unique=True))
+def test_mixed_radicands_raise(a1, b1, a2, b2, radicands):
+    x, y = QuadReal(a1, b1, radicands[0]), QuadReal(a2, b2, radicands[1])
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y, lambda: x < y):
+        with pytest.raises(RadicandMismatchError):
+            op()

@@ -2,9 +2,17 @@
 closed-form comparison, and the certificate search."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import ncsolenoid
 
 from ncsolenoid.exactnum import QuadReal, Rat, frac1
 from ncsolenoid.morita import (
@@ -27,11 +35,13 @@ from ncsolenoid.morita import (
 )
 from ncsolenoid.padic import PAdic
 from ncsolenoid.solenoid import (
+    SeqWindow,
     SolenoidSpec,
     alpha_at,
     coherence_check,
     equal_in_Xi,
     from_even_entries,
+    truncate_spec,
     window_agrees_mod1,
 )
 
@@ -289,6 +299,78 @@ def test_certificate_search_inconclusive():
     res = certificate_search(a, b, SearchBounds(max_c0=2, max_d0=2, max_k=2, entries=4))
     assert res.status == "inconclusive"
     assert res.to_json() == {"status": "inconclusive"}
+
+
+def _pinned_search_pairs():
+    first = unit_spec(2, THETA, 1)
+    a = SolenoidSpec(3, QuadReal.parse("(1 + 1*sqrt(5))/4"), PAdic.from_rational(3, Fraction(2, 5)))
+    # (c0, d0) = (3, -1) at truncation 4 satisfies the Condition, with trace in (0, 1)
+    planted = projection_partner(truncate_spec(a, 4), ProjectionData(1, 3, -1), 8)
+    return {
+        "first-candidate": (first, heisenberg_partner_spec(first)),
+        "planted": (a, from_even_entries(3, planted)),
+        "different-fields": (first, unit_spec(2, QuadReal.sqrt_of(3) - 1, 1)),
+        # digits known up to x_5 only: entries 8..16 of the window cannot be compared
+        "short-horizon": (a, from_even_entries(3, SeqWindow(planted.entries[:4]))),
+    }
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("first-candidate", {
+            "status": "found", "orientation": "flipped",
+            "certificate": {"c0": 1, "d0": 0, "m": 1, "k": 0, "matched_entries": list(range(0, 17, 2))},
+        }),
+        ("planted", {
+            "status": "found", "orientation": "direct",
+            "certificate": {"c0": 3, "d0": -1, "m": 1, "k": 4, "matched_entries": list(range(0, 17, 2))},
+        }),
+        ("different-fields", {"status": "inconclusive"}),
+        ("short-horizon", {"status": "inconclusive"}),
+    ],
+)
+def test_certificate_search_pinned_pairs(name, expected):
+    a, b = _pinned_search_pairs()[name]
+    assert certificate_search(a, b).to_json() == expected
+
+
+def test_short_horizon_matches_inside_its_window():
+    a, b = _pinned_search_pairs()["short-horizon"]
+    res = certificate_search(a, b, SearchBounds(entries=3))
+    assert (res.status, res.c0, res.d0, res.k, res.matched_entries) == ("found", 3, -1, 4, (0, 2, 4, 6))
+
+
+def test_invariants_raise_under_python_O():
+    # python -O strips assert statements; the level invariants must still fire
+    script = textwrap.dedent(
+        """
+        import sys
+        from ncsolenoid import bimodule, morita
+        from ncsolenoid.exactnum import QuadReal
+        from ncsolenoid.padic import PAdic
+        from ncsolenoid.solenoid import SolenoidSpec, alpha_at
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        spec = SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_int(2, 1))
+        proj = morita.ProjectionData(1, 1, 0)
+        wrong = lambda s, n: alpha_at(s, n) + 1
+        morita.alpha_at = bimodule.alpha_at = wrong
+        for call in (lambda: morita.projection_partner(spec, proj, 2), lambda: bimodule.BimCtx.build(spec, proj, 1)):
+            try:
+                call()
+            except ArithmeticError:
+                continue
+            sys.exit("returned despite a wrong alpha")
+        print("raised")
+        """
+    )
+    src = str(Path(ncsolenoid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
 
 
 def test_certificate_result_json_shape():
