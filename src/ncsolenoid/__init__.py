@@ -1,6 +1,6 @@
 """Exact arithmetic and numerical verification for Morita partners of noncommutative solenoids."""
 
-from .exactnum import PFrac, QuadReal, Rat, RadicandMismatchError, ext_gcd, floor, frac1
+from .exactnum import PFrac, QuadReal, RadicandMismatchError, ext_gcd, floor, frac1
 from .padic import ORD_INF, PAdic, PrecisionError, TruncatedPAdic
 from .solenoid import (
     SeqWindow,
@@ -31,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "PFrac",
     "QuadReal",
-    "Rat",
     "RadicandMismatchError",
     "ext_gcd",
     "floor",

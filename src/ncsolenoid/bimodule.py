@@ -535,7 +535,7 @@ def inner_right(ctx: BimCtx, F1: ModElem, F2: ModElem) -> AlgElem:
 # -- connecting maps -----------------------------------------------------------------
 
 
-def iota_embed(ctx: BimCtx, F: ModElem, scale: float = 1.0) -> ModElem:
+def level_embed(ctx: BimCtx, F: ModElem, scale: float = 1.0) -> ModElem:
     """Embed a modulus-c0*p^(2n) element into modulus c0*p^(2n+2).
 
     f at index j maps to scale * f(t/p) spread over the p indices
@@ -678,14 +678,14 @@ def identity_suite(
         F = random_mod_elem(rng, ctx.modulus)
         G = random_mod_elem(rng, ctx.modulus)
         H = random_mod_elem(rng, ctx.modulus)
-        iF, iG = iota_embed(ctx, F), iota_embed(ctx, G)
+        iF, iG = level_embed(ctx, F), level_embed(ctx, G)
 
         for gen in ("U", "V"):
-            lhs = iota_embed(ctx, act_left_gen(ctx, gen, 1, F))
+            lhs = level_embed(ctx, act_left_gen(ctx, gen, 1, F))
             rhs = act_left_gen(ctx2, gen, p, iF)
             errs["iota_left_action"] = max(errs["iota_left_action"], mod_diff(lhs, rhs, rng, plan.t_points))
 
-            lhs = iota_embed(ctx, act_right_gen(ctx, gen, 1, F))
+            lhs = level_embed(ctx, act_right_gen(ctx, gen, 1, F))
             rhs = act_right_gen(ctx2, gen, p, iF)
             errs["iota_right_action"] = max(errs["iota_right_action"], mod_diff(lhs, rhs, rng, plan.t_points))
 

@@ -27,7 +27,7 @@ from .morita import (
     relate_check,
     validate_projection,
 )
-from .padic import PAdic, frac_part
+from .padic import PAdic
 from .solenoid import SolenoidSpec, alpha_at
 
 
@@ -42,6 +42,14 @@ def _parse_digits(p: int, text: str) -> PAdic:
     if body.startswith("x="):
         body = body[2:]
     return PAdic.from_rational(p, Fraction(body))
+
+
+def _count(text: str) -> int:
+    """argparse type for --entries and --count: a nonnegative integer."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
+    return n
 
 
 def _add_spec_flags(sp: argparse.ArgumentParser) -> None:
@@ -119,7 +127,7 @@ def _cmd_padic(parser, args) -> int:
             parser.error("zero has no inverse")
         base["inverse"] = value.invert().to_json()
     elif args.padic_cmd == "frac":
-        f = frac_part(value)
+        f = value.frac_part()
         base["frac_part"] = str(f)
         base["as_rational"] = str(f.as_fraction())
     else:  # trunc
@@ -266,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("check-coherence", "from-even"):
         sp = sol_subs.add_parser(name)
         _add_spec_flags(sp)
-        sp.add_argument("--entries", type=int, default=8)
+        sp.add_argument("--entries", type=_count, default=8)
 
     multiplier = subs.add_parser("multiplier", help="multiplier and pairing checks")
     mult_subs = multiplier.add_subparsers(dest="multiplier_cmd", required=True)
@@ -274,35 +282,35 @@ def build_parser() -> argparse.ArgumentParser:
         sp = mult_subs.add_parser(name)
         _add_spec_flags(sp)
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--count", type=int, default=200)
+        sp.add_argument("--count", type=_count, default=200)
 
     morita = subs.add_parser("morita", help="partner constructions and certificates")
     morita_subs = morita.add_subparsers(dest="morita_cmd", required=True)
     sp = morita_subs.add_parser("heisenberg")
     _add_spec_flags(sp)
-    sp.add_argument("--entries", type=int, default=6)
+    sp.add_argument("--entries", type=_count, default=6)
     sp = morita_subs.add_parser("projection")
     _add_spec_flags(sp)
     sp.add_argument("--c0", type=int, required=True)
     sp.add_argument("--d0", type=int, required=True)
     sp.add_argument("--m", type=int, default=1)
-    sp.add_argument("--entries", type=int, default=6)
+    sp.add_argument("--entries", type=_count, default=6)
     sp = morita_subs.add_parser("relate")
     _add_spec_flags(sp)
-    sp.add_argument("--entries", type=int, default=6)
+    sp.add_argument("--entries", type=_count, default=6)
     sp = morita_subs.add_parser("certify")
     sp.add_argument("--spec-a", required=True, help="spec JSON file for the first sequence")
     sp.add_argument("--spec-b", required=True, help="spec JSON file for the second sequence")
     sp.add_argument("--max-c0", type=int, default=4)
     sp.add_argument("--max-d0", type=int, default=4)
     sp.add_argument("--max-k", type=int, default=4)
-    sp.add_argument("--entries", type=int, default=8)
+    sp.add_argument("--entries", type=_count, default=8)
 
     partner = subs.add_parser("partner", help="alias for morita partner commands")
     partner_subs = partner.add_subparsers(dest="morita_cmd", required=True)
     sp = partner_subs.add_parser("heisenberg")
     _add_spec_flags(sp)
-    sp.add_argument("--entries", type=int, default=6)
+    sp.add_argument("--entries", type=_count, default=6)
 
     check = subs.add_parser("check", help="single-shot predicate checks")
     check_subs = check.add_subparsers(dest="check_cmd", required=True)

@@ -11,11 +11,6 @@ import math
 import re
 from fractions import Fraction
 
-# Arbitrary-precision rationals, kept in canonical reduced form with positive
-# denominator.  The stdlib type already satisfies that contract.
-Rat = Fraction
-
-
 class RadicandMismatchError(ValueError):
     """Arithmetic tried to combine surds over two different radicands."""
 

@@ -230,6 +230,10 @@ class SearchBounds:
     max_k: int = 4
     entries: int = 8
 
+    def __post_init__(self):
+        if self.entries < 0:
+            raise ValueError(f"entries must be nonnegative, got {self.entries}")
+
 
 @dataclass(frozen=True)
 class CertificateResult:

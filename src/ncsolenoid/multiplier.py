@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .exactnum import PFrac, QuadReal, frac1
-from .padic import PAdic, TruncatedPAdic, rational_frac_part
+from .padic import PAdic, TruncatedPAdic
 from .solenoid import SeqWindow, SolenoidSpec, alpha_at
 
 
@@ -122,7 +122,7 @@ def eta(P1: LatticePoint, P2: LatticePoint) -> PhaseArg:
     q1, r1 = a1.q, a1.r
     q4, r4 = b2.q, b2.r
     if isinstance(q1, PAdic) and isinstance(q4, PAdic):
-        fp = rational_frac_part(q1.p, q1.as_fraction() * q4.as_fraction()).as_fraction()
+        fp = (q1 * q4).frac_part().as_fraction()
     else:
         # widen the exact operand so precision is set by the truncated one
         if isinstance(q1, PAdic):

@@ -1,10 +1,9 @@
 """Exact p-adic numbers with eventually periodic digit streams.
 
-A nonzero element is stored as an order v (index of the first nonzero digit)
-together with a preperiodic digit block and a repeating block, all digits in
-{0, ..., p-1}.  Eventually periodic streams are exactly the rationals, so the
-representation is lossless and equality is decidable: the constructor always
-reduces to the unique minimal (preperiod, period) form.
+Eventually periodic streams are exactly the rationals, so a PAdic is stored
+as its rational q: arithmetic and equality are those of q, and every digit is
+a view computed from q on demand.  The minimal (ord, preperiod, period) form
+is built only for display (to_json, repr).
 
 Irrational p-adics are supported only as finite windows (TruncatedPAdic),
 with every operation tracking the absolute precision it can honestly claim.
@@ -30,68 +29,94 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-def _min_period(per: tuple[int, ...]) -> tuple[int, ...]:
-    L = len(per)
-    for d in range(1, L + 1):
-        if L % d == 0 and per == per[:d] * (L // d):
-            return per[:d]
-    return per
+def _strip(n: int, p: int) -> tuple[int, int]:
+    """(n / p**e, e) with e the exponent of p in the nonzero integer n."""
+    e = 0
+    while n % p == 0:
+        # divide by p, p**2, p**4, ... while they divide: O(log(e)**2) divisions, not e
+        pk, k = p, 1
+        while n % pk == 0:
+            n //= pk
+            e += k
+            pk, k = pk * pk, 2 * k
+    return n, e
 
 
 class PAdic:
-    """Element of Q_p with an eventually periodic (hence rational) digit stream."""
+    """Element of Q_p with an eventually periodic (hence rational) digit stream, stored as that rational."""
 
-    __slots__ = ("p", "_v", "pre", "per")
+    __slots__ = ("p", "q")
 
     def __init__(self, p: int, v: int, pre, per):
+        """The value with digits pre, then per repeated forever, starting at index v."""
         _require_prime(p)
         pre = tuple(int(d) for d in pre)
         per = tuple(int(d) for d in per) or (0,)
         for d in pre + per:
             if not 0 <= d < p:
                 raise ValueError(f"digit {d} out of range for p={p}")
-        per = _min_period(per)
-        # fold preperiod digits that already agree with the rolling period
-        while pre and pre[-1] == per[-1]:
-            per = (per[-1],) + per[:-1]
-            pre = pre[:-1]
-        # advance past leading zeros so the digit at index v is nonzero
-        while pre and pre[0] == 0:
-            pre = pre[1:]
-            v += 1
-        if not pre and any(per):
-            while per[0] == 0:
-                per = per[1:] + per[:1]
-                v += 1
-        if not pre and not any(per):
-            v, pre, per = 0, (), (0,)
+        head = sum(d * p**i for i, d in enumerate(pre))
+        block = sum(d * p**i for i, d in enumerate(per))
+        tail = Fraction(block * p ** len(pre), 1 - p ** len(per))
         self.p = p
-        self._v = v
-        self.pre = pre
-        self.per = per
+        self.q = (head + tail) * Fraction(p) ** v
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, p: int) -> "PAdic":
-        return cls(p, 0, (), (0,))
+        return cls.from_rational(p, 0)
 
     @classmethod
     def from_rational(cls, p: int, q) -> "PAdic":
-        """Expand a rational exactly: digits are generated until the carry
-        state repeats, which yields the minimal eventually periodic form."""
         _require_prime(p)
-        q = Fraction(q)
-        if q == 0:
-            return cls.zero(p)
-        num, den = q.numerator, q.denominator
-        v = 0
-        while num % p == 0:
-            num //= p
-            v += 1
-        while den % p == 0:
-            den //= p
-            v -= 1
+        x = object.__new__(cls)
+        x.p, x.q = p, Fraction(q)
+        return x
+
+    @classmethod
+    def from_int(cls, p: int, n: int) -> "PAdic":
+        return cls.from_rational(p, n)
+
+    @classmethod
+    def from_json(cls, obj) -> "PAdic":
+        if not isinstance(obj, dict):
+            raise ValueError(f"digits must be a JSON object, got {type(obj).__name__}")
+        p, v, pre, per = obj["p"], obj["ord"], obj["preperiod"], obj["period"]
+        if type(p) is not int or type(v) is not int:
+            raise ValueError(f"digits p and ord must be integers, got {p!r} and {v!r}")
+        if not (isinstance(pre, list) and isinstance(per, list) and all(type(d) is int for d in pre + per)):
+            raise ValueError("digits preperiod and period must be lists of integers")
+        return cls(p, v, pre, per)
+
+    # -- digit views -----------------------------------------------------------
+
+    def _head(self, h: int) -> PFrac:
+        """Exact digit sum  sum_{j <= h} d_j p**j.
+
+        With q = num / (den * p**s) and den prime to p, num/den is a p-adic
+        integer whose digits are those of q shifted up by s, so its residue
+        mod p**(h+1+s) holds exactly the digits at indices -s..h.
+        """
+        p, num = self.p, self.q.numerator
+        den, s = _strip(self.q.denominator, p)
+        n = h + 1 + s
+        if n <= 0:
+            return PFrac(p, 0)
+        mod = p**n
+        return PFrac(p, num * pow(den, -1, mod) % mod, s)
+
+    def _expand(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """Minimal (ord, preperiod, period), generated until the carry state repeats.
+
+        The carry state m is den times the value of the digits still to come,
+        so the first repeated state closes the shortest preperiod and period.
+        """
+        if not self.q:
+            return 0, (), (0,)
+        p = self.p
+        num, a = _strip(self.q.numerator, p)
+        den, b = _strip(self.q.denominator, p)
         inv_den = pow(den, -1, p)
         digits: list[int] = []
         seen: dict[int, int] = {}
@@ -102,63 +127,61 @@ class PAdic:
             digits.append(d)
             m = (m - d * den) // p
         start = seen[m]
-        return cls(p, v, tuple(digits[:start]), tuple(digits[start:]))
-
-    @classmethod
-    def from_int(cls, p: int, n: int) -> "PAdic":
-        return cls.from_rational(p, Fraction(n))
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PAdic":
-        return cls(obj["p"], obj["ord"], tuple(obj["preperiod"]), tuple(obj["period"]))
-
-    # -- basic views ----------------------------------------------------------
+        return a - b, tuple(digits[:start]), tuple(digits[start:])
 
     @property
     def is_zero(self) -> bool:
-        return not self.pre and self.per == (0,)
+        return not self.q
 
     @property
     def ord(self):
         """Valuation: index of the first nonzero digit; ORD_INF for zero."""
-        return ORD_INF if self.is_zero else self._v
+        if not self.q:
+            return ORD_INF
+        return _strip(self.q.numerator, self.p)[1] - _strip(self.q.denominator, self.p)[1]
+
+    @property
+    def pre(self) -> tuple[int, ...]:
+        return self._expand()[1]
+
+    @property
+    def per(self) -> tuple[int, ...]:
+        return self._expand()[2]
 
     def digit(self, j: int) -> int:
-        if self.is_zero:
-            return 0
-        i = j - self._v
-        if i < 0:
-            return 0
-        if i < len(self.pre):
-            return self.pre[i]
-        return self.per[(i - len(self.pre)) % len(self.per)]
+        # _head(j) is d_j p**j plus lower digits worth less than p**j; when
+        # h.k + j < 0 it has no nonzero digit at or below j, so it is 0
+        h = self._head(j)
+        return h.j // self.p ** max(h.k + j, 0)
 
     def as_fraction(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        p = Fraction(self.p)
-        total = Fraction(0)
-        for i, d in enumerate(self.pre):
-            total += d * p ** (self._v + i)
-        L = len(self.per)
-        block = sum(d * self.p**i for i, d in enumerate(self.per))
-        total += Fraction(block, 1 - self.p**L) * p ** (self._v + len(self.pre))
-        return total
+        return self.q
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "ord": 0 if self.is_zero else self._v,
-            "preperiod": list(self.pre),
-            "period": list(self.per),
-        }
+        v, pre, per = self._expand()
+        return {"p": self.p, "ord": v, "preperiod": list(pre), "period": list(per)}
 
     def truncate(self, n: int) -> "TruncatedPAdic":
         """Digit window up to (excluding) index n, i.e. the value mod p**n."""
-        v = 0 if self.is_zero else self._v
+        v = 0 if self.is_zero else self.ord
         if n <= v:
             return TruncatedPAdic(self.p, n, ())
-        return TruncatedPAdic(self.p, v, tuple(self.digit(j) for j in range(v, n)))
+        m = int(self._head(n - 1).as_fraction() / Fraction(self.p) ** v)
+        digits = []
+        for _ in range(n - v):
+            m, d = divmod(m, self.p)
+            digits.append(d)
+        return TruncatedPAdic(self.p, v, tuple(digits))
+
+    def frac_part(self) -> PFrac:
+        """Fractional part: the digits at negative indices, a value in [0,1) of Z[1/p]."""
+        return self._head(-1)
+
+    def truncate_sum(self, lo: int, hi: int) -> PFrac:
+        """Exact window sum of digit(j) * p**j for lo <= j <= hi."""
+        if lo > hi:
+            return PFrac(self.p, 0)
+        return self._head(hi) - self._head(lo - 1)
 
     # -- arithmetic (rational closure; exact) ---------------------------------
 
@@ -166,7 +189,7 @@ class PAdic:
         if isinstance(other, PAdic):
             if other.p != self.p:
                 raise ValueError(f"mixed primes {self.p} and {other.p}")
-            return other.as_fraction()
+            return other.q
         if isinstance(other, (int, Fraction)):
             return Fraction(other)
         if isinstance(other, PFrac):
@@ -177,87 +200,56 @@ class PAdic:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return PAdic.from_rational(self.p, self.as_fraction() + q)
+        return PAdic.from_rational(self.p, self.q + q)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.negate()
+        return PAdic.from_rational(self.p, -self.q)
 
     def __sub__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return PAdic.from_rational(self.p, self.as_fraction() - q)
+        return PAdic.from_rational(self.p, self.q - q)
 
     def __rsub__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return PAdic.from_rational(self.p, q - self.as_fraction())
+        return PAdic.from_rational(self.p, q - self.q)
 
     def __mul__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return PAdic.from_rational(self.p, self.as_fraction() * q)
+        return PAdic.from_rational(self.p, self.q * q)
 
     __rmul__ = __mul__
 
     def invert(self) -> "PAdic":
         """Multiplicative inverse; ord flips sign, units stay units."""
-        if self.is_zero:
+        if not self.q:
             raise ZeroDivisionError("p-adic zero has no inverse")
-        return PAdic.from_rational(self.p, 1 / self.as_fraction())
-
-    def negate(self) -> "PAdic":
-        """Digitwise negation: first digit p - a_v, every later digit p-1 - a_j."""
-        if self.is_zero:
-            return self
-        if self.pre:
-            first, rest, per = self.pre[0], self.pre[1:], self.per
-        else:
-            first, rest, per = self.per[0], (), self.per[1:] + self.per[:1]
-        new_pre = (self.p - first,) + tuple(self.p - 1 - d for d in rest)
-        new_per = tuple(self.p - 1 - d for d in per)
-        return PAdic(self.p, self._v, new_pre, new_per)
-
-    def frac_part(self) -> PFrac:
-        """Fractional part: the digits at negative indices, a value in [0,1) of Z[1/p]."""
-        if self.is_zero or self._v >= 0:
-            return PFrac(self.p, 0)
-        num = sum(self.digit(j) * self.p ** (j - self._v) for j in range(self._v, 0))
-        return PFrac(self.p, num, -self._v)
-
-    def truncate_sum(self, lo: int, hi: int) -> PFrac:
-        """Exact window sum of digit(j) * p**j for lo <= j <= hi."""
-        if lo > hi:
-            return PFrac(self.p, 0)
-        shift = min(lo, 0)
-        num = sum(self.digit(j) * self.p ** (j - shift) for j in range(lo, hi + 1))
-        return PFrac(self.p, num, -shift)
+        return PAdic.from_rational(self.p, 1 / self.q)
 
     # -- comparisons -----------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, PAdic):
-            return (self.p, self._v, self.pre, self.per) == (
-                other.p,
-                other._v,
-                other.pre,
-                other.per,
-            )
+            return (self.p, self.q) == (other.p, other.q)
         if isinstance(other, (int, Fraction)):
-            return self.as_fraction() == other
+            return self.q == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self._v, self.pre, self.per))
+        return hash((self.p, self.q))
 
     def __repr__(self):
-        if self.is_zero:
+        if not self.q:
             return f"PAdic(p={self.p}, 0)"
-        return f"PAdic(p={self.p}, ord={self._v}, pre={list(self.pre)}, per={list(self.per)})"
+        v, pre, per = self._expand()
+        return f"PAdic(p={self.p}, ord={v}, pre={list(pre)}, per={list(per)})"
 
 
 @dataclass(frozen=True)
@@ -343,53 +335,3 @@ class TruncatedPAdic:
         shift = min(lo, 0)
         num = sum(self.digit(j) * self.p ** (j - shift) for j in range(lo, hi + 1))
         return PFrac(self.p, num, -shift)
-
-
-# -- module-level operation surface ------------------------------------------
-
-
-def from_rational(p: int, q) -> PAdic:
-    return PAdic.from_rational(p, q)
-
-
-def invert(x):
-    return x.invert()
-
-
-def frac_part(x) -> PFrac:
-    return x.frac_part()
-
-
-def truncate_sum(x, lo: int, hi: int) -> PFrac:
-    return x.truncate_sum(lo, hi)
-
-
-def negate_digits(x: PAdic) -> PAdic:
-    return x.negate()
-
-
-def rational_frac_part(p: int, q) -> PFrac:
-    """Fractional part of a rational inside Q_p, without periodic closure.
-
-    Only the finitely many negative-index digits are extracted, so this stays
-    cheap for products with large denominators prime to p.
-    """
-    _require_prime(p)
-    q = Fraction(q)
-    if q == 0:
-        return PFrac(p, 0)
-    num, den = q.numerator, q.denominator
-    v = 0
-    while den % p == 0:
-        den //= p
-        v -= 1
-    if v >= 0:
-        return PFrac(p, 0)
-    inv_den = pow(den, -1, p)
-    total = 0
-    m = num
-    for i in range(-v):
-        d = (m * inv_den) % p
-        total += d * p**i
-        m = (m - d * den) // p
-    return PFrac(p, total, -v)

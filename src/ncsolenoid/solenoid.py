@@ -61,13 +61,17 @@ class SolenoidSpec:
         return obj
 
     @classmethod
-    def from_json(cls, obj: dict) -> "SolenoidSpec":
-        return cls(
-            obj["p"],
-            QuadReal.parse(obj["theta"]),
-            PAdic.from_json(obj["digits"]),
-            obj.get("digit_horizon"),
-        )
+    def from_json(cls, obj) -> "SolenoidSpec":
+        if not isinstance(obj, dict):
+            raise ValueError(f"spec must be a JSON object, got {type(obj).__name__}")
+        p, theta, horizon = obj["p"], obj["theta"], obj.get("digit_horizon")
+        if type(p) is not int:
+            raise ValueError(f"p must be an integer, got {p!r}")
+        if not isinstance(theta, str):
+            raise ValueError(f"theta must be a string, got {theta!r}")
+        if horizon is not None and type(horizon) is not int:
+            raise ValueError(f"digit_horizon must be an integer, got {horizon!r}")
+        return cls(p, QuadReal.parse(theta), PAdic.from_json(obj["digits"]), horizon)
 
 
 @dataclass(frozen=True)

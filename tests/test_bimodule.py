@@ -27,7 +27,7 @@ from ncsolenoid.bimodule import (
     identity_suite,
     inner_left,
     inner_right,
-    iota_embed,
+    level_embed,
     mod_diff,
     periodicity_defect,
     phi_embed,
@@ -225,7 +225,7 @@ def test_iota_frozen_example():
     ctx = ctx_at(2, 0)
     f = HatFn((0.0, 1.0, 2.0), (0j, 1 + 0j, 0j))
     F = ModElem.delta(1, 0, f)
-    iF = iota_embed(ctx, F)
+    iF = level_embed(ctx, F)
     assert iF.modulus == 4
     assert iF.indices() == (0, 2)
     t = np.array([0.5, 1.0, 3.0])
@@ -233,7 +233,7 @@ def test_iota_frozen_example():
         assert np.allclose(iF.eval(t, j), f.eval(t / 2))
     assert iF.support() == (0.0, 4.0)  # support dilates by p
     # the 1/sqrt(p)-normalized variant halves every value
-    half = iota_embed(ctx, F, scale=1 / math.sqrt(2))
+    half = level_embed(ctx, F, scale=1 / math.sqrt(2))
     for j in (0, 2):
         assert np.allclose(half.eval(t, j), f.eval(t / 2) / math.sqrt(2))
 
@@ -247,10 +247,10 @@ def test_scaled_embedding_breaks_inner_compatibility_by_factor_p():
     F = random_mod_elem(rng, ctx.modulus)
     G = random_mod_elem(rng, ctx.modulus)
     lhs = phi_embed(inner_left(ctx, F, G), 2)
-    good = inner_left(ctx2, iota_embed(ctx, F), iota_embed(ctx, G))
+    good = inner_left(ctx2, level_embed(ctx, F), level_embed(ctx, G))
     assert alg_diff(lhs, good, rng, 90) < 1e-12
     s = 1 / math.sqrt(2)
-    bad = inner_left(ctx2, iota_embed(ctx, F, scale=s), iota_embed(ctx, G, scale=s))
+    bad = inner_left(ctx2, level_embed(ctx, F, scale=s), level_embed(ctx, G, scale=s))
     assert alg_diff(lhs, bad, rng, 90) > 1e-3
     r = np.linspace(0, 1, 41)
     for k in lhs.keys():
@@ -262,8 +262,8 @@ def test_iota_linearity_is_structural():
     ctx = ctx_at(2, 1)
     F = random_mod_elem(rng, ctx.modulus)
     G = random_mod_elem(rng, ctx.modulus)
-    assert iota_embed(ctx, F.add(G)) == iota_embed(ctx, F).add(iota_embed(ctx, G))
-    assert iota_embed(ctx, ModElem(ctx.modulus)) == ModElem(4 * ctx.modulus)
+    assert level_embed(ctx, F.add(G)) == level_embed(ctx, F).add(level_embed(ctx, G))
+    assert level_embed(ctx, ModElem(ctx.modulus)) == ModElem(4 * ctx.modulus)
 
 
 def test_phi_embed_shapes():

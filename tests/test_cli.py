@@ -2,15 +2,21 @@
 and byte-level reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ncsolenoid
 from ncsolenoid.cli import main
 from ncsolenoid.exactnum import QuadReal
 from ncsolenoid.morita import heisenberg_partner_spec
 from ncsolenoid.padic import PAdic
 from ncsolenoid.solenoid import SolenoidSpec
 
+SRC = str(Path(ncsolenoid.__file__).resolve().parents[1])
 SPEC_FLAGS = ["--p", "2", "--theta", "(-1 + 1*sqrt(2))/1", "--digits", "x=1"]
 
 
@@ -61,12 +67,20 @@ def test_bad_theta_usage_error():
         ["solenoid", "alpha", *SPEC_FLAGS, "--n", "-3"],
         ["morita", "heisenberg", "--p", "2", "--theta", "0", "--digits", "x=1"],
         ["solenoid", "alpha", "--p", "2", "--theta", "sqrt(2)", "--digits", "x=1/0", "--n", "1"],
+        ["morita", "certify", "--spec-a", "{spec}", "--spec-b", "{spec}", "--entries", "-1"],
+        ["morita", "heisenberg", *SPEC_FLAGS, "--entries", "-2"],
+        ["solenoid", "check-coherence", *SPEC_FLAGS, "--entries", "-3"],
+        ["multiplier", "check-cocycle", "--count", "-4"],
     ],
-    ids=["negative-index", "zero-theta", "zero-denominator-digits"],
+    ids=[
+        "negative-index", "zero-theta", "zero-denominator-digits",
+        "negative-certify-entries", "negative-heisenberg-entries", "negative-coherence-entries", "negative-count",
+    ],
 )
-def test_domain_errors_usage_error(capsys, argv):
+def test_domain_errors_usage_error(capsys, tmp_path, argv):
+    spec = _write_spec(tmp_path / "spec.json", SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_int(2, 1)))
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main([a.replace("{spec}", spec) for a in argv])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.strip().splitlines()[-1].startswith("ncsolenoid")
@@ -77,6 +91,31 @@ def test_padic_inverse_frozen(capsys):
     assert code == 0
     inv = PAdic.from_json(rep["inverse"])
     assert inv.digit(0) == 3  # 7 * 3 = 21 = 1 mod 5
+
+
+def run_process(argv):
+    """The command in a fresh interpreter, bounded by a 10 s timeout."""
+    return subprocess.run(
+        [sys.executable, "-m", "ncsolenoid.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=10,
+    )
+
+
+def test_padic_inverse_long_period_finishes():
+    # 1/1000003 has a 2-adic period of about 10**6 digits; its inverse is an integer
+    proc = run_process(["padic", "inv", "--p", "2", "--value", "1/1000003"])
+    assert proc.returncode == 0, proc.stderr
+    assert PAdic.from_json(json.loads(proc.stdout)["inverse"]) == 1000003
+
+
+def test_spec_file_with_large_ord_finishes(tmp_path):
+    # the valuation of 2**300000 must not take one big division per factor of 2
+    spec = {"p": 2, "theta": "sqrt(2)", "digits": {"p": 2, "ord": 300000, "preperiod": [1], "period": [0]}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    proc = run_process(["solenoid", "alpha", "--spec", str(path), "--n", "2"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["inputs"]["digits"] == spec["digits"]
 
 
 def test_padic_inverse_of_zero_usage_error():
@@ -170,11 +209,20 @@ def test_morita_certify_bad_file_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["morita", "certify", "--spec-a", missing, "--spec-b", missing])
     assert exc.value.code == 2
-    zero_den = tmp_path / "zero.json"
-    zero_den.write_text(json.dumps({"p": 2, "theta": "1/0", "digits": {"p": 2, "ord": 0, "preperiod": [1], "period": [0]}}))
-    with pytest.raises(SystemExit) as exc:
-        main(["morita", "certify", "--spec-a", str(zero_den), "--spec-b", str(zero_den)])
-    assert exc.value.code == 2
+    digits = {"p": 2, "ord": 0, "preperiod": [1], "period": [0]}
+    bad_specs = [
+        {"p": 2, "theta": "1/0", "digits": digits},
+        {"p": "2", "theta": "sqrt(2)", "digits": digits},
+        {"p": 2, "theta": 5, "digits": digits},
+        [2, "sqrt(2)", digits],
+        {"p": 2, "theta": "sqrt(2)", "digits": digits, "digit_horizon": "3"},
+    ]
+    for i, obj in enumerate(bad_specs):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SystemExit) as exc:
+            main(["morita", "certify", "--spec-a", str(path), "--spec-b", str(path)])
+        assert exc.value.code == 2, obj
 
 
 def test_bimodule_verify_small(capsys):

@@ -14,7 +14,7 @@ import pytest
 
 import ncsolenoid
 
-from ncsolenoid.exactnum import QuadReal, Rat, frac1
+from ncsolenoid.exactnum import QuadReal, frac1
 from ncsolenoid.morita import (
     CertificateResult,
     ConditionError,
@@ -135,8 +135,8 @@ def test_heisenberg_partner_frozen_p2():
     spec = unit_spec(2, THETA, 1)
     win = heisenberg_partner(spec, 2)
     assert win.value(0) == ROOT2 + 1
-    assert win.value(1) == (ROOT2 + 1) / 2 + Rat(1, 2)
-    assert win.value(2) == (ROOT2 + 1) / 4 + Rat(1, 4)
+    assert win.value(1) == (ROOT2 + 1) / 2 + Fraction(1, 2)
+    assert win.value(2) == (ROOT2 + 1) / 4 + Fraction(1, 4)
 
 
 def test_heisenberg_partner_frozen_p5():
@@ -144,7 +144,7 @@ def test_heisenberg_partner_frozen_p5():
     theta = frac1(QuadReal.sqrt_of(3) / 2)
     spec = SolenoidSpec(5, theta, PAdic.from_int(5, 2))
     win = heisenberg_partner(spec, 1)
-    assert win.value(1) == 1 / (theta * 5) + Rat(3, 5)
+    assert win.value(1) == 1 / (theta * 5) + Fraction(3, 5)
 
 
 def test_heisenberg_partner_errors():
@@ -175,13 +175,13 @@ def test_heisenberg_involution_exact_for_units():
 def test_heisenberg_partner_nonunit_digits():
     # x = 2*3 + 3^2 has ord 1; y = invert(x) has a fractional tail folded
     # into the partner theta, and the partner digit stream is integral
-    spec = SolenoidSpec(3, THETA, PAdic.from_rational(3, Rat(15)))
+    spec = SolenoidSpec(3, THETA, PAdic.from_rational(3, Fraction(15)))
     partner = heisenberg_partner_spec(spec)
     assert partner.digits.is_zero or partner.digits.ord >= 0
     y = spec.digits.invert()
     win = heisenberg_partner(spec, 4)
     for n in range(5):
-        expect = (1 / (THETA * 3**n)) + y.truncate_sum(y.ord, n - 1).as_fraction() / Rat(3**n)
+        expect = (1 / (THETA * 3**n)) + y.truncate_sum(y.ord, n - 1).as_fraction() / Fraction(3**n)
         assert win.value(n) == expect
 
 
@@ -268,7 +268,7 @@ def test_projection_vs_heisenberg_flip():
     assert window_agrees_mod1(proj_win, heis, allow_flip=True) == "flipped"
     # and through equal_in_Xi on the spec recovered from the even window
     recovered = from_even_entries(2, proj_win)
-    flipped = SolenoidSpec(2, -heis.theta, heis.digits.negate())
+    flipped = SolenoidSpec(2, -heis.theta, -heis.digits)
     assert equal_in_Xi(recovered, flipped, 16)
 
 
@@ -299,6 +299,13 @@ def test_certificate_search_inconclusive():
     res = certificate_search(a, b, SearchBounds(max_c0=2, max_d0=2, max_k=2, entries=4))
     assert res.status == "inconclusive"
     assert res.to_json() == {"status": "inconclusive"}
+
+
+def test_search_bounds_reject_negative_entries():
+    # an empty (or negative) window would match vacuously and report "found"
+    with pytest.raises(ValueError):
+        SearchBounds(entries=-1)
+    assert SearchBounds(entries=0).entries == 0
 
 
 def _pinned_search_pairs():

@@ -2,38 +2,38 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncsolenoid.exactnum import PFrac
-from ncsolenoid.padic import (
-    ORD_INF,
-    PAdic,
-    PrecisionError,
-    TruncatedPAdic,
-    frac_part,
-    from_rational,
-    invert,
-    negate_digits,
-    rational_frac_part,
-    truncate_sum,
-)
+from ncsolenoid.padic import ORD_INF, PAdic, PrecisionError, TruncatedPAdic
+
+
+def expansion_digit(x: PAdic, j: int) -> int:
+    """Digit j read from the minimal (ord, pre, per) expansion, not from the stored rational."""
+    if x.is_zero or j < x.ord:
+        return 0
+    pre, per = x.pre, x.per
+    i = j - x.ord
+    return pre[i] if i < len(pre) else per[(i - len(pre)) % len(per)]
 
 
 def test_expansion_frozen_cases():
     # oracle: hand expansions, then verified below by Hensel window products
-    x = from_rational(5, Fraction(1, 2))
+    x = PAdic.from_rational(5, Fraction(1, 2))
     assert (x.ord, x.pre, x.per) == (0, (3,), (2,))
-    y = from_rational(2, 7)
+    y = PAdic.from_rational(2, 7)
     assert (y.ord, y.pre, y.per) == (0, (1, 1, 1), (0,))
-    z = from_rational(3, Fraction(1, 3))
+    z = PAdic.from_rational(3, Fraction(1, 3))
     assert (z.ord, z.pre, z.per) == (-1, (1,), (0,))
-    assert from_rational(2, -1).per == (1,)
-    assert from_rational(2, -1).pre == ()
+    assert PAdic.from_rational(2, -1).per == (1,)
+    assert PAdic.from_rational(2, -1).pre == ()
 
 
 def test_expansion_window_hensel_oracle():
     # digits of 1/2 in Q_5 must satisfy 2 * window == 1 mod 5^k
-    x = from_rational(5, Fraction(1, 2))
-    window = truncate_sum(x, 0, 2)
+    x = PAdic.from_rational(5, Fraction(1, 2))
+    window = x.truncate_sum(0, 2)
     assert window.as_fraction() == 63
     assert (2 * 63) % 125 == 1
 
@@ -43,8 +43,8 @@ def test_zero_and_ord():
     assert z.is_zero
     assert z.ord == ORD_INF
     assert z.digit(-3) == 0 and z.digit(10) == 0
-    assert from_rational(3, Fraction(18)).ord == 2
-    assert from_rational(3, Fraction(5, 9)).ord == -2
+    assert PAdic.from_rational(3, Fraction(18)).ord == 2
+    assert PAdic.from_rational(3, Fraction(5, 9)).ord == -2
 
 
 def test_canonical_minimality():
@@ -63,9 +63,9 @@ def test_roundtrip_rational_random():
     for _ in range(400):
         p = rng.choice([2, 3, 5, 7])
         q = Fraction(rng.randint(-80, 80), rng.randint(1, 60))
-        x = from_rational(p, q)
+        x = PAdic.from_rational(p, q)
         assert x.as_fraction() == q
-        assert from_rational(p, x.as_fraction()) == x
+        assert PAdic.from_rational(p, x.as_fraction()) == x
 
 
 def test_digit_stream_matches_valuation():
@@ -73,7 +73,7 @@ def test_digit_stream_matches_valuation():
     for _ in range(200):
         p = rng.choice([2, 3, 5])
         q = Fraction(rng.randint(1, 50), rng.randint(1, 50)) * Fraction(p) ** rng.randint(-4, 4)
-        x = from_rational(p, q)
+        x = PAdic.from_rational(p, q)
         v = x.ord
         assert x.digit(v) != 0
         assert all(x.digit(j) == 0 for j in range(v - 4, v))
@@ -81,8 +81,8 @@ def test_digit_stream_matches_valuation():
 
 def test_invert_frozen_case():
     # oracle: 1/2 in Q_5 is 3 + period(2); the inverse of 2 must match
-    x = from_rational(5, 2)
-    y = invert(x)
+    x = PAdic.from_rational(5, 2)
+    y = x.invert()
     assert (y.pre, y.per) == ((3,), (2,))
     assert y.ord == 0
 
@@ -99,8 +99,8 @@ def test_invert_window_products():
         den = rng.randint(1, 60)
         while den % p == 0:
             den += 1
-        x = from_rational(p, Fraction(num * p**v, den))
-        y = invert(x)
+        x = PAdic.from_rational(p, Fraction(num * p**v, den))
+        y = x.invert()
         assert y.ord == -v
         k = rng.randint(0, 30)
         xa = sum(x.digit(v + i) * p**i for i in range(k + 1))
@@ -111,14 +111,14 @@ def test_invert_window_products():
 
 def test_invert_zero():
     with pytest.raises(ZeroDivisionError):
-        invert(PAdic.zero(3))
+        PAdic.zero(3).invert()
 
 
 def test_frac_part_frozen_cases():
-    assert frac_part(from_rational(2, Fraction(3, 2))) == PFrac(2, 1, 1)
-    assert frac_part(from_rational(3, Fraction(7, 9))) == PFrac(3, 7, 2)
-    assert frac_part(from_rational(5, 10)) == PFrac(5, 0)
-    assert frac_part(PAdic.zero(2)) == PFrac(2, 0)
+    assert PAdic.from_rational(2, Fraction(3, 2)).frac_part() == PFrac(2, 1, 1)
+    assert PAdic.from_rational(3, Fraction(7, 9)).frac_part() == PFrac(3, 7, 2)
+    assert PAdic.from_rational(5, 10).frac_part() == PFrac(5, 0)
+    assert PAdic.zero(2).frac_part() == PFrac(2, 0)
 
 
 def test_frac_part_congruence_random():
@@ -128,7 +128,7 @@ def test_frac_part_congruence_random():
     for _ in range(300):
         p = rng.choice([2, 3, 5, 7])
         q = Fraction(rng.randint(-90, 90), rng.randint(1, 40))
-        f = rational_frac_part(p, q).as_fraction()
+        f = PAdic.from_rational(p, q).frac_part().as_fraction()
         assert 0 <= f < 1
         diff = q - f
         # diff must have no p in its denominator
@@ -137,40 +137,47 @@ def test_frac_part_congruence_random():
 
 
 def test_rational_frac_part_matches_padic():
+    # the fractional part read from the stored rational equals the negative-index
+    # digits of the carry-loop expansion
     rng = random.Random(29)
     for _ in range(200):
         p = rng.choice([2, 3, 5])
-        q = Fraction(rng.randint(-60, 60), rng.randint(1, 30))
-        assert rational_frac_part(p, q) == frac_part(from_rational(p, q))
+        q = Fraction(rng.randint(-60, 60), rng.randint(1, 30)) * Fraction(p) ** rng.randint(-3, 1)
+        x = PAdic.from_rational(p, q)
+        expanded = sum(expansion_digit(x, j) * Fraction(p) ** j for j in range(min(x.ord, 0), 0))
+        assert x.frac_part().as_fraction() == expanded
 
 
 def test_truncate_sum_bounds():
-    x = from_rational(5, Fraction(1, 2))
-    assert truncate_sum(x, 0, 2) == PFrac(5, 63)
-    assert truncate_sum(x, 3, 1) == PFrac(5, 0)
-    y = from_rational(2, Fraction(3, 2))
-    assert truncate_sum(y, -1, 0) == PFrac(2, 3, 1)
+    x = PAdic.from_rational(5, Fraction(1, 2))
+    assert x.truncate_sum(0, 2) == PFrac(5, 63)
+    assert x.truncate_sum(3, 1) == PFrac(5, 0)
+    y = PAdic.from_rational(2, Fraction(3, 2))
+    assert y.truncate_sum(-1, 0) == PFrac(2, 3, 1)
 
 
 def test_negate_digits_frozen_cases():
-    x = from_rational(3, Fraction(1, 3))
-    n = negate_digits(x)
+    x = PAdic.from_rational(3, Fraction(1, 3))
+    n = -x
     assert (n.ord, n.pre, n.per) == (-1, (), (2,))
-    one = from_rational(2, 1)
-    m = negate_digits(one)
+    one = PAdic.from_rational(2, 1)
+    m = -one
     assert (m.pre, m.per) == ((), (1,))
-    assert negate_digits(PAdic.zero(5)).is_zero
+    assert (-PAdic.zero(5)).is_zero
 
 
 def test_negate_digits_is_negation():
+    # -x has the digits p - a_v at its order and p - 1 - a_j above it
     rng = random.Random(37)
     for _ in range(300):
         p = rng.choice([2, 3, 5, 7])
         q = Fraction(rng.randint(1, 70), rng.randint(1, 40)) * Fraction(p) ** rng.randint(-3, 3)
-        x = from_rational(p, q)
-        n = negate_digits(x)
-        assert n.as_fraction() == -q
-        assert n == from_rational(p, -q)
+        x = PAdic.from_rational(p, q)
+        n = -x
+        v = x.ord
+        assert n.as_fraction() == -q and n.ord == v
+        assert expansion_digit(n, v) == p - expansion_digit(x, v)
+        assert all(expansion_digit(n, j) == p - 1 - expansion_digit(x, j) for j in range(v + 1, v + 25))
 
 
 def test_frac_parts_of_x_and_minus_x():
@@ -180,24 +187,24 @@ def test_frac_parts_of_x_and_minus_x():
     for _ in range(300):
         p = rng.choice([2, 3, 5])
         q = Fraction(rng.randint(1, 50), rng.randint(1, 50)) * Fraction(p) ** rng.randint(-4, -1)
-        x = from_rational(p, q)
+        x = PAdic.from_rational(p, q)
         if x.ord >= 0:
             continue
         checked += 1
-        s = frac_part(x).as_fraction() + frac_part(negate_digits(x)).as_fraction()
+        s = x.frac_part().as_fraction() + (-x).frac_part().as_fraction()
         assert s == 1
     assert checked > 100
 
 
 def test_arithmetic_closure():
-    a = from_rational(5, Fraction(7, 3))
-    b = from_rational(5, Fraction(-2, 9))
+    a = PAdic.from_rational(5, Fraction(7, 3))
+    b = PAdic.from_rational(5, Fraction(-2, 9))
     assert (a + b).as_fraction() == Fraction(7, 3) - Fraction(2, 9)
     assert (a * b).as_fraction() == Fraction(-14, 27)
     assert (a - b) + b == a
     assert (a * PFrac(5, 3, 1)).as_fraction() == Fraction(7, 5)
     with pytest.raises(ValueError):
-        a + from_rational(3, 1)
+        a + PAdic.from_rational(3, 1)
 
 
 def test_json_roundtrip():
@@ -205,12 +212,12 @@ def test_json_roundtrip():
     for _ in range(100):
         p = rng.choice([2, 3, 5])
         q = Fraction(rng.randint(-40, 40), rng.randint(1, 30))
-        x = from_rational(p, q)
+        x = PAdic.from_rational(p, q)
         assert PAdic.from_json(x.to_json()) == x
 
 
 def test_truncated_basics():
-    x = from_rational(5, Fraction(1, 2))
+    x = PAdic.from_rational(5, Fraction(1, 2))
     t = x.truncate(4)
     assert t.precision == 4
     assert t.digits == (3, 2, 2, 2)
@@ -220,10 +227,10 @@ def test_truncated_basics():
 
 
 def test_truncated_mul_precision():
-    x = from_rational(3, Fraction(4, 5)).truncate(6)
-    y = from_rational(3, Fraction(7, 2)).truncate(6)
+    x = PAdic.from_rational(3, Fraction(4, 5)).truncate(6)
+    y = PAdic.from_rational(3, Fraction(7, 2)).truncate(6)
     z = x.mul(y)
-    exact = from_rational(3, Fraction(28, 10))
+    exact = PAdic.from_rational(3, Fraction(28, 10))
     for j in range(z.v, z.precision):
         assert z.digit(j) == exact.digit(j)
 
@@ -238,10 +245,10 @@ def test_truncated_invert_hensel():
         den = rng.randint(1, 40)
         while den % p == 0:
             den += 1
-        exact = from_rational(p, Fraction(num, den))
+        exact = PAdic.from_rational(p, Fraction(num, den))
         t = exact.truncate(12)
         w = t.invert()
-        inv_exact = invert(exact)
+        inv_exact = exact.invert()
         for j in range(w.v, w.precision):
             assert w.digit(j) == inv_exact.digit(j)
 
@@ -258,3 +265,68 @@ def test_truncated_invert_all_zero_window():
     t = TruncatedPAdic(3, 0, (0, 0, 0))
     with pytest.raises(PrecisionError):
         t.invert()
+
+
+# -- properties of the stored rational and its digit views -----------------------
+
+# derandomized: every run checks the same examples; no example database is written
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+@st.composite
+def padics(draw) -> PAdic:
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    q = draw(st.fractions(min_value=-1000, max_value=1000, max_denominator=500))
+    return PAdic.from_rational(p, q * Fraction(p) ** draw(st.integers(-6, 6)))
+
+
+@PROPERTY
+@given(padics())
+def test_json_roundtrip_property(x):
+    assert PAdic.from_json(x.to_json()) == x
+
+
+@PROPERTY
+@given(padics(), st.integers(-10, 30))
+def test_digit_matches_expansion(x, j):
+    assert x.digit(j) == expansion_digit(x, j)
+
+
+@PROPERTY
+@given(padics(), st.integers(-10, 20), st.integers(-10, 20))
+def test_truncate_sum_is_digit_sum(x, lo, hi):
+    want = sum((x.digit(j) * Fraction(x.p) ** j for j in range(lo, hi + 1)), Fraction(0))
+    assert x.truncate_sum(lo, hi).as_fraction() == want
+
+
+@PROPERTY
+@given(padics(), st.integers(-10, 20))
+def test_truncate_is_value_mod_p_power(x, n):
+    t = x.truncate(n)
+    assert t.precision == n
+    window = sum((d * Fraction(x.p) ** (t.v + i) for i, d in enumerate(t.digits)), Fraction(0))
+    rest = x.as_fraction() - window
+    assert rest == 0 or PAdic.from_rational(x.p, rest).ord >= n
+
+
+@PROPERTY
+@given(padics())
+def test_frac_part_property(x):
+    f = x.frac_part().as_fraction()
+    assert 0 <= f < 1
+    assert (x.as_fraction() - f).denominator % x.p != 0
+
+
+@PROPERTY
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(-5, 5),
+    st.lists(st.integers(0, 6), max_size=5),
+    st.lists(st.integers(0, 6), max_size=5),
+)
+def test_digit_constructor_reads_back(p, v, pre, per):
+    pre, per = [d % p for d in pre], [d % p for d in per]
+    x = PAdic(p, v, pre, per)
+    stream = pre + (per or [0]) * 30
+    for j in range(v - 3, v + len(stream)):
+        assert x.digit(j) == (stream[j - v] if j >= v else 0)
