@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exactnum import QuadReal
-from .morita import ProjectionData, ab_normalized, condition_check, trace_line, validate_projection
-from .solenoid import SolenoidSpec, alpha_at
+from .morita import ProjectionData, checked_trace, stage
+from .solenoid import SolenoidSpec
 
 TWO_PI_I = 2j * math.pi
 NO_SUPPORT = None
@@ -330,19 +330,11 @@ class BimCtx:
     def build(cls, spec: SolenoidSpec, proj: ProjectionData, n: int) -> "BimCtx":
         if proj.c0 < 1:
             raise ValueError("kernel formulas here require c0 >= 1")
-        validate_projection(spec, proj)
-        if not condition_check(spec.p, proj, spec.x(0)):
-            raise ValueError("projection data fails the coprimality condition")
-        line = trace_line(spec, proj, n)
-        alpha = alpha_at(spec, 2 * n)
-        mob = ab_normalized(line, alpha)
-        gamma = 1 / (alpha * line.c + line.d)
-        # gamma is level-independent; the action identities below rely on it
-        if gamma != 1 / (spec.theta * proj.c0 + proj.d0):
-            raise ArithmeticError(f"gamma at level {n} differs from 1/tau")
-        beta = mob.apply(alpha)
-        if (QuadReal(mob.a) - gamma) / line.c != beta or (1 / gamma - line.d) / QuadReal(line.c) != alpha:
-            raise ArithmeticError(f"Mobius identities fail at level {n}")
+        tau = checked_trace(spec, proj)
+        line, alpha, mob, beta = stage(spec, proj, n, tau)
+        gamma = 1 / tau  # level-independent (stage checks it); the actions rely on it
+        if (QuadReal(mob.a) - gamma) / line.c != beta:
+            raise ArithmeticError(f"Mobius identity fails at level {n}")
         return cls(
             spec,
             proj,

@@ -2,7 +2,8 @@
 
 Subcommands map one-to-one onto module operations; reports are JSON with
 sorted keys (or flat text via --format text), exact values serialized as
-strings. Exit status: 0 all checks passed, 1 a check failed, 2 usage error.
+strings. Exit status: 0 all checks passed, 1 a check failed, 2 usage error
+(any ValueError or ArithmeticError, mapped in main).
 The seed defaults to the SOLENOID_SEED environment variable, then 0.
 """
 
@@ -25,7 +26,6 @@ from .morita import (
     heisenberg_partner,
     projection_partner,
     relate_check,
-    validate_projection,
 )
 from .padic import PAdic
 from .solenoid import SolenoidSpec, alpha_at
@@ -59,25 +59,22 @@ def _add_spec_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--digits", help='digit-sequence value, e.g. "x=1" or "3/4"')
 
 
-def _build_spec(parser: argparse.ArgumentParser, args, allow_default: bool = False) -> SolenoidSpec:
+def _build_spec(args, allow_default: bool = False) -> SolenoidSpec:
     if args.spec:
-        return _load_spec_file(parser, args.spec)
+        return _load_spec_file(args.spec)
     if args.p is None and allow_default:
         return suite_mod.default_spec()
     if args.p is None or args.theta is None or args.digits is None:
-        parser.error("provide --spec FILE or all of --p/--theta/--digits")
-    try:
-        return SolenoidSpec(args.p, QuadReal.parse(args.theta), _parse_digits(args.p, args.digits))
-    except (ValueError, ZeroDivisionError) as exc:
-        parser.error(f"bad spec: {exc}")
+        raise ValueError("provide --spec FILE or all of --p/--theta/--digits")
+    return SolenoidSpec(args.p, QuadReal.parse(args.theta), _parse_digits(args.p, args.digits))
 
 
-def _load_spec_file(parser: argparse.ArgumentParser, path: str) -> SolenoidSpec:
+def _load_spec_file(path: str) -> SolenoidSpec:
     try:
         with open(path) as fh:
             return SolenoidSpec.from_json(json.load(fh))
     except (ValueError, ZeroDivisionError, OSError, KeyError) as exc:
-        parser.error(f"bad spec file {path}: {exc}")
+        raise ValueError(f"bad spec file {path}: {exc}") from exc
 
 
 def _render_text(obj, indent: str = "") -> str:
@@ -101,30 +98,13 @@ def _render_text(obj, indent: str = "") -> str:
     return "\n".join(lines)
 
 
-def _emit(report: dict, fmt: str) -> None:
-    if fmt == "text":
-        print(_render_text(report))
-    else:
-        print(json.dumps(report, sort_keys=True, indent=2))
+# -- command handlers: each returns its report; main maps errors to exit codes ----
 
 
-def _finish(report: dict, fmt: str) -> int:
-    _emit(report, fmt)
-    return 0 if report.get("pass", True) else 1
-
-
-# -- command handlers -------------------------------------------------------------
-
-
-def _cmd_padic(parser, args) -> int:
-    try:
-        value = PAdic.from_rational(args.p, Fraction(args.value))
-    except (ValueError, ZeroDivisionError) as exc:
-        parser.error(f"bad value: {exc}")
+def _cmd_padic(args) -> dict:
+    value = PAdic.from_rational(args.p, Fraction(args.value))
     base = {"p": args.p, "value": args.value}
     if args.padic_cmd == "inv":
-        if value.is_zero:
-            parser.error("zero has no inverse")
         base["inverse"] = value.invert().to_json()
     elif args.padic_cmd == "frac":
         f = value.frac_part()
@@ -133,30 +113,23 @@ def _cmd_padic(parser, args) -> int:
     else:  # trunc
         t = value.truncate(args.k)
         base.update({"ord": t.v, "digits": list(t.digits), "precision": t.precision})
-    _emit(base, args.format)
-    return 0
+    return base
 
 
-def _cmd_solenoid(parser, args) -> int:
-    spec = _build_spec(parser, args)
+def _cmd_solenoid(args) -> dict:
+    spec = _build_spec(args)
     if args.solenoid_cmd == "alpha":
-        try:
-            alpha = alpha_at(spec, args.n)
-        except ValueError as exc:
-            parser.error(str(exc))
-        report = {"inputs": spec.to_json(), "n": args.n, "alpha": str(alpha)}
-        _emit(report, args.format)
-        return 0
+        return {"inputs": spec.to_json(), "n": args.n, "alpha": str(alpha_at(spec, args.n))}
     if args.solenoid_cmd == "check-coherence":
         report = suite_mod.check_coherence(spec, args.entries)
     else:  # from-even
         report = suite_mod.check_from_even(spec, args.entries)
     report["inputs"] = spec.to_json()
-    return _finish(report, args.format)
+    return report
 
 
-def _cmd_multiplier(parser, args) -> int:
-    spec = _build_spec(parser, args, allow_default=True)
+def _cmd_multiplier(args) -> dict:
+    spec = _build_spec(args, allow_default=True)
     seed = _resolve_seed(args.seed)
     runner = {
         "check-cocycle": suite_mod.check_cocycle,
@@ -166,87 +139,54 @@ def _cmd_multiplier(parser, args) -> int:
     report = runner(seed, args.count, spec)
     report["seed"] = seed
     report["inputs"] = spec.to_json()
-    return _finish(report, args.format)
+    return report
 
 
-def _heisenberg_report(spec: SolenoidSpec, entries: int) -> dict:
-    window = heisenberg_partner(spec, entries)
-    return {"inputs": spec.to_json(), "partner": window.to_json()}
-
-
-def _cmd_morita(parser, args) -> int:
+def _cmd_morita(args) -> dict:
     if args.morita_cmd == "certify":
-        a = _load_spec_file(parser, args.spec_a)
-        b = _load_spec_file(parser, args.spec_b)
-        bounds = SearchBounds(args.max_c0, args.max_d0, args.max_k, args.entries)
-        result = certificate_search(a, b, bounds)
-        report = result.to_json()
-        report["pass"] = result.status != "inconclusive"
-        return _finish(report, args.format)
+        a = _load_spec_file(args.spec_a)
+        b = _load_spec_file(args.spec_b)
+        result = certificate_search(a, b, SearchBounds(args.max_c0, args.max_d0, args.max_k, args.entries))
+        return {**result.to_json(), "pass": result.status != "inconclusive"}
 
-    spec = _build_spec(parser, args)
+    spec = _build_spec(args)
     if args.morita_cmd == "heisenberg":
-        try:
-            report = _heisenberg_report(spec, args.entries)
-        except ValueError as exc:
-            parser.error(str(exc))
-        _emit(report, args.format)
-        return 0
+        return {"inputs": spec.to_json(), "partner": heisenberg_partner(spec, args.entries).to_json()}
     if args.morita_cmd == "projection":
-        proj = ProjectionData(args.m, args.c0, args.d0)
-        try:
-            validate_projection(spec, proj)
-        except ValueError as exc:
-            parser.error(str(exc))
         report = {"inputs": spec.to_json(), "c0": args.c0, "d0": args.d0, "m": args.m}
         try:
-            window = projection_partner(spec, proj, args.entries)
+            window = projection_partner(spec, ProjectionData(args.m, args.c0, args.d0), args.entries)
         except ConditionError as exc:
-            report["condition"] = "fail"
-            if exc.witness is not None:
-                n, c, d = exc.witness
-                report["witness"] = {"n": n, "c": c, "d": d}
-            report["pass"] = False
-            return _finish(report, args.format)
-        report.update({"condition": "pass", "partner": window.to_json(), "pass": True})
-        return _finish(report, args.format)
+            n, c, d = exc.witness
+            return {**report, "condition": "fail", "witness": {"n": n, "c": c, "d": d}, "pass": False}
+        return {**report, "condition": "pass", "partner": window.to_json(), "pass": True}
     # relate
-    try:
-        ok = relate_check(spec, args.entries)
-    except (ValueError, ArithmeticError) as exc:
-        parser.error(str(exc))
-    report = {
+    return {
         "inputs": spec.to_json(),
         "entries": args.entries,
         "displayed_determinant": "-1",
         "note": "closed-form window equals the partner sequence exactly; "
         "the det +1 normalization negates it mod 1",
-        "pass": bool(ok),
+        "pass": bool(relate_check(spec, args.entries)),
     }
-    return _finish(report, args.format)
 
 
-def _cmd_check(parser, args) -> int:
-    report = suite_mod.check_condition(args.p, args.c0, args.d0, args.x0)
-    return _finish(report, args.format)
+def _cmd_check(args) -> dict:
+    return suite_mod.check_condition(args.p, args.c0, args.d0, args.x0)
 
 
-def _cmd_bimodule(parser, args) -> int:
-    spec = _build_spec(parser, args)
+def _cmd_bimodule(args) -> dict:
+    spec = _build_spec(args)
     seed = _resolve_seed(args.seed)
-    try:
-        proj = ProjectionData(args.m, args.c0, args.d0)
-        plan = SamplePlan(seed=seed, hats=args.hats, r_points=args.points, t_points=args.points)
-        report = suite_mod.check_bimodule(spec, proj, args.n, plan, args.tolerance)
-    except ValueError as exc:
-        parser.error(str(exc))
+    proj = ProjectionData(args.m, args.c0, args.d0)
+    plan = SamplePlan(seed=seed, hats=args.hats, r_points=args.points, t_points=args.points)
+    report = suite_mod.check_bimodule(spec, proj, args.n, plan, args.tolerance)
     report["inputs"] = spec.to_json()
-    return _finish(report, args.format)
+    return report
 
 
-def _cmd_suite(parser, args) -> int:
-    seed = _resolve_seed(args.seed)
-    return _finish(suite_mod.run_all(seed), args.format)
+def _cmd_suite(args) -> dict:
+    return suite_mod.run_all(_resolve_seed(args.seed))
 
 
 # -- parser wiring ----------------------------------------------------------------
@@ -340,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: exit 0 if its checks pass, 1 if one fails, 2 on rejected input."""
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {
@@ -352,7 +293,12 @@ def main(argv=None) -> int:
         "bimodule": _cmd_bimodule,
         "suite": _cmd_suite,
     }
-    return handlers[args.command](parser, args)
+    try:
+        report = handlers[args.command](args)
+    except (ValueError, ArithmeticError) as exc:
+        parser.error(str(exc))
+    print(_render_text(report) if args.format == "text" else json.dumps(report, sort_keys=True, indent=2))
+    return 0 if report.get("pass", True) else 1
 
 
 if __name__ == "__main__":

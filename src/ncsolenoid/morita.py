@@ -29,7 +29,7 @@ log = logging.getLogger(__name__)
 class ConditionError(ValueError):
     """The projection data fails the coprimality condition; carries a witness."""
 
-    def __init__(self, message: str, witness: tuple[int, int, int] | None = None):
+    def __init__(self, message: str, witness: tuple[int, int, int]):
         super().__init__(message)
         self.witness = witness  # (n, c_2n, d_2n) with gcd > 1
 
@@ -142,35 +142,45 @@ def heisenberg_partner(spec: SolenoidSpec, N: int) -> SeqWindow:
     return SeqWindow(tuple((n, alpha_at(partner, n)) for n in range(N + 1)))
 
 
-def projection_partner(spec: SolenoidSpec, proj: ProjectionData, N: int) -> SeqWindow:
-    """Even-index window 2n <= 2N of normalized Mobius images beta_2n in [0,1).
+def checked_trace(spec: SolenoidSpec, proj: ProjectionData) -> QuadReal:
+    """The trace tau of validate_projection, once the coprimality condition holds.
 
-    Requires the coprimality condition; on failure the first non-coprime
-    trace line (n <= 25) is reported as a witness.  The trace value
-    alpha_2n * c_2n + d_2n is level-independent; a level where it is not
-    raises ArithmeticError.
+    A failing condition shows at level n <= 1, which is raised as the witness:
+    a prime dividing c0 divides d0 too (n = 0), and p dividing d0 - c0*x0
+    divides d_2 = d0 - c0*(x0 + x1*p) as well (n = 1).
     """
     tau = validate_projection(spec, proj)
     if not condition_check(spec.p, proj, spec.x(0)):
-        witness = None
-        for n in range(26):
-            line = trace_line(spec, proj, n)
-            if math.gcd(line.c, line.d) != 1:
-                witness = (n, line.c, line.d)
-                break
+        lines = (trace_line(spec, proj, n) for n in (0, 1))
+        line = next(L for L in lines if math.gcd(L.c, L.d) != 1)
         raise ConditionError(
-            f"projection (c0={proj.c0}, d0={proj.d0}) fails the coprimality condition"
-            + (f"; witness gcd(c_{2 * witness[0]}, d_{2 * witness[0]}) > 1" if witness else ""),
-            witness=witness,
+            f"projection (c0={proj.c0}, d0={proj.d0}) fails the coprimality condition; "
+            f"witness gcd(c_{2 * line.n}, d_{2 * line.n}) > 1",
+            witness=(line.n, line.c, line.d),
         )
-    out = []
-    for n in range(N + 1):
-        line = trace_line(spec, proj, n)
-        alpha = alpha_at(spec, 2 * n)
-        if alpha * line.c + line.d != tau:
-            raise ArithmeticError(f"trace value at level {n} differs from tau = {tau}")
-        out.append((2 * n, ab_normalized(line, alpha).apply(alpha)))
-    return SeqWindow(tuple(out))
+    return tau
+
+
+def stage(
+    spec: SolenoidSpec, proj: ProjectionData, n: int, tau: QuadReal
+) -> tuple[TraceLine, QuadReal, MobiusPair, QuadReal]:
+    """Level-n trace line, alpha_2n, normalized Mobius pair and beta_2n in [0,1).
+
+    The trace value alpha_2n * c_2n + d_2n is level-independent; a level
+    where it differs from tau raises ArithmeticError.
+    """
+    line = trace_line(spec, proj, n)
+    alpha = alpha_at(spec, 2 * n)
+    if alpha * line.c + line.d != tau:
+        raise ArithmeticError(f"trace value at level {n} differs from tau = {tau}")
+    mob = ab_normalized(line, alpha)
+    return line, alpha, mob, mob.apply(alpha)
+
+
+def projection_partner(spec: SolenoidSpec, proj: ProjectionData, N: int) -> SeqWindow:
+    """Even-index window 2n <= 2N of normalized Mobius images beta_2n in [0,1)."""
+    tau = checked_trace(spec, proj)
+    return SeqWindow(tuple((2 * n, stage(spec, proj, n, tau)[3]) for n in range(N + 1)))
 
 
 def displayed_mobius(spec: SolenoidSpec, n: int) -> MobiusPair:

@@ -13,10 +13,9 @@ import random
 from fractions import Fraction
 
 from .bimodule import SamplePlan, identity_suite
-from .exactnum import PFrac, QuadReal, frac1
+from .exactnum import PFrac, QuadReal, frac1, is_prime
 from .morita import (
     ProjectionData,
-    condition_check,
     heisenberg_partner,
     heisenberg_partner_spec,
     relate_check,
@@ -139,8 +138,9 @@ def check_from_even(spec: SolenoidSpec, entries: int = 8) -> dict:
 
 def check_condition(p: int, c0: int, d0: int, x0: int) -> dict:
     """The coprimality condition gcd(c0*p, d0 - c0*x0) = 1."""
-    proj = ProjectionData(1, c0, d0)
-    ok = condition_check(p, proj, x0)
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    ProjectionData(1, c0, d0)  # rejects c0 = 0
     g = math.gcd(c0 * p, d0 - c0 * x0)
     return {
         "name": "condition",
@@ -149,7 +149,7 @@ def check_condition(p: int, c0: int, d0: int, x0: int) -> dict:
         "d0": d0,
         "x0": x0,
         "gcd": str(g),
-        "pass": ok,
+        "pass": g == 1,
     }
 
 

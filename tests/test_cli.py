@@ -71,13 +71,28 @@ def test_bad_theta_usage_error():
         ["morita", "heisenberg", *SPEC_FLAGS, "--entries", "-2"],
         ["solenoid", "check-coherence", *SPEC_FLAGS, "--entries", "-3"],
         ["multiplier", "check-cocycle", "--count", "-4"],
+        ["morita", "projection", *SPEC_FLAGS, "--c0", "1", "--d0", "0", "--m", "0"],
+        ["morita", "projection", *SPEC_FLAGS, "--c0", "0", "--d0", "0"],
+        ["check", "condition", "--c0", "0", "--p", "2", "--d0", "1", "--x0", "1"],
+        ["check", "condition", "--p", "4", "--c0", "1", "--d0", "1", "--x0", "1"],
+        ["multiplier", "check-annihilator", "--theta", "0", "--p", "2", "--digits", "x=1"],
+        ["multiplier", "check-eta-psi", "--theta", "0", "--p", "2", "--digits", "x=1"],
+        ["multiplier", "check-annihilator", "--digits", "0", "--p", "2", "--theta", "sqrt(2)"],
+        ["solenoid", "alpha", *SPEC_FLAGS, "--n", "100000"],
+        ["SOLENOID_SEED=abc", "suite"],
     ],
     ids=[
         "negative-index", "zero-theta", "zero-denominator-digits",
         "negative-certify-entries", "negative-heisenberg-entries", "negative-coherence-entries", "negative-count",
+        "projection-zero-m", "projection-zero-c0", "condition-zero-c0", "condition-nonprime-p",
+        "annihilator-zero-theta", "eta-psi-zero-theta", "annihilator-zero-digits", "alpha-huge-level",
+        "non-integer-env-seed",
     ],
 )
-def test_domain_errors_usage_error(capsys, tmp_path, argv):
+def test_domain_errors_usage_error(capsys, monkeypatch, tmp_path, argv):
+    if argv[0].startswith("SOLENOID_SEED="):
+        monkeypatch.setenv("SOLENOID_SEED", argv[0].split("=", 1)[1])
+        argv = argv[1:]
     spec = _write_spec(tmp_path / "spec.json", SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_int(2, 1)))
     with pytest.raises(SystemExit) as exc:
         main([a.replace("{spec}", spec) for a in argv])
