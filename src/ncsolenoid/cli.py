@@ -30,6 +30,10 @@ from .morita import (
 from .padic import PAdic
 from .solenoid import SolenoidSpec, alpha_at
 
+# padic trunc prints k digits of a prime up to exactnum.MR_LIMIT; the digit view is
+# quadratic in the window, so k is bounded to keep the largest prime within a 1 s budget
+MAX_TRUNC_K = 3000
+
 
 def _resolve_seed(value) -> int:
     if value is not None:
@@ -45,7 +49,7 @@ def _parse_digits(p: int, text: str) -> PAdic:
 
 
 def _count(text: str) -> int:
-    """argparse type for --entries and --count: a nonnegative integer."""
+    """argparse type for --entries, --count and --k: a nonnegative integer."""
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
@@ -111,6 +115,8 @@ def _cmd_padic(args) -> dict:
         base["frac_part"] = str(f)
         base["as_rational"] = str(f.as_fraction())
     else:  # trunc
+        if args.k > MAX_TRUNC_K:
+            raise ValueError(f"--k must be at most {MAX_TRUNC_K}, got {args.k}")
         t = value.truncate(args.k)
         base.update({"ord": t.v, "digits": list(t.digits), "precision": t.precision})
     return base
@@ -204,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", type=int, required=True)
         sp.add_argument("--value", required=True, help='rational, e.g. "3" or "3/4"')
         if name == "trunc":
-            sp.add_argument("--k", type=int, required=True, help="digit window bound")
+            sp.add_argument("--k", type=_count, required=True, help=f"digit window bound, at most {MAX_TRUNC_K}")
 
     solenoid = subs.add_parser("solenoid", help="sequence windows and coherence")
     sol_subs = solenoid.add_subparsers(dest="solenoid_cmd", required=True)

@@ -33,19 +33,32 @@ def ext_gcd(u: int, v: int) -> tuple[int, int, int]:
     return old_r, (old_s if u >= 0 else -old_s), (old_t if v >= 0 else -old_t)
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3_317_044_064_679_887_385_961_981  # the bases 2..41 decide every n below this
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; adequate for the desk-scale primes used here."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Deterministic Miller-Rabin; ValueError for an n it cannot decide (n >= MR_LIMIT)."""
+    for b in _MR_BASES:  # small-prime fast path: trial division by the bases themselves
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:
+        return n > 1
+    if n >= MR_LIMIT:
+        raise ValueError(f"primality of {n} is decided only below {MR_LIMIT}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -114,27 +114,13 @@ def cocycle_defect(sigma: Sigma, r: GammaElem, s: GammaElem, t: GammaElem) -> Ph
 def eta(P1: LatticePoint, P2: LatticePoint) -> PhaseArg:
     """Heisenberg pairing argument: r1*r4 + frac_part(q1*q4) mod 1.
 
-    Truncated p-adic coordinates are multiplied with precision tracking; a
-    window too short to pin down the negative-index digits of the product
-    raises PrecisionError.
+    A truncated p-adic coordinate makes the product a window at the smaller
+    relative precision; a window too short to pin down the negative-index
+    digits of the product raises PrecisionError.
     """
     (a1, _), (_, b2) = P1, P2
-    q1, r1 = a1.q, a1.r
-    q4, r4 = b2.q, b2.r
-    if isinstance(q1, PAdic) and isinstance(q4, PAdic):
-        fp = (q1 * q4).frac_part().as_fraction()
-    else:
-        # widen the exact operand so precision is set by the truncated one
-        if isinstance(q1, PAdic):
-            if q1.is_zero:
-                return PhaseArg.of(r1 * r4)
-            q1 = q1.truncate(q1.ord + len(q4.digits))
-        elif isinstance(q4, PAdic):
-            if q4.is_zero:
-                return PhaseArg.of(r1 * r4)
-            q4 = q4.truncate(q4.ord + len(q1.digits))
-        fp = q1.mul(q4).frac_part().as_fraction()
-    return PhaseArg.of(r1 * r4 + fp)
+    fp = (a1.q * b2.q).frac_part().as_fraction()
+    return PhaseArg.of(a1.r * b2.r + fp)
 
 
 def eta_bar(P1: LatticePoint, P2: LatticePoint) -> PhaseArg:

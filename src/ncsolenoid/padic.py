@@ -64,19 +64,11 @@ class PAdic:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, p: int) -> "PAdic":
-        return cls.from_rational(p, 0)
-
-    @classmethod
     def from_rational(cls, p: int, q) -> "PAdic":
         _require_prime(p)
         x = object.__new__(cls)
         x.p, x.q = p, Fraction(q)
         return x
-
-    @classmethod
-    def from_int(cls, p: int, n: int) -> "PAdic":
-        return cls.from_rational(p, n)
 
     @classmethod
     def from_json(cls, obj) -> "PAdic":
@@ -163,15 +155,8 @@ class PAdic:
 
     def truncate(self, n: int) -> "TruncatedPAdic":
         """Digit window up to (excluding) index n, i.e. the value mod p**n."""
-        v = 0 if self.is_zero else self.ord
-        if n <= v:
-            return TruncatedPAdic(self.p, n, ())
-        m = int(self._head(n - 1).as_fraction() / Fraction(self.p) ** v)
-        digits = []
-        for _ in range(n - v):
-            m, d = divmod(m, self.p)
-            digits.append(d)
-        return TruncatedPAdic(self.p, v, tuple(digits))
+        v = min(0 if self.is_zero else self.ord, n)
+        return TruncatedPAdic(self.p, v, int(self._head(n - 1).as_fraction() / Fraction(self.p) ** v), n)
 
     def frac_part(self) -> PFrac:
         """Fractional part: the digits at negative indices, a value in [0,1) of Z[1/p]."""
@@ -254,84 +239,81 @@ class PAdic:
 
 @dataclass(frozen=True)
 class TruncatedPAdic:
-    """Finite digit window: digits for indices v <= j < v + len(digits).
+    """Finite window: the value residue * p**v, known exactly mod p**precision.
 
-    The value is known exactly mod p**precision where precision = v + len(digits);
-    digits below v are zero by contract.
+    0 <= residue < p**(precision - v), so the window holds the digits at
+    indices v <= j < precision; digits below v are zero by contract.
     """
 
     p: int
     v: int
-    digits: tuple[int, ...]
+    residue: int
+    precision: int
 
     def __post_init__(self):
         _require_prime(self.p)
-        for d in self.digits:
-            if not 0 <= d < self.p:
-                raise ValueError(f"digit {d} out of range for p={self.p}")
+        if self.precision < self.v or not 0 <= self.residue < self.p ** (self.precision - self.v):
+            raise ValueError(f"residue {self.residue} does not fit the window {self.v} <= j < {self.precision}")
 
     @property
-    def precision(self) -> int:
-        return self.v + len(self.digits)
+    def digits(self) -> tuple[int, ...]:
+        """Window digits from index v up; a shrinking divmod pass, quadratic in the window length."""
+        m, out = self.residue, []
+        for _ in range(self.precision - self.v):
+            m, d = divmod(m, self.p)
+            out.append(d)
+        return tuple(out)
 
     def digit(self, j: int) -> int:
         if j >= self.precision:
             raise PrecisionError(f"digit at index {j} is beyond precision {self.precision}")
         if j < self.v:
             return 0
-        return self.digits[j - self.v]
+        return self.residue // self.p ** (j - self.v) % self.p
 
-    def unit_int(self) -> int:
-        """The stored window read as an integer sum(d_i * p**i)."""
-        return sum(d * self.p**i for i, d in enumerate(self.digits))
+    def _head(self, h: int) -> PFrac:
+        """Exact digit sum  sum_{j <= h} d_j p**j; PrecisionError past the window."""
+        if h >= self.precision:
+            raise PrecisionError(f"window ends at {self.precision}, need digit {h}")
+        if h < self.v:
+            return PFrac(self.p, 0)
+        r = self.residue % self.p ** (h + 1 - self.v)
+        return PFrac(self.p, r * self.p**self.v) if self.v >= 0 else PFrac(self.p, r, -self.v)
 
-    def mul(self, other: "TruncatedPAdic") -> "TruncatedPAdic":
-        if self.p != other.p:
+    def __mul__(self, other):
+        """Product known to the smaller relative precision precision - v.
+
+        An exact operand has unbounded relative precision; an exact zero gives the exact zero.
+        """
+        if not isinstance(other, (PAdic, TruncatedPAdic)):
+            return NotImplemented
+        if other.p != self.p:
             raise ValueError(f"mixed primes {self.p} and {other.p}")
-        n = min(len(self.digits), len(other.digits))
+        if isinstance(other, PAdic):
+            if other.is_zero:
+                return other
+            # as many digits as self has: the product cannot use more
+            other = other.truncate(other.ord + self.precision - self.v)
+        n = min(self.precision - self.v, other.precision - other.v)
         if n == 0:
             raise PrecisionError("no digits to multiply")
         v = self.v + other.v
-        prod = (self.unit_int() * other.unit_int()) % self.p**n
-        digits = []
-        for _ in range(n):
-            digits.append(prod % self.p)
-            prod //= self.p
-        return TruncatedPAdic(self.p, v, tuple(digits))
+        return TruncatedPAdic(self.p, v, self.residue * other.residue % self.p**n, v + n)
+
+    __rmul__ = __mul__
 
     def invert(self) -> "TruncatedPAdic":
-        """Inverse window by modular lifting; needs a visible nonzero digit."""
-        z = 0
-        while z < len(self.digits) and self.digits[z] == 0:
-            z += 1
-        if z == len(self.digits):
+        """Inverse window by one modular inverse; needs a visible nonzero digit."""
+        if not self.residue:
             raise PrecisionError("window is zero to full precision; order unknown")
-        vv = self.v + z
-        unit_digits = self.digits[z:]
-        m = len(unit_digits)
-        u = sum(d * self.p**i for i, d in enumerate(unit_digits))
-        w = pow(u, -1, self.p**m)
-        digits = []
-        for _ in range(m):
-            digits.append(w % self.p)
-            w //= self.p
-        return TruncatedPAdic(self.p, -vv, tuple(digits))
+        u, z = _strip(self.residue, self.p)
+        m = self.precision - self.v - z
+        return TruncatedPAdic(self.p, -self.v - z, pow(u, -1, self.p**m), m - self.v - z)
 
     def frac_part(self) -> PFrac:
-        if self.v >= 0:
-            return PFrac(self.p, 0)
-        if self.precision < 0:
-            raise PrecisionError(
-                f"negative-index digits end at {self.precision}; fractional part undetermined"
-            )
-        num = sum(self.digit(j) * self.p ** (j - self.v) for j in range(self.v, 0))
-        return PFrac(self.p, num, -self.v)
+        return self._head(-1)
 
     def truncate_sum(self, lo: int, hi: int) -> PFrac:
         if lo > hi:
             return PFrac(self.p, 0)
-        if hi >= self.precision:
-            raise PrecisionError(f"window ends at {self.precision}, need digit {hi}")
-        shift = min(lo, 0)
-        num = sum(self.digit(j) * self.p ** (j - shift) for j in range(lo, hi + 1))
-        return PFrac(self.p, num, -shift)
+        return self._head(hi) - self._head(lo - 1)

@@ -38,7 +38,7 @@ DEFAULT_TOLERANCE = 1e-9
 
 
 def default_spec(p: int = 2) -> SolenoidSpec:
-    return SolenoidSpec(p, QuadReal.sqrt_of(2) - 1, PAdic.from_int(p, 1))
+    return SolenoidSpec(p, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(p, 1))
 
 
 def _rand_gamma(rng: random.Random, p: int, kmax: int = 4, jmax: int = 40) -> GammaElem:
@@ -191,6 +191,8 @@ def check_bimodule(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> dict:
     """Module/algebra compatibility identities at one tower level."""
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
     report = identity_suite(spec, proj, n, plan)
     worst = max(report.values())
     return {

@@ -243,14 +243,14 @@ def test_criterion_09_bimodule_identity_suite():
     worst = 0.0
     failures = []
     for p, levels in ((2, (0, 1, 2)), (3, (0, 1))):
-        spec = SolenoidSpec(p, THETA, PAdic.from_int(p, 1))
+        spec = SolenoidSpec(p, THETA, PAdic.from_rational(p, 1))
         for n in levels:
             errs = identity_suite(spec, proj, n, plan)
             worst = max(worst, max(errs.values()))
             for key, val in errs.items():
                 if val > 1e-9:
                     failures.append((p, n, key, val))
-    spec2 = SolenoidSpec(2, THETA, PAdic.from_int(2, 1))
+    spec2 = SolenoidSpec(2, THETA, PAdic.from_rational(2, 1))
     small = SamplePlan(seed=909, hats=4, r_points=80, t_points=80)
     corrupted = identity_suite(spec2, proj, 0, small, corrupt_gamma=0.01)
     if corrupted["iota_left_action"] <= 1e-3:
@@ -261,8 +261,8 @@ def test_criterion_09_bimodule_identity_suite():
 
 
 def test_criterion_10_obstruction_and_certificate():
-    a = SolenoidSpec(2, THETA, PAdic.from_int(2, 1))
-    c = SolenoidSpec(3, THETA, PAdic.from_int(3, 1))
+    a = SolenoidSpec(2, THETA, PAdic.from_rational(2, 1))
+    c = SolenoidSpec(3, THETA, PAdic.from_rational(3, 1))
     certificate_search(a, c)  # warm-up
     best = min(
         (lambda t0: (certificate_search(a, c), time.monotonic() - t0)[1])(time.monotonic())

@@ -43,7 +43,7 @@ THETA = QuadReal.sqrt_of(2) - 1
 
 
 def spec_p(p: int) -> SolenoidSpec:
-    return SolenoidSpec(p, THETA, PAdic.from_int(p, 1))
+    return SolenoidSpec(p, THETA, PAdic.from_rational(p, 1))
 
 
 def ctx_at(p: int, n: int) -> BimCtx:
@@ -114,7 +114,7 @@ def test_ctx_constants_and_gamma_independence():
 def test_ctx_rejects_bad_projection():
     with pytest.raises(ValueError):
         BimCtx.build(spec_p(2), ProjectionData(1, 1, 1), 0)  # trace outside (0, m)
-    bad = SolenoidSpec(2, THETA, PAdic.from_int(2, 2))  # x_0 = 0 fails the condition
+    bad = SolenoidSpec(2, THETA, PAdic.from_rational(2, 2))  # x_0 = 0 fails the condition
     with pytest.raises(ValueError):
         BimCtx.build(bad, ProjectionData(1, 1, 0), 0)
 
@@ -316,7 +316,7 @@ def test_identity_suite_detects_corrupted_gamma():
 def test_identity_suite_rejects_bad_inputs():
     with pytest.raises(ValueError):
         SamplePlan(seed=1, hats=0)
-    bad = SolenoidSpec(2, THETA, PAdic.from_int(2, 2))
+    bad = SolenoidSpec(2, THETA, PAdic.from_rational(2, 2))
     with pytest.raises(ValueError):
         identity_suite(bad, ProjectionData(1, 1, 0), 0, SamplePlan(hats=1))
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ncsolenoid
-from ncsolenoid.cli import main
+from ncsolenoid.cli import MAX_TRUNC_K, main
 from ncsolenoid.exactnum import QuadReal
 from ncsolenoid.morita import heisenberg_partner_spec
 from ncsolenoid.padic import PAdic
@@ -80,20 +80,24 @@ def test_bad_theta_usage_error():
         ["multiplier", "check-annihilator", "--digits", "0", "--p", "2", "--theta", "sqrt(2)"],
         ["solenoid", "alpha", *SPEC_FLAGS, "--n", "100000"],
         ["SOLENOID_SEED=abc", "suite"],
+        ["padic", "trunc", "--p", "2", "--value", "11", "--k", "-1"],
+        ["padic", "trunc", "--p", "2", "--value", "11", "--k", str(MAX_TRUNC_K + 1)],
+        ["bimodule", "verify", *SPEC_FLAGS, "--c0", "1", "--d0", "0", "--tolerance", "nan"],
+        ["bimodule", "verify", *SPEC_FLAGS, "--c0", "1", "--d0", "0", "--tolerance", "-1"],
     ],
     ids=[
         "negative-index", "zero-theta", "zero-denominator-digits",
         "negative-certify-entries", "negative-heisenberg-entries", "negative-coherence-entries", "negative-count",
         "projection-zero-m", "projection-zero-c0", "condition-zero-c0", "condition-nonprime-p",
         "annihilator-zero-theta", "eta-psi-zero-theta", "annihilator-zero-digits", "alpha-huge-level",
-        "non-integer-env-seed",
+        "non-integer-env-seed", "negative-trunc-k", "trunc-k-over-bound", "nan-tolerance", "negative-tolerance",
     ],
 )
 def test_domain_errors_usage_error(capsys, monkeypatch, tmp_path, argv):
     if argv[0].startswith("SOLENOID_SEED="):
         monkeypatch.setenv("SOLENOID_SEED", argv[0].split("=", 1)[1])
         argv = argv[1:]
-    spec = _write_spec(tmp_path / "spec.json", SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_int(2, 1)))
+    spec = _write_spec(tmp_path / "spec.json", SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(2, 1)))
     with pytest.raises(SystemExit) as exc:
         main([a.replace("{spec}", spec) for a in argv])
     assert exc.value.code == 2
@@ -131,6 +135,27 @@ def test_spec_file_with_large_ord_finishes(tmp_path):
     proc = run_process(["solenoid", "alpha", "--spec", str(path), "--n", "2"])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["inputs"]["digits"] == spec["digits"]
+
+
+def test_padic_inverse_large_prime_finishes():
+    # a 25-digit prime: primality is decided by Miller-Rabin, not trial division
+    proc = run_process(["padic", "inv", "--p", "1000000000000000000000007", "--value", "3"])
+    assert proc.returncode == 0, proc.stderr
+    assert PAdic.from_json(json.loads(proc.stdout)["inverse"]) * 3 == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["padic", "trunc", "--p", "2", "--value", "11", "--k", "1000000000"],
+        ["padic", "inv", "--p", "3317044064679887385961981", "--value", "3"],  # exactnum.MR_LIMIT itself
+    ],
+    ids=["huge-trunc-k", "prime-past-limit"],
+)
+def test_oversized_padic_input_usage_error(argv):
+    proc = run_process(argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and proc.stderr.strip().splitlines()[-1].startswith("ncsolenoid")
 
 
 def test_padic_inverse_of_zero_usage_error():
@@ -202,7 +227,7 @@ def _write_spec(path, spec):
 
 
 def test_morita_certify_roundtrip_and_outcomes(capsys, tmp_path):
-    a = SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_int(2, 1))
+    a = SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(2, 1))
     fa = _write_spec(tmp_path / "a.json", a)
     fb = _write_spec(tmp_path / "b.json", heisenberg_partner_spec(a))
     code, rep = run_json(capsys, ["morita", "certify", "--spec-a", fa, "--spec-b", fb])
@@ -210,11 +235,11 @@ def test_morita_certify_roundtrip_and_outcomes(capsys, tmp_path):
     assert sorted(rep["certificate"]) == ["c0", "d0", "k", "m", "matched_entries"]
     assert rep["certificate"]["c0"] == 1 and rep["certificate"]["d0"] == 0
 
-    fc = _write_spec(tmp_path / "c.json", SolenoidSpec(3, QuadReal.sqrt_of(2) - 1, PAdic.from_int(3, 1)))
+    fc = _write_spec(tmp_path / "c.json", SolenoidSpec(3, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(3, 1)))
     code, rep = run_json(capsys, ["morita", "certify", "--spec-a", fa, "--spec-b", fc])
     assert code == 0 and rep["status"] == "impossible"
 
-    fd = _write_spec(tmp_path / "d.json", SolenoidSpec(2, QuadReal.sqrt_of(3) - 1, PAdic.from_int(2, 1)))
+    fd = _write_spec(tmp_path / "d.json", SolenoidSpec(2, QuadReal.sqrt_of(3) - 1, PAdic.from_rational(2, 1)))
     code, rep = run_json(capsys, ["morita", "certify", "--spec-a", fa, "--spec-b", fd])
     assert code == 1 and rep["status"] == "inconclusive"
 
@@ -282,7 +307,7 @@ def test_text_format(capsys):
 
 
 def test_spec_file_input(capsys, tmp_path):
-    spec = SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_int(2, 1))
+    spec = SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(2, 1))
     f = _write_spec(tmp_path / "s.json", spec)
     code, rep = run_json(capsys, ["solenoid", "alpha", "--spec", f, "--n", "0"])
     assert code == 0

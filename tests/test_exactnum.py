@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncsolenoid.exactnum import (
+    MR_LIMIT,
     PFrac,
     QuadReal,
     RadicandMismatchError,
@@ -43,6 +44,19 @@ def test_ext_gcd_random_bezout():
 def test_is_prime_small():
     primes = [n for n in range(2, 50) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+def test_is_prime_miller_rabin():
+    def trial(n):
+        return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+    assert all(is_prime(n) == trial(n) for n in range(-3, 5000))
+    # the least strong pseudoprimes to all prime bases up to 23 and up to 37
+    assert not is_prime(3825123056546413051) and not is_prime(318665857834031151167461)
+    assert is_prime(1000000000000000000000007) and is_prime(2**61 - 1)
+    assert not is_prime(MR_LIMIT + 1)  # even: trial division by the bases decides it
+    with pytest.raises(ValueError):
+        is_prime(MR_LIMIT)
 
 
 def test_pfrac_reduction():

@@ -142,16 +142,16 @@ def test_heisenberg_partner_frozen_p2():
 def test_heisenberg_partner_frozen_p5():
     # x = 2 in Z_5 has inverse 3 + 2*5 + 2*25 + ..., so y_0 = 3
     theta = frac1(QuadReal.sqrt_of(3) / 2)
-    spec = SolenoidSpec(5, theta, PAdic.from_int(5, 2))
+    spec = SolenoidSpec(5, theta, PAdic.from_rational(5, 2))
     win = heisenberg_partner(spec, 1)
     assert win.value(1) == 1 / (theta * 5) + Fraction(3, 5)
 
 
 def test_heisenberg_partner_errors():
     with pytest.raises(ValueError):
-        heisenberg_partner(SolenoidSpec(2, THETA, PAdic.zero(2)), 3)
+        heisenberg_partner(SolenoidSpec(2, THETA, PAdic.from_rational(2, 0)), 3)
     with pytest.raises(ValueError):
-        heisenberg_partner(SolenoidSpec(2, QuadReal(0), PAdic.from_int(2, 1)), 3)
+        heisenberg_partner(SolenoidSpec(2, QuadReal(0), PAdic.from_rational(2, 1)), 3)
 
 
 def test_heisenberg_window_coherent_after_mod1():
@@ -255,7 +255,7 @@ def test_relate_check_exact_agreement():
 
 
 def test_relate_check_rejects_nonunit():
-    spec = SolenoidSpec(2, THETA, PAdic.from_int(2, 2))  # x_0 = 0
+    spec = SolenoidSpec(2, THETA, PAdic.from_rational(2, 2))  # x_0 = 0
     with pytest.raises(ValueError):
         relate_check(spec, 3)
 
@@ -274,7 +274,7 @@ def test_projection_vs_heisenberg_flip():
 
 def test_certificate_search_impossible_on_prime_mismatch():
     a = unit_spec(2, THETA, 1)
-    b = SolenoidSpec(3, THETA, PAdic.from_int(3, 1))
+    b = SolenoidSpec(3, THETA, PAdic.from_rational(3, 1))
     res = certificate_search(a, b)
     assert res.status == "impossible"
     with pytest.raises(ValueError):
@@ -360,7 +360,7 @@ def test_invariants_raise_under_python_O():
 
         if not sys.flags.optimize:
             sys.exit("not running under -O")
-        spec = SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_int(2, 1))
+        spec = SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(2, 1))
         proj = morita.ProjectionData(1, 1, 0)
         wrong = lambda s, n: alpha_at(s, n) + 1
         morita.alpha_at = bimodule.alpha_at = wrong

@@ -116,7 +116,7 @@ def test_lambda_embed_frozen():
 def test_embed_rejects_degenerate_parameters():
     g = GammaElem.of(2, 1, 1)
     with pytest.raises(ValueError):
-        iota_embed(PAdic.zero(2), SQRT2, g)
+        iota_embed(PAdic.from_rational(2, 0), SQRT2, g)
     with pytest.raises(ValueError):
         lambda_embed(PAdic.from_rational(2, 1), QuadReal(0), g)
 
@@ -179,6 +179,30 @@ def test_eta_truncated_precision():
     starved = MPoint(x.truncate(-1), QuadReal(0))
     with pytest.raises(PrecisionError):
         eta((starved, starved), P2)
+
+
+def test_eta_truncated_matches_exact():
+    # truncating either coordinate gives the exact pairing or raises PrecisionError
+    rng = random.Random(61)
+    agreed = zeros = 0
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7])
+        x1, x4 = (
+            PAdic.from_rational(p, 0 if rng.random() < 0.15 else Fraction(rng.randint(1, 60), rng.randint(1, 30)))
+            * Fraction(p) ** rng.randint(-4, 4)
+            for _ in range(2)
+        )
+        r1, r4 = QuadReal(Fraction(rng.randint(-9, 9), rng.randint(1, 9))), SQRT2 * rng.randint(-3, 3)
+        exact = eta((MPoint(x1, r1),) * 2, (MPoint(x4, r4),) * 2)
+        t1, t4 = x1.truncate(rng.randint(-6, 12)), x4.truncate(rng.randint(-6, 12))
+        for a, b in ((t1, x4), (x1, t4), (t1, t4)):
+            try:
+                assert eta((MPoint(a, r1),) * 2, (MPoint(b, r4),) * 2) == exact
+            except PrecisionError:
+                continue
+            agreed += 1
+            zeros += x1.is_zero or x4.is_zero
+    assert agreed > 300 and zeros > 50
 
 
 def test_phase_arg_reduction():

@@ -39,7 +39,7 @@ def test_expansion_window_hensel_oracle():
 
 
 def test_zero_and_ord():
-    z = PAdic.zero(7)
+    z = PAdic.from_rational(7, 0)
     assert z.is_zero
     assert z.ord == ORD_INF
     assert z.digit(-3) == 0 and z.digit(10) == 0
@@ -111,14 +111,14 @@ def test_invert_window_products():
 
 def test_invert_zero():
     with pytest.raises(ZeroDivisionError):
-        PAdic.zero(3).invert()
+        PAdic.from_rational(3, 0).invert()
 
 
 def test_frac_part_frozen_cases():
     assert PAdic.from_rational(2, Fraction(3, 2)).frac_part() == PFrac(2, 1, 1)
     assert PAdic.from_rational(3, Fraction(7, 9)).frac_part() == PFrac(3, 7, 2)
     assert PAdic.from_rational(5, 10).frac_part() == PFrac(5, 0)
-    assert PAdic.zero(2).frac_part() == PFrac(2, 0)
+    assert PAdic.from_rational(2, 0).frac_part() == PFrac(2, 0)
 
 
 def test_frac_part_congruence_random():
@@ -163,7 +163,7 @@ def test_negate_digits_frozen_cases():
     one = PAdic.from_rational(2, 1)
     m = -one
     assert (m.pre, m.per) == ((), (1,))
-    assert (-PAdic.zero(5)).is_zero
+    assert (-PAdic.from_rational(5, 0)).is_zero
 
 
 def test_negate_digits_is_negation():
@@ -229,7 +229,7 @@ def test_truncated_basics():
 def test_truncated_mul_precision():
     x = PAdic.from_rational(3, Fraction(4, 5)).truncate(6)
     y = PAdic.from_rational(3, Fraction(7, 2)).truncate(6)
-    z = x.mul(y)
+    z = x * y
     exact = PAdic.from_rational(3, Fraction(28, 10))
     for j in range(z.v, z.precision):
         assert z.digit(j) == exact.digit(j)
@@ -254,15 +254,15 @@ def test_truncated_invert_hensel():
 
 
 def test_truncated_frac_part_precision_error():
-    t = TruncatedPAdic(2, -5, (1, 0, 1))  # digits end at index -2 < 0
+    t = TruncatedPAdic(2, -5, 5, -2)  # digits end at index -2 < 0
     with pytest.raises(PrecisionError):
         t.frac_part()
-    ok = TruncatedPAdic(2, -2, (1, 1, 1, 0))
+    ok = TruncatedPAdic(2, -2, 7, 2)
     assert ok.frac_part() == PFrac(2, 3, 2)
 
 
 def test_truncated_invert_all_zero_window():
-    t = TruncatedPAdic(3, 0, (0, 0, 0))
+    t = TruncatedPAdic(3, 0, 0, 3)
     with pytest.raises(PrecisionError):
         t.invert()
 
@@ -330,3 +330,50 @@ def test_digit_constructor_reads_back(p, v, pre, per):
     stream = pre + (per or [0]) * 30
     for j in range(v - 3, v + len(stream)):
         assert x.digit(j) == (stream[j - v] if j >= v else 0)
+
+
+def agrees_below(t: TruncatedPAdic, q: Fraction) -> bool:
+    """The window's value residue * p**v equals q mod p**precision."""
+    rest = q - t.residue * Fraction(t.p) ** t.v
+    return rest == 0 or PAdic.from_rational(t.p, rest).ord >= t.precision
+
+
+@st.composite
+def padic_pairs(draw) -> tuple[PAdic, PAdic]:
+    x = draw(padics())
+    q = draw(st.fractions(min_value=-1000, max_value=1000, max_denominator=500))
+    return x, PAdic.from_rational(x.p, q * Fraction(x.p) ** draw(st.integers(-6, 6)))
+
+
+@PROPERTY
+@given(padic_pairs(), st.integers(-8, 20), st.integers(-8, 20), st.integers(-8, 20), st.integers(-8, 20))
+def test_truncated_window_agrees_with_exact(pair, n1, n2, lo, hi):
+    x, y = pair
+    t1, t2 = x.truncate(n1), y.truncate(n2)
+    product = x.as_fraction() * y.as_fraction()
+    assert agrees_below(t1, x.as_fraction())
+    if t1.precision == t1.v or t2.precision == t2.v:  # an empty window has no digits to multiply
+        with pytest.raises(PrecisionError):
+            t1 * t2
+    else:
+        assert agrees_below(t1 * t2, product)
+    if y.is_zero:
+        assert t1 * y == y * t1 == 0
+    elif t1.precision == t1.v:
+        with pytest.raises(PrecisionError):
+            t1 * y
+    else:
+        assert agrees_below(t1 * y, product) and y * t1 == t1 * y
+    if t1.residue:
+        assert agrees_below(t1.invert(), 1 / x.as_fraction())
+    else:
+        with pytest.raises(PrecisionError):
+            t1.invert()
+    try:
+        assert t1.truncate_sum(lo, hi) == x.truncate_sum(lo, hi)
+    except PrecisionError:
+        assert lo <= hi and hi >= t1.precision
+    try:
+        assert t1.frac_part() == x.frac_part()
+    except PrecisionError:
+        assert t1.precision <= -1

@@ -53,7 +53,7 @@ def test_check_bimodule_report_shape():
 
 def test_check_coherence_flags_incoherent_spec():
     # a digit stream for p=3 attached to p=2 arithmetic cannot stay coherent
-    broken = SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_int(2, 1))
+    broken = SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(2, 1))
     rep = check_coherence(broken, entries=6)
     assert rep["pass"] is True  # sane spec stays coherent
     assert all(0 <= d < 2 for d in rep["defects"])
