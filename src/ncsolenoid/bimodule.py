@@ -9,7 +9,9 @@ precision once per context.
 
 Test functions are piecewise-linear hats: genuine compact support keeps
 every lattice sum finite, with summation ranges derived from support bounds
-rather than truncated.
+rather than truncated.  Each (j1, j2) entry of an inner-product kernel is
+evaluated in one call on an (m x r) grid, then folded into the sum row by row
+in m order.
 """
 
 from __future__ import annotations
@@ -48,12 +50,16 @@ class HatFn:
             raise ValueError("breakpoints must be strictly increasing")
         if self.values[0] != 0 or self.values[-1] != 0:
             raise ValueError("endpoint values must vanish (compact support)")
+        # interpolation tables, built once; not fields, so == and hash see only the two tuples
+        object.__setattr__(self, "_xp", np.asarray(self.breakpoints))
+        object.__setattr__(self, "_re", np.asarray([v.real for v in self.values]))
+        object.__setattr__(self, "_im", np.asarray([v.imag for v in self.values]))
 
     def eval(self, t):
+        # two real interps: one complex np.interp is not bit-identical to them
         t = np.asarray(t, dtype=float)
-        xp = np.asarray(self.breakpoints)
-        re = np.interp(t, xp, np.asarray([v.real for v in self.values]), left=0.0, right=0.0)
-        im = np.interp(t, xp, np.asarray([v.imag for v in self.values]), left=0.0, right=0.0)
+        re = np.interp(t, self._xp, self._re, left=0.0, right=0.0)
+        im = np.interp(t, self._xp, self._im, left=0.0, right=0.0)
         return re + 1j * im
 
     def support(self):
@@ -438,6 +444,19 @@ def _k_window(lo: float, hi: float, step: float) -> range:
     return range(math.ceil(lo / step - 1e-12), math.floor(hi / step + 1e-12) + 1)
 
 
+def _m_column(m0: int, lo: float, hi: float, M: int, ndim: int) -> np.ndarray:
+    """Lattice indices m = m0 mod M in [floor(lo), ceil(hi)], shaped to broadcast against an ndim-d r."""
+    lo, hi = math.floor(lo), math.ceil(hi)
+    start = lo + ((m0 - lo) % M)
+    return np.arange(start, hi + 1, M).reshape((-1,) + (1,) * ndim)
+
+
+def _fold(acc: np.ndarray, block: np.ndarray) -> None:
+    # row by row in m order: block.sum(axis=0) would associate the sum differently
+    for term in block:
+        acc += term
+
+
 def inner_left(ctx: BimCtx, F1: ModElem, F2: ModElem) -> AlgElem:
     """<F1,F2>(r,k) = sum_m F1(cr + m, [dm]) conj F2(cr + m - k*gamma, [dm-k]).
 
@@ -467,13 +486,11 @@ def inner_left(ctx: BimCtx, F1: ModElem, F2: ModElem) -> AlgElem:
         def comp(r):
             r = np.asarray(r, dtype=float)
             acc = np.zeros(r.shape, dtype=complex)
+            cr, r_lo, r_hi = cc * r, float(np.min(r)), float(np.max(r))
             for j1, j2, s1 in entries:
-                m0 = (ctx.a * j1) % M
-                lo = math.floor(s1[0] - cc * float(np.max(r)))
-                hi = math.ceil(s1[1] - cc * float(np.min(r)))
-                start = lo + ((m0 - lo) % M)
-                for m in range(start, hi + 1, M):
-                    acc += F1.eval(cc * r + m, j1) * np.conj(F2.eval(cc * r + m - k * g, j2))
+                ms = _m_column((ctx.a * j1) % M, s1[0] - cc * r_hi, s1[1] - cc * r_lo, M, r.ndim)
+                if ms.size:
+                    _fold(acc, F1.eval(cr + ms, j1) * np.conj(F2.eval(cr + ms - k * g, j2)))
             return acc
 
         return SumKernel(comp)
@@ -509,14 +526,12 @@ def inner_right(ctx: BimCtx, F1: ModElem, F2: ModElem) -> AlgElem:
         def comp(r):
             r = np.asarray(r, dtype=float)
             acc = np.zeros(r.shape, dtype=complex)
+            cr, r_lo, r_hi = cc * r, float(np.min(r)), float(np.max(r))
             for j1, j2, s1 in entries:
-                m0 = (-j1) % M
-                lo = math.floor(cc * float(np.min(r)) - s1[1] / g)
-                hi = math.ceil(cc * float(np.max(r)) - s1[0] / g)
-                start = lo + ((m0 - lo) % M)
-                for m in range(start, hi + 1, M):
-                    u = (cc * r - m) * g
-                    acc += np.conj(F1.eval(u, j1)) * F2.eval(u + k, j2)
+                ms = _m_column((-j1) % M, cc * r_lo - s1[1] / g, cc * r_hi - s1[0] / g, M, r.ndim)
+                if ms.size:
+                    u = (cr - ms) * g
+                    _fold(acc, np.conj(F1.eval(u, j1)) * F2.eval(u + k, j2))
             return acc
 
         return SumKernel(comp)

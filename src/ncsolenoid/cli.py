@@ -33,6 +33,9 @@ from .solenoid import SolenoidSpec, alpha_at
 # padic trunc prints k digits of a prime up to exactnum.MR_LIMIT; the digit view is
 # quadratic in the window, so k is bounded to keep the largest prime within a 1 s budget
 MAX_TRUNC_K = 3000
+# tower levels for --n: alpha_n has denominator p**n, which for the largest prime below exactnum.MR_LIMIT
+# has about 25*n digits, so every accepted level prints within Python's 4300-digit int-to-string limit
+MAX_LEVEL = 100
 
 
 def _resolve_seed(value) -> int:
@@ -53,6 +56,14 @@ def _count(text: str) -> int:
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
+    return n
+
+
+def _level(text: str) -> int:
+    """argparse type for --n: a tower level in 0..MAX_LEVEL."""
+    n = int(text)
+    if not 0 <= n <= MAX_LEVEL:
+        raise argparse.ArgumentTypeError(f"must be in 0..MAX_LEVEL = {MAX_LEVEL}, got {n}")
     return n
 
 
@@ -216,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     sol_subs = solenoid.add_subparsers(dest="solenoid_cmd", required=True)
     sp = sol_subs.add_parser("alpha")
     _add_spec_flags(sp)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_level, required=True, help=f"tower level, at most {MAX_LEVEL}")
     for name in ("check-coherence", "from-even"):
         sp = sol_subs.add_parser(name)
         _add_spec_flags(sp)
@@ -273,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c0", type=int, required=True)
     sp.add_argument("--d0", type=int, required=True)
     sp.add_argument("--m", type=int, default=1)
-    sp.add_argument("--n", type=int, default=0, help="tower level")
+    sp.add_argument("--n", type=_level, default=0, help=f"tower level, at most {MAX_LEVEL}")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--points", type=int, default=200)
     sp.add_argument("--hats", type=int, default=20)

@@ -170,6 +170,11 @@ class PFrac:
         return f"PFrac(p={self.p}, {self})"
 
 
+# _square_split factors by trial division, about sqrt(D)/2 steps: a prime radicand just below
+# this bound takes about 0.16 s to parse
+MAX_RADICAND = 10**12
+
+
 def _square_split(n: int) -> tuple[int, int]:
     """Write n = s*s * core with core squarefree; return (s, core)."""
     s, core = 1, 1
@@ -208,6 +213,8 @@ class QuadReal:
         A = a.numerator * (M // a.denominator)
         B = b.numerator * (M // b.denominator)
         if B and D > 1:
+            if D > MAX_RADICAND:
+                raise ValueError(f"radicand must be at most MAX_RADICAND = {MAX_RADICAND}, got {D}")
             s, D = _square_split(D)
             B *= s
         if D <= 1 or not B:

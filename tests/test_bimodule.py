@@ -1,6 +1,7 @@
 """Kernel-level checks: atoms, module elements, inner products, connecting maps,
 and the compatibility identity suite at small sample plans."""
 
+import dataclasses
 import math
 import random
 
@@ -67,6 +68,14 @@ def test_hatfn_eval_and_support():
     assert vals[3] == 2 - 1j
     assert abs(vals[2] - (1 - 0.5j)) < 1e-15
     assert f.support() == (0.0, 2.0)
+
+
+def test_hatfn_equality_ignores_cached_tables():
+    a = HatFn((0.0, 0.5, 1.0), (0j, 1 - 2j, 0j))
+    b = HatFn((0.0, 0.5, 1.0), (0j, 1 - 2j, 0j))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != HatFn((0.0, 0.5, 1.0), (0j, 1 + 2j, 0j))
+    assert [f.name for f in dataclasses.fields(HatFn)] == ["breakpoints", "values"]
 
 
 def test_atom_combinators():
@@ -204,6 +213,81 @@ def test_inner_products_no_alignment_vanish():
     assert inner_right(ctx, ModElem.delta(1, 0, f), ModElem.delta(1, 0, h)).keys() == ()
     empty = ModElem(ctx.modulus)
     assert inner_left(ctx, empty, ModElem.delta(1, 0, f)).keys() == ()
+
+
+def _per_m_kernel(ctx, F1, F2, side, k, r):
+    """One lattice index m at a time: the plain form of an inner_left / inner_right kernel.
+
+    Returns the kernel at (r, k), the number of (j1, j2) entries summed, and how
+    many of those had no m in their window.
+    """
+    M, cc, g = ctx.modulus, ctx.c, ctx.gamma_f
+    r = np.asarray(r, dtype=float)
+    acc = np.zeros(r.shape, dtype=complex)
+    entries = empty = 0
+    for j1 in F1.terms:
+        s1 = F1.support(j1)
+        for j2 in F2.terms:
+            s2 = F2.support(j2)
+            if side == "left":
+                k_lo, k_hi = (s1[0] - s2[1]) / g, (s1[1] - s2[0]) / g
+                fits = (k - (j1 - j2)) % M == 0
+                m0 = (ctx.a * j1) % M
+                lo = math.floor(s1[0] - cc * float(np.max(r)))
+                hi = math.ceil(s1[1] - cc * float(np.min(r)))
+            else:
+                k_lo, k_hi = s2[0] - s1[1], s2[1] - s1[0]
+                fits = (k - ctx.a * (j2 - j1)) % M == 0
+                m0 = (-j1) % M
+                lo = math.floor(cc * float(np.min(r)) - s1[1] / g)
+                hi = math.ceil(cc * float(np.max(r)) - s1[0] / g)
+            if not fits or not math.ceil(k_lo - 1e-12) <= k <= math.floor(k_hi + 1e-12):
+                continue
+            ms = [m for m in range(lo, hi + 1) if (m - m0) % M == 0]
+            entries += 1
+            empty += not ms
+            for m in ms:
+                if side == "left":
+                    acc += F1.eval(cc * r + m, j1) * np.conj(F2.eval(cc * r + m - k * g, j2))
+                else:
+                    u = (cc * r - m) * g
+                    acc += np.conj(F1.eval(u, j1)) * F2.eval(u + k, j2)
+    return acc, entries, empty
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [0, 1])
+def test_inner_kernels_match_per_m_reference(p, n):
+    ctx = ctx_at(p, n)
+    M = ctx.modulus
+    rng = random.Random(100 * p + n)
+    # the same hats at two classes each give kernels with more than one (j1, j2) entry; a
+    # wide hat puts several m in one window, and at a single r point the m window of a
+    # narrow hat can miss its residue class
+    narrow = HatFn((0.1, 0.3, 0.5), (0j, 1 + 1j, 0j))
+    wide = HatFn((-1.5 * M, 0.2 * M, 1.5 * M), (0j, 0.7 - 1.3j, 0j))
+
+    def element(coef):
+        planted = {0: narrow, 1: Shifted(narrow, 0.05), 2: wide, 3: Shifted(wide, 0.3)}
+        return random_mod_elem(rng, M).add(ModElem(M, {j: ((coef * (1 + 0.5j * j), atom),) for j, atom in planted.items()}))
+
+    F, G = element(1.0), element(-0.4 + 2j)
+    line = np.concatenate([np.linspace(0.0, 1.0, 41), [rng.uniform(0.0, 2.0) for _ in range(19)]])
+    rs = (line, line.reshape(3, 20), np.array([0.37]))
+    most = empty = 0
+    for side, inner in (("left", inner_left), ("right", inner_right)):
+        for F1, F2 in ((F, G), (G, F), (F, F)):
+            A = inner(ctx, F1, F2)
+            assert A.keys()
+            for k in A.keys():
+                for r in rs:
+                    got = A.eval(r, k)
+                    want, entries, misses = _per_m_kernel(ctx, F1, F2, side, k, r)
+                    assert got.shape == r.shape
+                    assert np.array_equal(got.view(np.float64), want.view(np.float64)), (side, k, r.shape)
+                    most, empty = max(most, entries), empty + misses
+    if M > 1:
+        assert most >= 2 and empty > 0
 
 
 def test_inner_products_periodic_and_positive():

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import ncsolenoid
-from ncsolenoid.cli import MAX_TRUNC_K, main
+from ncsolenoid.cli import MAX_LEVEL, MAX_TRUNC_K, main
+from ncsolenoid.exactnum import MR_LIMIT
 from ncsolenoid.exactnum import QuadReal
 from ncsolenoid.morita import heisenberg_partner_spec
 from ncsolenoid.padic import PAdic
@@ -156,6 +157,48 @@ def test_oversized_padic_input_usage_error(argv):
     proc = run_process(argv)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and proc.stderr.strip().splitlines()[-1].startswith("ncsolenoid")
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        # the 2-adic period of 1/3**20 has 2*3**19 digits
+        (["padic", "inv", "--p", "2", "--value", "3486784401"], "MAX_EXPANSION"),
+        # a 31-digit radicand: trial division would take about sqrt(D)/2 steps
+        (["solenoid", "alpha", "--p", "2", "--theta", "sqrt(1000000000000000000000000000014)", "--digits", "x=1", "--n", "1"],
+         "MAX_RADICAND"),
+    ],
+    ids=["long-period-display", "huge-radicand"],
+)
+def test_unbounded_work_usage_error(argv, bound):
+    proc = run_process(argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and proc.stderr.strip().splitlines()[-1].startswith("ncsolenoid")
+    assert bound in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solenoid", "alpha", *SPEC_FLAGS, "--n", "100000"],
+        ["solenoid", "alpha", *SPEC_FLAGS, "--n", str(MAX_LEVEL + 1)],
+        ["bimodule", "verify", *SPEC_FLAGS, "--c0", "1", "--d0", "0", "--n", str(MAX_LEVEL + 1)],
+    ],
+    ids=["alpha-100000", "alpha-past-bound", "bimodule-past-bound"],
+)
+def test_level_bound_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"MAX_LEVEL = {MAX_LEVEL}" in capsys.readouterr().err.strip().splitlines()[-1]
+
+
+def test_largest_level_prints_at_largest_prime(capsys):
+    # the largest prime below MR_LIMIT: alpha_n's denominator has the most digits there
+    p = MR_LIMIT - 168
+    code, rep = run_json(capsys, ["solenoid", "alpha", "--p", str(p), "--theta", "sqrt(2)", "--digits", "x=1", "--n", str(MAX_LEVEL)])
+    assert code == 0
+    assert QuadReal.parse(rep["alpha"]) == (QuadReal.sqrt_of(2) + 1) / p**MAX_LEVEL
 
 
 def test_padic_inverse_of_zero_usage_error():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncsolenoid.exactnum import (
+    MAX_RADICAND,
     MR_LIMIT,
     PFrac,
     QuadReal,
@@ -57,6 +58,15 @@ def test_is_prime_miller_rabin():
     assert not is_prime(MR_LIMIT + 1)  # even: trial division by the bases decides it
     with pytest.raises(ValueError):
         is_prime(MR_LIMIT)
+
+
+def test_radicand_bound():
+    # the largest prime below the bound: the slowest radicand to split that is accepted
+    assert QuadReal.parse("sqrt(999999999989)").D == 999999999989 == MAX_RADICAND - 11
+    assert QuadReal.sqrt_of(4 * 10**10).D == 0  # a perfect square below the bound
+    with pytest.raises(ValueError, match="MAX_RADICAND"):
+        QuadReal.sqrt_of(MAX_RADICAND + 1)
+    assert QuadReal(3, 0, MAX_RADICAND + 1) == 3  # no sqrt coefficient: nothing to split
 
 
 def test_pfrac_reduction():

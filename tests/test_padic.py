@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncsolenoid.exactnum import PFrac
-from ncsolenoid.padic import ORD_INF, PAdic, PrecisionError, TruncatedPAdic
+from ncsolenoid.padic import MAX_EXPANSION, ORD_INF, PAdic, PrecisionError, TruncatedPAdic
 
 
 def expansion_digit(x: PAdic, j: int) -> int:
@@ -377,3 +377,13 @@ def test_truncated_window_agrees_with_exact(pair, n1, n2, lo, hi):
         assert t1.frac_part() == x.frac_part()
     except PrecisionError:
         assert t1.precision <= -1
+
+
+def test_display_expansion_bound():
+    # 1/3**11 has a 2-adic period of 2*3**10 = 118098 digits, 1/3**12 one of 354294
+    assert MAX_EXPANSION >= 2 * 3**10
+    assert len(PAdic.from_rational(2, Fraction(1, 3**11)).per) == 2 * 3**10
+    x = PAdic.from_rational(2, Fraction(1, 3**12))
+    with pytest.raises(ValueError, match="MAX_EXPANSION"):
+        x.to_json()
+    assert x.invert() == 3**12 and x.digit(10**6) in (0, 1)  # values and digit views need no expansion
