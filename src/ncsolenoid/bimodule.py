@@ -20,17 +20,21 @@ import cmath
 import dataclasses
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exactnum import QuadReal
-from .morita import ProjectionData, checked_trace, stage
+from .morita import ProjectionData, checked_trace, level_table, stage
 from .solenoid import SolenoidSpec
 
 TWO_PI_I = 2j * math.pi
 NO_SUPPORT = None
 FULL_LINE = (-math.inf, math.inf)
+# random_mod_elem samples index classes from range(modulus), whose length must fit a C ssize_t:
+# p = 2 reaches it past level 31 (c = 2^62), p = 3 past level 19
+MAX_MODULUS = sys.maxsize
 
 
 # -- function atoms --------------------------------------------------------------
@@ -337,7 +341,8 @@ class BimCtx:
         if proj.c0 < 1:
             raise ValueError("kernel formulas here require c0 >= 1")
         tau = checked_trace(spec, proj)
-        line, alpha, mob, beta = stage(spec, proj, n, tau)
+        level = level_table(spec, n)[n]
+        line, mob, beta = stage(spec.p, proj, n, level, tau)
         gamma = 1 / tau  # level-independent (stage checks it); the actions rely on it
         if (QuadReal(mob.a) - gamma) / line.c != beta:
             raise ArithmeticError(f"Mobius identity fails at level {n}")
@@ -349,7 +354,7 @@ class BimCtx:
             line.d,
             mob.a,
             mob.b,
-            float(alpha),
+            float(level[0]),
             float(beta),
             float(gamma),
         )
@@ -598,6 +603,8 @@ def random_hat(rng: random.Random, span: float = 3.0) -> HatFn:
 
 
 def random_mod_elem(rng: random.Random, modulus: int) -> ModElem:
+    if modulus > MAX_MODULUS:
+        raise ValueError(f"modulus {modulus} exceeds MAX_MODULUS = {MAX_MODULUS}")
     out = ModElem(modulus)
     for j in rng.sample(range(modulus), k=min(modulus, rng.randint(1, 2))):
         coef = complex(rng.gauss(0, 1), rng.gauss(0, 1))

@@ -93,28 +93,53 @@ def condition_check(p: int, proj: ProjectionData, x0: int) -> bool:
     return math.gcd(proj.c0 * p, proj.d0 - proj.c0 * x0) == 1
 
 
-def trace_line(spec: SolenoidSpec, proj: ProjectionData, n: int) -> TraceLine:
-    """Coefficients at level 2n: c = c0 p^(2n), d = d0 - c0 * sum_{j<2n} x_j p^j."""
-    c = proj.c0 * spec.p ** (2 * n)
-    d = proj.d0 - proj.c0 * int(spec.digits.truncate_sum(0, 2 * n - 1).as_fraction())
-    return TraceLine(n, c, d)
+def level_table(spec: SolenoidSpec, N: int) -> tuple[tuple[QuadReal, int], ...]:
+    """Even levels ((alpha_0, h_0), ..., (alpha_2N, h_2N)), h_2n = sum_{j<2n} x_j p^j.
 
+    With s_n = x_2n + x_{2n+1} p, the head grows as h_{2n+2} = h_2n + s_n p^(2n),
+    and alpha_m = (theta + h_m) / p^m gives
 
-def ab_normalized(line: TraceLine, alpha_2n: QuadReal) -> MobiusPair:
-    """Complete (c, d) to determinant +1 and shift so the image lies in [0,1).
+        alpha_{2n+2} = (theta + h_2n + s_n p^(2n)) / p^(2n+2) = (alpha_2n + s_n) / p^2.
 
-    Replacing (a, b) by (a + l*c, b + l*d) shifts the Mobius image by l, so
-    the representative with image in [0,1) is unique.
+    Digits are read through spec.x, so a digit horizon raises ValueError at
+    the first level alpha_at refuses (2N > horizon).
     """
-    g, s, t = ext_gcd(line.d, -line.c)
+    p = spec.p
+    alpha, h, scale = alpha_at(spec, 0), 0, 1
+    rows = [(alpha, h)]
+    for n in range(N):
+        s = spec.x(2 * n) + spec.x(2 * n + 1) * p
+        alpha = (alpha + s) / (p * p)
+        h += s * scale
+        scale *= p * p
+        rows.append((alpha, h))
+    return tuple(rows)
+
+
+def _line(p: int, proj: ProjectionData, n: int, h: int) -> TraceLine:
+    return TraceLine(n, proj.c0 * p ** (2 * n), proj.d0 - proj.c0 * h)
+
+
+def trace_line(spec: SolenoidSpec, proj: ProjectionData, n: int) -> TraceLine:
+    """Coefficients at level 2n: c = c0 p^(2n), d = d0 - c0 * h_2n (h_2n as in level_table)."""
+    return _line(spec.p, proj, n, level_table(spec, n)[n][1])
+
+
+def ab_normalized(line: TraceLine, alpha_2n: QuadReal, tau: QuadReal) -> tuple[MobiusPair, QuadReal]:
+    """Complete (c, d) to determinant +1, shifted so the image lies in [0,1); return it and the image.
+
+    tau must be the trace value alpha_2n * c + d.  Replacing (a, b) by
+    (a + l*c, b + l*d) shifts the Mobius image by l, so the representative
+    with image in [0,1) is unique, and its image is the unshifted one plus l.
+    """
+    g, a, b = ext_gcd(line.d, -line.c)
     if g != 1:
         raise ConditionError(
             f"trace line ({line.c}, {line.d}) is not coprime", witness=(line.n, line.c, line.d)
         )
-    a, b = s, t
-    beta = (alpha_2n * a + b) / (alpha_2n * line.c + line.d)
+    beta = (alpha_2n * a + b) / tau
     shift = -floor(beta)
-    return MobiusPair(a + shift * line.c, b + shift * line.d, line.c, line.d)
+    return MobiusPair(a + shift * line.c, b + shift * line.d, line.c, line.d), beta + shift
 
 
 def heisenberg_partner_spec(spec: SolenoidSpec) -> SolenoidSpec:
@@ -162,25 +187,32 @@ def checked_trace(spec: SolenoidSpec, proj: ProjectionData) -> QuadReal:
 
 
 def stage(
-    spec: SolenoidSpec, proj: ProjectionData, n: int, tau: QuadReal
-) -> tuple[TraceLine, QuadReal, MobiusPair, QuadReal]:
-    """Level-n trace line, alpha_2n, normalized Mobius pair and beta_2n in [0,1).
+    p: int, proj: ProjectionData, n: int, level: tuple[QuadReal, int], tau: QuadReal
+) -> tuple[TraceLine, MobiusPair, QuadReal]:
+    """Level-n trace line, normalized Mobius pair and beta_2n in [0,1), from level_table's (alpha_2n, h_2n).
 
     The trace value alpha_2n * c_2n + d_2n is level-independent; a level
     where it differs from tau raises ArithmeticError.
     """
-    line = trace_line(spec, proj, n)
-    alpha = alpha_at(spec, 2 * n)
+    alpha, h = level
+    line = _line(p, proj, n, h)
     if alpha * line.c + line.d != tau:
         raise ArithmeticError(f"trace value at level {n} differs from tau = {tau}")
-    mob = ab_normalized(line, alpha)
-    return line, alpha, mob, mob.apply(alpha)
+    mob, beta = ab_normalized(line, alpha, tau)
+    return line, mob, beta
 
 
-def projection_partner(spec: SolenoidSpec, proj: ProjectionData, N: int) -> SeqWindow:
-    """Even-index window 2n <= 2N of normalized Mobius images beta_2n in [0,1)."""
+def projection_partner(
+    spec: SolenoidSpec, proj: ProjectionData, N: int, levels: tuple[tuple[QuadReal, int], ...] | None = None
+) -> SeqWindow:
+    """Even-index window 2n <= 2N of normalized Mobius images beta_2n in [0,1).
+
+    levels, when given, is level_table(spec, N), shared by every projection on spec.
+    """
     tau = checked_trace(spec, proj)
-    return SeqWindow(tuple((2 * n, stage(spec, proj, n, tau)[3]) for n in range(N + 1)))
+    if levels is None:
+        levels = level_table(spec, N)
+    return SeqWindow(tuple((2 * n, stage(spec.p, proj, n, levels[n], tau)[2]) for n in range(N + 1)))
 
 
 def displayed_mobius(spec: SolenoidSpec, n: int) -> MobiusPair:
@@ -233,6 +265,16 @@ def relate_check(spec: SolenoidSpec, N: int) -> bool:
 # -- certificate search --------------------------------------------------------
 
 
+# The deepest tower level a search reads is max_k + 2*entries (20 at the defaults); the cost of
+# each stage grows with it, fastest at the largest prime.
+MAX_SEARCH_LEVEL = 32
+# (max_k//2 + 1) * max_c0 * (2*max_d0 + 1) candidates at most.  At the largest prime below
+# exactnum.MR_LIMIT and at MAX_SEARCH_LEVEL, an exhaustive search of this many takes about 1.1 s end to
+# end (x = 3/5, theta = sqrt(2) - 1 against sqrt(3) - 1; max_c0 = 40, max_d0 = 12 or max_c0 = 1,
+# max_d0 = 499, with max_k = 0 and entries = 16), within a 2 s budget.
+MAX_SEARCH_CANDIDATES = 1000
+
+
 @dataclass(frozen=True)
 class SearchBounds:
     max_c0: int = 4
@@ -241,8 +283,19 @@ class SearchBounds:
     entries: int = 8
 
     def __post_init__(self):
-        if self.entries < 0:
-            raise ValueError(f"entries must be nonnegative, got {self.entries}")
+        for name, low in (("max_c0", 1), ("max_d0", 0), ("max_k", 0), ("entries", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if self.candidates > MAX_SEARCH_CANDIDATES:
+            raise ValueError(f"{self.candidates} candidates exceed MAX_SEARCH_CANDIDATES = {MAX_SEARCH_CANDIDATES}")
+        if self.max_k + 2 * self.entries > MAX_SEARCH_LEVEL:
+            raise ValueError(
+                f"max_k + 2*entries = {self.max_k + 2 * self.entries} exceeds MAX_SEARCH_LEVEL = {MAX_SEARCH_LEVEL}"
+            )
+
+    @property
+    def candidates(self) -> int:
+        return (self.max_k // 2 + 1) * self.max_c0 * (2 * self.max_d0 + 1)
 
 
 @dataclass(frozen=True)
@@ -294,13 +347,14 @@ def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = 
         return CertificateResult(status="impossible")
     N = bounds.entries
     try:
-        alphas = [alpha_at(b, 2 * n) for n in range(N + 1)]
+        alphas = [alpha for alpha, _ in level_table(b, N)]
     except ValueError:
         return CertificateResult(status="inconclusive")
     # partner windows lie in [0,1), so they are compared with b's images mod 1 as they are
     images = {"direct": [frac1(v) for v in alphas], "flipped": [frac1(-v) for v in alphas]}
     for k in range(0, bounds.max_k + 1, 2):
         trunc = truncate_spec(a, k)
+        levels = None  # built at the first candidate that needs a window, so a horizon raises only there
         for c0 in range(1, bounds.max_c0 + 1):
             for d0 in range(-bounds.max_d0, bounds.max_d0 + 1):
                 tau = trunc.theta * c0 + d0
@@ -310,7 +364,9 @@ def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = 
                 proj = ProjectionData(m, c0, d0)
                 if not condition_check(trunc.p, proj, trunc.x(0)):
                     continue
-                window = projection_partner(trunc, proj, N)
+                if levels is None:
+                    levels = level_table(trunc, N)
+                window = projection_partner(trunc, proj, N, levels)
                 values = [v for _, v in window]
                 for orientation, image in images.items():
                     if values == image:

@@ -21,6 +21,11 @@ ORD_INF = math.inf  # order sentinel for zero
 # digits _expand may make for display, at about 1 us each: padic inv of a value whose
 # 2-adic period has 199 932 digits prints in about 0.6 s end to end
 MAX_EXPANSION = 200_000
+# size of p**|ord| a JSON digit stream may carry, counted as |ord| * floor(log2 p) bits: the value is
+# built, divided and printed at that size.  At the bound, solenoid alpha --n 1 on one spec file takes
+# about 1.0 s end to end at p = 2 (ord 524 288) and 1.2 s at the largest prime below exactnum.MR_LIMIT
+# (ord 6 472); a flat ord bound would be 81 times looser there than at p = 2
+MAX_ORD_BITS = 2**19
 
 
 class PrecisionError(ValueError):
@@ -82,6 +87,8 @@ class PAdic:
             raise ValueError(f"digits p and ord must be integers, got {p!r} and {v!r}")
         if not (isinstance(pre, list) and isinstance(per, list) and all(type(d) is int for d in pre + per)):
             raise ValueError("digits preperiod and period must be lists of integers")
+        if abs(v) * (p.bit_length() - 1) > MAX_ORD_BITS:
+            raise ValueError(f"digits ord {v} puts {p}**|ord| past MAX_ORD_BITS = {MAX_ORD_BITS} bits")
         return cls(p, v, pre, per)
 
     # -- digit views -----------------------------------------------------------

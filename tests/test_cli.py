@@ -178,6 +178,55 @@ def test_unbounded_work_usage_error(argv, bound):
 
 
 @pytest.mark.parametrize(
+    "flags, bound",
+    [
+        (["--max-c0", "-1"], "max_c0"),
+        (["--max-c0", "0"], "max_c0"),
+        (["--max-d0", "-3"], "max_d0"),
+        (["--max-k", "-2"], "max_k"),
+        (["--entries", "17"], "MAX_SEARCH_LEVEL"),
+        (["--max-c0", "41", "--max-d0", "12", "--max-k", "0"], "MAX_SEARCH_CANDIDATES"),
+    ],
+    ids=["negative-max-c0", "zero-max-c0", "negative-max-d0", "negative-max-k", "level-past-bound", "candidates-past-bound"],
+)
+def test_certify_bad_bounds_usage_error(capsys, tmp_path, flags, bound):
+    # a bad bound is rejected input, not an undecided search
+    spec = _write_spec(tmp_path / "spec.json", SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(2, 1)))
+    with pytest.raises(SystemExit) as exc:
+        main(["morita", "certify", "--spec-a", spec, "--spec-b", spec, *flags])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith("ncsolenoid") and bound in last
+
+
+@pytest.mark.parametrize("ord_, bound", [(100000000, "MAX_ORD_BITS"), (None, "MAX_SEARCH_CANDIDATES")], ids=["huge-ord", "huge-max-k"])
+def test_unbounded_spec_work_usage_error(tmp_path, ord_, bound):
+    spec = {"p": 2, "theta": "sqrt(2)", "digits": {"p": 2, "ord": ord_ or 0, "preperiod": [1], "period": [0]}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    if ord_:
+        argv = ["solenoid", "alpha", "--spec", str(path), "--n", "1"]
+    else:
+        argv = ["morita", "certify", "--spec-a", str(path), "--spec-b", str(path), "--max-k", "100000"]
+    proc = run_process(argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and proc.stderr.strip().splitlines()[-1].startswith("ncsolenoid")
+    assert bound in proc.stderr
+
+
+def test_bimodule_modulus_bound(capsys):
+    # c = 2**64 at level 32 is past the C ssize_t that random.sample indexes by; c = 2**62 is not
+    argv = ["bimodule", "verify", "--p", "2", "--theta", "(-1+1*sqrt(2))/1", "--digits", "x=1", "--c0", "1", "--d0", "0",
+            "--hats", "1", "--points", "10", "--n"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "32"])
+    assert exc.value.code == 2
+    assert "MAX_MODULUS" in capsys.readouterr().err.strip().splitlines()[-1]
+    code, rep = run_json(capsys, [*argv, "31"])
+    assert code in (0, 1) and rep["level"] == 31
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["solenoid", "alpha", *SPEC_FLAGS, "--n", "100000"],

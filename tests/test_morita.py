@@ -14,8 +14,10 @@ import pytest
 
 import ncsolenoid
 
-from ncsolenoid.exactnum import QuadReal, frac1
+from ncsolenoid.exactnum import QuadReal, ext_gcd, floor, frac1
 from ncsolenoid.morita import (
+    MAX_SEARCH_CANDIDATES,
+    MAX_SEARCH_LEVEL,
     CertificateResult,
     ConditionError,
     MobiusPair,
@@ -28,6 +30,7 @@ from ncsolenoid.morita import (
     displayed_mobius,
     heisenberg_partner,
     heisenberg_partner_spec,
+    level_table,
     projection_partner,
     relate_check,
     trace_line,
@@ -107,16 +110,16 @@ def test_mobius_pair_validation():
 
 def test_ab_normalized_frozen():
     # (c, d) = (1, 0) at theta = sqrt(2)-1: raw image -1/theta, shifted by 3
-    mob = ab_normalized(TraceLine(0, 1, 0), THETA)
+    mob, beta = ab_normalized(TraceLine(0, 1, 0), THETA, THETA)
     assert (mob.a, mob.b, mob.c, mob.d) == (3, -1, 1, 0)
     assert mob.det == 1
-    assert mob.apply(THETA) == 2 - ROOT2
+    assert mob.apply(THETA) == beta == 2 - ROOT2
     # (c, d) = (1, 1): theta/(theta+1) already in (0,1)
-    mob2 = ab_normalized(TraceLine(0, 1, 1), THETA)
+    mob2, beta2 = ab_normalized(TraceLine(0, 1, 1), THETA, THETA + 1)
     assert (mob2.a, mob2.b) == (1, 0)
-    assert mob2.apply(THETA) == THETA / (THETA + 1)
+    assert mob2.apply(THETA) == beta2 == THETA / (THETA + 1)
     with pytest.raises(ConditionError):
-        ab_normalized(TraceLine(0, 2, 4), THETA)
+        ab_normalized(TraceLine(0, 2, 4), THETA, THETA * 2 + 4)
 
 
 def test_ab_normalized_random_properties():
@@ -125,9 +128,9 @@ def test_ab_normalized_random_properties():
         c = rng.randint(1, 40)
         d = rng.choice([x for x in range(-40, 41) if math.gcd(c, x) == 1])
         alpha = frac1(QuadReal.sqrt_of(rng.choice([2, 3, 5])) / rng.randint(2, 7))
-        mob = ab_normalized(TraceLine(0, c, d), alpha)
+        mob, beta = ab_normalized(TraceLine(0, c, d), alpha, alpha * c + d)
         assert mob.det == 1
-        beta = mob.apply(alpha)
+        assert beta == mob.apply(alpha)
         assert QuadReal(0) <= beta < QuadReal(1)
 
 
@@ -306,6 +309,121 @@ def test_search_bounds_reject_negative_entries():
     with pytest.raises(ValueError):
         SearchBounds(entries=-1)
     assert SearchBounds(entries=0).entries == 0
+
+
+def test_search_bounds_reject_bad_bounds():
+    for kwargs in ({"max_c0": 0}, {"max_c0": -1}, {"max_d0": -3}, {"max_k": -2}):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            SearchBounds(**kwargs)
+    with pytest.raises(ValueError, match="MAX_SEARCH_LEVEL"):
+        SearchBounds(max_k=MAX_SEARCH_LEVEL - 1, entries=1)
+    with pytest.raises(ValueError, match="MAX_SEARCH_CANDIDATES"):
+        SearchBounds(max_c0=MAX_SEARCH_CANDIDATES + 1, max_d0=0, max_k=0)
+    with pytest.raises(ValueError, match="MAX_SEARCH_CANDIDATES"):
+        SearchBounds(max_c0=1, max_d0=0, max_k=100000)
+    # the largest accepted bounds of each kind
+    assert SearchBounds(max_c0=1, max_d0=0, max_k=MAX_SEARCH_LEVEL, entries=0).candidates == 17
+    assert SearchBounds(max_c0=40, max_d0=12, max_k=0, entries=MAX_SEARCH_LEVEL // 2).candidates == MAX_SEARCH_CANDIDATES
+
+
+def _digit_head(spec: SolenoidSpec, m: int) -> int:
+    return sum(spec.x(j) * spec.p**j for j in range(m))
+
+
+def test_level_table_matches_alpha_at():
+    rng = random.Random(413)
+    for p in (2, 3, 5, 7):
+        specs = [random_unit_spec(rng, p) for _ in range(3)]
+        specs.append(SolenoidSpec(p, THETA, PAdic.from_rational(p, Fraction(p * p, 1 - p**3))))  # x_0 = x_1 = 0
+        specs.append(truncate_spec(specs[0], 3))
+        for spec in specs:
+            table = level_table(spec, 9)
+            assert table == tuple((alpha_at(spec, 2 * n), _digit_head(spec, 2 * n)) for n in range(10))
+            assert all(type(h) is int for _, h in table)
+
+
+def test_level_table_stops_where_alpha_at_does():
+    rng = random.Random(414)
+    for p in (2, 3, 5, 7):
+        spec = random_unit_spec(rng, p)
+        horizons = [SolenoidSpec(p, spec.theta, spec.digits, digit_horizon=H) for H in range(8)]
+        horizons.append(from_even_entries(p, SeqWindow(tuple((2 * n, frac1(alpha_at(spec, 2 * n))) for n in range(3)))))
+        for spec_h in horizons:
+            for N in range(6):
+                try:
+                    alpha_at(spec_h, 2 * N)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        level_table(spec_h, N)
+                    continue
+                assert [a for a, _ in level_table(spec_h, N)] == [alpha_at(spec_h, 2 * n) for n in range(N + 1)]
+
+
+def _reference_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds) -> CertificateResult:
+    """The search as a plain loop over candidates: alpha_at and MobiusPair.apply at every level."""
+    if a.p != b.p:
+        return CertificateResult(status="impossible")
+    N = bounds.entries
+    try:
+        targets = [alpha_at(b, 2 * n) for n in range(N + 1)]
+    except ValueError:
+        return CertificateResult(status="inconclusive")
+    for k in range(0, bounds.max_k + 1, 2):
+        t = truncate_spec(a, k)
+        for c0 in range(1, bounds.max_c0 + 1):
+            for d0 in range(-bounds.max_d0, bounds.max_d0 + 1):
+                tau = t.theta * c0 + d0
+                if not tau > 0 or not condition_check(t.p, ProjectionData(1, c0, d0), t.x(0)):
+                    continue
+                values = []
+                for n in range(N + 1):
+                    alpha = alpha_at(t, 2 * n)
+                    c, d = c0 * t.p ** (2 * n), d0 - c0 * _digit_head(t, 2 * n)
+                    assert alpha * c + d == tau
+                    g, u, v = ext_gcd(d, -c)
+                    assert g == 1
+                    values.append(frac1(MobiusPair(u, v, c, d).apply(alpha)))
+                for orientation, sign in (("direct", 1), ("flipped", -1)):
+                    if values == [frac1(sign * x) for x in targets]:
+                        return CertificateResult(
+                            "found", c0, d0, floor(tau) + 1, k, tuple(range(0, 2 * N + 1, 2)), orientation
+                        )
+    return CertificateResult(status="inconclusive")
+
+
+def _random_search_pairs(rng: random.Random, count: int):
+    """(kind, a, b) pairs over one prime: partners at k = 0, planted partners, unrelated b, short horizons."""
+    kinds = ("heisenberg", "planted", "unrelated", "short-horizon")
+    for i in range(count):
+        p = (2, 3, 5, 7)[i % 4]
+        kind = kinds[(i // 4) % 4]
+        a = random_unit_spec(rng, p)
+        if kind == "heisenberg":
+            yield kind, a, heisenberg_partner_spec(a)
+        elif kind == "unrelated":
+            yield kind, a, random_unit_spec(rng, p)
+        else:
+            k = rng.choice((0, 2, 4))
+            t = truncate_spec(a, k)
+            cands = [(c0, d0) for c0 in (1, 2, 3) for d0 in range(-2, 3)
+                     if t.theta * c0 + d0 > 0 and condition_check(p, ProjectionData(1, c0, d0), t.x(0))]
+            c0, d0 = rng.choice(cands)
+            planted = projection_partner(t, ProjectionData(floor(t.theta * c0 + d0) + 1, c0, d0), 5)
+            keep = 6 if kind == "planted" else rng.randint(1, 5)
+            yield kind, a, from_even_entries(p, SeqWindow(planted.entries[:keep]))
+
+
+def test_certificate_search_matches_reference_loop():
+    bounds = SearchBounds(max_c0=3, max_d0=2, max_k=4, entries=5)
+    seen = set()
+    for name, (a, b) in _pinned_search_pairs().items():
+        assert certificate_search(a, b) == _reference_search(a, b, SearchBounds())
+    for kind, a, b in _random_search_pairs(random.Random(415), 48):
+        res = certificate_search(a, b, bounds)
+        assert res == _reference_search(a, b, bounds), kind
+        seen.add((kind, res.status, res.orientation))
+    assert {("heisenberg", "found", "flipped"), ("planted", "found", "direct"),
+            ("unrelated", "inconclusive", None), ("short-horizon", "inconclusive", None)} <= seen
 
 
 def _pinned_search_pairs():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncsolenoid.exactnum import PFrac
-from ncsolenoid.padic import MAX_EXPANSION, ORD_INF, PAdic, PrecisionError, TruncatedPAdic
+from ncsolenoid.exactnum import MR_LIMIT, PFrac
+from ncsolenoid.padic import MAX_EXPANSION, MAX_ORD_BITS, ORD_INF, PAdic, PrecisionError, TruncatedPAdic
 
 
 def expansion_digit(x: PAdic, j: int) -> int:
@@ -387,3 +387,18 @@ def test_display_expansion_bound():
     with pytest.raises(ValueError, match="MAX_EXPANSION"):
         x.to_json()
     assert x.invert() == 3**12 and x.digit(10**6) in (0, 1)  # values and digit views need no expansion
+
+
+def test_json_ord_bound():
+    # |ord| * floor(log2 p) bits of p**|ord|: p = 2 and the largest prime below MR_LIMIT (81 bits a digit)
+    def digits(p, v):
+        return {"p": p, "ord": v, "preperiod": [1], "period": [0]}
+
+    assert PAdic.from_json(digits(2, 300000)) == 2**300000
+    for p in (2, MR_LIMIT - 168):
+        past = MAX_ORD_BITS // (p.bit_length() - 1) + 1
+        for v in (past, -past, 10**8):
+            with pytest.raises(ValueError, match="MAX_ORD_BITS"):
+                PAdic.from_json(digits(p, v))
+    big = MR_LIMIT - 168
+    assert PAdic.from_json(digits(big, 100)) == big**100
