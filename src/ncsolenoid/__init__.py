@@ -24,9 +24,20 @@ from .morita import (
     projection_partner,
     relate_check,
 )
-from .bimodule import BimCtx, ModElem, SamplePlan, identity_suite
 
 __version__ = "0.1.0"
+
+# the float bimodule layer, and numpy with it, loads on first use of one of its names
+_BIMODULE_NAMES = ("BimCtx", "ModElem", "SamplePlan", "identity_suite")
+
+
+def __getattr__(name: str):
+    if name in _BIMODULE_NAMES:
+        from . import bimodule
+
+        return getattr(bimodule, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "PFrac",

@@ -16,7 +16,6 @@ import sys
 from fractions import Fraction
 
 from . import suite as suite_mod
-from .bimodule import SamplePlan
 from .exactnum import QuadReal
 from .morita import (
     ConditionError,
@@ -36,6 +35,10 @@ MAX_TRUNC_K = 3000
 # tower levels for --n: alpha_n has denominator p**n, which for the largest prime below exactnum.MR_LIMIT
 # has about 25*n digits, so every accepted level prints within Python's 4300-digit int-to-string limit
 MAX_LEVEL = 100
+# sample sizes of bimodule verify: its time is about 16 us per hat and point at p = 2 and grows with p;
+# at p <= 7 and --n 0, MAX_HATS hats on MAX_POINTS points finish within about 2 s end to end
+MAX_HATS = 100
+MAX_POINTS = 500
 
 
 def _resolve_seed(value) -> int:
@@ -67,11 +70,20 @@ def _level(text: str) -> int:
     return n
 
 
-def _add_spec_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--spec", help="path to a spec JSON file {p, theta, digits}")
-    sp.add_argument("--p", type=int, help="prime")
-    sp.add_argument("--theta", help='exact real, e.g. "(-1 + 1*sqrt(2))/1" or "1/3"')
-    sp.add_argument("--digits", help='digit-sequence value, e.g. "x=1" or "3/4"')
+def _at_most(base, bound: str, limit: int):
+    """argparse type: base(text), at most limit; its message names the bound.
+
+    It keeps base's name, which argparse prints for text that base rejects.
+    """
+
+    def parse(text: str) -> int:
+        n = base(text)
+        if n > limit:
+            raise argparse.ArgumentTypeError(f"must be at most {bound} = {limit}, got {n}")
+        return n
+
+    parse.__name__ = base.__name__
+    return parse
 
 
 def _build_spec(args, allow_default: bool = False) -> SolenoidSpec:
@@ -193,6 +205,8 @@ def _cmd_check(args) -> dict:
 
 
 def _cmd_bimodule(args) -> dict:
+    from .bimodule import SamplePlan  # numpy loads here, for the float check only
+
     spec = _build_spec(args)
     seed = _resolve_seed(args.seed)
     proj = ProjectionData(args.m, args.c0, args.d0)
@@ -206,112 +220,124 @@ def _cmd_suite(args) -> dict:
     return suite_mod.run_all(_resolve_seed(args.seed))
 
 
-# -- parser wiring ----------------------------------------------------------------
+# -- parser wiring: one table of groups and leaves ---------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+def _entries(default: int):
+    """--entries of a window 0..N, whose last level 2*N is at most MAX_LEVEL."""
+    limit = MAX_LEVEL // 2
+    kind = _at_most(_count, "MAX_LEVEL/2", limit)
+    return _arg("--entries", type=kind, default=default, help=f"window entries, at most {limit} (2*entries <= MAX_LEVEL)")
+
+
+_SPEC = (
+    _arg("--spec", help="path to a spec JSON file {p, theta, digits}"),
+    _arg("--p", type=int, help="prime"),
+    _arg("--theta", help='exact real, e.g. "(-1 + 1*sqrt(2))/1" or "1/3"'),
+    _arg("--digits", help='digit-sequence value, e.g. "x=1" or "3/4"'),
+)
+_SEED = _arg("--seed", type=int, default=None)
+_PADIC = (_arg("--p", type=int, required=True), _arg("--value", required=True, help='rational, e.g. "3" or "3/4"'))
+_TRACE = (_arg("--c0", type=int, required=True), _arg("--d0", type=int, required=True), _arg("--m", type=int, default=1))
+_MULTIPLIER = (*_SPEC, _SEED, _arg("--count", type=_count, default=200))
+_HEISENBERG = (*_SPEC, _entries(6))
+_LEVEL_HELP = f"tower level, at most {MAX_LEVEL}"
+
+# group -> (help, handler, dest of the leaf name, {leaf: arguments}); a group without
+# leaves has dest None and its arguments in place of the leaf table
+COMMANDS = {
+    "padic": ("exact p-adic computations", _cmd_padic, "padic_cmd", {
+        "inv": _PADIC,
+        "frac": _PADIC,
+        "trunc": (*_PADIC, _arg("--k", type=_count, required=True, help=f"digit window bound, at most {MAX_TRUNC_K}")),
+    }),
+    "solenoid": ("sequence windows and coherence", _cmd_solenoid, "solenoid_cmd", {
+        "alpha": (*_SPEC, _arg("--n", type=_level, required=True, help=_LEVEL_HELP)),
+        "check-coherence": (*_SPEC, _entries(8)),
+        "from-even": (*_SPEC, _entries(8)),
+    }),
+    "multiplier": ("multiplier and pairing checks", _cmd_multiplier, "multiplier_cmd", {
+        "check-cocycle": _MULTIPLIER, "check-annihilator": _MULTIPLIER, "check-eta-psi": _MULTIPLIER,
+    }),
+    "morita": ("partner constructions and certificates", _cmd_morita, "morita_cmd", {
+        "heisenberg": _HEISENBERG,
+        "projection": (*_SPEC, *_TRACE, _entries(6)),
+        "relate": (*_SPEC, _entries(6)),
+        "certify": (
+            _arg("--spec-a", required=True, help="spec JSON file for the first sequence"),
+            _arg("--spec-b", required=True, help="spec JSON file for the second sequence"),
+            *(_arg(flag, type=int, default=4) for flag in ("--max-c0", "--max-d0", "--max-k")),
+            _arg("--entries", type=_count, default=8),
+        ),
+    }),
+    "partner": ("alias for morita partner commands", _cmd_morita, "morita_cmd", {"heisenberg": _HEISENBERG}),
+    "check": ("single-shot predicate checks", _cmd_check, "check_cmd", {
+        "condition": tuple(_arg(flag, type=int, required=True) for flag in ("--p", "--c0", "--d0", "--x0")),
+    }),
+    "bimodule": ("bimodule identity verification", _cmd_bimodule, "bimodule_cmd", {
+        "verify": (
+            *_SPEC, *_TRACE,
+            _arg("--n", type=_level, default=0, help=_LEVEL_HELP),
+            _SEED,
+            _arg("--points", type=_at_most(int, "MAX_POINTS", MAX_POINTS), default=200),
+            _arg("--hats", type=_at_most(int, "MAX_HATS", MAX_HATS), default=20),
+            _arg("--tolerance", type=float, default=suite_mod.DEFAULT_TOLERANCE),
+        ),
+    }),
+    "suite": ("run every module property suite", _cmd_suite, None, (_SEED,)),
+}
+
+
+def _named(names, argv):
+    """The first of names that argv holds, and the rest of argv after it; (None, None) without argv."""
+    if argv is None:
+        return None, None
+    name = next((a for a in argv if a in names), None)
+    return name, argv[argv.index(name) + 1 :] if name else []
+
+
+def _add_args(parser: argparse.ArgumentParser, args) -> None:
+    for flags, kwargs in args:
+        parser.add_argument(*flags, **kwargs)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser, with sub-parsers only for the group argv names and arguments only for its leaf.
+
+    Every group is listed with its help, so the top-level help and usage line are
+    always the full parser's. Without argv, every group and leaf is built in full.
+    """
     parser = argparse.ArgumentParser(prog="ncsolenoid", description=__doc__)
     parser.add_argument("--format", choices=("json", "text"), default="json")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    padic = subs.add_parser("padic", help="exact p-adic computations")
-    padic_subs = padic.add_subparsers(dest="padic_cmd", required=True)
-    for name in ("inv", "frac", "trunc"):
-        sp = padic_subs.add_parser(name)
-        sp.add_argument("--p", type=int, required=True)
-        sp.add_argument("--value", required=True, help='rational, e.g. "3" or "3/4"')
-        if name == "trunc":
-            sp.add_argument("--k", type=_count, required=True, help=f"digit window bound, at most {MAX_TRUNC_K}")
-
-    solenoid = subs.add_parser("solenoid", help="sequence windows and coherence")
-    sol_subs = solenoid.add_subparsers(dest="solenoid_cmd", required=True)
-    sp = sol_subs.add_parser("alpha")
-    _add_spec_flags(sp)
-    sp.add_argument("--n", type=_level, required=True, help=f"tower level, at most {MAX_LEVEL}")
-    for name in ("check-coherence", "from-even"):
-        sp = sol_subs.add_parser(name)
-        _add_spec_flags(sp)
-        sp.add_argument("--entries", type=_count, default=8)
-
-    multiplier = subs.add_parser("multiplier", help="multiplier and pairing checks")
-    mult_subs = multiplier.add_subparsers(dest="multiplier_cmd", required=True)
-    for name in ("check-cocycle", "check-annihilator", "check-eta-psi"):
-        sp = mult_subs.add_parser(name)
-        _add_spec_flags(sp)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--count", type=_count, default=200)
-
-    morita = subs.add_parser("morita", help="partner constructions and certificates")
-    morita_subs = morita.add_subparsers(dest="morita_cmd", required=True)
-    sp = morita_subs.add_parser("heisenberg")
-    _add_spec_flags(sp)
-    sp.add_argument("--entries", type=_count, default=6)
-    sp = morita_subs.add_parser("projection")
-    _add_spec_flags(sp)
-    sp.add_argument("--c0", type=int, required=True)
-    sp.add_argument("--d0", type=int, required=True)
-    sp.add_argument("--m", type=int, default=1)
-    sp.add_argument("--entries", type=_count, default=6)
-    sp = morita_subs.add_parser("relate")
-    _add_spec_flags(sp)
-    sp.add_argument("--entries", type=_count, default=6)
-    sp = morita_subs.add_parser("certify")
-    sp.add_argument("--spec-a", required=True, help="spec JSON file for the first sequence")
-    sp.add_argument("--spec-b", required=True, help="spec JSON file for the second sequence")
-    sp.add_argument("--max-c0", type=int, default=4)
-    sp.add_argument("--max-d0", type=int, default=4)
-    sp.add_argument("--max-k", type=int, default=4)
-    sp.add_argument("--entries", type=_count, default=8)
-
-    partner = subs.add_parser("partner", help="alias for morita partner commands")
-    partner_subs = partner.add_subparsers(dest="morita_cmd", required=True)
-    sp = partner_subs.add_parser("heisenberg")
-    _add_spec_flags(sp)
-    sp.add_argument("--entries", type=_count, default=6)
-
-    check = subs.add_parser("check", help="single-shot predicate checks")
-    check_subs = check.add_subparsers(dest="check_cmd", required=True)
-    sp = check_subs.add_parser("condition")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--c0", type=int, required=True)
-    sp.add_argument("--d0", type=int, required=True)
-    sp.add_argument("--x0", type=int, required=True)
-
-    bimodule = subs.add_parser("bimodule", help="bimodule identity verification")
-    bim_subs = bimodule.add_subparsers(dest="bimodule_cmd", required=True)
-    sp = bim_subs.add_parser("verify")
-    _add_spec_flags(sp)
-    sp.add_argument("--c0", type=int, required=True)
-    sp.add_argument("--d0", type=int, required=True)
-    sp.add_argument("--m", type=int, default=1)
-    sp.add_argument("--n", type=_level, default=0, help=f"tower level, at most {MAX_LEVEL}")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--points", type=int, default=200)
-    sp.add_argument("--hats", type=int, default=20)
-    sp.add_argument("--tolerance", type=float, default=suite_mod.DEFAULT_TOLERANCE)
-
-    st = subs.add_parser("suite", help="run every module property suite")
-    st.add_argument("--seed", type=int, default=None)
-
+    group, rest = _named(COMMANDS, argv)
+    for name, (help_, _, dest, leaves) in COMMANDS.items():
+        gp = subs.add_parser(name, help=help_)
+        if argv is not None and name != group:
+            continue
+        if dest is None:
+            _add_args(gp, leaves)
+            continue
+        leaf_subs = gp.add_subparsers(dest=dest, required=True)
+        leaf, _ = _named(leaves, rest)
+        for leaf_name, args in leaves.items():
+            sp = leaf_subs.add_parser(leaf_name)
+            if rest is None or leaf_name == leaf:
+                _add_args(sp, args)
     return parser
 
 
 def main(argv=None) -> int:
     """Run one command: exit 0 if its checks pass, 1 if one fails, 2 on rejected input."""
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
-    handlers = {
-        "padic": _cmd_padic,
-        "solenoid": _cmd_solenoid,
-        "multiplier": _cmd_multiplier,
-        "morita": _cmd_morita,
-        "partner": _cmd_morita,
-        "check": _cmd_check,
-        "bimodule": _cmd_bimodule,
-        "suite": _cmd_suite,
-    }
     try:
-        report = handlers[args.command](args)
+        report = COMMANDS[args.command][1](args)
     except (ValueError, ArithmeticError) as exc:
         parser.error(str(exc))
     print(_render_text(report) if args.format == "text" else json.dumps(report, sort_keys=True, indent=2))

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .bimodule import SamplePlan, identity_suite
 from .exactnum import PFrac, QuadReal, frac1, is_prime
 from .morita import (
     ProjectionData,
@@ -33,6 +33,9 @@ from .multiplier import (
 )
 from .padic import PAdic
 from .solenoid import SeqWindow, SolenoidSpec, alpha_at, coherence_check, from_even_entries, reduce_h
+
+if TYPE_CHECKING:
+    from .bimodule import SamplePlan
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -191,6 +194,8 @@ def check_bimodule(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> dict:
     """Module/algebra compatibility identities at one tower level."""
+    from .bimodule import identity_suite  # numpy loads here, for the float checks only
+
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
     report = identity_suite(spec, proj, n, plan)
@@ -208,6 +213,8 @@ def check_bimodule(
 
 def run_all(seed: int) -> dict:
     """Aggregate every module's property suite under one seed."""
+    from .bimodule import SamplePlan
+
     spec = default_spec()
     checks = [
         check_cocycle(seed, 200),

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ncsolenoid
-from ncsolenoid.cli import MAX_LEVEL, MAX_TRUNC_K, main
+from ncsolenoid.cli import COMMANDS, MAX_HATS, MAX_LEVEL, MAX_POINTS, MAX_TRUNC_K, build_parser, main
 from ncsolenoid.exactnum import MR_LIMIT
 from ncsolenoid.exactnum import QuadReal
 from ncsolenoid.morita import heisenberg_partner_spec
@@ -167,8 +167,14 @@ def test_oversized_padic_input_usage_error(argv):
         # a 31-digit radicand: trial division would take about sqrt(D)/2 steps
         (["solenoid", "alpha", "--p", "2", "--theta", "sqrt(1000000000000000000000000000014)", "--digits", "x=1", "--n", "1"],
          "MAX_RADICAND"),
+        # the window reaches level 2*entries: 20000 used to fail only through the int-to-string limit, after 12 s
+        (["morita", "heisenberg", *SPEC_FLAGS, "--entries", "20000"], "MAX_LEVEL/2"),
+        (["morita", "heisenberg", *SPEC_FLAGS, "--entries", "1000000"], "MAX_LEVEL/2"),
+        # time is linear in hats times points: a million of either used to run for minutes
+        (["bimodule", "verify", *SPEC_FLAGS, "--c0", "1", "--d0", "0", "--hats", "1000000"], "MAX_HATS"),
+        (["bimodule", "verify", *SPEC_FLAGS, "--c0", "1", "--d0", "0", "--points", "1000000"], "MAX_POINTS"),
     ],
-    ids=["long-period-display", "huge-radicand"],
+    ids=["long-period-display", "huge-radicand", "huge-entries", "huger-entries", "huge-hats", "huge-points"],
 )
 def test_unbounded_work_usage_error(argv, bound):
     proc = run_process(argv)
@@ -240,6 +246,38 @@ def test_level_bound_usage_error(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert f"MAX_LEVEL = {MAX_LEVEL}" in capsys.readouterr().err.strip().splitlines()[-1]
+
+
+ENTRIES_LEAVES = [
+    ["morita", "heisenberg"],
+    ["morita", "projection", "--c0", "1", "--d0", "0"],
+    ["morita", "relate"],
+    ["partner", "heisenberg"],
+    ["solenoid", "check-coherence"],
+    ["solenoid", "from-even"],
+]
+
+
+@pytest.mark.parametrize("leaf", ENTRIES_LEAVES, ids=lambda leaf: "-".join(leaf[:2]))
+def test_entries_bound(capsys, leaf):
+    with pytest.raises(SystemExit) as exc:
+        main([*leaf, *SPEC_FLAGS, "--entries", str(MAX_LEVEL // 2 + 1)])
+    assert exc.value.code == 2
+    assert "MAX_LEVEL/2" in capsys.readouterr().err.strip().splitlines()[-1]
+    # the largest window, at the largest prime below MR_LIMIT
+    spec = ["--p", str(MR_LIMIT - 168), "--theta", "(-1 + 1*sqrt(2))/1", "--digits", "3/5"]
+    code, _ = run_json(capsys, [*leaf, *spec, "--entries", str(MAX_LEVEL // 2)])
+    assert code == 0
+
+
+@pytest.mark.parametrize("flag, bound, limit", [("--hats", "MAX_HATS", MAX_HATS), ("--points", "MAX_POINTS", MAX_POINTS)])
+def test_sample_size_bound(capsys, flag, bound, limit):
+    argv = ["bimodule", "verify", *SPEC_FLAGS, "--c0", "1", "--d0", "0", flag]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(limit + 1)])
+    assert exc.value.code == 2
+    assert f"must be at most {bound} = {limit}" in capsys.readouterr().err.strip().splitlines()[-1]
+    assert getattr(build_parser(argv).parse_args([*argv, str(limit)]), flag[2:]) == limit
 
 
 def test_largest_level_prints_at_largest_prime(capsys):
@@ -404,3 +442,127 @@ def test_spec_file_input(capsys, tmp_path):
     code, rep = run_json(capsys, ["solenoid", "alpha", "--spec", f, "--n", "0"])
     assert code == 0
     assert QuadReal.parse(rep["alpha"]) == spec.theta
+
+
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import ncsolenoid, ncsolenoid.cli
+loaded = ["numpy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert ncsolenoid.cli.main(argv) == 0, argv
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+@pytest.mark.parametrize("float_check", [
+    ["suite", "--seed", "0"],
+    ["bimodule", "verify", *SPEC_FLAGS, "--c0", "1", "--d0", "0", "--hats", "2", "--points", "20"],
+], ids=["suite", "bimodule"])
+def test_numpy_loads_only_for_float_checks(tmp_path, float_check):
+    a = SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(2, 1))
+    b = heisenberg_partner_spec(a)
+    exact = [
+        ["padic", "inv", "--p", "5", "--value", "7"],
+        ["check", "condition", "--p", "2", "--c0", "1", "--d0", "0", "--x0", "1"],
+        ["solenoid", "alpha", *SPEC_FLAGS, "--n", "2"],
+        ["morita", "certify", "--spec-a", _write_spec(tmp_path / "a.json", a), "--spec-b", _write_spec(tmp_path / "b.json", b)],
+        ["multiplier", "check-cocycle", "--count", "5"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps([*exact, float_check])],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False] * (len(exact) + 1) + [True]
+
+
+def test_every_exported_name_resolves():
+    probe = """
+import sys
+import ncsolenoid
+assert "numpy" not in sys.modules
+from ncsolenoid import SamplePlan
+from ncsolenoid.bimodule import SamplePlan as plan_class
+assert SamplePlan is plan_class and "numpy" in sys.modules
+missing = [name for name in ncsolenoid.__all__ if not hasattr(ncsolenoid, name)]
+assert not missing, missing
+try:
+    ncsolenoid.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown name resolved")
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+# one argv per leaf, each parsing cleanly
+LEAF_ARGV = {
+    ("padic", "inv"): ["--p", "5", "--value", "7"],
+    ("padic", "frac"): ["--p", "3", "--value", "5/9"],
+    ("padic", "trunc"): ["--p", "2", "--value", "11", "--k", "6"],
+    ("solenoid", "alpha"): [*SPEC_FLAGS, "--n", "3"],
+    ("solenoid", "check-coherence"): [*SPEC_FLAGS, "--entries", "4"],
+    ("solenoid", "from-even"): ["--spec", "s.json"],
+    ("multiplier", "check-cocycle"): ["--count", "3", "--seed", "5"],
+    ("multiplier", "check-annihilator"): [*SPEC_FLAGS],
+    ("multiplier", "check-eta-psi"): [],
+    ("morita", "heisenberg"): [*SPEC_FLAGS, "--entries", "3"],
+    ("morita", "projection"): [*SPEC_FLAGS, "--c0", "1", "--d0", "0", "--m", "2"],
+    ("morita", "relate"): [*SPEC_FLAGS],
+    ("morita", "certify"): ["--spec-a", "a.json", "--spec-b", "b.json", "--max-k", "2"],
+    ("partner", "heisenberg"): [*SPEC_FLAGS],
+    ("check", "condition"): ["--p", "2", "--c0", "1", "--d0", "0", "--x0", "1"],
+    ("bimodule", "verify"): [*SPEC_FLAGS, "--c0", "1", "--d0", "0", "--hats", "3", "--tolerance", "1e-6"],
+    ("suite",): ["--seed", "4"],
+}
+PARSE_ARGVS = [
+    *([*leaf, *args] for leaf, args in LEAF_ARGV.items()),
+    ["--format", "text", "morita", "certify", "--spec-a", "a.json", "--spec-b", "b.json"],
+    ["--format=text", "suite"],
+    ["--form", "json", "check", "condition", "--p", "2", "--c0", "1", "--d0", "0", "--x0", "1"],
+    ["--help"],
+    *([group, "--help"] for group in COMMANDS),
+    *([*leaf, "--help"] for leaf in LEAF_ARGV),
+    ["-h", "morita", "certify"],
+    ["morita", "-h", "certify"],
+    [],
+    ["definitely-not-a-command"],
+    ["morita"],
+    ["morita", "nope"],
+    ["morita", "certify", "--spec-a", "a.json"],
+    ["check", "condition", "--p", "2", "--c0", "1", "--d0", "0"],
+    ["--format", "xml", "suite"],
+    ["suite", "--bogus"],
+    ["solenoid", "alpha", "--spec", "morita", "--n", "1"],
+    ["morita", "certify", "--spec-a", "certify", "--spec-b", "partner"],
+    ["solenoid", "from-even", "--spec", "alpha", "--entries", "x"],
+    ["bimodule", "verify", "--spec", "suite", "--c0", "1", "--d0", "0", "--points", str(MAX_POINTS + 1)],
+]
+
+
+def test_leaf_table_covers_every_leaf():
+    assert set(LEAF_ARGV) == {
+        (group, leaf) if dest else (group,)
+        for group, (_, _, dest, leaves) in COMMANDS.items()
+        for leaf in (leaves if dest else [None])
+    }
+
+
+def _parse(capsys, parser, argv):
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGVS, ids=" ".join)
+def test_scoped_parser_matches_full_parser(capsys, argv):
+    assert _parse(capsys, build_parser(argv), argv) == _parse(capsys, build_parser(), argv)
