@@ -6,10 +6,10 @@ from .solenoid import (
     SeqWindow,
     SolenoidSpec,
     alpha_at,
+    alphas,
     coherence_check,
     equal_in_Xi,
     from_even_entries,
-    window_agrees_mod1,
 )
 from .multiplier import GammaElem, MPoint, PhaseArg, cocycle_defect, eta, eta_bar, psi_alpha, rho
 from .morita import (
@@ -53,10 +53,10 @@ __all__ = [
     "SeqWindow",
     "SolenoidSpec",
     "alpha_at",
+    "alphas",
     "coherence_check",
     "equal_in_Xi",
     "from_even_entries",
-    "window_agrees_mod1",
     "GammaElem",
     "MPoint",
     "PhaseArg",

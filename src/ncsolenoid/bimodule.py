@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exactnum import QuadReal
-from .morita import ProjectionData, checked_trace, level_table, stage
-from .solenoid import SolenoidSpec
+from .morita import ProjectionData, checked_trace, stage
+from .solenoid import SolenoidSpec, alpha_at
 
 TWO_PI_I = 2j * math.pi
 NO_SUPPORT = None
@@ -341,8 +341,8 @@ class BimCtx:
         if proj.c0 < 1:
             raise ValueError("kernel formulas here require c0 >= 1")
         tau = checked_trace(spec, proj)
-        level = level_table(spec, n)[n]
-        line, mob, beta = stage(spec.p, proj, n, level, tau)
+        alpha = alpha_at(spec, 2 * n)
+        line, mob, beta = stage(spec.p, proj, n, (alpha, spec.head(2 * n)), tau)
         gamma = 1 / tau  # level-independent (stage checks it); the actions rely on it
         if (QuadReal(mob.a) - gamma) / line.c != beta:
             raise ArithmeticError(f"Mobius identity fails at level {n}")
@@ -354,7 +354,7 @@ class BimCtx:
             line.d,
             mob.a,
             mob.b,
-            float(level[0]),
+            float(alpha),
             float(beta),
             float(gamma),
         )
@@ -444,9 +444,15 @@ def act_alg_right(ctx: BimCtx, F: ModElem, A: AlgElem) -> ModElem:
 # -- inner products ------------------------------------------------------------------
 
 
-def _k_window(lo: float, hi: float, step: float) -> range:
-    # integer k with k*step in [lo, hi]
-    return range(math.ceil(lo / step - 1e-12), math.floor(hi / step + 1e-12) + 1)
+def _k_window(lo: float, hi: float, step: float, r: int, M: int) -> range:
+    # integer k = r mod M with k*step in [lo, hi], increasing
+    first = math.ceil(lo / step - 1e-12)
+    return range(first + (r - first) % M, math.floor(hi / step + 1e-12) + 1, M)
+
+
+def _supports(F: ModElem) -> list[tuple[int, tuple[float, float]]]:
+    """(j, support of class j) for each class of F with a nonempty support, each read once."""
+    return [(j, s) for j in F.terms if (s := F.support(j)) is not NO_SUPPORT]
 
 
 def _m_column(m0: int, lo: float, hi: float, M: int, ndim: int) -> np.ndarray:
@@ -474,17 +480,10 @@ def inner_left(ctx: BimCtx, F1: ModElem, F2: ModElem) -> AlgElem:
     if not g > 0:
         raise ValueError(f"gamma must be positive, got {g}")
     pair_data: dict[int, list] = {}
-    for j1 in F1.terms:
-        s1 = F1.support(j1)
-        if s1 is NO_SUPPORT:
-            continue
-        for j2 in F2.terms:
-            s2 = F2.support(j2)
-            if s2 is NO_SUPPORT:
-                continue
-            for k in _k_window(s1[0] - s2[1], s1[1] - s2[0], g):
-                if (k - (j1 - j2)) % M:
-                    continue
+    supports2 = _supports(F2)
+    for j1, s1 in _supports(F1):
+        for j2, s2 in supports2:
+            for k in _k_window(s1[0] - s2[1], s1[1] - s2[0], g, j1 - j2, M):
                 pair_data.setdefault(k, []).append((j1, j2, s1))
 
     def make(k, entries):
@@ -514,17 +513,10 @@ def inner_right(ctx: BimCtx, F1: ModElem, F2: ModElem) -> AlgElem:
     if not g > 0:
         raise ValueError(f"gamma must be positive, got {g}")
     pair_data: dict[int, list] = {}
-    for j1 in F1.terms:
-        s1 = F1.support(j1)
-        if s1 is NO_SUPPORT:
-            continue
-        for j2 in F2.terms:
-            s2 = F2.support(j2)
-            if s2 is NO_SUPPORT:
-                continue
-            for k in _k_window(s2[0] - s1[1], s2[1] - s1[0], 1.0):
-                if (k - ctx.a * (j2 - j1)) % M:
-                    continue
+    supports2 = _supports(F2)
+    for j1, s1 in _supports(F1):
+        for j2, s2 in supports2:
+            for k in _k_window(s2[0] - s1[1], s2[1] - s1[0], 1.0, ctx.a * (j2 - j1), M):
                 pair_data.setdefault(k, []).append((j1, j2, s1))
 
     def make(k, entries):

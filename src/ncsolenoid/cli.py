@@ -340,7 +340,14 @@ def main(argv=None) -> int:
         report = COMMANDS[args.command][1](args)
     except (ValueError, ArithmeticError) as exc:
         parser.error(str(exc))
-    print(_render_text(report) if args.format == "text" else json.dumps(report, sort_keys=True, indent=2))
+    try:
+        print(_render_text(report) if args.format == "text" else json.dumps(report, sort_keys=True, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early; point stdout at devnull so the flush at shutdown stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0 if report.get("pass", True) else 1
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .exactnum import QuadReal, ext_gcd, floor, frac1
 from .padic import PAdic
-from .solenoid import SeqWindow, SolenoidSpec, alpha_at, truncate_spec
+from .solenoid import SeqWindow, SolenoidSpec, alphas, level_table, truncate_spec
 
 log = logging.getLogger(__name__)
 
@@ -93,36 +93,13 @@ def condition_check(p: int, proj: ProjectionData, x0: int) -> bool:
     return math.gcd(proj.c0 * p, proj.d0 - proj.c0 * x0) == 1
 
 
-def level_table(spec: SolenoidSpec, N: int) -> tuple[tuple[QuadReal, int], ...]:
-    """Even levels ((alpha_0, h_0), ..., (alpha_2N, h_2N)), h_2n = sum_{j<2n} x_j p^j.
-
-    With s_n = x_2n + x_{2n+1} p, the head grows as h_{2n+2} = h_2n + s_n p^(2n),
-    and alpha_m = (theta + h_m) / p^m gives
-
-        alpha_{2n+2} = (theta + h_2n + s_n p^(2n)) / p^(2n+2) = (alpha_2n + s_n) / p^2.
-
-    Digits are read through spec.x, so a digit horizon raises ValueError at
-    the first level alpha_at refuses (2N > horizon).
-    """
-    p = spec.p
-    alpha, h, scale = alpha_at(spec, 0), 0, 1
-    rows = [(alpha, h)]
-    for n in range(N):
-        s = spec.x(2 * n) + spec.x(2 * n + 1) * p
-        alpha = (alpha + s) / (p * p)
-        h += s * scale
-        scale *= p * p
-        rows.append((alpha, h))
-    return tuple(rows)
-
-
 def _line(p: int, proj: ProjectionData, n: int, h: int) -> TraceLine:
     return TraceLine(n, proj.c0 * p ** (2 * n), proj.d0 - proj.c0 * h)
 
 
 def trace_line(spec: SolenoidSpec, proj: ProjectionData, n: int) -> TraceLine:
-    """Coefficients at level 2n: c = c0 p^(2n), d = d0 - c0 * h_2n (h_2n as in level_table)."""
-    return _line(spec.p, proj, n, level_table(spec, n)[n][1])
+    """Coefficients at level 2n: c = c0 p^(2n), d = d0 - c0 * h_2n."""
+    return _line(spec.p, proj, n, spec.head(2 * n))
 
 
 def ab_normalized(line: TraceLine, alpha_2n: QuadReal, tau: QuadReal) -> tuple[MobiusPair, QuadReal]:
@@ -163,8 +140,7 @@ def heisenberg_partner_spec(spec: SolenoidSpec) -> SolenoidSpec:
 
 def heisenberg_partner(spec: SolenoidSpec, N: int) -> SeqWindow:
     """Window of beta_n = 1/(theta p^n) + (sum_{j=-v}^{n-1} y_j p^j)/p^n for n <= N."""
-    partner = heisenberg_partner_spec(spec)
-    return SeqWindow(tuple((n, alpha_at(partner, n)) for n in range(N + 1)))
+    return alphas(heisenberg_partner_spec(spec), N)
 
 
 def checked_trace(spec: SolenoidSpec, proj: ProjectionData) -> QuadReal:
@@ -227,7 +203,7 @@ def displayed_mobius(spec: SolenoidSpec, n: int) -> MobiusPair:
     p = spec.p
     y = spec.digits.invert()
     a = int(y.truncate_sum(0, 2 * n - 1).as_fraction())
-    d = -int(spec.digits.truncate_sum(0, 2 * n - 1).as_fraction())
+    d = -spec.head(2 * n)
     b_frac = Fraction(a * d + 1, p ** (2 * n))
     if b_frac.denominator != 1:
         raise ArithmeticError(f"b at level {n} is not an integer: {b_frac}")
@@ -247,13 +223,11 @@ def relate_check(spec: SolenoidSpec, N: int) -> bool:
     if spec.digits.is_zero or spec.digits.digit(0) == 0:
         raise ValueError("comparison needs x_0 != 0")
     partner = heisenberg_partner_spec(spec)
-    for n in range(N + 1):
+    for n, ((alpha, _), (beta, _)) in enumerate(zip(level_table(spec, N), level_table(partner, N))):
         mob = displayed_mobius(spec, n)
         if mob.det != -1:
             raise ArithmeticError(f"unexpected determinant {mob.det} at level {n}")
-        lhs = mob.apply(alpha_at(spec, 2 * n))
-        rhs = alpha_at(partner, 2 * n)
-        if lhs != rhs:
+        if mob.apply(alpha) != beta:
             return False
     log.info(
         "closed-form pair has determinant -1 at all checked levels; "
@@ -347,11 +321,11 @@ def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = 
         return CertificateResult(status="impossible")
     N = bounds.entries
     try:
-        alphas = [alpha for alpha, _ in level_table(b, N)]
+        targets = [alpha for alpha, _ in level_table(b, N)]
     except ValueError:
         return CertificateResult(status="inconclusive")
     # partner windows lie in [0,1), so they are compared with b's images mod 1 as they are
-    images = {"direct": [frac1(v) for v in alphas], "flipped": [frac1(-v) for v in alphas]}
+    images = {"direct": [frac1(v) for v in targets], "flipped": [frac1(-v) for v in targets]}
     for k in range(0, bounds.max_k + 1, 2):
         trunc = truncate_spec(a, k)
         levels = None  # built at the first candidate that needs a window, so a horizon raises only there

@@ -9,9 +9,8 @@ canonical parameter space (entries in [0,1), digit defects in {0,...,p-1}).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactnum import QuadReal, floor, frac1, is_prime
+from .exactnum import QuadReal, frac1, is_prime
 from .padic import PAdic
 
 
@@ -28,8 +27,9 @@ class SolenoidSpec:
     """Prime p, exact real theta, digit stream x (a p-adic integer).
 
     digit_horizon, when set, marks digits x_n for n >= digit_horizon as
-    unspecified (used for specs recovered from finite windows); alpha_at then
-    refuses to extrapolate past the window.
+    unspecified (used for specs recovered from finite windows); head, and
+    every digit and alpha read through it, then refuses to extrapolate past
+    the window.
     """
 
     p: int
@@ -47,12 +47,24 @@ class SolenoidSpec:
         if not self.digits.is_zero and self.digits.ord < 0:
             raise ValueError("digit stream must be a p-adic integer (ord >= 0)")
 
+    def head(self, n: int) -> int:
+        """h_n = sum_{j<n} x_j p^j, the digit stream mod p^n.
+
+        The stream is a rational num/den with den prime to p, so h_n is
+        num * den^-1 mod p^n: one modular inverse, however large n is.
+        """
+        if n < 0:
+            raise ValueError("index must be nonnegative")
+        H = self.digit_horizon
+        if H is not None and n > H:
+            raise ValueError(f"digit x_{H} is beyond the known window (horizon {H})")
+        q, mod = self.digits.as_fraction(), self.p**n
+        return q.numerator * pow(q.denominator, -1, mod) % mod
+
     def x(self, n: int) -> int:
         if n < 0:
             raise ValueError("digit index must be nonnegative")
-        if self.digit_horizon is not None and n >= self.digit_horizon:
-            raise ValueError(f"digit x_{n} is beyond the known window (horizon {self.digit_horizon})")
-        return self.digits.digit(n)
+        return self.head(n + 1) // self.p**n
 
     def to_json(self) -> dict:
         obj = {"p": self.p, "theta": str(self.theta), "digits": self.digits.to_json()}
@@ -85,10 +97,6 @@ class SeqWindow:
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise ValueError("window indices must be strictly increasing")
 
-    @classmethod
-    def of(cls, pairs) -> "SeqWindow":
-        return cls(tuple((int(n), v if isinstance(v, QuadReal) else QuadReal(v)) for n, v in pairs))
-
     def indices(self) -> tuple[int, ...]:
         return tuple(n for n, _ in self.entries)
 
@@ -115,19 +123,40 @@ class SeqWindow:
         return cls(tuple((int(n), QuadReal.parse(s)) for n, s in obj))
 
 
+def _alpha(spec: SolenoidSpec, n: int, h: int) -> QuadReal:
+    # alpha_n from any h = h_n mod p^n
+    scale = spec.p**n
+    return (spec.theta + h % scale) / scale
+
+
 def alpha_at(spec: SolenoidSpec, n: int) -> QuadReal:
-    """Exact alpha_n = (theta + sum_{j<n} x_j p^j) / p^n."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if spec.digit_horizon is not None and n > spec.digit_horizon:
-        raise ValueError(f"alpha_{n} needs digits beyond the known window (horizon {spec.digit_horizon})")
-    head = spec.digits.truncate_sum(0, n - 1).as_fraction()
-    return (spec.theta + head) * Fraction(1, spec.p**n)
+    """Exact alpha_n = (theta + h_n) / p^n, with h_n = spec.head(n)."""
+    return _alpha(spec, n, spec.head(n))
+
+
+def alphas(spec: SolenoidSpec, N: int) -> SeqWindow:
+    """Window alpha_0 .. alpha_N from one head read: h_n = h_N mod p^n."""
+    h = spec.head(N)
+    return SeqWindow(tuple((n, _alpha(spec, n, h)) for n in range(N + 1)))
+
+
+def level_table(spec: SolenoidSpec, N: int) -> tuple[tuple[QuadReal, int], ...]:
+    """Even levels ((alpha_0, h_0), ..., (alpha_2N, h_2N)) from one head read.
+
+    A digit horizon raises ValueError when 2N passes it, as alpha_at does.
+    """
+    h = spec.head(2 * N)
+    return tuple((_alpha(spec, 2 * n, h), h % spec.p ** (2 * n)) for n in range(N + 1))
 
 
 def reduce_h(spec: SolenoidSpec, N: int) -> SeqWindow:
     """Window of alpha_n mod 1 for 0 <= n <= N (the canonical-parameter image)."""
-    return SeqWindow(tuple((n, frac1(alpha_at(spec, n))) for n in range(N + 1)))
+    return alphas(spec, N).mod1()
+
+
+def _as_int(d: QuadReal) -> int | None:
+    """d as an int, or None when d is not an integer."""
+    return d.A if d.is_rational and d.M == 1 else None
 
 
 def coherence_check(window: SeqWindow, p: int, step: int = 1) -> list[int]:
@@ -144,9 +173,10 @@ def coherence_check(window: SeqWindow, p: int, step: int = 1) -> list[int]:
     scale = p**step
     for (n, w_n), (m, w_m) in zip(window.entries, window.entries[1:]):
         d = w_m * scale - w_n
-        if not d.is_rational or d.as_fraction().denominator != 1:
+        di = _as_int(d)
+        if di is None:
             raise CoherenceError(f"defect at indices ({n}, {m}) is {d}, not an integer")
-        defects.append(int(d.as_fraction()))
+        defects.append(di)
     return defects
 
 
@@ -171,9 +201,9 @@ def from_even_entries(p: int, even: SeqWindow) -> SolenoidSpec:
     xs = []
     for n in range(top):
         d = full[n + 1] * p - full[n]
-        if not d.is_rational or d.as_fraction().denominator != 1:
+        di = _as_int(d)
+        if di is None:
             raise CoherenceError(f"recovered digit x_{n} = {d} is not an integer")
-        di = int(d.as_fraction())
         if not 0 <= di < p:
             raise CoherenceError(f"recovered digit x_{n} = {di} outside 0..{p - 1}")
         xs.append(di)
@@ -187,11 +217,10 @@ def truncate_spec(spec: SolenoidSpec, k: int) -> SolenoidSpec:
         raise ValueError("truncation index must be nonnegative")
     if k == 0:
         return spec
-    theta = alpha_at(spec, k)
-    head = spec.digits.truncate_sum(0, k - 1).as_fraction()
-    shifted = PAdic.from_rational(spec.p, (spec.digits.as_fraction() - head) / spec.p**k)
+    h = spec.head(k)
+    shifted = PAdic.from_rational(spec.p, (spec.digits.as_fraction() - h) / spec.p**k)
     horizon = None if spec.digit_horizon is None else spec.digit_horizon - k
-    return SolenoidSpec(spec.p, theta, shifted, horizon)
+    return SolenoidSpec(spec.p, _alpha(spec, k, h), shifted, horizon)
 
 
 def equal_in_Xi(a: SolenoidSpec, b: SolenoidSpec, N: int) -> bool:
@@ -202,20 +231,4 @@ def equal_in_Xi(a: SolenoidSpec, b: SolenoidSpec, N: int) -> bool:
     """
     if a.p != b.p:
         raise PrimeMismatchError(f"cannot compare p={a.p} with p={b.p}")
-    return all(frac1(alpha_at(a, n)) == frac1(alpha_at(b, n)) for n in range(N + 1))
-
-
-def window_agrees_mod1(window: SeqWindow, spec: SolenoidSpec, allow_flip: bool = False) -> str | None:
-    """Compare a window with a spec mod 1 entrywise.
-
-    Returns "direct" on exact agreement, "flipped" if the window matches the
-    entrywise negation mod 1 (and flips are allowed), None otherwise.
-    """
-    direct = all(frac1(v) == frac1(alpha_at(spec, n)) for n, v in window)
-    if direct:
-        return "direct"
-    if allow_flip:
-        flipped = all(frac1(v) == frac1(-alpha_at(spec, n)) for n, v in window)
-        if flipped:
-            return "flipped"
-    return None
+    return reduce_h(a, N) == reduce_h(b, N)

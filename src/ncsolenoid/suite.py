@@ -32,7 +32,7 @@ from .multiplier import (
     rho,
 )
 from .padic import PAdic
-from .solenoid import SeqWindow, SolenoidSpec, alpha_at, coherence_check, from_even_entries, reduce_h
+from .solenoid import SeqWindow, SolenoidSpec, alphas, coherence_check, from_even_entries, reduce_h
 
 if TYPE_CHECKING:
     from .bimodule import SamplePlan
@@ -131,10 +131,9 @@ def check_coherence(spec: SolenoidSpec, entries: int = 12) -> dict:
 def check_from_even(spec: SolenoidSpec, entries: int = 8) -> dict:
     """Rebuilding a spec from its even-index window reproduces the sequence."""
     try:
-        even = SeqWindow.of((2 * i, alpha_at(spec, 2 * i)) for i in range(entries + 1))
-        recovered = from_even_entries(spec.p, even)
-        agree = all(alpha_at(recovered, n) == alpha_at(spec, n) for n in range(2 * entries))
-        return {"name": "solenoid-from-even", "entries": entries, "pass": bool(agree)}
+        window = alphas(spec, 2 * entries)
+        recovered = from_even_entries(spec.p, SeqWindow(window.entries[::2]))
+        return {"name": "solenoid-from-even", "entries": entries, "pass": alphas(recovered, 2 * entries) == window}
     except ValueError as exc:
         return {"name": "solenoid-from-even", "entries": entries, "error": str(exc), "pass": False}
 
@@ -164,10 +163,9 @@ def check_involution(seed: int, count: int = 10) -> dict:
         p = rng.choice([2, 3, 5])
         spc = _rand_spec(rng, p)
         back = heisenberg_partner_spec(heisenberg_partner_spec(spc))
-        for n in range(0, 11):
-            if alpha_at(back, n) != alpha_at(spc, n):
-                violations.append({"p": p, "theta": str(spc.theta), "n": n})
-                break
+        diffs = [n for (n, u), (_, v) in zip(alphas(back, 10), alphas(spc, 10)) if u != v]
+        if diffs:
+            violations.append({"p": p, "theta": str(spc.theta), "n": diffs[0]})
     return {"name": "morita-involution", "count": count, "violations": violations, "pass": not violations}
 
 

@@ -316,6 +316,12 @@ def test_solenoid_coherence_and_from_even(capsys):
     assert code == 0 and rep["pass"] is True
 
 
+def test_from_even_past_horizon_names_first_missing_digit(capsys, tmp_path):
+    spec = SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(2, 1), digit_horizon=3)
+    code, rep = run_json(capsys, ["solenoid", "from-even", "--spec", _write_spec(tmp_path / "h.json", spec), "--entries", "2"])
+    assert code == 1 and rep["error"] == "digit x_3 is beyond the known window (horizon 3)"
+
+
 def test_multiplier_checks_pass(capsys):
     for sub in ("check-cocycle", "check-annihilator", "check-eta-psi"):
         code, rep = run_json(capsys, ["multiplier", sub, "--seed", "9", "--count", "40"])
@@ -407,6 +413,28 @@ def test_bimodule_verify_small(capsys):
         "iota_left_action", "iota_right_action", "phi_left_inner", "psi_right_inner", "imprimitivity",
     }
     assert all(v <= 1e-9 for v in rep["identities"].values())
+
+
+def test_bimodule_verify_large_prime_finishes():
+    # each inner product enumerates only the k aligned with a class pair, not every k of its window
+    argv = ["bimodule", "verify", "--p", "1009", *SPEC_FLAGS[2:], "--c0", "1", "--d0", "0", "--hats", "1", "--points", "10"]
+    proc = run_process(argv)
+    assert proc.returncode in (0, 1), proc.stderr
+    assert json.loads(proc.stdout)["name"] == "bimodule-identities"
+
+
+@pytest.mark.parametrize("argv", [["suite", "--seed", "0"], ["solenoid", "alpha", *SPEC_FLAGS, "--n", "3"]], ids=["suite", "alpha"])
+def test_closed_stdout_ends_without_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncsolenoid.cli", *argv], stdout=write_end, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=SRC), text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_bimodule_verify_rejects_bad_trace():

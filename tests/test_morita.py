@@ -41,11 +41,11 @@ from ncsolenoid.solenoid import (
     SeqWindow,
     SolenoidSpec,
     alpha_at,
+    alphas,
     coherence_check,
     equal_in_Xi,
     from_even_entries,
     truncate_spec,
-    window_agrees_mod1,
 )
 
 ROOT2 = QuadReal.sqrt_of(2)
@@ -268,8 +268,6 @@ def test_projection_vs_heisenberg_flip():
     spec = unit_spec(2, THETA, 1)
     proj_win = projection_partner(spec, ProjectionData(1, 1, 0), 8)
     heis = heisenberg_partner_spec(spec)
-    assert window_agrees_mod1(proj_win, heis, allow_flip=True) == "flipped"
-    # and through equal_in_Xi on the spec recovered from the even window
     recovered = from_even_entries(2, proj_win)
     flipped = SolenoidSpec(2, -heis.theta, -heis.digits)
     assert equal_in_Xi(recovered, flipped, 16)
@@ -340,6 +338,8 @@ def test_level_table_matches_alpha_at():
             table = level_table(spec, 9)
             assert table == tuple((alpha_at(spec, 2 * n), _digit_head(spec, 2 * n)) for n in range(10))
             assert all(type(h) is int for _, h in table)
+            assert alphas(spec, 18) == SeqWindow(tuple((n, alpha_at(spec, n)) for n in range(19)))
+            assert [spec.head(m) for m in range(19)] == [_digit_head(spec, m) for m in range(19)]
 
 
 def test_level_table_stops_where_alpha_at_does():
@@ -349,14 +349,23 @@ def test_level_table_stops_where_alpha_at_does():
         horizons = [SolenoidSpec(p, spec.theta, spec.digits, digit_horizon=H) for H in range(8)]
         horizons.append(from_even_entries(p, SeqWindow(tuple((2 * n, frac1(alpha_at(spec, 2 * n))) for n in range(3)))))
         for spec_h in horizons:
-            for N in range(6):
-                try:
-                    alpha_at(spec_h, 2 * N)
-                except ValueError:
-                    with pytest.raises(ValueError):
-                        level_table(spec_h, N)
+            H = spec_h.digit_horizon
+            for m in range(12):
+                reads = [lambda: spec_h.head(m), lambda: alpha_at(spec_h, m), lambda: alphas(spec_h, m)]
+                if m % 2 == 0:
+                    reads.append(lambda: level_table(spec_h, m // 2))
+                if m > H:
+                    # every read names the first missing digit the same way
+                    for read in reads + [lambda: spec_h.x(m - 1)]:
+                        with pytest.raises(ValueError, match=rf"^digit x_{H} is beyond the known window \(horizon {H}\)$"):
+                            read()
                     continue
-                assert [a for a, _ in level_table(spec_h, N)] == [alpha_at(spec_h, 2 * n) for n in range(N + 1)]
+                assert spec_h.head(m) == _digit_head(spec_h, m)
+                assert alphas(spec_h, m) == SeqWindow(tuple((n, alpha_at(spec_h, n)) for n in range(m + 1)))
+                if m % 2 == 0:
+                    assert level_table(spec_h, m // 2) == tuple(
+                        (alpha_at(spec_h, n), _digit_head(spec_h, n)) for n in range(0, m + 1, 2)
+                    )
 
 
 def _reference_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds) -> CertificateResult:
@@ -474,14 +483,15 @@ def test_invariants_raise_under_python_O():
         from ncsolenoid import bimodule, morita
         from ncsolenoid.exactnum import QuadReal
         from ncsolenoid.padic import PAdic
-        from ncsolenoid.solenoid import SolenoidSpec, alpha_at
+        from ncsolenoid.solenoid import SolenoidSpec, alpha_at, level_table
 
         if not sys.flags.optimize:
             sys.exit("not running under -O")
         spec = SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(2, 1))
         proj = morita.ProjectionData(1, 1, 0)
-        wrong = lambda s, n: alpha_at(s, n) + 1
-        morita.alpha_at = bimodule.alpha_at = wrong
+        # a wrong alpha where each reads its levels: projection_partner a table, BimCtx.build one level
+        morita.level_table = lambda s, N: tuple((alpha + 1, h) for alpha, h in level_table(s, N))
+        bimodule.alpha_at = lambda s, n: alpha_at(s, n) + 1
         for call in (lambda: morita.projection_partner(spec, proj, 2), lambda: bimodule.BimCtx.build(spec, proj, 1)):
             try:
                 call()

@@ -11,12 +11,12 @@ from ncsolenoid.solenoid import (
     SeqWindow,
     SolenoidSpec,
     alpha_at,
+    alphas,
     coherence_check,
     equal_in_Xi,
     from_even_entries,
     reduce_h,
     truncate_spec,
-    window_agrees_mod1,
 )
 
 SQRT2 = QuadReal.sqrt_of(2)
@@ -41,9 +41,12 @@ def test_recursion_holds_exactly():
         theta = QuadReal(Fraction(rng.randint(0, 8), 9), Fraction(rng.randint(1, 5), 7), 2)
         x = Fraction(rng.randint(1, 99), rng.choice([n for n in range(1, 40) if n % p]))
         spec = make_spec(p, theta, x)
+        # the window of one head read and alpha_at's own reads, against the stream's digit view
+        for seq in (alphas(spec, 64).entries, [(n, alpha_at(spec, n)) for n in range(65)]):
+            for (n, a), (_, b) in zip(seq, seq[1:]):
+                assert b * p - a == QuadReal(spec.x(n)) == QuadReal(spec.digits.digit(n))
         for n in range(64):
-            lhs = alpha_at(spec, n + 1) * p - alpha_at(spec, n)
-            assert lhs == QuadReal(spec.x(n))
+            assert spec.head(n + 1) == spec.head(n) + spec.x(n) * p**n
 
 
 def test_spec_validation():
@@ -142,15 +145,6 @@ def test_equal_in_Xi():
     assert not equal_in_Xi(a, b, 4)  # integer shift does not survive division by p^n
     with pytest.raises(PrimeMismatchError):
         equal_in_Xi(a, make_spec(3, QuadReal(0), 1), 2)
-
-
-def test_window_agrees_mod1_flip():
-    spec = make_spec(2, SQRT2 - 1, 1)
-    win = SeqWindow(tuple((n, alpha_at(spec, n)) for n in range(5)))
-    assert window_agrees_mod1(win, spec) == "direct"
-    neg = SeqWindow(tuple((n, -v) for n, v in win))
-    assert window_agrees_mod1(neg, spec) is None
-    assert window_agrees_mod1(neg, spec, allow_flip=True) == "flipped"
 
 
 def test_seqwindow_json_roundtrip():
