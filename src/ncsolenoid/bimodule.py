@@ -302,22 +302,6 @@ def phi_embed(A: AlgElem, p: int) -> AlgElem:
     return AlgElem({k * p: DilatedComp(comp, p) for k, comp in A.comps.items()})
 
 
-def convolve(A: AlgElem, B: AlgElem, theta: float) -> AlgElem:
-    """Twisted convolution (A*B)(r, K) = sum_n A(r, n) B(r + n*theta, K - n)."""
-    out: dict[int, SumKernel] = {}
-    for K in {n + m for n in A.comps for m in B.comps}:
-
-        def comp(r, K=K):
-            acc = np.zeros(np.asarray(r, dtype=float).shape, dtype=complex)
-            for n in A.comps:
-                if K - n in B.comps:
-                    acc += A.eval(r, n) * B.eval(np.asarray(r, dtype=float) + n * theta, K - n)
-            return acc
-
-        out[K] = SumKernel(comp)
-    return AlgElem(out)
-
-
 # -- contexts ----------------------------------------------------------------------
 
 
@@ -388,7 +372,7 @@ def act_left_gen(ctx: BimCtx, gen: str, power: int, F: ModElem) -> ModElem:
             )
         elif gen == "V":
             out[j] = tuple(
-                (c, PhaseMod(atom, power / ctx.c, -power * ctx.a * j / ctx.c)) for c, atom in pairs
+                (c, PhaseMod(atom, power / ctx.c, -((power * ctx.a * j) % ctx.c) / ctx.c)) for c, atom in pairs
             )
         else:
             raise ValueError(f"unknown generator {gen!r}")
@@ -408,7 +392,7 @@ def act_right_gen(ctx: BimCtx, gen: str, power: int, F: ModElem) -> ModElem:
             )
         elif gen == "V":
             out[j] = tuple(
-                (c, PhaseMod(atom, power / (ctx.gamma_f * ctx.c), -power * j / ctx.c))
+                (c, PhaseMod(atom, power / (ctx.gamma_f * ctx.c), -((power * j) % ctx.c) / ctx.c))
                 for c, atom in pairs
             )
         else:
@@ -423,7 +407,7 @@ def act_alg_left(ctx: BimCtx, A: AlgElem, F: ModElem) -> ModElem:
     for j, pairs in F.terms.items():
         for n, comp in A.comps.items():
             m_rep = j + n  # any integer representative of the target class works mod 1
-            phase = PeriodicFn(comp, 1 / ctx.c, -ctx.a * m_rep / ctx.c)
+            phase = PeriodicFn(comp, 1 / ctx.c, -((ctx.a * m_rep) % ctx.c) / ctx.c)
             shifted = tuple((c, Product(phase, Shifted(atom, n * ctx.gamma_f))) for c, atom in pairs)
             out = out.add(ModElem(ctx.modulus, {m_rep: shifted}))
     return out
@@ -634,14 +618,6 @@ def alg_diff(A: AlgElem, B: AlgElem, rng: random.Random, points: int) -> float:
     err = 0.0
     for k in sorted(set(A.keys()) | set(B.keys())):
         err = max(err, float(np.max(np.abs(A.eval(r, k) - B.eval(r, k)), initial=0.0)))
-    return err
-
-
-def periodicity_defect(A: AlgElem, rng: random.Random, points: int) -> float:
-    r = _r_samples(rng, points)
-    err = 0.0
-    for k in A.keys():
-        err = max(err, float(np.max(np.abs(A.eval(r, k) - A.eval(r + 1.0, k)), initial=0.0)))
     return err
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -178,17 +179,36 @@ def stage(
     return line, mob, beta
 
 
-def projection_partner(
-    spec: SolenoidSpec, proj: ProjectionData, N: int, levels: tuple[tuple[QuadReal, int], ...] | None = None
-) -> SeqWindow:
-    """Even-index window 2n <= 2N of normalized Mobius images beta_2n in [0,1).
+def projection_partner(spec: SolenoidSpec, proj: ProjectionData, N: int) -> SeqWindow:
+    """Even-index window 2n <= 2N of normalized Mobius images beta_2n in [0,1)."""
+    tau = checked_trace(spec, proj)  # before level_table: a failing condition wins over a horizon error
+    betas = partner_entries(spec.p, proj, level_table(spec, N), tau)
+    return SeqWindow(tuple((2 * n, beta) for n, beta in enumerate(betas)))
 
-    levels, when given, is level_table(spec, N), shared by every projection on spec.
+
+def partner_entries(
+    p: int, proj: ProjectionData, levels: tuple[tuple[QuadReal, int], ...], tau: QuadReal
+) -> Iterator[QuadReal]:
+    """Yield beta_0, beta_2, ... level by level through stage.
+
+    A caller that stops early pays only for the levels it read.
     """
-    tau = checked_trace(spec, proj)
-    if levels is None:
-        levels = level_table(spec, N)
-    return SeqWindow(tuple((2 * n, stage(spec.p, proj, n, levels[n], tau)[2]) for n in range(N + 1)))
+    for n, level in enumerate(levels):
+        yield stage(p, proj, n, level, tau)[2]
+
+
+def checked_levels(spec: SolenoidSpec, N: int) -> tuple[tuple[QuadReal, int], ...]:
+    """level_table(spec, N), each level checked: alpha_2n * p^(2n) - h_2n == theta.
+
+    This is stage's trace identity with the candidate factored out
+    (alpha_2n c_2n + d_2n = c0 (alpha_2n p^(2n) - h_2n) + d0), so a level no
+    candidate reaches is still checked; a wrong level raises ArithmeticError.
+    """
+    levels = level_table(spec, N)
+    for n, (alpha, h) in enumerate(levels):
+        if alpha * spec.p ** (2 * n) - h != spec.theta:
+            raise ArithmeticError(f"level {n} does not return theta = {spec.theta}")
+    return levels
 
 
 def displayed_mobius(spec: SolenoidSpec, n: int) -> MobiusPair:
@@ -243,9 +263,10 @@ def relate_check(spec: SolenoidSpec, N: int) -> bool:
 # each stage grows with it, fastest at the largest prime.
 MAX_SEARCH_LEVEL = 32
 # (max_k//2 + 1) * max_c0 * (2*max_d0 + 1) candidates at most.  At the largest prime below
-# exactnum.MR_LIMIT and at MAX_SEARCH_LEVEL, an exhaustive search of this many takes about 1.1 s end to
-# end (x = 3/5, theta = sqrt(2) - 1 against sqrt(3) - 1; max_c0 = 40, max_d0 = 12 or max_c0 = 1,
-# max_d0 = 499, with max_k = 0 and entries = 16), within a 2 s budget.
+# exactnum.MR_LIMIT and at MAX_SEARCH_LEVEL, an exhaustive search of this many takes about 0.15-0.2 s end
+# to end (x = 3/5, theta = sqrt(2) - 1 against sqrt(3) - 1; max_c0 = 40, max_d0 = 12, max_c0 = 1,
+# max_d0 = 499 or max_c0 = 200, max_d0 = 2, with max_k = 0 and entries = 16), within a 2 s budget:
+# every candidate is dropped at entry 0, so it costs one stage.
 MAX_SEARCH_CANDIDATES = 1000
 
 
@@ -315,7 +336,10 @@ def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = 
     candidate projections (c0, d0) on even truncations k of `a` are
     enumerated lexicographically; the first whose partner window matches the
     canonical image of `b` (directly or through the mod-1 flip) is returned.
-    A `b` whose digit horizon ends inside the window matches nothing.
+    A candidate is compared entry by entry and dropped at its first mismatch,
+    so it costs one stage per entry it reaches; each truncation's level table is
+    checked once, in checked_levels.  A `b` whose digit horizon ends inside
+    the window matches nothing.
     """
     if a.p != b.p:
         return CertificateResult(status="impossible")
@@ -339,18 +363,12 @@ def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = 
                 if not condition_check(trunc.p, proj, trunc.x(0)):
                     continue
                 if levels is None:
-                    levels = level_table(trunc, N)
-                window = projection_partner(trunc, proj, N, levels)
-                values = [v for _, v in window]
-                for orientation, image in images.items():
-                    if values == image:
-                        return CertificateResult(
-                            status="found",
-                            c0=c0,
-                            d0=d0,
-                            m=m,
-                            k=k,
-                            matched_entries=window.indices(),
-                            orientation=orientation,
-                        )
+                    levels = checked_levels(trunc, N)
+                live = tuple(images)  # the orientations every entry so far matched, "direct" first
+                for n, beta in enumerate(partner_entries(trunc.p, proj, levels, tau)):
+                    live = tuple(o for o in live if images[o][n] == beta)
+                    if not live:
+                        break
+                else:
+                    return CertificateResult("found", c0, d0, m, k, tuple(range(0, 2 * N + 1, 2)), live[0])
     return CertificateResult(status="inconclusive")

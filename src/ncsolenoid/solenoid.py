@@ -46,6 +46,8 @@ class SolenoidSpec:
             raise PrimeMismatchError(f"digit stream is {self.digits.p}-adic, spec has p={self.p}")
         if not self.digits.is_zero and self.digits.ord < 0:
             raise ValueError("digit stream must be a p-adic integer (ord >= 0)")
+        if self.digit_horizon is not None and self.digit_horizon < 0:
+            raise ValueError(f"digit_horizon must be nonnegative, got {self.digit_horizon}")
 
     def head(self, n: int) -> int:
         """h_n = sum_{j<n} x_j p^j, the digit stream mod p^n.
@@ -117,10 +119,6 @@ class SeqWindow:
 
     def to_json(self) -> list:
         return [[n, str(v)] for n, v in self.entries]
-
-    @classmethod
-    def from_json(cls, obj) -> "SeqWindow":
-        return cls(tuple((int(n), QuadReal.parse(s)) for n, s in obj))
 
 
 def _alpha(spec: SolenoidSpec, n: int, h: int) -> QuadReal:

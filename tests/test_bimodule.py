@@ -18,19 +18,19 @@ from ncsolenoid.bimodule import (
     Product,
     SamplePlan,
     Shifted,
+    SumKernel,
     TrigPoly,
+    _r_samples,
     act_alg_left,
     act_alg_right,
     act_left_gen,
     act_right_gen,
     alg_diff,
-    convolve,
     identity_suite,
     inner_left,
     inner_right,
     level_embed,
     mod_diff,
-    periodicity_defect,
     phi_embed,
     random_hat,
     random_mod_elem,
@@ -49,6 +49,30 @@ def spec_p(p: int) -> SolenoidSpec:
 
 def ctx_at(p: int, n: int) -> BimCtx:
     return BimCtx.build(spec_p(p), ProjectionData(1, 1, 0), n)
+
+
+def convolve(A: AlgElem, B: AlgElem, theta: float) -> AlgElem:
+    """Twisted convolution (A*B)(r, K) = sum_n A(r, n) B(r + n*theta, K - n)."""
+    out: dict[int, SumKernel] = {}
+    for K in {n + m for n in A.comps for m in B.comps}:
+
+        def comp(r, K=K):
+            acc = np.zeros(np.asarray(r, dtype=float).shape, dtype=complex)
+            for n in A.comps:
+                if K - n in B.comps:
+                    acc += A.eval(r, n) * B.eval(np.asarray(r, dtype=float) + n * theta, K - n)
+            return acc
+
+        out[K] = SumKernel(comp)
+    return AlgElem(out)
+
+
+def periodicity_defect(A: AlgElem, rng: random.Random, points: int) -> float:
+    r = _r_samples(rng, points)
+    err = 0.0
+    for k in A.keys():
+        err = max(err, float(np.max(np.abs(A.eval(r, k) - A.eval(r + 1.0, k)), initial=0.0)))
+    return err
 
 
 def test_hatfn_validation():

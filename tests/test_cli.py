@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -399,6 +401,33 @@ def test_morita_certify_bad_file_usage_error(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["morita", "certify", "--spec-a", str(path), "--spec-b", str(path)])
         assert exc.value.code == 2, obj
+
+
+@pytest.mark.parametrize("argv", [["solenoid", "alpha", "--n", "0"], ["multiplier", "check-annihilator"]], ids=["alpha", "annihilator"])
+def test_negative_digit_horizon_usage_error(capsys, tmp_path, argv):
+    spec = {**SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(2, 1)).to_json(), "digit_horizon": -3}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--spec", str(path)])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith("ncsolenoid") and "digit_horizon" in last and "-3" in last
+
+
+@pytest.mark.parametrize("max_c0, max_d0", [(40, 12), (1, 499), (200, 2)])
+def test_costliest_accepted_search_finishes(tmp_path, max_c0, max_d0):
+    # the largest prime below MR_LIMIT, at MAX_SEARCH_LEVEL and about MAX_SEARCH_CANDIDATES candidates, none matching
+    p, x = MR_LIMIT - 168, PAdic.from_rational(MR_LIMIT - 168, Fraction(3, 5))
+    fa = _write_spec(tmp_path / "a.json", SolenoidSpec(p, QuadReal.sqrt_of(2) - 1, x))
+    fb = _write_spec(tmp_path / "b.json", SolenoidSpec(p, QuadReal.sqrt_of(3) - 1, x))
+    bounds = ["--max-c0", str(max_c0), "--max-d0", str(max_d0), "--max-k", "0", "--entries", "16"]
+    start = time.perf_counter()
+    proc = run_process(["morita", "certify", "--spec-a", fa, "--spec-b", fb, *bounds])
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "inconclusive"
+    assert elapsed < 2.0, elapsed
 
 
 def test_bimodule_verify_small(capsys):

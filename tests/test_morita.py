@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ncsolenoid
-
+from ncsolenoid import morita
 from ncsolenoid.exactnum import QuadReal, ext_gcd, floor, frac1
 from ncsolenoid.morita import (
     MAX_SEARCH_CANDIDATES,
@@ -469,6 +469,32 @@ def test_certificate_search_pinned_pairs(name, expected):
     assert certificate_search(a, b).to_json() == expected
 
 
+@pytest.mark.parametrize("name", ["different-fields", "first-candidate", "planted"])
+def test_search_drops_a_candidate_at_its_first_mismatch(monkeypatch, name):
+    a, b = _pinned_search_pairs()[name]
+    bounds = SearchBounds()
+    levels_read = []
+    stage = morita.stage
+    monkeypatch.setattr(morita, "stage", lambda p, proj, n, *rest: levels_read.append(n) or stage(p, proj, n, *rest))
+    res = certificate_search(a, b, bounds)
+    # candidates that pass the Condition, in search order, up to the found one
+    passing = []
+    for k in range(0, bounds.max_k + 1, 2):
+        t = truncate_spec(a, k)
+        passing += [(k, c0, d0) for c0 in range(1, bounds.max_c0 + 1) for d0 in range(-bounds.max_d0, bounds.max_d0 + 1)
+                    if t.theta * c0 + d0 > 0 and condition_check(t.p, ProjectionData(1, c0, d0), t.x(0))]
+    window = bounds.entries + 1
+    if res.status == "found":
+        rejected = passing.index((res.k, res.c0, res.d0))
+        assert len(levels_read) == rejected + window  # a window of stages per candidate would make it window * (rejected + 1)
+        assert levels_read[rejected:] == list(range(window))
+    else:
+        rejected = len(passing)
+        assert len(levels_read) == rejected  # a window of stages per candidate would make it window * rejected
+    assert rejected > 0 or name == "first-candidate"
+    assert levels_read[:rejected] == [0] * rejected
+
+
 def test_short_horizon_matches_inside_its_window():
     a, b = _pinned_search_pairs()["short-horizon"]
     res = certificate_search(a, b, SearchBounds(entries=3))
@@ -488,11 +514,20 @@ def test_invariants_raise_under_python_O():
         if not sys.flags.optimize:
             sys.exit("not running under -O")
         spec = SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(2, 1))
+        other = SolenoidSpec(2, QuadReal.sqrt_of(3) - 1, PAdic.from_rational(2, 1))
         proj = morita.ProjectionData(1, 1, 0)
         # a wrong alpha where each reads its levels: projection_partner a table, BimCtx.build one level
-        morita.level_table = lambda s, N: tuple((alpha + 1, h) for alpha, h in level_table(s, N))
+        wrong = lambda s, N: tuple((alpha + 1, h) for alpha, h in level_table(s, N))
+        # wrong only at levels >= 1, which no candidate of (spec, other) reaches: each is dropped at entry 0
+        wrong_above_0 = lambda s, N: tuple((alpha + 1 if n else alpha, h) for n, (alpha, h) in enumerate(level_table(s, N)))
         bimodule.alpha_at = lambda s, n: alpha_at(s, n) + 1
-        for call in (lambda: morita.projection_partner(spec, proj, 2), lambda: bimodule.BimCtx.build(spec, proj, 1)):
+        cases = (
+            (wrong, lambda: morita.projection_partner(spec, proj, 2)),
+            (wrong, lambda: bimodule.BimCtx.build(spec, proj, 1)),
+            (wrong_above_0, lambda: morita.certificate_search(spec, other)),
+        )
+        for table, call in cases:
+            morita.level_table = table
             try:
                 call()
             except ArithmeticError:

