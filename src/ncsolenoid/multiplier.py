@@ -1,7 +1,8 @@
 """Multipliers on p-power fraction lattices and the Heisenberg pairing.
 
-Phases are exact arguments mod 1 (PhaseArg wrapping a QuadReal in [0,1)); no
-complex floating point enters any check.  The ambient group for the pairing
+Phases are exact arguments mod 1 (PhaseArg: an unreduced QuadReal whose class
+in Q(theta)/Z is the phase, reduced into [0,1) only when shown); no complex
+floating point enters any check.  The ambient group for the pairing
 is M = Q_p x R, points carried as (q, r) with q p-adic and r exact real.
 """
 
@@ -58,35 +59,65 @@ class MPoint:
 LatticePoint = tuple[MPoint, MPoint]
 
 
-@dataclass(frozen=True)
 class PhaseArg:
-    """Exact phase argument mod 1: the number t in [0,1) standing for e^(2*pi*i*t)."""
+    """Exact phase argument mod 1: the class of t in Q(theta)/Z, standing for e^(2*pi*i*t).
 
-    value: QuadReal
+    t is stored unreduced, and +, - and negation act on it directly.  A class
+    is zero exactly when t is an integer, and QuadReal's normal form reads
+    that off without a floor: t = (A + B*sqrt(D))/M with M > 0 and D
+    squarefree, so sqrt(D) is irrational whenever B != 0, and t is rational
+    exactly when B == 0; a rational A/M is an integer exactly when M divides
+    A.  Two phases are equal when their difference is zero.  The reduced
+    representative in [0, 1) is built only by value, str and hash.
+    """
 
-    def __post_init__(self):
-        if not (QuadReal(0) <= self.value < QuadReal(1)):
-            raise ValueError(f"phase argument {self.value} not reduced into [0,1)")
+    __slots__ = ("t",)
+
+    def __init__(self, t: QuadReal):
+        self.t = t
 
     @classmethod
     def of(cls, x) -> "PhaseArg":
-        return cls(frac1(x))
+        t = QuadReal._lift(x)
+        if t is None:
+            raise TypeError(f"cannot take {type(x).__name__} mod 1")
+        return cls(t)
+
+    @property
+    def value(self) -> QuadReal:
+        """The representative in [0, 1)."""
+        return frac1(self.t)
 
     @property
     def is_zero(self) -> bool:
-        return not self.value
+        t = self.t
+        return t.B == 0 and t.A % t.M == 0
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PhaseArg):
+            return NotImplemented
+        a, b = self.t, other.t
+        if a.B and b.B and a.D != b.D:
+            return False  # 1, sqrt(D1) and sqrt(D2) are independent over Q: the difference is irrational
+        return (self - other).is_zero
+
+    def __hash__(self):
+        return hash(self.value)
 
     def __add__(self, other: "PhaseArg") -> "PhaseArg":
-        return PhaseArg.of(self.value + other.value)
+        return PhaseArg(self.t + other.t)
 
     def __sub__(self, other: "PhaseArg") -> "PhaseArg":
-        return PhaseArg.of(self.value - other.value)
+        return PhaseArg(self.t - other.t)
 
     def __neg__(self) -> "PhaseArg":
-        return PhaseArg.of(-self.value)
+        return PhaseArg(-self.t)
 
     def __str__(self):
         return str(self.value)
+
+    def __repr__(self):
+        return f"PhaseArg({self})"
 
 
 def psi_alpha(spec: SolenoidSpec, g: GammaElem, h: GammaElem) -> PhaseArg:

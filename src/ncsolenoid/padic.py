@@ -39,6 +39,10 @@ def _require_prime(p: int) -> None:
 
 def _strip(n: int, p: int) -> tuple[int, int]:
     """(n / p**e, e) with e the exponent of p in the nonzero integer n."""
+    if p == 2:
+        # n & -n is the lowest set bit of n, which is 2**e
+        e = (n & -n).bit_length() - 1
+        return n >> e, e
     e = 0
     while n % p == 0:
         # divide by p, p**2, p**4, ... while they divide: O(log(e)**2) divisions, not e
@@ -48,6 +52,22 @@ def _strip(n: int, p: int) -> tuple[int, int]:
             e += k
             pk, k = pk * pk, 2 * k
     return n, e
+
+
+def _digits_value(digits: tuple[int, ...], p: int) -> int:
+    """sum(d * p**i for i, d in enumerate(digits)), split in halves: value(lo) + p**len(lo) * value(hi).
+
+    Summing term by term is quadratic in the length; the halves keep every
+    product balanced, so a long period costs a few big multiplications.
+    """
+    n = len(digits)
+    if n <= 64:
+        out = 0
+        for d in reversed(digits):
+            out = out * p + d
+        return out
+    h = n // 2
+    return _digits_value(digits[:h], p) + p**h * _digits_value(digits[h:], p)
 
 
 class PAdic:
@@ -63,8 +83,7 @@ class PAdic:
         for d in pre + per:
             if not 0 <= d < p:
                 raise ValueError(f"digit {d} out of range for p={p}")
-        head = sum(d * p**i for i, d in enumerate(pre))
-        block = sum(d * p**i for i, d in enumerate(per))
+        head, block = _digits_value(pre, p), _digits_value(per, p)
         tail = Fraction(block * p ** len(pre), 1 - p ** len(per))
         self.p = p
         self.q = (head + tail) * Fraction(p) ** v

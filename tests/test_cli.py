@@ -140,6 +140,28 @@ def test_spec_file_with_large_ord_finishes(tmp_path):
     assert json.loads(proc.stdout)["inputs"]["digits"] == spec["digits"]
 
 
+def test_spec_file_with_long_period_loads(tmp_path):
+    # 7 has order 40128 mod 40129, so 1/40129 has a 7-adic period of 40128 digits; summing d * 7**i took 27 s
+    spec = SolenoidSpec(7, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(7, Fraction(1, 40129))).to_json()
+    assert len(spec["digits"]["period"]) >= 40000
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    proc = run_process(["morita", "projection", "--spec", str(path), "--c0", "1", "--d0", "0"])
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["condition"] == "pass" and rep["inputs"] == spec
+
+
+def test_eta_psi_check_at_large_ord_finishes(tmp_path):
+    # 2**300000: the pairing's p-adic fractional parts have denominators of about 300000 bits
+    spec = {"p": 2, "theta": "sqrt(2)", "digits": {"p": 2, "ord": 300000, "preperiod": [1], "period": [0]}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    proc = run_process(["multiplier", "check-eta-psi", "--spec", str(path)])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pass"] is True
+
+
 def test_padic_inverse_large_prime_finishes():
     # a 25-digit prime: primality is decided by Miller-Rabin, not trial division
     proc = run_process(["padic", "inv", "--p", "1000000000000000000000007", "--value", "3"])

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncsolenoid.exactnum import PFrac, QuadReal, frac1
 from ncsolenoid.padic import PAdic, PrecisionError
@@ -208,5 +210,59 @@ def test_eta_truncated_matches_exact():
 def test_phase_arg_reduction():
     assert PhaseArg.of(QuadReal(Fraction(7, 3))).value == QuadReal(Fraction(1, 3))
     assert PhaseArg.of(QuadReal(-1, 1, 2)).value == SQRT2 - 1
-    with pytest.raises(ValueError):
-        PhaseArg(QuadReal(Fraction(3, 2)))
+    assert PhaseArg.of(Fraction(3, 2)) == PhaseArg.of(Fraction(1, 2))
+    assert PhaseArg.of(Fraction(3, 2)).value == QuadReal(Fraction(1, 2))
+
+
+# -- PhaseArg against the reduced representative ----------------------------------
+
+# derandomized: every run checks the same examples; no example database is written
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+rationals = st.fractions(min_value=-30, max_value=30, max_denominator=40)
+
+
+@st.composite
+def phase_triples(draw):
+    """Three exact reals, all rational or all over one radicand."""
+    D = draw(st.sampled_from([0, 2, 3, 5, 7]))
+    # small coefficient sets make equal classes mod 1 common
+    coeff = st.sampled_from([Fraction(k, 2) for k in range(-4, 5)]) if D else st.just(Fraction(0))
+    return tuple(QuadReal(draw(rationals), draw(coeff), D) for _ in range(3))
+
+
+@PROPERTY
+@given(phase_triples())
+def test_phase_arg_matches_reduced_reference(xyz):
+    x, y, z = xyz
+    X, Y, Z = (PhaseArg.of(v) for v in xyz)
+    # each phase beside the unreduced value it stands for
+    terms = [(X, x), (Y, y), (X + Y, x + y), (X - Y, x - y), (-X, -x), (X + Y - Z, x + y - z), (X - X, QuadReal(0))]
+    for phase, t in terms:
+        assert phase.is_zero == (frac1(t) == 0)
+        assert phase.value == frac1(t) and str(phase) == str(frac1(t))
+    for a, ta in terms:
+        for b, tb in terms:
+            assert (a == b) == (frac1(ta) == frac1(tb))
+            if a == b:
+                assert hash(a) == hash(b)
+
+
+def test_phase_arg_compares_without_a_floor(monkeypatch):
+    import ncsolenoid.exactnum as exactnum
+    import ncsolenoid.multiplier as multiplier
+
+    def refuse(*_):
+        raise AssertionError("a comparison reduced its phase")
+
+    x, y = QuadReal(Fraction(7, 3), Fraction(1, 2), 2), QuadReal(Fraction(-5, 3), Fraction(1, 2), 2)
+    with monkeypatch.context() as m:
+        for mod in (exactnum, multiplier):
+            m.setattr(mod, "frac1", refuse)
+        m.setattr(exactnum, "floor", refuse)
+        m.setattr(QuadReal, "__floor__", refuse)
+        a, b = PhaseArg.of(x), PhaseArg.of(y)
+        assert a == b and a - b == PhaseArg.of(0) and (a - b).is_zero and not (a + b).is_zero
+        assert a != PhaseArg.of(QuadReal(Fraction(1, 3), Fraction(1, 2), 3))  # another field: never equal
+        with pytest.raises(AssertionError, match="reduced"):
+            a.value
+    assert str(a) == str(b) == "(-4 + 3*sqrt(2))/6" and hash(a) == hash(b)

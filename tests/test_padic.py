@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncsolenoid.exactnum import MR_LIMIT, PFrac
-from ncsolenoid.padic import MAX_EXPANSION, MAX_ORD_BITS, ORD_INF, PAdic, PrecisionError, TruncatedPAdic
+from ncsolenoid.padic import MAX_EXPANSION, MAX_ORD_BITS, ORD_INF, PAdic, PrecisionError, TruncatedPAdic, _digits_value, _strip
 
 
 def expansion_digit(x: PAdic, j: int) -> int:
@@ -402,3 +402,30 @@ def test_json_ord_bound():
                 PAdic.from_json(digits(p, v))
     big = MR_LIMIT - 168
     assert PAdic.from_json(digits(big, 100)) == big**100
+
+
+def strip_loop(n: int, p: int) -> tuple[int, int]:
+    """The valuation one division at a time."""
+    e = 0
+    while n % p == 0:
+        n, e = n // p, e + 1
+    return n, e
+
+
+def test_strip_matches_division_loop():
+    rng = random.Random(89)
+    for p in (2, 3, 5, 7, 1000003):
+        for _ in range(300):
+            n = rng.choice([-1, 1]) * rng.randrange(1, 10**rng.randint(1, 60)) * p ** rng.randint(0, 40)
+            assert _strip(n, p) == strip_loop(n, p), (n, p)
+    for e in (0, 1, 29, 30, 31, 64, 1000, 300000):
+        for unit in (1, -1, 3, -(2**61 - 1)):
+            assert _strip(unit * 2**e, 2) == (unit, e)
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3, 5, 7, 1000003]), st.data())
+def test_digits_value_is_digit_sum(p, data):
+    n = data.draw(st.integers(0, 300))  # past 64 digits the builder splits in halves
+    digits = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
+    assert _digits_value(digits, p) == sum(d * p**i for i, d in enumerate(digits))
