@@ -9,13 +9,27 @@ precision once per context.
 
 Test functions are piecewise-linear hats: genuine compact support keeps
 every lattice sum finite, with summation ranges derived from support bounds
-rather than truncated.  Each (j1, j2) entry of an inner-product kernel is
-evaluated in one call on an (m x r) grid, then folded into the sum row by row
-in m order.
+rather than truncated.  An inner product enumerates only the class pairs
+(j1, j2) aligned with some k, and each (j1, j2) entry is evaluated on an
+(m x r) grid, then folded into its k's sum row by row in m order.
+
+Sampled comparisons evaluate a factor that several classes share once, not
+once per class.  The p classes that `level_embed` spreads one class over
+share its term tuple and atoms, and so do the classes a U action moves.
+`mod_diff` evaluates each distinct atom once on its t grid and sums each
+distinct term tuple once.  `alg_diff` evaluates an inner product at every k
+together (`AlgElem.eval_all`): on one r grid each j1 grid is built and F1
+evaluated on it once, and the entries are taken j1 by j1 in batches of about
+BATCH_VALUES grid values, each distinct term tuple of F2 evaluated once per
+batch on the concatenated grids of the entries it serves there.  Only one
+batch's grids and values are held at a time.  The one-k path
+(`AlgElem.eval`) is the same evaluation restricted to the entries of its k;
+the module actions use it, since their grids differ per (j, k).
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import dataclasses
 import math
@@ -35,6 +49,9 @@ FULL_LINE = (-math.inf, math.inf)
 # random_mod_elem samples index classes from range(modulus), whose length must fit a C ssize_t:
 # p = 2 reaches it past level 31 (c = 2^62), p = 3 past level 19
 MAX_MODULUS = sys.maxsize
+# grid values per batch of inner-product entries: an inner product evaluates each F2 term tuple once per
+# batch and holds one batch's grids and values at a time, so its memory does not grow with its entries
+BATCH_VALUES = 2048
 
 
 # -- function atoms --------------------------------------------------------------
@@ -159,12 +176,37 @@ class PeriodicFn:
 # -- module and algebra elements --------------------------------------------------
 
 
+def _class_sum(pairs, t: np.ndarray, value) -> np.ndarray:
+    """sum of coef * value(atom) over one class's terms, in term order.
+
+    np.multiply, not `*`: numpy computes `coef * temporary` in place once the
+    temporary reaches 256 KiB, and that can move a complex product by an ulp,
+    so the sum would depend on the size of the grid it is evaluated on.
+    """
+    acc = np.zeros(t.shape, dtype=complex)
+    for coef, atom in pairs:
+        acc += np.multiply(coef, value(atom))
+    return acc
+
+
+def _span(pairs):
+    """Hull of the supports of the atoms in (coef, atom) pairs; NO_SUPPORT if none has one."""
+    lo, hi = math.inf, -math.inf
+    for _, atom in pairs:
+        sup = atom.support()
+        if sup is NO_SUPPORT:
+            continue
+        lo, hi = min(lo, sup[0]), max(hi, sup[1])
+    return NO_SUPPORT if lo > hi else (lo, hi)
+
+
 class ModElem:
     """Finite sum over index classes mod `modulus` of coefficient-weighted atoms.
 
     terms maps j in {0,...,modulus-1} to a tuple of (coef, atom) pairs; sums
     concatenate term tuples, so linear identities that hold term-by-term hold
-    at the data-structure level.
+    at the data-structure level.  A class given a tuple alone keeps that tuple
+    object, so classes built from one tuple share it.
     """
 
     __slots__ = ("modulus", "terms")
@@ -177,7 +219,8 @@ class ModElem:
         for j, pairs in (terms or {}).items():
             pairs = tuple(pairs)
             if pairs:
-                self.terms[j % modulus] = self.terms.get(j % modulus, ()) + pairs
+                key = j % modulus
+                self.terms[key] = self.terms[key] + pairs if key in self.terms else pairs
 
     @classmethod
     def delta(cls, modulus: int, j: int, atom, coef: complex = 1.0) -> "ModElem":
@@ -199,28 +242,16 @@ class ModElem:
 
     def eval(self, t, j: int):
         t = np.asarray(t, dtype=float)
-        acc = np.zeros(t.shape, dtype=complex)
-        for coef, atom in self.terms.get(j % self.modulus, ()):
-            acc += coef * atom.eval(t)
-        return acc
+        return _class_sum(self.terms.get(j % self.modulus, ()), t, lambda atom: atom.eval(t))
 
     def indices(self) -> tuple[int, ...]:
         return tuple(sorted(self.terms))
 
     def support(self, j: int | None = None):
-        pairs = ()
-        if j is None:
-            for ps in self.terms.values():
-                pairs += ps
-        else:
-            pairs = self.terms.get(j % self.modulus, ())
-        lo, hi = math.inf, -math.inf
-        for _, atom in pairs:
-            sup = atom.support()
-            if sup is NO_SUPPORT:
-                continue
-            lo, hi = min(lo, sup[0]), max(hi, sup[1])
-        return NO_SUPPORT if lo > hi else (lo, hi)
+        """Hull of the supports of class j's atoms, or of every class's (each shared tuple read once)."""
+        if j is not None:
+            return _span(self.terms.get(j % self.modulus, ()))
+        return _span(pair for pairs in {id(ps): ps for ps in self.terms.values()}.values() for pair in pairs)
 
     def __eq__(self, other):
         return (
@@ -271,12 +302,17 @@ class DilatedComp:
 
 
 class AlgElem:
-    """Finite map k -> 1-periodic evaluator; missing components are zero."""
+    """Finite map k -> 1-periodic evaluator; missing components are zero.
 
-    __slots__ = ("comps",)
+    every, if given, maps an r array to {k: component at r} for every k at
+    once; an inner product passes one that shares work across its k.
+    """
 
-    def __init__(self, comps: dict | None = None):
+    __slots__ = ("comps", "_every")
+
+    def __init__(self, comps: dict | None = None, every=None):
         self.comps = dict(comps or {})
+        self._every = every
 
     @classmethod
     def generator_U(cls, power: int = 1) -> "AlgElem":
@@ -293,13 +329,23 @@ class AlgElem:
             return np.zeros(r.shape, dtype=complex)
         return comp.eval(r)
 
+    def eval_all(self, r) -> dict[int, np.ndarray]:
+        """{k: component k at r} for every k, each equal to eval(r, k)."""
+        r = np.asarray(r, dtype=float)
+        if self._every is not None:
+            return self._every(r)
+        return {k: comp.eval(r) for k, comp in self.comps.items()}
+
     def keys(self) -> tuple[int, ...]:
         return tuple(sorted(self.comps))
 
 
 def phi_embed(A: AlgElem, p: int) -> AlgElem:
     """Symbol-level embedding: component j moves to jp with its function dilated by p."""
-    return AlgElem({k * p: DilatedComp(comp, p) for k, comp in A.comps.items()})
+    return AlgElem(
+        {k * p: DilatedComp(comp, p) for k, comp in A.comps.items()},
+        lambda r: {k * p: v for k, v in A.eval_all(r * p).items()},
+    )
 
 
 # -- contexts ----------------------------------------------------------------------
@@ -359,16 +405,25 @@ def _check_modulus(ctx: BimCtx, F: ModElem):
         raise ValueError(f"element has modulus {F.modulus}, context needs {ctx.modulus}")
 
 
+def _once(memo: dict, obj, make):
+    """make(obj), built once per distinct obj (by identity): an atom or a term tuple that classes share."""
+    out = memo.get(id(obj))
+    if out is None:
+        out = memo[id(obj)] = make(obj)
+    return out
+
+
 def act_left_gen(ctx: BimCtx, gen: str, power: int, F: ModElem) -> ModElem:
     """U: F(t - gamma, [m-1]); V: exp(2 pi i (t - am)/c) F(t, [m]); integer powers."""
     _check_modulus(ctx, F)
     if power == 0:
         return F
     out: dict = {}
+    moved: dict = {}  # classes that share a term tuple share its shifted tuple
     for j, pairs in F.terms.items():
         if gen == "U":
-            out[(j + power) % ctx.modulus] = tuple(
-                (c, Shifted(atom, power * ctx.gamma_f)) for c, atom in pairs
+            out[(j + power) % ctx.modulus] = _once(
+                moved, pairs, lambda ps: tuple((c, Shifted(atom, power * ctx.gamma_f)) for c, atom in ps)
             )
         elif gen == "V":
             out[j] = tuple(
@@ -385,10 +440,11 @@ def act_right_gen(ctx: BimCtx, gen: str, power: int, F: ModElem) -> ModElem:
     if power == 0:
         return F
     out: dict = {}
+    moved: dict = {}  # classes that share a term tuple share its shifted tuple
     for j, pairs in F.terms.items():
         if gen == "U":
-            out[(j + power * ctx.d) % ctx.modulus] = tuple(
-                (c, Shifted(atom, float(power))) for c, atom in pairs
+            out[(j + power * ctx.d) % ctx.modulus] = _once(
+                moved, pairs, lambda ps: tuple((c, Shifted(atom, float(power))) for c, atom in ps)
             )
         elif gen == "V":
             out[j] = tuple(
@@ -428,15 +484,51 @@ def act_alg_right(ctx: BimCtx, F: ModElem, A: AlgElem) -> ModElem:
 # -- inner products ------------------------------------------------------------------
 
 
+def _k_bounds(lo: float, hi: float, step: float) -> tuple[int, int]:
+    # the least and the greatest integer k with k*step in [lo, hi]
+    return math.ceil(lo / step - 1e-12), math.floor(hi / step + 1e-12)
+
+
 def _k_window(lo: float, hi: float, step: float, r: int, M: int) -> range:
     # integer k = r mod M with k*step in [lo, hi], increasing
-    first = math.ceil(lo / step - 1e-12)
-    return range(first + (r - first) % M, math.floor(hi / step + 1e-12) + 1, M)
+    first, last = _k_bounds(lo, hi, step)
+    return range(first + (r - first) % M, last + 1, M)
 
 
 def _supports(F: ModElem) -> list[tuple[int, tuple[float, float]]]:
-    """(j, support of class j) for each class of F with a nonempty support, each read once."""
-    return [(j, s) for j in F.terms if (s := F.support(j)) is not NO_SUPPORT]
+    """(j, support of class j) for each class of F with a nonempty support, each term tuple read once."""
+    spans: dict = {}
+    return [(j, s) for j, pairs in F.terms.items() if (s := _once(spans, pairs, _span)) is not NO_SUPPORT]
+
+
+def _aligned_pairs(F1: ModElem, F2: ModElem, M: int, key, window) -> list[tuple]:
+    """[(j1, j2, k, s1)] for every class pair and offset k the supports allow, in (j1, j2, k) order.
+
+    A pair aligns at k = key(j2) - key(j1) mod M, and window(s1, s2) bounds k*step.
+    For each j1, the window against the hull of F2's supports contains every
+    pair's window, so only the j2 whose keys fall in the residues of its k
+    (all of them, once it spans M or more k) can align; they are bisected from
+    F2's classes sorted by key.
+    """
+    supports2 = _supports(F2)
+    if not supports2:
+        return []
+    hull2 = (min(s[0] for _, s in supports2), max(s[1] for _, s in supports2))
+    by_key = sorted((key(j2) % M, i) for i, (j2, _) in enumerate(supports2))
+    keys = [kk for kk, _ in by_key]
+    entries = []
+    for j1, s1 in _supports(F1):
+        k1 = key(j1)
+        first, last = _k_bounds(*window(s1, hull2))
+        found = []
+        if last >= first:
+            lo = (first + k1) % M  # key residues of k in [first, last]: [lo, hi) read mod M
+            hi = lo + min(last - first + 1, M)
+            for a, b in ((lo, min(hi, M)), (0, hi - M)):
+                for kk, i in by_key[bisect.bisect_left(keys, a) : bisect.bisect_left(keys, b)]:
+                    found.extend((i, k) for k in _k_window(*window(s1, supports2[i][1]), kk - k1, M))
+        entries.extend((j1, supports2[i][0], k, s1) for i, k in sorted(found))
+    return entries
 
 
 def _m_column(m0: int, lo: float, hi: float, M: int, ndim: int) -> np.ndarray:
@@ -452,6 +544,74 @@ def _fold(acc: np.ndarray, block: np.ndarray) -> None:
         acc += term
 
 
+def _on_grids(F: ModElem, requests: dict) -> dict:
+    """{key: F at class j on grid} for requests {key: (j, grid)}.
+
+    Each distinct term tuple of F is evaluated once, on the concatenation of
+    the grids of all the requests whose class holds it.
+    """
+    groups: dict[int, tuple] = {}  # id(term tuple) -> (a class holding it, request keys, their grids)
+    for key, (j, grid) in requests.items():
+        _, keys, grids = groups.setdefault(id(F.terms[j]), (j, [], []))
+        keys.append(key)
+        grids.append(grid)
+    out = {}
+    for j, keys, grids in groups.values():
+        values = F.eval(np.concatenate(grids) if len(grids) > 1 else grids[0], j)
+        start = 0
+        for key, grid in zip(keys, grids):
+            out[key] = values[start : start + len(grid)]
+            start += len(grid)
+    return out
+
+
+def _inner(F1: ModElem, F2: ModElem, entries: list, columns, shift, product) -> AlgElem:
+    """The inner product whose entry (j1, j2, k) sums product(F1 on grid, F2 on shift(grid, k)) over m.
+
+    entries is j1-major, as _aligned_pairs gives it.  columns(r) gives the
+    function (j1, s1) -> grid of j1's m column at r, or None when the column is
+    empty; the grid depends on neither k nor j2.  One evaluation at r builds
+    each j1 grid and evaluates F1 on it once.  It takes the entries in order,
+    in batches of about BATCH_VALUES grid values: each distinct term tuple of
+    F1 and of F2 is evaluated once per batch on the grids it serves, and each
+    entry is folded into its k's sum, so every k sums its entries in j1 order.
+    A batch's grids and values are dropped after its fold, all but those of
+    the j1 it ends in, so memory stays bounded however many entries there are.
+    """
+    by_k: dict[int, list] = {}
+    for entry in entries:
+        by_k.setdefault(entry[2], []).append(entry)
+
+    def flush(batch, grids, f1, out):
+        f1.update(_on_grids(F1, {j1: (j1, grid) for j1, grid in grids.items() if grid is not None and j1 not in f1}))
+        f2 = _on_grids(F2, {n: (j2, shift(grids[j1], k)) for n, (j1, j2, k) in enumerate(batch)})
+        for n, (j1, _, k) in enumerate(batch):
+            _fold(out[k], product(f1[j1], f2[n]))
+
+    def at(r, chosen) -> dict[int, np.ndarray]:
+        r = np.asarray(r, dtype=float)
+        column = columns(r)
+        out, batch, grids, f1, size = {}, [], {}, {}, 0
+        for j1, j2, k, s1 in chosen:
+            if k not in out:
+                out[k] = np.zeros(r.shape, dtype=complex)
+            if size >= BATCH_VALUES:
+                flush(batch, grids, f1, out)
+                batch, size = [], 0
+                grids = {j1: grids[j1]} if j1 in grids else {}
+                f1 = {j1: f1[j1]} if j1 in f1 else {}
+            if j1 not in grids:
+                grids[j1] = column(j1, s1)
+            if grids[j1] is not None:
+                batch.append((j1, j2, k))
+                size += grids[j1].size
+        flush(batch, grids, f1, out)
+        return out
+
+    comps = {k: SumKernel(lambda r, es=es, k=k: at(r, es)[k]) for k, es in by_k.items()}
+    return AlgElem(comps, lambda r: at(r, entries))
+
+
 def inner_left(ctx: BimCtx, F1: ModElem, F2: ModElem) -> AlgElem:
     """<F1,F2>(r,k) = sum_m F1(cr + m, [dm]) conj F2(cr + m - k*gamma, [dm-k]).
 
@@ -463,27 +623,20 @@ def inner_left(ctx: BimCtx, F1: ModElem, F2: ModElem) -> AlgElem:
     M, cc, g = ctx.modulus, ctx.c, ctx.gamma_f
     if not g > 0:
         raise ValueError(f"gamma must be positive, got {g}")
-    pair_data: dict[int, list] = {}
-    supports2 = _supports(F2)
-    for j1, s1 in _supports(F1):
-        for j2, s2 in supports2:
-            for k in _k_window(s1[0] - s2[1], s1[1] - s2[0], g, j1 - j2, M):
-                pair_data.setdefault(k, []).append((j1, j2, s1))
+    entries = _aligned_pairs(F1, F2, M, lambda j: -j, lambda s1, s2: (s1[0] - s2[1], s1[1] - s2[0], g))
 
-    def make(k, entries):
-        def comp(r):
-            r = np.asarray(r, dtype=float)
-            acc = np.zeros(r.shape, dtype=complex)
-            cr, r_lo, r_hi = cc * r, float(np.min(r)), float(np.max(r))
-            for j1, j2, s1 in entries:
-                ms = _m_column((ctx.a * j1) % M, s1[0] - cc * r_hi, s1[1] - cc * r_lo, M, r.ndim)
-                if ms.size:
-                    _fold(acc, F1.eval(cr + ms, j1) * np.conj(F2.eval(cr + ms - k * g, j2)))
-            return acc
+    def columns(r):
+        cr, r_lo, r_hi = cc * r, float(np.min(r)), float(np.max(r))
 
-        return SumKernel(comp)
+        def column(j1, s1):
+            ms = _m_column((ctx.a * j1) % M, s1[0] - cc * r_hi, s1[1] - cc * r_lo, M, r.ndim)
+            return cr + ms if ms.size else None
 
-    return AlgElem({k: make(k, entries) for k, entries in pair_data.items()})
+        return column
+
+    # np.multiply, not `*`: `*` would multiply the temporary conj(y) of 256 KiB or more
+    # in place, which can differ in the last ulp (see _class_sum)
+    return _inner(F1, F2, entries, columns, lambda grid, k: grid - k * g, lambda x, y: np.multiply(x, np.conj(y)))
 
 
 def inner_right(ctx: BimCtx, F1: ModElem, F2: ModElem) -> AlgElem:
@@ -496,28 +649,18 @@ def inner_right(ctx: BimCtx, F1: ModElem, F2: ModElem) -> AlgElem:
     M, cc, g = ctx.modulus, ctx.c, ctx.gamma_f
     if not g > 0:
         raise ValueError(f"gamma must be positive, got {g}")
-    pair_data: dict[int, list] = {}
-    supports2 = _supports(F2)
-    for j1, s1 in _supports(F1):
-        for j2, s2 in supports2:
-            for k in _k_window(s2[0] - s1[1], s2[1] - s1[0], 1.0, ctx.a * (j2 - j1), M):
-                pair_data.setdefault(k, []).append((j1, j2, s1))
+    entries = _aligned_pairs(F1, F2, M, lambda j: ctx.a * j, lambda s1, s2: (s2[0] - s1[1], s2[1] - s1[0], 1.0))
 
-    def make(k, entries):
-        def comp(r):
-            r = np.asarray(r, dtype=float)
-            acc = np.zeros(r.shape, dtype=complex)
-            cr, r_lo, r_hi = cc * r, float(np.min(r)), float(np.max(r))
-            for j1, j2, s1 in entries:
-                ms = _m_column((-j1) % M, cc * r_lo - s1[1] / g, cc * r_hi - s1[0] / g, M, r.ndim)
-                if ms.size:
-                    u = (cr - ms) * g
-                    _fold(acc, np.conj(F1.eval(u, j1)) * F2.eval(u + k, j2))
-            return acc
+    def columns(r):
+        cr, r_lo, r_hi = cc * r, float(np.min(r)), float(np.max(r))
 
-        return SumKernel(comp)
+        def column(j1, s1):
+            ms = _m_column((-j1) % M, cc * r_lo - s1[1] / g, cc * r_hi - s1[0] / g, M, r.ndim)
+            return (cr - ms) * g if ms.size else None
 
-    return AlgElem({k: make(k, entries) for k, entries in pair_data.items()})
+        return column
+
+    return _inner(F1, F2, entries, columns, lambda grid, k: grid + k, lambda x, y: np.multiply(np.conj(x), y))
 
 
 # -- connecting maps -----------------------------------------------------------------
@@ -543,9 +686,10 @@ def level_embed(ctx: BimCtx, F: ModElem, scale: float = 1.0) -> ModElem:
     stride = ctx.proj.c0 * p ** (2 * ctx.n + 1)
     out: dict = {}
     for j, pairs in F.terms.items():
+        spread = tuple((c * scale, Dilated(atom, float(p))) for c, atom in pairs)  # one tuple for all p classes
         for i in range(p):
             idx = (j * p + i * stride) % target
-            out[idx] = out.get(idx, ()) + tuple((c * scale, Dilated(atom, float(p))) for c, atom in pairs)
+            out[idx] = out[idx] + spread if idx in out else spread
     return ModElem(target, out)
 
 
@@ -588,37 +732,67 @@ def random_mod_elem(rng: random.Random, modulus: int) -> ModElem:
     return out
 
 
+def _uniform(rng: random.Random, lo: float, hi: float, count: int) -> list[float]:
+    # the draws of rng.uniform(lo, hi), which computes lo + (hi - lo) * rng.random()
+    span, draw = hi - lo, rng.random
+    return [lo + span * draw() for _ in range(count)]
+
+
 def _t_samples(rng: random.Random, supports, count: int) -> np.ndarray:
     lo = min((s[0] for s in supports if s is not NO_SUPPORT), default=-1.0)
     hi = max((s[1] for s in supports if s is not NO_SUPPORT), default=1.0)
     lo, hi = lo - 1.0, hi + 1.0
     grid = [lo + (hi - lo) * q / 32 for q in range(33)]
-    extra = [rng.uniform(lo, hi) for _ in range(max(0, count - len(grid)))]
-    return np.asarray(grid + extra)
+    return np.asarray(grid + _uniform(rng, lo, hi, count - len(grid)))
 
 
 def _r_samples(rng: random.Random, count: int) -> np.ndarray:
     grid = [q / 64 for q in range(64)]
-    extra = [rng.uniform(0.0, 2.0) for _ in range(max(0, count - len(grid)))]
-    return np.asarray(grid + extra)
+    return np.asarray(grid + _uniform(rng, 0.0, 2.0, count - len(grid)))
+
+
+def _worst(diffs: np.ndarray) -> float:
+    """Largest modulus in diffs, 0.0 if empty; NaN if any entry is NaN, so the identity fails."""
+    return float(np.max(np.abs(diffs), initial=0.0))
+
+
+def _worse(err: float, e: float) -> float:
+    # max(err, nan) keeps err; a NaN deviation must stay NaN
+    return e if math.isnan(e) else max(err, e)
 
 
 def mod_diff(A: ModElem, B: ModElem, rng: random.Random, points: int) -> float:
+    """Largest pointwise |A - B| over every class, on one sampled t grid.
+
+    Each distinct atom (by identity) is evaluated on the grid once, and each
+    distinct term tuple summed once, in term order, for all the classes that
+    hold it.
+    """
     if A.modulus != B.modulus:
         raise ValueError("modulus mismatch in comparison")
     t = _t_samples(rng, [A.support(), B.support()], points)
-    err = 0.0
-    for j in sorted(set(A.indices()) | set(B.indices())):
-        err = max(err, float(np.max(np.abs(A.eval(t, j) - B.eval(t, j)), initial=0.0)))
-    return err
+    values: dict = {}
+    sums: dict = {}
+
+    def on_t(atom):
+        return _once(values, atom, lambda a: a.eval(t))
+
+    def class_sum(F, j):
+        return _once(sums, F.terms.get(j, ()), lambda pairs: _class_sum(pairs, t, on_t))
+
+    classes = sorted(A.terms.keys() | B.terms.keys())
+    diffs = np.empty((len(classes),) + t.shape, dtype=complex)
+    for row, j in zip(diffs, classes):
+        np.subtract(class_sum(A, j), class_sum(B, j), out=row)
+    return _worst(diffs)
 
 
 def alg_diff(A: AlgElem, B: AlgElem, rng: random.Random, points: int) -> float:
+    """Largest pointwise |A - B| over every component, on one sampled r grid."""
     r = _r_samples(rng, points)
-    err = 0.0
-    for k in sorted(set(A.keys()) | set(B.keys())):
-        err = max(err, float(np.max(np.abs(A.eval(r, k) - B.eval(r, k)), initial=0.0)))
-    return err
+    a, b = A.eval_all(r), B.eval_all(r)
+    zero = np.zeros(r.shape, dtype=complex)
+    return _worst(np.asarray([a.get(k, zero) - b.get(k, zero) for k in sorted(a.keys() | b.keys())]))
 
 
 IDENTITY_KEYS = (
@@ -637,7 +811,7 @@ def identity_suite(
     plan: SamplePlan = SamplePlan(),
     corrupt_gamma: float = 0.0,
 ) -> dict[str, float]:
-    """Max pointwise deviation of each compatibility identity at this level.
+    """Max pointwise deviation of each compatibility identity at this level (NaN if any sample is NaN).
 
     (a) iota intertwines the left generator actions (U at level n vs U^p at n+1);
     (b) same on the right;
@@ -665,29 +839,29 @@ def identity_suite(
         for gen in ("U", "V"):
             lhs = level_embed(ctx, act_left_gen(ctx, gen, 1, F))
             rhs = act_left_gen(ctx2, gen, p, iF)
-            errs["iota_left_action"] = max(errs["iota_left_action"], mod_diff(lhs, rhs, rng, plan.t_points))
+            errs["iota_left_action"] = _worse(errs["iota_left_action"], mod_diff(lhs, rhs, rng, plan.t_points))
 
             lhs = level_embed(ctx, act_right_gen(ctx, gen, 1, F))
             rhs = act_right_gen(ctx2, gen, p, iF)
-            errs["iota_right_action"] = max(errs["iota_right_action"], mod_diff(lhs, rhs, rng, plan.t_points))
+            errs["iota_right_action"] = _worse(errs["iota_right_action"], mod_diff(lhs, rhs, rng, plan.t_points))
 
         lhs = phi_embed(inner_left(ctx, F, G), p)
         rhs = inner_left(ctx2, iF, iG)
-        errs["phi_left_inner"] = max(errs["phi_left_inner"], alg_diff(lhs, rhs, rng, plan.r_points))
+        errs["phi_left_inner"] = _worse(errs["phi_left_inner"], alg_diff(lhs, rhs, rng, plan.r_points))
 
         lhs = phi_embed(inner_right(ctx, F, G), p)
         rhs = inner_right(ctx2, iF, iG)
-        errs["psi_right_inner"] = max(errs["psi_right_inner"], alg_diff(lhs, rhs, rng, plan.r_points))
+        errs["psi_right_inner"] = _worse(errs["psi_right_inner"], alg_diff(lhs, rhs, rng, plan.r_points))
 
         lhs = act_alg_left(ctx, inner_left(ctx, F, G), H)
         rhs = act_alg_right(ctx, F, inner_right(ctx, G, H))
         e = mod_diff(lhs, rhs, rng, plan.t_points)
         uv = act_left_gen(ctx, "U", 1, act_left_gen(ctx, "V", 1, F))
         vu = act_left_gen(ctx, "V", 1, act_left_gen(ctx, "U", 1, F)).scaled(cmath.exp(TWO_PI_I * ctx.beta_f))
-        e = max(e, mod_diff(uv, vu, rng, plan.t_points))
+        e = _worse(e, mod_diff(uv, vu, rng, plan.t_points))
         ruv = act_right_gen(ctx, "V", 1, act_right_gen(ctx, "U", 1, F))
         rvu = act_right_gen(ctx, "U", 1, act_right_gen(ctx, "V", 1, F)).scaled(cmath.exp(TWO_PI_I * ctx.alpha_f))
-        e = max(e, mod_diff(ruv, rvu, rng, plan.t_points))
-        errs["imprimitivity"] = max(errs["imprimitivity"], e)
+        e = _worse(e, mod_diff(ruv, rvu, rng, plan.t_points))
+        errs["imprimitivity"] = _worse(errs["imprimitivity"], e)
 
     return errs

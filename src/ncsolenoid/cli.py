@@ -35,8 +35,9 @@ MAX_TRUNC_K = 3000
 # tower levels for --n: alpha_n has denominator p**n, which for the largest prime below exactnum.MR_LIMIT
 # has about 25*n digits, so every accepted level prints within Python's 4300-digit int-to-string limit
 MAX_LEVEL = 100
-# sample sizes of bimodule verify: its time is about 16 us per hat and point at p = 2 and grows with p;
-# at p <= 7 and --n 0, MAX_HATS hats on MAX_POINTS points finish within about 2 s end to end
+# sample sizes of bimodule verify.  At --n 0, MAX_HATS hats on MAX_POINTS points take about 0.5 s end to end
+# at p = 2, 0.7 s at p = 7 and 4.6 s at p = 101.  Each hat spreads over p classes, so the time grows with
+# p * hats: at p = 1009, 4 hats on 10 points take about 0.5 s and MAX_HATS hats about 8 s (no bound covers p)
 MAX_HATS = 100
 MAX_POINTS = 500
 

@@ -197,15 +197,17 @@ def check_bimodule(
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
     report = identity_suite(spec, proj, n, plan)
-    worst = max(report.values())
+    # a NaN or infinite deviation fails, and is written as null so the report stays strict JSON
+    finite = all(math.isfinite(e) for e in report.values())
+    worst = max(report.values()) if finite else None
     return {
         "name": "bimodule-identities",
         "level": n,
         "seed": plan.seed,
-        "identities": report,
+        "identities": {key: e if math.isfinite(e) else None for key, e in report.items()},
         "tolerance": tolerance,
         "max_error": worst,
-        "pass": worst <= tolerance,
+        "pass": finite and worst <= tolerance,
     }
 
 

@@ -2,12 +2,14 @@
 and the compatibility identity suite at small sample plans."""
 
 import dataclasses
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
+from ncsolenoid import bimodule
 from ncsolenoid.bimodule import (
     AlgElem,
     BimCtx,
@@ -20,7 +22,9 @@ from ncsolenoid.bimodule import (
     Shifted,
     SumKernel,
     TrigPoly,
+    _k_window,
     _r_samples,
+    _t_samples,
     act_alg_left,
     act_alg_right,
     act_left_gen,
@@ -37,6 +41,7 @@ from ncsolenoid.bimodule import (
 )
 from ncsolenoid.exactnum import QuadReal
 from ncsolenoid.morita import ProjectionData
+from ncsolenoid.suite import check_bimodule
 from ncsolenoid.padic import PAdic
 from ncsolenoid.solenoid import SolenoidSpec
 
@@ -279,6 +284,14 @@ def _per_m_kernel(ctx, F1, F2, side, k, r):
     return acc, entries, empty
 
 
+def _planted(rng, M, coef):
+    """A random element plus the same narrow and wide hats at two classes each."""
+    narrow = HatFn((0.1, 0.3, 0.5), (0j, 1 + 1j, 0j))
+    wide = HatFn((-1.5 * M, 0.2 * M, 1.5 * M), (0j, 0.7 - 1.3j, 0j))
+    planted = {0: narrow, 1: Shifted(narrow, 0.05), 2: wide, 3: Shifted(wide, 0.3)}
+    return random_mod_elem(rng, M).add(ModElem(M, {j: ((coef * (1 + 0.5j * j), atom),) for j, atom in planted.items()}))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("n", [0, 1])
 def test_inner_kernels_match_per_m_reference(p, n):
@@ -288,14 +301,7 @@ def test_inner_kernels_match_per_m_reference(p, n):
     # the same hats at two classes each give kernels with more than one (j1, j2) entry; a
     # wide hat puts several m in one window, and at a single r point the m window of a
     # narrow hat can miss its residue class
-    narrow = HatFn((0.1, 0.3, 0.5), (0j, 1 + 1j, 0j))
-    wide = HatFn((-1.5 * M, 0.2 * M, 1.5 * M), (0j, 0.7 - 1.3j, 0j))
-
-    def element(coef):
-        planted = {0: narrow, 1: Shifted(narrow, 0.05), 2: wide, 3: Shifted(wide, 0.3)}
-        return random_mod_elem(rng, M).add(ModElem(M, {j: ((coef * (1 + 0.5j * j), atom),) for j, atom in planted.items()}))
-
-    F, G = element(1.0), element(-0.4 + 2j)
+    F, G = _planted(rng, M, 1.0), _planted(rng, M, -0.4 + 2j)
     line = np.concatenate([np.linspace(0.0, 1.0, 41), [rng.uniform(0.0, 2.0) for _ in range(19)]])
     rs = (line, line.reshape(3, 20), np.array([0.37]))
     most = empty = 0
@@ -312,6 +318,221 @@ def test_inner_kernels_match_per_m_reference(p, n):
                     most, empty = max(most, entries), empty + misses
     if M > 1:
         assert most >= 2 and empty > 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("batch", [1, None, 10**9], ids=["entry", "default", "all"])
+def test_inner_all_k_matches_per_m_reference(p, n, batch, monkeypatch):
+    # level_embed spreads each class over p classes that share one term tuple, so the
+    # all-k path evaluates each F2 tuple on the concatenated grids of many entries; a
+    # batch of one value holds one entry, and one of 10**9 all of them
+    if batch is not None:
+        monkeypatch.setattr(bimodule, "BATCH_VALUES", batch)
+    ctx, ctx2 = ctx_at(p, n), ctx_at(p, n + 1)
+    rng = random.Random(200 * p + n)
+    iF = level_embed(ctx, _planted(rng, ctx.modulus, 1.0))
+    iG = level_embed(ctx, _planted(rng, ctx.modulus, -0.4 + 2j))
+    assert len({id(pairs) for pairs in iG.terms.values()}) * p == len(iG.terms)
+    line = np.concatenate([np.linspace(0.0, 1.0, 41), [rng.uniform(0.0, 2.0) for _ in range(19)]])
+    for side, inner in (("left", inner_left), ("right", inner_right)):
+        A = inner(ctx2, iF, iG)
+        assert A.keys()
+        for r in (line, line.reshape(3, 20)):
+            every = A.eval_all(r)
+            assert sorted(every) == list(A.keys())
+            for k in A.keys():
+                want, _, _ = _per_m_kernel(ctx2, iF, iG, side, k, r)
+                assert np.array_equal(every[k].view(np.float64), want.view(np.float64)), (side, k, r.shape)
+                assert np.array_equal(A.eval(r, k).view(np.float64), want.view(np.float64)), (side, k, r.shape)
+        # phi_embed passes the all-k path through on the dilated grid
+        every = phi_embed(A, p).eval_all(line)
+        assert sorted(every) == [k * p for k in A.keys()]
+        for k in A.keys():
+            assert np.array_equal(every[k * p].view(np.float64), A.eval(line * p, k).view(np.float64))
+
+
+def test_inner_batches_bound_the_values_held(monkeypatch):
+    # an evaluation holds one batch's grids and values at a time: F2 is evaluated on at most
+    # BATCH_VALUES values plus one entry's grid, however many entries there are
+    ctx = ctx_at(7, 0)
+    wide = HatFn((-40.0, 1.0, 40.0), (0j, 1 - 2j, 0j))  # c = 1: one class, many k and many m rows
+    F = ModElem.delta(ctx.modulus, 0, wide)
+    sizes = []
+    on_grids = bimodule._on_grids
+
+    def recorded(G, requests):
+        sizes.append([grid.size for _, grid in requests.values()])
+        return on_grids(G, requests)
+
+    monkeypatch.setattr(bimodule, "_on_grids", recorded)
+    for inner in (inner_left, inner_right):
+        sizes.clear()
+        inner(ctx, F, F).eval_all(np.linspace(0.0, 2.0, 200))
+        f2 = sizes[1::2]  # each batch evaluates F1, then F2
+        assert len(f2) > 3
+        assert sum(map(sum, f2)) > 10 * bimodule.BATCH_VALUES
+        assert max(sum(s) - s[-1] for s in f2) < bimodule.BATCH_VALUES
+
+
+def _pairs_reference(ctx, F1, F2, side):
+    """k -> [(j1, j2)] from every pair of classes and every k of its window, in (j1, j2, k) order."""
+    M, g = ctx.modulus, ctx.gamma_f
+    out = {}
+    for j1 in F1.terms:
+        s1 = F1.support(j1)
+        for j2 in F2.terms:
+            s2 = F2.support(j2)
+            if side == "left":
+                window = _k_window(s1[0] - s2[1], s1[1] - s2[0], g, j1 - j2, M)
+            else:
+                window = _k_window(s2[0] - s1[1], s2[1] - s1[0], 1.0, ctx.a * (j2 - j1), M)
+            for k in window:
+                out.setdefault(k, []).append((j1, j2))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_aligned_pairs_match_every_pair_reference(p):
+    # the k of an inner product, in the order they first appear: act_alg_left and
+    # act_alg_right add their terms in that order (each k's sum is checked bitwise above)
+    rng = random.Random(400 + p)
+    for n in (0, 1, 2):
+        ctx, ctx2 = ctx_at(p, n), ctx_at(p, n + 1)
+        for _ in range(3):
+            F, G = _planted(rng, ctx.modulus, 1.0), _planted(rng, ctx.modulus, 0.5 - 1j)
+            cases = [(ctx, F, G), (ctx, G, random_mod_elem(rng, ctx.modulus)), (ctx2, level_embed(ctx, F), level_embed(ctx, G))]
+            for c, F1, F2 in cases:
+                for side, inner in (("left", inner_left), ("right", inner_right)):
+                    assert list(inner(c, F1, F2).comps) == list(_pairs_reference(c, F1, F2, side)), (side, n)
+
+
+def _mod_diff_reference(A, B, rng, points):
+    """mod_diff one class at a time, with the t draws of rng.uniform."""
+    lo = min(s[0] for s in (A.support(), B.support()) if s is not None) - 1.0
+    hi = max(s[1] for s in (A.support(), B.support()) if s is not None) + 1.0
+    t = np.asarray([lo + (hi - lo) * q / 32 for q in range(33)] + [rng.uniform(lo, hi) for _ in range(points - 33)])
+    err = 0.0
+    for j in sorted(set(A.indices()) | set(B.indices())):
+        err = max(err, float(np.max(np.abs(A.eval(t, j) - B.eval(t, j)), initial=0.0)))
+    return err
+
+
+def _alg_diff_reference(A, B, rng, points):
+    """alg_diff one component at a time, with the r draws of rng.uniform."""
+    r = np.asarray([q / 64 for q in range(64)] + [rng.uniform(0.0, 2.0) for _ in range(points - 64)])
+    err = 0.0
+    for k in sorted(set(A.keys()) | set(B.keys())):
+        err = max(err, float(np.max(np.abs(A.eval(r, k) - B.eval(r, k)), initial=0.0)))
+    return err
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_diffs_match_per_class_reference(p):
+    ctx, ctx2 = ctx_at(p, 0), ctx_at(p, 1)
+    rng = random.Random(300 + p)
+    for seed in range(6):
+        F, G = random_mod_elem(rng, ctx.modulus), random_mod_elem(rng, ctx.modulus)
+        iF = level_embed(ctx, F)
+        pairs = [
+            (level_embed(ctx, act_left_gen(ctx, "U", 1, F)), act_left_gen(ctx2, "U", p, iF)),
+            (level_embed(ctx, act_right_gen(ctx, "V", 1, F)), act_right_gen(ctx2, "V", p, iF)),
+            (iF, level_embed(ctx, G)),
+            (act_alg_left(ctx, inner_left(ctx, F, G), F), act_alg_right(ctx, F, inner_right(ctx, G, F))),
+        ]
+        for A, B in pairs:
+            got = mod_diff(A, B, random.Random(seed), 150)
+            assert got == _mod_diff_reference(A, B, random.Random(seed), 150)
+        for inner in (inner_left, inner_right):
+            lhs = phi_embed(inner(ctx, F, G), p)
+            rhs = inner(ctx2, iF, level_embed(ctx, G))
+            assert alg_diff(lhs, rhs, random.Random(seed), 100) == _alg_diff_reference(lhs, rhs, random.Random(seed), 100)
+
+
+def test_sample_draws_are_those_of_uniform():
+    rng, ref = random.Random(9), random.Random(9)
+    t = _t_samples(rng, [(-2.0, 1.5), None], 90)
+    assert t[33:].tolist() == [ref.uniform(-3.0, 2.5) for _ in range(57)]
+    r = _r_samples(rng, 80)
+    assert r[64:].tolist() == [ref.uniform(0.0, 2.0) for _ in range(16)]
+
+
+class Counted:
+    """An atom that counts its evaluations."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def eval(self, t):
+        self.calls += 1
+        return self.fn.eval(t)
+
+    def support(self):
+        return self.fn.support()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_shared_atoms_evaluate_once_per_grid(p, monkeypatch):
+    ctx, ctx2 = ctx_at(p, 0), ctx_at(p, 1)
+    f = Counted(HatFn((0.0, 0.4, 1.1), (0j, 1 - 1j, 0j)))
+    g = Counted(HatFn((-2.0, 0.9, 3.5), (0j, 0.5 + 2j, 0j)))  # wide: each j1 aligns at several k
+    iF = level_embed(ctx, ModElem.delta(ctx.modulus, 0, f))
+    iG = level_embed(ctx, ModElem.delta(ctx.modulus, 0, g, coef=0.3j))
+    assert len(iF.terms) == p and len({id(pairs) for pairs in iF.terms.values()}) == 1
+    # p classes on each side hold the one dilated atom: one evaluation per t grid
+    mod_diff(iF, iF.scaled(2.0), random.Random(1), 60)
+    assert f.calls == 1
+    # so do the p classes a U action moves: one shifted atom per side
+    mod_diff(act_left_gen(ctx2, "U", p, iF), act_right_gen(ctx2, "U", p, iF), random.Random(2), 60)
+    assert f.calls == 3
+    # the all-k path evaluates each shared term tuple once per batch, on the grids of all
+    # its entries there: once in all when they fit one batch
+    monkeypatch.setattr(bimodule, "BATCH_VALUES", 10**9)
+    A = inner_left(ctx2, iF, iG)
+    r = np.linspace(0.0, 1.0, 17)
+    f.calls = g.calls = 0
+    A.eval_all(r)
+    assert (f.calls, g.calls) == (1, 1)
+    g.calls = 0
+    alg_diff(phi_embed(inner_right(ctx, ModElem.delta(ctx.modulus, 0, f), ModElem.delta(ctx.modulus, 0, g)), p),
+             inner_right(ctx2, iF, iG), random.Random(3), 80)
+    assert g.calls == 2  # once per side, each side one grid
+    # in batches of one entry F2 is evaluated once per entry, and F1 still once per j1 grid
+    monkeypatch.setattr(bimodule, "BATCH_VALUES", 1)
+    f.calls = g.calls = 0
+    A.eval_all(r)
+    window = lambda s1, s2: (s1[0] - s2[1], s1[1] - s2[0], ctx2.gamma_f)  # inner_left's
+    entries = bimodule._aligned_pairs(iF, iG, ctx2.modulus, lambda j: -j, window)
+    assert g.calls == len(entries) > f.calls == len({j1 for j1, _, _, _ in entries}) > 1
+
+
+def _nan_hat():
+    return HatFn((0.0, 0.5, 1.0), (0j, complex(math.nan, 1.0), 0j))
+
+
+def test_nan_deviation_is_nan_in_every_class():
+    f = HatFn((0.0, 0.5, 1.0), (0j, 1 + 0j, 0j))
+    for nan_class in (0, 1):
+        A = ModElem(4, {0: ((1.0 + 0j, f),), 1: ((1.0 + 0j, f),)})
+        B = ModElem(4, {0: ((2.0 + 0j, f),), 1: ((2.0 + 0j, f),)}).add(ModElem.delta(4, nan_class, _nan_hat()))
+        assert math.isnan(mod_diff(A, B, random.Random(0), 50))
+    ctx = ctx_at(2, 0)
+    F = ModElem.delta(1, 0, _nan_hat())
+    assert math.isnan(alg_diff(inner_left(ctx, F, F), AlgElem(), random.Random(0), 70))
+    assert math.isnan(alg_diff(AlgElem(), inner_right(ctx, F, F), random.Random(0), 70))
+
+
+def test_nan_deviation_fails_the_report(monkeypatch):
+    import ncsolenoid.bimodule as bimodule
+
+    monkeypatch.setattr(bimodule, "random_hat", lambda rng: _nan_hat())
+    plan = SamplePlan(seed=1, hats=1, r_points=70, t_points=50)
+    report = identity_suite(spec_p(2), ProjectionData(1, 1, 0), 0, plan)
+    assert all(math.isnan(e) for e in report.values())
+    rep = check_bimodule(spec_p(2), ProjectionData(1, 1, 0), 0, plan)
+    assert rep["pass"] is False and rep["max_error"] is None
+    assert set(rep["identities"].values()) == {None}
+    json.dumps(rep, allow_nan=False)
 
 
 def test_inner_products_periodic_and_positive():
