@@ -13,10 +13,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import suite as suite_mod
-from .exactnum import QuadReal
+from .exactnum import QuadReal, parse_rational
 from .morita import (
     ConditionError,
     ProjectionData,
@@ -52,7 +51,7 @@ def _parse_digits(p: int, text: str) -> PAdic:
     body = text.strip()
     if body.startswith("x="):
         body = body[2:]
-    return PAdic.from_rational(p, Fraction(body))
+    return PAdic.from_rational(p, parse_rational(body))
 
 
 def _count(text: str) -> int:
@@ -130,7 +129,7 @@ def _render_text(obj, indent: str = "") -> str:
 
 
 def _cmd_padic(args) -> dict:
-    value = PAdic.from_rational(args.p, Fraction(args.value))
+    value = PAdic.from_rational(args.p, parse_rational(args.value))
     base = {"p": args.p, "value": args.value}
     if args.padic_cmd == "inv":
         base["inverse"] = value.invert().to_json()
@@ -293,42 +292,46 @@ COMMANDS = {
 }
 
 
-def _named(names, argv):
-    """The first of names that argv holds, and the rest of argv after it; (None, None) without argv."""
-    if argv is None:
-        return None, None
-    name = next((a for a in argv if a in names), None)
-    return name, argv[argv.index(name) + 1 :] if name else []
-
-
 def _add_args(parser: argparse.ArgumentParser, args) -> None:
     for flags, kwargs in args:
         parser.add_argument(*flags, **kwargs)
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser, with sub-parsers only for the group argv names and arguments only for its leaf.
+    """The parser for argv, with only the group and leaf that argv opens with.
 
-    Every group is listed with its help, so the top-level help and usage line are
-    always the full parser's. Without argv, every group and leaf is built in full.
+    The group must be argv's first token, or the first after one complete --format json|text
+    or --format=X, and the leaf the next token.  argparse hands the rest of argv to that leaf,
+    so no other sub-parser is consulted, and the sub-parser metavars list every name: usage
+    lines and error messages are the full parser's.  Any other argv (help above the leaf, a
+    junk or misplaced first token), and no argv, builds every group and leaf.
     """
+    head = argv or []
+    if head[:2] in (["--format", "json"], ["--format", "text"]):
+        head = head[2:]
+    elif head and head[0].startswith("--format="):
+        head = head[1:]
+    group, leaf = [*head[:2], None, None][:2]
+    if group not in COMMANDS or (COMMANDS[group][2] and leaf not in COMMANDS[group][3]):
+        group = leaf = None
+
+    def names(table):  # argparse's own metavar; the full build sets none, as a metavar also renames errors
+        return "{%s}" % ",".join(table) if group else None
+
     parser = argparse.ArgumentParser(prog="ncsolenoid", description=__doc__)
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    subs = parser.add_subparsers(dest="command", required=True)
-    group, rest = _named(COMMANDS, argv)
+    subs = parser.add_subparsers(dest="command", required=True, metavar=names(COMMANDS))
     for name, (help_, _, dest, leaves) in COMMANDS.items():
-        gp = subs.add_parser(name, help=help_)
-        if argv is not None and name != group:
+        if group not in (None, name):
             continue
+        gp = subs.add_parser(name, help=help_)
         if dest is None:
             _add_args(gp, leaves)
             continue
-        leaf_subs = gp.add_subparsers(dest=dest, required=True)
-        leaf, _ = _named(leaves, rest)
+        leaf_subs = gp.add_subparsers(dest=dest, required=True, metavar=names(leaves))
         for leaf_name, args in leaves.items():
-            sp = leaf_subs.add_parser(leaf_name)
-            if rest is None or leaf_name == leaf:
-                _add_args(sp, args)
+            if leaf in (None, leaf_name):
+                _add_args(leaf_subs.add_parser(leaf_name), args)
     return parser
 
 

@@ -62,6 +62,27 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Fraction(text) multiplies out a decimal exponent before any bound can see the value ("1e100000000"
+# runs for minutes), so a literal is measured as written first.  Its numerator and denominator may have
+# at most MAX_LITERAL_DIGITS digits, the limit Python already puts on the digit strings int() reads
+MAX_LITERAL_DIGITS = 4300
+_LITERAL_RE = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?)([\d_]+))?\s*(?:/\s*([\d_]+)\s*)?\Z")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text), once its numerator and denominator as written fit MAX_LITERAL_DIGITS digits."""
+    m = _LITERAL_RE.match(text)
+    if m:
+        whole, frac, sign, exp, den = (g.replace("_", "") if g else "" for g in m.groups())
+        exp = exp.lstrip("0")
+        # an exponent of six digits or more is past the bound on one side or the other, however it is written
+        shift = (int(exp or 0) if len(exp) < 6 else 10**6) * (-1 if sign == "-" else 1) - len(frac)
+        if max(len(whole + frac) + max(shift, 0), len(den) or max(-shift, 0) + 1) > MAX_LITERAL_DIGITS:
+            raise ValueError(f"a rational's numerator and denominator may have at most MAX_LITERAL_DIGITS = "
+                             f"{MAX_LITERAL_DIGITS} digits as written")
+    return Fraction(text)
+
+
 class PFrac:
     """Element j / p**k of Z[1/p], stored in reduced form.
 
@@ -413,7 +434,7 @@ class QuadReal:
             den = int(c) if c else 1
             bb = -1 if b == "-" else (1 if b in ("", "+") else int(b))
             return cls(0, Fraction(bb, den), int(D))
-        return cls(Fraction(s))
+        return cls(parse_rational(s))
 
 
 def _quad(A: int, B: int, M: int, D: int) -> QuadReal:

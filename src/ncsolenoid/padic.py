@@ -144,7 +144,7 @@ class PAdic:
         m = num
         while m not in seen:
             if len(digits) == MAX_EXPANSION:
-                raise ValueError(f"{self.q} has more than MAX_EXPANSION = {MAX_EXPANSION} {p}-adic digits to display")
+                raise ValueError(f"the value has more than MAX_EXPANSION = {MAX_EXPANSION} {p}-adic digits to display")
             seen[m] = len(digits)
             d = (m * inv_den) % p
             digits.append(d)

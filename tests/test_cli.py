@@ -1,6 +1,9 @@
 """End-to-end command tests: argument surface, JSON shapes, exit codes,
 and byte-level reproducibility."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,11 +13,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncsolenoid
 from ncsolenoid.cli import COMMANDS, MAX_HATS, MAX_LEVEL, MAX_POINTS, MAX_TRUNC_K, build_parser, main
-from ncsolenoid.exactnum import MR_LIMIT
-from ncsolenoid.exactnum import QuadReal
+from ncsolenoid.exactnum import MAX_LITERAL_DIGITS, MR_LIMIT, QuadReal
 from ncsolenoid.morita import heisenberg_partner_spec
 from ncsolenoid.padic import PAdic
 from ncsolenoid.solenoid import SolenoidSpec
@@ -46,10 +50,12 @@ def test_check_condition_fail_exit_one(capsys):
     assert rep["pass"] is False and rep["gcd"] == "4"
 
 
-def test_unknown_subcommand_usage_error():
+def test_unknown_subcommand_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["definitely-not-a-command"])
     assert exc.value.code == 2
+    # the full parser sets no metavar, which would rename the argument here
+    assert "error: argument command: invalid choice: 'definitely-not-a-command'" in capsys.readouterr().err
 
 
 def test_missing_required_flag_usage_error():
@@ -115,11 +121,11 @@ def test_padic_inverse_frozen(capsys):
     assert inv.digit(0) == 3  # 7 * 3 = 21 = 1 mod 5
 
 
-def run_process(argv):
-    """The command in a fresh interpreter, bounded by a 10 s timeout."""
+def run_process(argv, timeout=10):
+    """The command in a fresh interpreter, bounded by a timeout in seconds."""
     return subprocess.run(
         [sys.executable, "-m", "ncsolenoid.cli", *argv],
-        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -205,6 +211,24 @@ def test_unbounded_work_usage_error(argv, bound):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and proc.stderr.strip().splitlines()[-1].startswith("ncsolenoid")
     assert bound in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["padic", "inv", "--p", "3", "--value", "1e100000000"],
+        ["padic", "inv", "--p", "3", "--value", "1e5000"],
+        ["solenoid", "alpha", "--p", "3", "--theta", "1/3", "--digits", "1e100000", "--n", "2"],
+        ["solenoid", "alpha", "--p", "3", "--theta", "1e10000000", "--digits", "x=1", "--n", "2"],
+    ],
+    ids=["value", "value-past-int-limit", "digits", "theta"],
+)
+def test_exponent_literal_usage_error(argv):
+    # Fraction would multiply out the exponent first: 1e100000000 ran for minutes, 1e10000000 for 8 s
+    proc = run_process(argv, timeout=2)
+    assert proc.returncode == 2
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("ncsolenoid") and f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS}" in last
 
 
 @pytest.mark.parametrize(
@@ -404,11 +428,14 @@ def test_morita_certify_roundtrip_and_outcomes(capsys, tmp_path):
     assert code == 1 and rep["status"] == "inconclusive"
 
 
-def test_morita_certify_bad_file_usage_error(tmp_path):
+def test_morita_certify_bad_file_usage_error(capsys, tmp_path):
     missing = str(tmp_path / "nope.json")
     with pytest.raises(SystemExit) as exc:
         main(["morita", "certify", "--spec-a", missing, "--spec-b", missing])
     assert exc.value.code == 2
+    # the scoped parser that reports the rejected file prints the full parser's usage line
+    err, usage = capsys.readouterr().err, build_parser().format_usage()
+    assert err.startswith(usage) and err[len(usage):].startswith(f"ncsolenoid: error: bad spec file {missing}")
     digits = {"p": 2, "ord": 0, "preperiod": [1], "period": [0]}
     bad_specs = [
         {"p": 2, "theta": "1/0", "digits": digits},
@@ -647,6 +674,12 @@ PARSE_ARGVS = [
     ["morita", "certify", "--spec-a", "certify", "--spec-b", "partner"],
     ["solenoid", "from-even", "--spec", "alpha", "--entries", "x"],
     ["bimodule", "verify", "--spec", "suite", "--c0", "1", "--d0", "0", "--points", str(MAX_POINTS + 1)],
+    ["a", "morita", "certify"],
+    ["--", "morita", "certify"],
+    ["--he", "morita", "certify"],
+    ["morita", "--he", "certify"],
+    ["morita", "x", "certify"],
+    ["--format", "morita", "certify"],
 ]
 
 
@@ -658,15 +691,52 @@ def test_leaf_table_covers_every_leaf():
     }
 
 
-def _parse(capsys, parser, argv):
-    try:
-        outcome = vars(parser.parse_args(argv))
-    except SystemExit as exc:
-        outcome = exc.code
-    captured = capsys.readouterr()
-    return outcome, captured.out, captured.err
+def _parse(parser, argv):
+    """The namespace or exit code, stdout and stderr of parsing argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            outcome = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            outcome = exc.code
+    return outcome, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("argv", PARSE_ARGVS, ids=" ".join)
-def test_scoped_parser_matches_full_parser(capsys, argv):
-    assert _parse(capsys, build_parser(argv), argv) == _parse(capsys, build_parser(), argv)
+def test_scoped_parser_matches_full_parser(argv):
+    assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv)
+
+
+# random argvs: an opening (none, one or a bad --format), then pieces that are single tokens or a whole
+# group-leaf chain.  The tokens are every name, every leaf flag, help in full and abbreviated, the
+# --format forms, -- and junk, so a chain can come first, after junk, or after help
+FORMATS = [[], ["--format", "text"], ["--format=json"], ["--format=xml"], ["--format"]]
+ARGV_TOKENS = sorted({
+    *COMMANDS,
+    *(leaf for _, _, dest, leaves in COMMANDS.values() if dest for leaf in leaves),
+    *(flag for args in LEAF_ARGV.values() for flag in args if flag.startswith("--")),
+    "-h", "--he", "--help", "--format", "--format=text", "--format=xml", "json", "text", "--", "a", "x", "1", "-1",
+})
+ARGV_PIECES = [*([token] for token in ARGV_TOKENS), *(list(leaf) for leaf in LEAF_ARGV)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.sampled_from(FORMATS), st.lists(st.sampled_from(ARGV_PIECES), max_size=5))
+def test_scoped_parser_matches_full_parser_on_random_argv(opening, pieces):
+    argv = [*opening, *(token for piece in pieces for token in piece)]
+    assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv)
+
+
+@pytest.mark.parametrize("leaf", LEAF_ARGV, ids=" ".join)
+def test_scoped_build_makes_only_the_opening_chain(monkeypatch, leaf):
+    # the top parser, the group and its leaf: 3 parsers, and 2 for suite, which has no leaves
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argv = [*leaf, *LEAF_ARGV[leaf]]
+    build_parser(argv).parse_args(argv)
+    assert len(built) == len(leaf) + 1

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncsolenoid.exactnum import (
+    MAX_LITERAL_DIGITS,
     MAX_RADICAND,
     MR_LIMIT,
     PFrac,
@@ -16,6 +17,7 @@ from ncsolenoid.exactnum import (
     floor,
     frac1,
     is_prime,
+    parse_rational,
 )
 
 
@@ -205,6 +207,35 @@ def test_quadreal_parse_print():
             rng.choice([0, 2, 3, 5, 6]),
         )
         assert QuadReal.parse(str(q)) == q
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["7", "-3/4", " 1_000 ", "1.5e-3", ".5", "5.", "1E+10", "0e0", "00012", "+7", "1_000.000_1e1_0",
+     "1e4299", "1e-4299", "1" * MAX_LITERAL_DIGITS, "1/" + "3" * MAX_LITERAL_DIGITS, "x", "", "1e", "1.2.3", "1/3e5"],
+)
+def test_parse_rational_is_fraction_within_bound(text):
+    # the numerator of 1e4299 and the denominator of 1e-4299 have exactly MAX_LITERAL_DIGITS digits
+    try:
+        expected = Fraction(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_rational(text)
+    else:
+        assert parse_rational(text) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e4300", "1e-4300", "1.5e-4299", "1" * (MAX_LITERAL_DIGITS + 1), "1/" + "3" * (MAX_LITERAL_DIGITS + 1),
+     "1e100000000", "-2.5E-100000000", "0e9999999", "1e" + "9" * 5000, "1e100_000"],
+)
+def test_parse_rational_rejects_long_literals_first(text):
+    # measured as written, before Fraction multiplies out any exponent
+    with pytest.raises(ValueError, match=f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS}"):
+        parse_rational(text)
+    with pytest.raises(ValueError, match="MAX_LITERAL_DIGITS"):
+        QuadReal.parse(text)
 
 
 def test_quadreal_division_errors():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncsolenoid import padic
 from ncsolenoid.exactnum import MR_LIMIT, PFrac
 from ncsolenoid.padic import MAX_EXPANSION, MAX_ORD_BITS, ORD_INF, PAdic, PrecisionError, TruncatedPAdic, _digits_value, _strip
 
@@ -387,6 +388,13 @@ def test_display_expansion_bound():
     with pytest.raises(ValueError, match="MAX_EXPANSION"):
         x.to_json()
     assert x.invert() == 3**12 and x.digit(10**6) in (0, 1)  # values and digit views need no expansion
+
+
+def test_display_expansion_bound_names_p_not_the_value(monkeypatch):
+    # 1/10**4301 is past Python's 4300-digit int-to-string limit, so the message must not print it
+    monkeypatch.setattr(padic, "MAX_EXPANSION", 10)
+    with pytest.raises(ValueError, match="MAX_EXPANSION = 10 3-adic digits"):
+        PAdic.from_rational(3, Fraction(1, 10**4301)).to_json()
 
 
 def test_json_ord_bound():
