@@ -63,10 +63,17 @@ def is_prime(n: int) -> bool:
 
 
 # Fraction(text) multiplies out a decimal exponent before any bound can see the value ("1e100000000"
-# runs for minutes), so a literal is measured as written first.  Its numerator and denominator may have
-# at most MAX_LITERAL_DIGITS digits, the limit Python already puts on the digit strings int() reads
+# runs for minutes), so a literal is measured as written first.  Its numerator and denominator, and each
+# integer of a surd literal, may have at most MAX_LITERAL_DIGITS digits, the limit Python already puts on
+# the digit strings int() reads
 MAX_LITERAL_DIGITS = 4300
 _LITERAL_RE = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?)([\d_]+))?\s*(?:/\s*([\d_]+)\s*)?\Z")
+
+
+def _check_literal_digits(digits: int) -> None:
+    if digits > MAX_LITERAL_DIGITS:
+        raise ValueError(f"each integer of a literal (a rational's numerator and denominator, a surd's coefficients "
+                         f"and radicand) may have at most MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits as written")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -77,9 +84,7 @@ def parse_rational(text: str) -> Fraction:
         exp = exp.lstrip("0")
         # an exponent of six digits or more is past the bound on one side or the other, however it is written
         shift = (int(exp or 0) if len(exp) < 6 else 10**6) * (-1 if sign == "-" else 1) - len(frac)
-        if max(len(whole + frac) + max(shift, 0), len(den) or max(-shift, 0) + 1) > MAX_LITERAL_DIGITS:
-            raise ValueError(f"a rational's numerator and denominator may have at most MAX_LITERAL_DIGITS = "
-                             f"{MAX_LITERAL_DIGITS} digits as written")
+        _check_literal_digits(max(len(whole + frac) + max(shift, 0), len(den) or max(-shift, 0) + 1))
     return Fraction(text)
 
 
@@ -399,6 +404,16 @@ class QuadReal:
     def is_rational(self) -> bool:
         return self.B == 0
 
+    def discriminant(self) -> int:
+        """Discriminant of the primitive integer quadratic with root self; 0 for a rational.
+
+        (M x - A)^2 = B^2 D gives M^2 x^2 - 2AM x + A^2 - B^2 D, of discriminant
+        4 B^2 D M^2 before its content g is divided out.
+        """
+        A, B, M, D = self.A, self.B, self.M, self.D
+        g = math.gcd(M * M, 2 * A * M, A * A - B * B * D)
+        return 4 * D * (B * M) ** 2 // (g * g)
+
     def as_fraction(self) -> Fraction:
         if self.B != 0:
             raise ValueError(f"{self} is irrational")
@@ -413,27 +428,36 @@ class QuadReal:
     def __repr__(self) -> str:
         return f"QuadReal({self})"
 
+    # a denominator needs the parenthesized form: "1+sqrt(2)/3" is not read as (1+sqrt(2))/3
     _QUAD_RE = re.compile(
-        r"\(?(-?\d+)([+-])(\d+)\*sqrt\((\d+)\)\)?(?:/(-?\d+))?"
+        r"(\()?(-?\d+)([+-])(?:(\d+)\*)?sqrt\((\d+)\)(?(1)\)(?:/(-?\d+))?)"
     )
     _SURD_RE = re.compile(r"(-?\d*)\*?sqrt\((\d+)\)(?:/(-?\d+))?")
 
     @classmethod
     def parse(cls, text: str) -> "QuadReal":
-        """Accept "(a + b*sqrt(D))/c", bare surds like "sqrt(2)", and rationals."""
+        """Accept "(a + b*sqrt(D))/c" (b* may be left out), bare surds like "sqrt(2)", and rationals.
+
+        Every integer is measured against MAX_LITERAL_DIGITS before int() reads it.
+        """
         s = text.strip().replace(" ", "").replace("−", "-")
+
+        def num(digits: str) -> int:
+            _check_literal_digits(len(digits.lstrip("-")))
+            return int(digits)
+
         m = cls._QUAD_RE.fullmatch(s)
         if m:
-            a, sign, b, D, c = m.groups()
-            den = int(c) if c else 1
-            bb = int(b) if sign == "+" else -int(b)
-            return cls(Fraction(int(a), den), Fraction(bb, den), int(D))
+            _, a, sign, b, D, c = m.groups()
+            den = num(c) if c else 1
+            bb = num(b or "1") * (1 if sign == "+" else -1)
+            return cls(Fraction(num(a), den), Fraction(bb, den), num(D))
         m = cls._SURD_RE.fullmatch(s)
         if m:
             b, D, c = m.groups()
-            den = int(c) if c else 1
-            bb = -1 if b == "-" else (1 if b in ("", "+") else int(b))
-            return cls(0, Fraction(bb, den), int(D))
+            den = num(c) if c else 1
+            bb = -1 if b == "-" else (1 if b in ("", "+") else num(b))
+            return cls(0, Fraction(bb, den), num(D))
         return cls(parse_rational(s))
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import QuadReal, ext_gcd, floor, frac1
-from .padic import PAdic
+from .padic import PAdic, _strip
 from .solenoid import SeqWindow, SolenoidSpec, alphas, level_table, truncate_spec
 
 log = logging.getLogger(__name__)
@@ -264,9 +264,10 @@ def relate_check(spec: SolenoidSpec, N: int) -> bool:
 MAX_SEARCH_LEVEL = 32
 # (max_k//2 + 1) * max_c0 * (2*max_d0 + 1) candidates at most.  At the largest prime below
 # exactnum.MR_LIMIT and at MAX_SEARCH_LEVEL, an exhaustive search of this many takes about 0.15-0.2 s end
-# to end (x = 3/5, theta = sqrt(2) - 1 against sqrt(3) - 1; max_c0 = 40, max_d0 = 12, max_c0 = 1,
-# max_d0 = 499 or max_c0 = 200, max_d0 = 2, with max_k = 0 and entries = 16), within a 2 s budget:
-# every candidate is dropped at entry 0, so it costs one stage.
+# to end (x = 3/5, theta = sqrt(2) - 1 against its det 1 image 2 - sqrt(2)/2, which shares its field and
+# discriminant; max_c0 = 40, max_d0 = 12, max_c0 = 1, max_d0 = 499 or max_c0 = 200, max_d0 = 2, with
+# max_k = 0 and entries = 16), within a 2 s budget: all but a few candidates are dropped at entry 0, so
+# each costs about one stage.
 MAX_SEARCH_CANDIDATES = 1000
 
 
@@ -297,9 +298,11 @@ class SearchBounds:
 class CertificateResult:
     """Outcome of the equivalence search.
 
-    status is "impossible" (different primes: the K1 invariant separates the
-    algebras), "found" (a witness projection and truncation), or
-    "inconclusive" (bounded search exhausted; NOT a proof of inequivalence).
+    status is "impossible" (an exact invariant separates the algebras: reason
+    names it, "prime", "field" or "discriminant" as in invariants(), and
+    invariants holds its values for a and b), "found" (a witness projection
+    and truncation), or "inconclusive" (the invariants agree and the bounded
+    search is exhausted; NOT a proof of inequivalence).
     """
 
     status: str
@@ -309,6 +312,8 @@ class CertificateResult:
     k: int | None = None
     matched_entries: tuple[int, ...] | None = None
     orientation: str | None = None
+    reason: str | None = None
+    invariants: tuple[int, int] | None = None
 
     def certificate_json(self) -> dict:
         if self.status != "found":
@@ -326,23 +331,56 @@ class CertificateResult:
         if self.status == "found":
             out["certificate"] = self.certificate_json()
             out["orientation"] = self.orientation
+        if self.reason is not None:
+            out["reason"] = self.reason
+            out["invariants"] = {side: _printable(v) for side, v in zip("ab", self.invariants)}
         return out
+
+
+def _printable(n: int) -> int | str:
+    # a discriminant of a long theta can pass Python's 4300-digit int-to-str limit; 14 000 bits stay below it
+    return n if n.bit_length() <= 14_000 else f"{n.bit_length()}-bit integer"
+
+
+def invariants(spec: SolenoidSpec) -> dict[str, int]:
+    """The exact invariants certificate_search compares, in the order it compares them.
+
+    "prime" is p, "field" the squarefree radicand D of theta's field (0 for a
+    rational theta), and "discriminant" the discriminant of theta's primitive
+    integer quadratic with every factor p^2 divided out.
+    """
+    disc = spec.theta.discriminant()
+    if disc:
+        disc, e = _strip(disc, spec.p)
+        disc *= spec.p ** (e % 2)
+    return {"prime": spec.p, "field": spec.theta.D, "discriminant": disc}
 
 
 def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = SearchBounds()) -> CertificateResult:
     """Semidecision for Morita equivalence of the two solenoids.
 
-    Different primes are rejected immediately (K1 obstruction).  Otherwise
-    candidate projections (c0, d0) on even truncations k of `a` are
-    enumerated lexicographically; the first whose partner window matches the
-    canonical image of `b` (directly or through the mod-1 flip) is returned.
+    Different primes are rejected immediately (K1 obstruction), and so are
+    thetas with a different field or discriminant (see invariants()).  By the
+    paper's main result an equivalence gives a partner whose entries are
+    det +-1 Mobius images of alpha^a_{k+2n} = (theta_a + h)/p^(k+2n), and b's
+    theta is +-beta_0 mod 1.  Integer translation, negation and GL2(Z) each
+    preserve the field and the primitive discriminant.  Dividing by p^j
+    multiplies the discriminant by p^(2j) and divides it by the square of the
+    content this introduces, which divides p^(2j): an even power of p either
+    way, which the p^2 stripping removes.
+
+    When the invariants agree, candidate projections (c0, d0) on even
+    truncations k of `a` are enumerated lexicographically; the first whose
+    partner window matches the canonical image of `b` (directly or through
+    the mod-1 flip) is returned.
     A candidate is compared entry by entry and dropped at its first mismatch,
     so it costs one stage per entry it reaches; each truncation's level table is
     checked once, in checked_levels.  A `b` whose digit horizon ends inside
     the window matches nothing.
     """
-    if a.p != b.p:
-        return CertificateResult(status="impossible")
+    for (reason, inv_a), inv_b in zip(invariants(a).items(), invariants(b).values()):
+        if inv_a != inv_b:
+            return CertificateResult("impossible", reason=reason, invariants=(inv_a, inv_b))
     N = bounds.entries
     try:
         targets = [alpha for alpha, _ in level_table(b, N)]

@@ -220,8 +220,12 @@ def test_unbounded_work_usage_error(argv, bound):
         ["padic", "inv", "--p", "3", "--value", "1e5000"],
         ["solenoid", "alpha", "--p", "3", "--theta", "1/3", "--digits", "1e100000", "--n", "2"],
         ["solenoid", "alpha", "--p", "3", "--theta", "1e10000000", "--digits", "x=1", "--n", "2"],
+        # int() would stop each of these at Python's own 4300-digit limit
+        ["solenoid", "alpha", "--p", "3", "--theta", "sqrt(" + "7" * 5000 + ")", "--digits", "x=1", "--n", "1"],
+        ["solenoid", "alpha", "--p", "3", "--theta", "(1+" + "3" * 5000 + "*sqrt(2))/3", "--digits", "x=1", "--n", "1"],
+        ["solenoid", "alpha", "--p", "3", "--theta", "(1+sqrt(2))/" + "3" * 5000, "--digits", "x=1", "--n", "1"],
     ],
-    ids=["value", "value-past-int-limit", "digits", "theta"],
+    ids=["value", "value-past-int-limit", "digits", "theta", "surd-radicand", "surd-coefficient", "surd-denominator"],
 )
 def test_exponent_literal_usage_error(argv):
     # Fraction would multiply out the exponent first: 1e100000000 ran for minutes, 1e10000000 for 8 s
@@ -229,6 +233,16 @@ def test_exponent_literal_usage_error(argv):
     assert proc.returncode == 2
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith("ncsolenoid") and f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS}" in last
+
+
+@pytest.mark.parametrize(
+    "theta, shown", [("(1+sqrt(2))/3", "(1 + 1*sqrt(2))/3"), ("1+sqrt(2)", "(1 + 1*sqrt(2))/1"), ("(1-sqrt(2))/3", "(1 - 1*sqrt(2))/3")]
+)
+def test_surd_with_unit_coefficient(theta, shown):
+    # the coefficient 1 may be left out, as in a spec file's "(1+sqrt(2))/3"
+    proc = run_process(["solenoid", "alpha", "--p", "3", "--theta", theta, "--digits", "x=1", "--n", "1"], timeout=2)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["inputs"]["theta"] == shown
 
 
 @pytest.mark.parametrize(
@@ -425,7 +439,27 @@ def test_morita_certify_roundtrip_and_outcomes(capsys, tmp_path):
 
     fd = _write_spec(tmp_path / "d.json", SolenoidSpec(2, QuadReal.sqrt_of(3) - 1, PAdic.from_rational(2, 1)))
     code, rep = run_json(capsys, ["morita", "certify", "--spec-a", fa, "--spec-b", fd])
-    assert code == 1 and rep["status"] == "inconclusive"
+    assert code == 0 and rep["status"] == "impossible" and rep["reason"] == "field"
+
+    # a det 1 image of a's theta: same field and discriminant, and no candidate of the default box matches
+    fe = _write_spec(tmp_path / "e.json", SolenoidSpec(2, (a.theta * 2 + 1) / (a.theta + 1), PAdic.from_rational(2, 1)))
+    code, rep = run_json(capsys, ["morita", "certify", "--spec-a", fa, "--spec-b", fe])
+    assert code == 1 and rep == {"status": "inconclusive", "pass": False}
+
+
+def test_morita_certify_different_discriminants(capsys, tmp_path):
+    # the same field Q(sqrt(2)); primitive discriminants 8 = 2 * 2^2 and 72 = 18 * 2^2
+    fa = _write_spec(tmp_path / "a.json", SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(2, 1)))
+    fb = tmp_path / "b.json"
+    fb.write_text(json.dumps({"p": 2, "theta": "(1+sqrt(2))/3", "digits": PAdic.from_rational(2, 1).to_json()}))
+    code, rep = run_json(capsys, ["morita", "certify", "--spec-a", fa, "--spec-b", str(fb)])
+    assert code == 0
+    assert rep == {"status": "impossible", "reason": "discriminant", "invariants": {"a": 2, "b": 18}, "pass": True}
+    # a discriminant past Python's int-to-str limit is reported by its size
+    fb.write_text(json.dumps({"p": 2, "theta": "(1+sqrt(2))/" + "3" * 3000, "digits": PAdic.from_rational(2, 1).to_json()}))
+    code, rep = run_json(capsys, ["morita", "certify", "--spec-a", fa, "--spec-b", str(fb)])
+    big = int("3" * 3000)  # b's quadratic is big^2 x^2 - 2 big x - 1, of discriminant 8 big^2 = 2 big^2 * 2^2
+    assert code == 0 and rep["invariants"] == {"a": 2, "b": f"{(2 * big * big).bit_length()}-bit integer"}
 
 
 def test_morita_certify_bad_file_usage_error(capsys, tmp_path):
@@ -468,8 +502,9 @@ def test_negative_digit_horizon_usage_error(capsys, tmp_path, argv):
 def test_costliest_accepted_search_finishes(tmp_path, max_c0, max_d0):
     # the largest prime below MR_LIMIT, at MAX_SEARCH_LEVEL and about MAX_SEARCH_CANDIDATES candidates, none matching
     p, x = MR_LIMIT - 168, PAdic.from_rational(MR_LIMIT - 168, Fraction(3, 5))
-    fa = _write_spec(tmp_path / "a.json", SolenoidSpec(p, QuadReal.sqrt_of(2) - 1, x))
-    fb = _write_spec(tmp_path / "b.json", SolenoidSpec(p, QuadReal.sqrt_of(3) - 1, x))
+    theta = QuadReal.sqrt_of(2) - 1
+    fa = _write_spec(tmp_path / "a.json", SolenoidSpec(p, theta, x))
+    fb = _write_spec(tmp_path / "b.json", SolenoidSpec(p, (theta * 2 + 1) / (theta + 1), x))  # same field and discriminant
     bounds = ["--max-c0", str(max_c0), "--max-d0", str(max_d0), "--max-k", "0", "--entries", "16"]
     start = time.perf_counter()
     proc = run_process(["morita", "certify", "--spec-a", fa, "--spec-b", fb, *bounds])

@@ -199,6 +199,12 @@ def test_quadreal_parse_print():
     assert QuadReal.parse("-sqrt(5)/2") == QuadReal(0, Fraction(-1, 2), 5)
     assert QuadReal.parse("7/2") == QuadReal(Fraction(7, 2))
     assert QuadReal.parse("3") == QuadReal(3)
+    assert QuadReal.parse("(1+sqrt(2))/3") == QuadReal(Fraction(1, 3), Fraction(1, 3), 2)
+    assert QuadReal.parse("1-sqrt(2)") == QuadReal(1, -1, 2)
+    # a denominator without parentheses would bind to the surd only; it is rejected, not read as (a + b*sqrt(D))/c
+    for text in ("1+sqrt(2)/3", "1+1*sqrt(2)/3", "(1+sqrt(2)", "1+sqrt(2))/3"):
+        with pytest.raises(ValueError):
+            QuadReal.parse(text)
     rng = random.Random(47)
     for _ in range(200):
         q = QuadReal(
@@ -341,3 +347,26 @@ def test_mixed_radicands_raise(a1, b1, a2, b2, radicands):
     for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y, lambda: x < y):
         with pytest.raises(RadicandMismatchError):
             op()
+
+
+@PROPERTY
+@given(rationals, rationals, squarefree, st.integers(-9, 9), st.integers(-9, 9))
+def test_discriminant_of_primitive_form_and_gl2z_invariant(a, b, D, u, w):
+    x = QuadReal(a, b, D)
+    # x is a root of x^2 - 2a x + a^2 - b^2 D; clear the denominators and divide out the content
+    coeffs = (Fraction(1), -2 * a, a * a - b * b * D)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    A, B, C = (int(c * den) for c in coeffs)
+    g = math.gcd(A, B, C)
+    assert x.discriminant() == ((B * B - 4 * A * C) // (g * g) if b else 0)
+    # (1 + u w, u; w, 1) has determinant 1
+    if w * x + 1:
+        assert ((x * (1 + u * w) + u) / (x * w + 1)).discriminant() == x.discriminant()
+    assert (-x).discriminant() == x.discriminant() and (x + u).discriminant() == x.discriminant()
+
+
+def test_discriminant_frozen():
+    assert QuadReal.parse("(1+sqrt(5))/2").discriminant() == 5
+    assert QuadReal.parse("sqrt(2)").discriminant() == 8
+    assert QuadReal.parse("(1+sqrt(2))/3").discriminant() == 72
+    assert QuadReal(Fraction(7, 3)).discriminant() == 0

@@ -11,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncsolenoid
 from ncsolenoid import morita
@@ -50,6 +52,8 @@ from ncsolenoid.solenoid import (
 
 ROOT2 = QuadReal.sqrt_of(2)
 THETA = ROOT2 - 1  # quadratic irrational in (0,1)
+# a det 1 image of THETA, so the same field and discriminant; at p = 2 no candidate of the default box matches it
+SAME_FIELD = (THETA * 2 + 1) / (THETA + 1)
 
 
 def unit_spec(p: int, theta: QuadReal, x0: int, rest: tuple[int, ...] = ()) -> SolenoidSpec:
@@ -296,7 +300,7 @@ def test_certificate_search_round_trip():
 
 def test_certificate_search_inconclusive():
     a = unit_spec(2, THETA, 1)
-    b = unit_spec(2, QuadReal.sqrt_of(3) - 1, 1)
+    b = unit_spec(2, SAME_FIELD, 1)
     res = certificate_search(a, b, SearchBounds(max_c0=2, max_d0=2, max_k=2, entries=4))
     assert res.status == "inconclusive"
     assert res.to_json() == {"status": "inconclusive"}
@@ -371,7 +375,7 @@ def test_level_table_stops_where_alpha_at_does():
 def _reference_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds) -> CertificateResult:
     """The search as a plain loop over candidates: alpha_at and MobiusPair.apply at every level."""
     if a.p != b.p:
-        return CertificateResult(status="impossible")
+        return CertificateResult("impossible", reason="prime", invariants=(a.p, b.p))
     N = bounds.entries
     try:
         targets = [alpha_at(b, 2 * n) for n in range(N + 1)]
@@ -400,6 +404,15 @@ def _reference_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds) ->
     return CertificateResult(status="inconclusive")
 
 
+def _planted_window(rng: random.Random, a: SolenoidSpec, k: int, N: int) -> SeqWindow:
+    """The partner window of a's truncation k through a random (c0, d0) that meets the Condition."""
+    t = truncate_spec(a, k)
+    cands = [(c0, d0) for c0 in (1, 2, 3) for d0 in range(-2, 3)
+             if t.theta * c0 + d0 > 0 and condition_check(t.p, ProjectionData(1, c0, d0), t.x(0))]
+    c0, d0 = rng.choice(cands)
+    return projection_partner(t, ProjectionData(floor(t.theta * c0 + d0) + 1, c0, d0), N)
+
+
 def _random_search_pairs(rng: random.Random, count: int):
     """(kind, a, b) pairs over one prime: partners at k = 0, planted partners, unrelated b, short horizons."""
     kinds = ("heisenberg", "planted", "unrelated", "short-horizon")
@@ -412,27 +425,44 @@ def _random_search_pairs(rng: random.Random, count: int):
         elif kind == "unrelated":
             yield kind, a, random_unit_spec(rng, p)
         else:
-            k = rng.choice((0, 2, 4))
-            t = truncate_spec(a, k)
-            cands = [(c0, d0) for c0 in (1, 2, 3) for d0 in range(-2, 3)
-                     if t.theta * c0 + d0 > 0 and condition_check(p, ProjectionData(1, c0, d0), t.x(0))]
-            c0, d0 = rng.choice(cands)
-            planted = projection_partner(t, ProjectionData(floor(t.theta * c0 + d0) + 1, c0, d0), 5)
+            planted = _planted_window(rng, a, rng.choice((0, 2, 4)), 5)
             keep = 6 if kind == "planted" else rng.randint(1, 5)
             yield kind, a, from_even_entries(p, SeqWindow(planted.entries[:keep]))
+
+
+def _assert_matches_reference(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds) -> CertificateResult:
+    # the loop knows no field or discriminant: where they decide, its box finds nothing
+    res, ref = certificate_search(a, b, bounds), _reference_search(a, b, bounds)
+    if res.reason in ("field", "discriminant"):
+        assert ref.status == "inconclusive"
+    else:
+        assert res == ref
+    return res
 
 
 def test_certificate_search_matches_reference_loop():
     bounds = SearchBounds(max_c0=3, max_d0=2, max_k=4, entries=5)
     seen = set()
     for name, (a, b) in _pinned_search_pairs().items():
-        assert certificate_search(a, b) == _reference_search(a, b, SearchBounds())
+        _assert_matches_reference(a, b, SearchBounds())
     for kind, a, b in _random_search_pairs(random.Random(415), 48):
-        res = certificate_search(a, b, bounds)
-        assert res == _reference_search(a, b, bounds), kind
-        seen.add((kind, res.status, res.orientation))
-    assert {("heisenberg", "found", "flipped"), ("planted", "found", "direct"),
-            ("unrelated", "inconclusive", None), ("short-horizon", "inconclusive", None)} <= seen
+        res = _assert_matches_reference(a, b, bounds)
+        seen.add((kind, res.status, res.reason or res.orientation))
+    # the pinned same-field pair keeps an exhausted box in the comparison; no unrelated pair shares field and discriminant
+    assert {("heisenberg", "found", "flipped"), ("planted", "found", "direct"), ("unrelated", "impossible", "field"),
+            ("unrelated", "impossible", "discriminant"), ("short-horizon", "inconclusive", None)} <= seen
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.sampled_from((2, 3, 5, 7)), st.sampled_from(("heisenberg", 0, 2, 4)), st.randoms(use_true_random=False))
+def test_found_pairs_share_field_and_discriminant(p, k, rng):
+    a = random_unit_spec(rng, p)
+    b = heisenberg_partner_spec(a) if k == "heisenberg" else from_even_entries(p, _planted_window(rng, a, k, 4))
+    bounds = SearchBounds(max_c0=3, max_d0=2, max_k=4, entries=4)
+    ref = _reference_search(a, b, bounds)  # the plain box, which compares no invariant
+    assert ref.status == "found"
+    assert morita.invariants(a) == morita.invariants(b)
+    assert certificate_search(a, b, bounds) == ref
 
 
 def _pinned_search_pairs():
@@ -446,6 +476,9 @@ def _pinned_search_pairs():
         "different-fields": (first, unit_spec(2, QuadReal.sqrt_of(3) - 1, 1)),
         # digits known up to x_5 only: entries 8..16 of the window cannot be compared
         "short-horizon": (a, from_even_entries(3, SeqWindow(planted.entries[:4]))),
+        # primitive discriminants 8 = 2 * 2^2 and 72 = 18 * 2^2
+        "different-discriminants": (first, unit_spec(2, QuadReal.parse("(1+sqrt(2))/3"), 1)),
+        "same-field": (first, unit_spec(2, SAME_FIELD, 1)),
     }
 
 
@@ -460,8 +493,10 @@ def _pinned_search_pairs():
             "status": "found", "orientation": "direct",
             "certificate": {"c0": 3, "d0": -1, "m": 1, "k": 4, "matched_entries": list(range(0, 17, 2))},
         }),
-        ("different-fields", {"status": "inconclusive"}),
+        ("different-fields", {"status": "impossible", "reason": "field", "invariants": {"a": 2, "b": 3}}),
         ("short-horizon", {"status": "inconclusive"}),
+        ("different-discriminants", {"status": "impossible", "reason": "discriminant", "invariants": {"a": 2, "b": 18}}),
+        ("same-field", {"status": "inconclusive"}),
     ],
 )
 def test_certificate_search_pinned_pairs(name, expected):
@@ -469,7 +504,7 @@ def test_certificate_search_pinned_pairs(name, expected):
     assert certificate_search(a, b).to_json() == expected
 
 
-@pytest.mark.parametrize("name", ["different-fields", "first-candidate", "planted"])
+@pytest.mark.parametrize("name", ["different-fields", "same-field", "first-candidate", "planted"])
 def test_search_drops_a_candidate_at_its_first_mismatch(monkeypatch, name):
     a, b = _pinned_search_pairs()[name]
     bounds = SearchBounds()
@@ -477,6 +512,9 @@ def test_search_drops_a_candidate_at_its_first_mismatch(monkeypatch, name):
     stage = morita.stage
     monkeypatch.setattr(morita, "stage", lambda p, proj, n, *rest: levels_read.append(n) or stage(p, proj, n, *rest))
     res = certificate_search(a, b, bounds)
+    if res.status == "impossible":
+        assert levels_read == []  # decided from the invariants, before any candidate
+        return
     # candidates that pass the Condition, in search order, up to the found one
     passing = []
     for k in range(0, bounds.max_k + 1, 2):
@@ -514,7 +552,7 @@ def test_invariants_raise_under_python_O():
         if not sys.flags.optimize:
             sys.exit("not running under -O")
         spec = SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(2, 1))
-        other = SolenoidSpec(2, QuadReal.sqrt_of(3) - 1, PAdic.from_rational(2, 1))
+        other = SolenoidSpec(2, (spec.theta * 2 + 1) / (spec.theta + 1), PAdic.from_rational(2, 1))  # same field and discriminant
         proj = morita.ProjectionData(1, 1, 0)
         # a wrong alpha where each reads its levels: projection_partner a table, BimCtx.build one level
         wrong = lambda s, N: tuple((alpha + 1, h) for alpha, h in level_table(s, N))
