@@ -314,14 +314,6 @@ class AlgElem:
         self.comps = dict(comps or {})
         self._every = every
 
-    @classmethod
-    def generator_U(cls, power: int = 1) -> "AlgElem":
-        return cls({power: TrigPoly(((1.0 + 0j, 0),))})
-
-    @classmethod
-    def generator_V(cls, power: int = 1) -> "AlgElem":
-        return cls({0: TrigPoly(((1.0 + 0j, power),))})
-
     def eval(self, r, k: int):
         r = np.asarray(r, dtype=float)
         comp = self.comps.get(k)

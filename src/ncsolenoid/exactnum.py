@@ -122,21 +122,6 @@ class PFrac:
             raise ValueError(f"{q} is not a p-power fraction for p={p}")
         return cls(p, q.numerator, k)
 
-    @classmethod
-    def parse(cls, p: int, text: str) -> "PFrac":
-        s = text.strip().replace(" ", "").replace("−", "-")
-        m = re.fullmatch(r"(-?\d+)(?:/(\d+)(?:\^(\d+))?)?", s)
-        if not m:
-            raise ValueError(f"cannot parse p-power fraction {text!r}")
-        j = int(m.group(1))
-        if m.group(2) is None:
-            return cls(p, j)
-        base = int(m.group(2))
-        k = int(m.group(3)) if m.group(3) else 1
-        if base != p:
-            raise ValueError(f"base {base} does not match p={p} in {text!r}")
-        return cls(p, j, k)
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.j, self.p**self.k)
 

@@ -377,6 +377,18 @@ def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = 
     so it costs one stage per entry it reaches; each truncation's level table is
     checked once, in checked_levels.  A `b` whose digit horizon ends inside
     the window matches nothing.
+
+    A truncation k whose alpha = alpha^a_k has an exact discriminant (not
+    p^2-stripped) other than theta_b's is skipped before its level table is
+    read.  At k, a candidate's entry 0 is beta_0 = (a'alpha + b')/(c0 alpha + d0)
+    + shift, with (a' b'; c0 d0) the det +1 completion of ab_normalized at
+    level 0: a GL2(Z) image of alpha.  GL2(Z), integer translation and
+    negation carry the primitive integer quadratic of a quadratic irrational
+    to that of its image, with the same discriminant.  Entry 0 compares
+    beta_0 with frac1(theta_b) (direct) or frac1(-theta_b) (flipped), so a
+    different discriminant fails every candidate at k at entry 0, and the skip
+    changes no found or impossible result.  A rational theta has
+    discriminant 0 at every k, so nothing is skipped there.
     """
     for (reason, inv_a), inv_b in zip(invariants(a).items(), invariants(b).values()):
         if inv_a != inv_b:
@@ -388,8 +400,11 @@ def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = 
         return CertificateResult(status="inconclusive")
     # partner windows lie in [0,1), so they are compared with b's images mod 1 as they are
     images = {"direct": [frac1(v) for v in targets], "flipped": [frac1(-v) for v in targets]}
+    disc = b.theta.discriminant()
     for k in range(0, bounds.max_k + 1, 2):
         trunc = truncate_spec(a, k)
+        if trunc.theta.discriminant() != disc:
+            continue
         levels = None  # built at the first candidate that needs a window, so a horizon raises only there
         for c0 in range(1, bounds.max_c0 + 1):
             for d0 in range(-bounds.max_d0, bounds.max_d0 + 1):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactnum import QuadReal, frac1, is_prime
+from .exactnum import QuadReal, _quad, frac1, is_prime
 from .padic import PAdic
 
 
@@ -122,9 +122,9 @@ class SeqWindow:
 
 
 def _alpha(spec: SolenoidSpec, n: int, h: int) -> QuadReal:
-    # alpha_n from any h = h_n mod p^n
-    scale = spec.p**n
-    return (spec.theta + h % scale) / scale
+    # alpha_n from any h = h_n mod p^n: (A + B sqrt(D))/M + h becomes (A + h M + B sqrt(D))/(M p^n) in one step
+    t, scale = spec.theta, spec.p**n
+    return _quad(t.A + h % scale * t.M, t.B, t.M * scale, t.D)
 
 
 def alpha_at(spec: SolenoidSpec, n: int) -> QuadReal:

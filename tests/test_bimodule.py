@@ -199,21 +199,29 @@ def test_commutation_relations_pointwise():
         assert mod_diff(ruv, rvu.scaled(np.exp(2j * math.pi * ctx.alpha_f)), rng, 100) < 1e-9
 
 
+def generator_U(power: int = 1) -> AlgElem:
+    return AlgElem({power: TrigPoly(((1.0 + 0j, 0),))})
+
+
+def generator_V(power: int = 1) -> AlgElem:
+    return AlgElem({0: TrigPoly(((1.0 + 0j, power),))})
+
+
 def test_alg_actions_match_generator_actions():
     rng = random.Random(12)
     ctx = ctx_at(2, 1)
     F = random_mod_elem(rng, ctx.modulus)
     for power in (1, 2):
-        a1 = act_alg_left(ctx, AlgElem.generator_U(power), F)
+        a1 = act_alg_left(ctx, generator_U(power), F)
         a2 = act_left_gen(ctx, "U", power, F)
         assert mod_diff(a1, a2, rng, 120) < 1e-12
-        b1 = act_alg_right(ctx, F, AlgElem.generator_V(power))
+        b1 = act_alg_right(ctx, F, generator_V(power))
         b2 = act_right_gen(ctx, "V", power, F)
         assert mod_diff(b1, b2, rng, 120) < 1e-12
-    v1 = act_alg_left(ctx, AlgElem.generator_V(1), F)
+    v1 = act_alg_left(ctx, generator_V(1), F)
     v2 = act_left_gen(ctx, "V", 1, F)
     assert mod_diff(v1, v2, rng, 120) < 1e-12
-    u1 = act_alg_right(ctx, F, AlgElem.generator_U(1))
+    u1 = act_alg_right(ctx, F, generator_U(1))
     u2 = act_right_gen(ctx, "U", 1, F)
     assert mod_diff(u1, u2, rng, 120) < 1e-12
 

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 import ncsolenoid
 from ncsolenoid.cli import COMMANDS, MAX_HATS, MAX_LEVEL, MAX_POINTS, MAX_TRUNC_K, build_parser, main
 from ncsolenoid.exactnum import MAX_LITERAL_DIGITS, MR_LIMIT, QuadReal
-from ncsolenoid.morita import heisenberg_partner_spec
+from ncsolenoid.morita import ProjectionData, heisenberg_partner_spec, projection_partner
 from ncsolenoid.padic import PAdic
-from ncsolenoid.solenoid import SolenoidSpec
+from ncsolenoid.solenoid import SeqWindow, SolenoidSpec, from_even_entries, truncate_spec
 
 SRC = str(Path(ncsolenoid.__file__).resolve().parents[1])
 SPEC_FLAGS = ["--p", "2", "--theta", "(-1 + 1*sqrt(2))/1", "--digits", "x=1"]
@@ -460,6 +460,17 @@ def test_morita_certify_different_discriminants(capsys, tmp_path):
     code, rep = run_json(capsys, ["morita", "certify", "--spec-a", fa, "--spec-b", str(fb)])
     big = int("3" * 3000)  # b's quadratic is big^2 x^2 - 2 big x - 1, of discriminant 8 big^2 = 2 big^2 * 2^2
     assert code == 0 and rep["invariants"] == {"a": 2, "b": f"{(2 * big * big).bit_length()}-bit integer"}
+
+
+def test_morita_certify_skips_truncations_past_a_horizon(tmp_path):
+    # a 4-entry partner window of a at truncation 4 (digits known to x_5) against a: no truncation of the window
+    # has theta_a's exact discriminant, so none reads its level table, and the horizon is never reached
+    a = SolenoidSpec(3, QuadReal.parse("(1 + 1*sqrt(5))/4"), PAdic.from_rational(3, Fraction(2, 5)))
+    window = projection_partner(truncate_spec(a, 4), ProjectionData(1, 3, -1), 8)
+    fw = _write_spec(tmp_path / "w.json", from_even_entries(3, SeqWindow(window.entries[:4])))
+    proc = run_process(["morita", "certify", "--spec-a", fw, "--spec-b", _write_spec(tmp_path / "a.json", a)], timeout=2)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout) == {"pass": False, "status": "inconclusive"}
 
 
 def test_morita_certify_bad_file_usage_error(capsys, tmp_path):

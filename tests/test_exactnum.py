@@ -91,17 +91,10 @@ def test_pfrac_arithmetic():
         a + PFrac(3, 1, 1)
 
 
-def test_pfrac_parse_print_roundtrip():
-    rng = random.Random(7)
-    for _ in range(200):
-        p = rng.choice([2, 3, 5, 7])
-        x = PFrac(p, rng.randint(-500, 500), rng.randint(0, 6))
-        assert PFrac.parse(p, str(x)) == x
-    assert PFrac.parse(2, "3/2^4") == PFrac(2, 3, 4)
-    assert PFrac.parse(2, "1/2") == PFrac(2, 1, 1)
-    assert PFrac.parse(5, "-3") == PFrac(5, -3, 0)
-    with pytest.raises(ValueError):
-        PFrac.parse(2, "1/3")
+def test_pfrac_print_forms():
+    assert str(PFrac(2, 3, 4)) == "3/2^4"
+    assert str(PFrac(2, 1, 1)) == "1/2"
+    assert str(PFrac(5, -3, 0)) == "-3"
 
 
 def test_pfrac_from_fraction():

@@ -462,6 +462,7 @@ def test_found_pairs_share_field_and_discriminant(p, k, rng):
     ref = _reference_search(a, b, bounds)  # the plain box, which compares no invariant
     assert ref.status == "found"
     assert morita.invariants(a) == morita.invariants(b)
+    assert truncate_spec(a, ref.k).theta.discriminant() == b.theta.discriminant()
     assert certificate_search(a, b, bounds) == ref
 
 
@@ -515,10 +516,13 @@ def test_search_drops_a_candidate_at_its_first_mismatch(monkeypatch, name):
     if res.status == "impossible":
         assert levels_read == []  # decided from the invariants, before any candidate
         return
-    # candidates that pass the Condition, in search order, up to the found one
+    # candidates that pass the Condition, in search order, up to the found one; a truncation whose
+    # exact discriminant differs from theta_b's is skipped
     passing = []
     for k in range(0, bounds.max_k + 1, 2):
         t = truncate_spec(a, k)
+        if t.theta.discriminant() != b.theta.discriminant():
+            continue
         passing += [(k, c0, d0) for c0 in range(1, bounds.max_c0 + 1) for d0 in range(-bounds.max_d0, bounds.max_d0 + 1)
                     if t.theta * c0 + d0 > 0 and condition_check(t.p, ProjectionData(1, c0, d0), t.x(0))]
     window = bounds.entries + 1
@@ -531,6 +535,15 @@ def test_search_drops_a_candidate_at_its_first_mismatch(monkeypatch, name):
         assert len(levels_read) == rejected  # a window of stages per candidate would make it window * rejected
     assert rejected > 0 or name == "first-candidate"
     assert levels_read[:rejected] == [0] * rejected
+
+
+def test_search_reads_only_truncations_with_b_s_discriminant(monkeypatch):
+    a, b = _pinned_search_pairs()["planted"]
+    read = []
+    checked_levels = morita.checked_levels
+    monkeypatch.setattr(morita, "checked_levels", lambda spec, N: read.append(spec) or checked_levels(spec, N))
+    assert certificate_search(a, b).k == 4
+    assert read == [truncate_spec(a, 4)]  # k = 0 and 2 have another exact discriminant
 
 
 def test_short_horizon_matches_inside_its_window():

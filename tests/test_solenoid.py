@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncsolenoid.exactnum import QuadReal, frac1
 from ncsolenoid.padic import PAdic
 from ncsolenoid.solenoid import (
+    _alpha,
     CoherenceError,
     PrimeMismatchError,
     SeqWindow,
@@ -36,6 +39,21 @@ def test_alpha_frozen_cases():
     assert alpha_at(spec, 2) == SQRT2 / 4  # (theta + 1)/4
     spec2 = make_spec(3, QuadReal(Fraction(1, 2)), 0)
     assert alpha_at(spec2, 1) == QuadReal(Fraction(1, 6))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    st.sampled_from((2, 3, 5, 7)),
+    st.fractions(max_denominator=10**6),
+    st.fractions(max_denominator=10**6),
+    st.sampled_from((0, 2, 3, 5, 8, 12)),
+    st.integers(min_value=0, max_value=10**30),
+    st.integers(min_value=0, max_value=40),
+)
+def test_alpha_matches_generic_operators(p, a, b, D, h, n):
+    theta = QuadReal(a, b, D)  # rational when b = 0 or D is a square
+    spec = make_spec(p, theta, 0)
+    assert _alpha(spec, n, h) == (theta + h % p**n) / p**n
 
 
 def test_recursion_holds_exactly():
