@@ -264,20 +264,6 @@ class ModElem:
         return f"ModElem(mod {self.modulus}, indices {self.indices()})"
 
 
-@dataclass(frozen=True)
-class TrigPoly:
-    """Sum of coef * exp(2 pi i freq r); exactly 1-periodic."""
-
-    monomials: tuple[tuple[complex, int], ...]
-
-    def eval(self, r):
-        r = np.asarray(r, dtype=float)
-        acc = np.zeros(r.shape, dtype=complex)
-        for coef, freq in self.monomials:
-            acc += coef * np.exp(TWO_PI_I * freq * r)
-        return acc
-
-
 class SumKernel:
     """Inner-product component: closure over finite lattice sums; 1-periodic by reindexing."""
 
@@ -658,19 +644,19 @@ def inner_right(ctx: BimCtx, F1: ModElem, F2: ModElem) -> AlgElem:
 # -- connecting maps -----------------------------------------------------------------
 
 
-def level_embed(ctx: BimCtx, F: ModElem, scale: float = 1.0) -> ModElem:
+def level_embed(ctx: BimCtx, F: ModElem) -> ModElem:
     """Embed a modulus-c0*p^(2n) element into modulus c0*p^(2n+2).
 
-    f at index j maps to scale * f(t/p) spread over the p indices
+    f at index j maps to f(t/p) spread over the p indices
     jp + i*c0*p^(2n+1), i = 0..p-1.
 
-    The default scale 1.0 is the choice under which both inner products
-    are preserved on the nose: for a fixed algebra offset the p index
-    classes contribute complementary residue classes of the lattice sum
-    and jointly reassemble exactly one copy of the coarser-level value.
-    A 1/sqrt(p) prefactor (tempting if one reads the p-fold spread as
-    needing unitary normalization) therefore undershoots inner-product
-    compatibility by exactly a factor of p; the tests pin this down.
+    This unscaled map preserves both inner products on the nose: for a fixed
+    algebra offset the p index classes contribute complementary residue
+    classes of the lattice sum and jointly reassemble exactly one copy of the
+    coarser-level value.  A 1/sqrt(p) prefactor (tempting if one reads the
+    p-fold spread as needing unitary normalization) therefore undershoots
+    inner-product compatibility by exactly a factor of p; the tests pin this
+    down.
     """
     _check_modulus(ctx, F)
     p = ctx.spec.p
@@ -678,7 +664,7 @@ def level_embed(ctx: BimCtx, F: ModElem, scale: float = 1.0) -> ModElem:
     stride = ctx.proj.c0 * p ** (2 * ctx.n + 1)
     out: dict = {}
     for j, pairs in F.terms.items():
-        spread = tuple((c * scale, Dilated(atom, float(p))) for c, atom in pairs)  # one tuple for all p classes
+        spread = tuple((c, Dilated(atom, float(p))) for c, atom in pairs)  # one tuple for all p classes
         for i in range(p):
             idx = (j * p + i * stride) % target
             out[idx] = out[idx] + spread if idx in out else spread

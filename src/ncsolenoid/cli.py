@@ -39,6 +39,11 @@ MAX_LEVEL = 100
 # p * hats: at p = 1009, 4 hats on 10 points take about 0.5 s and MAX_HATS hats about 8 s (no bound covers p)
 MAX_HATS = 100
 MAX_POINTS = 500
+# --count of the multiplier checks, whose time is linear in it.  On the default spec, MAX_COUNT samples take
+# about 0.35 s end to end for check-cocycle, 0.45 s for check-annihilator and 0.65 s for check-eta-psi; a
+# sample costs more at a larger p: at the largest prime below exactnum.MR_LIMIT, check-eta-psi takes about
+# 1.3 s at the default 200 and 12 s at MAX_COUNT (no bound covers p)
+MAX_COUNT = 2000
 
 
 def _resolve_seed(value) -> int:
@@ -175,7 +180,7 @@ def _cmd_morita(args) -> dict:
     if args.morita_cmd == "certify":
         a = _load_spec_file(args.spec_a)
         b = _load_spec_file(args.spec_b)
-        result = certificate_search(a, b, SearchBounds(args.max_c0, args.max_d0, args.max_k, args.entries))
+        result = certificate_search(a, b, SearchBounds(args.max_c0, args.max_d0, args.entries))
         return {**result.to_json(), "pass": result.status != "inconclusive"}
 
     spec = _build_spec(args)
@@ -243,7 +248,7 @@ _SPEC = (
 _SEED = _arg("--seed", type=int, default=None)
 _PADIC = (_arg("--p", type=int, required=True), _arg("--value", required=True, help='rational, e.g. "3" or "3/4"'))
 _TRACE = (_arg("--c0", type=int, required=True), _arg("--d0", type=int, required=True), _arg("--m", type=int, default=1))
-_MULTIPLIER = (*_SPEC, _SEED, _arg("--count", type=_count, default=200))
+_MULTIPLIER = (*_SPEC, _SEED, _arg("--count", type=_at_most(_count, "MAX_COUNT", MAX_COUNT), default=200))
 _HEISENBERG = (*_SPEC, _entries(6))
 _LEVEL_HELP = f"tower level, at most {MAX_LEVEL}"
 
@@ -270,7 +275,7 @@ COMMANDS = {
         "certify": (
             _arg("--spec-a", required=True, help="spec JSON file for the first sequence"),
             _arg("--spec-b", required=True, help="spec JSON file for the second sequence"),
-            *(_arg(flag, type=int, default=4) for flag in ("--max-c0", "--max-d0", "--max-k")),
+            *(_arg(flag, type=int, default=4) for flag in ("--max-c0", "--max-d0")),
             _arg("--entries", type=_count, default=8),
         ),
     }),

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .exactnum import QuadReal, ext_gcd, floor, frac1
 from .padic import PAdic, _strip
-from .solenoid import SeqWindow, SolenoidSpec, alphas, level_table, truncate_spec
+from .solenoid import SeqWindow, SolenoidSpec, _alpha, alphas, level_table, truncate_spec
 
 log = logging.getLogger(__name__)
 
@@ -259,15 +259,16 @@ def relate_check(spec: SolenoidSpec, N: int) -> bool:
 # -- certificate search --------------------------------------------------------
 
 
-# The deepest tower level a search reads is max_k + 2*entries (20 at the defaults); the cost of
+# The deepest tower level a search reads is k + 2*entries, for the deepest truncation k it reads; the cost of
 # each stage grows with it, fastest at the largest prime.
 MAX_SEARCH_LEVEL = 32
-# (max_k//2 + 1) * max_c0 * (2*max_d0 + 1) candidates at most.  At the largest prime below
-# exactnum.MR_LIMIT and at MAX_SEARCH_LEVEL, an exhaustive search of this many takes about 0.15-0.2 s end
-# to end (x = 3/5, theta = sqrt(2) - 1 against its det 1 image 2 - sqrt(2)/2, which shares its field and
-# discriminant; max_c0 = 40, max_d0 = 12, max_c0 = 1, max_d0 = 499 or max_c0 = 200, max_d0 = 2, with
-# max_k = 0 and entries = 16), within a 2 s budget: all but a few candidates are dropped at entry 0, so
-# each costs about one stage.
+# Each truncation tries a box of max_c0 * (2*max_d0 + 1) candidates, and a search reads the truncations
+# k = 0, 2, ..., k, (k//2 + 1) boxes: at most this many candidates in all.  At the largest prime below
+# exactnum.MR_LIMIT and at MAX_SEARCH_LEVEL, an exhaustive search of this many takes about 0.2-0.3 s end to
+# end (x = 3/5; theta = sqrt(2) - 1 against its det 1 image 2 - sqrt(2)/2, which shares its field and
+# discriminant, one truncation at entries = 16 with (max_c0, max_d0) = (40, 12), (1, 499) or (200, 2); or
+# theta = 1/3 against 2/7, all 17 truncations at entries = 0 with a box of 58), within a 2 s budget: all but
+# a few candidates are dropped at entry 0, so each costs about one stage.
 MAX_SEARCH_CANDIDATES = 1000
 
 
@@ -275,23 +276,21 @@ MAX_SEARCH_CANDIDATES = 1000
 class SearchBounds:
     max_c0: int = 4
     max_d0: int = 4
-    max_k: int = 4
     entries: int = 8
 
     def __post_init__(self):
-        for name, low in (("max_c0", 1), ("max_d0", 0), ("max_k", 0), ("entries", 0)):
+        for name, low in (("max_c0", 1), ("max_d0", 0), ("entries", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
-        if self.candidates > MAX_SEARCH_CANDIDATES:
-            raise ValueError(f"{self.candidates} candidates exceed MAX_SEARCH_CANDIDATES = {MAX_SEARCH_CANDIDATES}")
-        if self.max_k + 2 * self.entries > MAX_SEARCH_LEVEL:
-            raise ValueError(
-                f"max_k + 2*entries = {self.max_k + 2 * self.entries} exceeds MAX_SEARCH_LEVEL = {MAX_SEARCH_LEVEL}"
-            )
+        if self.box > MAX_SEARCH_CANDIDATES:
+            raise ValueError(f"a box of {self.box} candidates exceeds MAX_SEARCH_CANDIDATES = {MAX_SEARCH_CANDIDATES}")
+        if 2 * self.entries > MAX_SEARCH_LEVEL:
+            raise ValueError(f"2*entries = {2 * self.entries} exceeds MAX_SEARCH_LEVEL = {MAX_SEARCH_LEVEL}")
 
     @property
-    def candidates(self) -> int:
-        return (self.max_k // 2 + 1) * self.max_c0 * (2 * self.max_d0 + 1)
+    def box(self) -> int:
+        """The candidates (c0, d0) tried on each truncation."""
+        return self.max_c0 * (2 * self.max_d0 + 1)
 
 
 @dataclass(frozen=True)
@@ -375,8 +374,15 @@ def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = 
     the mod-1 flip) is returned.
     A candidate is compared entry by entry and dropped at its first mismatch,
     so it costs one stage per entry it reaches; each truncation's level table is
-    checked once, in checked_levels.  A `b` whose digit horizon ends inside
-    the window matches nothing.
+    checked once, in checked_levels.
+
+    A direct limit does not depend on its first terms, so the offset k is
+    found, not chosen: every even k is read up to the deepest whose levels
+    k..k+2*entries stay within MAX_SEARCH_LEVEL and, with the Condition's
+    digit x_k, within a's digit horizon, and whose (k/2 + 1) boxes hold at
+    most MAX_SEARCH_CANDIDATES candidates, the budget the constants are sized
+    by.  A `b` whose horizon ends inside the window matches nothing, so no
+    horizon is read past.
 
     A truncation k whose alpha = alpha^a_k has an exact discriminant (not
     p^2-stripped) other than theta_b's is skipped before its level table is
@@ -401,11 +407,15 @@ def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = 
     # partner windows lie in [0,1), so they are compared with b's images mod 1 as they are
     images = {"direct": [frac1(v) for v in targets], "flipped": [frac1(-v) for v in targets]}
     disc = b.theta.discriminant()
-    for k in range(0, bounds.max_k + 1, 2):
-        trunc = truncate_spec(a, k)
-        if trunc.theta.discriminant() != disc:
+    deepest = min(MAX_SEARCH_LEVEL - 2 * N, 2 * (MAX_SEARCH_CANDIDATES // bounds.box - 1))
+    if a.digit_horizon is not None:  # levels k..k+2N, and the Condition's digit x_k, inside a's window
+        deepest = min(deepest, a.digit_horizon - max(2 * N, 1))
+    h = a.head(max(deepest, 0))
+    for k in range(0, deepest + 1, 2):
+        if _alpha(a, k, h).discriminant() != disc:
             continue
-        levels = None  # built at the first candidate that needs a window, so a horizon raises only there
+        trunc = truncate_spec(a, k)
+        levels = None  # built at the first candidate that needs a window
         for c0 in range(1, bounds.max_c0 + 1):
             for d0 in range(-bounds.max_d0, bounds.max_d0 + 1):
                 tau = trunc.theta * c0 + d0

@@ -21,7 +21,6 @@ from ncsolenoid.bimodule import (
     SamplePlan,
     Shifted,
     SumKernel,
-    TrigPoly,
     _k_window,
     _r_samples,
     _t_samples,
@@ -197,6 +196,20 @@ def test_commutation_relations_pointwise():
         ruv = act_right_gen(ctx, "V", 1, act_right_gen(ctx, "U", 1, F))
         rvu = act_right_gen(ctx, "U", 1, act_right_gen(ctx, "V", 1, F))
         assert mod_diff(ruv, rvu.scaled(np.exp(2j * math.pi * ctx.alpha_f)), rng, 100) < 1e-9
+
+
+@dataclasses.dataclass(frozen=True)
+class TrigPoly:
+    """Sum of coef * exp(2 pi i freq r): an exactly 1-periodic algebra component."""
+
+    monomials: tuple[tuple[complex, int], ...]
+
+    def eval(self, r):
+        r = np.asarray(r, dtype=float)
+        acc = np.zeros(r.shape, dtype=complex)
+        for coef, freq in self.monomials:
+            acc += coef * np.exp(2j * math.pi * freq * r)
+        return acc
 
 
 def generator_U(power: int = 1) -> AlgElem:
@@ -570,7 +583,7 @@ def test_iota_frozen_example():
         assert np.allclose(iF.eval(t, j), f.eval(t / 2))
     assert iF.support() == (0.0, 4.0)  # support dilates by p
     # the 1/sqrt(p)-normalized variant halves every value
-    half = level_embed(ctx, F, scale=1 / math.sqrt(2))
+    half = level_embed(ctx, F).scaled(1 / math.sqrt(2))
     for j in (0, 2):
         assert np.allclose(half.eval(t, j), f.eval(t / 2) / math.sqrt(2))
 
@@ -587,7 +600,7 @@ def test_scaled_embedding_breaks_inner_compatibility_by_factor_p():
     good = inner_left(ctx2, level_embed(ctx, F), level_embed(ctx, G))
     assert alg_diff(lhs, good, rng, 90) < 1e-12
     s = 1 / math.sqrt(2)
-    bad = inner_left(ctx2, level_embed(ctx, F, scale=s), level_embed(ctx, G, scale=s))
+    bad = inner_left(ctx2, level_embed(ctx, F).scaled(s), level_embed(ctx, G).scaled(s))
     assert alg_diff(lhs, bad, rng, 90) > 1e-3
     r = np.linspace(0, 1, 41)
     for k in lhs.keys():

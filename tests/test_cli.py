@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncsolenoid
-from ncsolenoid.cli import COMMANDS, MAX_HATS, MAX_LEVEL, MAX_POINTS, MAX_TRUNC_K, build_parser, main
+from ncsolenoid.cli import COMMANDS, MAX_COUNT, MAX_HATS, MAX_LEVEL, MAX_POINTS, MAX_TRUNC_K, build_parser, main
 from ncsolenoid.exactnum import MAX_LITERAL_DIGITS, MR_LIMIT, QuadReal
 from ncsolenoid.morita import ProjectionData, heisenberg_partner_spec, projection_partner
 from ncsolenoid.padic import PAdic
@@ -203,8 +203,10 @@ def test_oversized_padic_input_usage_error(argv):
         # time is linear in hats times points: a million of either used to run for minutes
         (["bimodule", "verify", *SPEC_FLAGS, "--c0", "1", "--d0", "0", "--hats", "1000000"], "MAX_HATS"),
         (["bimodule", "verify", *SPEC_FLAGS, "--c0", "1", "--d0", "0", "--points", "1000000"], "MAX_POINTS"),
+        # time is linear in the count: 20 000 took about 4 s, so a billion would run for hours
+        (["multiplier", "check-eta-psi", "--count", "1000000000"], f"MAX_COUNT = {MAX_COUNT}"),
     ],
-    ids=["long-period-display", "huge-radicand", "huge-entries", "huger-entries", "huge-hats", "huge-points"],
+    ids=["long-period-display", "huge-radicand", "huge-entries", "huger-entries", "huge-hats", "huge-points", "huge-count"],
 )
 def test_unbounded_work_usage_error(argv, bound):
     proc = run_process(argv)
@@ -251,11 +253,10 @@ def test_surd_with_unit_coefficient(theta, shown):
         (["--max-c0", "-1"], "max_c0"),
         (["--max-c0", "0"], "max_c0"),
         (["--max-d0", "-3"], "max_d0"),
-        (["--max-k", "-2"], "max_k"),
         (["--entries", "17"], "MAX_SEARCH_LEVEL"),
-        (["--max-c0", "41", "--max-d0", "12", "--max-k", "0"], "MAX_SEARCH_CANDIDATES"),
+        (["--max-c0", "41", "--max-d0", "12"], "MAX_SEARCH_CANDIDATES"),
     ],
-    ids=["negative-max-c0", "zero-max-c0", "negative-max-d0", "negative-max-k", "level-past-bound", "candidates-past-bound"],
+    ids=["negative-max-c0", "zero-max-c0", "negative-max-d0", "level-past-bound", "candidates-past-bound"],
 )
 def test_certify_bad_bounds_usage_error(capsys, tmp_path, flags, bound):
     # a bad bound is rejected input, not an undecided search
@@ -267,16 +268,23 @@ def test_certify_bad_bounds_usage_error(capsys, tmp_path, flags, bound):
     assert last.startswith("ncsolenoid") and bound in last
 
 
-@pytest.mark.parametrize("ord_, bound", [(100000000, "MAX_ORD_BITS"), (None, "MAX_SEARCH_CANDIDATES")], ids=["huge-ord", "huge-max-k"])
+def test_certify_has_no_max_k(capsys, tmp_path):
+    # the truncations a search reads are worked out from its inputs, so there is no offset bound to pass
+    spec = _write_spec(tmp_path / "spec.json", SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(2, 1)))
+    with pytest.raises(SystemExit) as exc:
+        main(["morita", "certify", "--spec-a", spec, "--spec-b", spec, "--max-k", "4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1] == "ncsolenoid: error: unrecognized arguments: --max-k 4"
+
+
+@pytest.mark.parametrize("ord_, bound", [(100000000, "MAX_ORD_BITS")], ids=["huge-ord"])
 def test_unbounded_spec_work_usage_error(tmp_path, ord_, bound):
-    spec = {"p": 2, "theta": "sqrt(2)", "digits": {"p": 2, "ord": ord_ or 0, "preperiod": [1], "period": [0]}}
+    spec = {"p": 2, "theta": "sqrt(2)", "digits": {"p": 2, "ord": ord_, "preperiod": [1], "period": [0]}}
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    if ord_:
-        argv = ["solenoid", "alpha", "--spec", str(path), "--n", "1"]
-    else:
-        argv = ["morita", "certify", "--spec-a", str(path), "--spec-b", str(path), "--max-k", "100000"]
-    proc = run_process(argv)
+    proc = run_process(["solenoid", "alpha", "--spec", str(path), "--n", "1"])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and proc.stderr.strip().splitlines()[-1].startswith("ncsolenoid")
     assert bound in proc.stderr
@@ -332,9 +340,17 @@ def test_entries_bound(capsys, leaf):
     assert code == 0
 
 
-@pytest.mark.parametrize("flag, bound, limit", [("--hats", "MAX_HATS", MAX_HATS), ("--points", "MAX_POINTS", MAX_POINTS)])
-def test_sample_size_bound(capsys, flag, bound, limit):
-    argv = ["bimodule", "verify", *SPEC_FLAGS, "--c0", "1", "--d0", "0", flag]
+BIMODULE_ARGV = ["bimodule", "verify", *SPEC_FLAGS, "--c0", "1", "--d0", "0"]
+
+
+@pytest.mark.parametrize(
+    "leaf, flag, bound, limit",
+    [(BIMODULE_ARGV, "--hats", "MAX_HATS", MAX_HATS), (BIMODULE_ARGV, "--points", "MAX_POINTS", MAX_POINTS),
+     (["multiplier", "check-eta-psi"], "--count", "MAX_COUNT", MAX_COUNT)],
+    ids=["--hats-MAX_HATS-100", "--points-MAX_POINTS-500", "--count-MAX_COUNT-2000"],
+)
+def test_sample_size_bound(capsys, leaf, flag, bound, limit):
+    argv = [*leaf, flag]
     with pytest.raises(SystemExit) as exc:
         main([*argv, str(limit + 1)])
     assert exc.value.code == 2
@@ -463,12 +479,25 @@ def test_morita_certify_different_discriminants(capsys, tmp_path):
 
 
 def test_morita_certify_skips_truncations_past_a_horizon(tmp_path):
-    # a 4-entry partner window of a at truncation 4 (digits known to x_5) against a: no truncation of the window
-    # has theta_a's exact discriminant, so none reads its level table, and the horizon is never reached
+    # a 4-entry partner window of a at truncation 4 (digits known to x_5) against a: no truncation's 8-entry
+    # window fits inside the horizon, so none is read, and the horizon is never reached
     a = SolenoidSpec(3, QuadReal.parse("(1 + 1*sqrt(5))/4"), PAdic.from_rational(3, Fraction(2, 5)))
     window = projection_partner(truncate_spec(a, 4), ProjectionData(1, 3, -1), 8)
     fw = _write_spec(tmp_path / "w.json", from_even_entries(3, SeqWindow(window.entries[:4])))
     proc = run_process(["morita", "certify", "--spec-a", fw, "--spec-b", _write_spec(tmp_path / "a.json", a)], timeout=2)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout) == {"pass": False, "status": "inconclusive"}
+
+
+def test_morita_certify_stops_at_a_horizon(tmp_path):
+    # a planted partner window (digits known to x_9) as a, against the spec it was planted from: no truncation's
+    # 8-entry window fits inside a's horizon, so nothing is read past it and the answer is inconclusive, not exit 2
+    fa, fb = tmp_path / "a.json", tmp_path / "b.json"
+    fa.write_text(json.dumps({"p": 7, "theta": "(36 - 21*sqrt(2))/23", "digit_horizon": 10, "digits": {
+        "p": 7, "ord": 0, "preperiod": [2, 1, 0, 4, 5, 6, 1, 0, 0, 2], "period": [0]}}))
+    fb.write_text(json.dumps({"p": 7, "theta": "(0 + 3*sqrt(2))/7", "digits": {
+        "p": 7, "ord": 0, "preperiod": [6, 4, 3], "period": [6, 3, 0]}}))
+    proc = run_process(["morita", "certify", "--spec-a", str(fa), "--spec-b", str(fb)], timeout=2)
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stdout) == {"pass": False, "status": "inconclusive"}
 
@@ -509,14 +538,24 @@ def test_negative_digit_horizon_usage_error(capsys, tmp_path, argv):
     assert last.startswith("ncsolenoid") and "digit_horizon" in last and "-3" in last
 
 
-@pytest.mark.parametrize("max_c0, max_d0", [(40, 12), (1, 499), (200, 2)])
-def test_costliest_accepted_search_finishes(tmp_path, max_c0, max_d0):
-    # the largest prime below MR_LIMIT, at MAX_SEARCH_LEVEL and about MAX_SEARCH_CANDIDATES candidates, none matching
+@pytest.mark.parametrize(
+    "max_c0, max_d0, entries, thetas",
+    [(40, 12, 16, "same-field"), (1, 499, 16, "same-field"), (200, 2, 16, "same-field"), (2, 14, 0, "rational")],
+    ids=["40-12", "1-499", "200-2", "deepest"],
+)
+def test_costliest_accepted_search_finishes(tmp_path, max_c0, max_d0, entries, thetas):
+    # the largest prime below MR_LIMIT, at MAX_SEARCH_LEVEL and about MAX_SEARCH_CANDIDATES candidates, none matching:
+    # at 16 entries one truncation; at 0 entries a box of 58 on each of the 17 truncations k <= MAX_SEARCH_LEVEL,
+    # all read for a rational theta, whose discriminant is 0 at every k
     p, x = MR_LIMIT - 168, PAdic.from_rational(MR_LIMIT - 168, Fraction(3, 5))
-    theta = QuadReal.sqrt_of(2) - 1
-    fa = _write_spec(tmp_path / "a.json", SolenoidSpec(p, theta, x))
-    fb = _write_spec(tmp_path / "b.json", SolenoidSpec(p, (theta * 2 + 1) / (theta + 1), x))  # same field and discriminant
-    bounds = ["--max-c0", str(max_c0), "--max-d0", str(max_d0), "--max-k", "0", "--entries", "16"]
+    if thetas == "rational":
+        theta_a, theta_b = QuadReal.parse("1/3"), QuadReal.parse("2/7")
+    else:
+        theta_a = QuadReal.sqrt_of(2) - 1
+        theta_b = (theta_a * 2 + 1) / (theta_a + 1)  # same field and discriminant
+    fa = _write_spec(tmp_path / "a.json", SolenoidSpec(p, theta_a, x))
+    fb = _write_spec(tmp_path / "b.json", SolenoidSpec(p, theta_b, x))
+    bounds = ["--max-c0", str(max_c0), "--max-d0", str(max_d0), "--entries", str(entries)]
     start = time.perf_counter()
     proc = run_process(["morita", "certify", "--spec-a", fa, "--spec-b", fb, *bounds])
     elapsed = time.perf_counter() - start
@@ -692,7 +731,7 @@ LEAF_ARGV = {
     ("morita", "heisenberg"): [*SPEC_FLAGS, "--entries", "3"],
     ("morita", "projection"): [*SPEC_FLAGS, "--c0", "1", "--d0", "0", "--m", "2"],
     ("morita", "relate"): [*SPEC_FLAGS],
-    ("morita", "certify"): ["--spec-a", "a.json", "--spec-b", "b.json", "--max-k", "2"],
+    ("morita", "certify"): ["--spec-a", "a.json", "--spec-b", "b.json", "--entries", "2"],
     ("partner", "heisenberg"): [*SPEC_FLAGS],
     ("check", "condition"): ["--p", "2", "--c0", "1", "--d0", "0", "--x0", "1"],
     ("bimodule", "verify"): [*SPEC_FLAGS, "--c0", "1", "--d0", "0", "--hats", "3", "--tolerance", "1e-6"],

@@ -289,7 +289,7 @@ def test_certificate_search_impossible_on_prime_mismatch():
 def test_certificate_search_round_trip():
     a = unit_spec(2, THETA, 1)
     b = heisenberg_partner_spec(a)
-    res = certificate_search(a, b, SearchBounds(max_c0=4, max_d0=4, max_k=4, entries=8))
+    res = certificate_search(a, b, SearchBounds(max_c0=4, max_d0=4, entries=8))
     assert res.status == "found"
     assert (res.c0, res.d0, res.k) == (1, 0, 0)
     assert res.orientation == "flipped"
@@ -301,7 +301,7 @@ def test_certificate_search_round_trip():
 def test_certificate_search_inconclusive():
     a = unit_spec(2, THETA, 1)
     b = unit_spec(2, SAME_FIELD, 1)
-    res = certificate_search(a, b, SearchBounds(max_c0=2, max_d0=2, max_k=2, entries=4))
+    res = certificate_search(a, b, SearchBounds(max_c0=2, max_d0=2, entries=4))
     assert res.status == "inconclusive"
     assert res.to_json() == {"status": "inconclusive"}
 
@@ -314,18 +314,32 @@ def test_search_bounds_reject_negative_entries():
 
 
 def test_search_bounds_reject_bad_bounds():
-    for kwargs in ({"max_c0": 0}, {"max_c0": -1}, {"max_d0": -3}, {"max_k": -2}):
+    for kwargs in ({"max_c0": 0}, {"max_c0": -1}, {"max_d0": -3}):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             SearchBounds(**kwargs)
     with pytest.raises(ValueError, match="MAX_SEARCH_LEVEL"):
-        SearchBounds(max_k=MAX_SEARCH_LEVEL - 1, entries=1)
+        SearchBounds(entries=MAX_SEARCH_LEVEL // 2 + 1)
     with pytest.raises(ValueError, match="MAX_SEARCH_CANDIDATES"):
-        SearchBounds(max_c0=MAX_SEARCH_CANDIDATES + 1, max_d0=0, max_k=0)
+        SearchBounds(max_c0=MAX_SEARCH_CANDIDATES + 1, max_d0=0)
     with pytest.raises(ValueError, match="MAX_SEARCH_CANDIDATES"):
-        SearchBounds(max_c0=1, max_d0=0, max_k=100000)
+        SearchBounds(max_c0=41, max_d0=12)
+    with pytest.raises(TypeError):
+        SearchBounds(max_k=4)  # the truncations read are worked out from the inputs
     # the largest accepted bounds of each kind
-    assert SearchBounds(max_c0=1, max_d0=0, max_k=MAX_SEARCH_LEVEL, entries=0).candidates == 17
-    assert SearchBounds(max_c0=40, max_d0=12, max_k=0, entries=MAX_SEARCH_LEVEL // 2).candidates == MAX_SEARCH_CANDIDATES
+    assert SearchBounds(max_c0=MAX_SEARCH_CANDIDATES, max_d0=0, entries=0).box == MAX_SEARCH_CANDIDATES
+    assert SearchBounds(max_c0=40, max_d0=12, entries=MAX_SEARCH_LEVEL // 2).box == MAX_SEARCH_CANDIDATES
+
+
+def _deepest_truncation(a: SolenoidSpec, bounds: SearchBounds) -> int:
+    """The largest even k whose levels k..k+2*entries and digit x_k a search may read, by its three limits."""
+    N, H = bounds.entries, a.digit_horizon
+    return max(
+        (k for k in range(0, MAX_SEARCH_LEVEL + 1, 2)
+         if k + 2 * N <= MAX_SEARCH_LEVEL
+         and (H is None or k + max(2 * N, 1) <= H)
+         and (k // 2 + 1) * bounds.max_c0 * (2 * bounds.max_d0 + 1) <= MAX_SEARCH_CANDIDATES),
+        default=-1,
+    )
 
 
 def _digit_head(spec: SolenoidSpec, m: int) -> int:
@@ -372,8 +386,8 @@ def test_level_table_stops_where_alpha_at_does():
                     )
 
 
-def _reference_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds) -> CertificateResult:
-    """The search as a plain loop over candidates: alpha_at and MobiusPair.apply at every level."""
+def _reference_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds, deepest: int) -> CertificateResult:
+    """The search as a plain loop over candidates on the truncations k <= deepest: alpha_at and MobiusPair.apply at every level."""
     if a.p != b.p:
         return CertificateResult("impossible", reason="prime", invariants=(a.p, b.p))
     N = bounds.entries
@@ -381,7 +395,7 @@ def _reference_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds) ->
         targets = [alpha_at(b, 2 * n) for n in range(N + 1)]
     except ValueError:
         return CertificateResult(status="inconclusive")
-    for k in range(0, bounds.max_k + 1, 2):
+    for k in range(0, deepest + 1, 2):
         t = truncate_spec(a, k)
         for c0 in range(1, bounds.max_c0 + 1):
             for d0 in range(-bounds.max_d0, bounds.max_d0 + 1):
@@ -432,7 +446,7 @@ def _random_search_pairs(rng: random.Random, count: int):
 
 def _assert_matches_reference(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds) -> CertificateResult:
     # the loop knows no field or discriminant: where they decide, its box finds nothing
-    res, ref = certificate_search(a, b, bounds), _reference_search(a, b, bounds)
+    res, ref = certificate_search(a, b, bounds), _reference_search(a, b, bounds, _deepest_truncation(a, bounds))
     if res.reason in ("field", "discriminant"):
         assert ref.status == "inconclusive"
     else:
@@ -441,7 +455,7 @@ def _assert_matches_reference(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBo
 
 
 def test_certificate_search_matches_reference_loop():
-    bounds = SearchBounds(max_c0=3, max_d0=2, max_k=4, entries=5)
+    bounds = SearchBounds(max_c0=3, max_d0=2, entries=5)
     seen = set()
     for name, (a, b) in _pinned_search_pairs().items():
         _assert_matches_reference(a, b, SearchBounds())
@@ -454,12 +468,12 @@ def test_certificate_search_matches_reference_loop():
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(st.sampled_from((2, 3, 5, 7)), st.sampled_from(("heisenberg", 0, 2, 4)), st.randoms(use_true_random=False))
+@given(st.sampled_from((2, 3, 5, 7)), st.sampled_from(("heisenberg", 0, 2, 4, 6, 8)), st.randoms(use_true_random=False))
 def test_found_pairs_share_field_and_discriminant(p, k, rng):
     a = random_unit_spec(rng, p)
     b = heisenberg_partner_spec(a) if k == "heisenberg" else from_even_entries(p, _planted_window(rng, a, k, 4))
-    bounds = SearchBounds(max_c0=3, max_d0=2, max_k=4, entries=4)
-    ref = _reference_search(a, b, bounds)  # the plain box, which compares no invariant
+    bounds = SearchBounds(max_c0=3, max_d0=2, entries=4)
+    ref = _reference_search(a, b, bounds, _deepest_truncation(a, bounds))  # the plain box, which compares no invariant
     assert ref.status == "found"
     assert morita.invariants(a) == morita.invariants(b)
     assert truncate_spec(a, ref.k).theta.discriminant() == b.theta.discriminant()
@@ -519,7 +533,7 @@ def test_search_drops_a_candidate_at_its_first_mismatch(monkeypatch, name):
     # candidates that pass the Condition, in search order, up to the found one; a truncation whose
     # exact discriminant differs from theta_b's is skipped
     passing = []
-    for k in range(0, bounds.max_k + 1, 2):
+    for k in range(0, _deepest_truncation(a, bounds) + 1, 2):
         t = truncate_spec(a, k)
         if t.theta.discriminant() != b.theta.discriminant():
             continue
@@ -544,6 +558,44 @@ def test_search_reads_only_truncations_with_b_s_discriminant(monkeypatch):
     monkeypatch.setattr(morita, "checked_levels", lambda spec, N: read.append(spec) or checked_levels(spec, N))
     assert certificate_search(a, b).k == 4
     assert read == [truncate_spec(a, 4)]  # k = 0 and 2 have another exact discriminant
+
+
+@pytest.mark.parametrize(
+    "bounds, horizon, deepest",
+    [
+        (SearchBounds(), None, 16),  # MAX_SEARCH_LEVEL - 2*8
+        (SearchBounds(max_c0=2, max_d0=14, entries=0), None, MAX_SEARCH_LEVEL),  # 17 boxes of 58
+        (SearchBounds(max_c0=40, max_d0=2), None, 8),  # 5 boxes of 200
+        (SearchBounds(), 21, 4),  # 4 + 16 <= 21
+        (SearchBounds(entries=0), 21, 20),  # x_20 is the last known digit
+        (SearchBounds(entries=11), 21, -1),  # no window fits: nothing is read
+    ],
+    ids=["level", "candidates", "box", "horizon", "horizon-digit", "no-window"],
+)
+def test_search_reads_every_truncation_up_to_the_deepest(monkeypatch, bounds, horizon, deepest):
+    # a rational theta has discriminant 0 at every k, so no truncation is skipped
+    a = SolenoidSpec(2, QuadReal.parse("1/3"), PAdic.from_rational(2, Fraction(3, 5)), horizon)
+    b = SolenoidSpec(2, QuadReal.parse("2/7"), PAdic.from_rational(2, Fraction(3, 5)))
+    assert _deepest_truncation(a, bounds) == deepest
+    read = []
+    checked_levels = morita.checked_levels
+    monkeypatch.setattr(morita, "checked_levels", lambda spec, N: read.append(spec) or checked_levels(spec, N))
+    assert certificate_search(a, b, bounds).status == "inconclusive"
+    assert read == [truncate_spec(a, k) for k in range(0, deepest + 1, 2)]
+
+
+@pytest.mark.parametrize("k", [6, 12])
+def test_deep_planted_partner_found_at_default_bounds(k):
+    # the offset is found, not chosen: a partner planted past k = 4 is found at its own truncation
+    rng = random.Random(416)
+    for p in (2, 3, 5, 7):
+        a = random_unit_spec(rng, p)
+        b = from_even_entries(p, _planted_window(rng, a, k, SearchBounds().entries))
+        res = certificate_search(a, b)
+        assert (res.status, res.k) == ("found", k)
+        window = projection_partner(truncate_spec(a, k), ProjectionData(res.m, res.c0, res.d0), SearchBounds().entries)
+        sign = 1 if res.orientation == "direct" else -1
+        assert [beta for _, beta in window] == [frac1(sign * alpha) for alpha, _ in level_table(b, SearchBounds().entries)]
 
 
 def test_short_horizon_matches_inside_its_window():
