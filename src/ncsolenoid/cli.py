@@ -40,9 +40,8 @@ MAX_LEVEL = 100
 MAX_HATS = 100
 MAX_POINTS = 500
 # --count of the multiplier checks, whose time is linear in it.  On the default spec, MAX_COUNT samples take
-# about 0.35 s end to end for check-cocycle, 0.45 s for check-annihilator and 0.65 s for check-eta-psi; a
-# sample costs more at a larger p: at the largest prime below exactnum.MR_LIMIT, check-eta-psi takes about
-# 1.3 s at the default 200 and 12 s at MAX_COUNT (no bound covers p)
+# about 0.3 s end to end for check-cocycle, 0.35 s for check-annihilator and 0.5 s for check-eta-psi; at the
+# largest prime below exactnum.MR_LIMIT, about 0.4 s, 0.45 s and 0.65 s
 MAX_COUNT = 2000
 
 
@@ -180,7 +179,7 @@ def _cmd_morita(args) -> dict:
     if args.morita_cmd == "certify":
         a = _load_spec_file(args.spec_a)
         b = _load_spec_file(args.spec_b)
-        result = certificate_search(a, b, SearchBounds(args.max_c0, args.max_d0, args.entries))
+        result = certificate_search(a, b, SearchBounds(args.max_c0, args.entries))
         return {**result.to_json(), "pass": result.status != "inconclusive"}
 
     spec = _build_spec(args)
@@ -249,7 +248,6 @@ _SEED = _arg("--seed", type=int, default=None)
 _PADIC = (_arg("--p", type=int, required=True), _arg("--value", required=True, help='rational, e.g. "3" or "3/4"'))
 _TRACE = (_arg("--c0", type=int, required=True), _arg("--d0", type=int, required=True), _arg("--m", type=int, default=1))
 _MULTIPLIER = (*_SPEC, _SEED, _arg("--count", type=_at_most(_count, "MAX_COUNT", MAX_COUNT), default=200))
-_HEISENBERG = (*_SPEC, _entries(6))
 _LEVEL_HELP = f"tower level, at most {MAX_LEVEL}"
 
 # group -> (help, handler, dest of the leaf name, {leaf: arguments}); a group without
@@ -269,17 +267,16 @@ COMMANDS = {
         "check-cocycle": _MULTIPLIER, "check-annihilator": _MULTIPLIER, "check-eta-psi": _MULTIPLIER,
     }),
     "morita": ("partner constructions and certificates", _cmd_morita, "morita_cmd", {
-        "heisenberg": _HEISENBERG,
+        "heisenberg": (*_SPEC, _entries(6)),
         "projection": (*_SPEC, *_TRACE, _entries(6)),
         "relate": (*_SPEC, _entries(6)),
         "certify": (
             _arg("--spec-a", required=True, help="spec JSON file for the first sequence"),
             _arg("--spec-b", required=True, help="spec JSON file for the second sequence"),
-            *(_arg(flag, type=int, default=4) for flag in ("--max-c0", "--max-d0")),
+            _arg("--max-c0", type=int, default=4),
             _arg("--entries", type=_count, default=8),
         ),
     }),
-    "partner": ("alias for morita partner commands", _cmd_morita, "morita_cmd", {"heisenberg": _HEISENBERG}),
     "check": ("single-shot predicate checks", _cmd_check, "check_cmd", {
         "condition": tuple(_arg(flag, type=int, required=True) for flag in ("--p", "--c0", "--d0", "--x0")),
     }),

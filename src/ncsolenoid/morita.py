@@ -262,35 +262,27 @@ def relate_check(spec: SolenoidSpec, N: int) -> bool:
 # The deepest tower level a search reads is k + 2*entries, for the deepest truncation k it reads; the cost of
 # each stage grows with it, fastest at the largest prime.
 MAX_SEARCH_LEVEL = 32
-# Each truncation tries a box of max_c0 * (2*max_d0 + 1) candidates, and a search reads the truncations
-# k = 0, 2, ..., k, (k//2 + 1) boxes: at most this many candidates in all.  At the largest prime below
-# exactnum.MR_LIMIT and at MAX_SEARCH_LEVEL, an exhaustive search of this many takes about 0.2-0.3 s end to
-# end (x = 3/5; theta = sqrt(2) - 1 against its det 1 image 2 - sqrt(2)/2, which shares its field and
-# discriminant, one truncation at entries = 16 with (max_c0, max_d0) = (40, 12), (1, 499) or (200, 2); or
-# theta = 1/3 against 2/7, all 17 truncations at entries = 0 with a box of 58), within a 2 s budget: all but
-# a few candidates are dropped at entry 0, so each costs about one stage.
+# A search reads c0 = 1..max_c0, each with at most 4 d0 solved from entry 0, on the truncations k = 0, 2, ..., k:
+# at most this many c0 values, (k//2 + 1) * max_c0, in all.  At the largest prime below exactnum.MR_LIMIT, an
+# exhaustive search of this many takes about 0.1-0.2 s end to end (x = 3/5; theta = sqrt(2) - 1 against its det 1
+# image 2 - sqrt(2)/2, or against itself with other digits, at entries = 16 and max_c0 = 1000; or theta = 1/3
+# against 2/97, all 17 truncations at entries = 0 and max_c0 = 58), within a 2 s budget.
 MAX_SEARCH_CANDIDATES = 1000
 
 
 @dataclass(frozen=True)
 class SearchBounds:
     max_c0: int = 4
-    max_d0: int = 4
     entries: int = 8
 
     def __post_init__(self):
-        for name, low in (("max_c0", 1), ("max_d0", 0), ("entries", 0)):
+        for name, low in (("max_c0", 1), ("entries", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
-        if self.box > MAX_SEARCH_CANDIDATES:
-            raise ValueError(f"a box of {self.box} candidates exceeds MAX_SEARCH_CANDIDATES = {MAX_SEARCH_CANDIDATES}")
+        if self.max_c0 > MAX_SEARCH_CANDIDATES:
+            raise ValueError(f"max_c0 = {self.max_c0} exceeds MAX_SEARCH_CANDIDATES = {MAX_SEARCH_CANDIDATES}")
         if 2 * self.entries > MAX_SEARCH_LEVEL:
             raise ValueError(f"2*entries = {2 * self.entries} exceeds MAX_SEARCH_LEVEL = {MAX_SEARCH_LEVEL}")
-
-    @property
-    def box(self) -> int:
-        """The candidates (c0, d0) tried on each truncation."""
-        return self.max_c0 * (2 * self.max_d0 + 1)
 
 
 @dataclass(frozen=True)
@@ -355,6 +347,23 @@ def invariants(spec: SolenoidSpec) -> dict[str, int]:
     return {"prime": spec.p, "field": spec.theta.D, "discriminant": disc}
 
 
+def _entry0_rows(alpha: QuadReal, theta: QuadReal, max_c0: int) -> Iterator[tuple[int, int]]:
+    """Rows (c0, d0), d0 ascending, whose det +1 image of alpha can be +-theta mod 1 (see certificate_search)."""
+    A, B, M = alpha.A, alpha.B, alpha.M
+    q, r = divmod(B * M * theta.M, theta.B or 1)
+    shifts = (q, -q) if B and not r else ()
+    for c0 in range(1, max_c0 + 1):
+        xs = set() if B else {theta.M}
+        for R in (c0 * c0 * B * B * alpha.D + t for t in shifts):
+            x = math.isqrt(max(R, 0))
+            if x * x == R:
+                xs |= {x, -x}
+        for X in sorted(xs):  # M > 0, so d0 ascends with X
+            d0, rem = divmod(X - c0 * A, M)
+            if not rem:
+                yield c0, d0
+
+
 def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = SearchBounds()) -> CertificateResult:
     """Semidecision for Morita equivalence of the two solenoids.
 
@@ -369,9 +378,9 @@ def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = 
     way, which the p^2 stripping removes.
 
     When the invariants agree, candidate projections (c0, d0) on even
-    truncations k of `a` are enumerated lexicographically; the first whose
-    partner window matches the canonical image of `b` (directly or through
-    the mod-1 flip) is returned.
+    truncations k of `a` are enumerated lexicographically (d0 solved, below);
+    the first whose partner window matches the canonical image of `b`
+    (directly or through the mod-1 flip) is returned.
     A candidate is compared entry by entry and dropped at its first mismatch,
     so it costs one stage per entry it reaches; each truncation's level table is
     checked once, in checked_levels.
@@ -379,10 +388,10 @@ def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = 
     A direct limit does not depend on its first terms, so the offset k is
     found, not chosen: every even k is read up to the deepest whose levels
     k..k+2*entries stay within MAX_SEARCH_LEVEL and, with the Condition's
-    digit x_k, within a's digit horizon, and whose (k/2 + 1) boxes hold at
-    most MAX_SEARCH_CANDIDATES candidates, the budget the constants are sized
-    by.  A `b` whose horizon ends inside the window matches nothing, so no
-    horizon is read past.
+    digit x_k, within a's digit horizon, and whose (k/2 + 1) * max_c0 values
+    of c0 are at most MAX_SEARCH_CANDIDATES, the budget the constants are
+    sized by.  A `b` whose horizon ends inside the window matches nothing, so
+    no horizon is read past.
 
     A truncation k whose alpha = alpha^a_k has an exact discriminant (not
     p^2-stripped) other than theta_b's is skipped before its level table is
@@ -395,6 +404,16 @@ def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = 
     different discriminant fails every candidate at k at entry 0, and the skip
     changes no found or impossible result.  A rational theta has
     discriminant 0 at every k, so nothing is skipped there.
+
+    Nor is d0 chosen: it is a root of entry 0 (_entry0_rows).  Say g.alpha =
+    s theta_b + n, g of det +1 with bottom row (c0, d0), s = +-1, n in Z; T^-n g
+    has the same row.  Conjugation commutes with it, so s (theta_b - theta_b') =
+    (alpha - alpha')/N(tau), tau = c0 alpha + d0.  With alpha = (A + B sqrt(D))/M,
+    theta_b = (A_b + B_b sqrt(D))/M_b and X = c0 A + d0 M, that is
+    X^2 = c0^2 B^2 D + s B M M_b / B_b.  SL2(Z) keeps a rational alpha = A/M
+    primitive, so g.alpha has reduced denominator |X| = M_b, and tau = X/M > 0
+    gives X = M_b.  Every other d0 fails entry 0; the roots, at most 4 per c0,
+    are read in ascending order, as a box of d0 would meet them.
     """
     for (reason, inv_a), inv_b in zip(invariants(a).items(), invariants(b).values()):
         if inv_a != inv_b:
@@ -407,7 +426,7 @@ def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = 
     # partner windows lie in [0,1), so they are compared with b's images mod 1 as they are
     images = {"direct": [frac1(v) for v in targets], "flipped": [frac1(-v) for v in targets]}
     disc = b.theta.discriminant()
-    deepest = min(MAX_SEARCH_LEVEL - 2 * N, 2 * (MAX_SEARCH_CANDIDATES // bounds.box - 1))
+    deepest = min(MAX_SEARCH_LEVEL - 2 * N, 2 * (MAX_SEARCH_CANDIDATES // bounds.max_c0 - 1))
     if a.digit_horizon is not None:  # levels k..k+2N, and the Condition's digit x_k, inside a's window
         deepest = min(deepest, a.digit_horizon - max(2 * N, 1))
     h = a.head(max(deepest, 0))
@@ -416,22 +435,21 @@ def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = 
             continue
         trunc = truncate_spec(a, k)
         levels = None  # built at the first candidate that needs a window
-        for c0 in range(1, bounds.max_c0 + 1):
-            for d0 in range(-bounds.max_d0, bounds.max_d0 + 1):
-                tau = trunc.theta * c0 + d0
-                if not (QuadReal(0) < tau):
-                    continue
-                m = floor(tau) + 1
-                proj = ProjectionData(m, c0, d0)
-                if not condition_check(trunc.p, proj, trunc.x(0)):
-                    continue
-                if levels is None:
-                    levels = checked_levels(trunc, N)
-                live = tuple(images)  # the orientations every entry so far matched, "direct" first
-                for n, beta in enumerate(partner_entries(trunc.p, proj, levels, tau)):
-                    live = tuple(o for o in live if images[o][n] == beta)
-                    if not live:
-                        break
-                else:
-                    return CertificateResult("found", c0, d0, m, k, tuple(range(0, 2 * N + 1, 2)), live[0])
+        for c0, d0 in _entry0_rows(trunc.theta, b.theta, bounds.max_c0):
+            tau = trunc.theta * c0 + d0
+            if not (QuadReal(0) < tau):
+                continue
+            m = floor(tau) + 1
+            proj = ProjectionData(m, c0, d0)
+            if not condition_check(trunc.p, proj, trunc.x(0)):
+                continue
+            if levels is None:
+                levels = checked_levels(trunc, N)
+            live = tuple(images)  # the orientations every entry so far matched, "direct" first
+            for n, beta in enumerate(partner_entries(trunc.p, proj, levels, tau)):
+                live = tuple(o for o in live if images[o][n] == beta)
+                if not live:
+                    break
+            else:
+                return CertificateResult("found", c0, d0, m, k, tuple(range(0, 2 * N + 1, 2)), live[0])
     return CertificateResult(status="inconclusive")

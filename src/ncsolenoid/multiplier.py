@@ -175,7 +175,7 @@ def iota_embed(x: PAdic, theta: QuadReal, g: GammaElem) -> LatticePoint:
     r1, r2 = g.first, g.second
     p = x.p
     first = MPoint(x * r1, theta * r1.as_fraction())
-    second = MPoint(PAdic.from_rational(p, r2.as_fraction()), QuadReal(r2.as_fraction()))
+    second = MPoint(PAdic._of(p, r2.as_fraction()), QuadReal(r2.as_fraction()))
     return (first, second)
 
 
@@ -189,6 +189,6 @@ def lambda_embed(x: PAdic, theta: QuadReal, s: GammaElem) -> LatticePoint:
         raise ValueError("prime mismatch between x and lattice point")
     s1, s2 = s.first, s.second
     p = x.p
-    first = MPoint(PAdic.from_rational(p, s1.as_fraction()), QuadReal(-s1.as_fraction()))
+    first = MPoint(PAdic._of(p, s1.as_fraction()), QuadReal(-s1.as_fraction()))
     second = MPoint(-(x.invert() * s2), QuadReal(s2.as_fraction()) / theta)
     return (first, second)

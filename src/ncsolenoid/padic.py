@@ -93,8 +93,13 @@ class PAdic:
     @classmethod
     def from_rational(cls, p: int, q) -> "PAdic":
         _require_prime(p)
+        return cls._of(p, Fraction(q))
+
+    @classmethod
+    def _of(cls, p: int, q: Fraction) -> "PAdic":
+        """The value q over a p already proved prime: an arithmetic result, or a p read off a PAdic."""
         x = object.__new__(cls)
-        x.p, x.q = p, Fraction(q)
+        x.p, x.q = p, q
         return x
 
     @classmethod
@@ -216,30 +221,30 @@ class PAdic:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return PAdic.from_rational(self.p, self.q + q)
+        return PAdic._of(self.p, self.q + q)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PAdic.from_rational(self.p, -self.q)
+        return PAdic._of(self.p, -self.q)
 
     def __sub__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return PAdic.from_rational(self.p, self.q - q)
+        return PAdic._of(self.p, self.q - q)
 
     def __rsub__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return PAdic.from_rational(self.p, q - self.q)
+        return PAdic._of(self.p, q - self.q)
 
     def __mul__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return PAdic.from_rational(self.p, self.q * q)
+        return PAdic._of(self.p, self.q * q)
 
     __rmul__ = __mul__
 
@@ -247,7 +252,7 @@ class PAdic:
         """Multiplicative inverse; ord flips sign, units stay units."""
         if not self.q:
             raise ZeroDivisionError("p-adic zero has no inverse")
-        return PAdic.from_rational(self.p, 1 / self.q)
+        return PAdic._of(self.p, 1 / self.q)
 
     # -- comparisons -----------------------------------------------------------
 

@@ -271,7 +271,7 @@ def test_criterion_10_obstruction_and_certificate():
     assert certificate_search(a, c).status == "impossible"
 
     rng = random.Random(707)
-    bounds = SearchBounds(max_c0=4, max_d0=4, entries=8)
+    bounds = SearchBounds(max_c0=4, entries=8)
     found = 0
     for _ in range(10):
         spec = random_unit_spec(rng, rng.choice([2, 3, 5, 7]))

@@ -252,11 +252,10 @@ def test_surd_with_unit_coefficient(theta, shown):
     [
         (["--max-c0", "-1"], "max_c0"),
         (["--max-c0", "0"], "max_c0"),
-        (["--max-d0", "-3"], "max_d0"),
         (["--entries", "17"], "MAX_SEARCH_LEVEL"),
-        (["--max-c0", "41", "--max-d0", "12"], "MAX_SEARCH_CANDIDATES"),
+        (["--max-c0", "1001"], "MAX_SEARCH_CANDIDATES"),
     ],
-    ids=["negative-max-c0", "zero-max-c0", "negative-max-d0", "level-past-bound", "candidates-past-bound"],
+    ids=["negative-max-c0", "zero-max-c0", "level-past-bound", "candidates-past-bound"],
 )
 def test_certify_bad_bounds_usage_error(capsys, tmp_path, flags, bound):
     # a bad bound is rejected input, not an undecided search
@@ -277,6 +276,17 @@ def test_certify_has_no_max_k(capsys, tmp_path):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.strip().splitlines()[-1] == "ncsolenoid: error: unrecognized arguments: --max-k 4"
+
+
+def test_certify_has_no_max_d0(capsys, tmp_path):
+    # d0 is solved from entry 0, so there is no d0 bound to pass
+    spec = _write_spec(tmp_path / "spec.json", SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(2, 1)))
+    with pytest.raises(SystemExit) as exc:
+        main(["morita", "certify", "--spec-a", spec, "--spec-b", spec, "--max-d0", "4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1] == "ncsolenoid: error: unrecognized arguments: --max-d0 4"
 
 
 @pytest.mark.parametrize("ord_, bound", [(100000000, "MAX_ORD_BITS")], ids=["huge-ord"])
@@ -322,7 +332,6 @@ ENTRIES_LEAVES = [
     ["morita", "heisenberg"],
     ["morita", "projection", "--c0", "1", "--d0", "0"],
     ["morita", "relate"],
-    ["partner", "heisenberg"],
     ["solenoid", "check-coherence"],
     ["solenoid", "from-even"],
 ]
@@ -356,6 +365,19 @@ def test_sample_size_bound(capsys, leaf, flag, bound, limit):
     assert exc.value.code == 2
     assert f"must be at most {bound} = {limit}" in capsys.readouterr().err.strip().splitlines()[-1]
     assert getattr(build_parser(argv).parse_args([*argv, str(limit)]), flag[2:]) == limit
+
+
+@pytest.mark.parametrize("leaf", ["check-eta-psi", "check-annihilator"])
+def test_largest_count_at_largest_prime_finishes(leaf):
+    # PAdic arithmetic proves its prime once, in from_rational: proving it again for every result made
+    # check-eta-psi take about 10 s here, and check-annihilator about 5 s
+    spec = ["--p", str(MR_LIMIT - 168), "--theta=-1+sqrt(2)", "--digits", "3/5"]
+    start = time.perf_counter()
+    proc = run_process(["multiplier", leaf, *spec, "--count", str(MAX_COUNT)])
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pass"] is True
+    assert elapsed < 2.0, elapsed
 
 
 def test_largest_level_prints_at_largest_prime(capsys):
@@ -414,10 +436,14 @@ def test_morita_heisenberg_window(capsys):
     assert entries[0] == QuadReal.sqrt_of(2) + 1
 
 
-def test_partner_alias_matches_morita(capsys):
-    code1, out1 = run(capsys, ["morita", "heisenberg", *SPEC_FLAGS, "--entries", "3"])
-    code2, out2 = run(capsys, ["partner", "heisenberg", *SPEC_FLAGS, "--entries", "3"])
-    assert (code1, out1) == (code2, out2)
+def test_partner_group_is_gone(capsys):
+    # the partner alias duplicated morita heisenberg; its argv is now an unknown group
+    with pytest.raises(SystemExit) as exc:
+        main(["partner", "heisenberg", *SPEC_FLAGS, "--entries", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "error: argument command: invalid choice: 'partner'" in captured.err
 
 
 def test_morita_projection_pass_and_fail(capsys):
@@ -539,23 +565,28 @@ def test_negative_digit_horizon_usage_error(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize(
-    "max_c0, max_d0, entries, thetas",
-    [(40, 12, 16, "same-field"), (1, 499, 16, "same-field"), (200, 2, 16, "same-field"), (2, 14, 0, "rational")],
-    ids=["40-12", "1-499", "200-2", "deepest"],
+    "max_c0, entries, thetas",
+    [(1000, 16, "same-field"), (1000, 16, "same-theta"), (58, 0, "rational")],
+    ids=["1000-16", "same-theta", "deepest"],
 )
-def test_costliest_accepted_search_finishes(tmp_path, max_c0, max_d0, entries, thetas):
-    # the largest prime below MR_LIMIT, at MAX_SEARCH_LEVEL and about MAX_SEARCH_CANDIDATES candidates, none matching:
-    # at 16 entries one truncation; at 0 entries a box of 58 on each of the 17 truncations k <= MAX_SEARCH_LEVEL,
-    # all read for a rational theta, whose discriminant is 0 at every k
+def test_costliest_accepted_search_finishes(tmp_path, max_c0, entries, thetas):
+    # the largest prime below MR_LIMIT, at MAX_SEARCH_LEVEL and MAX_SEARCH_CANDIDATES c0 values, none matching:
+    # at 16 entries one truncation; at 0 entries 58 c0 values on each of the 17 truncations k <= MAX_SEARCH_LEVEL,
+    # all read for a rational theta, whose discriminant is 0 at every k.  Against itself with other digits, theta
+    # matches entry 0 on the rows of its automorphs, which read further entries
     p, x = MR_LIMIT - 168, PAdic.from_rational(MR_LIMIT - 168, Fraction(3, 5))
+    y = x
     if thetas == "rational":
-        theta_a, theta_b = QuadReal.parse("1/3"), QuadReal.parse("2/7")
+        theta_a, theta_b = QuadReal.parse("1/3"), QuadReal.parse("2/97")
+    elif thetas == "same-theta":
+        theta_a = theta_b = QuadReal.sqrt_of(2) - 1
+        y = PAdic.from_rational(p, Fraction(1, 26))
     else:
         theta_a = QuadReal.sqrt_of(2) - 1
         theta_b = (theta_a * 2 + 1) / (theta_a + 1)  # same field and discriminant
     fa = _write_spec(tmp_path / "a.json", SolenoidSpec(p, theta_a, x))
-    fb = _write_spec(tmp_path / "b.json", SolenoidSpec(p, theta_b, x))
-    bounds = ["--max-c0", str(max_c0), "--max-d0", str(max_d0), "--entries", str(entries)]
+    fb = _write_spec(tmp_path / "b.json", SolenoidSpec(p, theta_b, y))
+    bounds = ["--max-c0", str(max_c0), "--entries", str(entries)]
     start = time.perf_counter()
     proc = run_process(["morita", "certify", "--spec-a", fa, "--spec-b", fb, *bounds])
     elapsed = time.perf_counter() - start
@@ -732,7 +763,6 @@ LEAF_ARGV = {
     ("morita", "projection"): [*SPEC_FLAGS, "--c0", "1", "--d0", "0", "--m", "2"],
     ("morita", "relate"): [*SPEC_FLAGS],
     ("morita", "certify"): ["--spec-a", "a.json", "--spec-b", "b.json", "--entries", "2"],
-    ("partner", "heisenberg"): [*SPEC_FLAGS],
     ("check", "condition"): ["--p", "2", "--c0", "1", "--d0", "0", "--x0", "1"],
     ("bimodule", "verify"): [*SPEC_FLAGS, "--c0", "1", "--d0", "0", "--hats", "3", "--tolerance", "1e-6"],
     ("suite",): ["--seed", "4"],
@@ -757,6 +787,10 @@ PARSE_ARGVS = [
     ["suite", "--bogus"],
     ["solenoid", "alpha", "--spec", "morita", "--n", "1"],
     ["morita", "certify", "--spec-a", "certify", "--spec-b", "partner"],
+    # the removed partner alias group: both builds reject it the same way
+    ["partner", "heisenberg", *SPEC_FLAGS],
+    ["partner", "--help"],
+    ["partner", "heisenberg", "--help"],
     ["solenoid", "from-even", "--spec", "alpha", "--entries", "x"],
     ["bimodule", "verify", "--spec", "suite", "--c0", "1", "--d0", "0", "--points", str(MAX_POINTS + 1)],
     ["a", "morita", "certify"],

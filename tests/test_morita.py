@@ -289,7 +289,7 @@ def test_certificate_search_impossible_on_prime_mismatch():
 def test_certificate_search_round_trip():
     a = unit_spec(2, THETA, 1)
     b = heisenberg_partner_spec(a)
-    res = certificate_search(a, b, SearchBounds(max_c0=4, max_d0=4, entries=8))
+    res = certificate_search(a, b, SearchBounds(max_c0=4, entries=8))
     assert res.status == "found"
     assert (res.c0, res.d0, res.k) == (1, 0, 0)
     assert res.orientation == "flipped"
@@ -301,7 +301,7 @@ def test_certificate_search_round_trip():
 def test_certificate_search_inconclusive():
     a = unit_spec(2, THETA, 1)
     b = unit_spec(2, SAME_FIELD, 1)
-    res = certificate_search(a, b, SearchBounds(max_c0=2, max_d0=2, entries=4))
+    res = certificate_search(a, b, SearchBounds(max_c0=2, entries=4))
     assert res.status == "inconclusive"
     assert res.to_json() == {"status": "inconclusive"}
 
@@ -314,20 +314,20 @@ def test_search_bounds_reject_negative_entries():
 
 
 def test_search_bounds_reject_bad_bounds():
-    for kwargs in ({"max_c0": 0}, {"max_c0": -1}, {"max_d0": -3}):
+    for kwargs in ({"max_c0": 0}, {"max_c0": -1}):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             SearchBounds(**kwargs)
     with pytest.raises(ValueError, match="MAX_SEARCH_LEVEL"):
         SearchBounds(entries=MAX_SEARCH_LEVEL // 2 + 1)
     with pytest.raises(ValueError, match="MAX_SEARCH_CANDIDATES"):
-        SearchBounds(max_c0=MAX_SEARCH_CANDIDATES + 1, max_d0=0)
-    with pytest.raises(ValueError, match="MAX_SEARCH_CANDIDATES"):
-        SearchBounds(max_c0=41, max_d0=12)
+        SearchBounds(max_c0=MAX_SEARCH_CANDIDATES + 1)
     with pytest.raises(TypeError):
         SearchBounds(max_k=4)  # the truncations read are worked out from the inputs
-    # the largest accepted bounds of each kind
-    assert SearchBounds(max_c0=MAX_SEARCH_CANDIDATES, max_d0=0, entries=0).box == MAX_SEARCH_CANDIDATES
-    assert SearchBounds(max_c0=40, max_d0=12, entries=MAX_SEARCH_LEVEL // 2).box == MAX_SEARCH_CANDIDATES
+    with pytest.raises(TypeError):
+        SearchBounds(max_d0=4)  # d0 is solved from entry 0
+    # the largest accepted bounds
+    bounds = SearchBounds(max_c0=MAX_SEARCH_CANDIDATES, entries=MAX_SEARCH_LEVEL // 2)
+    assert (bounds.max_c0, bounds.entries) == (MAX_SEARCH_CANDIDATES, MAX_SEARCH_LEVEL // 2)
 
 
 def _deepest_truncation(a: SolenoidSpec, bounds: SearchBounds) -> int:
@@ -337,7 +337,7 @@ def _deepest_truncation(a: SolenoidSpec, bounds: SearchBounds) -> int:
         (k for k in range(0, MAX_SEARCH_LEVEL + 1, 2)
          if k + 2 * N <= MAX_SEARCH_LEVEL
          and (H is None or k + max(2 * N, 1) <= H)
-         and (k // 2 + 1) * bounds.max_c0 * (2 * bounds.max_d0 + 1) <= MAX_SEARCH_CANDIDATES),
+         and (k // 2 + 1) * bounds.max_c0 <= MAX_SEARCH_CANDIDATES),
         default=-1,
     )
 
@@ -386,8 +386,13 @@ def test_level_table_stops_where_alpha_at_does():
                     )
 
 
-def _reference_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds, deepest: int) -> CertificateResult:
-    """The search as a plain loop over candidates on the truncations k <= deepest: alpha_at and MobiusPair.apply at every level."""
+def _reference_search(
+    a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds, deepest: int, max_d0: int
+) -> CertificateResult:
+    """The search as a plain loop over the box |d0| <= max_d0 on the truncations k <= deepest.
+
+    It reads alpha_at and MobiusPair.apply at every level.
+    """
     if a.p != b.p:
         return CertificateResult("impossible", reason="prime", invariants=(a.p, b.p))
     N = bounds.entries
@@ -398,7 +403,7 @@ def _reference_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds, de
     for k in range(0, deepest + 1, 2):
         t = truncate_spec(a, k)
         for c0 in range(1, bounds.max_c0 + 1):
-            for d0 in range(-bounds.max_d0, bounds.max_d0 + 1):
+            for d0 in range(-max_d0, max_d0 + 1):
                 tau = t.theta * c0 + d0
                 if not tau > 0 or not condition_check(t.p, ProjectionData(1, c0, d0), t.x(0)):
                     continue
@@ -444,23 +449,35 @@ def _random_search_pairs(rng: random.Random, count: int):
             yield kind, a, from_even_entries(p, SeqWindow(planted.entries[:keep]))
 
 
-def _assert_matches_reference(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds) -> CertificateResult:
-    # the loop knows no field or discriminant: where they decide, its box finds nothing
-    res, ref = certificate_search(a, b, bounds), _reference_search(a, b, bounds, _deepest_truncation(a, bounds))
+def _assert_certificate(a: SolenoidSpec, b: SolenoidSpec, res: CertificateResult, N: int) -> None:
+    """res's partner window of a, re-derived through projection_partner, is b's canonical window or its mod-1 flip."""
+    window = projection_partner(truncate_spec(a, res.k), ProjectionData(res.m, res.c0, res.d0), N)
+    sign = 1 if res.orientation == "direct" else -1
+    assert [beta for _, beta in window] == [frac1(sign * alpha) for alpha, _ in level_table(b, N)]
+
+
+def _assert_matches_reference(
+    a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds, max_d0: int
+) -> tuple[CertificateResult, CertificateResult]:
+    res, ref = certificate_search(a, b, bounds), _reference_search(a, b, bounds, _deepest_truncation(a, bounds), max_d0)
     if res.reason in ("field", "discriminant"):
+        # the loop knows no field or discriminant: where they decide, its box finds nothing
         assert ref.status == "inconclusive"
-    else:
-        assert res == ref
-    return res
+    elif res != ref:
+        # the search solves d0 past the box: its certificate comes first in (k, c0, d0) order, and it verifies
+        assert res.status == "found" and abs(res.d0) > max_d0
+        assert ref.status == "inconclusive" or (ref.k, ref.c0, ref.d0) > (res.k, res.c0, res.d0)
+        _assert_certificate(a, b, res, bounds.entries)
+    return res, ref
 
 
 def test_certificate_search_matches_reference_loop():
-    bounds = SearchBounds(max_c0=3, max_d0=2, entries=5)
+    bounds = SearchBounds(max_c0=3, entries=5)
     seen = set()
     for name, (a, b) in _pinned_search_pairs().items():
-        _assert_matches_reference(a, b, SearchBounds())
+        _assert_matches_reference(a, b, SearchBounds(), 4)
     for kind, a, b in _random_search_pairs(random.Random(415), 48):
-        res = _assert_matches_reference(a, b, bounds)
+        res, _ = _assert_matches_reference(a, b, bounds, 2)
         seen.add((kind, res.status, res.reason or res.orientation))
     # the pinned same-field pair keeps an exhausted box in the comparison; no unrelated pair shares field and discriminant
     assert {("heisenberg", "found", "flipped"), ("planted", "found", "direct"), ("unrelated", "impossible", "field"),
@@ -472,28 +489,33 @@ def test_certificate_search_matches_reference_loop():
 def test_found_pairs_share_field_and_discriminant(p, k, rng):
     a = random_unit_spec(rng, p)
     b = heisenberg_partner_spec(a) if k == "heisenberg" else from_even_entries(p, _planted_window(rng, a, k, 4))
-    bounds = SearchBounds(max_c0=3, max_d0=2, entries=4)
-    ref = _reference_search(a, b, bounds, _deepest_truncation(a, bounds))  # the plain box, which compares no invariant
-    assert ref.status == "found"
+    _, ref = _assert_matches_reference(a, b, SearchBounds(max_c0=3, entries=4), 2)
+    assert ref.status == "found"  # the plain box, which compares no invariant
     assert morita.invariants(a) == morita.invariants(b)
     assert truncate_spec(a, ref.k).theta.discriminant() == b.theta.discriminant()
-    assert certificate_search(a, b, bounds) == ref
 
 
 def _pinned_search_pairs():
     first = unit_spec(2, THETA, 1)
+    same_theta = lambda x: SolenoidSpec(3, QuadReal.parse("(1+sqrt(2))/3"), PAdic.from_rational(3, x))
     a = SolenoidSpec(3, QuadReal.parse("(1 + 1*sqrt(5))/4"), PAdic.from_rational(3, Fraction(2, 5)))
     # (c0, d0) = (3, -1) at truncation 4 satisfies the Condition, with trace in (0, 1)
     planted = projection_partner(truncate_spec(a, 4), ProjectionData(1, 3, -1), 8)
     return {
         "first-candidate": (first, heisenberg_partner_spec(first)),
         "planted": (a, from_even_entries(3, planted)),
+        # d0 = 7, past |d0| <= 4: found only because d0 is solved from entry 0
+        "wide-planted": (a, from_even_entries(3, projection_partner(truncate_spec(a, 4), ProjectionData(8, 1, 7), 8))),
         "different-fields": (first, unit_spec(2, QuadReal.sqrt_of(3) - 1, 1)),
         # digits known up to x_5 only: entries 8..16 of the window cannot be compared
         "short-horizon": (a, from_even_entries(3, SeqWindow(planted.entries[:4]))),
         # primitive discriminants 8 = 2 * 2^2 and 72 = 18 * 2^2
         "different-discriminants": (first, unit_spec(2, QuadReal.parse("(1+sqrt(2))/3"), 1)),
         "same-field": (first, unit_spec(2, SAME_FIELD, 1)),
+        # one theta, two digit streams: the one row that meets the Condition, (3, -2), fails at entry 0
+        "same-theta": (same_theta(Fraction(-55, 8)), same_theta(Fraction(1, 26))),
+        # the partner as a: the row (1, -2) matches entries 0 and 2 and fails at 4, before (1, 0) is found
+        "reversed-partner": (heisenberg_partner_spec(first), first),
     }
 
 
@@ -512,6 +534,10 @@ def _pinned_search_pairs():
         ("short-horizon", {"status": "inconclusive"}),
         ("different-discriminants", {"status": "impossible", "reason": "discriminant", "invariants": {"a": 2, "b": 18}}),
         ("same-field", {"status": "inconclusive"}),
+        ("wide-planted", {
+            "status": "found", "orientation": "direct",
+            "certificate": {"c0": 1, "d0": 7, "m": 8, "k": 4, "matched_entries": list(range(0, 17, 2))},
+        }),
     ],
 )
 def test_certificate_search_pinned_pairs(name, expected):
@@ -519,36 +545,108 @@ def test_certificate_search_pinned_pairs(name, expected):
     assert certificate_search(a, b).to_json() == expected
 
 
-@pytest.mark.parametrize("name", ["different-fields", "same-field", "first-candidate", "planted"])
-def test_search_drops_a_candidate_at_its_first_mismatch(monkeypatch, name):
+def _conjugate(x: QuadReal) -> QuadReal:
+    return QuadReal(Fraction(x.A, x.M), Fraction(-x.B, x.M), x.D)
+
+
+def _norm_fits(alpha: QuadReal, theta: QuadReal, c0: int, d0: int) -> bool:
+    """Entry 0's necessary condition on (c0, d0), in QuadReal arithmetic, with tau = c0*alpha + d0.
+
+    A det +1 image g.alpha = +-theta + n has g.alpha - conj(g.alpha) = (alpha - conj(alpha)) / N(tau); for a
+    rational alpha = A/M, g.alpha has the reduced denominator |tau| * M, which must be theta's, and tau > 0.
+    """
+    tau = alpha * c0 + d0
+    if alpha.is_rational:
+        return tau * alpha.M == theta.M
+    step = (theta - _conjugate(theta)) * tau * _conjugate(tau)
+    return alpha - _conjugate(alpha) in (step, -step)
+
+
+def _entries_matched(t: SolenoidSpec, b: SolenoidSpec, c0: int, d0: int, N: int) -> int:
+    """How many leading entries of (c0, d0)'s partner window of t match b's window in one orientation."""
+    window = [beta for _, beta in projection_partner(t, ProjectionData(floor(t.theta * c0 + d0) + 1, c0, d0), N)]
+    targets = [alpha for alpha, _ in level_table(b, N)]
+    return max(
+        next((n for n, (beta, alpha) in enumerate(zip(window, targets)) if beta != frac1(sign * alpha)), N + 1)
+        for sign in (1, -1)
+    )
+
+
+DROP_CASES = {
+    "different-fields": 0, "same-field": 0, "first-candidate": 0, "planted": 0, "same-theta": 1, "reversed-partner": 1,
+}
+
+
+@pytest.mark.parametrize("name, rejected", DROP_CASES.items(), ids=DROP_CASES)
+def test_search_drops_a_candidate_at_its_first_mismatch(monkeypatch, name, rejected):
     a, b = _pinned_search_pairs()[name]
     bounds = SearchBounds()
     levels_read = []
     stage = morita.stage
-    monkeypatch.setattr(morita, "stage", lambda p, proj, n, *rest: levels_read.append(n) or stage(p, proj, n, *rest))
+    monkeypatch.setattr(
+        morita, "stage", lambda p, proj, n, *rest: levels_read.append((proj.c0, proj.d0, n)) or stage(p, proj, n, *rest)
+    )
     res = certificate_search(a, b, bounds)
+    monkeypatch.undo()  # projection_partner below reads through stage too
     if res.status == "impossible":
         assert levels_read == []  # decided from the invariants, before any candidate
         return
-    # candidates that pass the Condition, in search order, up to the found one; a truncation whose
-    # exact discriminant differs from theta_b's is skipped
+    # candidates that pass the Condition and entry 0's norm equation, in search order, up to the found one;
+    # a truncation whose exact discriminant differs from theta_b's is skipped
     passing = []
     for k in range(0, _deepest_truncation(a, bounds) + 1, 2):
         t = truncate_spec(a, k)
         if t.theta.discriminant() != b.theta.discriminant():
             continue
-        passing += [(k, c0, d0) for c0 in range(1, bounds.max_c0 + 1) for d0 in range(-bounds.max_d0, bounds.max_d0 + 1)
-                    if t.theta * c0 + d0 > 0 and condition_check(t.p, ProjectionData(1, c0, d0), t.x(0))]
-    window = bounds.entries + 1
+        passing += [(k, c0, d0) for c0 in range(1, bounds.max_c0 + 1) for d0 in range(-40, 41)
+                    if t.theta * c0 + d0 > 0 and condition_check(t.p, ProjectionData(1, c0, d0), t.x(0))
+                    and _norm_fits(t.theta, b.theta, c0, d0)]
+    assert all(abs(d0) < 40 for _, _, d0 in passing)  # the box holds every solution
     if res.status == "found":
-        rejected = passing.index((res.k, res.c0, res.d0))
-        assert len(levels_read) == rejected + window  # a window of stages per candidate would make it window * (rejected + 1)
-        assert levels_read[rejected:] == list(range(window))
+        passing = passing[: passing.index((res.k, res.c0, res.d0)) + 1]
+    assert len(passing) - (res.status == "found") == rejected
+    # each candidate reads its entries up to its first mismatch, the found one its whole window: a window of
+    # stages per candidate would read more
+    window = bounds.entries + 1
+    expected = []
+    for k, c0, d0 in passing:
+        reached = min(_entries_matched(truncate_spec(a, k), b, c0, d0, bounds.entries) + 1, window)
+        expected += [(c0, d0, n) for n in range(reached)]
+    assert levels_read == expected
+
+
+def _entry0_matches(alpha: QuadReal, theta: QuadReal, c0: int, d0: int) -> bool:
+    """Is the det +1 image of alpha with bottom row (c0, d0) theta or -theta mod 1?"""
+    g, u, v = ext_gcd(d0, -c0)
+    return g == 1 and frac1(MobiusPair(u, v, c0, d0).apply(alpha)) in (frac1(theta), frac1(-theta))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    st.sampled_from((2, 3, 5, 7)), st.sampled_from((0, 2, 4)), st.booleans(), st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_entry0_rows_hold_every_match(p, k, rational, image, rng):
+    # alpha a truncation (or a rational), theta of its field: +-g.alpha + n for a random row, or unrelated
+    if rational:
+        alpha = QuadReal(Fraction(rng.randint(-50, 50), rng.randint(1, 30)))
     else:
-        rejected = len(passing)
-        assert len(levels_read) == rejected  # a window of stages per candidate would make it window * rejected
-    assert rejected > 0 or name == "first-candidate"
-    assert levels_read[:rejected] == [0] * rejected
+        alpha = truncate_spec(random_unit_spec(rng, p), k).theta
+    if image:
+        c0, d0 = rng.choice([(c0, d0) for c0 in range(1, 7) for d0 in range(-40, 41) if math.gcd(c0, d0) == 1])
+        _, u, v = ext_gcd(d0, -c0)
+        theta = MobiusPair(u, v, c0, d0).apply(alpha) * rng.choice((1, -1)) + rng.randint(-3, 3)
+    else:
+        rational_part = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        theta = QuadReal(rational_part, Fraction(rng.randint(1, 3), rng.randint(1, 9)), alpha.D)
+    rows = list(morita._entry0_rows(alpha, theta, 6))
+    assert rows == sorted(set(rows)) and all(sum(c0 == c for c, _ in rows) <= 4 for c0 in range(1, 7))
+    box = [(c0, d0) for c0 in range(1, 7) for d0 in range(-40, 41)]
+    # entry 0 exists for a positive trace only
+    assert {(c0, d0) for c0, d0 in box if alpha * c0 + d0 > 0 and _entry0_matches(alpha, theta, c0, d0)} <= set(rows)
+    assert [row for row in box if _norm_fits(alpha, theta, *row)] == [row for row in rows if abs(row[1]) <= 40]
+    if image and alpha * c0 + d0 > 0:
+        assert (c0, d0) in rows
 
 
 def test_search_reads_only_truncations_with_b_s_discriminant(monkeypatch):
@@ -564,8 +662,8 @@ def test_search_reads_only_truncations_with_b_s_discriminant(monkeypatch):
     "bounds, horizon, deepest",
     [
         (SearchBounds(), None, 16),  # MAX_SEARCH_LEVEL - 2*8
-        (SearchBounds(max_c0=2, max_d0=14, entries=0), None, MAX_SEARCH_LEVEL),  # 17 boxes of 58
-        (SearchBounds(max_c0=40, max_d0=2), None, 8),  # 5 boxes of 200
+        (SearchBounds(max_c0=58, entries=0), None, MAX_SEARCH_LEVEL),  # 17 truncations of 58 c0 values
+        (SearchBounds(max_c0=200), None, 8),  # 5 truncations of 200
         (SearchBounds(), 21, 4),  # 4 + 16 <= 21
         (SearchBounds(entries=0), 21, 20),  # x_20 is the last known digit
         (SearchBounds(entries=11), 21, -1),  # no window fits: nothing is read
@@ -573,15 +671,16 @@ def test_search_reads_only_truncations_with_b_s_discriminant(monkeypatch):
     ids=["level", "candidates", "box", "horizon", "horizon-digit", "no-window"],
 )
 def test_search_reads_every_truncation_up_to_the_deepest(monkeypatch, bounds, horizon, deepest):
-    # a rational theta has discriminant 0 at every k, so no truncation is skipped
+    # a rational theta has discriminant 0 at every k, so no truncation is skipped; b matches no row of these
+    # bounds (2/7 matches (c0, d0) = (16, -3) at k = 0 and 0 entries)
     a = SolenoidSpec(2, QuadReal.parse("1/3"), PAdic.from_rational(2, Fraction(3, 5)), horizon)
-    b = SolenoidSpec(2, QuadReal.parse("2/7"), PAdic.from_rational(2, Fraction(3, 5)))
+    b = SolenoidSpec(2, QuadReal.parse("2/97"), PAdic.from_rational(2, Fraction(3, 5)))
     assert _deepest_truncation(a, bounds) == deepest
+    # few c0 have a d0 at all here, so the truncations built are counted, not the level tables read
     read = []
-    checked_levels = morita.checked_levels
-    monkeypatch.setattr(morita, "checked_levels", lambda spec, N: read.append(spec) or checked_levels(spec, N))
+    monkeypatch.setattr(morita, "truncate_spec", lambda spec, k: read.append(k) or truncate_spec(spec, k))
     assert certificate_search(a, b, bounds).status == "inconclusive"
-    assert read == [truncate_spec(a, k) for k in range(0, deepest + 1, 2)]
+    assert read == list(range(0, deepest + 1, 2))
 
 
 @pytest.mark.parametrize("k", [6, 12])
@@ -593,9 +692,26 @@ def test_deep_planted_partner_found_at_default_bounds(k):
         b = from_even_entries(p, _planted_window(rng, a, k, SearchBounds().entries))
         res = certificate_search(a, b)
         assert (res.status, res.k) == ("found", k)
-        window = projection_partner(truncate_spec(a, k), ProjectionData(res.m, res.c0, res.d0), SearchBounds().entries)
-        sign = 1 if res.orientation == "direct" else -1
-        assert [beta for _, beta in window] == [frac1(sign * alpha) for alpha, _ in level_table(b, SearchBounds().entries)]
+        _assert_certificate(a, b, res, SearchBounds().entries)
+
+
+@pytest.mark.parametrize("d0_abs", [5, 9, 12])
+def test_wide_planted_partner_found_at_default_bounds(d0_abs):
+    # d0 is solved from entry 0, not bounded: a partner planted past |d0| = 4 is found at its own row
+    rng = random.Random(417)
+    N = SearchBounds().entries
+    for p in (2, 3, 5, 7):
+        rows = []
+        while not rows:  # a digit x_k = 0 can leave no row at this |d0|
+            a, k = random_unit_spec(rng, p), rng.choice((0, 2, 4))
+            t = truncate_spec(a, k)
+            rows = [(c0, d0) for c0 in range(1, 5) for d0 in (-d0_abs, d0_abs)
+                    if t.theta * c0 + d0 > 0 and condition_check(p, ProjectionData(1, c0, d0), t.x(0))]
+        c0, d0 = rng.choice(rows)
+        b = from_even_entries(p, projection_partner(t, ProjectionData(floor(t.theta * c0 + d0) + 1, c0, d0), N))
+        res = certificate_search(a, b)
+        assert (res.status, res.k, res.c0, res.d0) == ("found", k, c0, d0)
+        _assert_certificate(a, b, res, N)
 
 
 def test_short_horizon_matches_inside_its_window():
@@ -609,6 +725,7 @@ def test_invariants_raise_under_python_O():
     script = textwrap.dedent(
         """
         import sys
+        from fractions import Fraction
         from ncsolenoid import bimodule, morita
         from ncsolenoid.exactnum import QuadReal
         from ncsolenoid.padic import PAdic
@@ -617,17 +734,19 @@ def test_invariants_raise_under_python_O():
         if not sys.flags.optimize:
             sys.exit("not running under -O")
         spec = SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(2, 1))
-        other = SolenoidSpec(2, (spec.theta * 2 + 1) / (spec.theta + 1), PAdic.from_rational(2, 1))  # same field and discriminant
+        # one theta, two digit streams: the one candidate that meets the Condition is dropped at entry 0
+        same_theta = lambda x: SolenoidSpec(3, QuadReal.parse("(1+sqrt(2))/3"), PAdic.from_rational(3, x))
+        pair = (same_theta(Fraction(-55, 8)), same_theta(Fraction(1, 26)))
         proj = morita.ProjectionData(1, 1, 0)
         # a wrong alpha where each reads its levels: projection_partner a table, BimCtx.build one level
         wrong = lambda s, N: tuple((alpha + 1, h) for alpha, h in level_table(s, N))
-        # wrong only at levels >= 1, which no candidate of (spec, other) reaches: each is dropped at entry 0
+        # wrong only at levels >= 1, which no candidate of the same-theta pair reaches
         wrong_above_0 = lambda s, N: tuple((alpha + 1 if n else alpha, h) for n, (alpha, h) in enumerate(level_table(s, N)))
         bimodule.alpha_at = lambda s, n: alpha_at(s, n) + 1
         cases = (
             (wrong, lambda: morita.projection_partner(spec, proj, 2)),
             (wrong, lambda: bimodule.BimCtx.build(spec, proj, 1)),
-            (wrong_above_0, lambda: morita.certificate_search(spec, other)),
+            (wrong_above_0, lambda: morita.certificate_search(*pair)),
         )
         for table, call in cases:
             morita.level_table = table

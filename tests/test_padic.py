@@ -19,6 +19,21 @@ def expansion_digit(x: PAdic, j: int) -> int:
     return pre[i] if i < len(pre) else per[(i - len(pre)) % len(per)]
 
 
+def test_arithmetic_proves_no_prime(monkeypatch):
+    # the prime is proved once, where outside input enters: at p near MR_LIMIT, re-proving it for every
+    # arithmetic result took most of a multiplier check's time
+    x, y = PAdic.from_rational(7, Fraction(3, 5)), PAdic.from_rational(7, 2)
+    proved = []
+    monkeypatch.setattr(padic, "is_prime", lambda p: proved.append(p) or True)
+    results = [x + y, x - y, 1 - x, -x, x * y, x.invert(), x + 1, x * Fraction(1, 3)]
+    assert proved == []
+    assert [r.as_fraction() for r in results] == [Fraction(13, 5), Fraction(-7, 5), Fraction(2, 5), Fraction(-3, 5),
+                                                  Fraction(6, 5), Fraction(5, 3), Fraction(8, 5), Fraction(1, 5)]
+    assert all(r.p == 7 for r in results)
+    PAdic.from_rational(7, 1)
+    assert proved == [7]
+
+
 def test_expansion_frozen_cases():
     # oracle: hand expansions, then verified below by Hensel window products
     x = PAdic.from_rational(5, Fraction(1, 2))
