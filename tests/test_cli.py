@@ -566,12 +566,13 @@ def test_negative_digit_horizon_usage_error(capsys, tmp_path, argv):
 
 @pytest.mark.parametrize(
     "max_c0, entries, thetas",
-    [(1000, 16, "same-field"), (1000, 16, "same-theta"), (58, 0, "rational")],
-    ids=["1000-16", "same-theta", "deepest"],
+    [(1000, 16, "same-field"), (40, 12, "same-field"), (200, 2, "same-field"), (1000, 16, "same-theta"), (58, 0, "rational")],
+    ids=["1000-16", "40-12", "200-2", "same-theta", "deepest"],
 )
 def test_costliest_accepted_search_finishes(tmp_path, max_c0, entries, thetas):
     # the largest prime below MR_LIMIT, at MAX_SEARCH_LEVEL and MAX_SEARCH_CANDIDATES c0 values, none matching:
-    # at 16 entries one truncation; at 0 entries 58 c0 values on each of the 17 truncations k <= MAX_SEARCH_LEVEL,
+    # at 16 entries one truncation; at 12 and 2 entries the truncations k <= 8 that the c0 budget allows (40 and
+    # 200 c0 values on each); at 0 entries 58 c0 values on each of the 17 truncations k <= MAX_SEARCH_LEVEL,
     # all read for a rational theta, whose discriminant is 0 at every k.  Against itself with other digits, theta
     # matches entry 0 on the rows of its automorphs, which read further entries
     p, x = MR_LIMIT - 168, PAdic.from_rational(MR_LIMIT - 168, Fraction(3, 5))
