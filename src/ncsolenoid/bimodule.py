@@ -10,21 +10,24 @@ precision once per context.
 Test functions are piecewise-linear hats: genuine compact support keeps
 every lattice sum finite, with summation ranges derived from support bounds
 rather than truncated.  An inner product enumerates only the class pairs
-(j1, j2) aligned with some k, and each (j1, j2) entry is evaluated on an
-(m x r) grid, then folded into its k's sum row by row in m order.
+(j1, j2) aligned with some k, and evaluates each (j1, j2) entry on the band
+of its (m x r) grid where F1 can be nonzero, then adds it into its k's sum
+by an ordered np.add.at, in the m order of a row-by-row loop.
 
 Sampled comparisons evaluate a factor that several classes share once, not
 once per class.  The p classes that `level_embed` spreads one class over
 share its term tuple and atoms, and so do the classes a U action moves.
-`mod_diff` evaluates each distinct atom once on its t grid and sums each
-distinct term tuple once.  `alg_diff` evaluates an inner product at every k
-together (`AlgElem.eval_all`): on one r grid each j1 grid is built and F1
-evaluated on it once, and the entries are taken j1 by j1 in batches of about
-BATCH_VALUES grid values, each distinct term tuple of F2 evaluated once per
-batch on the concatenated grids of the entries it serves there.  Only one
-batch's grids and values are held at a time.  The one-k path
-(`AlgElem.eval`) is the same evaluation restricted to the entries of its k;
-the module actions use it, since their grids differ per (j, k).
+`mod_diff` evaluates each distinct atom once on its t grid (the PhaseMods of
+a V action modulate their shared atom's memoised values), sums each
+distinct term tuple once and differences each distinct pair of tuples once.
+`alg_diff` evaluates an inner product at every k together
+(`AlgElem.eval_all`): on one r grid each j1 band is built and F1 evaluated
+on it once, and the entries are taken j1 by j1 in batches of about
+BATCH_VALUES band values, each distinct term tuple of F2 evaluated once per
+batch on the concatenated bands of the entries it serves.  Only one batch's
+grids and values are held at a time.  The one-k path (`AlgElem.eval`) is
+the same evaluation restricted to the entries of its k; the module actions
+use it, since their grids differ per (j, k).
 """
 
 from __future__ import annotations
@@ -52,9 +55,21 @@ MAX_MODULUS = sys.maxsize
 # grid values per batch of inner-product entries: an inner product evaluates each F2 term tuple once per
 # batch and holds one batch's grids and values at a time, so its memory does not grow with its entries
 BATCH_VALUES = 2048
+# an inner product evaluates F1's class j1 only at the grid points inside its support widened by this share of
+# the support bounds' size: far past the few ulps by which an atom's float support bound and the point where
+# its values become exact zeros can differ (an atom built by Shifted and Dilated rounds both)
+BAND_PAD = 2.0**-20
+# np.add.at, bound at import: bench/tracer.py times numpy by putting a module of plain functions in place of
+# this module's np, and a plain function has no ufunc methods
+_add_at = np.add.at
 
 
 # -- function atoms --------------------------------------------------------------
+
+
+def _finite(atom) -> bool:
+    """Whether atom is known to take only finite values: a finite HatFn under finite combinators."""
+    return getattr(atom, "finite", False)
 
 
 @dataclass(frozen=True)
@@ -71,17 +86,20 @@ class HatFn:
             raise ValueError("breakpoints must be strictly increasing")
         if self.values[0] != 0 or self.values[-1] != 0:
             raise ValueError("endpoint values must vanish (compact support)")
-        # interpolation tables, built once; not fields, so == and hash see only the two tuples
+        # interpolation tables and finiteness, built once; not fields, so == and hash see only the two tuples
         object.__setattr__(self, "_xp", np.asarray(self.breakpoints))
         object.__setattr__(self, "_re", np.asarray([v.real for v in self.values]))
         object.__setattr__(self, "_im", np.asarray([v.imag for v in self.values]))
+        finite = all(map(math.isfinite, self.breakpoints)) and all(map(cmath.isfinite, self.values))
+        object.__setattr__(self, "finite", finite)
 
     def eval(self, t):
         # two real interps: one complex np.interp is not bit-identical to them
         t = np.asarray(t, dtype=float)
-        re = np.interp(t, self._xp, self._re, left=0.0, right=0.0)
-        im = np.interp(t, self._xp, self._im, left=0.0, right=0.0)
-        return re + 1j * im
+        out = np.empty(t.shape, dtype=complex)
+        out.real = np.interp(t, self._xp, self._re, left=0.0, right=0.0)
+        out.imag = np.interp(t, self._xp, self._im, left=0.0, right=0.0)
+        return out
 
     def support(self):
         return (self.breakpoints[0], self.breakpoints[-1])
@@ -93,6 +111,10 @@ class Shifted:
 
     fn: object
     s: float
+
+    @property
+    def finite(self) -> bool:
+        return _finite(self.fn) and math.isfinite(self.s)
 
     def eval(self, t):
         return self.fn.eval(np.asarray(t, dtype=float) - self.s)
@@ -115,6 +137,10 @@ class Dilated:
         if self.factor <= 0:
             raise ValueError("dilation factor must be positive")
 
+    @property
+    def finite(self) -> bool:
+        return _finite(self.fn) and math.isfinite(self.factor)
+
     def eval(self, t):
         return self.fn.eval(np.asarray(t, dtype=float) / self.factor)
 
@@ -133,9 +159,17 @@ class PhaseMod:
     freq: float
     offset: float
 
+    @property
+    def finite(self) -> bool:
+        return _finite(self.fn) and math.isfinite(self.freq) and math.isfinite(self.offset)
+
     def eval(self, t):
         t = np.asarray(t, dtype=float)
-        return np.exp(TWO_PI_I * (self.freq * t + self.offset)) * self.fn.eval(t)
+        return self.modulate(t, self.fn.eval(t))
+
+    def modulate(self, t: np.ndarray, inner: np.ndarray) -> np.ndarray:
+        """The values at t, given inner = fn at t (np.multiply: see _class_sum)."""
+        return np.multiply(np.exp(TWO_PI_I * (self.freq * t + self.offset)), inner)
 
     def support(self):
         return self.fn.support()
@@ -145,6 +179,10 @@ class PhaseMod:
 class Product:
     left: object
     right: object
+
+    @property
+    def finite(self) -> bool:
+        return _finite(self.left) and _finite(self.right)
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
@@ -509,17 +547,31 @@ def _aligned_pairs(F1: ModElem, F2: ModElem, M: int, key, window) -> list[tuple]
     return entries
 
 
-def _m_column(m0: int, lo: float, hi: float, M: int, ndim: int) -> np.ndarray:
-    """Lattice indices m = m0 mod M in [floor(lo), ceil(hi)], shaped to broadcast against an ndim-d r."""
+def _m_column(m0: int, lo: float, hi: float, M: int) -> np.ndarray:
+    """Lattice indices m = m0 mod M in [floor(lo), ceil(hi)], as a column to broadcast against a 1-d r."""
     lo, hi = math.floor(lo), math.ceil(hi)
     start = lo + ((m0 - lo) % M)
-    return np.arange(start, hi + 1, M).reshape((-1,) + (1,) * ndim)
+    return np.arange(start, hi + 1, M).reshape(-1, 1)
 
 
-def _fold(acc: np.ndarray, block: np.ndarray) -> None:
-    # row by row in m order: block.sum(axis=0) would associate the sum differently
-    for term in block:
-        acc += term
+def _finite_terms(pairs) -> bool:
+    return all(cmath.isfinite(c) and _finite(atom) for c, atom in pairs)
+
+
+def _band(grid: np.ndarray, support) -> tuple[np.ndarray, np.ndarray]:
+    """(values, r indices) of the points of an (m rows x r points) grid inside support, in m-major order.
+
+    support is widened by BAND_PAD of its bounds' size; FULL_LINE keeps every point.
+    """
+    flat = grid.ravel()
+    if support is FULL_LINE:
+        keep = np.arange(flat.size)
+    else:
+        lo, hi = support
+        pad = BAND_PAD * (1.0 + abs(lo) + abs(hi))
+        keep = np.flatnonzero((flat >= lo - pad) & (flat <= hi + pad))
+        flat = flat[keep]
+    return flat, keep % grid.shape[1]
 
 
 def _on_grids(F: ModElem, requests: dict) -> dict:
@@ -546,45 +598,64 @@ def _on_grids(F: ModElem, requests: dict) -> dict:
 def _inner(F1: ModElem, F2: ModElem, entries: list, columns, shift, product) -> AlgElem:
     """The inner product whose entry (j1, j2, k) sums product(F1 on grid, F2 on shift(grid, k)) over m.
 
-    entries is j1-major, as _aligned_pairs gives it.  columns(r) gives the
-    function (j1, s1) -> grid of j1's m column at r, or None when the column is
-    empty; the grid depends on neither k nor j2.  One evaluation at r builds
-    each j1 grid and evaluates F1 on it once.  It takes the entries in order,
-    in batches of about BATCH_VALUES grid values: each distinct term tuple of
-    F1 and of F2 is evaluated once per batch on the grids it serves, and each
-    entry is folded into its k's sum, so every k sums its entries in j1 order.
-    A batch's grids and values are dropped after its fold, all but those of
-    the j1 it ends in, so memory stays bounded however many entries there are.
+    entries is j1-major, as _aligned_pairs gives it.  columns(r) gives, for a
+    1-d r, the function (j1, s1) -> (m rows x r points) grid of j1's m column,
+    or None when the column is empty; the grid depends on neither k nor j2.
+    An entry keeps only the band of its grid inside s1, class j1's support:
+    outside it F1 is an exact zero, and so is each product, unless F2 is not
+    finite (0 * NaN is NaN), so an entry whose F1 or F2 term tuple is not
+    known finite keeps its whole grid.  One evaluation at r takes the entries
+    in order, in batches of about BATCH_VALUES band values.  Each distinct
+    term tuple of F1 and of F2 is evaluated once per batch on the bands it
+    serves, and the batch's products are added into a (k x r) accumulator by
+    one np.add.at, which applies repeated indices in order: every (k, r) sums
+    its entries in j1 order and their points in m order, as a row-by-row
+    loop would.  The dropped zeros would change no sum, which starts at +0
+    and so never becomes -0.  A batch's grids and values are dropped after
+    it, all but those of the j1 it ends in, so memory stays bounded however
+    many entries there are.
     """
+    finite: dict = {}
+    entries = [
+        (j1, j2, k, s1, _once(finite, F1.terms[j1], _finite_terms) and _once(finite, F2.terms[j2], _finite_terms))
+        for j1, j2, k, s1 in entries
+    ]
     by_k: dict[int, list] = {}
     for entry in entries:
         by_k.setdefault(entry[2], []).append(entry)
 
-    def flush(batch, grids, f1, out):
-        f1.update(_on_grids(F1, {j1: (j1, grid) for j1, grid in grids.items() if grid is not None and j1 not in f1}))
-        f2 = _on_grids(F2, {n: (j2, shift(grids[j1], k)) for n, (j1, j2, k) in enumerate(batch)})
-        for n, (j1, _, k) in enumerate(batch):
-            _fold(out[k], product(f1[j1], f2[n]))
+    def flush(batch, views, f1, acc, width):
+        if not batch:
+            return
+        f1.update(_on_grids(F1, {key: (key[0], views[key][0]) for key, _, _, _ in batch if key not in f1}))
+        f2 = _on_grids(F2, {n: (j2, shift(views[key][0], k)) for n, (key, j2, k, _) in enumerate(batch)})
+        x = np.concatenate([f1[key] for key, _, _, _ in batch])
+        y = np.concatenate([f2[n] for n in range(len(batch))])
+        points = np.concatenate([views[key][1] for key, _, _, _ in batch])
+        rows = np.repeat([slot * width for _, _, _, slot in batch], [views[key][1].size for key, _, _, _ in batch])
+        _add_at(acc, rows + points, product(x, y))
 
     def at(r, chosen) -> dict[int, np.ndarray]:
         r = np.asarray(r, dtype=float)
-        column = columns(r)
-        out, batch, grids, f1, size = {}, [], {}, {}, 0
-        for j1, j2, k, s1 in chosen:
-            if k not in out:
-                out[k] = np.zeros(r.shape, dtype=complex)
+        column, width = columns(r.ravel()), r.size
+        slots = {k: slot for slot, k in enumerate(dict.fromkeys(entry[2] for entry in chosen))}
+        acc = np.zeros(len(slots) * width, dtype=complex)
+        batch, views, f1, size = [], {}, {}, 0
+        for j1, j2, k, s1, band in chosen:
             if size >= BATCH_VALUES:
-                flush(batch, grids, f1, out)
+                flush(batch, views, f1, acc, width)
                 batch, size = [], 0
-                grids = {j1: grids[j1]} if j1 in grids else {}
-                f1 = {j1: f1[j1]} if j1 in f1 else {}
-            if j1 not in grids:
-                grids[j1] = column(j1, s1)
-            if grids[j1] is not None:
-                batch.append((j1, j2, k))
-                size += grids[j1].size
-        flush(batch, grids, f1, out)
-        return out
+                views = {key: view for key, view in views.items() if key[0] == j1}
+                f1 = {key: values for key, values in f1.items() if key[0] == j1}
+            key = (j1, band)
+            if key not in views:
+                grid = column(j1, s1)
+                views[key] = None if grid is None else _band(grid, s1 if band else FULL_LINE)
+            if views[key] is not None and views[key][0].size:
+                batch.append((key, j2, k, slots[k]))
+                size += views[key][0].size
+        flush(batch, views, f1, acc, width)
+        return {k: acc[slot * width : (slot + 1) * width].reshape(r.shape) for k, slot in slots.items()}
 
     comps = {k: SumKernel(lambda r, es=es, k=k: at(r, es)[k]) for k, es in by_k.items()}
     return AlgElem(comps, lambda r: at(r, entries))
@@ -604,10 +675,10 @@ def inner_left(ctx: BimCtx, F1: ModElem, F2: ModElem) -> AlgElem:
     entries = _aligned_pairs(F1, F2, M, lambda j: -j, lambda s1, s2: (s1[0] - s2[1], s1[1] - s2[0], g))
 
     def columns(r):
-        cr, r_lo, r_hi = cc * r, float(np.min(r)), float(np.max(r))
+        cr, r_lo, r_hi = cc * r, float(r.min()), float(r.max())
 
         def column(j1, s1):
-            ms = _m_column((ctx.a * j1) % M, s1[0] - cc * r_hi, s1[1] - cc * r_lo, M, r.ndim)
+            ms = _m_column((ctx.a * j1) % M, s1[0] - cc * r_hi, s1[1] - cc * r_lo, M)
             return cr + ms if ms.size else None
 
         return column
@@ -630,10 +701,10 @@ def inner_right(ctx: BimCtx, F1: ModElem, F2: ModElem) -> AlgElem:
     entries = _aligned_pairs(F1, F2, M, lambda j: ctx.a * j, lambda s1, s2: (s2[0] - s1[1], s2[1] - s1[0], 1.0))
 
     def columns(r):
-        cr, r_lo, r_hi = cc * r, float(np.min(r)), float(np.max(r))
+        cr, r_lo, r_hi = cc * r, float(r.min()), float(r.max())
 
         def column(j1, s1):
-            ms = _m_column((-j1) % M, cc * r_lo - s1[1] / g, cc * r_hi - s1[0] / g, M, r.ndim)
+            ms = _m_column((-j1) % M, cc * r_lo - s1[1] / g, cc * r_hi - s1[0] / g, M)
             return (cr - ms) * g if ms.size else None
 
         return column
@@ -739,30 +810,44 @@ def _worse(err: float, e: float) -> float:
     return e if math.isnan(e) else max(err, e)
 
 
+def _on_t(values: dict, t: np.ndarray, atom) -> np.ndarray:
+    """atom at t, each distinct atom (by identity) evaluated once; a PhaseMod modulates its atom's memoised values.
+
+    A module-level function, not a closure: one that called itself would form a reference cycle.
+    """
+    out = values.get(id(atom))
+    if out is None:
+        if isinstance(atom, PhaseMod):
+            out = atom.modulate(t, _on_t(values, t, atom.fn))
+        else:
+            out = atom.eval(t)
+        values[id(atom)] = out
+    return out
+
+
 def mod_diff(A: ModElem, B: ModElem, rng: random.Random, points: int) -> float:
     """Largest pointwise |A - B| over every class, on one sampled t grid.
 
-    Each distinct atom (by identity) is evaluated on the grid once, and each
-    distinct term tuple summed once, in term order, for all the classes that
-    hold it.
+    Each distinct atom (by identity) is evaluated on the grid once, the p
+    PhaseMods a V action wraps around one shared atom included; each distinct
+    term tuple is summed once, in term order, and each distinct pair of an A
+    and a B tuple differenced once, for all the classes that hold them.
     """
     if A.modulus != B.modulus:
         raise ValueError("modulus mismatch in comparison")
     t = _t_samples(rng, [A.support(), B.support()], points)
     values: dict = {}
     sums: dict = {}
+    diffs: dict = {}
 
-    def on_t(atom):
-        return _once(values, atom, lambda a: a.eval(t))
+    def class_sum(pairs):
+        return _once(sums, pairs, lambda ps: _class_sum(ps, t, lambda atom: _on_t(values, t, atom)))
 
-    def class_sum(F, j):
-        return _once(sums, F.terms.get(j, ()), lambda pairs: _class_sum(pairs, t, on_t))
-
-    classes = sorted(A.terms.keys() | B.terms.keys())
-    diffs = np.empty((len(classes),) + t.shape, dtype=complex)
-    for row, j in zip(diffs, classes):
-        np.subtract(class_sum(A, j), class_sum(B, j), out=row)
-    return _worst(diffs)
+    for j in A.terms.keys() | B.terms.keys():
+        a, b = A.terms.get(j, ()), B.terms.get(j, ())
+        if (id(a), id(b)) not in diffs:
+            diffs[id(a), id(b)] = np.subtract(class_sum(a), class_sum(b))
+    return _worst(np.asarray(list(diffs.values())))
 
 
 def alg_diff(A: AlgElem, B: AlgElem, rng: random.Random, points: int) -> float:
@@ -823,7 +908,8 @@ def identity_suite(
             rhs = act_right_gen(ctx2, gen, p, iF)
             errs["iota_right_action"] = _worse(errs["iota_right_action"], mod_diff(lhs, rhs, rng, plan.t_points))
 
-        lhs = phi_embed(inner_left(ctx, F, G), p)
+        FG = inner_left(ctx, F, G)
+        lhs = phi_embed(FG, p)
         rhs = inner_left(ctx2, iF, iG)
         errs["phi_left_inner"] = _worse(errs["phi_left_inner"], alg_diff(lhs, rhs, rng, plan.r_points))
 
@@ -831,7 +917,7 @@ def identity_suite(
         rhs = inner_right(ctx2, iF, iG)
         errs["psi_right_inner"] = _worse(errs["psi_right_inner"], alg_diff(lhs, rhs, rng, plan.r_points))
 
-        lhs = act_alg_left(ctx, inner_left(ctx, F, G), H)
+        lhs = act_alg_left(ctx, FG, H)
         rhs = act_alg_right(ctx, F, inner_right(ctx, G, H))
         e = mod_diff(lhs, rhs, rng, plan.t_points)
         uv = act_left_gen(ctx, "U", 1, act_left_gen(ctx, "V", 1, F))

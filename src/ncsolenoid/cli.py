@@ -34,9 +34,10 @@ MAX_TRUNC_K = 3000
 # tower levels for --n: alpha_n has denominator p**n, which for the largest prime below exactnum.MR_LIMIT
 # has about 25*n digits, so every accepted level prints within Python's 4300-digit int-to-string limit
 MAX_LEVEL = 100
-# sample sizes of bimodule verify.  At --n 0, MAX_HATS hats on MAX_POINTS points take about 0.5 s end to end
-# at p = 2, 0.7 s at p = 7 and 4.6 s at p = 101.  Each hat spreads over p classes, so the time grows with
-# p * hats: at p = 1009, 4 hats on 10 points take about 0.5 s and MAX_HATS hats about 8 s (no bound covers p)
+# sample sizes of bimodule verify.  At --n 0, MAX_HATS hats on MAX_POINTS points take about 0.85 s end to end
+# at p = 2, 0.95 s at p = 7 and 3.3 s at p = 101 (2-core Xeon, Python 3.11).  Each hat spreads over p classes,
+# so the time grows with p * hats: at p = 1009, 4 hats on 10 points take about 0.8 s, the default sample 3.5 s
+# and MAX_HATS hats on 10 points about 11 s (no bound covers p)
 MAX_HATS = 100
 MAX_POINTS = 500
 # --count of the multiplier checks, whose time is linear in it.  On the default spec, MAX_COUNT samples take

@@ -40,6 +40,18 @@ class SolenoidSpec:
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
+        self._check()
+
+    @classmethod
+    def _of(cls, p: int, theta: QuadReal, digits: PAdic, digit_horizon: int | None = None) -> "SolenoidSpec":
+        """A spec over a p already proved prime (read off a checked spec): every check but the prime's."""
+        spec = object.__new__(cls)
+        for name, value in (("p", p), ("theta", theta), ("digits", digits), ("digit_horizon", digit_horizon)):
+            object.__setattr__(spec, name, value)
+        spec._check()
+        return spec
+
+    def _check(self):
         if not isinstance(self.theta, QuadReal):
             object.__setattr__(self, "theta", QuadReal(self.theta))
         if self.digits.p != self.p:
@@ -216,9 +228,9 @@ def truncate_spec(spec: SolenoidSpec, k: int) -> SolenoidSpec:
     if k == 0:
         return spec
     h = spec.head(k)
-    shifted = PAdic.from_rational(spec.p, (spec.digits.as_fraction() - h) / spec.p**k)
+    shifted = PAdic._of(spec.p, (spec.digits.as_fraction() - h) / spec.p**k)
     horizon = None if spec.digit_horizon is None else spec.digit_horizon - k
-    return SolenoidSpec(spec.p, _alpha(spec, k, h), shifted, horizon)
+    return SolenoidSpec._of(spec.p, _alpha(spec, k, h), shifted, horizon)
 
 
 def equal_in_Xi(a: SolenoidSpec, b: SolenoidSpec, N: int) -> bool:

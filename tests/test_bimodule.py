@@ -2,6 +2,7 @@
 and the compatibility identity suite at small sample plans."""
 
 import dataclasses
+import gc
 import json
 import math
 import random
@@ -396,6 +397,99 @@ def test_inner_batches_bound_the_values_held(monkeypatch):
         assert max(sum(s) - s[-1] for s in f2) < bimodule.BATCH_VALUES
 
 
+def _ulps_around(x, count):
+    """x and the count floats on each side of it."""
+    out = [x]
+    for direction in (-math.inf, math.inf):
+        y = x
+        for _ in range(count):
+            y = float(np.nextafter(y, direction))
+            out.append(y)
+    return out
+
+
+def _assert_matches_per_m(ctx, pairs, rs, stride=1):
+    """Every stride-th k of each inner product of the pairs, at each r, bitwise against _per_m_kernel."""
+    for side, inner in (("left", inner_left), ("right", inner_right)):
+        for F1, F2 in pairs:
+            A = inner(ctx, F1, F2)
+            assert A.keys()
+            for r in rs:
+                every = A.eval_all(r)
+                for k in A.keys()[::stride]:
+                    want, _, _ = _per_m_kernel(ctx, F1, F2, side, k, r)
+                    assert np.array_equal(every[k].view(np.float64), want.view(np.float64)), (side, k, r.shape)
+
+
+def test_band_keeps_values_an_ulp_outside_float_supports():
+    # Shifted and Dilated round an atom's support bounds and its argument separately, so the atom can be
+    # nonzero an ulp outside its float support.  At c = 1 a left grid point is r + m and a right one
+    # (r - m) * gamma: these r put points exactly on each support end and 3 ulps on either side, where (the
+    # supports being narrower than 1) they are the only nonzero row of their r, so a band that dropped one
+    # would change that r's sum
+    ctx = ctx_at(2, 0)
+    g = ctx.gamma_f
+    atoms = [
+        Dilated(Shifted(HatFn((0.95, 1.05, 1.15), (0j, 1 - 1j, 0j)), 0.1), 3.0),
+        Shifted(Dilated(HatFn((-0.7, -0.6, -0.5), (0j, 0.5 + 2j, 0j)), 3.0), 0.1),
+    ]
+    wide = ModElem.delta(1, 0, HatFn((-9.0, 0.3, 9.0), (0j, 1 + 0.5j, 0j)))
+    for atom in atoms:
+        lo, hi = atom.support()
+        assert hi - lo < 1
+        near = [x for end in (lo, hi) for x in _ulps_around(end, 3)]
+        assert any(atom.eval(np.array([x]))[0] != 0 for x in near if not lo <= x <= hi)
+        r = [x - math.floor(x) for x in near]
+        assert all(ri + math.floor(x) == x for ri, x in zip(r, near))
+        # on the right, the r within 2 ulps of x / gamma - m that land exactly on x, some near each end
+        right = [
+            (ri, x) for x in near for ri in _ulps_around(x / g - math.floor(x / g), 2) if (ri + math.floor(x / g)) * g == x
+        ]
+        assert all(any(x in _ulps_around(end, 3) for _, x in right) for end in (lo, hi))
+        r = np.array(r + [ri for ri, _ in right])
+        F = ModElem.delta(1, 0, atom)
+        _assert_matches_per_m(ctx, [(F, wide), (wide, F), (F, F)], [r, np.concatenate([r, np.linspace(0.0, 2.0, 23)])])
+
+
+def test_band_and_whole_grids_mix_bitwise():
+    # F2's NaN class is not known finite, so each j1 builds its band for the other classes and its whole
+    # grid for that one; both must give the per-m sums, NaN where a row meets the NaN hat
+    ctx = ctx_at(2, 1)
+    rng = random.Random(23)
+    F = _planted(rng, ctx.modulus, 1.0)
+    G = _planted(rng, ctx.modulus, 0.5 - 1j).add(ModElem.delta(ctx.modulus, 1, _nan_hat()))
+    r = np.linspace(0.0, 2.0, 31)
+    nans = finite = 0
+    for side, inner in (("left", inner_left), ("right", inner_right)):
+        for F1, F2 in ((F, G), (G, F)):
+            every = inner(ctx, F1, F2).eval_all(r)
+            for k, got in every.items():
+                want, _, _ = _per_m_kernel(ctx, F1, F2, side, k, r)
+                assert np.array_equal(got.view(np.float64), want.view(np.float64), equal_nan=True), (side, k)
+                nans += bool(np.isnan(got).any())
+                finite += bool(np.isfinite(got).all() and got.any())
+    assert nans and finite
+
+
+def test_band_matches_per_m_reference_past_the_in_place_threshold(monkeypatch):
+    # numpy multiplies a temporary of 256 KiB or more in place: here one j1's band alone holds more values
+    # than that, so each batch's F1, F2 and product arrays pass it
+    ctx = ctx_at(7, 0)
+    wide = HatFn((-60.0, -1.0, 60.0), (0j, 1 - 2j, 0j))
+    F = ModElem.delta(1, 0, wide, coef=0.5 + 1j).add(ModElem.delta(1, 0, Dilated(Shifted(wide, 0.1), 1.1)))
+    G = ModElem.delta(1, 0, Shifted(wide, -2.5), coef=-1.5j)
+    sizes = []
+    on_grids = bimodule._on_grids
+
+    def recorded(H, requests):
+        sizes.append(sum(grid.size for _, grid in requests.values()))
+        return on_grids(H, requests)
+
+    monkeypatch.setattr(bimodule, "_on_grids", recorded)
+    _assert_matches_per_m(ctx, [(F, G)], [np.linspace(0.0, 1.0, 200)], stride=9)
+    assert max(sizes) * np.dtype(complex).itemsize >= 256 * 1024
+
+
 def _pairs_reference(ctx, F1, F2, side):
     """k -> [(j1, j2)] from every pair of classes and every k of its window, in (j1, j2, k) order."""
     M, g = ctx.modulus, ctx.gamma_f
@@ -506,6 +600,14 @@ def test_shared_atoms_evaluate_once_per_grid(p, monkeypatch):
     # so do the p classes a U action moves: one shifted atom per side
     mod_diff(act_left_gen(ctx2, "U", p, iF), act_right_gen(ctx2, "U", p, iF), random.Random(2), 60)
     assert f.calls == 3
+    # a V action wraps each of the p classes' shared atom in its own PhaseMod, which takes the atom's
+    # values on the grid from the same memo: once per side
+    lhs = level_embed(ctx, act_left_gen(ctx, "V", 1, ModElem.delta(ctx.modulus, 0, f)))
+    rhs = act_left_gen(ctx2, "V", p, iF)
+    assert len({id(atom.fn) for pairs in rhs.terms.values() for _, atom in pairs}) == 1 < len(rhs.terms) == p
+    f.calls = 0
+    assert mod_diff(lhs, rhs, random.Random(4), 60) < 1e-12
+    assert f.calls == 2
     # the all-k path evaluates each shared term tuple once per batch, on the grids of all
     # its entries there: once in all when they fit one batch
     monkeypatch.setattr(bimodule, "BATCH_VALUES", 10**9)
@@ -527,6 +629,21 @@ def test_shared_atoms_evaluate_once_per_grid(p, monkeypatch):
     assert g.calls == len(entries) > f.calls == len({j1 for j1, _, _, _ in entries}) > 1
 
 
+def test_mod_diff_leaves_no_reference_cycle():
+    # a cycle (a memo closure that refers to itself, say) would keep every grid and value array of the call
+    # alive until the next collection
+    ctx, ctx2 = ctx_at(3, 0), ctx_at(3, 1)
+    F = random_mod_elem(random.Random(19), ctx.modulus)
+    lhs, rhs = level_embed(ctx, act_left_gen(ctx, "V", 1, F)), act_left_gen(ctx2, "V", 3, level_embed(ctx, F))
+    gc.collect()
+    gc.disable()
+    try:
+        assert mod_diff(lhs, rhs, random.Random(5), 80) < 1e-12
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _nan_hat():
     return HatFn((0.0, 0.5, 1.0), (0j, complex(math.nan, 1.0), 0j))
 
@@ -541,6 +658,12 @@ def test_nan_deviation_is_nan_in_every_class():
     F = ModElem.delta(1, 0, _nan_hat())
     assert math.isnan(alg_diff(inner_left(ctx, F, F), AlgElem(), random.Random(0), 70))
     assert math.isnan(alg_diff(AlgElem(), inner_right(ctx, F, F), random.Random(0), 70))
+    # F2 is NaN only where F1 is an exact zero: 0 * NaN still reaches the kernel, so an F2 that is not known
+    # finite is evaluated on the whole m window, not only on F1's band
+    F1 = ModElem.delta(1, 0, HatFn((2.0, 2.5, 3.0), (0j, 1 + 0j, 0j)))
+    nan_mid = HatFn((0.0, 0.7, 0.8, 0.9, 10.0, 10.5), (0j, 1 + 0j, complex(math.nan, 1.0), 1 + 0j, 1 + 0j, 0j))
+    F2 = ModElem.delta(1, 0, nan_mid)
+    assert math.isnan(alg_diff(inner_left(ctx, F1, F2), AlgElem(), random.Random(0), 70))
 
 
 def test_nan_deviation_fails_the_report(monkeypatch):

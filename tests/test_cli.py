@@ -625,9 +625,11 @@ def test_bimodule_verify_nan_deviation_fails_in_strict_json(capsys, monkeypatch)
 def test_bimodule_verify_large_prime_finishes():
     # for each j1 the aligned j2 are bisected from the classes sorted by key, so an inner
     # product costs about one step per aligned pair, not one per pair of classes (p**2 of
-    # them).  At p = 1009 the level-0 inner products sum about 2000 m rows per r point,
-    # grids far above the 256 KiB where numpy starts to multiply temporaries in place:
-    # two runs print the same bytes.  The budget is on the faster of the two runs.
+    # them).  At p = 1009 the level-0 inner products span about 2000 m rows per r point, but
+    # each entry evaluates only its support band, at most 325 values per batch here, far
+    # below the 256 KiB where numpy starts to multiply temporaries in place (a band past it is
+    # tested in test_bimodule): two runs print the same bytes.  The budget is on the faster
+    # of the two runs.
     argv = ["bimodule", "verify", "--p", "1009", *SPEC_FLAGS[2:], "--c0", "1", "--d0", "0", "--hats", "4", "--points", "10"]
     times, outs = [], []
     for _ in range(2):

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncsolenoid
-from ncsolenoid import morita
-from ncsolenoid.exactnum import QuadReal, ext_gcd, floor, frac1
+from ncsolenoid import morita, padic, solenoid
+from ncsolenoid.exactnum import MR_LIMIT, QuadReal, ext_gcd, floor, frac1
 from ncsolenoid.morita import (
     MAX_SEARCH_CANDIDATES,
     MAX_SEARCH_LEVEL,
@@ -681,6 +681,20 @@ def test_search_reads_every_truncation_up_to_the_deepest(monkeypatch, bounds, ho
     monkeypatch.setattr(morita, "truncate_spec", lambda spec, k: read.append(k) or truncate_spec(spec, k))
     assert certificate_search(a, b, bounds).status == "inconclusive"
     assert read == list(range(0, deepest + 1, 2))
+
+
+def test_search_proves_no_prime_per_truncation(monkeypatch):
+    # a truncation's p is that of the spec it is read off, proved when that spec was built: at the largest
+    # prime below MR_LIMIT, proving it twice for each of the 16 truncations k > 0 took most of this search
+    p = MR_LIMIT - 168
+    a = SolenoidSpec(p, QuadReal.parse("1/3"), PAdic.from_rational(p, Fraction(3, 5)))
+    b = SolenoidSpec(p, QuadReal.parse("2/97"), PAdic.from_rational(p, Fraction(3, 5)))
+    proved, built = [], []
+    monkeypatch.setattr(padic, "is_prime", lambda n: proved.append(n) or True)
+    monkeypatch.setattr(solenoid, "is_prime", lambda n: proved.append(n) or True)
+    monkeypatch.setattr(morita, "truncate_spec", lambda spec, k: built.append(k) or truncate_spec(spec, k))
+    assert certificate_search(a, b, SearchBounds(max_c0=58, entries=0)).status == "inconclusive"
+    assert built == list(range(0, MAX_SEARCH_LEVEL + 1, 2)) and proved == []
 
 
 @pytest.mark.parametrize("k", [6, 12])

@@ -155,6 +155,7 @@ def test_truncate_spec_shifts_sequence():
     spec = make_spec(2, SQRT2 - 1, 5)
     for k in (0, 1, 2, 3):
         t = truncate_spec(spec, k)
+        assert t == SolenoidSpec(t.p, t.theta, t.digits, t.digit_horizon)
         for n in range(8):
             assert alpha_at(t, n) == alpha_at(spec, n + k)
 
