@@ -10,9 +10,10 @@ precision once per context.
 Test functions are piecewise-linear hats: genuine compact support keeps
 every lattice sum finite, with summation ranges derived from support bounds
 rather than truncated.  An inner product enumerates only the class pairs
-(j1, j2) aligned with some k, and evaluates each (j1, j2) entry on the band
-of its (m x r) grid where F1 can be nonzero, then adds it into its k's sum
-by an ordered np.add.at, in the m order of a row-by-row loop.
+(j1, j2) aligned with some k, and evaluates each entry on its (m x r)
+grid, cut to the band where F1 can be nonzero if every term of both
+elements is known finite (else whole: 0 * NaN is NaN), then adds it into
+its k's sum by an ordered np.add.at, in the m order of a row-by-row loop.
 
 Sampled comparisons evaluate a factor that several classes share once, not
 once per class.  The p classes that `level_embed` spreads one class over
@@ -21,10 +22,10 @@ share its term tuple and atoms, and so do the classes a U action moves.
 a V action modulate their shared atom's memoised values), sums each
 distinct term tuple once and differences each distinct pair of tuples once.
 `alg_diff` evaluates an inner product at every k together
-(`AlgElem.eval_all`): on one r grid each j1 band is built and F1 evaluated
+(`AlgElem.eval_all`): on one r grid each j1 grid is built and F1 evaluated
 on it once, and the entries are taken j1 by j1 in batches of about
-BATCH_VALUES band values, each distinct term tuple of F2 evaluated once per
-batch on the concatenated bands of the entries it serves.  Only one batch's
+BATCH_VALUES grid values, each distinct term tuple of F2 evaluated once per
+batch on the concatenated grids of the entries it serves.  Only one batch's
 grids and values are held at a time.  The one-k path (`AlgElem.eval`) is
 the same evaluation restricted to the entries of its k; the module actions
 use it, since their grids differ per (j, k).
@@ -314,17 +315,6 @@ class SumKernel:
         return self._fn(np.asarray(r, dtype=float))
 
 
-@dataclass(frozen=True)
-class DilatedComp:
-    """r -> comp(factor * r): the generator-power embedding on symbols."""
-
-    comp: object
-    factor: int
-
-    def eval(self, r):
-        return self.comp.eval(np.asarray(r, dtype=float) * self.factor)
-
-
 class AlgElem:
     """Finite map k -> 1-periodic evaluator; missing components are zero.
 
@@ -359,7 +349,7 @@ class AlgElem:
 def phi_embed(A: AlgElem, p: int) -> AlgElem:
     """Symbol-level embedding: component j moves to jp with its function dilated by p."""
     return AlgElem(
-        {k * p: DilatedComp(comp, p) for k, comp in A.comps.items()},
+        {k * p: PeriodicFn(comp, p, 0.0) for k, comp in A.comps.items()},  # r >= 0, so r*p + 0.0 is r*p
         lambda r: {k * p: v for k, v in A.eval_all(r * p).items()},
     )
 
@@ -429,8 +419,11 @@ def _once(memo: dict, obj, make):
     return out
 
 
-def act_left_gen(ctx: BimCtx, gen: str, power: int, F: ModElem) -> ModElem:
-    """U: F(t - gamma, [m-1]); V: exp(2 pi i (t - am)/c) F(t, [m]); integer powers."""
+def _act_gen(ctx: BimCtx, gen: str, power: int, F: ModElem, unit, step: int, denom, mult: int) -> ModElem:
+    """U^power: F(t - power*unit, [m - power*step]); V^power: exp(2 pi i power (t/denom - mult*m/c)) F(t, [m]).
+
+    unit, step, denom and mult are one side's constants; an int denom keeps power / denom an int/int division.
+    """
     _check_modulus(ctx, F)
     if power == 0:
         return F
@@ -438,38 +431,26 @@ def act_left_gen(ctx: BimCtx, gen: str, power: int, F: ModElem) -> ModElem:
     moved: dict = {}  # classes that share a term tuple share its shifted tuple
     for j, pairs in F.terms.items():
         if gen == "U":
-            out[(j + power) % ctx.modulus] = _once(
-                moved, pairs, lambda ps: tuple((c, Shifted(atom, power * ctx.gamma_f)) for c, atom in ps)
+            out[(j + power * step) % ctx.modulus] = _once(
+                moved, pairs, lambda ps: tuple((c, Shifted(atom, power * unit)) for c, atom in ps)
             )
         elif gen == "V":
             out[j] = tuple(
-                (c, PhaseMod(atom, power / ctx.c, -((power * ctx.a * j) % ctx.c) / ctx.c)) for c, atom in pairs
+                (c, PhaseMod(atom, power / denom, -((power * mult * j) % ctx.c) / ctx.c)) for c, atom in pairs
             )
         else:
             raise ValueError(f"unknown generator {gen!r}")
     return ModElem(ctx.modulus, out)
+
+
+def act_left_gen(ctx: BimCtx, gen: str, power: int, F: ModElem) -> ModElem:
+    """U: F(t - gamma, [m-1]); V: exp(2 pi i (t - am)/c) F(t, [m]); integer powers."""
+    return _act_gen(ctx, gen, power, F, ctx.gamma_f, 1, ctx.c, ctx.a)
 
 
 def act_right_gen(ctx: BimCtx, gen: str, power: int, F: ModElem) -> ModElem:
     """U: F(t - 1, [m-d]); V: exp(2 pi i (t/gamma - m)/c) F(t, [m]); integer powers."""
-    _check_modulus(ctx, F)
-    if power == 0:
-        return F
-    out: dict = {}
-    moved: dict = {}  # classes that share a term tuple share its shifted tuple
-    for j, pairs in F.terms.items():
-        if gen == "U":
-            out[(j + power * ctx.d) % ctx.modulus] = _once(
-                moved, pairs, lambda ps: tuple((c, Shifted(atom, float(power))) for c, atom in ps)
-            )
-        elif gen == "V":
-            out[j] = tuple(
-                (c, PhaseMod(atom, power / (ctx.gamma_f * ctx.c), -((power * j) % ctx.c) / ctx.c))
-                for c, atom in pairs
-            )
-        else:
-            raise ValueError(f"unknown generator {gen!r}")
-    return ModElem(ctx.modulus, out)
+    return _act_gen(ctx, gen, power, F, 1.0, ctx.d, ctx.gamma_f * ctx.c, 1)
 
 
 def act_alg_left(ctx: BimCtx, A: AlgElem, F: ModElem) -> ModElem:
@@ -554,10 +535,6 @@ def _m_column(m0: int, lo: float, hi: float, M: int) -> np.ndarray:
     return np.arange(start, hi + 1, M).reshape(-1, 1)
 
 
-def _finite_terms(pairs) -> bool:
-    return all(cmath.isfinite(c) and _finite(atom) for c, atom in pairs)
-
-
 def _band(grid: np.ndarray, support) -> tuple[np.ndarray, np.ndarray]:
     """(values, r indices) of the points of an (m rows x r points) grid inside support, in m-major order.
 
@@ -601,25 +578,23 @@ def _inner(F1: ModElem, F2: ModElem, entries: list, columns, shift, product) -> 
     entries is j1-major, as _aligned_pairs gives it.  columns(r) gives, for a
     1-d r, the function (j1, s1) -> (m rows x r points) grid of j1's m column,
     or None when the column is empty; the grid depends on neither k nor j2.
-    An entry keeps only the band of its grid inside s1, class j1's support:
-    outside it F1 is an exact zero, and so is each product, unless F2 is not
-    finite (0 * NaN is NaN), so an entry whose F1 or F2 term tuple is not
-    known finite keeps its whole grid.  One evaluation at r takes the entries
-    in order, in batches of about BATCH_VALUES band values.  Each distinct
-    term tuple of F1 and of F2 is evaluated once per batch on the bands it
-    serves, and the batch's products are added into a (k x r) accumulator by
-    one np.add.at, which applies repeated indices in order: every (k, r) sums
+    If every term of F1 and F2 is known finite (each distinct term tuple is
+    checked once), every entry keeps only the band of its column inside s1,
+    class j1's support: outside it F1 is an exact zero, and so is each
+    product, and the dropped zeros change no sum, which starts at +0 and so
+    never becomes -0.  Otherwise every entry keeps its whole column, since
+    0 * NaN is NaN.  One evaluation at r takes the entries in order, in
+    batches of about BATCH_VALUES column values.  Each distinct term tuple
+    of F1 and of F2 is evaluated once per batch on the columns it serves,
+    and the batch's products are added into a (k x r) accumulator by one
+    np.add.at, which applies repeated indices in order: every (k, r) sums
     its entries in j1 order and their points in m order, as a row-by-row
-    loop would.  The dropped zeros would change no sum, which starts at +0
-    and so never becomes -0.  A batch's grids and values are dropped after
-    it, all but those of the j1 it ends in, so memory stays bounded however
-    many entries there are.
+    loop would.  A batch's grids and values are dropped after it, all but
+    those of the j1 it ends in, so memory stays bounded however many
+    entries there are.
     """
-    finite: dict = {}
-    entries = [
-        (j1, j2, k, s1, _once(finite, F1.terms[j1], _finite_terms) and _once(finite, F2.terms[j2], _finite_terms))
-        for j1, j2, k, s1 in entries
-    ]
+    tuples = {id(ps): ps for F in (F1, F2) for ps in F.terms.values()}
+    finite = all(cmath.isfinite(c) and _finite(atom) for ps in tuples.values() for c, atom in ps)
     by_k: dict[int, list] = {}
     for entry in entries:
         by_k.setdefault(entry[2], []).append(entry)
@@ -627,12 +602,12 @@ def _inner(F1: ModElem, F2: ModElem, entries: list, columns, shift, product) -> 
     def flush(batch, views, f1, acc, width):
         if not batch:
             return
-        f1.update(_on_grids(F1, {key: (key[0], views[key][0]) for key, _, _, _ in batch if key not in f1}))
-        f2 = _on_grids(F2, {n: (j2, shift(views[key][0], k)) for n, (key, j2, k, _) in enumerate(batch)})
-        x = np.concatenate([f1[key] for key, _, _, _ in batch])
+        f1.update(_on_grids(F1, {j1: (j1, views[j1][0]) for j1, _, _, _ in batch if j1 not in f1}))
+        f2 = _on_grids(F2, {n: (j2, shift(views[j1][0], k)) for n, (j1, j2, k, _) in enumerate(batch)})
+        x = np.concatenate([f1[j1] for j1, _, _, _ in batch])
         y = np.concatenate([f2[n] for n in range(len(batch))])
-        points = np.concatenate([views[key][1] for key, _, _, _ in batch])
-        rows = np.repeat([slot * width for _, _, _, slot in batch], [views[key][1].size for key, _, _, _ in batch])
+        points = np.concatenate([views[j1][1] for j1, _, _, _ in batch])
+        rows = np.repeat([slot * width for _, _, _, slot in batch], [views[j1][1].size for j1, _, _, _ in batch])
         _add_at(acc, rows + points, product(x, y))
 
     def at(r, chosen) -> dict[int, np.ndarray]:
@@ -641,19 +616,18 @@ def _inner(F1: ModElem, F2: ModElem, entries: list, columns, shift, product) -> 
         slots = {k: slot for slot, k in enumerate(dict.fromkeys(entry[2] for entry in chosen))}
         acc = np.zeros(len(slots) * width, dtype=complex)
         batch, views, f1, size = [], {}, {}, 0
-        for j1, j2, k, s1, band in chosen:
+        for j1, j2, k, s1 in chosen:
             if size >= BATCH_VALUES:
                 flush(batch, views, f1, acc, width)
                 batch, size = [], 0
-                views = {key: view for key, view in views.items() if key[0] == j1}
-                f1 = {key: values for key, values in f1.items() if key[0] == j1}
-            key = (j1, band)
-            if key not in views:
+                views = {j1: views[j1]} if j1 in views else {}
+                f1 = {j1: f1[j1]} if j1 in f1 else {}
+            if j1 not in views:
                 grid = column(j1, s1)
-                views[key] = None if grid is None else _band(grid, s1 if band else FULL_LINE)
-            if views[key] is not None and views[key][0].size:
-                batch.append((key, j2, k, slots[k]))
-                size += views[key][0].size
+                views[j1] = None if grid is None else _band(grid, s1 if finite else FULL_LINE)
+            if views[j1] is not None and views[j1][0].size:
+                batch.append((j1, j2, k, slots[k]))
+                size += views[j1][0].size
         flush(batch, views, f1, acc, width)
         return {k: acc[slot * width : (slot + 1) * width].reshape(r.shape) for k, slot in slots.items()}
 

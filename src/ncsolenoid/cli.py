@@ -35,11 +35,14 @@ MAX_TRUNC_K = 3000
 # has about 25*n digits, so every accepted level prints within Python's 4300-digit int-to-string limit
 MAX_LEVEL = 100
 # sample sizes of bimodule verify.  At --n 0, MAX_HATS hats on MAX_POINTS points take about 0.85 s end to end
-# at p = 2, 0.95 s at p = 7 and 3.3 s at p = 101 (2-core Xeon, Python 3.11).  Each hat spreads over p classes,
-# so the time grows with p * hats: at p = 1009, 4 hats on 10 points take about 0.8 s, the default sample 3.5 s
-# and MAX_HATS hats on 10 points about 11 s (no bound covers p)
+# at p = 2, 0.95 s at p = 7 and 3.3 s at p = 101 (2-core Xeon, Python 3.11)
 MAX_HATS = 100
 MAX_POINTS = 500
+# each hat spreads over p classes, so the time grows with p * hats, which MAX_P_HATS bounds: the default 20 hats
+# stay accepted at every p below 1024.  On MAX_POINTS points, 20 hats at p = 1009 take about 4.5 s, 100 hats at
+# p = 199 about 5.6 s and 1 hat at p = 20479 about 6 s; before the bound, 100 hats at p = 1009 took about 9 s
+# on 10 points and 1 hat at p = 100003 about 15 s
+MAX_P_HATS = 20480
 # --count of the multiplier checks, whose time is linear in it.  On the default spec, MAX_COUNT samples take
 # about 0.3 s end to end for check-cocycle, 0.35 s for check-annihilator and 0.5 s for check-eta-psi; at the
 # largest prime below exactnum.MR_LIMIT, about 0.4 s, 0.45 s and 0.65 s
@@ -60,18 +63,10 @@ def _parse_digits(p: int, text: str) -> PAdic:
 
 
 def _count(text: str) -> int:
-    """argparse type for --entries, --count and --k: a nonnegative integer."""
+    """argparse type for --entries, --count, --k and --n: a nonnegative integer."""
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
-    return n
-
-
-def _level(text: str) -> int:
-    """argparse type for --n: a tower level in 0..MAX_LEVEL."""
-    n = int(text)
-    if not 0 <= n <= MAX_LEVEL:
-        raise argparse.ArgumentTypeError(f"must be in 0..MAX_LEVEL = {MAX_LEVEL}, got {n}")
     return n
 
 
@@ -143,8 +138,6 @@ def _cmd_padic(args) -> dict:
         base["frac_part"] = str(f)
         base["as_rational"] = str(f.as_fraction())
     else:  # trunc
-        if args.k > MAX_TRUNC_K:
-            raise ValueError(f"--k must be at most {MAX_TRUNC_K}, got {args.k}")
         t = value.truncate(args.k)
         base.update({"ord": t.v, "digits": list(t.digits), "precision": t.precision})
     return base
@@ -210,9 +203,11 @@ def _cmd_check(args) -> dict:
 
 
 def _cmd_bimodule(args) -> dict:
+    spec = _build_spec(args)
+    if spec.p * args.hats > MAX_P_HATS:
+        raise ValueError(f"p * --hats must be at most MAX_P_HATS = {MAX_P_HATS}, got {spec.p} * {args.hats}")
     from .bimodule import SamplePlan  # numpy loads here, for the float check only
 
-    spec = _build_spec(args)
     seed = _resolve_seed(args.seed)
     proj = ProjectionData(args.m, args.c0, args.d0)
     plan = SamplePlan(seed=seed, hats=args.hats, r_points=args.points, t_points=args.points)
@@ -257,10 +252,13 @@ COMMANDS = {
     "padic": ("exact p-adic computations", _cmd_padic, "padic_cmd", {
         "inv": _PADIC,
         "frac": _PADIC,
-        "trunc": (*_PADIC, _arg("--k", type=_count, required=True, help=f"digit window bound, at most {MAX_TRUNC_K}")),
+        "trunc": (
+            *_PADIC,
+            _arg("--k", type=_at_most(_count, "MAX_TRUNC_K", MAX_TRUNC_K), required=True, help=f"digit window bound, at most {MAX_TRUNC_K}"),
+        ),
     }),
     "solenoid": ("sequence windows and coherence", _cmd_solenoid, "solenoid_cmd", {
-        "alpha": (*_SPEC, _arg("--n", type=_level, required=True, help=_LEVEL_HELP)),
+        "alpha": (*_SPEC, _arg("--n", type=_at_most(_count, "MAX_LEVEL", MAX_LEVEL), required=True, help=_LEVEL_HELP)),
         "check-coherence": (*_SPEC, _entries(8)),
         "from-even": (*_SPEC, _entries(8)),
     }),
@@ -284,10 +282,10 @@ COMMANDS = {
     "bimodule": ("bimodule identity verification", _cmd_bimodule, "bimodule_cmd", {
         "verify": (
             *_SPEC, *_TRACE,
-            _arg("--n", type=_level, default=0, help=_LEVEL_HELP),
+            _arg("--n", type=_at_most(_count, "MAX_LEVEL", MAX_LEVEL), default=0, help=_LEVEL_HELP),
             _SEED,
             _arg("--points", type=_at_most(int, "MAX_POINTS", MAX_POINTS), default=200),
-            _arg("--hats", type=_at_most(int, "MAX_HATS", MAX_HATS), default=20),
+            _arg("--hats", type=_at_most(int, "MAX_HATS", MAX_HATS), default=20, help=f"p * hats at most {MAX_P_HATS}"),
             _arg("--tolerance", type=float, default=suite_mod.DEFAULT_TOLERANCE),
         ),
     }),

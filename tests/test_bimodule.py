@@ -452,8 +452,8 @@ def test_band_keeps_values_an_ulp_outside_float_supports():
 
 
 def test_band_and_whole_grids_mix_bitwise():
-    # F2's NaN class is not known finite, so each j1 builds its band for the other classes and its whole
-    # grid for that one; both must give the per-m sums, NaN where a row meets the NaN hat
+    # G's NaN class is not known finite, so every entry of an inner product of F and G keeps its whole grid,
+    # the entries of G's finite classes too; all must give the per-m sums, NaN where a row meets the NaN hat
     ctx = ctx_at(2, 1)
     rng = random.Random(23)
     F = _planted(rng, ctx.modulus, 1.0)
@@ -658,8 +658,8 @@ def test_nan_deviation_is_nan_in_every_class():
     F = ModElem.delta(1, 0, _nan_hat())
     assert math.isnan(alg_diff(inner_left(ctx, F, F), AlgElem(), random.Random(0), 70))
     assert math.isnan(alg_diff(AlgElem(), inner_right(ctx, F, F), random.Random(0), 70))
-    # F2 is NaN only where F1 is an exact zero: 0 * NaN still reaches the kernel, so an F2 that is not known
-    # finite is evaluated on the whole m window, not only on F1's band
+    # F2 is NaN only where F1 is an exact zero: 0 * NaN still reaches the kernel, so when F2 is not known
+    # finite every entry is evaluated on its whole m window, not only on F1's band
     F1 = ModElem.delta(1, 0, HatFn((2.0, 2.5, 3.0), (0j, 1 + 0j, 0j)))
     nan_mid = HatFn((0.0, 0.7, 0.8, 0.9, 10.0, 10.5), (0j, 1 + 0j, complex(math.nan, 1.0), 1 + 0j, 1 + 0j, 0j))
     F2 = ModElem.delta(1, 0, nan_mid)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncsolenoid
-from ncsolenoid.cli import COMMANDS, MAX_COUNT, MAX_HATS, MAX_LEVEL, MAX_POINTS, MAX_TRUNC_K, build_parser, main
+from ncsolenoid.cli import COMMANDS, MAX_COUNT, MAX_HATS, MAX_LEVEL, MAX_P_HATS, MAX_POINTS, MAX_TRUNC_K, build_parser, main
 from ncsolenoid.exactnum import MAX_LITERAL_DIGITS, MR_LIMIT, QuadReal
 from ncsolenoid.morita import ProjectionData, heisenberg_partner_spec, projection_partner
 from ncsolenoid.padic import PAdic
@@ -203,10 +203,15 @@ def test_oversized_padic_input_usage_error(argv):
         # time is linear in hats times points: a million of either used to run for minutes
         (["bimodule", "verify", *SPEC_FLAGS, "--c0", "1", "--d0", "0", "--hats", "1000000"], "MAX_HATS"),
         (["bimodule", "verify", *SPEC_FLAGS, "--c0", "1", "--d0", "0", "--points", "1000000"], "MAX_POINTS"),
+        # 6827 * 3 = MAX_P_HATS + 1, the least p * hats over the bound: it exits before any sample is drawn,
+        # where 1 hat at p = 100003 used to run for about 15 s
+        (["bimodule", "verify", "--p", "6827", *SPEC_FLAGS[2:], "--c0", "1", "--d0", "0", "--hats", "3"],
+         f"MAX_P_HATS = {MAX_P_HATS}, got 6827 * 3"),
         # time is linear in the count: 20 000 took about 4 s, so a billion would run for hours
         (["multiplier", "check-eta-psi", "--count", "1000000000"], f"MAX_COUNT = {MAX_COUNT}"),
     ],
-    ids=["long-period-display", "huge-radicand", "huge-entries", "huger-entries", "huge-hats", "huge-points", "huge-count"],
+    ids=["long-period-display", "huge-radicand", "huge-entries", "huger-entries", "huge-hats", "huge-points", "least-p-hats",
+         "huge-count"],
 )
 def test_unbounded_work_usage_error(argv, bound):
     proc = run_process(argv)
@@ -355,8 +360,11 @@ BIMODULE_ARGV = ["bimodule", "verify", *SPEC_FLAGS, "--c0", "1", "--d0", "0"]
 @pytest.mark.parametrize(
     "leaf, flag, bound, limit",
     [(BIMODULE_ARGV, "--hats", "MAX_HATS", MAX_HATS), (BIMODULE_ARGV, "--points", "MAX_POINTS", MAX_POINTS),
-     (["multiplier", "check-eta-psi"], "--count", "MAX_COUNT", MAX_COUNT)],
-    ids=["--hats-MAX_HATS-100", "--points-MAX_POINTS-500", "--count-MAX_COUNT-2000"],
+     (["multiplier", "check-eta-psi"], "--count", "MAX_COUNT", MAX_COUNT),
+     (["solenoid", "alpha", *SPEC_FLAGS], "--n", "MAX_LEVEL", MAX_LEVEL),
+     (["padic", "trunc", "--p", "2", "--value", "11"], "--k", "MAX_TRUNC_K", MAX_TRUNC_K)],
+    ids=["--hats-MAX_HATS-100", "--points-MAX_POINTS-500", "--count-MAX_COUNT-2000", "--n-MAX_LEVEL-100",
+         "--k-MAX_TRUNC_K-3000"],
 )
 def test_sample_size_bound(capsys, leaf, flag, bound, limit):
     argv = [*leaf, flag]

@@ -495,6 +495,31 @@ def test_found_pairs_share_field_and_discriminant(p, k, rng):
     assert truncate_spec(a, ref.k).theta.discriminant() == b.theta.discriminant()
 
 
+def _negated(spec: SolenoidSpec) -> SolenoidSpec:
+    """The spec (frac1(-theta), -x - (frac1(-theta) + theta)), whose alpha_n is -alpha_n mod 1; same horizon."""
+    theta = frac1(-spec.theta)  # -theta - floor(-theta), so -x - (theta' + theta) = -x + floor(-theta)
+    return SolenoidSpec(spec.p, theta, -spec.digits + floor(-spec.theta), spec.digit_horizon)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.sampled_from((2, 3, 5, 7)), st.sampled_from(("heisenberg", 0, 2, 4, 6, 8)), st.randoms(use_true_random=False))
+def test_negating_b_swaps_only_the_orientation(p, k, rng):
+    # -b has b's invariants and exact discriminant, so the same truncations are read; its entry-0 roots are
+    # b's (the shifts q and -q form one set), and its direct images are b's flipped ones.  So the search
+    # meets the same first candidate, matched the other way round.  Both orientations match only when
+    # every entry is 0 or 1/2, which no irrational theta gives
+    a = random_unit_spec(rng, p)
+    b = heisenberg_partner_spec(a) if k == "heisenberg" else from_even_entries(p, _planted_window(rng, a, k, 4))
+    neg = _negated(b)
+    assert [frac1(v) for v, _ in level_table(neg, 4)] == [frac1(-v) for v, _ in level_table(b, 4)]
+    bounds = SearchBounds(max_c0=3, entries=4)
+    res, res_neg = certificate_search(a, b, bounds), certificate_search(a, neg, bounds)
+    assert res.status == res_neg.status == "found"
+    cert = lambda r: (r.c0, r.d0, r.m, r.k, r.matched_entries)
+    assert cert(res_neg) == cert(res)
+    assert {res.orientation, res_neg.orientation} == {"direct", "flipped"}
+
+
 def _pinned_search_pairs():
     first = unit_spec(2, THETA, 1)
     same_theta = lambda x: SolenoidSpec(3, QuadReal.parse("(1+sqrt(2))/3"), PAdic.from_rational(3, x))
