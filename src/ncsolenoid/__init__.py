@@ -21,6 +21,7 @@ from .morita import (
     condition_check,
     heisenberg_partner,
     heisenberg_partner_spec,
+    partner_spec,
     projection_partner,
     relate_check,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "condition_check",
     "heisenberg_partner",
     "heisenberg_partner_spec",
+    "partner_spec",
     "projection_partner",
     "relate_check",
     "BimCtx",

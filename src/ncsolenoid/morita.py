@@ -4,7 +4,8 @@ Two routes to a partner sequence are implemented and cross-checked:
 
 * the Heisenberg route beta_n = 1/(theta p^n) + (sum of inverse digits)/p^n,
 * the projection route through trace lines (c_{2n}, d_{2n}) and a Bezout
-  completion normalized into [0,1).
+  completion normalized into [0,1), stage by stage (projection_partner) or
+  as one exact spec (partner_spec), by which certificate_search decides.
 
 The displayed closed forms of the special-case comparison use a Bezout pair
 of determinant -1; the det +1 normalization lands on the mod-1 negative of
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 from .exactnum import QuadReal, ext_gcd, floor, frac1
 from .padic import PAdic, _strip
-from .solenoid import SeqWindow, SolenoidSpec, _alpha, alphas, level_table, truncate_spec
+from .solenoid import SeqWindow, SolenoidSpec, _alpha, _as_int, alphas, level_table, truncate_spec
 
 log = logging.getLogger(__name__)
 
@@ -180,35 +181,28 @@ def stage(
 
 
 def projection_partner(spec: SolenoidSpec, proj: ProjectionData, N: int) -> SeqWindow:
-    """Even-index window 2n <= 2N of normalized Mobius images beta_2n in [0,1)."""
+    """Even-index window 2n <= 2N of normalized Mobius images beta_2n in [0,1), one stage per level."""
     tau = checked_trace(spec, proj)  # before level_table: a failing condition wins over a horizon error
-    betas = partner_entries(spec.p, proj, level_table(spec, N), tau)
-    return SeqWindow(tuple((2 * n, beta) for n, beta in enumerate(betas)))
+    levels = enumerate(level_table(spec, N))
+    return SeqWindow(tuple((2 * n, stage(spec.p, proj, n, level, tau)[2]) for n, level in levels))
 
 
-def partner_entries(
-    p: int, proj: ProjectionData, levels: tuple[tuple[QuadReal, int], ...], tau: QuadReal
-) -> Iterator[QuadReal]:
-    """Yield beta_0, beta_2, ... level by level through stage.
+def partner_spec(spec: SolenoidSpec, proj: ProjectionData) -> SolenoidSpec:
+    """The partner tower as one exact spec (beta_0, y): projection_partner's beta_2n is frac1 of its alpha_2n.
 
-    A caller that stops early pays only for the levels it read.
+    (a0 b0; c0 d0) and beta_0 are ab_normalized's pair and image at level 0,
+    and y = (a0 x - b0)/(d0 - c0 x) for the digit stream x; the horizon is
+    kept.  Proof: level 2n's det +1 pair (a b; c0 P, d), P = p^(2n), gives
+    (a alpha + b)/tau = a/(c0 P) - 1/(c0 P tau), so P beta_2n = beta_0 + z
+    mod P, with z = (a - a0)/c0 an integer (a and a0 both invert d0 mod c0).
+    With u = d0 - c0 x, a p-adic unit by the Condition, c0 y + a0 = 1/u and
+    (z - y) u = b P - a (x - h_2n) = 0 mod P.
     """
-    for n, level in enumerate(levels):
-        yield stage(p, proj, n, level, tau)[2]
-
-
-def checked_levels(spec: SolenoidSpec, N: int) -> tuple[tuple[QuadReal, int], ...]:
-    """level_table(spec, N), each level checked: alpha_2n * p^(2n) - h_2n == theta.
-
-    This is stage's trace identity with the candidate factored out
-    (alpha_2n c_2n + d_2n = c0 (alpha_2n p^(2n) - h_2n) + d0), so a level no
-    candidate reaches is still checked; a wrong level raises ArithmeticError.
-    """
-    levels = level_table(spec, N)
-    for n, (alpha, h) in enumerate(levels):
-        if alpha * spec.p ** (2 * n) - h != spec.theta:
-            raise ArithmeticError(f"level {n} does not return theta = {spec.theta}")
-    return levels
+    tau = checked_trace(spec, proj)
+    mob, beta = ab_normalized(TraceLine(0, proj.c0, proj.d0), spec.theta, tau)
+    x = spec.digits.as_fraction()
+    y = (mob.a * x - mob.b) / (proj.d0 - proj.c0 * x)
+    return SolenoidSpec._of(spec.p, beta, PAdic._of(spec.p, y), spec.digit_horizon)
 
 
 def displayed_mobius(spec: SolenoidSpec, n: int) -> MobiusPair:
@@ -364,6 +358,11 @@ def _entry0_rows(alpha: QuadReal, theta: QuadReal, max_c0: int) -> Iterator[tupl
                 yield c0, d0
 
 
+def _vanishes(r: Fraction, p: int, H: int | None) -> bool:
+    """r = 0, or r = 0 mod p^H when H is set; r is a p-adic integer, so its denominator is prime to p."""
+    return r == 0 if H is None else r.numerator % p**H == 0
+
+
 def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = SearchBounds()) -> CertificateResult:
     """Semidecision for Morita equivalence of the two solenoids.
 
@@ -378,31 +377,29 @@ def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = 
     way, which the p^2 stripping removes.
 
     When the invariants agree, candidate projections (c0, d0) on even
-    truncations k of `a` are enumerated lexicographically (d0 solved, below);
-    the first whose partner window matches the canonical image of `b`
-    (directly or through the mod-1 flip) is returned.
-    A candidate is compared entry by entry and dropped at its first mismatch,
-    so it costs one stage per entry it reaches; each truncation's level table is
-    checked once, in checked_levels.
+    truncations k of `a` are enumerated lexicographically (d0 solved, below),
+    and the first whose partner_spec (beta_0, y) is b's sequence directly or
+    through the mod-1 flip (s = +1, then -1) is returned: beta_0 - s theta_b
+    is an integer N and s x_b - y = N.  That is the whole tower; where a's
+    truncation or b has a digit horizon, the equation holds mod p^H, H the
+    smaller one, so a `found` proves the tower up to level H.
 
     A direct limit does not depend on its first terms, so the offset k is
     found, not chosen: every even k is read up to the deepest whose levels
     k..k+2*entries stay within MAX_SEARCH_LEVEL and, with the Condition's
     digit x_k, within a's digit horizon, and whose (k/2 + 1) * max_c0 values
     of c0 are at most MAX_SEARCH_CANDIDATES, the budget the constants are
-    sized by.  A `b` whose horizon ends inside the window matches nothing, so
-    no horizon is read past.
+    sized by.
 
     A truncation k whose alpha = alpha^a_k has an exact discriminant (not
-    p^2-stripped) other than theta_b's is skipped before its level table is
-    read.  At k, a candidate's entry 0 is beta_0 = (a'alpha + b')/(c0 alpha + d0)
-    + shift, with (a' b'; c0 d0) the det +1 completion of ab_normalized at
-    level 0: a GL2(Z) image of alpha.  GL2(Z), integer translation and
-    negation carry the primitive integer quadratic of a quadratic irrational
-    to that of its image, with the same discriminant.  Entry 0 compares
-    beta_0 with frac1(theta_b) (direct) or frac1(-theta_b) (flipped), so a
-    different discriminant fails every candidate at k at entry 0, and the skip
-    changes no found or impossible result.  A rational theta has
+    p^2-stripped) other than theta_b's is skipped before it is built.  At k,
+    a candidate's beta_0 = (a'alpha + b')/(c0 alpha + d0) + shift, with
+    (a' b'; c0 d0) the det +1 completion of ab_normalized at level 0, is a
+    GL2(Z) image of alpha.  GL2(Z), integer translation and negation carry
+    the primitive integer quadratic of a quadratic irrational to that of its
+    image, with the same discriminant.  The equation needs beta_0 = s theta_b
+    mod 1 (entry 0), so a different discriminant fails every candidate at k,
+    and the skip changes no found or impossible result.  A rational theta has
     discriminant 0 at every k, so nothing is skipped there.
 
     Nor is d0 chosen: it is a root of entry 0 (_entry0_rows).  Say g.alpha =
@@ -419,12 +416,9 @@ def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = 
         if inv_a != inv_b:
             return CertificateResult("impossible", reason=reason, invariants=(inv_a, inv_b))
     N = bounds.entries
-    try:
-        targets = [alpha for alpha, _ in level_table(b, N)]
-    except ValueError:
+    if b.digit_horizon is not None and b.digit_horizon < 2 * N:
         return CertificateResult(status="inconclusive")
-    # partner windows lie in [0,1), so they are compared with b's images mod 1 as they are
-    images = {"direct": [frac1(v) for v in targets], "flipped": [frac1(-v) for v in targets]}
+    x_b = b.digits.as_fraction()
     disc = b.theta.discriminant()
     deepest = min(MAX_SEARCH_LEVEL - 2 * N, 2 * (MAX_SEARCH_CANDIDATES // bounds.max_c0 - 1))
     if a.digit_horizon is not None:  # levels k..k+2N, and the Condition's digit x_k, inside a's window
@@ -434,7 +428,7 @@ def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = 
         if _alpha(a, k, h).discriminant() != disc:
             continue
         trunc = truncate_spec(a, k)
-        levels = None  # built at the first candidate that needs a window
+        H = min((hz for hz in (trunc.digit_horizon, b.digit_horizon) if hz is not None), default=None)
         for c0, d0 in _entry0_rows(trunc.theta, b.theta, bounds.max_c0):
             tau = trunc.theta * c0 + d0
             if not (QuadReal(0) < tau):
@@ -443,13 +437,9 @@ def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = 
             proj = ProjectionData(m, c0, d0)
             if not condition_check(trunc.p, proj, trunc.x(0)):
                 continue
-            if levels is None:
-                levels = checked_levels(trunc, N)
-            live = tuple(images)  # the orientations every entry so far matched, "direct" first
-            for n, beta in enumerate(partner_entries(trunc.p, proj, levels, tau)):
-                live = tuple(o for o in live if images[o][n] == beta)
-                if not live:
-                    break
-            else:
-                return CertificateResult("found", c0, d0, m, k, tuple(range(0, 2 * N + 1, 2)), live[0])
+            partner = partner_spec(trunc, proj)
+            for orientation, sign in (("direct", 1), ("flipped", -1)):
+                n = _as_int(partner.theta - b.theta * sign)
+                if n is not None and _vanishes(x_b * sign - partner.digits.as_fraction() - n, trunc.p, H):
+                    return CertificateResult("found", c0, d0, m, k, tuple(range(0, 2 * N + 1, 2)), orientation)
     return CertificateResult(status="inconclusive")

@@ -33,6 +33,7 @@ from ncsolenoid.morita import (
     heisenberg_partner,
     heisenberg_partner_spec,
     level_table,
+    partner_spec,
     projection_partner,
     relate_check,
     trace_line,
@@ -277,6 +278,43 @@ def test_projection_vs_heisenberg_flip():
     assert equal_in_Xi(recovered, flipped, 16)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 12), st.randoms(use_true_random=False))
+def test_partner_spec_is_the_projection_tower(p, c0, rng):
+    # rational digits of any sign and valuation, and any c0, p | c0 included; the row is drawn among those
+    # that meet the Condition, with a positive trace
+    theta = random_unit_spec(rng, p).theta
+    den = rng.choice([d for d in range(1, 30) if d % p])
+    spec = SolenoidSpec(p, theta, PAdic.from_rational(p, Fraction(rng.randint(-60, 60) * p ** rng.randint(0, 2), den)))
+    rows = [d0 for d0 in range(-3 * c0, 3 * c0 + 1)
+            if theta * c0 + d0 > 0 and condition_check(p, ProjectionData(1, c0, d0), spec.x(0))]
+    d0 = rng.choice(rows)
+    proj = ProjectionData(floor(theta * c0 + d0) + 1, c0, d0)
+    partner = partner_spec(spec, proj)
+    assert partner.digit_horizon is None and partner.digits.ord >= 0
+    window = projection_partner(spec, proj, 10)
+    assert [beta for _, beta in window] == [frac1(alpha) for alpha, _ in level_table(partner, 10)]
+    assert partner.theta == window.value(0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.sampled_from((2, 3, 5, 7)), st.randoms(use_true_random=False))
+def test_heisenberg_route_is_the_unit_row_of_partner_spec(p, rng):
+    # for a unit x the Heisenberg spec, negated, is exactly the tower of (m, c0, d0) = (1, 1, 0)
+    spec = random_unit_spec(rng, p)
+    assert partner_spec(spec, ProjectionData(1, 1, 0)) == _negated(heisenberg_partner_spec(spec))
+
+
+def test_partner_spec_keeps_the_horizon_and_the_condition():
+    spec = unit_spec(2, THETA, 1)
+    for H in (None, 1, 6):
+        assert partner_spec(SolenoidSpec(2, THETA, spec.digits, H), ProjectionData(1, 1, 0)).digit_horizon == H
+    with pytest.raises(ValueError, match="horizon 0"):  # the Condition reads x_0
+        partner_spec(SolenoidSpec(2, THETA, spec.digits, 0), ProjectionData(1, 1, 0))
+    with pytest.raises(ConditionError):
+        partner_spec(unit_spec(2, THETA, 0, rest=(1,)), ProjectionData(1, 1, 0))  # x_0 = 0: gcd(2, 0) = 2
+
+
 def test_certificate_search_impossible_on_prime_mismatch():
     a = unit_spec(2, THETA, 1)
     b = SolenoidSpec(3, THETA, PAdic.from_rational(3, 1))
@@ -423,13 +461,18 @@ def _reference_search(
     return CertificateResult(status="inconclusive")
 
 
-def _planted_window(rng: random.Random, a: SolenoidSpec, k: int, N: int) -> SeqWindow:
-    """The partner window of a's truncation k through a random (c0, d0) that meets the Condition."""
-    t = truncate_spec(a, k)
+def _planted_projection(rng: random.Random, t: SolenoidSpec) -> ProjectionData:
+    """A random projection (c0, d0) of t that meets the Condition."""
     cands = [(c0, d0) for c0 in (1, 2, 3) for d0 in range(-2, 3)
              if t.theta * c0 + d0 > 0 and condition_check(t.p, ProjectionData(1, c0, d0), t.x(0))]
     c0, d0 = rng.choice(cands)
-    return projection_partner(t, ProjectionData(floor(t.theta * c0 + d0) + 1, c0, d0), N)
+    return ProjectionData(floor(t.theta * c0 + d0) + 1, c0, d0)
+
+
+def _planted_window(rng: random.Random, a: SolenoidSpec, k: int, N: int) -> SeqWindow:
+    """The partner window of a's truncation k through a random (c0, d0) that meets the Condition."""
+    t = truncate_spec(a, k)
+    return projection_partner(t, _planted_projection(rng, t), N)
 
 
 def _random_search_pairs(rng: random.Random, count: int):
@@ -449,11 +492,15 @@ def _random_search_pairs(rng: random.Random, count: int):
             yield kind, a, from_even_entries(p, SeqWindow(planted.entries[:keep]))
 
 
-def _assert_certificate(a: SolenoidSpec, b: SolenoidSpec, res: CertificateResult, N: int) -> None:
-    """res's partner window of a, re-derived through projection_partner, is b's canonical window or its mod-1 flip."""
+def _window_matches(a: SolenoidSpec, b: SolenoidSpec, res: CertificateResult, N: int) -> bool:
+    """Is res's partner window of a, re-derived through projection_partner, b's canonical window or its mod-1 flip?"""
     window = projection_partner(truncate_spec(a, res.k), ProjectionData(res.m, res.c0, res.d0), N)
     sign = 1 if res.orientation == "direct" else -1
-    assert [beta for _, beta in window] == [frac1(sign * alpha) for alpha, _ in level_table(b, N)]
+    return [beta for _, beta in window] == [frac1(sign * alpha) for alpha, _ in level_table(b, N)]
+
+
+def _assert_certificate(a: SolenoidSpec, b: SolenoidSpec, res: CertificateResult, N: int) -> None:
+    assert _window_matches(a, b, res, N)
 
 
 def _assert_matches_reference(
@@ -463,6 +510,9 @@ def _assert_matches_reference(
     if res.reason in ("field", "discriminant"):
         # the loop knows no field or discriminant: where they decide, its box finds nothing
         assert ref.status == "inconclusive"
+    elif res != ref and res.status == "inconclusive":
+        # the loop compares a window only, the search the whole tower: the loop's certificate misses b by level 40
+        assert a.digit_horizon is None and b.digit_horizon is None and not _window_matches(a, b, ref, 20)
     elif res != ref:
         # the search solves d0 past the box: its certificate comes first in (k, c0, d0) order, and it verifies
         assert res.status == "found" and abs(res.d0) > max_d0
@@ -520,12 +570,31 @@ def test_negating_b_swaps_only_the_orientation(p, k, rng):
     assert {res.orientation, res_neg.orientation} == {"direct", "flipped"}
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.sampled_from((2, 3, 5, 7)), st.sampled_from(("heisenberg", 0, 2, 4, 6, 8)), st.randoms(use_true_random=False))
+def test_found_holds_past_its_window(p, k, rng):
+    # b has no horizon, so a found certificate holds at every level, not only in its window of levels 0..8:
+    # re-derived through projection_partner, it matches b up to level 40
+    a = random_unit_spec(rng, p)
+    if k == "heisenberg":
+        b = heisenberg_partner_spec(a)
+    else:
+        t = truncate_spec(a, k)
+        b = partner_spec(t, _planted_projection(rng, t))
+    res = certificate_search(a, b, SearchBounds(max_c0=3, entries=4))
+    assert res.status == "found"
+    _assert_certificate(a, b, res, 20)
+
+
 def _pinned_search_pairs():
     first = unit_spec(2, THETA, 1)
     same_theta = lambda x: SolenoidSpec(3, QuadReal.parse("(1+sqrt(2))/3"), PAdic.from_rational(3, x))
     a = SolenoidSpec(3, QuadReal.parse("(1 + 1*sqrt(5))/4"), PAdic.from_rational(3, Fraction(2, 5)))
     # (c0, d0) = (3, -1) at truncation 4 satisfies the Condition, with trace in (0, 1)
     planted = projection_partner(truncate_spec(a, 4), ProjectionData(1, 3, -1), 8)
+    # (c0, d0) = (1, 0) of sqrt(2) - 1 at x = 3/5 has the partner tower (2 - sqrt(2), -14/3)
+    window_a = SolenoidSpec(2, THETA, PAdic.from_rational(2, Fraction(3, 5)))
+    tower = lambda x: SolenoidSpec(2, 2 - ROOT2, PAdic.from_rational(2, x))
     return {
         "first-candidate": (first, heisenberg_partner_spec(first)),
         "planted": (a, from_even_entries(3, planted)),
@@ -541,6 +610,9 @@ def _pinned_search_pairs():
         "same-theta": (same_theta(Fraction(-55, 8)), same_theta(Fraction(1, 26))),
         # the partner as a: the row (1, -2) matches entries 0 and 2 and fails at 4, before (1, 0) is found
         "reversed-partner": (heisenberg_partner_spec(first), first),
+        "closed-form": (window_a, tower(Fraction(-14, 3))),
+        # the tower with digit 17 changed: it matches the default window, levels 0..16, and differs at 18 and 20
+        "past-window": (window_a, tower(Fraction(-14, 3) + 2**17)),
     }
 
 
@@ -563,6 +635,11 @@ def _pinned_search_pairs():
             "status": "found", "orientation": "direct",
             "certificate": {"c0": 1, "d0": 7, "m": 8, "k": 4, "matched_entries": list(range(0, 17, 2))},
         }),
+        ("closed-form", {
+            "status": "found", "orientation": "direct",
+            "certificate": {"c0": 1, "d0": 0, "m": 1, "k": 0, "matched_entries": list(range(0, 17, 2))},
+        }),
+        ("past-window", {"status": "inconclusive"}),
     ],
 )
 def test_certificate_search_pinned_pairs(name, expected):
@@ -587,34 +664,25 @@ def _norm_fits(alpha: QuadReal, theta: QuadReal, c0: int, d0: int) -> bool:
     return alpha - _conjugate(alpha) in (step, -step)
 
 
-def _entries_matched(t: SolenoidSpec, b: SolenoidSpec, c0: int, d0: int, N: int) -> int:
-    """How many leading entries of (c0, d0)'s partner window of t match b's window in one orientation."""
-    window = [beta for _, beta in projection_partner(t, ProjectionData(floor(t.theta * c0 + d0) + 1, c0, d0), N)]
-    targets = [alpha for alpha, _ in level_table(b, N)]
-    return max(
-        next((n for n, (beta, alpha) in enumerate(zip(window, targets)) if beta != frac1(sign * alpha)), N + 1)
-        for sign in (1, -1)
-    )
-
-
 DROP_CASES = {
     "different-fields": 0, "same-field": 0, "first-candidate": 0, "planted": 0, "same-theta": 1, "reversed-partner": 1,
+    "past-window": 3,
 }
 
 
 @pytest.mark.parametrize("name, rejected", DROP_CASES.items(), ids=DROP_CASES)
 def test_search_drops_a_candidate_at_its_first_mismatch(monkeypatch, name, rejected):
+    # a candidate is decided by one equation on its partner spec, the whole tower: no level is read stage by stage
     a, b = _pinned_search_pairs()[name]
     bounds = SearchBounds()
-    levels_read = []
-    stage = morita.stage
-    monkeypatch.setattr(
-        morita, "stage", lambda p, proj, n, *rest: levels_read.append((proj.c0, proj.d0, n)) or stage(p, proj, n, *rest)
-    )
+    stages, decided = [], []
+    stage, spec_of = morita.stage, morita.partner_spec
+    monkeypatch.setattr(morita, "stage", lambda *args: stages.append(args) or stage(*args))
+    monkeypatch.setattr(morita, "partner_spec", lambda t, proj: decided.append((t, proj.c0, proj.d0)) or spec_of(t, proj))
     res = certificate_search(a, b, bounds)
-    monkeypatch.undo()  # projection_partner below reads through stage too
+    assert stages == []
     if res.status == "impossible":
-        assert levels_read == []  # decided from the invariants, before any candidate
+        assert decided == []  # decided from the invariants, before any candidate
         return
     # candidates that pass the Condition and entry 0's norm equation, in search order, up to the found one;
     # a truncation whose exact discriminant differs from theta_b's is skipped
@@ -630,14 +698,7 @@ def test_search_drops_a_candidate_at_its_first_mismatch(monkeypatch, name, rejec
     if res.status == "found":
         passing = passing[: passing.index((res.k, res.c0, res.d0)) + 1]
     assert len(passing) - (res.status == "found") == rejected
-    # each candidate reads its entries up to its first mismatch, the found one its whole window: a window of
-    # stages per candidate would read more
-    window = bounds.entries + 1
-    expected = []
-    for k, c0, d0 in passing:
-        reached = min(_entries_matched(truncate_spec(a, k), b, c0, d0, bounds.entries) + 1, window)
-        expected += [(c0, d0, n) for n in range(reached)]
-    assert levels_read == expected
+    assert decided == [(truncate_spec(a, k), c0, d0) for k, c0, d0 in passing]
 
 
 def _entry0_matches(alpha: QuadReal, theta: QuadReal, c0: int, d0: int) -> bool:
@@ -677,8 +738,8 @@ def test_entry0_rows_hold_every_match(p, k, rational, image, rng):
 def test_search_reads_only_truncations_with_b_s_discriminant(monkeypatch):
     a, b = _pinned_search_pairs()["planted"]
     read = []
-    checked_levels = morita.checked_levels
-    monkeypatch.setattr(morita, "checked_levels", lambda spec, N: read.append(spec) or checked_levels(spec, N))
+    spec_of = morita.partner_spec
+    monkeypatch.setattr(morita, "partner_spec", lambda spec, proj: read.append(spec) or spec_of(spec, proj))
     assert certificate_search(a, b).k == 4
     assert read == [truncate_spec(a, 4)]  # k = 0 and 2 have another exact discriminant
 
@@ -764,7 +825,6 @@ def test_invariants_raise_under_python_O():
     script = textwrap.dedent(
         """
         import sys
-        from fractions import Fraction
         from ncsolenoid import bimodule, morita
         from ncsolenoid.exactnum import QuadReal
         from ncsolenoid.padic import PAdic
@@ -773,22 +833,11 @@ def test_invariants_raise_under_python_O():
         if not sys.flags.optimize:
             sys.exit("not running under -O")
         spec = SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(2, 1))
-        # one theta, two digit streams: the one candidate that meets the Condition is dropped at entry 0
-        same_theta = lambda x: SolenoidSpec(3, QuadReal.parse("(1+sqrt(2))/3"), PAdic.from_rational(3, x))
-        pair = (same_theta(Fraction(-55, 8)), same_theta(Fraction(1, 26)))
         proj = morita.ProjectionData(1, 1, 0)
         # a wrong alpha where each reads its levels: projection_partner a table, BimCtx.build one level
-        wrong = lambda s, N: tuple((alpha + 1, h) for alpha, h in level_table(s, N))
-        # wrong only at levels >= 1, which no candidate of the same-theta pair reaches
-        wrong_above_0 = lambda s, N: tuple((alpha + 1 if n else alpha, h) for n, (alpha, h) in enumerate(level_table(s, N)))
+        morita.level_table = lambda s, N: tuple((alpha + 1, h) for alpha, h in level_table(s, N))
         bimodule.alpha_at = lambda s, n: alpha_at(s, n) + 1
-        cases = (
-            (wrong, lambda: morita.projection_partner(spec, proj, 2)),
-            (wrong, lambda: bimodule.BimCtx.build(spec, proj, 1)),
-            (wrong_above_0, lambda: morita.certificate_search(*pair)),
-        )
-        for table, call in cases:
-            morita.level_table = table
+        for call in (lambda: morita.projection_partner(spec, proj, 2), lambda: bimodule.BimCtx.build(spec, proj, 1)):
             try:
                 call()
             except ArithmeticError:
