@@ -10,6 +10,7 @@ The seed defaults to the SOLENOID_SEED environment variable, then 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -105,23 +106,22 @@ def _load_spec_file(path: str) -> SolenoidSpec:
 
 
 def _render_text(obj, indent: str = "") -> str:
+    """One `key: value` line per dict entry and one `- value` line per list item, keys sorted.
+
+    A non-empty container goes on the lines below its key or `-`, indented; an empty one is written as
+    [] or {}.
+    """
+    if not isinstance(obj, (dict, list)):
+        return f"{indent}{obj}"
+    if not obj:
+        return f"{indent}{{}}" if isinstance(obj, dict) else f"{indent}[]"
+    items = [(f"{key}:", obj[key]) for key in sorted(obj)] if isinstance(obj, dict) else [("-", val) for val in obj]
     lines = []
-    if isinstance(obj, dict):
-        for key in sorted(obj):
-            val = obj[key]
-            if isinstance(val, (dict, list)):
-                lines.append(f"{indent}{key}:")
-                lines.append(_render_text(val, indent + "  "))
-            else:
-                lines.append(f"{indent}{key}: {val}")
-    elif isinstance(obj, list):
-        for val in obj:
-            if isinstance(val, (dict, list)):
-                lines.append(_render_text(val, indent + "  "))
-            else:
-                lines.append(f"{indent}- {val}")
-    else:
-        lines.append(f"{indent}{obj}")
+    for label, val in items:
+        if isinstance(val, (dict, list)) and val:
+            lines += [f"{indent}{label}", _render_text(val, indent + "  ")]
+        else:
+            lines.append(f"{indent}{label} {_render_text(val)}")
     return "\n".join(lines)
 
 
@@ -298,48 +298,33 @@ def _add_args(parser: argparse.ArgumentParser, args) -> None:
         parser.add_argument(*flags, **kwargs)
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser for argv, with only the group and leaf that argv opens with.
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every group and leaf in COMMANDS; main builds it once per process.
 
-    The group must be argv's first token, or the first after one complete --format json|text
-    or --format=X, and the leaf the next token.  argparse hands the rest of argv to that leaf,
-    so no other sub-parser is consulted, and the sub-parser metavars list every name: usage
-    lines and error messages are the full parser's.  Any other argv (help above the leaf, a
-    junk or misplaced first token), and no argv, builds every group and leaf.
+    No sub-parser sets a metavar: argparse lists the names in usage lines, and a metavar would also
+    rename the argument in its error messages.
     """
-    head = argv or []
-    if head[:2] in (["--format", "json"], ["--format", "text"]):
-        head = head[2:]
-    elif head and head[0].startswith("--format="):
-        head = head[1:]
-    group, leaf = [*head[:2], None, None][:2]
-    if group not in COMMANDS or (COMMANDS[group][2] and leaf not in COMMANDS[group][3]):
-        group = leaf = None
-
-    def names(table):  # argparse's own metavar; the full build sets none, as a metavar also renames errors
-        return "{%s}" % ",".join(table) if group else None
-
     parser = argparse.ArgumentParser(prog="ncsolenoid", description=__doc__)
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    subs = parser.add_subparsers(dest="command", required=True, metavar=names(COMMANDS))
+    subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_, _, dest, leaves) in COMMANDS.items():
-        if group not in (None, name):
-            continue
         gp = subs.add_parser(name, help=help_)
         if dest is None:
             _add_args(gp, leaves)
             continue
-        leaf_subs = gp.add_subparsers(dest=dest, required=True, metavar=names(leaves))
+        leaf_subs = gp.add_subparsers(dest=dest, required=True)
         for leaf_name, args in leaves.items():
-            if leaf in (None, leaf_name):
-                _add_args(leaf_subs.add_parser(leaf_name), args)
+            _add_args(leaf_subs.add_parser(leaf_name), args)
     return parser
+
+
+# main's one parser per process, built at its first call; a parse leaves no state for the next one to see
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
     """Run one command: exit 0 if its checks pass, 1 if one fails, 2 on rejected input."""
-    argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         report = COMMANDS[args.command][1](args)

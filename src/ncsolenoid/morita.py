@@ -198,7 +198,11 @@ def partner_spec(spec: SolenoidSpec, proj: ProjectionData) -> SolenoidSpec:
     With u = d0 - c0 x, a p-adic unit by the Condition, c0 y + a0 = 1/u and
     (z - y) u = b P - a (x - h_2n) = 0 mod P.
     """
-    tau = checked_trace(spec, proj)
+    return _partner_spec(spec, proj, checked_trace(spec, proj))
+
+
+def _partner_spec(spec: SolenoidSpec, proj: ProjectionData, tau: QuadReal) -> SolenoidSpec:
+    """partner_spec for a projection whose trace tau checked_trace has already passed."""
     mob, beta = ab_normalized(TraceLine(0, proj.c0, proj.d0), spec.theta, tau)
     x = spec.digits.as_fraction()
     y = (mob.a * x - mob.b) / (proj.d0 - proj.c0 * x)
@@ -287,7 +291,9 @@ class CertificateResult:
     names it, "prime", "field" or "discriminant" as in invariants(), and
     invariants holds its values for a and b), "found" (a witness projection
     and truncation), or "inconclusive" (the invariants agree and the bounded
-    search is exhausted; NOT a proof of inequivalence).
+    search is exhausted; NOT a proof of inequivalence).  A found precision H
+    says the partner tower is proved up to level H, where a's truncation or b
+    has a digit horizon; None says it is proved at every level.
     """
 
     status: str
@@ -299,6 +305,7 @@ class CertificateResult:
     orientation: str | None = None
     reason: str | None = None
     invariants: tuple[int, int] | None = None
+    precision: int | None = None
 
     def certificate_json(self) -> dict:
         if self.status != "found":
@@ -309,6 +316,7 @@ class CertificateResult:
             "m": self.m,
             "k": self.k,
             "matched_entries": list(self.matched_entries or ()),
+            "precision": "every level" if self.precision is None else self.precision,
         }
 
     def to_json(self) -> dict:
@@ -382,7 +390,7 @@ def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = 
     through the mod-1 flip (s = +1, then -1) is returned: beta_0 - s theta_b
     is an integer N and s x_b - y = N.  That is the whole tower; where a's
     truncation or b has a digit horizon, the equation holds mod p^H, H the
-    smaller one, so a `found` proves the tower up to level H.
+    smaller one, so a `found` proves the tower up to level H, its precision.
 
     A direct limit does not depend on its first terms, so the offset k is
     found, not chosen: every even k is read up to the deepest whose levels
@@ -437,9 +445,10 @@ def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = 
             proj = ProjectionData(m, c0, d0)
             if not condition_check(trunc.p, proj, trunc.x(0)):
                 continue
-            partner = partner_spec(trunc, proj)
+            partner = _partner_spec(trunc, proj, tau)
             for orientation, sign in (("direct", 1), ("flipped", -1)):
                 n = _as_int(partner.theta - b.theta * sign)
                 if n is not None and _vanishes(x_b * sign - partner.digits.as_fraction() - n, trunc.p, H):
-                    return CertificateResult("found", c0, d0, m, k, tuple(range(0, 2 * N + 1, 2)), orientation)
+                    entries = tuple(range(0, 2 * N + 1, 2))
+                    return CertificateResult("found", c0, d0, m, k, entries, orientation, precision=H)
     return CertificateResult(status="inconclusive")

@@ -13,10 +13,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import ncsolenoid
+from ncsolenoid import cli
 from ncsolenoid.cli import COMMANDS, MAX_COUNT, MAX_HATS, MAX_LEVEL, MAX_P_HATS, MAX_POINTS, MAX_TRUNC_K, build_parser, main
 from ncsolenoid.exactnum import MAX_LITERAL_DIGITS, MR_LIMIT, QuadReal
 from ncsolenoid.morita import ProjectionData, heisenberg_partner_spec, projection_partner
@@ -372,7 +371,7 @@ def test_sample_size_bound(capsys, leaf, flag, bound, limit):
         main([*argv, str(limit + 1)])
     assert exc.value.code == 2
     assert f"must be at most {bound} = {limit}" in capsys.readouterr().err.strip().splitlines()[-1]
-    assert getattr(build_parser(argv).parse_args([*argv, str(limit)]), flag[2:]) == limit
+    assert getattr(build_parser().parse_args([*argv, str(limit)]), flag[2:]) == limit
 
 
 @pytest.mark.parametrize("leaf", ["check-eta-psi", "check-annihilator"])
@@ -480,8 +479,9 @@ def test_morita_certify_roundtrip_and_outcomes(capsys, tmp_path):
     fb = _write_spec(tmp_path / "b.json", heisenberg_partner_spec(a))
     code, rep = run_json(capsys, ["morita", "certify", "--spec-a", fa, "--spec-b", fb])
     assert code == 0 and rep["status"] == "found"
-    assert sorted(rep["certificate"]) == ["c0", "d0", "k", "m", "matched_entries"]
+    assert sorted(rep["certificate"]) == ["c0", "d0", "k", "m", "matched_entries", "precision"]
     assert rep["certificate"]["c0"] == 1 and rep["certificate"]["d0"] == 0
+    assert rep["certificate"]["precision"] == "every level"
 
     fc = _write_spec(tmp_path / "c.json", SolenoidSpec(3, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(3, 1)))
     code, rep = run_json(capsys, ["morita", "certify", "--spec-a", fa, "--spec-b", fc])
@@ -541,7 +541,7 @@ def test_morita_certify_bad_file_usage_error(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["morita", "certify", "--spec-a", missing, "--spec-b", missing])
     assert exc.value.code == 2
-    # the scoped parser that reports the rejected file prints the full parser's usage line
+    # the rejected file is reported with the top parser's usage line
     err, usage = capsys.readouterr().err, build_parser().format_usage()
     assert err.startswith(usage) and err[len(usage):].startswith(f"ncsolenoid: error: bad spec file {missing}")
     digits = {"p": 2, "ord": 0, "preperiod": [1], "period": [0]}
@@ -692,6 +692,15 @@ def test_text_format(capsys):
     assert "pass: True" in out
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+    # a list item that is a list or a dict gets its own "-" line, and an empty container is written out
+    argv = ["--format", "text", "morita", "heisenberg", "--p", "2", "--theta", "1/3", "--digits", "1", "--entries", "1"]
+    assert run(capsys, argv) == (0, "inputs:\n  digits:\n    ord: 0\n    p: 2\n    period:\n      - 0\n    preperiod:\n"
+                                    "      - 1\n  p: 2\n  theta: 1/3\npartner:\n  -\n    - 0\n    - 3\n  -\n    - 1\n    - 2\n")
+    code, out = run(capsys, ["--format", "text", "suite"])
+    assert code == 0 and out.startswith("checks:\n  -\n    count: 200\n    name: multiplier-cocycle\n    pass: True\n"
+                                        "    violations: []\n  -\n    count: 200\n    name: multiplier-annihilator\n")
+    lines = out.splitlines()
+    assert "" not in lines and lines.count("  -") == len(json.loads(run(capsys, ["suite"])[1])["checks"])
 
 
 def test_spec_file_input(capsys, tmp_path):
@@ -798,7 +807,7 @@ PARSE_ARGVS = [
     ["suite", "--bogus"],
     ["solenoid", "alpha", "--spec", "morita", "--n", "1"],
     ["morita", "certify", "--spec-a", "certify", "--spec-b", "partner"],
-    # the removed partner alias group: both builds reject it the same way
+    # the removed partner alias group
     ["partner", "heisenberg", *SPEC_FLAGS],
     ["partner", "--help"],
     ["partner", "heisenberg", "--help"],
@@ -832,41 +841,18 @@ def _parse(parser, argv):
     return outcome, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("argv", PARSE_ARGVS, ids=" ".join)
-def test_scoped_parser_matches_full_parser(argv):
-    assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv)
+def test_one_parser_parses_every_argv_as_a_fresh_one():
+    # main keeps one parser per process: parsing must leave no state that a later parse sees
+    shared = build_parser()
+    for argv in [*PARSE_ARGVS, *reversed(PARSE_ARGVS)]:
+        assert _parse(shared, argv) == _parse(build_parser(), argv), argv
 
 
-# random argvs: an opening (none, one or a bad --format), then pieces that are single tokens or a whole
-# group-leaf chain.  The tokens are every name, every leaf flag, help in full and abbreviated, the
-# --format forms, -- and junk, so a chain can come first, after junk, or after help
-FORMATS = [[], ["--format", "text"], ["--format=json"], ["--format=xml"], ["--format"]]
-ARGV_TOKENS = sorted({
-    *COMMANDS,
-    *(leaf for _, _, dest, leaves in COMMANDS.values() if dest for leaf in leaves),
-    *(flag for args in LEAF_ARGV.values() for flag in args if flag.startswith("--")),
-    "-h", "--he", "--help", "--format", "--format=text", "--format=xml", "json", "text", "--", "a", "x", "1", "-1",
-})
-ARGV_PIECES = [*([token] for token in ARGV_TOKENS), *(list(leaf) for leaf in LEAF_ARGV)]
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(st.sampled_from(FORMATS), st.lists(st.sampled_from(ARGV_PIECES), max_size=5))
-def test_scoped_parser_matches_full_parser_on_random_argv(opening, pieces):
-    argv = [*opening, *(token for piece in pieces for token in piece)]
-    assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv)
-
-
-@pytest.mark.parametrize("leaf", LEAF_ARGV, ids=" ".join)
-def test_scoped_build_makes_only_the_opening_chain(monkeypatch, leaf):
-    # the top parser, the group and its leaf: 3 parsers, and 2 for suite, which has no leaves
+def test_main_builds_the_parser_once(monkeypatch, capsys):
     built, init = [], argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    argv = [*leaf, *LEAF_ARGV[leaf]]
-    build_parser(argv).parse_args(argv)
-    assert len(built) == len(leaf) + 1
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+    cli._parser.cache_clear()
+    argv = ["check", "condition", "--p", "2", "--c0", "1", "--d0", "0", "--x0", "1"]
+    assert main(argv) == 0 and main(argv) == 0
+    # the first call builds the top parser, one per group and one per leaf; the second builds none
+    assert len(built) == 1 + len(COMMANDS) + sum(len(leaves) for _, _, dest, leaves in COMMANDS.values() if dest)

@@ -332,8 +332,9 @@ def test_certificate_search_round_trip():
     assert (res.c0, res.d0, res.k) == (1, 0, 0)
     assert res.orientation == "flipped"
     cert = res.certificate_json()
-    assert sorted(cert) == ["c0", "d0", "k", "m", "matched_entries"]
+    assert sorted(cert) == ["c0", "d0", "k", "m", "matched_entries", "precision"]
     assert cert["m"] == 1 and cert["matched_entries"] == [0, 2, 4, 6, 8, 10, 12, 14, 16]
+    assert cert["precision"] == "every level"  # neither spec has a horizon
 
 
 def test_certificate_search_inconclusive():
@@ -455,8 +456,10 @@ def _reference_search(
                     values.append(frac1(MobiusPair(u, v, c, d).apply(alpha)))
                 for orientation, sign in (("direct", 1), ("flipped", -1)):
                     if values == [frac1(sign * x) for x in targets]:
+                        # the search's precision: the smaller digit horizon of t and b, if either has one
+                        H = min((hz for hz in (t.digit_horizon, b.digit_horizon) if hz is not None), default=None)
                         return CertificateResult(
-                            "found", c0, d0, floor(tau) + 1, k, tuple(range(0, 2 * N + 1, 2)), orientation
+                            "found", c0, d0, floor(tau) + 1, k, tuple(range(0, 2 * N + 1, 2)), orientation, precision=H
                         )
     return CertificateResult(status="inconclusive")
 
@@ -621,11 +624,11 @@ def _pinned_search_pairs():
     [
         ("first-candidate", {
             "status": "found", "orientation": "flipped",
-            "certificate": {"c0": 1, "d0": 0, "m": 1, "k": 0, "matched_entries": list(range(0, 17, 2))},
+            "certificate": {"c0": 1, "d0": 0, "m": 1, "k": 0, "matched_entries": list(range(0, 17, 2)), "precision": "every level"},
         }),
         ("planted", {
             "status": "found", "orientation": "direct",
-            "certificate": {"c0": 3, "d0": -1, "m": 1, "k": 4, "matched_entries": list(range(0, 17, 2))},
+            "certificate": {"c0": 3, "d0": -1, "m": 1, "k": 4, "matched_entries": list(range(0, 17, 2)), "precision": 16},
         }),
         ("different-fields", {"status": "impossible", "reason": "field", "invariants": {"a": 2, "b": 3}}),
         ("short-horizon", {"status": "inconclusive"}),
@@ -633,11 +636,11 @@ def _pinned_search_pairs():
         ("same-field", {"status": "inconclusive"}),
         ("wide-planted", {
             "status": "found", "orientation": "direct",
-            "certificate": {"c0": 1, "d0": 7, "m": 8, "k": 4, "matched_entries": list(range(0, 17, 2))},
+            "certificate": {"c0": 1, "d0": 7, "m": 8, "k": 4, "matched_entries": list(range(0, 17, 2)), "precision": 16},
         }),
         ("closed-form", {
             "status": "found", "orientation": "direct",
-            "certificate": {"c0": 1, "d0": 0, "m": 1, "k": 0, "matched_entries": list(range(0, 17, 2))},
+            "certificate": {"c0": 1, "d0": 0, "m": 1, "k": 0, "matched_entries": list(range(0, 17, 2)), "precision": "every level"},
         }),
         ("past-window", {"status": "inconclusive"}),
     ],
@@ -672,15 +675,19 @@ DROP_CASES = {
 
 @pytest.mark.parametrize("name, rejected", DROP_CASES.items(), ids=DROP_CASES)
 def test_search_drops_a_candidate_at_its_first_mismatch(monkeypatch, name, rejected):
-    # a candidate is decided by one equation on its partner spec, the whole tower: no level is read stage by stage
+    # a candidate is decided by one equation on its partner spec, the whole tower: no level is read stage by stage,
+    # and the search has checked tau and the Condition itself, so it runs no checked_trace
     a, b = _pinned_search_pairs()[name]
     bounds = SearchBounds()
-    stages, decided = [], []
-    stage, spec_of = morita.stage, morita.partner_spec
+    stages, traced, decided = [], [], []
+    stage, trace, spec_of = morita.stage, morita.checked_trace, morita._partner_spec
     monkeypatch.setattr(morita, "stage", lambda *args: stages.append(args) or stage(*args))
-    monkeypatch.setattr(morita, "partner_spec", lambda t, proj: decided.append((t, proj.c0, proj.d0)) or spec_of(t, proj))
+    monkeypatch.setattr(morita, "checked_trace", lambda *args: traced.append(args) or trace(*args))
+    monkeypatch.setattr(
+        morita, "_partner_spec", lambda t, proj, tau: decided.append((t, proj.c0, proj.d0)) or spec_of(t, proj, tau)
+    )
     res = certificate_search(a, b, bounds)
-    assert stages == []
+    assert stages == traced == []
     if res.status == "impossible":
         assert decided == []  # decided from the invariants, before any candidate
         return
@@ -738,8 +745,8 @@ def test_entry0_rows_hold_every_match(p, k, rational, image, rng):
 def test_search_reads_only_truncations_with_b_s_discriminant(monkeypatch):
     a, b = _pinned_search_pairs()["planted"]
     read = []
-    spec_of = morita.partner_spec
-    monkeypatch.setattr(morita, "partner_spec", lambda spec, proj: read.append(spec) or spec_of(spec, proj))
+    spec_of = morita._partner_spec
+    monkeypatch.setattr(morita, "_partner_spec", lambda spec, proj, tau: read.append(spec) or spec_of(spec, proj, tau))
     assert certificate_search(a, b).k == 4
     assert read == [truncate_spec(a, 4)]  # k = 0 and 2 have another exact discriminant
 
@@ -820,6 +827,12 @@ def test_short_horizon_matches_inside_its_window():
     assert (res.status, res.c0, res.d0, res.k, res.matched_entries) == ("found", 3, -1, 4, (0, 2, 4, 6))
 
 
+def test_found_states_its_precision():
+    # planted: b's horizon 16 bounds the proof, past the window 0..6; closed-form has no horizon: every level
+    found = [certificate_search(*_pinned_search_pairs()[name], SearchBounds(entries=3)) for name in ("planted", "closed-form")]
+    assert [res.certificate_json()["precision"] for res in found] == [16, "every level"]
+
+
 def test_invariants_raise_under_python_O():
     # python -O strips assert statements; the level invariants must still fire
     script = textwrap.dedent(
@@ -859,6 +872,7 @@ def test_certificate_result_json_shape():
     )
     assert res.to_json() == {
         "status": "found",
-        "certificate": {"c0": 1, "d0": 0, "m": 1, "k": 0, "matched_entries": [0, 2]},
+        "certificate": {"c0": 1, "d0": 0, "m": 1, "k": 0, "matched_entries": [0, 2], "precision": "every level"},
         "orientation": "direct",
     }
+    assert CertificateResult("found", 1, 0, 1, 0, (0, 2), "direct", precision=4).certificate_json()["precision"] == 4
