@@ -848,6 +848,12 @@ def test_one_parser_parses_every_argv_as_a_fresh_one():
         assert _parse(shared, argv) == _parse(build_parser(), argv), argv
 
 
+@pytest.mark.parametrize("argv", PARSE_ARGVS, ids=" ".join)
+def test_scoped_parser_matches_full_parser(argv):
+    # the process-scoped parser main uses, after all it parsed earlier in the session, acts as a fresh full one
+    assert _parse(cli._parser(), argv) == _parse(build_parser(), argv)
+
+
 def test_main_builds_the_parser_once(monkeypatch, capsys):
     built, init = [], argparse.ArgumentParser.__init__
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
