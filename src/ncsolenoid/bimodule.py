@@ -1,11 +1,11 @@
 """Finite-stage bimodule kernels on C_c(R x Z_c) and their compatibility checks.
 
-Everything here is numerical-by-sampling: module elements are finite sums of
-compactly supported atoms over index classes mod c, algebra elements are
-finite maps k -> 1-periodic evaluator, and every identity is checked
-pointwise at seeded sample plans.  Exact data (alpha, beta, gamma, the
-Bezout pair) comes from the partner machinery and is lowered to double
-precision once per context.
+Module elements are finite sums of coefficient-weighted atoms over index
+classes mod c.  Each atom is a hat moved by one affine Weyl-Heisenberg
+element with exact parameters (AffineAtom), so the identities between module
+actions are decided exactly, by comparing terms (term_diff).  Algebra
+elements are finite maps k -> 1-periodic evaluator in floats, and the
+identities that involve them are checked pointwise at seeded sample plans.
 
 Test functions are piecewise-linear hats: genuine compact support keeps
 every lattice sum finite, with summation ranges derived from support bounds
@@ -18,8 +18,7 @@ its k's sum by an ordered np.add.at, in the m order of a row-by-row loop.
 Sampled comparisons evaluate a factor that several classes share once, not
 once per class.  The p classes that `level_embed` spreads one class over
 share its term tuple and atoms, and so do the classes a U action moves.
-`mod_diff` evaluates each distinct atom once on its t grid (the PhaseMods of
-a V action modulate their shared atom's memoised values), sums each
+`mod_diff` evaluates each distinct atom once on its t grid, sums each
 distinct term tuple once and differences each distinct pair of tuples once.
 `alg_diff` evaluates an inner product at every k together
 (`AlgElem.eval_all`): on one r grid each j1 grid is built and F1 evaluated
@@ -36,20 +35,24 @@ from __future__ import annotations
 import bisect
 import cmath
 import dataclasses
+import functools
 import math
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import QuadReal
+from .exactnum import QuadReal, frac1
 from .morita import ProjectionData, checked_trace, stage
 from .solenoid import SolenoidSpec, alpha_at
 
 TWO_PI_I = 2j * math.pi
 NO_SUPPORT = None
 FULL_LINE = (-math.inf, math.inf)
+_ZERO = QuadReal(0)
 # random_mod_elem samples index classes from range(modulus), whose length must fit a C ssize_t:
 # p = 2 reaches it past level 31 (c = 2^62), p = 3 past level 19
 MAX_MODULUS = sys.maxsize
@@ -58,7 +61,7 @@ MAX_MODULUS = sys.maxsize
 BATCH_VALUES = 2048
 # an inner product evaluates F1's class j1 only at the grid points inside its support widened by this share of
 # the support bounds' size: far past the few ulps by which an atom's float support bound and the point where
-# its values become exact zeros can differ (an atom built by Shifted and Dilated rounds both)
+# its values become exact zeros can differ (an AffineAtom rounds end * lam + s and (t - s) / lam separately)
 BAND_PAD = 2.0**-20
 # np.add.at, bound at import: bench/tracer.py times numpy by putting a module of plain functions in place of
 # this module's np, and a plain function has no ufunc methods
@@ -69,7 +72,7 @@ _add_at = np.add.at
 
 
 def _finite(atom) -> bool:
-    """Whether atom is known to take only finite values: a finite HatFn under finite combinators."""
+    """Whether atom is known to take only finite values: a finite HatFn, moved or multiplied by finite ones."""
     return getattr(atom, "finite", False)
 
 
@@ -107,73 +110,62 @@ class HatFn:
 
 
 @dataclass(frozen=True)
-class Shifted:
-    """t -> fn(t - s)."""
+class AffineAtom:
+    """t -> exp(2 pi i (omega t + phi)) h((t - s) / lam): a hat moved by one affine Weyl-Heisenberg element.
 
-    fn: object
-    s: float
+    Every module action is a translation, a modulation or a dilation, and the
+    three compose in closed form into this normal form.  lam is a positive
+    Fraction, s and omega are QuadReal, and phi is a QuadReal reduced into
+    [0, 1), so == and hash are exact equality.  eval and support lower the
+    parameters to floats, once per atom.  AffineAtom(h) evaluates
+    bit-identically to h.
+    """
 
-    @property
-    def finite(self) -> bool:
-        return _finite(self.fn) and math.isfinite(self.s)
-
-    def eval(self, t):
-        return self.fn.eval(np.asarray(t, dtype=float) - self.s)
-
-    def support(self):
-        sup = self.fn.support()
-        if sup is NO_SUPPORT:
-            return NO_SUPPORT
-        return (sup[0] + self.s, sup[1] + self.s)
-
-
-@dataclass(frozen=True)
-class Dilated:
-    """t -> fn(t / factor), factor > 0."""
-
-    fn: object
-    factor: float
+    h: object
+    lam: Fraction = Fraction(1)
+    s: QuadReal = _ZERO
+    omega: QuadReal = _ZERO
+    phi: QuadReal = _ZERO
 
     def __post_init__(self):
-        if self.factor <= 0:
+        if self.lam <= 0:
             raise ValueError("dilation factor must be positive")
+        object.__setattr__(self, "phi", frac1(self.phi))
 
     @property
     def finite(self) -> bool:
-        return _finite(self.fn) and math.isfinite(self.factor)
+        return _finite(self.h)
+
+    def shift(self, u) -> "AffineAtom":
+        """t -> self(t - u)."""
+        return AffineAtom(self.h, self.lam, self.s + u, self.omega, self.phi - self.omega * u)
+
+    def dilate(self, q) -> "AffineAtom":
+        """t -> self(t / q), for a positive rational q."""
+        return AffineAtom(self.h, self.lam * q, self.s * q, self.omega / q, self.phi)
+
+    def modulate(self, w, f) -> "AffineAtom":
+        """t -> exp(2 pi i (w t + f)) self(t)."""
+        return AffineAtom(self.h, self.lam, self.s, self.omega + w, self.phi + f)
+
+    @functools.cached_property
+    def _floats(self) -> tuple[float, float, float, float]:
+        return float(self.lam), float(self.s), float(self.omega), float(self.phi)
 
     def eval(self, t):
-        return self.fn.eval(np.asarray(t, dtype=float) / self.factor)
+        lam, s, omega, phi = self._floats
+        t = np.asarray(t, dtype=float)
+        values = self.h.eval((t - s) / lam)
+        if not (omega or phi):
+            return values
+        return np.multiply(np.exp(TWO_PI_I * (omega * t + phi)), values)  # np.multiply: see _class_sum
 
     def support(self):
-        sup = self.fn.support()
+        sup = self.h.support()
         if sup is NO_SUPPORT:
             return NO_SUPPORT
-        return (sup[0] * self.factor, sup[1] * self.factor)
-
-
-@dataclass(frozen=True)
-class PhaseMod:
-    """t -> exp(2 pi i (freq t + offset)) fn(t)."""
-
-    fn: object
-    freq: float
-    offset: float
-
-    @property
-    def finite(self) -> bool:
-        return _finite(self.fn) and math.isfinite(self.freq) and math.isfinite(self.offset)
-
-    def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.modulate(t, self.fn.eval(t))
-
-    def modulate(self, t: np.ndarray, inner: np.ndarray) -> np.ndarray:
-        """The values at t, given inner = fn at t (np.multiply: see _class_sum)."""
-        return np.multiply(np.exp(TWO_PI_I * (self.freq * t + self.offset)), inner)
-
-    def support(self):
-        return self.fn.support()
+        lam, s, _, _ = self._floats
+        return (sup[0] * lam + s, sup[1] * lam + s)
 
 
 @dataclass(frozen=True)
@@ -359,7 +351,7 @@ def phi_embed(A: AlgElem, p: int) -> AlgElem:
 
 @dataclass(frozen=True)
 class BimCtx:
-    """Level-2n kernel constants, exact identities checked then lowered to floats."""
+    """Level-2n kernel constants: exact alpha, beta and gamma, checked, with their float lowerings."""
 
     spec: SolenoidSpec
     proj: ProjectionData
@@ -368,9 +360,9 @@ class BimCtx:
     d: int
     a: int
     b: int
-    alpha_f: float
-    beta_f: float
-    gamma_f: float
+    alpha: QuadReal
+    beta: QuadReal
+    gamma: QuadReal
 
     @classmethod
     def build(cls, spec: SolenoidSpec, proj: ProjectionData, n: int) -> "BimCtx":
@@ -382,25 +374,20 @@ class BimCtx:
         gamma = 1 / tau  # level-independent (stage checks it); the actions rely on it
         if (QuadReal(mob.a) - gamma) / line.c != beta:
             raise ArithmeticError(f"Mobius identity fails at level {n}")
-        return cls(
-            spec,
-            proj,
-            n,
-            line.c,
-            line.d,
-            mob.a,
-            mob.b,
-            float(alpha),
-            float(beta),
-            float(gamma),
-        )
+        return cls(spec, proj, n, line.c, line.d, mob.a, mob.b, alpha, beta, gamma)
 
     @property
     def modulus(self) -> int:
         return abs(self.c)
 
-    def with_gamma(self, gamma_f: float) -> "BimCtx":
-        return dataclasses.replace(self, gamma_f=gamma_f)
+    # the float lowerings that the sampled kernels read
+    alpha_f = property(lambda self: float(self.alpha))
+    beta_f = property(lambda self: float(self.beta))
+    gamma_f = property(lambda self: float(self.gamma))
+
+    def with_gamma(self, gamma) -> "BimCtx":
+        """This context with gamma replaced by an exact value, or by the Fraction that a float equals."""
+        return dataclasses.replace(self, gamma=QuadReal(Fraction(gamma)) if isinstance(gamma, float) else gamma)
 
 
 # -- module actions -----------------------------------------------------------------
@@ -411,6 +398,12 @@ def _check_modulus(ctx: BimCtx, F: ModElem):
         raise ValueError(f"element has modulus {F.modulus}, context needs {ctx.modulus}")
 
 
+def _known_finite(*elems: ModElem) -> bool:
+    """Whether every term of the elements is known finite, each distinct term tuple checked once."""
+    tuples = {id(ps): ps for F in elems for ps in F.terms.values()}
+    return all(cmath.isfinite(c) and _finite(atom) for ps in tuples.values() for c, atom in ps)
+
+
 def _once(memo: dict, obj, make):
     """make(obj), built once per distinct obj (by identity): an atom or a term tuple that classes share."""
     out = memo.get(id(obj))
@@ -419,25 +412,26 @@ def _once(memo: dict, obj, make):
     return out
 
 
-def _act_gen(ctx: BimCtx, gen: str, power: int, F: ModElem, unit, step: int, denom, mult: int) -> ModElem:
-    """U^power: F(t - power*unit, [m - power*step]); V^power: exp(2 pi i power (t/denom - mult*m/c)) F(t, [m]).
+def _act_gen(ctx: BimCtx, gen: str, power: int, F: ModElem, unit, step: int, freq, mult: int) -> ModElem:
+    """U^power: F(t - power*unit, [m - power*step]); V^power: exp(2 pi i power (freq t - mult*m/c)) F(t, [m]).
 
-    unit, step, denom and mult are one side's constants; an int denom keeps power / denom an int/int division.
+    unit, step, freq and mult are one side's constants, unit and freq exact.
     """
     _check_modulus(ctx, F)
     if power == 0:
         return F
     out: dict = {}
-    moved: dict = {}  # classes that share a term tuple share its shifted tuple
+    moved: dict = {}  # classes that share a term tuple share its moved tuple; under V, those that share a phase
     for j, pairs in F.terms.items():
         if gen == "U":
             out[(j + power * step) % ctx.modulus] = _once(
-                moved, pairs, lambda ps: tuple((c, Shifted(atom, power * unit)) for c, atom in ps)
+                moved, pairs, lambda ps: tuple((c, atom.shift(power * unit)) for c, atom in ps)
             )
         elif gen == "V":
-            out[j] = tuple(
-                (c, PhaseMod(atom, power / denom, -((power * mult * j) % ctx.c) / ctx.c)) for c, atom in pairs
-            )
+            phase = Fraction((-power * mult * j) % ctx.c, ctx.c)
+            if (id(pairs), phase) not in moved:
+                moved[id(pairs), phase] = tuple((c, atom.modulate(power * freq, phase)) for c, atom in pairs)
+            out[j] = moved[id(pairs), phase]
         else:
             raise ValueError(f"unknown generator {gen!r}")
     return ModElem(ctx.modulus, out)
@@ -445,12 +439,12 @@ def _act_gen(ctx: BimCtx, gen: str, power: int, F: ModElem, unit, step: int, den
 
 def act_left_gen(ctx: BimCtx, gen: str, power: int, F: ModElem) -> ModElem:
     """U: F(t - gamma, [m-1]); V: exp(2 pi i (t - am)/c) F(t, [m]); integer powers."""
-    return _act_gen(ctx, gen, power, F, ctx.gamma_f, 1, ctx.c, ctx.a)
+    return _act_gen(ctx, gen, power, F, ctx.gamma, 1, Fraction(1, ctx.c), ctx.a)
 
 
 def act_right_gen(ctx: BimCtx, gen: str, power: int, F: ModElem) -> ModElem:
     """U: F(t - 1, [m-d]); V: exp(2 pi i (t/gamma - m)/c) F(t, [m]); integer powers."""
-    return _act_gen(ctx, gen, power, F, 1.0, ctx.d, ctx.gamma_f * ctx.c, 1)
+    return _act_gen(ctx, gen, power, F, 1, ctx.d, 1 / (ctx.gamma * ctx.c), 1)
 
 
 def act_alg_left(ctx: BimCtx, A: AlgElem, F: ModElem) -> ModElem:
@@ -461,7 +455,7 @@ def act_alg_left(ctx: BimCtx, A: AlgElem, F: ModElem) -> ModElem:
         for n, comp in A.comps.items():
             m_rep = j + n  # any integer representative of the target class works mod 1
             phase = PeriodicFn(comp, 1 / ctx.c, -((ctx.a * m_rep) % ctx.c) / ctx.c)
-            shifted = tuple((c, Product(phase, Shifted(atom, n * ctx.gamma_f))) for c, atom in pairs)
+            shifted = tuple((c, Product(phase, atom.shift(n * ctx.gamma))) for c, atom in pairs)
             out = out.add(ModElem(ctx.modulus, {m_rep: shifted}))
     return out
 
@@ -473,7 +467,7 @@ def act_alg_right(ctx: BimCtx, F: ModElem, A: AlgElem) -> ModElem:
     for j, pairs in F.terms.items():
         for n, comp in A.comps.items():
             phase = PeriodicFn(comp, 1 / (ctx.gamma_f * ctx.c), -n / (ctx.gamma_f * ctx.c) - j / ctx.c)
-            shifted = tuple((c, Product(Shifted(atom, float(n)), phase)) for c, atom in pairs)
+            shifted = tuple((c, Product(atom.shift(n), phase)) for c, atom in pairs)
             out = out.add(ModElem(ctx.modulus, {j + ctx.d * n: shifted}))
     return out
 
@@ -593,8 +587,7 @@ def _inner(F1: ModElem, F2: ModElem, entries: list, columns, shift, product) -> 
     those of the j1 it ends in, so memory stays bounded however many
     entries there are.
     """
-    tuples = {id(ps): ps for F in (F1, F2) for ps in F.terms.values()}
-    finite = all(cmath.isfinite(c) and _finite(atom) for ps in tuples.values() for c, atom in ps)
+    finite = _known_finite(F1, F2)
     by_k: dict[int, list] = {}
     for entry in entries:
         by_k.setdefault(entry[2], []).append(entry)
@@ -709,7 +702,7 @@ def level_embed(ctx: BimCtx, F: ModElem) -> ModElem:
     stride = ctx.proj.c0 * p ** (2 * ctx.n + 1)
     out: dict = {}
     for j, pairs in F.terms.items():
-        spread = tuple((c, Dilated(atom, float(p))) for c, atom in pairs)  # one tuple for all p classes
+        spread = tuple((c, atom.dilate(p)) for c, atom in pairs)  # one tuple for all p classes
         for i in range(p):
             idx = (j * p + i * stride) % target
             out[idx] = out[idx] + spread if idx in out else spread
@@ -751,7 +744,7 @@ def random_mod_elem(rng: random.Random, modulus: int) -> ModElem:
     out = ModElem(modulus)
     for j in rng.sample(range(modulus), k=min(modulus, rng.randint(1, 2))):
         coef = complex(rng.gauss(0, 1), rng.gauss(0, 1))
-        out = out.add(ModElem.delta(modulus, j, random_hat(rng), coef))
+        out = out.add(ModElem.delta(modulus, j, AffineAtom(random_hat(rng)), coef))
     return out
 
 
@@ -784,44 +777,42 @@ def _worse(err: float, e: float) -> float:
     return e if math.isnan(e) else max(err, e)
 
 
-def _on_t(values: dict, t: np.ndarray, atom) -> np.ndarray:
-    """atom at t, each distinct atom (by identity) evaluated once; a PhaseMod modulates its atom's memoised values.
+def _tuple_pairs(A: ModElem, B: ModElem) -> list[tuple]:
+    """Each distinct pair (A's term tuple, B's term tuple) that some class holds, once."""
+    if A.modulus != B.modulus:
+        raise ValueError("modulus mismatch in comparison")
+    pairs = ((A.terms.get(j, ()), B.terms.get(j, ())) for j in A.terms.keys() | B.terms.keys())
+    return list({(id(a), id(b)): (a, b) for a, b in pairs}.values())
 
-    A module-level function, not a closure: one that called itself would form a reference cycle.
+
+def term_diff(A: ModElem, B: ModElem) -> float:
+    """0.0 if every class of A and B holds the same multiset of (coef, atom) terms, else math.inf.
+
+    Exact: atoms compare by their exact parameters, so nothing is sampled.
+    NaN if any term is not known finite, as a sampled difference would be.
     """
-    out = values.get(id(atom))
-    if out is None:
-        if isinstance(atom, PhaseMod):
-            out = atom.modulate(t, _on_t(values, t, atom.fn))
-        else:
-            out = atom.eval(t)
-        values[id(atom)] = out
-    return out
+    pairs = _tuple_pairs(A, B)
+    if not _known_finite(A, B):
+        return math.nan
+    return 0.0 if all(a == b or Counter(a) == Counter(b) for a, b in pairs) else math.inf
 
 
 def mod_diff(A: ModElem, B: ModElem, rng: random.Random, points: int) -> float:
     """Largest pointwise |A - B| over every class, on one sampled t grid.
 
-    Each distinct atom (by identity) is evaluated on the grid once, the p
-    PhaseMods a V action wraps around one shared atom included; each distinct
-    term tuple is summed once, in term order, and each distinct pair of an A
-    and a B tuple differenced once, for all the classes that hold them.
+    Each distinct atom (by identity) is evaluated on the grid once, each
+    distinct term tuple summed once, in term order, and each distinct pair of
+    an A and a B tuple differenced once, for all the classes that hold them.
     """
-    if A.modulus != B.modulus:
-        raise ValueError("modulus mismatch in comparison")
+    pairs = _tuple_pairs(A, B)
     t = _t_samples(rng, [A.support(), B.support()], points)
     values: dict = {}
     sums: dict = {}
-    diffs: dict = {}
 
-    def class_sum(pairs):
-        return _once(sums, pairs, lambda ps: _class_sum(ps, t, lambda atom: _on_t(values, t, atom)))
+    def class_sum(terms):
+        return _once(sums, terms, lambda ps: _class_sum(ps, t, lambda atom: _once(values, atom, lambda a: a.eval(t))))
 
-    for j in A.terms.keys() | B.terms.keys():
-        a, b = A.terms.get(j, ()), B.terms.get(j, ())
-        if (id(a), id(b)) not in diffs:
-            diffs[id(a), id(b)] = np.subtract(class_sum(a), class_sum(b))
-    return _worst(np.asarray(list(diffs.values())))
+    return _worst(np.asarray([np.subtract(class_sum(a), class_sum(b)) for a, b in pairs]))
 
 
 def alg_diff(A: AlgElem, B: AlgElem, rng: random.Random, points: int) -> float:
@@ -841,6 +832,11 @@ IDENTITY_KEYS = (
 )
 
 
+def _phased(F: ModElem, f) -> ModElem:
+    """exp(2 pi i f) F for an exact f: every atom's phase moved by f."""
+    return ModElem(F.modulus, {j: tuple((c, atom.modulate(0, f)) for c, atom in ps) for j, ps in F.terms.items()})
+
+
 def identity_suite(
     spec: SolenoidSpec,
     proj: ProjectionData,
@@ -848,7 +844,7 @@ def identity_suite(
     plan: SamplePlan = SamplePlan(),
     corrupt_gamma: float = 0.0,
 ) -> dict[str, float]:
-    """Max pointwise deviation of each compatibility identity at this level (NaN if any sample is NaN).
+    """Deviation of each compatibility identity at this level: exact 0.0 or inf, or a sampled maximum.
 
     (a) iota intertwines the left generator actions (U at level n vs U^p at n+1);
     (b) same on the right;
@@ -856,13 +852,17 @@ def identity_suite(
     (d) same for the right inner product;
     (e) imprimitivity <F,G>.H = F.<G,H> plus both generator commutations.
 
-    corrupt_gamma shifts gamma at level n+1 only; a nonzero shift must surface
-    as deviation in (a), demonstrating the harness can fail.
+    (a), (b) and the two commutations are decided exactly by term_diff (0.0
+    or inf); (c), (d) and the imprimitivity sum are largest deviations on
+    sampled grids.  Either kind is NaN if a term is not known finite.
+
+    corrupt_gamma shifts gamma at level n+1 only, by the Fraction the float
+    equals; a nonzero shift must fail (a), demonstrating the harness can fail.
     """
     ctx = BimCtx.build(spec, proj, n)
     ctx2 = BimCtx.build(spec, proj, n + 1)
     if corrupt_gamma:
-        ctx2 = ctx2.with_gamma(ctx2.gamma_f + corrupt_gamma)
+        ctx2 = ctx2.with_gamma(ctx2.gamma + Fraction(corrupt_gamma))
     rng = random.Random(plan.seed)
     p = spec.p
     errs = {key: 0.0 for key in IDENTITY_KEYS}
@@ -874,13 +874,9 @@ def identity_suite(
         iF, iG = level_embed(ctx, F), level_embed(ctx, G)
 
         for gen in ("U", "V"):
-            lhs = level_embed(ctx, act_left_gen(ctx, gen, 1, F))
-            rhs = act_left_gen(ctx2, gen, p, iF)
-            errs["iota_left_action"] = _worse(errs["iota_left_action"], mod_diff(lhs, rhs, rng, plan.t_points))
-
-            lhs = level_embed(ctx, act_right_gen(ctx, gen, 1, F))
-            rhs = act_right_gen(ctx2, gen, p, iF)
-            errs["iota_right_action"] = _worse(errs["iota_right_action"], mod_diff(lhs, rhs, rng, plan.t_points))
+            for key, act in (("iota_left_action", act_left_gen), ("iota_right_action", act_right_gen)):
+                e = term_diff(level_embed(ctx, act(ctx, gen, 1, F)), act(ctx2, gen, p, iF))
+                errs[key] = _worse(errs[key], e)
 
         FG = inner_left(ctx, F, G)
         lhs = phi_embed(FG, p)
@@ -895,11 +891,11 @@ def identity_suite(
         rhs = act_alg_right(ctx, F, inner_right(ctx, G, H))
         e = mod_diff(lhs, rhs, rng, plan.t_points)
         uv = act_left_gen(ctx, "U", 1, act_left_gen(ctx, "V", 1, F))
-        vu = act_left_gen(ctx, "V", 1, act_left_gen(ctx, "U", 1, F)).scaled(cmath.exp(TWO_PI_I * ctx.beta_f))
-        e = _worse(e, mod_diff(uv, vu, rng, plan.t_points))
+        vu = _phased(act_left_gen(ctx, "V", 1, act_left_gen(ctx, "U", 1, F)), ctx.beta)
+        e = _worse(e, term_diff(uv, vu))
         ruv = act_right_gen(ctx, "V", 1, act_right_gen(ctx, "U", 1, F))
-        rvu = act_right_gen(ctx, "U", 1, act_right_gen(ctx, "V", 1, F)).scaled(cmath.exp(TWO_PI_I * ctx.alpha_f))
-        e = _worse(e, mod_diff(ruv, rvu, rng, plan.t_points))
+        rvu = _phased(act_right_gen(ctx, "U", 1, act_right_gen(ctx, "V", 1, F)), ctx.alpha)
+        e = _worse(e, term_diff(ruv, rvu))
         errs["imprimitivity"] = _worse(errs["imprimitivity"], e)
 
     return errs

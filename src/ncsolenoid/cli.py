@@ -35,14 +35,14 @@ MAX_TRUNC_K = 3000
 # tower levels for --n: alpha_n has denominator p**n, which for the largest prime below exactnum.MR_LIMIT
 # has about 25*n digits, so every accepted level prints within Python's 4300-digit int-to-string limit
 MAX_LEVEL = 100
-# sample sizes of bimodule verify.  At --n 0, MAX_HATS hats on MAX_POINTS points take about 0.85 s end to end
-# at p = 2, 0.95 s at p = 7 and 3.3 s at p = 101 (2-core Xeon, Python 3.11)
+# sample sizes of bimodule verify.  At --n 0, MAX_HATS hats on MAX_POINTS points take about 0.7 s end to end
+# at p = 2, 0.7 s at p = 7 and 2.1 s at p = 101 (2-core Xeon, Python 3.11)
 MAX_HATS = 100
 MAX_POINTS = 500
 # each hat spreads over p classes, so the time grows with p * hats, which MAX_P_HATS bounds: the default 20 hats
-# stay accepted at every p below 1024.  On MAX_POINTS points, 20 hats at p = 1009 take about 4.5 s, 100 hats at
-# p = 199 about 5.6 s and 1 hat at p = 20479 about 6 s; before the bound, 100 hats at p = 1009 took about 9 s
-# on 10 points and 1 hat at p = 100003 about 15 s
+# stay accepted at every p below 1024.  On MAX_POINTS points, 20 hats at p = 1009 take about 2.5 s, 100 hats at
+# p = 199 about 3.2 s and 1 hat at p = 20479 about 2.8 s; past the bound, 100 hats at p = 1009 take about 7.8 s
+# on 10 points and 1 hat at p = 100003 about 12 s
 MAX_P_HATS = 20480
 # --count of the multiplier checks, whose time is linear in it.  On the default spec, MAX_COUNT samples take
 # about 0.3 s end to end for check-cocycle, 0.35 s for check-annihilator and 0.5 s for check-eta-psi; at the

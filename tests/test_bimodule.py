@@ -6,21 +6,23 @@ import gc
 import json
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncsolenoid import bimodule
 from ncsolenoid.bimodule import (
+    AffineAtom,
     AlgElem,
     BimCtx,
-    Dilated,
     HatFn,
     ModElem,
-    PhaseMod,
     Product,
     SamplePlan,
-    Shifted,
     SumKernel,
     _k_window,
     _r_samples,
@@ -38,8 +40,9 @@ from ncsolenoid.bimodule import (
     phi_embed,
     random_hat,
     random_mod_elem,
+    term_diff,
 )
-from ncsolenoid.exactnum import QuadReal
+from ncsolenoid.exactnum import QuadReal, frac1
 from ncsolenoid.morita import ProjectionData
 from ncsolenoid.suite import check_bimodule
 from ncsolenoid.padic import PAdic
@@ -109,18 +112,93 @@ def test_hatfn_equality_ignores_cached_tables():
 
 def test_atom_combinators():
     f = HatFn((0.0, 1.0, 2.0), (0j, 1 + 0j, 0j))
+    atom = AffineAtom(f)
     t = np.array([1.5])
-    assert abs(Shifted(f, 0.5).eval(t)[0] - f.eval(np.array([1.0]))[0]) < 1e-15
-    assert Shifted(f, 0.5).support() == (0.5, 2.5)
-    assert abs(Dilated(f, 2.0).eval(np.array([2.0]))[0] - 1.0) < 1e-15
-    assert Dilated(f, 2.0).support() == (0.0, 4.0)
-    ph = PhaseMod(f, 0.25, 0.125)
+    half = Fraction(1, 2)
+    assert abs(atom.shift(half).eval(t)[0] - f.eval(np.array([1.0]))[0]) < 1e-15
+    assert atom.shift(half).support() == (0.5, 2.5)
+    assert abs(atom.dilate(2).eval(np.array([2.0]))[0] - 1.0) < 1e-15
+    assert atom.dilate(2).support() == (0.0, 4.0)
+    ph = atom.modulate(Fraction(1, 4), Fraction(1, 8))
     expect = np.exp(2j * math.pi * (0.25 * 1.5 + 0.125)) * f.eval(t)[0]
     assert abs(ph.eval(t)[0] - expect) < 1e-15
     assert ph.support() == f.support()
-    pr = Product(f, Shifted(f, 0.5))
+    pr = Product(f, atom.shift(half))
     assert pr.support() == (0.5, 2.0)
     assert abs(pr.eval(t)[0] - f.eval(t)[0] * f.eval(np.array([1.0]))[0]) < 1e-15
+    # the phase is kept reduced into [0, 1), so equal maps are equal atoms
+    assert atom.modulate(0, Fraction(5, 4)) == atom.modulate(0, Fraction(-3, 4)) == atom.modulate(0, Fraction(1, 4))
+    assert hash(atom.modulate(0, 1)) == hash(atom)
+    with pytest.raises(ValueError):
+        AffineAtom(f, lam=Fraction(-1))
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+# (a + b sqrt(2)) / m with |a|, |b| <= 8 <= m <= 16
+EXACT = st.builds(
+    lambda a, b, m: QuadReal(Fraction(a, m), Fraction(b, m), 2), st.integers(-8, 8), st.integers(-8, 8), st.integers(8, 16)
+)
+FACTORS = st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(3, 2), Fraction(2)])
+STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("shift"), EXACT),
+        st.tuples(st.just("dilate"), FACTORS),
+        st.tuples(st.just("modulate"), EXACT, EXACT),
+    ),
+    max_size=6,
+)
+
+
+def _chain(atom, steps):
+    for name, *args in steps:
+        atom = getattr(atom, name)(*args)
+    return atom
+
+
+def _nested(fn, steps):
+    """The same chain as nested float maps t -> values, one per step."""
+    for name, *args in steps:
+        x = [float(a) for a in args]
+        if name == "shift":
+            fn = (lambda g, u: lambda t: g(t - u))(fn, *x)
+        elif name == "dilate":
+            fn = (lambda g, q: lambda t: g(t / q))(fn, *x)
+        else:
+            fn = (lambda g, w, f: lambda t: np.exp(2j * math.pi * (w * t + f)) * g(t))(fn, *x)
+    return fn
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), STEPS)
+def test_atom_chain_matches_nested_float_maps(seed, steps):
+    h = random_hat(random.Random(seed))
+    atom = _chain(AffineAtom(h), steps)
+    lo, hi = atom.support()
+    t = np.linspace(lo - 1.0, hi + 1.0, 97)
+    size = max(abs(v) for v in h.values)
+    assert float(np.max(np.abs(atom.eval(t) - _nested(h.eval, steps)(t)))) <= 1e-12 * size
+
+
+@PROPERTY
+@given(STEPS, EXACT, FACTORS, EXACT, EXACT)
+def test_atom_laws_hold_as_equality(steps, u, q, w, f):
+    atom = _chain(AffineAtom(HatFn((0.0, 0.4, 1.1), (0j, 1 - 1j, 0j))), steps)
+    assert atom.shift(u).dilate(q) == atom.dilate(q).shift(q * u)
+    # a modulation moved past a shift by u picks up the phase -w*u
+    moved, expect = atom.modulate(w, f).shift(u), atom.shift(u).modulate(w, f - w * u)
+    assert moved == expect and hash(moved) == hash(expect)
+    assert (moved == atom.shift(u).modulate(w, f)) == (frac1(w * u) == 0)
+
+
+def test_term_diff_compares_term_multisets_per_class():
+    a = AffineAtom(HatFn((0.0, 0.5, 1.0), (0j, 1 + 0j, 0j)))
+    b = a.shift(1)
+    A = ModElem(2, {0: ((1j, a), (2.0 + 0j, b))})
+    assert term_diff(A, ModElem(2, {0: ((2.0 + 0j, b.modulate(0, 1)), (1j, a))})) == 0.0  # order, a whole turn
+    assert term_diff(A, ModElem(2, {1: A.terms[0]})) == math.inf  # another class
+    assert term_diff(A, A.add(ModElem.delta(2, 0, a, coef=1j))) == math.inf  # multiplicity
+    assert term_diff(A, ModElem(2, {0: ((1j, a), (2.0 + 0j, b.shift(Fraction(1, 10**30))))})) == math.inf
+    assert math.isnan(term_diff(A.add(ModElem.delta(2, 1, AffineAtom(_nan_hat()))), A))
 
 
 def test_modelem_basics():
@@ -160,7 +238,7 @@ def test_ctx_rejects_bad_projection():
 def test_left_generator_action_formulas():
     ctx = ctx_at(2, 1)  # modulus 4
     f = HatFn((0.0, 1.0, 2.0), (0j, 1 + 0j, 0j))
-    F = ModElem.delta(4, 1, f)
+    F = ModElem.delta(4, 1, AffineAtom(f))
     t = np.array([0.7, 1.3, 2.2])
     # U: translate by gamma, index +1
     UF = act_left_gen(ctx, "U", 1, F)
@@ -176,7 +254,7 @@ def test_left_generator_action_formulas():
 def test_right_generator_action_formulas():
     ctx = ctx_at(2, 1)
     f = HatFn((0.0, 1.0, 2.0), (0j, 1 + 0j, 0j))
-    F = ModElem.delta(4, 1, f)
+    F = ModElem.delta(4, 1, AffineAtom(f))
     t = np.array([0.7, 1.3, 2.2])
     FU = act_right_gen(ctx, "U", 1, F)
     assert FU.indices() == ((1 + ctx.d) % 4,)
@@ -308,9 +386,9 @@ def _per_m_kernel(ctx, F1, F2, side, k, r):
 
 def _planted(rng, M, coef):
     """A random element plus the same narrow and wide hats at two classes each."""
-    narrow = HatFn((0.1, 0.3, 0.5), (0j, 1 + 1j, 0j))
-    wide = HatFn((-1.5 * M, 0.2 * M, 1.5 * M), (0j, 0.7 - 1.3j, 0j))
-    planted = {0: narrow, 1: Shifted(narrow, 0.05), 2: wide, 3: Shifted(wide, 0.3)}
+    narrow = AffineAtom(HatFn((0.1, 0.3, 0.5), (0j, 1 + 1j, 0j)))
+    wide = AffineAtom(HatFn((-1.5 * M, 0.2 * M, 1.5 * M), (0j, 0.7 - 1.3j, 0j)))
+    planted = {0: narrow, 1: narrow.shift(Fraction(1, 20)), 2: wide, 3: wide.shift(Fraction(3, 10))}
     return random_mod_elem(rng, M).add(ModElem(M, {j: ((coef * (1 + 0.5j * j), atom),) for j, atom in planted.items()}))
 
 
@@ -422,17 +500,15 @@ def _assert_matches_per_m(ctx, pairs, rs, stride=1):
 
 
 def test_band_keeps_values_an_ulp_outside_float_supports():
-    # Shifted and Dilated round an atom's support bounds and its argument separately, so the atom can be
-    # nonzero an ulp outside its float support.  At c = 1 a left grid point is r + m and a right one
+    # an atom rounds its support bounds (end * lam + s) and its argument ((t - s) / lam) separately, so it can
+    # be nonzero an ulp outside its float support.  At c = 1 a left grid point is r + m and a right one
     # (r - m) * gamma: these r put points exactly on each support end and 3 ulps on either side, where (the
     # supports being narrower than 1) they are the only nonzero row of their r, so a band that dropped one
     # would change that r's sum
     ctx = ctx_at(2, 0)
     g = ctx.gamma_f
-    atoms = [
-        Dilated(Shifted(HatFn((0.95, 1.05, 1.15), (0j, 1 - 1j, 0j)), 0.1), 3.0),
-        Shifted(Dilated(HatFn((-0.7, -0.6, -0.5), (0j, 0.5 + 2j, 0j)), 3.0), 0.1),
-    ]
+    hat = AffineAtom(HatFn((-0.7, -0.6, -0.5), (0j, 0.5 + 2j, 0j)))
+    atoms = [hat.shift(Fraction(1, 10)).dilate(3), hat.dilate(3).shift(Fraction(1, 10))]
     wide = ModElem.delta(1, 0, HatFn((-9.0, 0.3, 9.0), (0j, 1 + 0.5j, 0j)))
     for atom in atoms:
         lo, hi = atom.support()
@@ -476,8 +552,9 @@ def test_band_matches_per_m_reference_past_the_in_place_threshold(monkeypatch):
     # than that, so each batch's F1, F2 and product arrays pass it
     ctx = ctx_at(7, 0)
     wide = HatFn((-60.0, -1.0, 60.0), (0j, 1 - 2j, 0j))
-    F = ModElem.delta(1, 0, wide, coef=0.5 + 1j).add(ModElem.delta(1, 0, Dilated(Shifted(wide, 0.1), 1.1)))
-    G = ModElem.delta(1, 0, Shifted(wide, -2.5), coef=-1.5j)
+    moved = AffineAtom(wide).shift(Fraction(1, 10)).dilate(Fraction(11, 10))
+    F = ModElem.delta(1, 0, wide, coef=0.5 + 1j).add(ModElem.delta(1, 0, moved))
+    G = ModElem.delta(1, 0, AffineAtom(wide).shift(Fraction(-5, 2)), coef=-1.5j)
     sizes = []
     on_grids = bimodule._on_grids
 
@@ -591,8 +668,8 @@ def test_shared_atoms_evaluate_once_per_grid(p, monkeypatch):
     ctx, ctx2 = ctx_at(p, 0), ctx_at(p, 1)
     f = Counted(HatFn((0.0, 0.4, 1.1), (0j, 1 - 1j, 0j)))
     g = Counted(HatFn((-2.0, 0.9, 3.5), (0j, 0.5 + 2j, 0j)))  # wide: each j1 aligns at several k
-    iF = level_embed(ctx, ModElem.delta(ctx.modulus, 0, f))
-    iG = level_embed(ctx, ModElem.delta(ctx.modulus, 0, g, coef=0.3j))
+    iF = level_embed(ctx, ModElem.delta(ctx.modulus, 0, AffineAtom(f)))
+    iG = level_embed(ctx, ModElem.delta(ctx.modulus, 0, AffineAtom(g), coef=0.3j))
     assert len(iF.terms) == p and len({id(pairs) for pairs in iF.terms.values()}) == 1
     # p classes on each side hold the one dilated atom: one evaluation per t grid
     mod_diff(iF, iF.scaled(2.0), random.Random(1), 60)
@@ -600,13 +677,16 @@ def test_shared_atoms_evaluate_once_per_grid(p, monkeypatch):
     # so do the p classes a U action moves: one shifted atom per side
     mod_diff(act_left_gen(ctx2, "U", p, iF), act_right_gen(ctx2, "U", p, iF), random.Random(2), 60)
     assert f.calls == 3
-    # a V action wraps each of the p classes' shared atom in its own PhaseMod, which takes the atom's
-    # values on the grid from the same memo: once per side
-    lhs = level_embed(ctx, act_left_gen(ctx, "V", 1, ModElem.delta(ctx.modulus, 0, f)))
+    # V^p gives the p spread classes one phase, so they share one modulated tuple too: once per side, and the
+    # exact comparison compares the terms without evaluating any
+    lhs = level_embed(ctx, act_left_gen(ctx, "V", 1, ModElem.delta(ctx.modulus, 0, AffineAtom(f))))
     rhs = act_left_gen(ctx2, "V", p, iF)
-    assert len({id(atom.fn) for pairs in rhs.terms.values() for _, atom in pairs}) == 1 < len(rhs.terms) == p
+    assert len({id(pairs) for pairs in rhs.terms.values()}) == 1 < len(rhs.terms) == p
     f.calls = 0
     assert mod_diff(lhs, rhs, random.Random(4), 60) < 1e-12
+    assert f.calls == 2
+    assert lhs.terms.keys() == rhs.terms.keys()
+    assert all(Counter(lhs.terms[j]) == Counter(rhs.terms[j]) for j in rhs.terms)
     assert f.calls == 2
     # the all-k path evaluates each shared term tuple once per batch, on the grids of all
     # its entries there: once in all when they fit one batch
@@ -697,7 +777,7 @@ def test_iota_frozen_example():
     # p=2, n=0, c0=1: f delta_0 spreads to f(t/2) delta_0 + f(t/2) delta_2 in Z_4
     ctx = ctx_at(2, 0)
     f = HatFn((0.0, 1.0, 2.0), (0j, 1 + 0j, 0j))
-    F = ModElem.delta(1, 0, f)
+    F = ModElem.delta(1, 0, AffineAtom(f))
     iF = level_embed(ctx, F)
     assert iF.modulus == 4
     assert iF.indices() == (0, 2)
@@ -784,6 +864,31 @@ def test_identity_suite_detects_corrupted_gamma():
     plan = SamplePlan(seed=5, hats=3, r_points=60, t_points=60)
     report = identity_suite(spec_p(2), ProjectionData(1, 1, 0), 0, plan, corrupt_gamma=0.01)
     assert report["iota_left_action"] > 1e-3
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_action_identities_are_exact_at_every_level(p, n):
+    # exactly 0.0 at every level: the terms are compared, not sampled
+    plan = SamplePlan(seed=0, hats=6, r_points=120, t_points=120)
+    report = identity_suite(spec_p(p), ProjectionData(1, 1, 0), n, plan)
+    assert report["iota_left_action"] == report["iota_right_action"] == 0.0
+    ctx = ctx_at(p, n)
+    F = random_mod_elem(random.Random(p + n), ctx.modulus)
+    uv = act_left_gen(ctx, "U", 1, act_left_gen(ctx, "V", 1, F))
+    vu = act_left_gen(ctx, "V", 1, act_left_gen(ctx, "U", 1, F))
+    assert term_diff(uv, bimodule._phased(vu, ctx.beta)) == 0.0 < term_diff(uv, vu)
+    ruv = act_right_gen(ctx, "V", 1, act_right_gen(ctx, "U", 1, F))
+    rvu = act_right_gen(ctx, "U", 1, act_right_gen(ctx, "V", 1, F))
+    assert term_diff(ruv, bimodule._phased(rvu, ctx.alpha)) == 0.0 < term_diff(ruv, rvu)
+
+
+@pytest.mark.parametrize("shift", [1e-10, 1e-15])
+def test_identity_suite_detects_a_gamma_off_below_any_tolerance(shift):
+    # exact: a shift far below any sampling tolerance still fails (a)
+    plan = SamplePlan(seed=0, hats=6, r_points=120, t_points=120)
+    report = identity_suite(spec_p(2), ProjectionData(1, 1, 0), 0, plan, corrupt_gamma=shift)
+    assert report["iota_left_action"] == math.inf
 
 
 def test_identity_suite_rejects_bad_inputs():
