@@ -7,20 +7,19 @@ actions are decided exactly, by comparing terms (term_diff).  Algebra
 elements are finite maps k -> 1-periodic evaluator in floats, and the
 identities that involve them are checked pointwise at seeded sample plans.
 
-Test functions are piecewise-linear hats: genuine compact support keeps
-every lattice sum finite, with summation ranges derived from support bounds
-rather than truncated.  An inner product enumerates only the class pairs
-(j1, j2) aligned with some k, and evaluates each entry on its (m x r)
-grid, cut to the band where F1 can be nonzero if every term of both
-elements is known finite (else whole: 0 * NaN is NaN), then adds it into
-its k's sum by an ordered np.add.at, in the m order of a row-by-row loop.
+Test functions are piecewise-linear hats with finite breakpoints and
+values, and coefficients are finite: a section is finite by construction.
+Genuine compact support keeps every lattice sum finite, with summation
+ranges derived from support bounds rather than truncated.  An inner product
+enumerates only the class pairs (j1, j2) aligned with some k, and evaluates
+each entry on its (m x r) grid cut to the band where F1 can be nonzero,
+then adds it into its k's sum by an ordered np.add.at, in the m order of a
+row-by-row loop.
 
-Sampled comparisons evaluate a factor that several classes share once, not
-once per class.  The p classes that `level_embed` spreads one class over
-share its term tuple and atoms, and so do the classes a U action moves.
-`mod_diff` evaluates each distinct atom once on its t grid, sums each
-distinct term tuple once and differences each distinct pair of tuples once.
-`alg_diff` evaluates an inner product at every k together
+The p classes that `level_embed` spreads one class over share its term
+tuple and atoms, and so do the classes an action moves; the inner products
+and `term_diff` read each shared tuple once.  `mod_diff` sums each class
+on one t grid.  `alg_diff` evaluates an inner product at every k together
 (`AlgElem.eval_all`): on one r grid each j1 grid is built and F1 evaluated
 on it once, and the entries are taken j1 by j1 in batches of about
 BATCH_VALUES grid values, each distinct term tuple of F2 evaluated once per
@@ -71,14 +70,13 @@ _add_at = np.add.at
 # -- function atoms --------------------------------------------------------------
 
 
-def _finite(atom) -> bool:
-    """Whether atom is known to take only finite values: a finite HatFn, moved or multiplied by finite ones."""
-    return getattr(atom, "finite", False)
-
-
 @dataclass(frozen=True)
 class HatFn:
-    """Piecewise-linear, compactly supported: zero at and outside the end breakpoints."""
+    """Piecewise-linear, compactly supported: zero at and outside the end breakpoints.
+
+    Every breakpoint and value must be finite: a section is a compactly
+    supported continuous function, so a non-finite hat is not one.
+    """
 
     breakpoints: tuple[float, ...]
     values: tuple[complex, ...]
@@ -86,16 +84,16 @@ class HatFn:
     def __post_init__(self):
         if len(self.breakpoints) != len(self.values) or len(self.breakpoints) < 2:
             raise ValueError("breakpoints and values must align, at least two points")
+        if not (all(map(math.isfinite, self.breakpoints)) and all(map(cmath.isfinite, self.values))):
+            raise ValueError("breakpoints and values must be finite")
         if any(b <= a for a, b in zip(self.breakpoints, self.breakpoints[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         if self.values[0] != 0 or self.values[-1] != 0:
             raise ValueError("endpoint values must vanish (compact support)")
-        # interpolation tables and finiteness, built once; not fields, so == and hash see only the two tuples
+        # interpolation tables, built once; not fields, so == and hash see only the two tuples
         object.__setattr__(self, "_xp", np.asarray(self.breakpoints))
         object.__setattr__(self, "_re", np.asarray([v.real for v in self.values]))
         object.__setattr__(self, "_im", np.asarray([v.imag for v in self.values]))
-        finite = all(map(math.isfinite, self.breakpoints)) and all(map(cmath.isfinite, self.values))
-        object.__setattr__(self, "finite", finite)
 
     def eval(self, t):
         # two real interps: one complex np.interp is not bit-identical to them
@@ -131,10 +129,6 @@ class AffineAtom:
         if self.lam <= 0:
             raise ValueError("dilation factor must be positive")
         object.__setattr__(self, "phi", frac1(self.phi))
-
-    @property
-    def finite(self) -> bool:
-        return _finite(self.h)
 
     def shift(self, u) -> "AffineAtom":
         """t -> self(t - u)."""
@@ -173,10 +167,6 @@ class Product:
     left: object
     right: object
 
-    @property
-    def finite(self) -> bool:
-        return _finite(self.left) and _finite(self.right)
-
     def eval(self, t):
         t = np.asarray(t, dtype=float)
         return self.left.eval(t) * self.right.eval(t)
@@ -207,8 +197,8 @@ class PeriodicFn:
 # -- module and algebra elements --------------------------------------------------
 
 
-def _class_sum(pairs, t: np.ndarray, value) -> np.ndarray:
-    """sum of coef * value(atom) over one class's terms, in term order.
+def _class_sum(pairs, t: np.ndarray) -> np.ndarray:
+    """sum of coef * atom(t) over one class's terms, in term order.
 
     np.multiply, not `*`: numpy computes `coef * temporary` in place once the
     temporary reaches 256 KiB, and that can move a complex product by an ulp,
@@ -216,8 +206,16 @@ def _class_sum(pairs, t: np.ndarray, value) -> np.ndarray:
     """
     acc = np.zeros(t.shape, dtype=complex)
     for coef, atom in pairs:
-        acc += np.multiply(coef, value(atom))
+        acc += np.multiply(coef, atom.eval(t))
     return acc
+
+
+def _finite_coef(z) -> complex:
+    """z as a complex, which must be finite: a section is a finite sum of finite terms."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"coefficient must be finite, got {z}")
+    return z
 
 
 def _span(pairs):
@@ -255,7 +253,7 @@ class ModElem:
 
     @classmethod
     def delta(cls, modulus: int, j: int, atom, coef: complex = 1.0) -> "ModElem":
-        return cls(modulus, {j: ((complex(coef), atom),)})
+        return cls(modulus, {j: ((_finite_coef(coef), atom),)})
 
     def add(self, other: "ModElem") -> "ModElem":
         if self.modulus != other.modulus:
@@ -266,23 +264,24 @@ class ModElem:
         return ModElem(self.modulus, out)
 
     def scaled(self, z: complex) -> "ModElem":
+        z = _finite_coef(z)
         return ModElem(
             self.modulus,
-            {j: tuple((complex(z) * c, atom) for c, atom in pairs) for j, pairs in self.terms.items()},
+            {j: tuple((_finite_coef(z * c), atom) for c, atom in pairs) for j, pairs in self.terms.items()},
         )
 
     def eval(self, t, j: int):
         t = np.asarray(t, dtype=float)
-        return _class_sum(self.terms.get(j % self.modulus, ()), t, lambda atom: atom.eval(t))
+        return _class_sum(self.terms.get(j % self.modulus, ()), t)
 
     def indices(self) -> tuple[int, ...]:
         return tuple(sorted(self.terms))
 
     def support(self, j: int | None = None):
-        """Hull of the supports of class j's atoms, or of every class's (each shared tuple read once)."""
+        """Hull of the supports of class j's atoms, or of every class's."""
         if j is not None:
             return _span(self.terms.get(j % self.modulus, ()))
-        return _span(pair for pairs in {id(ps): ps for ps in self.terms.values()}.values() for pair in pairs)
+        return _span(pair for pairs in self.terms.values() for pair in pairs)
 
     def __eq__(self, other):
         return (
@@ -398,14 +397,8 @@ def _check_modulus(ctx: BimCtx, F: ModElem):
         raise ValueError(f"element has modulus {F.modulus}, context needs {ctx.modulus}")
 
 
-def _known_finite(*elems: ModElem) -> bool:
-    """Whether every term of the elements is known finite, each distinct term tuple checked once."""
-    tuples = {id(ps): ps for F in elems for ps in F.terms.values()}
-    return all(cmath.isfinite(c) and _finite(atom) for ps in tuples.values() for c, atom in ps)
-
-
 def _once(memo: dict, obj, make):
-    """make(obj), built once per distinct obj (by identity): an atom or a term tuple that classes share."""
+    """make(obj), built once per distinct obj (by identity): a term tuple that classes share."""
     out = memo.get(id(obj))
     if out is None:
         out = memo[id(obj)] = make(obj)
@@ -532,17 +525,13 @@ def _m_column(m0: int, lo: float, hi: float, M: int) -> np.ndarray:
 def _band(grid: np.ndarray, support) -> tuple[np.ndarray, np.ndarray]:
     """(values, r indices) of the points of an (m rows x r points) grid inside support, in m-major order.
 
-    support is widened by BAND_PAD of its bounds' size; FULL_LINE keeps every point.
+    support is widened by BAND_PAD of its bounds' size.
     """
     flat = grid.ravel()
-    if support is FULL_LINE:
-        keep = np.arange(flat.size)
-    else:
-        lo, hi = support
-        pad = BAND_PAD * (1.0 + abs(lo) + abs(hi))
-        keep = np.flatnonzero((flat >= lo - pad) & (flat <= hi + pad))
-        flat = flat[keep]
-    return flat, keep % grid.shape[1]
+    lo, hi = support
+    pad = BAND_PAD * (1.0 + abs(lo) + abs(hi))
+    keep = np.flatnonzero((flat >= lo - pad) & (flat <= hi + pad))
+    return flat[keep], keep % grid.shape[1]
 
 
 def _on_grids(F: ModElem, requests: dict) -> dict:
@@ -572,22 +561,19 @@ def _inner(F1: ModElem, F2: ModElem, entries: list, columns, shift, product) -> 
     entries is j1-major, as _aligned_pairs gives it.  columns(r) gives, for a
     1-d r, the function (j1, s1) -> (m rows x r points) grid of j1's m column,
     or None when the column is empty; the grid depends on neither k nor j2.
-    If every term of F1 and F2 is known finite (each distinct term tuple is
-    checked once), every entry keeps only the band of its column inside s1,
-    class j1's support: outside it F1 is an exact zero, and so is each
-    product, and the dropped zeros change no sum, which starts at +0 and so
-    never becomes -0.  Otherwise every entry keeps its whole column, since
-    0 * NaN is NaN.  One evaluation at r takes the entries in order, in
-    batches of about BATCH_VALUES column values.  Each distinct term tuple
-    of F1 and of F2 is evaluated once per batch on the columns it serves,
-    and the batch's products are added into a (k x r) accumulator by one
-    np.add.at, which applies repeated indices in order: every (k, r) sums
-    its entries in j1 order and their points in m order, as a row-by-row
-    loop would.  A batch's grids and values are dropped after it, all but
-    those of the j1 it ends in, so memory stays bounded however many
-    entries there are.
+    Every entry keeps only the band of its column inside s1, class j1's
+    support: outside it F1 is an exact zero and F2 is finite (sections are
+    finite by construction), so each product there is an exact zero, and the
+    dropped zeros change no sum, which starts at +0 and so never becomes -0.
+    One evaluation at r takes the entries in order, in batches of about
+    BATCH_VALUES column values.  Each distinct term tuple of F1 and of F2 is
+    evaluated once per batch on the columns it serves, and the batch's
+    products are added into a (k x r) accumulator by one np.add.at, which
+    applies repeated indices in order: every (k, r) sums its entries in j1
+    order and their points in m order, as a row-by-row loop would.  A batch's
+    grids and values are dropped after it, all but those of the j1 it ends
+    in, so memory stays bounded however many entries there are.
     """
-    finite = _known_finite(F1, F2)
     by_k: dict[int, list] = {}
     for entry in entries:
         by_k.setdefault(entry[2], []).append(entry)
@@ -617,7 +603,7 @@ def _inner(F1: ModElem, F2: ModElem, entries: list, columns, shift, product) -> 
                 f1 = {j1: f1[j1]} if j1 in f1 else {}
             if j1 not in views:
                 grid = column(j1, s1)
-                views[j1] = None if grid is None else _band(grid, s1 if finite else FULL_LINE)
+                views[j1] = None if grid is None else _band(grid, s1)
             if views[j1] is not None and views[j1][0].size:
                 batch.append((j1, j2, k, slots[k]))
                 size += views[j1][0].size
@@ -777,42 +763,30 @@ def _worse(err: float, e: float) -> float:
     return e if math.isnan(e) else max(err, e)
 
 
-def _tuple_pairs(A: ModElem, B: ModElem) -> list[tuple]:
-    """Each distinct pair (A's term tuple, B's term tuple) that some class holds, once."""
+def _classes(A: ModElem, B: ModElem) -> set[int]:
+    """The classes that A or B holds terms at; A and B must share a modulus."""
     if A.modulus != B.modulus:
         raise ValueError("modulus mismatch in comparison")
-    pairs = ((A.terms.get(j, ()), B.terms.get(j, ())) for j in A.terms.keys() | B.terms.keys())
-    return list({(id(a), id(b)): (a, b) for a, b in pairs}.values())
+    return A.terms.keys() | B.terms.keys()
 
 
 def term_diff(A: ModElem, B: ModElem) -> float:
     """0.0 if every class of A and B holds the same multiset of (coef, atom) terms, else math.inf.
 
     Exact: atoms compare by their exact parameters, so nothing is sampled.
-    NaN if any term is not known finite, as a sampled difference would be.
+    Each distinct pair of an A and a B term tuple is compared once: the
+    classes that level_embed spreads, or that an action moves, share theirs.
     """
-    pairs = _tuple_pairs(A, B)
-    if not _known_finite(A, B):
-        return math.nan
-    return 0.0 if all(a == b or Counter(a) == Counter(b) for a, b in pairs) else math.inf
+    pairs = {(id(a), id(b)): (a, b) for a, b in ((A.terms.get(j, ()), B.terms.get(j, ())) for j in _classes(A, B))}
+    return 0.0 if all(a == b or Counter(a) == Counter(b) for a, b in pairs.values()) else math.inf
 
 
 def mod_diff(A: ModElem, B: ModElem, rng: random.Random, points: int) -> float:
-    """Largest pointwise |A - B| over every class, on one sampled t grid.
-
-    Each distinct atom (by identity) is evaluated on the grid once, each
-    distinct term tuple summed once, in term order, and each distinct pair of
-    an A and a B tuple differenced once, for all the classes that hold them.
-    """
-    pairs = _tuple_pairs(A, B)
+    """Largest pointwise |A - B| over every class, on one sampled t grid, each class summed in term order."""
+    classes = _classes(A, B)
     t = _t_samples(rng, [A.support(), B.support()], points)
-    values: dict = {}
-    sums: dict = {}
-
-    def class_sum(terms):
-        return _once(sums, terms, lambda ps: _class_sum(ps, t, lambda atom: _once(values, atom, lambda a: a.eval(t))))
-
-    return _worst(np.asarray([np.subtract(class_sum(a), class_sum(b)) for a, b in pairs]))
+    diffs = [np.subtract(_class_sum(A.terms.get(j, ()), t), _class_sum(B.terms.get(j, ()), t)) for j in classes]
+    return _worst(np.asarray(diffs))
 
 
 def alg_diff(A: AlgElem, B: AlgElem, rng: random.Random, points: int) -> float:
@@ -854,7 +828,7 @@ def identity_suite(
 
     (a), (b) and the two commutations are decided exactly by term_diff (0.0
     or inf); (c), (d) and the imprimitivity sum are largest deviations on
-    sampled grids.  Either kind is NaN if a term is not known finite.
+    sampled grids.  A NaN deviation stays NaN, so the identity fails.
 
     corrupt_gamma shifts gamma at level n+1 only, by the Fraction the float
     equals; a nonzero shift must fail (a), demonstrating the harness can fail.
