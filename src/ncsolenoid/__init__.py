@@ -1,7 +1,7 @@
 """Exact arithmetic and numerical verification for Morita partners of noncommutative solenoids."""
 
 from .exactnum import PFrac, QuadReal, RadicandMismatchError, ext_gcd, floor, frac1
-from .padic import ORD_INF, PAdic, PrecisionError, TruncatedPAdic
+from .padic import ORD_INF, PAdic, PrecisionError
 from .solenoid import (
     SeqWindow,
     SolenoidSpec,
@@ -50,7 +50,6 @@ __all__ = [
     "ORD_INF",
     "PAdic",
     "PrecisionError",
-    "TruncatedPAdic",
     "SeqWindow",
     "SolenoidSpec",
     "alpha_at",

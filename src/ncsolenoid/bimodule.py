@@ -235,7 +235,9 @@ class ModElem:
     terms maps j in {0,...,modulus-1} to a tuple of (coef, atom) pairs; sums
     concatenate term tuples, so linear identities that hold term-by-term hold
     at the data-structure level.  A class given a tuple alone keeps that tuple
-    object, so classes built from one tuple share it.
+    object, so classes built from one tuple share it.  Every coefficient must
+    be finite, which the constructor checks: a section is a finite sum of
+    finite terms.
     """
 
     __slots__ = ("modulus", "terms")
@@ -247,13 +249,15 @@ class ModElem:
         self.terms = {}
         for j, pairs in (terms or {}).items():
             pairs = tuple(pairs)
+            for coef, _ in pairs:
+                _finite_coef(coef)
             if pairs:
                 key = j % modulus
                 self.terms[key] = self.terms[key] + pairs if key in self.terms else pairs
 
     @classmethod
     def delta(cls, modulus: int, j: int, atom, coef: complex = 1.0) -> "ModElem":
-        return cls(modulus, {j: ((_finite_coef(coef), atom),)})
+        return cls(modulus, {j: ((complex(coef), atom),)})
 
     def add(self, other: "ModElem") -> "ModElem":
         if self.modulus != other.modulus:
@@ -264,11 +268,8 @@ class ModElem:
         return ModElem(self.modulus, out)
 
     def scaled(self, z: complex) -> "ModElem":
-        z = _finite_coef(z)
-        return ModElem(
-            self.modulus,
-            {j: tuple((_finite_coef(z * c), atom) for c, atom in pairs) for j, pairs in self.terms.items()},
-        )
+        z = _finite_coef(z)  # checked here too: an empty element has no product to check
+        return ModElem(self.modulus, {j: tuple((z * c, atom) for c, atom in pairs) for j, pairs in self.terms.items()})
 
     def eval(self, t, j: int):
         t = np.asarray(t, dtype=float)
@@ -443,26 +444,26 @@ def act_right_gen(ctx: BimCtx, gen: str, power: int, F: ModElem) -> ModElem:
 def act_alg_left(ctx: BimCtx, A: AlgElem, F: ModElem) -> ModElem:
     """(A.F)(t,[m]) = sum_n A_n((t - am)/c) F(t - n*gamma, [m-n])."""
     _check_modulus(ctx, F)
-    out = ModElem(ctx.modulus)
+    out: dict = {}
     for j, pairs in F.terms.items():
         for n, comp in A.comps.items():
             m_rep = j + n  # any integer representative of the target class works mod 1
             phase = PeriodicFn(comp, 1 / ctx.c, -((ctx.a * m_rep) % ctx.c) / ctx.c)
-            shifted = tuple((c, Product(phase, atom.shift(n * ctx.gamma))) for c, atom in pairs)
-            out = out.add(ModElem(ctx.modulus, {m_rep: shifted}))
-    return out
+            terms = out.setdefault(m_rep % ctx.modulus, [])
+            terms += ((c, Product(phase, atom.shift(n * ctx.gamma))) for c, atom in pairs)
+    return ModElem(ctx.modulus, out)
 
 
 def act_alg_right(ctx: BimCtx, F: ModElem, A: AlgElem) -> ModElem:
     """(F.A)(t,[m]) = sum_n F(t - n, [m-dn]) A_n(((t-n)/gamma - (m-dn))/c)."""
     _check_modulus(ctx, F)
-    out = ModElem(ctx.modulus)
+    out: dict = {}
     for j, pairs in F.terms.items():
         for n, comp in A.comps.items():
             phase = PeriodicFn(comp, 1 / (ctx.gamma_f * ctx.c), -n / (ctx.gamma_f * ctx.c) - j / ctx.c)
-            shifted = tuple((c, Product(atom.shift(n), phase)) for c, atom in pairs)
-            out = out.add(ModElem(ctx.modulus, {j + ctx.d * n: shifted}))
-    return out
+            terms = out.setdefault((j + ctx.d * n) % ctx.modulus, [])
+            terms += ((c, Product(atom.shift(n), phase)) for c, atom in pairs)
+    return ModElem(ctx.modulus, out)
 
 
 # -- inner products ------------------------------------------------------------------
@@ -727,11 +728,11 @@ def random_hat(rng: random.Random, span: float = 3.0) -> HatFn:
 def random_mod_elem(rng: random.Random, modulus: int) -> ModElem:
     if modulus > MAX_MODULUS:
         raise ValueError(f"modulus {modulus} exceeds MAX_MODULUS = {MAX_MODULUS}")
-    out = ModElem(modulus)
+    terms = {}
     for j in rng.sample(range(modulus), k=min(modulus, rng.randint(1, 2))):
         coef = complex(rng.gauss(0, 1), rng.gauss(0, 1))
-        out = out.add(ModElem.delta(modulus, j, AffineAtom(random_hat(rng)), coef))
-    return out
+        terms[j] = ((coef, AffineAtom(random_hat(rng))),)
+    return ModElem(modulus, terms)
 
 
 def _uniform(rng: random.Random, lo: float, hi: float, count: int) -> list[float]:

@@ -127,7 +127,7 @@ def heisenberg_partner_spec(spec: SolenoidSpec) -> SolenoidSpec:
     theta' collects 1/theta and the fractional digits of x^-1; the digit
     stream is the integer part of x^-1.  For x a p-adic unit this is exactly
     (1/theta, x^-1), and applying the construction twice returns the original
-    spec.
+    spec.  x known below H gives x^-1 known below H - 2 ord x.
     """
     if not spec.theta:
         raise ValueError("theta must be nonzero")
@@ -135,9 +135,7 @@ def heisenberg_partner_spec(spec: SolenoidSpec) -> SolenoidSpec:
         raise ValueError("digit stream x must be nonzero")
     y = spec.digits.invert()
     fp = y.frac_part().as_fraction()
-    theta = 1 / spec.theta + fp
-    digits = PAdic.from_rational(spec.p, y.as_fraction() - fp)
-    return SolenoidSpec(spec.p, theta, digits)
+    return SolenoidSpec._of(spec.p, 1 / spec.theta + fp, y - fp)
 
 
 def heisenberg_partner(spec: SolenoidSpec, N: int) -> SeqWindow:
@@ -191,7 +189,7 @@ def partner_spec(spec: SolenoidSpec, proj: ProjectionData) -> SolenoidSpec:
     """The partner tower as one exact spec (beta_0, y): projection_partner's beta_2n is frac1 of its alpha_2n.
 
     (a0 b0; c0 d0) and beta_0 are ab_normalized's pair and image at level 0,
-    and y = (a0 x - b0)/(d0 - c0 x) for the digit stream x; the horizon is
+    and y = (a0 x - b0)/(d0 - c0 x) for the digit stream x; the precision is
     kept.  Proof: level 2n's det +1 pair (a b; c0 P, d), P = p^(2n), gives
     (a alpha + b)/tau = a/(c0 P) - 1/(c0 P tau), so P beta_2n = beta_0 + z
     mod P, with z = (a - a0)/c0 an integer (a and a0 both invert d0 mod c0).
@@ -206,7 +204,7 @@ def _partner_spec(spec: SolenoidSpec, proj: ProjectionData, tau: QuadReal) -> So
     mob, beta = ab_normalized(TraceLine(0, proj.c0, proj.d0), spec.theta, tau)
     x = spec.digits.as_fraction()
     y = (mob.a * x - mob.b) / (proj.d0 - proj.c0 * x)
-    return SolenoidSpec._of(spec.p, beta, PAdic._of(spec.p, y), spec.digit_horizon)
+    return SolenoidSpec._of(spec.p, beta, PAdic._of(spec.p, y, spec.digits.precision))
 
 
 def displayed_mobius(spec: SolenoidSpec, n: int) -> MobiusPair:
@@ -292,8 +290,9 @@ class CertificateResult:
     invariants holds its values for a and b), "found" (a witness projection
     and truncation), or "inconclusive" (the invariants agree and the bounded
     search is exhausted; NOT a proof of inequivalence).  A found precision H
-    says the partner tower is proved up to level H, where a's truncation or b
-    has a digit horizon; None says it is proved at every level.
+    says the partner tower is proved up to level H, the smaller digit
+    precision of a's truncation and b; math.inf says it is proved at every
+    level.
     """
 
     status: str
@@ -305,7 +304,7 @@ class CertificateResult:
     orientation: str | None = None
     reason: str | None = None
     invariants: tuple[int, int] | None = None
-    precision: int | None = None
+    precision: float = math.inf
 
     def certificate_json(self) -> dict:
         if self.status != "found":
@@ -316,7 +315,7 @@ class CertificateResult:
             "m": self.m,
             "k": self.k,
             "matched_entries": list(self.matched_entries or ()),
-            "precision": "every level" if self.precision is None else self.precision,
+            "precision": "every level" if self.precision == math.inf else self.precision,
         }
 
     def to_json(self) -> dict:
@@ -366,11 +365,6 @@ def _entry0_rows(alpha: QuadReal, theta: QuadReal, max_c0: int) -> Iterator[tupl
                 yield c0, d0
 
 
-def _vanishes(r: Fraction, p: int, H: int | None) -> bool:
-    """r = 0, or r = 0 mod p^H when H is set; r is a p-adic integer, so its denominator is prime to p."""
-    return r == 0 if H is None else r.numerator % p**H == 0
-
-
 def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = SearchBounds()) -> CertificateResult:
     """Semidecision for Morita equivalence of the two solenoids.
 
@@ -389,13 +383,13 @@ def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = 
     and the first whose partner_spec (beta_0, y) is b's sequence directly or
     through the mod-1 flip (s = +1, then -1) is returned: beta_0 - s theta_b
     is an integer N and s x_b - y = N.  That is the whole tower; where a's
-    truncation or b has a digit horizon, the equation holds mod p^H, H the
-    smaller one, so a `found` proves the tower up to level H, its precision.
+    truncation or b is a digit window, the equation holds mod p^H, H the
+    smaller precision, so a `found` proves the tower up to level H.
 
     A direct limit does not depend on its first terms, so the offset k is
     found, not chosen: every even k is read up to the deepest whose levels
     k..k+2*entries stay within MAX_SEARCH_LEVEL and, with the Condition's
-    digit x_k, within a's digit horizon, and whose (k/2 + 1) * max_c0 values
+    digit x_k, within a's digit precision, and whose (k/2 + 1) * max_c0 values
     of c0 are at most MAX_SEARCH_CANDIDATES, the budget the constants are
     sized by.
 
@@ -424,19 +418,19 @@ def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = 
         if inv_a != inv_b:
             return CertificateResult("impossible", reason=reason, invariants=(inv_a, inv_b))
     N = bounds.entries
-    if b.digit_horizon is not None and b.digit_horizon < 2 * N:
+    if b.digits.precision < 2 * N:
         return CertificateResult(status="inconclusive")
-    x_b = b.digits.as_fraction()
     disc = b.theta.discriminant()
-    deepest = min(MAX_SEARCH_LEVEL - 2 * N, 2 * (MAX_SEARCH_CANDIDATES // bounds.max_c0 - 1))
-    if a.digit_horizon is not None:  # levels k..k+2N, and the Condition's digit x_k, inside a's window
-        deepest = min(deepest, a.digit_horizon - max(2 * N, 1))
+    # levels k..k+2N, and the Condition's digit x_k, inside a's digit window
+    deepest = min(
+        MAX_SEARCH_LEVEL - 2 * N, 2 * (MAX_SEARCH_CANDIDATES // bounds.max_c0 - 1), a.digits.precision - max(2 * N, 1)
+    )
     h = a.head(max(deepest, 0))
+    sides = (("direct", b.theta, b.digits), ("flipped", -b.theta, -b.digits))
     for k in range(0, deepest + 1, 2):
         if _alpha(a, k, h).discriminant() != disc:
             continue
         trunc = truncate_spec(a, k)
-        H = min((hz for hz in (trunc.digit_horizon, b.digit_horizon) if hz is not None), default=None)
         for c0, d0 in _entry0_rows(trunc.theta, b.theta, bounds.max_c0):
             tau = trunc.theta * c0 + d0
             if not (QuadReal(0) < tau):
@@ -446,9 +440,12 @@ def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = 
             if not condition_check(trunc.p, proj, trunc.x(0)):
                 continue
             partner = _partner_spec(trunc, proj, tau)
-            for orientation, sign in (("direct", 1), ("flipped", -1)):
-                n = _as_int(partner.theta - b.theta * sign)
-                if n is not None and _vanishes(x_b * sign - partner.digits.as_fraction() - n, trunc.p, H):
+            for orientation, theta_b, x_b in sides:
+                n = _as_int(partner.theta - theta_b)
+                if n is None:
+                    continue
+                rest = x_b - partner.digits - n  # known below H, the smaller precision of b and trunc
+                if rest.is_zero:
                     entries = tuple(range(0, 2 * N + 1, 2))
-                    return CertificateResult("found", c0, d0, m, k, entries, orientation, precision=H)
+                    return CertificateResult("found", c0, d0, m, k, entries, orientation, precision=rest.precision)
     return CertificateResult(status="inconclusive")

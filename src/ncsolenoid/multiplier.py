@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .exactnum import PFrac, QuadReal, frac1
-from .padic import PAdic, TruncatedPAdic
+from .padic import PAdic
 from .solenoid import SeqWindow, SolenoidSpec, alpha_at
 
 
@@ -52,7 +52,7 @@ class GammaElem:
 class MPoint:
     """Point of M = Q_p x R: a p-adic coordinate and an exact real coordinate."""
 
-    q: PAdic | TruncatedPAdic
+    q: PAdic
     r: QuadReal
 
 
@@ -145,9 +145,9 @@ def cocycle_defect(sigma: Sigma, r: GammaElem, s: GammaElem, t: GammaElem) -> Ph
 def eta(P1: LatticePoint, P2: LatticePoint) -> PhaseArg:
     """Heisenberg pairing argument: r1*r4 + frac_part(q1*q4) mod 1.
 
-    A truncated p-adic coordinate makes the product a window at the smaller
-    relative precision; a window too short to pin down the negative-index
-    digits of the product raises PrecisionError.
+    A p-adic coordinate known to a finite precision makes the product a
+    window at the smaller relative precision; a window too short to pin down
+    the negative-index digits of the product raises PrecisionError.
     """
     (a1, _), (_, b2) = P1, P2
     fp = (a1.q * b2.q).frac_part().as_fraction()

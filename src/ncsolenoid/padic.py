@@ -5,14 +5,15 @@ as its rational q: arithmetic and equality are those of q, and every digit is
 a view computed from q on demand.  The minimal (ord, preperiod, period) form
 is built only for display (to_json, repr).
 
-Irrational p-adics are supported only as finite windows (TruncatedPAdic),
-with every operation tracking the absolute precision it can honestly claim.
+A PAdic also carries its precision: the digits at indices >= precision are
+unknown, and an exact value has precision math.inf.  Irrational p-adics are
+supported only as such finite windows, with every operation tracking the
+absolute precision it can honestly claim.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import PFrac, is_prime
@@ -29,7 +30,7 @@ MAX_ORD_BITS = 2**19
 
 
 class PrecisionError(ValueError):
-    """A truncated digit window does not determine the requested quantity."""
+    """A digit window does not determine the requested quantity."""
 
 
 def _require_prime(p: int) -> None:
@@ -71,9 +72,14 @@ def _digits_value(digits: tuple[int, ...], p: int) -> int:
 
 
 class PAdic:
-    """Element of Q_p with an eventually periodic (hence rational) digit stream, stored as that rational."""
+    """Element of Q_p with an eventually periodic (hence rational) digit stream, stored as that rational.
 
-    __slots__ = ("p", "q")
+    precision is the index of the first unknown digit: math.inf for an exact
+    value, n for a window known mod p**n.  A window keeps its value q
+    unreduced; only its digits below precision are read.
+    """
+
+    __slots__ = ("p", "q", "precision")
 
     def __init__(self, p: int, v: int, pre, per):
         """The value with digits pre, then per repeated forever, starting at index v."""
@@ -87,6 +93,7 @@ class PAdic:
         tail = Fraction(block * p ** len(pre), 1 - p ** len(per))
         self.p = p
         self.q = (head + tail) * Fraction(p) ** v
+        self.precision = math.inf
 
     # -- constructors --------------------------------------------------------
 
@@ -96,10 +103,10 @@ class PAdic:
         return cls._of(p, Fraction(q))
 
     @classmethod
-    def _of(cls, p: int, q: Fraction) -> "PAdic":
-        """The value q over a p already proved prime: an arithmetic result, or a p read off a PAdic."""
+    def _of(cls, p: int, q: Fraction, precision=math.inf) -> "PAdic":
+        """The value q known below precision, over a p proved prime before: an arithmetic result or read off a PAdic."""
         x = object.__new__(cls)
-        x.p, x.q = p, q
+        x.p, x.q, x.precision = p, q, precision
         return x
 
     @classmethod
@@ -118,12 +125,14 @@ class PAdic:
     # -- digit views -----------------------------------------------------------
 
     def _head(self, h: int) -> PFrac:
-        """Exact digit sum  sum_{j <= h} d_j p**j.
+        """Exact digit sum  sum_{j <= h} d_j p**j; PrecisionError past the known digits.
 
         With q = num / (den * p**s) and den prime to p, num/den is a p-adic
         integer whose digits are those of q shifted up by s, so its residue
         mod p**(h+1+s) holds exactly the digits at indices -s..h.
         """
+        if h >= self.precision:
+            raise PrecisionError(f"digits end at index {self.precision}, need digit {h}")
         p, num = self.p, self.q.numerator
         den, s = _strip(self.q.denominator, p)
         n = h + 1 + s
@@ -159,14 +168,20 @@ class PAdic:
 
     @property
     def is_zero(self) -> bool:
-        return not self.q
+        """Every known digit is zero: the value is 0, or has ord at or past the precision."""
+        return not self.q or self.precision < math.inf and self.ord >= self.precision
 
     @property
     def ord(self):
-        """Valuation: index of the first nonzero digit; ORD_INF for zero."""
+        """Valuation of the value: index of its first nonzero digit; ORD_INF for zero."""
         if not self.q:
             return ORD_INF
         return _strip(self.q.numerator, self.p)[1] - _strip(self.q.denominator, self.p)[1]
+
+    @property
+    def v(self) -> int:
+        """Index of the first digit of the window: ord, at most the precision; 0 for the value 0."""
+        return min(0 if not self.q else self.ord, self.precision)
 
     @property
     def pre(self) -> tuple[int, ...]:
@@ -189,10 +204,9 @@ class PAdic:
         v, pre, per = self._expand()
         return {"p": self.p, "ord": v, "preperiod": list(pre), "period": list(per)}
 
-    def truncate(self, n: int) -> "TruncatedPAdic":
-        """Digit window up to (excluding) index n, i.e. the value mod p**n."""
-        v = min(0 if self.is_zero else self.ord, n)
-        return TruncatedPAdic(self.p, v, int(self._head(n - 1).as_fraction() / Fraction(self.p) ** v), n)
+    def truncate(self, n: int) -> "PAdic":
+        """The same value with the digits at indices >= n unknown, i.e. known mod p**n."""
+        return PAdic._of(self.p, self.q, min(self.precision, n))
 
     def frac_part(self) -> PFrac:
         """Fractional part: the digits at negative indices, a value in [0,1) of Z[1/p]."""
@@ -204,152 +218,93 @@ class PAdic:
             return PFrac(self.p, 0)
         return self._head(hi) - self._head(lo - 1)
 
-    # -- arithmetic (rational closure; exact) ---------------------------------
+    # -- arithmetic (rational closure; windows keep what they can claim) ------
 
-    def _coerce(self, other) -> "Fraction | None":
+    def _coerce(self, other) -> "tuple[Fraction, float] | None":
+        """other's value and precision, math.inf for an int, Fraction or PFrac; None for another type."""
         if isinstance(other, PAdic):
             if other.p != self.p:
                 raise ValueError(f"mixed primes {self.p} and {other.p}")
-            return other.q
+            return other.q, other.precision
         if isinstance(other, (int, Fraction)):
-            return Fraction(other)
+            return Fraction(other), math.inf
         if isinstance(other, PFrac):
-            return other.as_fraction()
+            return other.as_fraction(), math.inf
         return None
 
     def __add__(self, other):
-        q = self._coerce(other)
-        if q is None:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return PAdic._of(self.p, self.q + q)
+        return PAdic._of(self.p, self.q + o[0], min(self.precision, o[1]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PAdic._of(self.p, -self.q)
+        return PAdic._of(self.p, -self.q, self.precision)
 
     def __sub__(self, other):
-        q = self._coerce(other)
-        if q is None:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return PAdic._of(self.p, self.q - q)
+        return PAdic._of(self.p, self.q - o[0], min(self.precision, o[1]))
 
     def __rsub__(self, other):
-        q = self._coerce(other)
-        if q is None:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return PAdic._of(self.p, q - self.q)
+        return PAdic._of(self.p, o[0] - self.q, min(self.precision, o[1]))
 
     def __mul__(self, other):
-        q = self._coerce(other)
-        if q is None:
+        """Product known to the smaller relative precision precision - v of the two.
+
+        An exact operand has unbounded relative precision; an exact zero gives the exact zero.
+        """
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return PAdic._of(self.p, self.q * q)
+        q = self.q * o[0]
+        if self.precision == o[1] == math.inf:
+            return PAdic._of(self.p, q)
+        x = PAdic._of(self.p, *o)
+        if self == 0 or x == 0:  # an exact zero
+            return PAdic._of(self.p, q)
+        v1, v2 = self.v, x.v
+        n = min(self.precision - v1, x.precision - v2)
+        if n == 0:
+            raise PrecisionError("no digits to multiply")
+        return PAdic._of(self.p, q, v1 + v2 + n)
 
     __rmul__ = __mul__
 
     def invert(self) -> "PAdic":
-        """Multiplicative inverse; ord flips sign, units stay units."""
-        if not self.q:
-            raise ZeroDivisionError("p-adic zero has no inverse")
-        return PAdic._of(self.p, 1 / self.q)
+        """Multiplicative inverse, known to precision - 2v; ord flips sign, units stay units.
+
+        A window needs a known nonzero digit: one that is zero to its precision raises PrecisionError.
+        """
+        if self.precision == math.inf:
+            if not self.q:
+                raise ZeroDivisionError("p-adic zero has no inverse")
+            return PAdic._of(self.p, 1 / self.q)
+        if self.is_zero:
+            raise PrecisionError("window is zero to full precision; order unknown")
+        return PAdic._of(self.p, 1 / self.q, self.precision - 2 * self.ord)
 
     # -- comparisons -----------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, PAdic):
-            return (self.p, self.q) == (other.p, other.q)
+            return (self.p, self.q, self.precision) == (other.p, other.q, other.precision)
         if isinstance(other, (int, Fraction)):
-            return self.q == other
+            return self.precision == math.inf and self.q == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.q))
+        return hash((self.p, self.q, self.precision))
 
     def __repr__(self):
+        known = "" if self.precision == math.inf else f", precision={self.precision}"
         if not self.q:
-            return f"PAdic(p={self.p}, 0)"
+            return f"PAdic(p={self.p}, 0{known})"
         v, pre, per = self._expand()
-        return f"PAdic(p={self.p}, ord={v}, pre={list(pre)}, per={list(per)})"
-
-
-@dataclass(frozen=True)
-class TruncatedPAdic:
-    """Finite window: the value residue * p**v, known exactly mod p**precision.
-
-    0 <= residue < p**(precision - v), so the window holds the digits at
-    indices v <= j < precision; digits below v are zero by contract.
-    """
-
-    p: int
-    v: int
-    residue: int
-    precision: int
-
-    def __post_init__(self):
-        _require_prime(self.p)
-        if self.precision < self.v or not 0 <= self.residue < self.p ** (self.precision - self.v):
-            raise ValueError(f"residue {self.residue} does not fit the window {self.v} <= j < {self.precision}")
-
-    @property
-    def digits(self) -> tuple[int, ...]:
-        """Window digits from index v up; a shrinking divmod pass, quadratic in the window length."""
-        m, out = self.residue, []
-        for _ in range(self.precision - self.v):
-            m, d = divmod(m, self.p)
-            out.append(d)
-        return tuple(out)
-
-    def digit(self, j: int) -> int:
-        if j >= self.precision:
-            raise PrecisionError(f"digit at index {j} is beyond precision {self.precision}")
-        if j < self.v:
-            return 0
-        return self.residue // self.p ** (j - self.v) % self.p
-
-    def _head(self, h: int) -> PFrac:
-        """Exact digit sum  sum_{j <= h} d_j p**j; PrecisionError past the window."""
-        if h >= self.precision:
-            raise PrecisionError(f"window ends at {self.precision}, need digit {h}")
-        if h < self.v:
-            return PFrac(self.p, 0)
-        r = self.residue % self.p ** (h + 1 - self.v)
-        return PFrac(self.p, r * self.p**self.v) if self.v >= 0 else PFrac(self.p, r, -self.v)
-
-    def __mul__(self, other):
-        """Product known to the smaller relative precision precision - v.
-
-        An exact operand has unbounded relative precision; an exact zero gives the exact zero.
-        """
-        if not isinstance(other, (PAdic, TruncatedPAdic)):
-            return NotImplemented
-        if other.p != self.p:
-            raise ValueError(f"mixed primes {self.p} and {other.p}")
-        if isinstance(other, PAdic):
-            if other.is_zero:
-                return other
-            # as many digits as self has: the product cannot use more
-            other = other.truncate(other.ord + self.precision - self.v)
-        n = min(self.precision - self.v, other.precision - other.v)
-        if n == 0:
-            raise PrecisionError("no digits to multiply")
-        v = self.v + other.v
-        return TruncatedPAdic(self.p, v, self.residue * other.residue % self.p**n, v + n)
-
-    __rmul__ = __mul__
-
-    def invert(self) -> "TruncatedPAdic":
-        """Inverse window by one modular inverse; needs a visible nonzero digit."""
-        if not self.residue:
-            raise PrecisionError("window is zero to full precision; order unknown")
-        u, z = _strip(self.residue, self.p)
-        m = self.precision - self.v - z
-        return TruncatedPAdic(self.p, -self.v - z, pow(u, -1, self.p**m), m - self.v - z)
-
-    def frac_part(self) -> PFrac:
-        return self._head(-1)
-
-    def truncate_sum(self, lo: int, hi: int) -> PFrac:
-        if lo > hi:
-            return PFrac(self.p, 0)
-        return self._head(hi) - self._head(lo - 1)
+        return f"PAdic(p={self.p}, ord={v}, pre={list(pre)}, per={list(per)}{known})"

@@ -8,6 +8,7 @@ canonical parameter space (entries in [0,1), digit defects in {0,...,p-1}).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .exactnum import QuadReal, _quad, frac1, is_prime
@@ -26,8 +27,8 @@ class PrimeMismatchError(ValueError):
 class SolenoidSpec:
     """Prime p, exact real theta, digit stream x (a p-adic integer).
 
-    digit_horizon, when set, marks digits x_n for n >= digit_horizon as
-    unspecified (used for specs recovered from finite windows); head, and
+    The digits x_n at n >= digits.precision are unspecified (a spec recovered
+    from a finite window, or read from JSON with a horizon); head, and
     every digit and alpha read through it, then refuses to extrapolate past
     the window.
     """
@@ -35,7 +36,6 @@ class SolenoidSpec:
     p: int
     theta: QuadReal
     digits: PAdic
-    digit_horizon: int | None = None
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -43,10 +43,10 @@ class SolenoidSpec:
         self._check()
 
     @classmethod
-    def _of(cls, p: int, theta: QuadReal, digits: PAdic, digit_horizon: int | None = None) -> "SolenoidSpec":
+    def _of(cls, p: int, theta: QuadReal, digits: PAdic) -> "SolenoidSpec":
         """A spec over a p already proved prime (read off a checked spec): every check but the prime's."""
         spec = object.__new__(cls)
-        for name, value in (("p", p), ("theta", theta), ("digits", digits), ("digit_horizon", digit_horizon)):
+        for name, value in (("p", p), ("theta", theta), ("digits", digits)):
             object.__setattr__(spec, name, value)
         spec._check()
         return spec
@@ -56,10 +56,8 @@ class SolenoidSpec:
             object.__setattr__(self, "theta", QuadReal(self.theta))
         if self.digits.p != self.p:
             raise PrimeMismatchError(f"digit stream is {self.digits.p}-adic, spec has p={self.p}")
-        if not self.digits.is_zero and self.digits.ord < 0:
-            raise ValueError("digit stream must be a p-adic integer (ord >= 0)")
-        if self.digit_horizon is not None and self.digit_horizon < 0:
-            raise ValueError(f"digit_horizon must be nonnegative, got {self.digit_horizon}")
+        if self.digits.v < 0:
+            raise ValueError("digit stream must be a p-adic integer (ord >= 0) with precision >= 0")
 
     def head(self, n: int) -> int:
         """h_n = sum_{j<n} x_j p^j, the digit stream mod p^n.
@@ -69,8 +67,8 @@ class SolenoidSpec:
         """
         if n < 0:
             raise ValueError("index must be nonnegative")
-        H = self.digit_horizon
-        if H is not None and n > H:
+        H = self.digits.precision
+        if n > H:
             raise ValueError(f"digit x_{H} is beyond the known window (horizon {H})")
         q, mod = self.digits.as_fraction(), self.p**n
         return q.numerator * pow(q.denominator, -1, mod) % mod
@@ -82,8 +80,8 @@ class SolenoidSpec:
 
     def to_json(self) -> dict:
         obj = {"p": self.p, "theta": str(self.theta), "digits": self.digits.to_json()}
-        if self.digit_horizon is not None:
-            obj["digit_horizon"] = self.digit_horizon
+        if self.digits.precision < math.inf:
+            obj["digit_horizon"] = self.digits.precision
         return obj
 
     @classmethod
@@ -95,9 +93,12 @@ class SolenoidSpec:
             raise ValueError(f"p must be an integer, got {p!r}")
         if not isinstance(theta, str):
             raise ValueError(f"theta must be a string, got {theta!r}")
-        if horizon is not None and type(horizon) is not int:
-            raise ValueError(f"digit_horizon must be an integer, got {horizon!r}")
-        return cls(p, QuadReal.parse(theta), PAdic.from_json(obj["digits"]), horizon)
+        digits = PAdic.from_json(obj["digits"])
+        if horizon is not None:
+            if type(horizon) is not int or horizon < 0:
+                raise ValueError(f"digit_horizon must be a nonnegative integer, got {horizon!r}")
+            digits = digits.truncate(horizon)
+        return cls(p, QuadReal.parse(theta), digits)
 
 
 @dataclass(frozen=True)
@@ -193,9 +194,9 @@ def coherence_check(window: SeqWindow, p: int, step: int = 1) -> list[int]:
 def from_even_entries(p: int, even: SeqWindow) -> SolenoidSpec:
     """Rebuild a spec from even-index entries in [0,1).
 
-    Odd entries are forced by the coherence relation: w_{2n+1} = p*w_{2n+2} mod 1.
-    Digits beyond the window are unspecified; the returned spec carries a
-    digit_horizon marking that boundary.
+    Odd entries are forced by the coherence relation: w_{2n+1} = p*w_{2n+2} mod 1,
+    and the step-1 defects of the full window are the digits.  Digits beyond
+    the window are unspecified: the returned digit stream has precision top.
     """
     idx = even.indices()
     if not idx or idx[0] != 0 or any(n % 2 for n in idx):
@@ -204,21 +205,15 @@ def from_even_entries(p: int, even: SeqWindow) -> SolenoidSpec:
     for n, v in even:
         if not (QuadReal(0) <= v < QuadReal(1)):
             raise ValueError(f"entry at index {n} is {v}, outside [0,1)")
-    full: dict[int, QuadReal] = {n: v for n, v in even}
-    top = idx[-1]
-    for n in range(top - 1, 0, -2):
-        full[n] = frac1(full[n + 1] * p)
-    xs = []
-    for n in range(top):
-        d = full[n + 1] * p - full[n]
-        di = _as_int(d)
-        if di is None:
-            raise CoherenceError(f"recovered digit x_{n} = {d} is not an integer")
-        if not 0 <= di < p:
-            raise CoherenceError(f"recovered digit x_{n} = {di} outside 0..{p - 1}")
-        xs.append(di)
-    digits = PAdic(p, 0, tuple(xs), (0,))
-    return SolenoidSpec(p, full[0], digits, digit_horizon=top)
+    full = [even.entries[0][1]]
+    for _, w in even.entries[1:]:
+        full += (frac1(w * p), w)
+    # each defect is an integer: p w_{2n+1} - w_{2n} = p^2 w_{2n+2} - w_{2n} - p floor(p w_{2n+2})
+    xs = coherence_check(SeqWindow(tuple(enumerate(full))), p)
+    for n, d in enumerate(xs):
+        if not 0 <= d < p:
+            raise CoherenceError(f"recovered digit x_{n} = {d} outside 0..{p - 1}")
+    return SolenoidSpec(p, full[0], PAdic(p, 0, xs, (0,)).truncate(idx[-1]))
 
 
 def truncate_spec(spec: SolenoidSpec, k: int) -> SolenoidSpec:
@@ -228,9 +223,8 @@ def truncate_spec(spec: SolenoidSpec, k: int) -> SolenoidSpec:
     if k == 0:
         return spec
     h = spec.head(k)
-    shifted = PAdic._of(spec.p, (spec.digits.as_fraction() - h) / spec.p**k)
-    horizon = None if spec.digit_horizon is None else spec.digit_horizon - k
-    return SolenoidSpec._of(spec.p, _alpha(spec, k, h), shifted, horizon)
+    shifted = PAdic._of(spec.p, (spec.digits.as_fraction() - h) / spec.p**k, spec.digits.precision - k)
+    return SolenoidSpec._of(spec.p, _alpha(spec, k, h), shifted)
 
 
 def equal_in_Xi(a: SolenoidSpec, b: SolenoidSpec, N: int) -> bool:

@@ -720,6 +720,10 @@ def test_sections_are_finite_by_construction():
             F.scaled(z)
         with pytest.raises(ValueError, match="finite"):
             ModElem(4).scaled(z)
+        with pytest.raises(ValueError, match="finite"):  # the constructor checks every term, as delta relies on
+            ModElem(4, {0: ((z, atom),)})
+        with pytest.raises(ValueError, match="finite"):
+            F.add(ModElem(4, {1: [(z, atom)]}))
     with pytest.raises(ValueError, match="finite"):
         F.scaled(1e300)  # a product of finite coefficients that overflows
 

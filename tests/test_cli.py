@@ -424,9 +424,24 @@ def test_solenoid_coherence_and_from_even(capsys):
 
 
 def test_from_even_past_horizon_names_first_missing_digit(capsys, tmp_path):
-    spec = SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(2, 1), digit_horizon=3)
+    spec = SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(2, 1).truncate(3))
     code, rep = run_json(capsys, ["solenoid", "from-even", "--spec", _write_spec(tmp_path / "h.json", spec), "--entries", "2"])
     assert code == 1 and rep["error"] == "digit x_3 is beyond the known window (horizon 3)"
+
+
+def test_heisenberg_partner_stops_at_its_precision(capsys, tmp_path):
+    # x = 3 known below 3 is a unit, so its inverse, and the partner's digits, are known below 3 - 2 ord x = 3:
+    # the partner reads no entry past 3, as solenoid alpha reads none on the same file
+    path = tmp_path / "h.json"
+    digits = {"p": 2, "ord": 0, "preperiod": [1, 1, 0], "period": [0]}
+    path.write_text(json.dumps({"p": 2, "theta": "(-1 + 1*sqrt(2))/1", "digits": digits, "digit_horizon": 3}))
+    code, rep = run_json(capsys, ["morita", "heisenberg", "--spec", str(path), "--entries", "3"])
+    assert code == 0 and [n for n, _ in rep["partner"]] == [0, 1, 2, 3]
+    for argv in (["morita", "heisenberg", "--entries", "6"], ["solenoid", "alpha", "--n", "6"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--spec", str(path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.strip().endswith("digit x_3 is beyond the known window (horizon 3)")
 
 
 def test_multiplier_checks_pass(capsys):

@@ -291,7 +291,7 @@ def test_partner_spec_is_the_projection_tower(p, c0, rng):
     d0 = rng.choice(rows)
     proj = ProjectionData(floor(theta * c0 + d0) + 1, c0, d0)
     partner = partner_spec(spec, proj)
-    assert partner.digit_horizon is None and partner.digits.ord >= 0
+    assert partner.digits.precision == math.inf and partner.digits.ord >= 0
     window = projection_partner(spec, proj, 10)
     assert [beta for _, beta in window] == [frac1(alpha) for alpha, _ in level_table(partner, 10)]
     assert partner.theta == window.value(0)
@@ -305,12 +305,40 @@ def test_heisenberg_route_is_the_unit_row_of_partner_spec(p, rng):
     assert partner_spec(spec, ProjectionData(1, 1, 0)) == _negated(heisenberg_partner_spec(spec))
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 12), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_derived_specs_agree_below_their_precision(p, H, e, rng):
+    # x of ord e, known below H: its digits from H up are changed, so only the known ones can agree.  truncate_spec
+    # keeps H - k, partner_spec H, and the Heisenberg partner H - 2e, the precision of x^-1; each agrees with the
+    # derived spec of the exact x at every level up to its precision, and reads no level past it
+    unit = random_unit_spec(rng, p)
+    exact = SolenoidSpec(p, unit.theta, unit.digits * p**e)
+    noise = random_unit_spec(rng, p).digits * p**H
+    spec = SolenoidSpec(p, exact.theta, (exact.digits + noise).truncate(H))
+    k = rng.randint(0, H)
+    proj = _planted_projection(rng, exact)
+    derived = [
+        (truncate_spec(spec, k), truncate_spec(exact, k), H - k),
+        (partner_spec(spec, proj), partner_spec(exact, proj), H),
+    ]
+    if H < 2 * e:
+        with pytest.raises(ValueError):  # x is zero to its precision, or x^-1 has no known fractional digit
+            heisenberg_partner_spec(spec)
+    else:
+        derived.append((heisenberg_partner_spec(spec), heisenberg_partner_spec(exact), H - 2 * e))
+    for window, tower, precision in derived:
+        assert window.digits.precision == precision and tower.digits.precision == math.inf
+        assert alphas(window, precision) == alphas(tower, precision)
+        with pytest.raises(ValueError, match=rf"horizon {precision}\)$"):
+            alpha_at(window, precision + 1)
+
+
 def test_partner_spec_keeps_the_horizon_and_the_condition():
     spec = unit_spec(2, THETA, 1)
-    for H in (None, 1, 6):
-        assert partner_spec(SolenoidSpec(2, THETA, spec.digits, H), ProjectionData(1, 1, 0)).digit_horizon == H
+    for H in (math.inf, 1, 6):
+        assert partner_spec(SolenoidSpec(2, THETA, spec.digits.truncate(H)), ProjectionData(1, 1, 0)).digits.precision == H
     with pytest.raises(ValueError, match="horizon 0"):  # the Condition reads x_0
-        partner_spec(SolenoidSpec(2, THETA, spec.digits, 0), ProjectionData(1, 1, 0))
+        partner_spec(SolenoidSpec(2, THETA, spec.digits.truncate(0)), ProjectionData(1, 1, 0))
     with pytest.raises(ConditionError):
         partner_spec(unit_spec(2, THETA, 0, rest=(1,)), ProjectionData(1, 1, 0))  # x_0 = 0: gcd(2, 0) = 2
 
@@ -371,11 +399,11 @@ def test_search_bounds_reject_bad_bounds():
 
 def _deepest_truncation(a: SolenoidSpec, bounds: SearchBounds) -> int:
     """The largest even k whose levels k..k+2*entries and digit x_k a search may read, by its three limits."""
-    N, H = bounds.entries, a.digit_horizon
+    N, H = bounds.entries, a.digits.precision
     return max(
         (k for k in range(0, MAX_SEARCH_LEVEL + 1, 2)
          if k + 2 * N <= MAX_SEARCH_LEVEL
-         and (H is None or k + max(2 * N, 1) <= H)
+         and k + max(2 * N, 1) <= H
          and (k // 2 + 1) * bounds.max_c0 <= MAX_SEARCH_CANDIDATES),
         default=-1,
     )
@@ -403,10 +431,10 @@ def test_level_table_stops_where_alpha_at_does():
     rng = random.Random(414)
     for p in (2, 3, 5, 7):
         spec = random_unit_spec(rng, p)
-        horizons = [SolenoidSpec(p, spec.theta, spec.digits, digit_horizon=H) for H in range(8)]
+        horizons = [SolenoidSpec(p, spec.theta, spec.digits.truncate(H)) for H in range(8)]
         horizons.append(from_even_entries(p, SeqWindow(tuple((2 * n, frac1(alpha_at(spec, 2 * n))) for n in range(3)))))
         for spec_h in horizons:
-            H = spec_h.digit_horizon
+            H = spec_h.digits.precision
             for m in range(12):
                 reads = [lambda: spec_h.head(m), lambda: alpha_at(spec_h, m), lambda: alphas(spec_h, m)]
                 if m % 2 == 0:
@@ -456,8 +484,8 @@ def _reference_search(
                     values.append(frac1(MobiusPair(u, v, c, d).apply(alpha)))
                 for orientation, sign in (("direct", 1), ("flipped", -1)):
                     if values == [frac1(sign * x) for x in targets]:
-                        # the search's precision: the smaller digit horizon of t and b, if either has one
-                        H = min((hz for hz in (t.digit_horizon, b.digit_horizon) if hz is not None), default=None)
+                        # the search's precision: the smaller digit precision of t and b
+                        H = min(t.digits.precision, b.digits.precision)
                         return CertificateResult(
                             "found", c0, d0, floor(tau) + 1, k, tuple(range(0, 2 * N + 1, 2)), orientation, precision=H
                         )
@@ -515,7 +543,7 @@ def _assert_matches_reference(
         assert ref.status == "inconclusive"
     elif res != ref and res.status == "inconclusive":
         # the loop compares a window only, the search the whole tower: the loop's certificate misses b by level 40
-        assert a.digit_horizon is None and b.digit_horizon is None and not _window_matches(a, b, ref, 20)
+        assert a.digits.precision == b.digits.precision == math.inf and not _window_matches(a, b, ref, 20)
     elif res != ref:
         # the search solves d0 past the box: its certificate comes first in (k, c0, d0) order, and it verifies
         assert res.status == "found" and abs(res.d0) > max_d0
@@ -549,9 +577,9 @@ def test_found_pairs_share_field_and_discriminant(p, k, rng):
 
 
 def _negated(spec: SolenoidSpec) -> SolenoidSpec:
-    """The spec (frac1(-theta), -x - (frac1(-theta) + theta)), whose alpha_n is -alpha_n mod 1; same horizon."""
+    """The spec (frac1(-theta), -x - (frac1(-theta) + theta)), whose alpha_n is -alpha_n mod 1; same precision."""
     theta = frac1(-spec.theta)  # -theta - floor(-theta), so -x - (theta' + theta) = -x + floor(-theta)
-    return SolenoidSpec(spec.p, theta, -spec.digits + floor(-spec.theta), spec.digit_horizon)
+    return SolenoidSpec(spec.p, theta, -spec.digits + floor(-spec.theta))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -754,9 +782,9 @@ def test_search_reads_only_truncations_with_b_s_discriminant(monkeypatch):
 @pytest.mark.parametrize(
     "bounds, horizon, deepest",
     [
-        (SearchBounds(), None, 16),  # MAX_SEARCH_LEVEL - 2*8
-        (SearchBounds(max_c0=58, entries=0), None, MAX_SEARCH_LEVEL),  # 17 truncations of 58 c0 values
-        (SearchBounds(max_c0=200), None, 8),  # 5 truncations of 200
+        (SearchBounds(), math.inf, 16),  # MAX_SEARCH_LEVEL - 2*8
+        (SearchBounds(max_c0=58, entries=0), math.inf, MAX_SEARCH_LEVEL),  # 17 truncations of 58 c0 values
+        (SearchBounds(max_c0=200), math.inf, 8),  # 5 truncations of 200
         (SearchBounds(), 21, 4),  # 4 + 16 <= 21
         (SearchBounds(entries=0), 21, 20),  # x_20 is the last known digit
         (SearchBounds(entries=11), 21, -1),  # no window fits: nothing is read
@@ -766,7 +794,7 @@ def test_search_reads_only_truncations_with_b_s_discriminant(monkeypatch):
 def test_search_reads_every_truncation_up_to_the_deepest(monkeypatch, bounds, horizon, deepest):
     # a rational theta has discriminant 0 at every k, so no truncation is skipped; b matches no row of these
     # bounds (2/7 matches (c0, d0) = (16, -3) at k = 0 and 0 entries)
-    a = SolenoidSpec(2, QuadReal.parse("1/3"), PAdic.from_rational(2, Fraction(3, 5)), horizon)
+    a = SolenoidSpec(2, QuadReal.parse("1/3"), PAdic.from_rational(2, Fraction(3, 5)).truncate(horizon))
     b = SolenoidSpec(2, QuadReal.parse("2/97"), PAdic.from_rational(2, Fraction(3, 5)))
     assert _deepest_truncation(a, bounds) == deepest
     # few c0 have a d0 at all here, so the truncations built are counted, not the level tables read

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ncsolenoid import padic
 from ncsolenoid.exactnum import MR_LIMIT, PFrac
-from ncsolenoid.padic import MAX_EXPANSION, MAX_ORD_BITS, ORD_INF, PAdic, PrecisionError, TruncatedPAdic, _digits_value, _strip
+from ncsolenoid.padic import MAX_EXPANSION, MAX_ORD_BITS, ORD_INF, PAdic, PrecisionError, _digits_value, _strip
 
 
 def expansion_digit(x: PAdic, j: int) -> int:
@@ -236,7 +236,7 @@ def test_truncated_basics():
     x = PAdic.from_rational(5, Fraction(1, 2))
     t = x.truncate(4)
     assert t.precision == 4
-    assert t.digits == (3, 2, 2, 2)
+    assert tuple(t.digit(j) for j in range(t.v, t.precision)) == (3, 2, 2, 2)
     assert t.digit(0) == 3
     with pytest.raises(PrecisionError):
         t.digit(4)
@@ -270,15 +270,15 @@ def test_truncated_invert_hensel():
 
 
 def test_truncated_frac_part_precision_error():
-    t = TruncatedPAdic(2, -5, 5, -2)  # digits end at index -2 < 0
+    t = PAdic.from_rational(2, Fraction(5, 32)).truncate(-2)  # digits end at index -2 < 0
     with pytest.raises(PrecisionError):
         t.frac_part()
-    ok = TruncatedPAdic(2, -2, 7, 2)
+    ok = PAdic.from_rational(2, Fraction(7, 4)).truncate(2)
     assert ok.frac_part() == PFrac(2, 3, 2)
 
 
 def test_truncated_invert_all_zero_window():
-    t = TruncatedPAdic(3, 0, 0, 3)
+    t = PAdic.from_rational(3, 0).truncate(3)
     with pytest.raises(PrecisionError):
         t.invert()
 
@@ -320,7 +320,7 @@ def test_truncate_sum_is_digit_sum(x, lo, hi):
 def test_truncate_is_value_mod_p_power(x, n):
     t = x.truncate(n)
     assert t.precision == n
-    window = sum((d * Fraction(x.p) ** (t.v + i) for i, d in enumerate(t.digits)), Fraction(0))
+    window = sum((t.digit(j) * Fraction(x.p) ** j for j in range(t.v, t.precision)), Fraction(0))
     rest = x.as_fraction() - window
     assert rest == 0 or PAdic.from_rational(x.p, rest).ord >= n
 
@@ -348,10 +348,16 @@ def test_digit_constructor_reads_back(p, v, pre, per):
         assert x.digit(j) == (stream[j - v] if j >= v else 0)
 
 
-def agrees_below(t: TruncatedPAdic, q: Fraction) -> bool:
-    """The window's value residue * p**v equals q mod p**precision."""
-    rest = q - t.residue * Fraction(t.p) ** t.v
+def agrees_below(t: PAdic, q: Fraction) -> bool:
+    """The window's digits below its precision are those of q: its value equals q mod p**precision."""
+    window = sum((t.digit(j) * Fraction(t.p) ** j for j in range(t.v, t.precision)), Fraction(0))
+    rest = q - window
     return rest == 0 or PAdic.from_rational(t.p, rest).ord >= t.precision
+
+
+def blurred(x: PAdic, n: int, noise: PAdic) -> PAdic:
+    """x known below n, its unknown digits changed by the integer part of noise: x + p**n (noise - frac)."""
+    return (x + (noise - noise.frac_part()) * Fraction(x.p) ** n).truncate(n)
 
 
 @st.composite
@@ -364,10 +370,15 @@ def padic_pairs(draw) -> tuple[PAdic, PAdic]:
 @PROPERTY
 @given(padic_pairs(), st.integers(-8, 20), st.integers(-8, 20), st.integers(-8, 20), st.integers(-8, 20))
 def test_truncated_window_agrees_with_exact(pair, n1, n2, lo, hi):
+    # a window keeps its value unreduced, so each one differs from the exact value in its unknown digits
     x, y = pair
-    t1, t2 = x.truncate(n1), y.truncate(n2)
+    t1, t2 = blurred(x, n1, y), blurred(y, n2, x)
     product = x.as_fraction() * y.as_fraction()
     assert agrees_below(t1, x.as_fraction())
+    # a sum or difference is known below the smaller precision, on either side of the operator
+    total, diff = x.as_fraction() + y.as_fraction(), x.as_fraction() - y.as_fraction()
+    assert agrees_below(t1 + t2, total) and agrees_below(y + t1, total) and agrees_below(t1 - t2, diff)
+    assert agrees_below(y - t1, -diff) and agrees_below(1 - t1, 1 - x.as_fraction()) and agrees_below(-t1, -x.as_fraction())
     if t1.precision == t1.v or t2.precision == t2.v:  # an empty window has no digits to multiply
         with pytest.raises(PrecisionError):
             t1 * t2
@@ -380,7 +391,7 @@ def test_truncated_window_agrees_with_exact(pair, n1, n2, lo, hi):
             t1 * y
     else:
         assert agrees_below(t1 * y, product) and y * t1 == t1 * y
-    if t1.residue:
+    if not t1.is_zero:
         assert agrees_below(t1.invert(), 1 / x.as_fraction())
     else:
         with pytest.raises(PrecisionError):

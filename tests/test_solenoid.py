@@ -124,7 +124,7 @@ def test_even_window_roundtrip_frozen():
     assert spec.theta == theta
     assert alpha_at(spec, 1) == (theta + 1) / 2  # forced odd entry
     assert spec.x(0) == 1 and spec.x(1) == 0
-    assert spec.digit_horizon == 2
+    assert spec.digits.precision == 2
     with pytest.raises(ValueError):
         spec.x(2)
 
@@ -155,7 +155,7 @@ def test_truncate_spec_shifts_sequence():
     spec = make_spec(2, SQRT2 - 1, 5)
     for k in (0, 1, 2, 3):
         t = truncate_spec(spec, k)
-        assert t == SolenoidSpec(t.p, t.theta, t.digits, t.digit_horizon)
+        assert t == SolenoidSpec(t.p, t.theta, t.digits)
         for n in range(8):
             assert alpha_at(t, n) == alpha_at(spec, n + k)
 
