@@ -1,7 +1,7 @@
 """Exact arithmetic and numerical verification for Morita partners of noncommutative solenoids."""
 
 from .exactnum import PFrac, QuadReal, RadicandMismatchError, ext_gcd, floor, frac1
-from .padic import ORD_INF, PAdic, PrecisionError
+from .padic import PAdic, PrecisionError
 from .solenoid import (
     SeqWindow,
     SolenoidSpec,
@@ -47,7 +47,6 @@ __all__ = [
     "ext_gcd",
     "floor",
     "frac1",
-    "ORD_INF",
     "PAdic",
     "PrecisionError",
     "SeqWindow",

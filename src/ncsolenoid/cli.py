@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import suite as suite_mod
 from .exactnum import QuadReal, parse_rational
@@ -30,7 +29,7 @@ from .morita import (
 from .padic import PAdic
 from .solenoid import SolenoidSpec, alpha_at
 
-# padic trunc prints k digits of a prime up to exactnum.MR_LIMIT, read off one head sum by a divmod loop that is
+# padic trunc prints k digits of a prime up to exactnum.MR_LIMIT, read off the window's unit by a divmod loop that is
 # quadratic in k.  At MAX_TRUNC_K the largest such prime prints in about 0.45 s end to end (2-core Xeon, Python 3.11),
 # within a 1 s budget
 MAX_TRUNC_K = 3000
@@ -139,13 +138,13 @@ def _cmd_padic(args) -> dict:
         f = value.frac_part()
         base["frac_part"] = str(f)
         base["as_rational"] = str(f.as_fraction())
-    else:  # trunc: the digits at indices v..k-1, read off one head sum
+    else:  # trunc: the digits at indices ord..k-1 are those of the window's reduced unit
         t = value.truncate(args.k)
-        m, digits = int(t._head(args.k - 1).as_fraction() / Fraction(args.p) ** t.v), []
-        for _ in range(args.k - t.v):
+        m, digits = t.u.numerator, []
+        for _ in range(args.k - t.ord):
             m, d = divmod(m, args.p)
             digits.append(d)
-        base.update({"ord": t.v, "digits": digits, "precision": t.precision})
+        base.update({"ord": t.ord, "digits": digits, "precision": t.precision})
     return base
 
 

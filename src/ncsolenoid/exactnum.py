@@ -33,6 +33,23 @@ def ext_gcd(u: int, v: int) -> tuple[int, int, int]:
     return old_r, (old_s if u >= 0 else -old_s), (old_t if v >= 0 else -old_t)
 
 
+def _strip(n: int, p: int) -> tuple[int, int]:
+    """(n / p**e, e) with e the exponent of p in the nonzero integer n."""
+    if p == 2:
+        # n & -n is the lowest set bit of n, which is 2**e
+        e = (n & -n).bit_length() - 1
+        return n >> e, e
+    e = 0
+    while n % p == 0:
+        # divide by p, p**2, p**4, ... while they divide: O(log(e)**2) divisions, not e
+        pk, k = p, 1
+        while n % pk == 0:
+            n //= pk
+            e += k
+            pk, k = pk * pk, 2 * k
+    return n, e
+
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_LIMIT = 3_317_044_064_679_887_385_961_981  # the bases 2..41 decide every n below this
 
@@ -101,11 +118,9 @@ class PFrac:
             raise ValueError(f"base must be at least 2, got {p}")
         if k < 0:
             raise ValueError(f"exponent must be nonnegative, got {k}")
-        while k > 0 and j % p == 0:
-            j //= p
-            k -= 1
-        if j == 0:
-            k = 0
+        if k and not j % p:
+            e = min(_strip(j, p)[1], k) if j else k
+            j, k = j // p**e, k - e
         self.p = p
         self.j = j
         self.k = k
@@ -113,11 +128,7 @@ class PFrac:
     @classmethod
     def from_fraction(cls, p: int, q) -> "PFrac":
         q = Fraction(q)
-        den = q.denominator
-        k = 0
-        while den % p == 0:
-            den //= p
-            k += 1
+        den, k = _strip(q.denominator, p)
         if den != 1:
             raise ValueError(f"{q} is not a p-power fraction for p={p}")
         return cls(p, q.numerator, k)

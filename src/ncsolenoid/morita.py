@@ -21,8 +21,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import QuadReal, ext_gcd, floor, frac1
-from .padic import PAdic, _strip
+from .exactnum import QuadReal, _strip, ext_gcd, floor, frac1
+from .padic import PAdic
 from .solenoid import SeqWindow, SolenoidSpec, _alpha, _as_int, alphas, level_table, truncate_spec
 
 log = logging.getLogger(__name__)

@@ -146,8 +146,8 @@ def eta(P1: LatticePoint, P2: LatticePoint) -> PhaseArg:
     """Heisenberg pairing argument: r1*r4 + frac_part(q1*q4) mod 1.
 
     A p-adic coordinate known to a finite precision makes the product a
-    window at the smaller relative precision; a window too short to pin down
-    the negative-index digits of the product raises PrecisionError.
+    window known below min(ord1 + precision2, ord2 + precision1); one too
+    short to pin down its negative-index digits raises PrecisionError.
     """
     (a1, _), (_, b2) = P1, P2
     fp = (a1.q * b2.q).frac_part().as_fraction()
@@ -175,7 +175,7 @@ def iota_embed(x: PAdic, theta: QuadReal, g: GammaElem) -> LatticePoint:
     r1, r2 = g.first, g.second
     p = x.p
     first = MPoint(x * r1, theta * r1.as_fraction())
-    second = MPoint(PAdic._of(p, r2.as_fraction()), QuadReal(r2.as_fraction()))
+    second = MPoint(PAdic._new(p, -r2.k, r2.j, 1), QuadReal(r2.as_fraction()))
     return (first, second)
 
 
@@ -189,6 +189,6 @@ def lambda_embed(x: PAdic, theta: QuadReal, s: GammaElem) -> LatticePoint:
         raise ValueError("prime mismatch between x and lattice point")
     s1, s2 = s.first, s.second
     p = x.p
-    first = MPoint(PAdic._of(p, s1.as_fraction()), QuadReal(-s1.as_fraction()))
+    first = MPoint(PAdic._new(p, -s1.k, s1.j, 1), QuadReal(-s1.as_fraction()))
     second = MPoint(-(x.invert() * s2), QuadReal(s2.as_fraction()) / theta)
     return (first, second)

@@ -1,14 +1,15 @@
 """Exact p-adic numbers with eventually periodic digit streams.
 
 Eventually periodic streams are exactly the rationals, so a PAdic is stored
-as its rational q: arithmetic and equality are those of q, and every digit is
-a view computed from q on demand.  The minimal (ord, preperiod, period) form
-is built only for display (to_json, repr).
+in the normal form p**ord * u, u a p-adic unit Fraction, with p stripped once
+when the value is built; every digit is a view computed from u on demand.
+The minimal (ord, preperiod, period) form is built only for display.
 
 A PAdic also carries its precision: the digits at indices >= precision are
 unknown, and an exact value has precision math.inf.  Irrational p-adics are
-supported only as such finite windows, with every operation tracking the
-absolute precision it can honestly claim.
+supported only as such finite windows.  A window reduces u mod
+p**(precision - ord), and one zero to its precision has ord = precision and
+u = 0, so ==, hash and to_json read only the known digits.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactnum import PFrac, is_prime
+from .exactnum import PFrac, _strip, is_prime
 
-ORD_INF = math.inf  # order sentinel for zero
 # digits _expand may make for display, at about 1 us each: padic inv of a value whose
 # 2-adic period has 199 932 digits prints in about 0.6 s end to end
 MAX_EXPANSION = 200_000
@@ -38,21 +38,10 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-def _strip(n: int, p: int) -> tuple[int, int]:
-    """(n / p**e, e) with e the exponent of p in the nonzero integer n."""
-    if p == 2:
-        # n & -n is the lowest set bit of n, which is 2**e
-        e = (n & -n).bit_length() - 1
-        return n >> e, e
-    e = 0
-    while n % p == 0:
-        # divide by p, p**2, p**4, ... while they divide: O(log(e)**2) divisions, not e
-        pk, k = p, 1
-        while n % pk == 0:
-            n //= pk
-            e += k
-            pk, k = pk * pk, 2 * k
-    return n, e
+def _mod_unit(num: int, den: int, p: int, n: int) -> int:
+    """num / den mod p**n, den prime to p: one modular inverse, however large n is."""
+    mod = p**n
+    return num * pow(den, -1, mod) % mod
 
 
 def _digits_value(digits: tuple[int, ...], p: int) -> int:
@@ -72,14 +61,15 @@ def _digits_value(digits: tuple[int, ...], p: int) -> int:
 
 
 class PAdic:
-    """Element of Q_p with an eventually periodic (hence rational) digit stream, stored as that rational.
+    """Element of Q_p with an eventually periodic (hence rational) digit stream, in the normal form p**ord * u.
 
-    precision is the index of the first unknown digit: math.inf for an exact
-    value, n for a window known mod p**n.  A window keeps its value q
-    unreduced; only its digits below precision are read.
+    u is a p-adic unit Fraction, and precision the index of the first unknown
+    digit: math.inf for an exact value, N for a window known mod p**N, whose
+    u is reduced mod p**(N - ord).  A value zero to its precision has ord =
+    precision and u = 0.
     """
 
-    __slots__ = ("p", "q", "precision")
+    __slots__ = ("p", "ord", "u", "precision")
 
     def __init__(self, p: int, v: int, pre, per):
         """The value with digits pre, then per repeated forever, starting at index v."""
@@ -89,13 +79,31 @@ class PAdic:
         for d in pre + per:
             if not 0 <= d < p:
                 raise ValueError(f"digit {d} out of range for p={p}")
-        head, block = _digits_value(pre, p), _digits_value(per, p)
-        tail = Fraction(block * p ** len(pre), 1 - p ** len(per))
-        self.p = p
-        self.q = (head + tail) * Fraction(p) ** v
-        self.precision = math.inf
+        # head + block * p**len(pre) / (1 - p**len(per)), over the positive denominator p**len(per) - 1
+        den = p ** len(per) - 1
+        x = PAdic._new(p, v, _digits_value(pre, p) * den - _digits_value(per, p) * p ** len(pre), den)
+        self.p, self.ord, self.u, self.precision = p, x.ord, x.u, x.precision
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def _new(cls, p: int, v, num: int, den: int, precision=math.inf) -> "PAdic":
+        """p**v * num / den known below precision, den prime to p, over a p proved prime before.
+
+        Every value is built here: p is stripped from num once, and a window's unit reduced mod p**(precision - ord).
+        """
+        x = object.__new__(cls)
+        x.p, x.precision = p, precision
+        if num:
+            num, e = _strip(num, p)
+            v += e
+        if not num or v >= precision:
+            x.ord, x.u = precision, Fraction(0)
+        elif precision == math.inf:
+            x.ord, x.u = v, Fraction(num, den)
+        else:
+            x.ord, x.u = v, Fraction(_mod_unit(num, den, p, precision - v))
+        return x
 
     @classmethod
     def from_rational(cls, p: int, q) -> "PAdic":
@@ -104,10 +112,9 @@ class PAdic:
 
     @classmethod
     def _of(cls, p: int, q: Fraction, precision=math.inf) -> "PAdic":
-        """The value q known below precision, over a p proved prime before: an arithmetic result or read off a PAdic."""
-        x = object.__new__(cls)
-        x.p, x.q, x.precision = p, q, precision
-        return x
+        """The rational q known below precision, over a p proved prime before."""
+        den, s = _strip(q.denominator, p)
+        return cls._new(p, -s, q.numerator, den, precision)
 
     @classmethod
     def from_json(cls, obj) -> "PAdic":
@@ -124,38 +131,32 @@ class PAdic:
 
     # -- digit views -----------------------------------------------------------
 
-    def _head(self, h: int) -> PFrac:
-        """Exact digit sum  sum_{j <= h} d_j p**j; PrecisionError past the known digits.
+    def _below(self, n: int) -> int:
+        """sum_{j<n} d_j p**(j - min(ord, 0)), the digits below n as one integer; callers keep n <= precision."""
+        v = self.ord
+        if n <= v:
+            return 0
+        r = _mod_unit(self.u.numerator, self.u.denominator, self.p, n - v)
+        return r * self.p**v if v > 0 else r
 
-        With q = num / (den * p**s) and den prime to p, num/den is a p-adic
-        integer whose digits are those of q shifted up by s, so its residue
-        mod p**(h+1+s) holds exactly the digits at indices -s..h.
-        """
+    def _head(self, h: int) -> PFrac:
+        """Exact digit sum  sum_{j <= h} d_j p**j; PrecisionError past the known digits."""
         if h >= self.precision:
             raise PrecisionError(f"digits end at index {self.precision}, need digit {h}")
-        p, num = self.p, self.q.numerator
-        den, s = _strip(self.q.denominator, p)
-        n = h + 1 + s
-        if n <= 0:
-            return PFrac(p, 0)
-        mod = p**n
-        return PFrac(p, num * pow(den, -1, mod) % mod, s)
+        return PFrac(self.p, self._below(h + 1), max(-self.ord, 0))
 
     def _expand(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """Minimal (ord, preperiod, period), generated until the carry state repeats.
+        """Minimal (ord, preperiod, period) of u's digits, generated until the carry state repeats.
 
         The carry state m is den times the value of the digits still to come,
         so the first repeated state closes the shortest preperiod and period.
         """
-        if not self.q:
+        if not self.u:
             return 0, (), (0,)
-        p = self.p
-        num, a = _strip(self.q.numerator, p)
-        den, b = _strip(self.q.denominator, p)
+        p, m, den = self.p, self.u.numerator, self.u.denominator
         inv_den = pow(den, -1, p)
         digits: list[int] = []
         seen: dict[int, int] = {}
-        m = num
         while m not in seen:
             if len(digits) == MAX_EXPANSION:
                 raise ValueError(f"the value has more than MAX_EXPANSION = {MAX_EXPANSION} {p}-adic digits to display")
@@ -164,24 +165,12 @@ class PAdic:
             digits.append(d)
             m = (m - d * den) // p
         start = seen[m]
-        return a - b, tuple(digits[:start]), tuple(digits[start:])
+        return self.ord, tuple(digits[:start]), tuple(digits[start:])
 
     @property
     def is_zero(self) -> bool:
-        """Every known digit is zero: the value is 0, or has ord at or past the precision."""
-        return not self.q or self.precision < math.inf and self.ord >= self.precision
-
-    @property
-    def ord(self):
-        """Valuation of the value: index of its first nonzero digit; ORD_INF for zero."""
-        if not self.q:
-            return ORD_INF
-        return _strip(self.q.numerator, self.p)[1] - _strip(self.q.denominator, self.p)[1]
-
-    @property
-    def v(self) -> int:
-        """Index of the first digit of the window: ord, at most the precision; 0 for the value 0."""
-        return min(0 if not self.q else self.ord, self.precision)
+        """Every known digit is zero: the exact zero, or a window zero to its precision."""
+        return self.ord == self.precision
 
     @property
     def pre(self) -> tuple[int, ...]:
@@ -198,7 +187,11 @@ class PAdic:
         return h.j // self.p ** max(h.k + j, 0)
 
     def as_fraction(self) -> Fraction:
-        return self.q
+        """p**ord * u: the value, and for a window the one whose digits from the precision on are 0."""
+        u, v = self.u, self.ord
+        if not u:
+            return u
+        return u * self.p**v if v >= 0 else u / self.p**-v
 
     def to_json(self) -> dict:
         v, pre, per = self._expand()
@@ -206,7 +199,9 @@ class PAdic:
 
     def truncate(self, n: int) -> "PAdic":
         """The same value with the digits at indices >= n unknown, i.e. known mod p**n."""
-        return PAdic._of(self.p, self.q, min(self.precision, n))
+        if n >= self.precision:
+            return self
+        return PAdic._new(self.p, self.ord, self.u.numerator, self.u.denominator, n)
 
     def frac_part(self) -> PFrac:
         """Fractional part: the digits at negative indices, a value in [0,1) of Z[1/p]."""
@@ -220,91 +215,89 @@ class PAdic:
 
     # -- arithmetic (rational closure; windows keep what they can claim) ------
 
-    def _coerce(self, other) -> "tuple[Fraction, float] | None":
-        """other's value and precision, math.inf for an int, Fraction or PFrac; None for another type."""
+    def _parts(self, other) -> "tuple | None":
+        """other as (ord, unit numerator, unit denominator, precision); None for a type that is no value of Q_p."""
+        p = self.p
+        if isinstance(other, (PAdic, PFrac)) and other.p != p:
+            raise ValueError(f"mixed primes {p} and {other.p}")
         if isinstance(other, PAdic):
-            if other.p != self.p:
-                raise ValueError(f"mixed primes {self.p} and {other.p}")
-            return other.q, other.precision
-        if isinstance(other, (int, Fraction)):
-            return Fraction(other), math.inf
-        if isinstance(other, PFrac):
-            return other.as_fraction(), math.inf
-        return None
+            u = other.u
+            return other.ord, u.numerator, u.denominator, other.precision
+        if isinstance(other, int):
+            num, den, k = other, 1, 0
+        elif isinstance(other, Fraction):
+            num, (den, k) = other.numerator, _strip(other.denominator, p)
+        elif isinstance(other, PFrac):
+            num, den, k = other.j, 1, other.k
+        else:
+            return None
+        if not num:
+            return math.inf, 0, 1, math.inf
+        num, e = _strip(num, p)
+        return e - k, num, den, math.inf
 
-    def __add__(self, other):
-        o = self._coerce(other)
+    def _sum(self, other, s1: int, s2: int):
+        """s1 * self + s2 * other known below the smaller precision: the unit parts aligned at the smaller ord."""
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return PAdic._of(self.p, self.q + o[0], min(self.precision, o[1]))
+        p, u, (v2, n2, d2, N2) = self.p, self.u, o
+        v1, n1, d1, n2, N = self.ord, s1 * u.numerator, u.denominator, s2 * n2, min(self.precision, N2)
+        if not (n1 and n2):  # a zero term adds only its precision
+            return PAdic._new(p, v1, n1, d1, N) if n1 else PAdic._new(p, v2, n2, d2, N)
+        if v1 > v2:
+            v1, n1, d1, v2, n2, d2 = v2, n2, d2, v1, n1, d1
+        return PAdic._new(p, v1, n1 * d2 + n2 * d1 * p ** (v2 - v1), d1 * d2, N)
+
+    def __add__(self, other):
+        return self._sum(other, 1, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return PAdic._of(self.p, -self.q, self.precision)
-
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return PAdic._of(self.p, self.q - o[0], min(self.precision, o[1]))
+        return self._sum(other, 1, -1)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return PAdic._of(self.p, o[0] - self.q, min(self.precision, o[1]))
+        return self._sum(other, -1, 1)
+
+    def __neg__(self):
+        u = self.u
+        return PAdic._new(self.p, self.ord, -u.numerator, u.denominator, self.precision)
 
     def __mul__(self, other):
-        """Product known to the smaller relative precision precision - v of the two.
-
-        An exact operand has unbounded relative precision; an exact zero gives the exact zero.
-        """
-        o = self._coerce(other)
+        """p**(ord1 + ord2) * u1 * u2 known below min(ord1 + precision2, ord2 + precision1), zero factors included."""
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        q = self.q * o[0]
-        if self.precision == o[1] == math.inf:
-            return PAdic._of(self.p, q)
-        x = PAdic._of(self.p, *o)
-        if self == 0 or x == 0:  # an exact zero
-            return PAdic._of(self.p, q)
-        v1, v2 = self.v, x.v
-        n = min(self.precision - v1, x.precision - v2)
-        if n == 0:
-            raise PrecisionError("no digits to multiply")
-        return PAdic._of(self.p, q, v1 + v2 + n)
+        (v2, num, den, N2), v1, u = o, self.ord, self.u
+        return PAdic._new(self.p, v1 + v2, u.numerator * num, u.denominator * den, min(v1 + N2, v2 + self.precision))
 
     __rmul__ = __mul__
 
     def invert(self) -> "PAdic":
-        """Multiplicative inverse, known to precision - 2v; ord flips sign, units stay units.
-
-        A window needs a known nonzero digit: one that is zero to its precision raises PrecisionError.
-        """
-        if self.precision == math.inf:
-            if not self.q:
-                raise ZeroDivisionError("p-adic zero has no inverse")
-            return PAdic._of(self.p, 1 / self.q)
+        """p**-ord / u known below precision - 2 * ord: ord flips sign and the relative precision is kept."""
         if self.is_zero:
+            if self.precision == math.inf:
+                raise ZeroDivisionError("p-adic zero has no inverse")
             raise PrecisionError("window is zero to full precision; order unknown")
-        return PAdic._of(self.p, 1 / self.q, self.precision - 2 * self.ord)
+        u = self.u
+        return PAdic._new(self.p, -self.ord, u.denominator, u.numerator, self.precision - 2 * self.ord)
 
     # -- comparisons -----------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, PAdic):
-            return (self.p, self.q, self.precision) == (other.p, other.q, other.precision)
+            return (self.p, self.ord, self.u, self.precision) == (other.p, other.ord, other.u, other.precision)
         if isinstance(other, (int, Fraction)):
-            return self.precision == math.inf and self.q == other
+            return self == PAdic._of(self.p, Fraction(other))
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.q, self.precision))
+        return hash((self.p, self.ord, self.u, self.precision))
 
     def __repr__(self):
         known = "" if self.precision == math.inf else f", precision={self.precision}"
-        if not self.q:
+        if not self.u:
             return f"PAdic(p={self.p}, 0{known})"
         v, pre, per = self._expand()
         return f"PAdic(p={self.p}, ord={v}, pre={list(pre)}, per={list(per)}{known})"

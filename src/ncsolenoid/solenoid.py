@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .exactnum import QuadReal, _quad, frac1, is_prime
 from .padic import PAdic
@@ -56,22 +57,17 @@ class SolenoidSpec:
             object.__setattr__(self, "theta", QuadReal(self.theta))
         if self.digits.p != self.p:
             raise PrimeMismatchError(f"digit stream is {self.digits.p}-adic, spec has p={self.p}")
-        if self.digits.v < 0:
+        if self.digits.ord < 0:
             raise ValueError("digit stream must be a p-adic integer (ord >= 0) with precision >= 0")
 
     def head(self, n: int) -> int:
-        """h_n = sum_{j<n} x_j p^j, the digit stream mod p^n.
-
-        The stream is a rational num/den with den prime to p, so h_n is
-        num * den^-1 mod p^n: one modular inverse, however large n is.
-        """
+        """h_n = sum_{j<n} x_j p^j, the digit stream mod p^n."""
         if n < 0:
             raise ValueError("index must be nonnegative")
         H = self.digits.precision
         if n > H:
             raise ValueError(f"digit x_{H} is beyond the known window (horizon {H})")
-        q, mod = self.digits.as_fraction(), self.p**n
-        return q.numerator * pow(q.denominator, -1, mod) % mod
+        return self.digits._below(n)
 
     def x(self, n: int) -> int:
         if n < 0:
@@ -217,14 +213,13 @@ def from_even_entries(p: int, even: SeqWindow) -> SolenoidSpec:
 
 
 def truncate_spec(spec: SolenoidSpec, k: int) -> SolenoidSpec:
-    """Drop the first k sequence entries: theta' = alpha_k, digits shifted by k."""
+    """Drop the first k entries: theta' = alpha_k, digits (x - h_k) / p^k, known below H - k by the product rule."""
     if k < 0:
         raise ValueError("truncation index must be nonnegative")
     if k == 0:
         return spec
     h = spec.head(k)
-    shifted = PAdic._of(spec.p, (spec.digits.as_fraction() - h) / spec.p**k, spec.digits.precision - k)
-    return SolenoidSpec._of(spec.p, _alpha(spec, k, h), shifted)
+    return SolenoidSpec._of(spec.p, _alpha(spec, k, h), (spec.digits - h) * Fraction(1, spec.p**k))
 
 
 def equal_in_Xi(a: SolenoidSpec, b: SolenoidSpec, N: int) -> bool:

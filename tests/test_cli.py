@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import ncsolenoid
-from ncsolenoid import cli
+from ncsolenoid import cli, exactnum, morita, padic
 from ncsolenoid.cli import COMMANDS, MAX_COUNT, MAX_HATS, MAX_LEVEL, MAX_P_HATS, MAX_POINTS, MAX_TRUNC_K, build_parser, main
 from ncsolenoid.exactnum import MAX_LITERAL_DIGITS, MR_LIMIT, QuadReal
 from ncsolenoid.morita import ProjectionData, heisenberg_partner_spec, projection_partner
@@ -165,6 +165,24 @@ def test_eta_psi_check_at_large_ord_finishes(tmp_path):
     proc = run_process(["multiplier", "check-eta-psi", "--spec", str(path)])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_eta_psi_check_strips_a_large_ord_once(capsys, monkeypatch, tmp_path):
+    # p is stripped from a value once, when it is built: stripping 3**30000 again at every ord and digit read
+    # made about 200 calls on integers of over 10 000 bits, about half the command's time
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"p": 3, "theta": "sqrt(2)", "digits": {"p": 3, "ord": 30000, "preperiod": [1], "period": [0]}}))
+    big, strip = [], padic._strip
+
+    def counted(n, p):
+        big.extend([n.bit_length()] if n.bit_length() > 10_000 else [])
+        return strip(n, p)
+
+    for module in (exactnum, padic, morita):
+        monkeypatch.setattr(module, "_strip", counted, raising=False)
+    code, rep = run_json(capsys, ["multiplier", "check-eta-psi", "--spec", str(path)])
+    assert code == 0 and rep["pass"] is True
+    assert len(big) <= 2, big
 
 
 def test_padic_inverse_large_prime_finishes():
@@ -408,6 +426,23 @@ def test_padic_frac_and_trunc(capsys):
     code, rep = run_json(capsys, ["padic", "trunc", "--p", "2", "--value", "11", "--k", "3"])
     assert code == 0
     assert rep["digits"] == [1, 1, 0] and rep["precision"] == 3
+
+
+def test_padic_trunc_of_a_zero_window(capsys):
+    # 0 and 8 agree below 3, so they print one window: zero to its precision, so ord 3 and no digit
+    for value in ("0", "8"):
+        code, rep = run_json(capsys, ["padic", "trunc", "--p", "2", "--value", value, "--k", "3"])
+        assert code == 0 and (rep["ord"], rep["digits"], rep["precision"]) == (3, [], 3)
+
+
+def test_spec_echo_prints_only_the_known_digits(capsys, tmp_path):
+    # the digits 2, 2, 2, ... known below 5 are echoed as the window 22222, not as the stream they were read from
+    path = tmp_path / "spec.json"
+    digits = {"p": 3, "ord": 0, "preperiod": [], "period": [2]}
+    path.write_text(json.dumps({"p": 3, "theta": "sqrt(2)", "digits": digits, "digit_horizon": 5}))
+    code, rep = run_json(capsys, ["solenoid", "alpha", "--spec", str(path), "--n", "2"])
+    assert code == 0 and rep["inputs"]["digit_horizon"] == 5
+    assert rep["inputs"]["digits"] == {"p": 3, "ord": 0, "preperiod": [2, 2, 2, 2, 2], "period": [0]}
 
 
 def test_solenoid_alpha_frozen(capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from ncsolenoid import padic
 from ncsolenoid.exactnum import MR_LIMIT, PFrac
-from ncsolenoid.padic import MAX_EXPANSION, MAX_ORD_BITS, ORD_INF, PAdic, PrecisionError, _digits_value, _strip
+from ncsolenoid.padic import MAX_EXPANSION, MAX_ORD_BITS, PAdic, PrecisionError, _digits_value, _strip
 
 
 def expansion_digit(x: PAdic, j: int) -> int:
@@ -57,7 +58,7 @@ def test_expansion_window_hensel_oracle():
 def test_zero_and_ord():
     z = PAdic.from_rational(7, 0)
     assert z.is_zero
-    assert z.ord == ORD_INF
+    assert z.ord == math.inf
     assert z.digit(-3) == 0 and z.digit(10) == 0
     assert PAdic.from_rational(3, Fraction(18)).ord == 2
     assert PAdic.from_rational(3, Fraction(5, 9)).ord == -2
@@ -236,7 +237,7 @@ def test_truncated_basics():
     x = PAdic.from_rational(5, Fraction(1, 2))
     t = x.truncate(4)
     assert t.precision == 4
-    assert tuple(t.digit(j) for j in range(t.v, t.precision)) == (3, 2, 2, 2)
+    assert tuple(t.digit(j) for j in range(t.ord, t.precision)) == (3, 2, 2, 2)
     assert t.digit(0) == 3
     with pytest.raises(PrecisionError):
         t.digit(4)
@@ -247,7 +248,7 @@ def test_truncated_mul_precision():
     y = PAdic.from_rational(3, Fraction(7, 2)).truncate(6)
     z = x * y
     exact = PAdic.from_rational(3, Fraction(28, 10))
-    for j in range(z.v, z.precision):
+    for j in range(z.ord, z.precision):
         assert z.digit(j) == exact.digit(j)
 
 
@@ -265,7 +266,7 @@ def test_truncated_invert_hensel():
         t = exact.truncate(12)
         w = t.invert()
         inv_exact = exact.invert()
-        for j in range(w.v, w.precision):
+        for j in range(w.ord, w.precision):
             assert w.digit(j) == inv_exact.digit(j)
 
 
@@ -320,7 +321,7 @@ def test_truncate_sum_is_digit_sum(x, lo, hi):
 def test_truncate_is_value_mod_p_power(x, n):
     t = x.truncate(n)
     assert t.precision == n
-    window = sum((t.digit(j) * Fraction(x.p) ** j for j in range(t.v, t.precision)), Fraction(0))
+    window = sum((t.digit(j) * Fraction(x.p) ** j for j in range(t.ord, t.precision)), Fraction(0))
     rest = x.as_fraction() - window
     assert rest == 0 or PAdic.from_rational(x.p, rest).ord >= n
 
@@ -350,7 +351,7 @@ def test_digit_constructor_reads_back(p, v, pre, per):
 
 def agrees_below(t: PAdic, q: Fraction) -> bool:
     """The window's digits below its precision are those of q: its value equals q mod p**precision."""
-    window = sum((t.digit(j) * Fraction(t.p) ** j for j in range(t.v, t.precision)), Fraction(0))
+    window = sum((t.digit(j) * Fraction(t.p) ** j for j in range(t.ord, t.precision)), Fraction(0))
     rest = q - window
     return rest == 0 or PAdic.from_rational(t.p, rest).ord >= t.precision
 
@@ -370,7 +371,7 @@ def padic_pairs(draw) -> tuple[PAdic, PAdic]:
 @PROPERTY
 @given(padic_pairs(), st.integers(-8, 20), st.integers(-8, 20), st.integers(-8, 20), st.integers(-8, 20))
 def test_truncated_window_agrees_with_exact(pair, n1, n2, lo, hi):
-    # a window keeps its value unreduced, so each one differs from the exact value in its unknown digits
+    # each window is built from a value whose unknown digits differ from the exact value's
     x, y = pair
     t1, t2 = blurred(x, n1, y), blurred(y, n2, x)
     product = x.as_fraction() * y.as_fraction()
@@ -379,18 +380,13 @@ def test_truncated_window_agrees_with_exact(pair, n1, n2, lo, hi):
     total, diff = x.as_fraction() + y.as_fraction(), x.as_fraction() - y.as_fraction()
     assert agrees_below(t1 + t2, total) and agrees_below(y + t1, total) and agrees_below(t1 - t2, diff)
     assert agrees_below(y - t1, -diff) and agrees_below(1 - t1, 1 - x.as_fraction()) and agrees_below(-t1, -x.as_fraction())
-    if t1.precision == t1.v or t2.precision == t2.v:  # an empty window has no digits to multiply
-        with pytest.raises(PrecisionError):
-            t1 * t2
-    else:
-        assert agrees_below(t1 * t2, product)
+    # a product is known below min(ord1 + N2, ord2 + N1), a window zero to its precision included
+    assert agrees_below(t1 * t2, product)
+    assert (t1 * t2).precision == min(t1.ord + t2.precision, t2.ord + t1.precision)
     if y.is_zero:
         assert t1 * y == y * t1 == 0
-    elif t1.precision == t1.v:
-        with pytest.raises(PrecisionError):
-            t1 * y
     else:
-        assert agrees_below(t1 * y, product) and y * t1 == t1 * y
+        assert agrees_below(t1 * y, product) and y * t1 == t1 * y and (t1 * y).precision == y.ord + t1.precision
     if not t1.is_zero:
         assert agrees_below(t1.invert(), 1 / x.as_fraction())
     else:
@@ -404,6 +400,39 @@ def test_truncated_window_agrees_with_exact(pair, n1, n2, lo, hi):
         assert t1.frac_part() == x.frac_part()
     except PrecisionError:
         assert t1.precision <= -1
+
+
+@PROPERTY
+@given(padic_pairs(), padics(), st.integers(-8, 20), st.integers(-8, 20), st.booleans())
+def test_window_is_its_known_digits(pair, third, n, m, windowed):
+    # y = x + p**n z, z a p-adic integer, agrees with x below n, so their windows at n are one value: equal, with
+    # equal hash and JSON, and every operation with a third exact or windowed value w gives equal results
+    x, z = pair
+    y = x + z * Fraction(x.p) ** (n - min(z.ord, 0))
+    w = PAdic.from_rational(x.p, third.as_fraction())
+    w = w.truncate(m) if windowed else w
+    tx, ty = x.truncate(n), y.truncate(n)
+    assert tx == ty and hash(tx) == hash(ty) and tx.to_json() == ty.to_json()
+    for op in (lambda t: t + w, lambda t: t - w, lambda t: w - t, lambda t: t * w, lambda t: w * t):
+        assert op(tx) == op(ty)
+    try:
+        inverse = tx.invert()
+    except PrecisionError:
+        assert tx.is_zero
+        with pytest.raises(PrecisionError):
+            ty.invert()
+    else:
+        assert inverse == ty.invert()
+
+
+def test_zero_window_product_depends_only_on_the_window():
+    # the window 000 at precision 3 is one value, whether it was read off 0 or off 8
+    two = PAdic.from_rational(2, 2).truncate(3)
+    for value in (0, 8):
+        zero = PAdic.from_rational(2, value).truncate(3)
+        assert (zero.ord, zero.precision) == (3, 3) and zero.is_zero
+        product = zero * two
+        assert product == PAdic.from_rational(2, 0).truncate(4) and product.is_zero
 
 
 def test_display_expansion_bound():

@@ -160,6 +160,17 @@ def test_truncate_spec_shifts_sequence():
             assert alpha_at(t, n) == alpha_at(spec, n + k)
 
 
+def test_spec_files_agreeing_below_the_horizon_are_equal():
+    # only the digits below digit_horizon are known, so two files that differ past it load as one spec
+    def load(pre, per):
+        digits = {"p": 3, "ord": 0, "preperiod": pre, "period": per}
+        return SolenoidSpec.from_json({"p": 3, "theta": "sqrt(2)", "digits": digits, "digit_horizon": 3})
+
+    a, b = load([1, 2, 0], [1]), load([1, 2, 0, 2, 2], [0, 1])
+    assert a == b and hash(a) == hash(b) and a.to_json() == b.to_json()
+    assert a != load([1, 2, 1], [1])
+
+
 def test_equal_in_Xi():
     a = make_spec(2, SQRT2 - 1, 1)
     b = make_spec(2, SQRT2, 1)  # differs by an integer at index 0 only
