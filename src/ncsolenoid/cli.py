@@ -26,12 +26,12 @@ from .morita import (
     projection_partner,
     relate_check,
 )
-from .padic import PAdic
+from .padic import PAdic, _int_digits
 from .solenoid import SolenoidSpec, alpha_at
 
-# padic trunc prints k digits of a prime up to exactnum.MR_LIMIT, read off the window's unit by a divmod loop that is
-# quadratic in k.  At MAX_TRUNC_K the largest such prime prints in about 0.45 s end to end (2-core Xeon, Python 3.11),
-# within a 1 s budget
+# padic trunc prints k digits of a prime up to exactnum.MR_LIMIT, read off the window's unit in halves by divisions
+# that are quadratic in k.  At MAX_TRUNC_K the largest such prime prints in about 0.27 s end to end (2-core Xeon,
+# Python 3.11), within a 1 s budget
 MAX_TRUNC_K = 3000
 # tower levels for --n: alpha_n has denominator p**n, which for the largest prime below exactnum.MR_LIMIT
 # has about 25*n digits, so every accepted level prints within Python's 4300-digit int-to-string limit
@@ -140,11 +140,7 @@ def _cmd_padic(args) -> dict:
         base["as_rational"] = str(f.as_fraction())
     else:  # trunc: the digits at indices ord..k-1 are those of the window's reduced unit
         t = value.truncate(args.k)
-        m, digits = t.u.numerator, []
-        for _ in range(args.k - t.ord):
-            m, d = divmod(m, args.p)
-            digits.append(d)
-        base.update({"ord": t.ord, "digits": digits, "precision": t.precision})
+        base.update({"ord": t.ord, "digits": _int_digits(t.u.numerator, args.p, args.k - t.ord), "precision": t.precision})
     return base
 
 

@@ -39,7 +39,9 @@ def _strip(n: int, p: int) -> tuple[int, int]:
         # n & -n is the lowest set bit of n, which is 2**e
         e = (n & -n).bit_length() - 1
         return n >> e, e
-    e = 0
+    if n % p:
+        return n, 0
+    n, e = n // p, 1  # p divides most such n once: a first test of p**2 would be wasted
     while n % p == 0:
         # divide by p, p**2, p**4, ... while they divide: O(log(e)**2) divisions, not e
         pk, k = p, 1
@@ -119,8 +121,8 @@ class PFrac:
         if k < 0:
             raise ValueError(f"exponent must be nonnegative, got {k}")
         if k and not j % p:
-            e = min(_strip(j, p)[1], k) if j else k
-            j, k = j // p**e, k - e
+            r, e = _strip(j, p) if j else (0, k)
+            j, k = (r, k - e) if e <= k else (j // p**k, 0)
         self.p = p
         self.j = j
         self.k = k

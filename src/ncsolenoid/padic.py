@@ -22,8 +22,9 @@ from .exactnum import PFrac, _strip, is_prime
 # digits _expand may make for display, at about 1 us each: padic inv of a value whose
 # 2-adic period has 199 932 digits prints in about 0.6 s end to end
 MAX_EXPANSION = 200_000
-# size of p**|ord| a JSON digit stream may carry, counted as |ord| * floor(log2 p) bits: the value is
-# built, divided and printed at that size.  At the bound, solenoid alpha --n 1 on one spec file takes
+_TOO_LONG = "the value has more than MAX_EXPANSION = {} {}-adic digits to display"
+# size of p**|ord| a JSON digit stream, and of p**H a spec's digit_horizon H, may carry, counted as |ord| * floor(log2 p)
+# bits: the value is built, divided and printed at that size.  At the bound, solenoid alpha --n 1 on one spec file takes
 # about 1.0 s end to end at p = 2 (ord 524 288) and 1.2 s at the largest prime below exactnum.MR_LIMIT
 # (ord 6 472); a flat ord bound would be 81 times looser there than at p = 2
 MAX_ORD_BITS = 2**19
@@ -58,6 +59,18 @@ def _digits_value(digits: tuple[int, ...], p: int) -> int:
         return out
     h = n // 2
     return _digits_value(digits[:h], p) + p**h * _digits_value(digits[h:], p)
+
+
+def _int_digits(n: int, p: int, length: int) -> list[int]:
+    """The digits d_0 .. d_{length-1} of 0 <= n < p**length, split in halves as _digits_value sums them.
+
+    One divmod by p a digit is quadratic in the length: 200 000 binary digits took 4.8 s that way and
+    0.06 s in halves (2-core Xeon, Python 3.11).
+    """
+    if length <= 64:
+        return [n // p**i % p for i in range(length)]
+    hi, lo = divmod(n, p ** (length // 2))
+    return _int_digits(lo, p, length // 2) + _int_digits(hi, p, length - length // 2)
 
 
 class PAdic:
@@ -150,16 +163,25 @@ class PAdic:
 
         The carry state m is den times the value of the digits still to come,
         so the first repeated state closes the shortest preperiod and period.
+        A window's u is an integer below p**(precision - ord): its digits, then the period (0).
         """
         if not self.u:
             return 0, (), (0,)
         p, m, den = self.p, self.u.numerator, self.u.denominator
+        if self.precision < math.inf:
+            n = min(self.precision - self.ord, MAX_EXPANSION - 1)  # and one digit of period
+            if m >= p**n:
+                raise ValueError(_TOO_LONG.format(MAX_EXPANSION, p))
+            pre = _int_digits(m, p, n)
+            while not pre[-1]:
+                pre.pop()
+            return self.ord, tuple(pre), (0,)
         inv_den = pow(den, -1, p)
         digits: list[int] = []
         seen: dict[int, int] = {}
         while m not in seen:
             if len(digits) == MAX_EXPANSION:
-                raise ValueError(f"the value has more than MAX_EXPANSION = {MAX_EXPANSION} {p}-adic digits to display")
+                raise ValueError(_TOO_LONG.format(MAX_EXPANSION, p))
             seen[m] = len(digits)
             d = (m * inv_den) % p
             digits.append(d)

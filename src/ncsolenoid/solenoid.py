@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import QuadReal, _quad, frac1, is_prime
-from .padic import PAdic
+from .padic import MAX_ORD_BITS, PAdic
 
 
 class CoherenceError(ValueError):
@@ -93,6 +93,8 @@ class SolenoidSpec:
         if horizon is not None:
             if type(horizon) is not int or horizon < 0:
                 raise ValueError(f"digit_horizon must be a nonnegative integer, got {horizon!r}")
+            if horizon * (digits.p.bit_length() - 1) > MAX_ORD_BITS:
+                raise ValueError(f"digit_horizon {horizon} puts {digits.p}**H past MAX_ORD_BITS = {MAX_ORD_BITS} bits")
             digits = digits.truncate(horizon)
         return cls(p, QuadReal.parse(theta), digits)
 

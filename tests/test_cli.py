@@ -19,7 +19,7 @@ from ncsolenoid import cli, exactnum, morita, padic
 from ncsolenoid.cli import COMMANDS, MAX_COUNT, MAX_HATS, MAX_LEVEL, MAX_P_HATS, MAX_POINTS, MAX_TRUNC_K, build_parser, main
 from ncsolenoid.exactnum import MAX_LITERAL_DIGITS, MR_LIMIT, QuadReal
 from ncsolenoid.morita import ProjectionData, heisenberg_partner_spec, projection_partner
-from ncsolenoid.padic import PAdic
+from ncsolenoid.padic import MAX_ORD_BITS, PAdic
 from ncsolenoid.solenoid import SeqWindow, SolenoidSpec, from_even_entries, truncate_spec
 
 SRC = str(Path(ncsolenoid.__file__).resolve().parents[1])
@@ -311,15 +311,37 @@ def test_certify_has_no_max_d0(capsys, tmp_path):
     assert err.strip().splitlines()[-1] == "ncsolenoid: error: unrecognized arguments: --max-d0 4"
 
 
-@pytest.mark.parametrize("ord_, bound", [(100000000, "MAX_ORD_BITS")], ids=["huge-ord"])
-def test_unbounded_spec_work_usage_error(tmp_path, ord_, bound):
+@pytest.mark.parametrize(
+    "ord_, horizon, bound", [(100000000, None, "MAX_ORD_BITS"), (0, 100000000, "MAX_ORD_BITS")], ids=["huge-ord", "huge-horizon"]
+)
+def test_unbounded_spec_work_usage_error(tmp_path, ord_, horizon, bound):
     spec = {"p": 2, "theta": "sqrt(2)", "digits": {"p": 2, "ord": ord_, "preperiod": [1], "period": [0]}}
+    if horizon is not None:  # p**H is refused before it is built
+        spec["digit_horizon"] = horizon
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     proc = run_process(["solenoid", "alpha", "--spec", str(path), "--n", "1"])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and proc.stderr.strip().splitlines()[-1].startswith("ncsolenoid")
     assert bound in proc.stderr
+
+
+def test_digit_horizon_at_the_bound_finishes(tmp_path):
+    # at the bound a window of 2**19 ones is past the display bound (exit 2) and one of a single one prints; one
+    # digit past it the file is refused as it is read
+    def run(horizon, pre, per):
+        digits = {"p": 2, "ord": 0, "preperiod": pre, "period": per}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"p": 2, "theta": "sqrt(2)", "digits": digits, "digit_horizon": horizon}))
+        return run_process(["solenoid", "alpha", "--spec", str(path), "--n", "1"], timeout=5)
+
+    for horizon, bound in ((MAX_ORD_BITS + 1, "MAX_ORD_BITS"), (MAX_ORD_BITS, "MAX_EXPANSION")):
+        proc = run(horizon, [], [1])
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert bound in proc.stderr.strip().splitlines()[-1]
+    proc = run(MAX_ORD_BITS, [1], [0])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["inputs"]["digits"] == {"p": 2, "ord": 0, "preperiod": [1], "period": [0]}
 
 
 def test_bimodule_modulus_bound(capsys):

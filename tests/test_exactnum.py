@@ -80,6 +80,22 @@ def test_pfrac_reduction():
     assert (y.j, y.k) == (3, 4)
 
 
+def test_pfrac_reduction_matches_division_loop():
+    # PFrac strips p from j through _strip, capped at k: below, at and past the cap, for 0 and negative j
+    def reduce_loop(p, j, k):
+        while k and j % p == 0:
+            j, k = j // p, k - 1
+        return (j, 0) if j == 0 else (j, k)
+
+    rng = random.Random(97)
+    for p in (2, 3, 5, 1000003):
+        for _ in range(300):
+            j = rng.choice([-1, 0, 1, 1]) * rng.randrange(1, 10**6) * p ** rng.randint(0, 12)
+            k = rng.randint(0, 12)
+            x = PFrac(p, j, k)
+            assert (x.j, x.k) == reduce_loop(p, j, k), (p, j, k)
+
+
 def test_pfrac_arithmetic():
     a = PFrac(2, 1, 1)  # 1/2
     b = PFrac(2, 1, 2)  # 1/4

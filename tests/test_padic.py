@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ncsolenoid import padic
 from ncsolenoid.exactnum import MR_LIMIT, PFrac
-from ncsolenoid.padic import MAX_EXPANSION, MAX_ORD_BITS, PAdic, PrecisionError, _digits_value, _strip
+from ncsolenoid.padic import MAX_EXPANSION, MAX_ORD_BITS, PAdic, PrecisionError, _digits_value, _int_digits, _strip
 
 
 def expansion_digit(x: PAdic, j: int) -> int:
@@ -222,6 +222,8 @@ def test_arithmetic_closure():
     assert (a * PFrac(5, 3, 1)).as_fraction() == Fraction(7, 5)
     with pytest.raises(ValueError):
         a + PAdic.from_rational(3, 1)
+    with pytest.raises(ValueError, match="mixed primes"):  # a PFrac's (j, k) is read in base a.p
+        a * PFrac(3, 1, 1)
 
 
 def test_json_roundtrip():
@@ -445,6 +447,36 @@ def test_display_expansion_bound():
     assert x.invert() == 3**12 and x.digit(10**6) in (0, 1)  # values and digit views need no expansion
 
 
+def test_window_display_bound_is_the_exact_one(monkeypatch):
+    # a window's digits are read off its unit: up to MAX_EXPANSION of preperiod and period, as for an exact value
+    monkeypatch.setattr(padic, "MAX_EXPANSION", 10)
+    for value, fits in ((3**9 - 1, True), (3**10 - 1, False)):
+        for x in (PAdic.from_rational(3, value), PAdic.from_rational(3, value).truncate(30)):
+            if fits:
+                assert x.to_json() == {"p": 3, "ord": 0, "preperiod": [2] * 9, "period": [0]}
+            else:
+                with pytest.raises(ValueError, match="MAX_EXPANSION = 10 3-adic digits"):
+                    x.to_json()
+
+
+def test_long_window_display():
+    # the digits of a window are read in halves, not one division (and one kept carry state) each
+    ones = PAdic.from_rational(2, -1).truncate(MAX_EXPANSION - 1)
+    assert ones.to_json() == {"p": 2, "ord": 0, "preperiod": [1] * (MAX_EXPANSION - 1), "period": [0]}
+    with pytest.raises(ValueError, match="MAX_EXPANSION"):
+        PAdic.from_rational(2, -1).truncate(MAX_ORD_BITS).to_json()
+    assert PAdic.from_rational(2, 5).truncate(MAX_ORD_BITS).to_json()["preperiod"] == [1, 0, 1]
+
+
+@PROPERTY
+@given(padics(), st.integers(-10, 80))
+def test_window_json_roundtrip(x, n):
+    t = x.truncate(n)
+    assert PAdic.from_json(t.to_json()).truncate(n) == t
+    pre = t.to_json()["preperiod"]
+    assert pre == [t.digit(j) for j in range(t.ord, t.ord + len(pre))] and (not pre or pre[-1])
+
+
 def test_display_expansion_bound_names_p_not_the_value(monkeypatch):
     # 1/10**4301 is past Python's 4300-digit int-to-string limit, so the message must not print it
     monkeypatch.setattr(padic, "MAX_EXPANSION", 10)
@@ -489,6 +521,7 @@ def test_strip_matches_division_loop():
 @PROPERTY
 @given(st.sampled_from([2, 3, 5, 7, 1000003]), st.data())
 def test_digits_value_is_digit_sum(p, data):
-    n = data.draw(st.integers(0, 300))  # past 64 digits the builder splits in halves
+    n = data.draw(st.integers(0, 300))  # past 64 digits the builder and the reader split in halves
     digits = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
     assert _digits_value(digits, p) == sum(d * p**i for i, d in enumerate(digits))
+    assert _int_digits(_digits_value(digits, p), p, n) == list(digits)

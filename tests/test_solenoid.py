@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncsolenoid.exactnum import QuadReal, frac1
-from ncsolenoid.padic import PAdic
+from ncsolenoid.exactnum import MR_LIMIT, QuadReal, frac1
+from ncsolenoid.padic import MAX_ORD_BITS, PAdic
 from ncsolenoid.solenoid import (
     _alpha,
     CoherenceError,
@@ -169,6 +169,20 @@ def test_spec_files_agreeing_below_the_horizon_are_equal():
     a, b = load([1, 2, 0], [1]), load([1, 2, 0, 2, 2], [0, 1])
     assert a == b and hash(a) == hash(b) and a.to_json() == b.to_json()
     assert a != load([1, 2, 1], [1])
+
+
+def test_digit_horizon_bound():
+    # p**H is built when the file is read: H * floor(log2 p) bits at most, as for ord
+    def load(p, horizon):
+        digits = {"p": p, "ord": 0, "preperiod": [], "period": [1]}
+        return SolenoidSpec.from_json({"p": p, "theta": "sqrt(2)", "digits": digits, "digit_horizon": horizon})
+
+    for p in (2, 3, MR_LIMIT - 168):
+        last = MAX_ORD_BITS // (p.bit_length() - 1)
+        assert load(p, last).digits.precision == last
+        for horizon in (last + 1, 10**8):
+            with pytest.raises(ValueError, match="MAX_ORD_BITS"):
+                load(p, horizon)
 
 
 def test_equal_in_Xi():
