@@ -3,30 +3,28 @@
 Module elements are finite sums of coefficient-weighted atoms over index
 classes mod c.  Each atom is a hat moved by one affine Weyl-Heisenberg
 element with exact parameters (AffineAtom), so the identities between module
-actions are decided exactly, by comparing terms (term_diff).  Algebra
-elements are finite maps k -> 1-periodic evaluator in floats, and the
-identities that involve them are checked pointwise at seeded sample plans.
+actions are decided exactly, by comparing terms (term_diff).  An algebra
+element holds its k and one evaluator at(r, ks) -> {k: values} in floats
+(AlgElem), and the identities that involve one are checked pointwise at
+seeded sample plans.
 
 Test functions are piecewise-linear hats with finite breakpoints and
 values, and coefficients are finite: a section is finite by construction.
 Genuine compact support keeps every lattice sum finite, with summation
 ranges derived from support bounds rather than truncated.  An inner product
 enumerates only the class pairs (j1, j2) aligned with some k, and evaluates
-each entry on its (m x r) grid cut to the band where F1 can be nonzero,
-then adds it into its k's sum by an ordered np.add.at, in the m order of a
-row-by-row loop.
+the entries of the k asked for in one pass: each j1's (m x r) grid is cut
+once to the band where F1 can be nonzero, and the products are added into
+their k's sums by one ordered np.add.at, in the m order of a row-by-row loop.
 
 The p classes that `level_embed` spreads one class over share its term
 tuple and atoms, and so do the classes an action moves; the inner products
 and `term_diff` read each shared tuple once.  `mod_diff` sums each class
 on one t grid.  `alg_diff` evaluates an inner product at every k together
-(`AlgElem.eval_all`): on one r grid each j1 grid is built and F1 evaluated
-on it once, and the entries are taken j1 by j1 in batches of about
-BATCH_VALUES grid values, each distinct term tuple of F2 evaluated once per
-batch on the concatenated grids of the entries it serves.  Only one batch's
-grids and values are held at a time.  The one-k path (`AlgElem.eval`) is
-the same evaluation restricted to the entries of its k; the module actions
-use it, since their grids differ per (j, k).
+(`AlgElem.eval_all`), so each distinct term tuple of F1 and of F2 is
+evaluated once on the concatenated bands of the entries it serves; the
+module actions read one k at a time (`AlgElem.eval`), since their grids
+differ per (j, k).
 """
 
 from __future__ import annotations
@@ -55,9 +53,6 @@ _ZERO = QuadReal(0)
 # random_mod_elem samples index classes from range(modulus), whose length must fit a C ssize_t:
 # p = 2 reaches it past level 31 (c = 2^62), p = 3 past level 19
 MAX_MODULUS = sys.maxsize
-# grid values per batch of inner-product entries: an inner product evaluates each F2 term tuple once per
-# batch and holds one batch's grids and values at a time, so its memory does not grow with its entries
-BATCH_VALUES = 2048
 # an inner product evaluates F1's class j1 only at the grid points inside its support widened by this share of
 # the support bounds' size: far past the few ulps by which an atom's float support bound and the point where
 # its values become exact zeros can differ (an AffineAtom rounds end * lam + s and (t - s) / lam separately)
@@ -155,11 +150,9 @@ class AffineAtom:
         return np.multiply(np.exp(TWO_PI_I * (omega * t + phi)), values)  # np.multiply: see _class_sum
 
     def support(self):
-        sup = self.h.support()
-        if sup is NO_SUPPORT:
-            return NO_SUPPORT
+        lo, hi = self.h.support()
         lam, s, _, _ = self._floats
-        return (sup[0] * lam + s, sup[1] * lam + s)
+        return (lo * lam + s, hi * lam + s)
 
 
 @dataclass(frozen=True)
@@ -173,22 +166,21 @@ class Product:
 
     def support(self):
         a, b = self.left.support(), self.right.support()
-        if a is NO_SUPPORT or b is NO_SUPPORT:
-            return NO_SUPPORT
         lo, hi = max(a[0], b[0]), min(a[1], b[1])
         return (lo, hi) if lo < hi else NO_SUPPORT
 
 
 @dataclass(frozen=True)
 class PeriodicFn:
-    """t -> comp(scale*t + offset) for a 1-periodic algebra component; full-line support."""
+    """t -> A(scale*t + offset, k): component k of an algebra element, 1-periodic; full-line support."""
 
-    comp: object
+    alg: "AlgElem"
+    k: int
     scale: float
     offset: float
 
     def eval(self, t):
-        return self.comp.eval(np.asarray(t, dtype=float) * self.scale + self.offset)
+        return self.alg.eval(np.asarray(t, dtype=float) * self.scale + self.offset, self.k)
 
     def support(self):
         return FULL_LINE
@@ -295,55 +287,35 @@ class ModElem:
         return f"ModElem(mod {self.modulus}, indices {self.indices()})"
 
 
-class SumKernel:
-    """Inner-product component: closure over finite lattice sums; 1-periodic by reindexing."""
-
-    __slots__ = ("_fn",)
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    def eval(self, r):
-        return self._fn(np.asarray(r, dtype=float))
-
-
 class AlgElem:
-    """Finite map k -> 1-periodic evaluator; missing components are zero.
+    """Finite map k -> 1-periodic function of r; missing components are zero.
 
-    every, if given, maps an r array to {k: component at r} for every k at
-    once; an inner product passes one that shares work across its k.
+    ks holds the k in the order the algebra actions add their terms, and
+    at(r, ks) gives {k: component k at r} for a float array r and some of
+    them; eval and eval_all both go through it.
     """
 
-    __slots__ = ("comps", "_every")
+    __slots__ = ("ks", "at")
 
-    def __init__(self, comps: dict | None = None, every=None):
-        self.comps = dict(comps or {})
-        self._every = every
+    def __init__(self, ks, at):
+        self.ks = tuple(ks)
+        self.at = at
 
     def eval(self, r, k: int):
         r = np.asarray(r, dtype=float)
-        comp = self.comps.get(k)
-        if comp is None:
-            return np.zeros(r.shape, dtype=complex)
-        return comp.eval(r)
+        return self.at(r, (k,))[k] if k in self.ks else np.zeros(r.shape, dtype=complex)
 
     def eval_all(self, r) -> dict[int, np.ndarray]:
         """{k: component k at r} for every k, each equal to eval(r, k)."""
-        r = np.asarray(r, dtype=float)
-        if self._every is not None:
-            return self._every(r)
-        return {k: comp.eval(r) for k, comp in self.comps.items()}
+        return self.at(np.asarray(r, dtype=float), self.ks)
 
     def keys(self) -> tuple[int, ...]:
-        return tuple(sorted(self.comps))
+        return tuple(sorted(self.ks))
 
 
 def phi_embed(A: AlgElem, p: int) -> AlgElem:
     """Symbol-level embedding: component j moves to jp with its function dilated by p."""
-    return AlgElem(
-        {k * p: PeriodicFn(comp, p, 0.0) for k, comp in A.comps.items()},  # r >= 0, so r*p + 0.0 is r*p
-        lambda r: {k * p: v for k, v in A.eval_all(r * p).items()},
-    )
+    return AlgElem((k * p for k in A.ks), lambda r, ks: {k * p: v for k, v in A.at(r * p, [k // p for k in ks]).items()})
 
 
 # -- contexts ----------------------------------------------------------------------
@@ -446,9 +418,9 @@ def act_alg_left(ctx: BimCtx, A: AlgElem, F: ModElem) -> ModElem:
     _check_modulus(ctx, F)
     out: dict = {}
     for j, pairs in F.terms.items():
-        for n, comp in A.comps.items():
+        for n in A.ks:
             m_rep = j + n  # any integer representative of the target class works mod 1
-            phase = PeriodicFn(comp, 1 / ctx.c, -((ctx.a * m_rep) % ctx.c) / ctx.c)
+            phase = PeriodicFn(A, n, 1 / ctx.c, -((ctx.a * m_rep) % ctx.c) / ctx.c)
             terms = out.setdefault(m_rep % ctx.modulus, [])
             terms += ((c, Product(phase, atom.shift(n * ctx.gamma))) for c, atom in pairs)
     return ModElem(ctx.modulus, out)
@@ -459,8 +431,8 @@ def act_alg_right(ctx: BimCtx, F: ModElem, A: AlgElem) -> ModElem:
     _check_modulus(ctx, F)
     out: dict = {}
     for j, pairs in F.terms.items():
-        for n, comp in A.comps.items():
-            phase = PeriodicFn(comp, 1 / (ctx.gamma_f * ctx.c), -n / (ctx.gamma_f * ctx.c) - j / ctx.c)
+        for n in A.ks:
+            phase = PeriodicFn(A, n, 1 / (ctx.gamma_f * ctx.c), -n / (ctx.gamma_f * ctx.c) - j / ctx.c)
             terms = out.setdefault((j + ctx.d * n) % ctx.modulus, [])
             terms += ((c, Product(atom.shift(n), phase)) for c, atom in pairs)
     return ModElem(ctx.modulus, out)
@@ -566,53 +538,40 @@ def _inner(F1: ModElem, F2: ModElem, entries: list, columns, shift, product) -> 
     support: outside it F1 is an exact zero and F2 is finite (sections are
     finite by construction), so each product there is an exact zero, and the
     dropped zeros change no sum, which starts at +0 and so never becomes -0.
-    One evaluation at r takes the entries in order, in batches of about
-    BATCH_VALUES column values.  Each distinct term tuple of F1 and of F2 is
-    evaluated once per batch on the columns it serves, and the batch's
+    One evaluation at r, for some of the k, cuts one band per j1 and takes
+    the entries of those k in one pass: each distinct term tuple of F1 and of
+    F2 is evaluated once on the concatenated bands it serves, and the
     products are added into a (k x r) accumulator by one np.add.at, which
-    applies repeated indices in order: every (k, r) sums its entries in j1
-    order and their points in m order, as a row-by-row loop would.  A batch's
-    grids and values are dropped after it, all but those of the j1 it ends
-    in, so memory stays bounded however many entries there are.
+    applies repeated indices in order, so every (k, r) sums its entries in j1
+    order and their points in m order, as a row-by-row loop would.
     """
+
     by_k: dict[int, list] = {}
-    for entry in entries:
-        by_k.setdefault(entry[2], []).append(entry)
+    for j1, j2, k, s1 in entries:
+        by_k.setdefault(k, []).append((j1, j2, s1))
 
-    def flush(batch, views, f1, acc, width):
-        if not batch:
-            return
-        f1.update(_on_grids(F1, {j1: (j1, views[j1][0]) for j1, _, _, _ in batch if j1 not in f1}))
-        f2 = _on_grids(F2, {n: (j2, shift(views[j1][0], k)) for n, (j1, j2, k, _) in enumerate(batch)})
-        x = np.concatenate([f1[j1] for j1, _, _, _ in batch])
-        y = np.concatenate([f2[n] for n in range(len(batch))])
-        points = np.concatenate([views[j1][1] for j1, _, _, _ in batch])
-        rows = np.repeat([slot * width for _, _, _, slot in batch], [views[j1][1].size for j1, _, _, _ in batch])
-        _add_at(acc, rows + points, product(x, y))
-
-    def at(r, chosen) -> dict[int, np.ndarray]:
-        r = np.asarray(r, dtype=float)
+    def at(r, ks) -> dict[int, np.ndarray]:
         column, width = columns(r.ravel()), r.size
-        slots = {k: slot for slot, k in enumerate(dict.fromkeys(entry[2] for entry in chosen))}
-        acc = np.zeros(len(slots) * width, dtype=complex)
-        batch, views, f1, size = [], {}, {}, 0
-        for j1, j2, k, s1 in chosen:
-            if size >= BATCH_VALUES:
-                flush(batch, views, f1, acc, width)
-                batch, size = [], 0
-                views = {j1: views[j1]} if j1 in views else {}
-                f1 = {j1: f1[j1]} if j1 in f1 else {}
-            if j1 not in views:
-                grid = column(j1, s1)
-                views[j1] = None if grid is None else _band(grid, s1)
-            if views[j1] is not None and views[j1][0].size:
-                batch.append((j1, j2, k, slots[k]))
-                size += views[j1][0].size
-        flush(batch, views, f1, acc, width)
-        return {k: acc[slot * width : (slot + 1) * width].reshape(r.shape) for k, slot in slots.items()}
+        acc = np.zeros(len(ks) * width, dtype=complex)
+        bands, chosen = {}, []
+        for slot, k in enumerate(ks):
+            for j1, j2, s1 in by_k[k]:
+                if j1 not in bands:
+                    grid = column(j1, s1)
+                    bands[j1] = None if grid is None else _band(grid, s1)
+                if bands[j1] is not None and bands[j1][0].size:
+                    chosen.append((j1, j2, k, slot))
+        if chosen:
+            f1 = _on_grids(F1, {j1: (j1, bands[j1][0]) for j1, _, _, _ in chosen})
+            f2 = _on_grids(F2, {n: (j2, shift(bands[j1][0], k)) for n, (j1, j2, k, _) in enumerate(chosen)})
+            x = np.concatenate([f1[j1] for j1, _, _, _ in chosen])
+            y = np.concatenate([f2[n] for n in range(len(chosen))])
+            points = np.concatenate([bands[j1][1] for j1, _, _, _ in chosen])
+            rows = np.repeat([slot * width for _, _, _, slot in chosen], [bands[j1][1].size for j1, _, _, _ in chosen])
+            _add_at(acc, rows + points, product(x, y))
+        return {k: acc[slot * width : (slot + 1) * width].reshape(r.shape) for slot, k in enumerate(ks)}
 
-    comps = {k: SumKernel(lambda r, es=es, k=k: at(r, es)[k]) for k, es in by_k.items()}
-    return AlgElem(comps, lambda r: at(r, entries))
+    return AlgElem(by_k, at)
 
 
 def inner_left(ctx: BimCtx, F1: ModElem, F2: ModElem) -> AlgElem:
@@ -701,6 +660,13 @@ def level_embed(ctx: BimCtx, F: ModElem) -> ModElem:
 
 @dataclass(frozen=True)
 class SamplePlan:
+    """Seeded sample sizes of identity_suite: hats per identity, and r and t points per comparison.
+
+    The r grid always holds its 64 points q/64 and the t grid its 33 evenly
+    spaced points; r_points and t_points count these, so a count below 64 or
+    33 adds no random draws (_r_samples(rng, 10) returns the 64 grid points).
+    """
+
     seed: int = 0
     hats: int = 20
     r_points: int = 200

@@ -36,14 +36,14 @@ MAX_TRUNC_K = 3000
 # tower levels for --n: alpha_n has denominator p**n, which for the largest prime below exactnum.MR_LIMIT
 # has about 25*n digits, so every accepted level prints within Python's 4300-digit int-to-string limit
 MAX_LEVEL = 100
-# sample sizes of bimodule verify.  At --n 0, MAX_HATS hats on MAX_POINTS points take about 0.7 s end to end
-# at p = 2, 0.7 s at p = 7 and 2.1 s at p = 101 (2-core Xeon, Python 3.11)
+# sample sizes of bimodule verify.  At --n 0, MAX_HATS hats on MAX_POINTS points take about 0.5 s end to end
+# at p = 2, 0.5 s at p = 7 and 1.2 s at p = 101 (2-core Xeon, Python 3.11)
 MAX_HATS = 100
 MAX_POINTS = 500
 # each hat spreads over p classes, so the time grows with p * hats, which MAX_P_HATS bounds: the default 20 hats
-# stay accepted at every p below 1024.  On MAX_POINTS points, 20 hats at p = 1009 take about 2.5 s, 100 hats at
-# p = 199 about 3.2 s and 1 hat at p = 20479 about 2.8 s; past the bound, 100 hats at p = 1009 take about 7.8 s
-# on 10 points and 1 hat at p = 100003 about 12 s
+# stay accepted at every p below 1024.  On MAX_POINTS points, 20 hats at p = 1009 take about 1.4-1.6 s, 100 hats
+# at p = 199 about 1.7-2.6 s and 1 hat at p = 20479 about 1.6-2.5 s (peak RSS 43, 35 and 249 MB); past the bound,
+# 100 hats at p = 1009 take about 5.3-6.3 s on 10 points and 1 hat at p = 100003 about 6 s (525 MB)
 MAX_P_HATS = 20480
 # --count of the multiplier checks, whose time is linear in it.  On the default spec, MAX_COUNT samples take
 # about 0.3 s end to end for check-cocycle, 0.35 s for check-annihilator and 0.5 s for check-eta-psi; at the
@@ -285,7 +285,7 @@ COMMANDS = {
             *_SPEC, *_TRACE,
             _arg("--n", type=_at_most(_count, "MAX_LEVEL", MAX_LEVEL), default=0, help=_LEVEL_HELP),
             _SEED,
-            _arg("--points", type=_at_most(int, "MAX_POINTS", MAX_POINTS), default=200),
+            _arg("--points", type=_at_most(int, "MAX_POINTS", MAX_POINTS), default=200, help="r and t points; the r grid always holds its 64 points q/64 and the t grid its 33 grid points, so fewer add no draws"),
             _arg("--hats", type=_at_most(int, "MAX_HATS", MAX_HATS), default=20, help=f"p * hats at most {MAX_P_HATS}"),
             _arg("--tolerance", type=float, default=suite_mod.DEFAULT_TOLERANCE),
         ),

@@ -22,7 +22,6 @@ from ncsolenoid.bimodule import (
     ModElem,
     Product,
     SamplePlan,
-    SumKernel,
     _k_window,
     _r_samples,
     _t_samples,
@@ -58,20 +57,25 @@ def ctx_at(p: int, n: int) -> BimCtx:
     return BimCtx.build(spec_p(p), ProjectionData(1, 1, 0), n)
 
 
+def alg_elem(comps: dict) -> AlgElem:
+    """The algebra element whose component k is comps[k], a function of an r array."""
+    return AlgElem(comps, lambda r, ks: {k: comps[k](r) for k in ks})
+
+
 def convolve(A: AlgElem, B: AlgElem, theta: float) -> AlgElem:
     """Twisted convolution (A*B)(r, K) = sum_n A(r, n) B(r + n*theta, K - n)."""
-    out: dict[int, SumKernel] = {}
-    for K in {n + m for n in A.comps for m in B.comps}:
+    out = {}
+    for K in {n + m for n in A.ks for m in B.ks}:
 
         def comp(r, K=K):
-            acc = np.zeros(np.asarray(r, dtype=float).shape, dtype=complex)
-            for n in A.comps:
-                if K - n in B.comps:
-                    acc += A.eval(r, n) * B.eval(np.asarray(r, dtype=float) + n * theta, K - n)
+            acc = np.zeros(r.shape, dtype=complex)
+            for n in A.ks:
+                if K - n in B.ks:
+                    acc += A.eval(r, n) * B.eval(r + n * theta, K - n)
             return acc
 
-        out[K] = SumKernel(comp)
-    return AlgElem(out)
+        out[K] = comp
+    return alg_elem(out)
 
 
 def periodicity_defect(A: AlgElem, rng: random.Random, points: int) -> float:
@@ -296,11 +300,11 @@ class TrigPoly:
 
 
 def generator_U(power: int = 1) -> AlgElem:
-    return AlgElem({power: TrigPoly(((1.0 + 0j, 0),))})
+    return alg_elem({power: TrigPoly(((1.0 + 0j, 0),)).eval})
 
 
 def generator_V(power: int = 1) -> AlgElem:
-    return AlgElem({0: TrigPoly(((1.0 + 0j, power),))})
+    return alg_elem({0: TrigPoly(((1.0 + 0j, power),)).eval})
 
 
 def test_alg_actions_match_generator_actions():
@@ -426,13 +430,9 @@ def test_inner_kernels_match_per_m_reference(p, n):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("n", [0, 1])
-@pytest.mark.parametrize("batch", [1, None, 10**9], ids=["entry", "default", "all"])
-def test_inner_all_k_matches_per_m_reference(p, n, batch, monkeypatch):
+def test_inner_all_k_matches_per_m_reference(p, n):
     # level_embed spreads each class over p classes that share one term tuple, so the
-    # all-k path evaluates each F2 tuple on the concatenated grids of many entries; a
-    # batch of one value holds one entry, and one of 10**9 all of them
-    if batch is not None:
-        monkeypatch.setattr(bimodule, "BATCH_VALUES", batch)
+    # all-k evaluation evaluates each F2 tuple on the concatenated grids of many entries
     ctx, ctx2 = ctx_at(p, n), ctx_at(p, n + 1)
     rng = random.Random(200 * p + n)
     iF = level_embed(ctx, _planted(rng, ctx.modulus, 1.0))
@@ -449,34 +449,11 @@ def test_inner_all_k_matches_per_m_reference(p, n, batch, monkeypatch):
                 want, _, _ = _per_m_kernel(ctx2, iF, iG, side, k, r)
                 assert np.array_equal(every[k].view(np.float64), want.view(np.float64)), (side, k, r.shape)
                 assert np.array_equal(A.eval(r, k).view(np.float64), want.view(np.float64)), (side, k, r.shape)
-        # phi_embed passes the all-k path through on the dilated grid
+        # phi_embed passes the all-k evaluation through on the dilated grid
         every = phi_embed(A, p).eval_all(line)
         assert sorted(every) == [k * p for k in A.keys()]
         for k in A.keys():
             assert np.array_equal(every[k * p].view(np.float64), A.eval(line * p, k).view(np.float64))
-
-
-def test_inner_batches_bound_the_values_held(monkeypatch):
-    # an evaluation holds one batch's grids and values at a time: F2 is evaluated on at most
-    # BATCH_VALUES values plus one entry's grid, however many entries there are
-    ctx = ctx_at(7, 0)
-    wide = HatFn((-40.0, 1.0, 40.0), (0j, 1 - 2j, 0j))  # c = 1: one class, many k and many m rows
-    F = ModElem.delta(ctx.modulus, 0, wide)
-    sizes = []
-    on_grids = bimodule._on_grids
-
-    def recorded(G, requests):
-        sizes.append([grid.size for _, grid in requests.values()])
-        return on_grids(G, requests)
-
-    monkeypatch.setattr(bimodule, "_on_grids", recorded)
-    for inner in (inner_left, inner_right):
-        sizes.clear()
-        inner(ctx, F, F).eval_all(np.linspace(0.0, 2.0, 200))
-        f2 = sizes[1::2]  # each batch evaluates F1, then F2
-        assert len(f2) > 3
-        assert sum(map(sum, f2)) > 10 * bimodule.BATCH_VALUES
-        assert max(sum(s) - s[-1] for s in f2) < bimodule.BATCH_VALUES
 
 
 def _ulps_around(x, count):
@@ -533,7 +510,7 @@ def test_band_keeps_values_an_ulp_outside_float_supports():
 
 def test_band_matches_per_m_reference_past_the_in_place_threshold(monkeypatch):
     # numpy multiplies a temporary of 256 KiB or more in place: here one j1's band alone holds more values
-    # than that, so each batch's F1, F2 and product arrays pass it
+    # than that, so the F1, F2 and product arrays of an evaluation pass it
     ctx = ctx_at(7, 0)
     wide = HatFn((-60.0, -1.0, 60.0), (0j, 1 - 2j, 0j))
     moved = AffineAtom(wide).shift(Fraction(1, 10)).dilate(Fraction(11, 10))
@@ -580,7 +557,7 @@ def test_aligned_pairs_match_every_pair_reference(p):
             cases = [(ctx, F, G), (ctx, G, random_mod_elem(rng, ctx.modulus)), (ctx2, level_embed(ctx, F), level_embed(ctx, G))]
             for c, F1, F2 in cases:
                 for side, inner in (("left", inner_left), ("right", inner_right)):
-                    assert list(inner(c, F1, F2).comps) == list(_pairs_reference(c, F1, F2, side)), (side, n)
+                    assert list(inner(c, F1, F2).ks) == list(_pairs_reference(c, F1, F2, side)), (side, n)
 
 
 def _mod_diff_reference(A, B, rng, points):
@@ -649,7 +626,7 @@ class Counted:
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_shared_atoms_evaluate_once_per_grid(p, monkeypatch):
+def test_shared_atoms_evaluate_once_per_grid(p):
     ctx, ctx2 = ctx_at(p, 0), ctx_at(p, 1)
     f = Counted(HatFn((0.0, 0.4, 1.1), (0j, 1 - 1j, 0j)))
     g = Counted(HatFn((-2.0, 0.9, 3.5), (0j, 0.5 + 2j, 0j)))  # wide: each j1 aligns at several k
@@ -663,9 +640,7 @@ def test_shared_atoms_evaluate_once_per_grid(p, monkeypatch):
     assert len({id(pairs) for pairs in rhs.terms.values()}) == 1 < len(rhs.terms) == p
     assert term_diff(lhs, rhs) == 0.0
     assert f.calls == 0
-    # the all-k path evaluates each shared term tuple once per batch, on the grids of all
-    # its entries there: once in all when they fit one batch
-    monkeypatch.setattr(bimodule, "BATCH_VALUES", 10**9)
+    # the all-k evaluation evaluates each shared term tuple once, on the grids of all its entries
     A = inner_left(ctx2, iF, iG)
     r = np.linspace(0.0, 1.0, 17)
     f.calls = g.calls = 0
@@ -675,13 +650,6 @@ def test_shared_atoms_evaluate_once_per_grid(p, monkeypatch):
     alg_diff(phi_embed(inner_right(ctx, ModElem.delta(ctx.modulus, 0, f), ModElem.delta(ctx.modulus, 0, g)), p),
              inner_right(ctx2, iF, iG), random.Random(3), 80)
     assert g.calls == 2  # once per side, each side one grid
-    # in batches of one entry F2 is evaluated once per entry, and F1 still once per j1 grid
-    monkeypatch.setattr(bimodule, "BATCH_VALUES", 1)
-    f.calls = g.calls = 0
-    A.eval_all(r)
-    window = lambda s1, s2: (s1[0] - s2[1], s1[1] - s2[0], ctx2.gamma_f)  # inner_left's
-    entries = bimodule._aligned_pairs(iF, iG, ctx2.modulus, lambda j: -j, window)
-    assert g.calls == len(entries) > f.calls == len({j1 for j1, _, _, _ in entries}) > 1
 
 
 def test_mod_diff_leaves_no_reference_cycle():
@@ -804,12 +772,12 @@ def test_iota_linearity_is_structural():
 
 
 def test_phi_embed_shapes():
-    ident = AlgElem({0: TrigPoly(((1.0 + 0j, 0),))})
+    ident = alg_elem({0: TrigPoly(((1.0 + 0j, 0),)).eval})
     out = phi_embed(ident, 3)
     r = np.linspace(0, 1, 9)
     assert out.keys() == (0,)
     assert np.allclose(out.eval(r, 0), 1.0)
-    single = AlgElem({1: TrigPoly(((1.0 + 0j, 1),))})
+    single = alg_elem({1: TrigPoly(((1.0 + 0j, 1),)).eval})
     moved = phi_embed(single, 3)
     assert moved.keys() == (3,)
     assert np.allclose(moved.eval(r, 3), np.exp(2j * math.pi * 3 * r))
@@ -825,8 +793,8 @@ def test_phi_homomorphism_over_convolution():
             for k in rng.sample(range(-3, 4), rng.randint(1, 5)):
                 comps[k] = TrigPoly(
                     tuple((complex(rng.gauss(0, 1), rng.gauss(0, 1)), rng.randint(-2, 2)) for _ in range(2))
-                )
-            return AlgElem(comps)
+                ).eval
+            return alg_elem(comps)
 
         A, B = rand_alg(), rand_alg()
         lhs = phi_embed(convolve(A, B, ctx.beta_f), 2)
@@ -888,7 +856,7 @@ def test_zero_elements_give_exact_zero_deviation():
     rng = random.Random(16)
     empty = ModElem(ctx.modulus)
     assert mod_diff(act_left_gen(ctx, "U", 1, empty), ModElem(ctx.modulus), rng, 40) == 0.0
-    assert alg_diff(inner_left(ctx, empty, empty), AlgElem(), rng, 40) == 0.0
+    assert alg_diff(inner_left(ctx, empty, empty), alg_elem({}), rng, 40) == 0.0
 
 
 def test_random_hat_is_compactly_supported():
