@@ -28,7 +28,7 @@ from .morita import (
 
 __version__ = "0.1.0"
 
-# the float bimodule layer, and numpy with it, loads on first use of one of its names
+# the bimodule layer, and numpy with it (for the hats' interpolation tables), loads on first use of one of its names
 _BIMODULE_NAMES = ("BimCtx", "ModElem", "SamplePlan", "identity_suite")
 
 

@@ -16,12 +16,13 @@ import os
 import sys
 
 from . import suite as suite_mod
-from .exactnum import QuadReal, parse_rational
+from .exactnum import QuadReal, floor, parse_rational
 from .morita import (
     ConditionError,
     ProjectionData,
     SearchBounds,
     certificate_search,
+    checked_trace,
     heisenberg_partner,
     projection_partner,
     relate_check,
@@ -36,14 +37,15 @@ MAX_TRUNC_K = 3000
 # tower levels for --n: alpha_n has denominator p**n, which for the largest prime below exactnum.MR_LIMIT
 # has about 25*n digits, so every accepted level prints within Python's 4300-digit int-to-string limit
 MAX_LEVEL = 100
-# sample sizes of bimodule verify.  At --n 0, MAX_HATS hats on MAX_POINTS points take about 0.5 s end to end
-# at p = 2, 0.5 s at p = 7 and 1.2 s at p = 101 (2-core Xeon, Python 3.11)
+# hats of bimodule verify, each one draw of F, G and H whose identities are decided on exact terms.  At --n 0,
+# MAX_HATS hats take about 0.35 s end to end at p = 2 and 7 and 0.5 s at p = 101 (2-core Xeon, Python 3.11)
 MAX_HATS = 100
-MAX_POINTS = 500
-# each hat spreads over p classes, so the time grows with p * hats, which MAX_P_HATS bounds: the default 20 hats
-# stay accepted at every p below 1024.  On MAX_POINTS points, 20 hats at p = 1009 take about 1.4-1.6 s, 100 hats
-# at p = 199 about 1.7-2.6 s and 1 hat at p = 20479 about 1.6-2.5 s (peak RSS 43, 35 and 249 MB); past the bound,
-# 100 hats at p = 1009 take about 5.3-6.3 s on 10 points and 1 hat at p = 100003 about 6 s (525 MB)
+# each hat spreads over p classes, and the k and y windows of its terms hold about tau/c0 offsets per class pair
+# (tau = c0*theta + d0 < m), so the terms grow with p * hats * (floor(tau/c0) + 1), which MAX_P_HATS bounds: the
+# default 20 hats stay accepted at every p below 1024 while tau < c0.  20 hats at p = 1009 take about 0.6-0.9 s,
+# 100 hats at p = 199 about 0.8-0.9 s and 1 hat at p = 20479 about 0.8-0.9 s (peak RSS 32, 30 and 71 MB); at p = 2,
+# 1 hat at c0 = 1, d0 = 10238 and at c0 = 7, d0 = 71662 takes about 0.5-1.2 s (peak RSS up to 116 MB).  Past the
+# bound, 1 hat at p = 100003 takes about 3 s (221 MB) and 2 hats at p = 2, d0 = 30000 about 2.4 s (181 MB)
 MAX_P_HATS = 20480
 # --count of the multiplier checks, whose time is linear in it.  On the default spec, MAX_COUNT samples take
 # about 0.3 s end to end for check-cocycle, 0.35 s for check-annihilator and 0.5 s for check-eta-psi; at the
@@ -205,14 +207,16 @@ def _cmd_check(args) -> dict:
 
 def _cmd_bimodule(args) -> dict:
     spec = _build_spec(args)
-    if spec.p * args.hats > MAX_P_HATS:
-        raise ValueError(f"p * --hats must be at most MAX_P_HATS = {MAX_P_HATS}, got {spec.p} * {args.hats}")
-    from .bimodule import SamplePlan  # numpy loads here, for the float check only
+    proj = ProjectionData(args.m, args.c0, args.d0)
+    spread = floor(checked_trace(spec, proj) / proj.c0) + 1 if proj.c0 > 0 else 1  # c0 < 1 fails in BimCtx.build
+    if spec.p * args.hats * spread > MAX_P_HATS:
+        raise ValueError(
+            f"p * --hats * (floor(tau/c0) + 1) must be at most MAX_P_HATS = {MAX_P_HATS}, got {spec.p} * {args.hats} * {spread}"
+        )
+    from .bimodule import SamplePlan  # numpy loads here, for the hats' interpolation tables
 
     seed = _resolve_seed(args.seed)
-    proj = ProjectionData(args.m, args.c0, args.d0)
-    plan = SamplePlan(seed=seed, hats=args.hats, r_points=args.points, t_points=args.points)
-    report = suite_mod.check_bimodule(spec, proj, args.n, plan, args.tolerance)
+    report = suite_mod.check_bimodule(spec, proj, args.n, SamplePlan(seed=seed, hats=args.hats))
     report["inputs"] = spec.to_json()
     return report
 
@@ -285,9 +289,7 @@ COMMANDS = {
             *_SPEC, *_TRACE,
             _arg("--n", type=_at_most(_count, "MAX_LEVEL", MAX_LEVEL), default=0, help=_LEVEL_HELP),
             _SEED,
-            _arg("--points", type=_at_most(int, "MAX_POINTS", MAX_POINTS), default=200, help="r and t points; the r grid always holds its 64 points q/64 and the t grid its 33 grid points, so fewer add no draws"),
-            _arg("--hats", type=_at_most(int, "MAX_HATS", MAX_HATS), default=20, help=f"p * hats at most {MAX_P_HATS}"),
-            _arg("--tolerance", type=float, default=suite_mod.DEFAULT_TOLERANCE),
+            _arg("--hats", type=_at_most(int, "MAX_HATS", MAX_HATS), default=20, help=f"p * hats * (floor(tau/c0) + 1) at most {MAX_P_HATS}"),
         ),
     }),
     "suite": ("run every module property suite", _cmd_suite, None, (_SEED,)),

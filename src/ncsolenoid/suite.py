@@ -37,8 +37,6 @@ from .solenoid import SeqWindow, SolenoidSpec, alphas, coherence_check, from_eve
 if TYPE_CHECKING:
     from .bimodule import SamplePlan
 
-DEFAULT_TOLERANCE = 1e-9
-
 
 def default_spec(p: int = 2) -> SolenoidSpec:
     return SolenoidSpec(p, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(p, 1))
@@ -184,30 +182,20 @@ def check_relate(seed: int, count: int = 4, entries: int = 6) -> dict:
     return {"name": "morita-relate", "count": count, "failures": failures, "pass": not failures}
 
 
-def check_bimodule(
-    spec: SolenoidSpec,
-    proj: ProjectionData,
-    n: int,
-    plan: SamplePlan,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> dict:
-    """Module/algebra compatibility identities at one tower level."""
-    from .bimodule import identity_suite  # numpy loads here, for the float checks only
+def check_bimodule(spec: SolenoidSpec, proj: ProjectionData, n: int, plan: SamplePlan) -> dict:
+    """Module/algebra compatibility identities at one tower level, each decided exactly: 0.0 or inf."""
+    from .bimodule import identity_suite  # numpy loads here, for the hats' interpolation tables
 
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
     report = identity_suite(spec, proj, n, plan)
-    # a NaN or infinite deviation fails, and is written as null so the report stays strict JSON
-    finite = all(math.isfinite(e) for e in report.values())
-    worst = max(report.values()) if finite else None
+    # a failed identity reads inf, written as null so the report stays strict JSON
+    holds = all(e == 0.0 for e in report.values())
     return {
         "name": "bimodule-identities",
         "level": n,
         "seed": plan.seed,
         "identities": {key: e if math.isfinite(e) else None for key, e in report.items()},
-        "tolerance": tolerance,
-        "max_error": worst,
-        "pass": finite and worst <= tolerance,
+        "max_error": 0.0 if holds else None,
+        "pass": holds,
     }
 
 
