@@ -1,6 +1,6 @@
 """Exact arithmetic and numerical verification for Morita partners of noncommutative solenoids."""
 
-from .exactnum import PFrac, QuadReal, RadicandMismatchError, ext_gcd, floor, frac1
+from .exactnum import PFrac, QuadReal, RadicandMismatchError, frac1
 from .padic import PAdic, PrecisionError
 from .solenoid import (
     SeqWindow,
@@ -44,8 +44,6 @@ __all__ = [
     "PFrac",
     "QuadReal",
     "RadicandMismatchError",
-    "ext_gcd",
-    "floor",
     "frac1",
     "PAdic",
     "PrecisionError",

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import QuadReal, floor, frac1
+from .exactnum import QuadReal, frac1
 from .morita import ProjectionData, checked_trace, stage
 from .solenoid import SolenoidSpec, alpha_at
 
@@ -334,7 +334,7 @@ def act_right_gen(ctx: BimCtx, gen: str, power: int, F: ModElem) -> ModElem:
 
 def _open_range(lo, hi) -> tuple[int, int]:
     """The least and the greatest integer strictly between the exact reals lo and hi."""
-    return floor(lo) + 1, -floor(-hi) - 1
+    return math.floor(lo) + 1, -math.floor(-hi) - 1
 
 
 def _residues(first: int, last: int, r: int, M: int) -> range:

@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
 from . import suite as suite_mod
-from .exactnum import QuadReal, floor, parse_rational
+from .exactnum import QuadReal, parse_rational
 from .morita import (
     ConditionError,
     ProjectionData,
@@ -208,7 +209,7 @@ def _cmd_check(args) -> dict:
 def _cmd_bimodule(args) -> dict:
     spec = _build_spec(args)
     proj = ProjectionData(args.m, args.c0, args.d0)
-    spread = floor(checked_trace(spec, proj) / proj.c0) + 1 if proj.c0 > 0 else 1  # c0 < 1 fails in BimCtx.build
+    spread = math.floor(checked_trace(spec, proj) / proj.c0) + 1 if proj.c0 > 0 else 1  # c0 < 1 fails in BimCtx.build
     if spec.p * args.hats * spread > MAX_P_HATS:
         raise ValueError(
             f"p * --hats * (floor(tau/c0) + 1) must be at most MAX_P_HATS = {MAX_P_HATS}, got {spec.p} * {args.hats} * {spread}"

@@ -2,7 +2,8 @@
 
 Every value here is immutable and every operation is exact; no floating point
 enters any arithmetic or comparison path.  Floats appear only on explicit
-lowering (``float(x)``) for the numeric verification kernels.
+lowering (``float(x)``), for the pointwise values of bimodule atoms, which no
+check reads.
 """
 
 from __future__ import annotations
@@ -13,24 +14,6 @@ from fractions import Fraction
 
 class RadicandMismatchError(ValueError):
     """Arithmetic tried to combine surds over two different radicands."""
-
-
-def ext_gcd(u: int, v: int) -> tuple[int, int, int]:
-    """Extended Euclid: return (g, s, t) with g = gcd(u, v) >= 0 and s*u + t*v = g.
-
-    Convention: gcd(a, 0) = |a|.  Undefined for u = v = 0.
-    """
-    if u == 0 and v == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    old_r, r = abs(u), abs(v)
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, (old_s if u >= 0 else -old_s), (old_t if v >= 0 else -old_t)
 
 
 def _strip(n: int, p: int) -> tuple[int, int]:
@@ -79,6 +62,12 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def require_prime(p: int) -> None:
+    """The one primality check on outside input: ValueError unless is_prime(p)."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
 
 # Fraction(text) multiplies out a decimal exponent before any bound can see the value ("1e100000000"
@@ -402,6 +391,14 @@ class QuadReal:
     def is_rational(self) -> bool:
         return self.B == 0
 
+    def as_int(self) -> int | None:
+        """self as an int, or None when it is no integer.
+
+        By the normal form, self is rational exactly when B == 0, and then
+        gcd(A, M) = 1, so M divides A exactly when M == 1.
+        """
+        return self.A if self.B == 0 and self.M == 1 else None
+
     def discriminant(self) -> int:
         """Discriminant of the primitive integer quadratic with root self; 0 for a rational.
 
@@ -469,16 +466,9 @@ def _quad(A: int, B: int, M: int, D: int) -> QuadReal:
     return x
 
 
-def floor(x) -> int:
-    """Exact floor of a QuadReal, Fraction, or int."""
-    if isinstance(x, QuadReal):
-        return x.__floor__()
-    return math.floor(x)
-
-
 def frac1(x) -> QuadReal:
     """Reduce an exact real mod 1 into [0, 1)."""
     q = QuadReal._lift(x)
     if q is None:
         raise TypeError(f"cannot reduce {type(x).__name__} mod 1")
-    return q - floor(q)
+    return q - math.floor(q)

@@ -21,9 +21,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import QuadReal, _strip, ext_gcd, floor, frac1
+from .exactnum import QuadReal, _strip, frac1
 from .padic import PAdic
-from .solenoid import SeqWindow, SolenoidSpec, _alpha, _as_int, alphas, level_table, truncate_spec
+from .solenoid import SeqWindow, SolenoidSpec, _alpha, alphas, level_table, truncate_spec
 
 log = logging.getLogger(__name__)
 
@@ -70,9 +70,8 @@ class MobiusPair:
     d: int
 
     def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
-        if det not in (1, -1):
-            raise ValueError(f"determinant must be +-1, got {det}")
+        if self.det not in (1, -1):
+            raise ValueError(f"determinant must be +-1, got {self.det}")
 
     @property
     def det(self) -> int:
@@ -107,18 +106,22 @@ def trace_line(spec: SolenoidSpec, proj: ProjectionData, n: int) -> TraceLine:
 def ab_normalized(line: TraceLine, alpha_2n: QuadReal, tau: QuadReal) -> tuple[MobiusPair, QuadReal]:
     """Complete (c, d) to determinant +1, shifted so the image lies in [0,1); return it and the image.
 
-    tau must be the trace value alpha_2n * c + d.  Replacing (a, b) by
-    (a + l*c, b + l*d) shifts the Mobius image by l, so the representative
-    with image in [0,1) is unique, and its image is the unshifted one plus l.
+    tau must be the trace value alpha_2n * c + d.  a = d**-1 mod c gives
+    a*d - b*c = 1 with the integer b = (a*d - 1) / c.  Every det +1
+    completion is (a + l*c, b + l*d) for an integer l: another one (a', b')
+    has (a' - a)*d = (b' - b)*c with gcd(c, d) = 1.  Replacing (a, b) by
+    (a + l*c, b + l*d) shifts the Mobius image by l, so the completion with
+    image in [0,1) is unique, whichever one the inverse gives, and its image
+    is the unshifted one plus l.
     """
-    g, a, b = ext_gcd(line.d, -line.c)
-    if g != 1:
-        raise ConditionError(
-            f"trace line ({line.c}, {line.d}) is not coprime", witness=(line.n, line.c, line.d)
-        )
+    c, d = line.c, line.d
+    if math.gcd(c, d) != 1:
+        raise ConditionError(f"trace line ({c}, {d}) is not coprime", witness=(line.n, c, d))
+    a = pow(d, -1, c)
+    b = (a * d - 1) // c
     beta = (alpha_2n * a + b) / tau
-    shift = -floor(beta)
-    return MobiusPair(a + shift * line.c, b + shift * line.d, line.c, line.d), beta + shift
+    shift = -math.floor(beta)
+    return MobiusPair(a + shift * c, b + shift * d, c, d), beta + shift
 
 
 def heisenberg_partner_spec(spec: SolenoidSpec) -> SolenoidSpec:
@@ -435,13 +438,13 @@ def certificate_search(a: SolenoidSpec, b: SolenoidSpec, bounds: SearchBounds = 
             tau = trunc.theta * c0 + d0
             if not (QuadReal(0) < tau):
                 continue
-            m = floor(tau) + 1
+            m = math.floor(tau) + 1
             proj = ProjectionData(m, c0, d0)
             if not condition_check(trunc.p, proj, trunc.x(0)):
                 continue
             partner = _partner_spec(trunc, proj, tau)
             for orientation, theta_b, x_b in sides:
-                n = _as_int(partner.theta - theta_b)
+                n = (partner.theta - theta_b).as_int()
                 if n is None:
                     continue
                 rest = x_b - partner.digits - n  # known below H, the smaller precision of b and trunc

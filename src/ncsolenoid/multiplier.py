@@ -63,12 +63,10 @@ class PhaseArg:
     """Exact phase argument mod 1: the class of t in Q(theta)/Z, standing for e^(2*pi*i*t).
 
     t is stored unreduced, and +, - and negation act on it directly.  A class
-    is zero exactly when t is an integer, and QuadReal's normal form reads
-    that off without a floor: t = (A + B*sqrt(D))/M with M > 0 and D
-    squarefree, so sqrt(D) is irrational whenever B != 0, and t is rational
-    exactly when B == 0; a rational A/M is an integer exactly when M divides
-    A.  Two phases are equal when their difference is zero.  The reduced
-    representative in [0, 1) is built only by value, str and hash.
+    is zero exactly when t is an integer, which QuadReal.as_int reads off the
+    normal form without a floor.  Two phases are equal when their difference
+    is zero.  The reduced representative in [0, 1) is built only by value,
+    str and hash.
     """
 
     __slots__ = ("t",)
@@ -90,8 +88,7 @@ class PhaseArg:
 
     @property
     def is_zero(self) -> bool:
-        t = self.t
-        return t.B == 0 and t.A % t.M == 0
+        return self.t.as_int() is not None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhaseArg):
@@ -164,14 +161,19 @@ def rho(P1: LatticePoint, P2: LatticePoint) -> PhaseArg:
     return eta(P1, P2) - eta(P2, P1)
 
 
-def iota_embed(x: PAdic, theta: QuadReal, g: GammaElem) -> LatticePoint:
-    """Embed Z[1/p]^2 into M^2 along (x, theta): (r1, r2) -> [(x r1, theta r1), (r2, r2)]."""
+def _check_embedding(x: PAdic, theta: QuadReal, g: GammaElem) -> None:
+    """The inputs both embeddings need: x and theta nonzero, and x and g over one prime."""
     if x.is_zero:
         raise ValueError("x must be a nonzero p-adic integer")
     if not theta:
         raise ValueError("theta must be nonzero")
     if x.p != g.p:
         raise ValueError("prime mismatch between x and lattice point")
+
+
+def iota_embed(x: PAdic, theta: QuadReal, g: GammaElem) -> LatticePoint:
+    """Embed Z[1/p]^2 into M^2 along (x, theta): (r1, r2) -> [(x r1, theta r1), (r2, r2)]."""
+    _check_embedding(x, theta, g)
     r1, r2 = g.first, g.second
     p = x.p
     first = MPoint(x * r1, theta * r1.as_fraction())
@@ -181,12 +183,7 @@ def iota_embed(x: PAdic, theta: QuadReal, g: GammaElem) -> LatticePoint:
 
 def lambda_embed(x: PAdic, theta: QuadReal, s: GammaElem) -> LatticePoint:
     """Embed the annihilator copy: (s1, s2) -> [(s1, -s1), (-x^-1 s2, s2/theta)]."""
-    if x.is_zero:
-        raise ValueError("x must be a nonzero p-adic integer")
-    if not theta:
-        raise ValueError("theta must be nonzero")
-    if x.p != s.p:
-        raise ValueError("prime mismatch between x and lattice point")
+    _check_embedding(x, theta, s)
     s1, s2 = s.first, s.second
     p = x.p
     first = MPoint(PAdic._new(p, -s1.k, s1.j, 1), QuadReal(-s1.as_fraction()))

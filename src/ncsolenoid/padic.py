@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactnum import PFrac, _strip, is_prime
+from .exactnum import PFrac, _strip, require_prime
 
 # digits _expand may make for display, at about 1 us each: padic inv of a value whose
 # 2-adic period has 199 932 digits prints in about 0.6 s end to end
@@ -32,11 +32,6 @@ MAX_ORD_BITS = 2**19
 
 class PrecisionError(ValueError):
     """A digit window does not determine the requested quantity."""
-
-
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
 
 
 def _mod_unit(num: int, den: int, p: int, n: int) -> int:
@@ -86,7 +81,7 @@ class PAdic:
 
     def __init__(self, p: int, v: int, pre, per):
         """The value with digits pre, then per repeated forever, starting at index v."""
-        _require_prime(p)
+        require_prime(p)
         pre = tuple(int(d) for d in pre)
         per = tuple(int(d) for d in per) or (0,)
         for d in pre + per:
@@ -120,7 +115,7 @@ class PAdic:
 
     @classmethod
     def from_rational(cls, p: int, q) -> "PAdic":
-        _require_prime(p)
+        require_prime(p)
         return cls._of(p, Fraction(q))
 
     @classmethod
@@ -159,10 +154,18 @@ class PAdic:
         return PFrac(self.p, self._below(h + 1), max(-self.ord, 0))
 
     def _expand(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """Minimal (ord, preperiod, period) of u's digits, generated until the carry state repeats.
+        """Minimal (ord, preperiod, period) of u's digits by the carry loop of long division, holding two states.
 
-        The carry state m is den times the value of the digits still to come,
-        so the first repeated state closes the shortest preperiod and period.
+        Write u = m/den, den > 0 prime to p.  A digit step takes the carry
+        state m to m' = (m - d*den)/p with d = m/den mod p, so m/den is the
+        value of the digits still to come.  Those digits are purely periodic
+        exactly when -den <= m <= 0: a block of L digits worth A, 0 <= A <=
+        p**L - 1, repeats to -A/(p**L - 1) in [-1, 0]; and m/den in [-1, 0]
+        is -A/(p**L - 1) for L the order of p mod den, with the integer
+        A = -m*(p**L - 1)/den in [0, p**L - 1], whose L digits repeat.  So
+        the step maps the interval into itself, the minimal preperiod ends at
+        the first state m0 in it, and the minimal period when m0 first
+        returns, as a state and the digits after it determine each other.
         A window's u is an integer below p**(precision - ord): its digits, then the period (0).
         """
         if not self.u:
@@ -178,15 +181,15 @@ class PAdic:
             return self.ord, tuple(pre), (0,)
         inv_den = pow(den, -1, p)
         digits: list[int] = []
-        seen: dict[int, int] = {}
-        while m not in seen:
+        start = first = None
+        while m != first:
+            if first is None and -den <= m <= 0:
+                start, first = len(digits), m
             if len(digits) == MAX_EXPANSION:
                 raise ValueError(_TOO_LONG.format(MAX_EXPANSION, p))
-            seen[m] = len(digits)
             d = (m * inv_den) % p
             digits.append(d)
             m = (m - d * den) // p
-        start = seen[m]
         return self.ord, tuple(digits[:start]), tuple(digits[start:])
 
     @property

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import QuadReal, _quad, frac1, is_prime
+from .exactnum import QuadReal, _quad, frac1, require_prime
 from .padic import MAX_ORD_BITS, PAdic
 
 
@@ -39,8 +39,7 @@ class SolenoidSpec:
     digits: PAdic
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+        require_prime(self.p)
         self._check()
 
     @classmethod
@@ -163,11 +162,6 @@ def reduce_h(spec: SolenoidSpec, N: int) -> SeqWindow:
     return alphas(spec, N).mod1()
 
 
-def _as_int(d: QuadReal) -> int | None:
-    """d as an int, or None when d is not an integer."""
-    return d.A if d.is_rational and d.M == 1 else None
-
-
 def coherence_check(window: SeqWindow, p: int, step: int = 1) -> list[int]:
     """Defects p**step * w_{n+step} - w_n for each adjacent pair; all must be integers.
 
@@ -182,7 +176,7 @@ def coherence_check(window: SeqWindow, p: int, step: int = 1) -> list[int]:
     scale = p**step
     for (n, w_n), (m, w_m) in zip(window.entries, window.entries[1:]):
         d = w_m * scale - w_n
-        di = _as_int(d)
+        di = d.as_int()
         if di is None:
             raise CoherenceError(f"defect at indices ({n}, {m}) is {d}, not an integer")
         defects.append(di)

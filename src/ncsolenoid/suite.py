@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .exactnum import PFrac, QuadReal, frac1, is_prime
+from .exactnum import PFrac, QuadReal, frac1, require_prime
 from .morita import (
     ProjectionData,
     heisenberg_partner,
@@ -138,8 +138,7 @@ def check_from_even(spec: SolenoidSpec, entries: int = 8) -> dict:
 
 def check_condition(p: int, c0: int, d0: int, x0: int) -> dict:
     """The coprimality condition gcd(c0*p, d0 - c0*x0) = 1."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    require_prime(p)
     ProjectionData(1, c0, d0)  # rejects c0 = 0
     g = math.gcd(c0 * p, d0 - c0 * x0)
     return {
@@ -213,6 +212,6 @@ def run_all(seed: int) -> dict:
         check_condition(2, 1, 0, 1),
         check_involution(seed + 3, 10),
         check_relate(seed + 4, 4),
-        check_bimodule(spec, ProjectionData(1, 1, 0), 0, SamplePlan(seed=seed, hats=6, r_points=120, t_points=120)),
+        check_bimodule(spec, ProjectionData(1, 1, 0), 0, SamplePlan(seed=seed, hats=6)),
     ]
     return {"seed": seed, "checks": checks, "pass": all(c["pass"] for c in checks)}

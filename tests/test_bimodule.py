@@ -34,7 +34,7 @@ from ncsolenoid.bimodule import (
     random_mod_elem,
     term_diff,
 )
-from ncsolenoid.exactnum import QuadReal, floor, frac1
+from ncsolenoid.exactnum import QuadReal, frac1
 from ncsolenoid.morita import ProjectionData
 from ncsolenoid.suite import check_bimodule
 from ncsolenoid.padic import PAdic
@@ -481,8 +481,8 @@ def _terms_reference(ctx, F1, F2, side):
                         lo, hi, r, m = (lo1 - hi2) / g, (hi1 - lo2) / g, j1 - j2, ctx.a * j1 % M
                     else:
                         lo, hi, r, m = lo2 - hi1, hi2 - lo1, ctx.a * (j2 - j1), -j1 % M
-                    first = floor(lo) + 1
-                    for k in range(first + (r - first) % M, -floor(-hi), M):
+                    first = math.floor(lo) + 1
+                    for k in range(first + (r - first) % M, -math.floor(-hi), M):
                         out.setdefault((g, t1, t2), Counter())[k, m] += 1
     return out
 

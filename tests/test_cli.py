@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -131,6 +132,28 @@ def test_padic_inverse_long_period_finishes():
     proc = run_process(["padic", "inv", "--p", "2", "--value", "1/1000003"])
     assert proc.returncode == 0, proc.stderr
     assert PAdic.from_json(json.loads(proc.stdout)["inverse"]) == 1000003
+
+
+def test_padic_inverse_past_the_display_bound_exits_in_bounded_memory():
+    # 1/10**1000 has a 3-adic period past MAX_EXPANSION: the expansion stops there (exit 2) holding its digits and
+    # two carry states; a table of every 3 300-bit state took 125 MB.  The child reads its own peak (RUSAGE_SELF;
+    # ru_maxrss is in KiB on Linux): RUSAGE_CHILDREN of this process keeps the largest child it ever waited for.  It
+    # is started from a small interpreter, because a process started by fork and exec counts the peak of the one
+    # that started it
+    code = textwrap.dedent("""
+        import resource, sys
+        from ncsolenoid.cli import main
+        try:
+            main(["padic", "inv", "--p", "3", "--value", "1e1000"])
+        except SystemExit as exc:
+            print(exc.code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    """)
+    hop = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    proc = subprocess.run([sys.executable, "-c", hop, sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=10)
+    exit_code, peak_kib = map(int, proc.stdout.split())
+    assert exit_code == 2 and "MAX_EXPANSION" in proc.stderr
+    assert peak_kib <= 48 * 1024
 
 
 def test_spec_file_with_large_ord_finishes(tmp_path):

@@ -13,35 +13,11 @@ from ncsolenoid.exactnum import (
     PFrac,
     QuadReal,
     RadicandMismatchError,
-    ext_gcd,
-    floor,
     frac1,
     is_prime,
+    require_prime,
     parse_rational,
 )
-
-
-def test_ext_gcd_frozen_cases():
-    # oracle: hand-checked Bezout identities
-    assert ext_gcd(4, -1) == (1, 0, -1)
-    assert ext_gcd(2, 0) == (2, 1, 0)
-    assert ext_gcd(0, -7) == (7, 0, -1)
-    assert ext_gcd(12, 18) == (6, -1, 1)
-    with pytest.raises(ValueError):
-        ext_gcd(0, 0)
-
-
-def test_ext_gcd_random_bezout():
-    rng = random.Random(101)
-    for _ in range(500):
-        u = rng.randint(-200, 200)
-        v = rng.randint(-200, 200)
-        if u == 0 and v == 0:
-            continue
-        g, s, t = ext_gcd(u, v)
-        assert g == math.gcd(u, v)
-        assert g >= 0
-        assert s * u + t * v == g
 
 
 def test_is_prime_small():
@@ -60,6 +36,14 @@ def test_is_prime_miller_rabin():
     assert not is_prime(MR_LIMIT + 1)  # even: trial division by the bases decides it
     with pytest.raises(ValueError):
         is_prime(MR_LIMIT)
+
+
+def test_require_prime_names_the_number():
+    for p in (2, 3, 1009, 2**61 - 1):
+        require_prime(p)
+    for n in (-7, 0, 1, 4, 3825123056546413051):
+        with pytest.raises(ValueError, match=f"^{n} is not prime$"):
+            require_prime(n)
 
 
 def test_radicand_bound():
@@ -127,11 +111,11 @@ def test_quadreal_golden_ratio_identity():
 def test_quadreal_floor_frozen():
     # oracle: isqrt bracketing computed by hand; floor(1 + sqrt(2)) = 2
     x = QuadReal(1, 1, 2)
-    assert floor(x) == 2
-    assert floor(QuadReal.sqrt_of(2)) == 1
-    assert floor(-QuadReal.sqrt_of(2)) == -2
-    assert floor(QuadReal(Fraction(7, 2))) == 3
-    assert floor(QuadReal(-3)) == -3
+    assert math.floor(x) == 2
+    assert math.floor(QuadReal.sqrt_of(2)) == 1
+    assert math.floor(-QuadReal.sqrt_of(2)) == -2
+    assert math.floor(QuadReal(Fraction(7, 2))) == 3
+    assert math.floor(QuadReal(-3)) == -3
 
 
 def test_quadreal_normalization():
@@ -168,7 +152,7 @@ def test_quadreal_order_exact():
     for _ in range(300):
         x = QuadReal(Fraction(rng.randint(-20, 20), rng.randint(1, 12)),
                      Fraction(rng.randint(-20, 20), rng.randint(1, 12)), 2)
-        n = floor(x)
+        n = math.floor(x)
         assert QuadReal(n) <= x < QuadReal(n + 1)
         f = frac1(x)
         assert QuadReal(0) <= f < QuadReal(1)
@@ -183,9 +167,9 @@ def test_quadreal_big_denominator_floor():
     # denominators at direct-limit scale must not touch floats
     big = 2**101
     x = QuadReal(Fraction(1, big), Fraction(1, big), 2)
-    assert floor(x) == 0
+    assert math.floor(x) == 0
     y = QuadReal(0, Fraction(big + 1, big), 2)
-    assert floor(y) == 1
+    assert math.floor(y) == 1
 
 
 def test_quadreal_mixed_radicands():
@@ -323,9 +307,17 @@ def test_field_operations_match_fractions(a1, b1, a2, b2, D):
 @given(rationals, rationals, squarefree)
 def test_floor_brackets_value(a, b, D):
     x = QuadReal(a, b, D)
-    n = floor(x)
+    n = math.floor(x)
     assert ref_sign(a - n, b, D) >= 0
     assert ref_sign(a - n - 1, b, D) < 0
+
+
+@PROPERTY
+@given(rationals, rationals, squarefree)
+def test_as_int_is_integrality(a, b, D):
+    x = QuadReal(a, b, D)
+    n = math.floor(x)
+    assert x.as_int() == (n if x == QuadReal(n) else None)
 
 
 @PROPERTY

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncsolenoid
-from ncsolenoid import morita, padic, solenoid
-from ncsolenoid.exactnum import MR_LIMIT, QuadReal, ext_gcd, floor, frac1
+from ncsolenoid import exactnum, morita
+from ncsolenoid.exactnum import MR_LIMIT, QuadReal, frac1
 from ncsolenoid.morita import (
     MAX_SEARCH_CANDIDATES,
     MAX_SEARCH_LEVEL,
@@ -137,6 +137,36 @@ def test_ab_normalized_random_properties():
         assert mob.det == 1
         assert beta == mob.apply(alpha)
         assert QuadReal(0) <= beta < QuadReal(1)
+
+
+def _ext_gcd(u: int, v: int) -> tuple[int, int, int]:
+    """Extended Euclid, the reference Bezout pair: (g, s, t) with g = gcd(u, v) >= 0 and s*u + t*v = g."""
+    old_r, r, old_s, s, old_t, t = abs(u), abs(v), 1, 0, 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, (old_s if u >= 0 else -old_s), (old_t if v >= 0 else -old_t)
+
+
+@pytest.mark.parametrize("c", [1, -1, 2, -2, -5, -12, 37, -64])
+def test_ab_normalized_matches_a_euclid_completion(c):
+    # any det +1 completion, shifted into [0,1), gives the same pair: negative c and |c| = 1 included
+    rng = random.Random(c)
+    for d in [x for x in range(-30, 31) if math.gcd(c, x) == 1]:
+        alpha = frac1(QuadReal.sqrt_of(rng.choice([2, 3, 5])) / rng.randint(2, 7))
+        tau = alpha * c + d
+        g, a, b = _ext_gcd(d, -c)
+        assert g == 1 and a * d - b * c == 1
+        raw = (alpha * a + b) / tau
+        shift = -math.floor(raw)
+        mob, beta = ab_normalized(TraceLine(0, c, d), alpha, tau)
+        assert (mob.a, mob.b, mob.c, mob.d) == (a + shift * c, b + shift * d, c, d)
+        assert beta == raw + shift == mob.apply(alpha) and mob.det == 1
+    with pytest.raises(ConditionError) as exc:
+        ab_normalized(TraceLine(3, 2 * c, 4), THETA, THETA * 2 * c + 4)
+    assert exc.value.witness == (3, 2 * c, 4)
 
 
 def test_heisenberg_partner_frozen_p2():
@@ -289,7 +319,7 @@ def test_partner_spec_is_the_projection_tower(p, c0, rng):
     rows = [d0 for d0 in range(-3 * c0, 3 * c0 + 1)
             if theta * c0 + d0 > 0 and condition_check(p, ProjectionData(1, c0, d0), spec.x(0))]
     d0 = rng.choice(rows)
-    proj = ProjectionData(floor(theta * c0 + d0) + 1, c0, d0)
+    proj = ProjectionData(math.floor(theta * c0 + d0) + 1, c0, d0)
     partner = partner_spec(spec, proj)
     assert partner.digits.precision == math.inf and partner.digits.ord >= 0
     window = projection_partner(spec, proj, 10)
@@ -479,15 +509,16 @@ def _reference_search(
                     alpha = alpha_at(t, 2 * n)
                     c, d = c0 * t.p ** (2 * n), d0 - c0 * _digit_head(t, 2 * n)
                     assert alpha * c + d == tau
-                    g, u, v = ext_gcd(d, -c)
+                    g, u, v = _ext_gcd(d, -c)
                     assert g == 1
                     values.append(frac1(MobiusPair(u, v, c, d).apply(alpha)))
                 for orientation, sign in (("direct", 1), ("flipped", -1)):
                     if values == [frac1(sign * x) for x in targets]:
                         # the search's precision: the smaller digit precision of t and b
                         H = min(t.digits.precision, b.digits.precision)
+                        entries = tuple(range(0, 2 * N + 1, 2))
                         return CertificateResult(
-                            "found", c0, d0, floor(tau) + 1, k, tuple(range(0, 2 * N + 1, 2)), orientation, precision=H
+                            "found", c0, d0, math.floor(tau) + 1, k, entries, orientation, precision=H
                         )
     return CertificateResult(status="inconclusive")
 
@@ -497,7 +528,7 @@ def _planted_projection(rng: random.Random, t: SolenoidSpec) -> ProjectionData:
     cands = [(c0, d0) for c0 in (1, 2, 3) for d0 in range(-2, 3)
              if t.theta * c0 + d0 > 0 and condition_check(t.p, ProjectionData(1, c0, d0), t.x(0))]
     c0, d0 = rng.choice(cands)
-    return ProjectionData(floor(t.theta * c0 + d0) + 1, c0, d0)
+    return ProjectionData(math.floor(t.theta * c0 + d0) + 1, c0, d0)
 
 
 def _planted_window(rng: random.Random, a: SolenoidSpec, k: int, N: int) -> SeqWindow:
@@ -579,7 +610,7 @@ def test_found_pairs_share_field_and_discriminant(p, k, rng):
 def _negated(spec: SolenoidSpec) -> SolenoidSpec:
     """The spec (frac1(-theta), -x - (frac1(-theta) + theta)), whose alpha_n is -alpha_n mod 1; same precision."""
     theta = frac1(-spec.theta)  # -theta - floor(-theta), so -x - (theta' + theta) = -x + floor(-theta)
-    return SolenoidSpec(spec.p, theta, -spec.digits + floor(-spec.theta))
+    return SolenoidSpec(spec.p, theta, -spec.digits + math.floor(-spec.theta))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -738,7 +769,7 @@ def test_search_drops_a_candidate_at_its_first_mismatch(monkeypatch, name, rejec
 
 def _entry0_matches(alpha: QuadReal, theta: QuadReal, c0: int, d0: int) -> bool:
     """Is the det +1 image of alpha with bottom row (c0, d0) theta or -theta mod 1?"""
-    g, u, v = ext_gcd(d0, -c0)
+    g, u, v = _ext_gcd(d0, -c0)
     return g == 1 and frac1(MobiusPair(u, v, c0, d0).apply(alpha)) in (frac1(theta), frac1(-theta))
 
 
@@ -755,7 +786,7 @@ def test_entry0_rows_hold_every_match(p, k, rational, image, rng):
         alpha = truncate_spec(random_unit_spec(rng, p), k).theta
     if image:
         c0, d0 = rng.choice([(c0, d0) for c0 in range(1, 7) for d0 in range(-40, 41) if math.gcd(c0, d0) == 1])
-        _, u, v = ext_gcd(d0, -c0)
+        _, u, v = _ext_gcd(d0, -c0)
         theta = MobiusPair(u, v, c0, d0).apply(alpha) * rng.choice((1, -1)) + rng.randint(-3, 3)
     else:
         rational_part = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -811,8 +842,7 @@ def test_search_proves_no_prime_per_truncation(monkeypatch):
     a = SolenoidSpec(p, QuadReal.parse("1/3"), PAdic.from_rational(p, Fraction(3, 5)))
     b = SolenoidSpec(p, QuadReal.parse("2/97"), PAdic.from_rational(p, Fraction(3, 5)))
     proved, built = [], []
-    monkeypatch.setattr(padic, "is_prime", lambda n: proved.append(n) or True)
-    monkeypatch.setattr(solenoid, "is_prime", lambda n: proved.append(n) or True)
+    monkeypatch.setattr(exactnum, "is_prime", lambda n: proved.append(n) or True)
     monkeypatch.setattr(morita, "truncate_spec", lambda spec, k: built.append(k) or truncate_spec(spec, k))
     assert certificate_search(a, b, SearchBounds(max_c0=58, entries=0)).status == "inconclusive"
     assert built == list(range(0, MAX_SEARCH_LEVEL + 1, 2)) and proved == []
@@ -843,7 +873,7 @@ def test_wide_planted_partner_found_at_default_bounds(d0_abs):
             rows = [(c0, d0) for c0 in range(1, 5) for d0 in (-d0_abs, d0_abs)
                     if t.theta * c0 + d0 > 0 and condition_check(p, ProjectionData(1, c0, d0), t.x(0))]
         c0, d0 = rng.choice(rows)
-        b = from_even_entries(p, projection_partner(t, ProjectionData(floor(t.theta * c0 + d0) + 1, c0, d0), N))
+        b = from_even_entries(p, projection_partner(t, ProjectionData(math.floor(t.theta * c0 + d0) + 1, c0, d0), N))
         res = certificate_search(a, b)
         assert (res.status, res.k, res.c0, res.d0) == ("found", k, c0, d0)
         _assert_certificate(a, b, res, N)

@@ -123,6 +123,19 @@ def test_embed_rejects_degenerate_parameters():
         lambda_embed(PAdic.from_rational(2, 1), QuadReal(0), g)
 
 
+@pytest.mark.parametrize("embed", [iota_embed, lambda_embed])
+def test_embeddings_share_their_input_check(embed):
+    one = PAdic.from_rational(2, 1)
+    cases = [
+        ((PAdic.from_rational(2, 0), SQRT2, GammaElem.of(2, 1, 1)), "x must be a nonzero p-adic integer"),
+        ((one, QuadReal(0), GammaElem.of(2, 1, 1)), "theta must be nonzero"),
+        ((one, SQRT2, GammaElem.of(3, 1, 1)), "prime mismatch between x and lattice point"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            embed(*args)
+
+
 def test_eta_pullback_is_psi():
     # pairing pulled back along iota must reproduce the multiplier exactly
     rng = random.Random(73)
@@ -258,7 +271,6 @@ def test_phase_arg_compares_without_a_floor(monkeypatch):
     with monkeypatch.context() as m:
         for mod in (exactnum, multiplier):
             m.setattr(mod, "frac1", refuse)
-        m.setattr(exactnum, "floor", refuse)
         m.setattr(QuadReal, "__floor__", refuse)
         a, b = PhaseArg.of(x), PhaseArg.of(y)
         assert a == b and a - b == PhaseArg.of(0) and (a - b).is_zero and not (a + b).is_zero

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncsolenoid import padic
+from ncsolenoid import exactnum, padic
 from ncsolenoid.exactnum import MR_LIMIT, PFrac
 from ncsolenoid.padic import MAX_EXPANSION, MAX_ORD_BITS, PAdic, PrecisionError, _digits_value, _int_digits, _strip
 
@@ -25,7 +25,7 @@ def test_arithmetic_proves_no_prime(monkeypatch):
     # arithmetic result took most of a multiplier check's time
     x, y = PAdic.from_rational(7, Fraction(3, 5)), PAdic.from_rational(7, 2)
     proved = []
-    monkeypatch.setattr(padic, "is_prime", lambda p: proved.append(p) or True)
+    monkeypatch.setattr(exactnum, "is_prime", lambda p: proved.append(p) or True)
     results = [x + y, x - y, 1 - x, -x, x * y, x.invert(), x + 1, x * Fraction(1, 3)]
     assert proved == []
     assert [r.as_fraction() for r in results] == [Fraction(13, 5), Fraction(-7, 5), Fraction(2, 5), Fraction(-3, 5),
@@ -525,3 +525,41 @@ def test_digits_value_is_digit_sum(p, data):
     digits = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
     assert _digits_value(digits, p) == sum(d * p**i for i, d in enumerate(digits))
     assert _int_digits(_digits_value(digits, p), p, n) == list(digits)
+
+
+@st.composite
+def long_preperiods(draw) -> PAdic:
+    """Exact values and windows whose unit's numerator dwarfs its denominator: long preperiods, periods below 3000."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 101, 1009]))
+    q = Fraction(draw(st.integers(-(10**30), 10**30)), draw(st.integers(1, 3000)))
+    x = PAdic.from_rational(p, q * Fraction(p) ** draw(st.integers(-5, 5)))
+    return x.truncate(draw(st.integers(-3, 150))) if draw(st.booleans()) else x
+
+
+@PROPERTY
+@given(long_preperiods())
+def test_expansion_is_the_minimal_digit_form(x):
+    # oracle, by no carry loop: the digits rebuild x through the constructor, the period is primitive (no rotation
+    # by a proper divisor of its length fixes it), and the preperiod cannot give its last digit to the period
+    v, pre, per = 0 if x.is_zero else x.ord, x.pre, x.per
+    assert all(0 <= d < x.p for d in pre + per)
+    if x.is_zero:
+        assert (pre, per) == ((), (0,))
+    else:
+        assert (pre + per)[0] != 0
+        assert PAdic(x.p, v, pre, per).truncate(x.precision) == x
+    L = len(per)
+    assert all(per != per[k:] + per[:k] for k in range(1, L) if L % k == 0)
+    assert not pre or pre[-1] != per[-1]
+    if x.precision < math.inf:
+        assert per == (0,) and len(pre) <= max(x.precision - v, 0)
+    # the display bound holds exactly at the total digit count, at small bounds too
+    total = len(pre) + len(per)
+    with pytest.MonkeyPatch.context() as m:
+        for bound in sorted({1, 2, 3, 5, 10, max(total - 1, 1), total}):
+            m.setattr(padic, "MAX_EXPANSION", bound)
+            if total <= bound:
+                assert x.to_json() == {"p": x.p, "ord": v, "preperiod": list(pre), "period": list(per)}
+            else:
+                with pytest.raises(ValueError, match=f"MAX_EXPANSION = {bound} {x.p}-adic digits"):
+                    x.to_json()
