@@ -28,7 +28,7 @@ from .morita import (
     projection_partner,
     relate_check,
 )
-from .padic import PAdic, _int_digits
+from .padic import PAdic
 from .solenoid import SolenoidSpec, alpha_at
 
 # padic trunc prints k digits of a prime up to exactnum.MR_LIMIT, read off the window's unit in halves by divisions
@@ -141,9 +141,10 @@ def _cmd_padic(args) -> dict:
         f = value.frac_part()
         base["frac_part"] = str(f)
         base["as_rational"] = str(f.as_fraction())
-    else:  # trunc: the digits at indices ord..k-1 are those of the window's reduced unit
+    else:  # trunc: the digits at indices ord..k-1, the window's preperiod padded with zeros
         t = value.truncate(args.k)
-        base.update({"ord": t.ord, "digits": _int_digits(t.u.numerator, args.p, args.k - t.ord), "precision": t.precision})
+        pre = list(t.pre)
+        base.update({"ord": t.ord, "digits": pre + [0] * (args.k - t.ord - len(pre)), "precision": t.precision})
     return base
 
 

@@ -387,10 +387,6 @@ class QuadReal:
 
     # -- views ---------------------------------------------------------------
 
-    @property
-    def is_rational(self) -> bool:
-        return self.B == 0
-
     def as_int(self) -> int | None:
         """self as an int, or None when it is no integer.
 

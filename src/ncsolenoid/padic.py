@@ -1,15 +1,16 @@
 """Exact p-adic numbers with eventually periodic digit streams.
 
 Eventually periodic streams are exactly the rationals, so a PAdic is stored
-in the normal form p**ord * u, u a p-adic unit Fraction, with p stripped once
-when the value is built; every digit is a view computed from u on demand.
-The minimal (ord, preperiod, period) form is built only for display.
+as plain integers in the normal form p**ord * num/den, num/den a p-adic unit,
+with p stripped once when the value is built; every digit is a view computed
+from num/den on demand.  The minimal (ord, preperiod, period) form is built
+only for display.
 
 A PAdic also carries its precision: the digits at indices >= precision are
 unknown, and an exact value has precision math.inf.  Irrational p-adics are
-supported only as such finite windows.  A window reduces u mod
-p**(precision - ord), and one zero to its precision has ord = precision and
-u = 0, so ==, hash and to_json read only the known digits.
+supported only as such finite windows.  A window reduces num/den to an
+integer mod p**(precision - ord), and one zero to its precision has ord =
+precision and num = 0, so ==, hash and to_json read only the known digits.
 """
 
 from __future__ import annotations
@@ -34,10 +35,15 @@ class PrecisionError(ValueError):
     """A digit window does not determine the requested quantity."""
 
 
-def _mod_unit(num: int, den: int, p: int, n: int) -> int:
-    """num / den mod p**n, den prime to p: one modular inverse, however large n is."""
-    mod = p**n
+def _mod_unit(num: int, den: int, mod: int) -> int:
+    """num / den mod a power of p, den prime to p: one modular inverse, however large the power is."""
     return num * pow(den, -1, mod) % mod
+
+
+def require_ord_bits(p: int, n: int, what: str) -> None:
+    """Refuse an exponent n whose p**|n| is past MAX_ORD_BITS; what names it in the message."""
+    if abs(n) * (p.bit_length() - 1) > MAX_ORD_BITS:
+        raise ValueError(f"{what} past MAX_ORD_BITS = {MAX_ORD_BITS} bits")
 
 
 def _digits_value(digits: tuple[int, ...], p: int) -> int:
@@ -69,15 +75,14 @@ def _int_digits(n: int, p: int, length: int) -> list[int]:
 
 
 class PAdic:
-    """Element of Q_p with an eventually periodic (hence rational) digit stream, in the normal form p**ord * u.
+    """Element of Q_p with an eventually periodic (hence rational) digit stream, in the normal form p**ord * num/den.
 
-    u is a p-adic unit Fraction, and precision the index of the first unknown
-    digit: math.inf for an exact value, N for a window known mod p**N, whose
-    u is reduced mod p**(N - ord).  A value zero to its precision has ord =
-    precision and u = 0.
+    num/den is a p-adic unit in lowest terms with den > 0, and precision the index of the first unknown digit: math.inf
+    for an exact value, N for a window known mod p**N, whose unit is reduced mod p**(N - ord) to num with den = 1.  A
+    value zero to its precision has ord = precision, num = 0 and den = 1.
     """
 
-    __slots__ = ("p", "ord", "u", "precision")
+    __slots__ = ("p", "ord", "num", "den", "precision")
 
     def __init__(self, p: int, v: int, pre, per):
         """The value with digits pre, then per repeated forever, starting at index v."""
@@ -90,15 +95,16 @@ class PAdic:
         # head + block * p**len(pre) / (1 - p**len(per)), over the positive denominator p**len(per) - 1
         den = p ** len(per) - 1
         x = PAdic._new(p, v, _digits_value(pre, p) * den - _digits_value(per, p) * p ** len(pre), den)
-        self.p, self.ord, self.u, self.precision = p, x.ord, x.u, x.precision
+        self.p, self.ord, self.num, self.den, self.precision = p, x.ord, x.num, x.den, x.precision
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def _new(cls, p: int, v, num: int, den: int, precision=math.inf) -> "PAdic":
-        """p**v * num / den known below precision, den prime to p, over a p proved prime before.
+        """p**v * num / den known below precision, den nonzero and prime to p, over a p proved prime before.
 
-        Every value is built here: p is stripped from num once, and a window's unit reduced mod p**(precision - ord).
+        Every value is built here: p is stripped from num once, and the unit put in lowest terms over den > 0, or for a
+        window reduced mod p**(precision - ord).
         """
         x = object.__new__(cls)
         x.p, x.precision = p, precision
@@ -106,11 +112,12 @@ class PAdic:
             num, e = _strip(num, p)
             v += e
         if not num or v >= precision:
-            x.ord, x.u = precision, Fraction(0)
+            x.ord, x.num, x.den = precision, 0, 1
         elif precision == math.inf:
-            x.ord, x.u = v, Fraction(num, den)
+            g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+            x.ord, x.num, x.den = v, num // g, den // g
         else:
-            x.ord, x.u = v, Fraction(_mod_unit(num, den, p, precision - v))
+            x.ord, x.num, x.den = v, _mod_unit(num, den, p ** (precision - v)), 1
         return x
 
     @classmethod
@@ -133,8 +140,7 @@ class PAdic:
             raise ValueError(f"digits p and ord must be integers, got {p!r} and {v!r}")
         if not (isinstance(pre, list) and isinstance(per, list) and all(type(d) is int for d in pre + per)):
             raise ValueError("digits preperiod and period must be lists of integers")
-        if abs(v) * (p.bit_length() - 1) > MAX_ORD_BITS:
-            raise ValueError(f"digits ord {v} puts {p}**|ord| past MAX_ORD_BITS = {MAX_ORD_BITS} bits")
+        require_ord_bits(p, v, f"digits ord {v} puts {p}**|ord|")
         return cls(p, v, pre, per)
 
     # -- digit views -----------------------------------------------------------
@@ -144,7 +150,7 @@ class PAdic:
         v = self.ord
         if n <= v:
             return 0
-        r = _mod_unit(self.u.numerator, self.u.denominator, self.p, n - v)
+        r = _mod_unit(self.num, self.den, self.p ** (n - v))
         return r * self.p**v if v > 0 else r
 
     def _head(self, h: int) -> PFrac:
@@ -154,43 +160,48 @@ class PAdic:
         return PFrac(self.p, self._below(h + 1), max(-self.ord, 0))
 
     def _expand(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """Minimal (ord, preperiod, period) of u's digits by the carry loop of long division, holding two states.
+        """Minimal (ord, preperiod, period) of num/den's digits: the preperiod read in halves, the period carried.
 
-        Write u = m/den, den > 0 prime to p.  A digit step takes the carry
-        state m to m' = (m - d*den)/p with d = m/den mod p, so m/den is the
-        value of the digits still to come.  Those digits are purely periodic
-        exactly when -den <= m <= 0: a block of L digits worth A, 0 <= A <=
-        p**L - 1, repeats to -A/(p**L - 1) in [-1, 0]; and m/den in [-1, 0]
-        is -A/(p**L - 1) for L the order of p mod den, with the integer
-        A = -m*(p**L - 1)/den in [0, p**L - 1], whose L digits repeat.  So
-        the step maps the interval into itself, the minimal preperiod ends at
-        the first state m0 in it, and the minimal period when m0 first
-        returns, as a state and the digits after it determine each other.
-        A window's u is an integer below p**(precision - ord): its digits, then the period (0).
+        Long division takes a carry state m, first num, to m' = (m - d*den)/p with the digit d = m/den mod p, so m/den
+        is the value of the digits still to come, and after i digits m_i = (num - den*h_i)/p**i, h_i = num/den mod p**i.
+        Those digits are purely periodic exactly when -den <= m <= 0: a block of L digits worth A, 0 <= A <= p**L - 1,
+        repeats to -A/(p**L - 1) in [-1, 0]; and m/den in [-1, 0] is -A/(p**L - 1) for L the order of p mod den, with
+        the integer A = -m*(p**L - 1)/den in [0, p**L - 1], whose L digits repeat.  So the step maps the interval into
+        itself, the minimal preperiod ends at the first state m_s in it, and the minimal period when m_s first returns,
+        as a state and the digits after it determine each other.
+
+        With U least such that p**U > X = max(num, -num - den), the integer m_U lies in [(num + den)/p**U - den,
+        num/p**U], inside (-1 - den, 1), so s <= U: h_U's U digits are the preperiod and U - s period digits, which the
+        walk back m_{i-1} = d_{i-1}*den + p*m_i gives back while it stays in [-den, 0]; a window (den = 1, num >= 0) so
+        gives num's digits and the period (0).  The display bound may refuse before any digit is read: if num > 0, m_s
+        <= 0 needs den*h_s >= num, so p**s > num/den; if num < -den, m_s >= -den needs den*(p**s - h_s) >= -num > X, so
+        p**s > X/den.  Both give p**s > p**(U - 1)/den, so s > U - 1 - log_p(den) > U - 1 - den.bit_length().
         """
-        if not self.u:
+        if not self.num:
             return 0, (), (0,)
-        p, m, den = self.p, self.u.numerator, self.u.denominator
-        if self.precision < math.inf:
-            n = min(self.precision - self.ord, MAX_EXPANSION - 1)  # and one digit of period
-            if m >= p**n:
-                raise ValueError(_TOO_LONG.format(MAX_EXPANSION, p))
-            pre = _int_digits(m, p, n)
-            while not pre[-1]:
-                pre.pop()
-            return self.ord, tuple(pre), (0,)
-        inv_den = pow(den, -1, p)
-        digits: list[int] = []
-        start = first = None
-        while m != first:
-            if first is None and -den <= m <= 0:
-                start, first = len(digits), m
-            if len(digits) == MAX_EXPANSION:
+        p, m, den = self.p, self.num, self.den
+        x = max(m, -m - den)
+        U = int(math.log(x, p)) + 1 if x > 0 else 0  # a float seed; the exact comparisons with P = p**U decide U
+        P = p**U
+        while U and P > x * p:
+            U, P = U - 1, P // p
+        while P <= x:
+            U, P = U + 1, P * p
+        if U - 1 - den.bit_length() >= MAX_EXPANSION:
+            raise ValueError(_TOO_LONG.format(MAX_EXPANSION, p))
+        h = _mod_unit(m, den, P)
+        pre, m = _int_digits(h, p, U), (m - den * h) // P
+        while pre and -den <= (prev := pre[-1] * den + p * m) <= 0:
+            m = prev
+            pre.pop()
+        inv_den, per, first = pow(den, -1, p), [], m
+        while not per or m != first:
+            if len(pre) + len(per) >= MAX_EXPANSION:
                 raise ValueError(_TOO_LONG.format(MAX_EXPANSION, p))
             d = (m * inv_den) % p
-            digits.append(d)
+            per.append(d)
             m = (m - d * den) // p
-        return self.ord, tuple(digits[:start]), tuple(digits[start:])
+        return self.ord, tuple(pre), tuple(per)
 
     @property
     def is_zero(self) -> bool:
@@ -212,11 +223,9 @@ class PAdic:
         return h.j // self.p ** max(h.k + j, 0)
 
     def as_fraction(self) -> Fraction:
-        """p**ord * u: the value, and for a window the one whose digits from the precision on are 0."""
-        u, v = self.u, self.ord
-        if not u:
-            return u
-        return u * self.p**v if v >= 0 else u / self.p**-v
+        """p**ord * num/den: the value, and for a window the one whose digits from the precision on are 0."""
+        num, v = self.num, self.ord
+        return Fraction(num * self.p ** max(v, 0), self.den * self.p ** max(-v, 0)) if num else Fraction(0)
 
     def to_json(self) -> dict:
         v, pre, per = self._expand()
@@ -226,7 +235,7 @@ class PAdic:
         """The same value with the digits at indices >= n unknown, i.e. known mod p**n."""
         if n >= self.precision:
             return self
-        return PAdic._new(self.p, self.ord, self.u.numerator, self.u.denominator, n)
+        return PAdic._new(self.p, self.ord, self.num, self.den, n)
 
     def frac_part(self) -> PFrac:
         """Fractional part: the digits at negative indices, a value in [0,1) of Z[1/p]."""
@@ -240,34 +249,28 @@ class PAdic:
 
     # -- arithmetic (rational closure; windows keep what they can claim) ------
 
-    def _parts(self, other) -> "tuple | None":
-        """other as (ord, unit numerator, unit denominator, precision); None for a type that is no value of Q_p."""
+    def _coerce(self, other) -> "PAdic | None":
+        """other as an exact PAdic over self's p, if it is not one; None for a type that is no value of Q_p."""
         p = self.p
         if isinstance(other, (PAdic, PFrac)) and other.p != p:
             raise ValueError(f"mixed primes {p} and {other.p}")
         if isinstance(other, PAdic):
-            u = other.u
-            return other.ord, u.numerator, u.denominator, other.precision
+            return other
         if isinstance(other, int):
-            num, den, k = other, 1, 0
-        elif isinstance(other, Fraction):
-            num, (den, k) = other.numerator, _strip(other.denominator, p)
-        elif isinstance(other, PFrac):
-            num, den, k = other.j, 1, other.k
-        else:
-            return None
-        if not num:
-            return math.inf, 0, 1, math.inf
-        num, e = _strip(num, p)
-        return e - k, num, den, math.inf
+            return PAdic._new(p, 0, other, 1)
+        if isinstance(other, Fraction):
+            return PAdic._of(p, other)
+        if isinstance(other, PFrac):
+            return PAdic._new(p, -other.k, other.j, 1)
+        return None
 
     def _sum(self, other, s1: int, s2: int):
         """s1 * self + s2 * other known below the smaller precision: the unit parts aligned at the smaller ord."""
-        o = self._parts(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p, u, (v2, n2, d2, N2) = self.p, self.u, o
-        v1, n1, d1, n2, N = self.ord, s1 * u.numerator, u.denominator, s2 * n2, min(self.precision, N2)
+        p, v1, n1, d1, v2, n2, d2 = self.p, self.ord, s1 * self.num, self.den, o.ord, s2 * o.num, o.den
+        N = min(self.precision, o.precision)
         if not (n1 and n2):  # a zero term adds only its precision
             return PAdic._new(p, v1, n1, d1, N) if n1 else PAdic._new(p, v2, n2, d2, N)
         if v1 > v2:
@@ -286,43 +289,44 @@ class PAdic:
         return self._sum(other, -1, 1)
 
     def __neg__(self):
-        u = self.u
-        return PAdic._new(self.p, self.ord, -u.numerator, u.denominator, self.precision)
+        return PAdic._new(self.p, self.ord, -self.num, self.den, self.precision)
 
     def __mul__(self, other):
-        """p**(ord1 + ord2) * u1 * u2 known below min(ord1 + precision2, ord2 + precision1), zero factors included."""
-        o = self._parts(other)
+        """p**(ord1 + ord2) * num1*num2/(den1*den2) known below min(ord1 + precision2, ord2 + precision1), zeros too."""
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
-        (v2, num, den, N2), v1, u = o, self.ord, self.u
-        return PAdic._new(self.p, v1 + v2, u.numerator * num, u.denominator * den, min(v1 + N2, v2 + self.precision))
+        v1, v2, N = self.ord, o.ord, min(self.ord + o.precision, o.ord + self.precision)
+        return PAdic._new(self.p, v1 + v2, self.num * o.num, self.den * o.den, N)
 
     __rmul__ = __mul__
 
     def invert(self) -> "PAdic":
-        """p**-ord / u known below precision - 2 * ord: ord flips sign and the relative precision is kept."""
+        """p**-ord * den/num known below precision - 2 * ord: ord flips sign and the relative precision is kept."""
         if self.is_zero:
             if self.precision == math.inf:
                 raise ZeroDivisionError("p-adic zero has no inverse")
             raise PrecisionError("window is zero to full precision; order unknown")
-        u = self.u
-        return PAdic._new(self.p, -self.ord, u.denominator, u.numerator, self.precision - 2 * self.ord)
+        return PAdic._new(self.p, -self.ord, self.den, self.num, self.precision - 2 * self.ord)
 
     # -- comparisons -----------------------------------------------------------
 
+    def _key(self) -> tuple:
+        return self.p, self.ord, self.num, self.den, self.precision
+
     def __eq__(self, other):
         if isinstance(other, PAdic):
-            return (self.p, self.ord, self.u, self.precision) == (other.p, other.ord, other.u, other.precision)
+            return self._key() == other._key()
         if isinstance(other, (int, Fraction)):
             return self == PAdic._of(self.p, Fraction(other))
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.ord, self.u, self.precision))
+        return hash(self._key())
 
     def __repr__(self):
         known = "" if self.precision == math.inf else f", precision={self.precision}"
-        if not self.u:
+        if not self.num:
             return f"PAdic(p={self.p}, 0{known})"
         v, pre, per = self._expand()
         return f"PAdic(p={self.p}, ord={v}, pre={list(pre)}, per={list(per)}{known})"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import QuadReal, _quad, frac1, require_prime
-from .padic import MAX_ORD_BITS, PAdic
+from .padic import PAdic, require_ord_bits
 
 
 class CoherenceError(ValueError):
@@ -92,8 +92,7 @@ class SolenoidSpec:
         if horizon is not None:
             if type(horizon) is not int or horizon < 0:
                 raise ValueError(f"digit_horizon must be a nonnegative integer, got {horizon!r}")
-            if horizon * (digits.p.bit_length() - 1) > MAX_ORD_BITS:
-                raise ValueError(f"digit_horizon {horizon} puts {digits.p}**H past MAX_ORD_BITS = {MAX_ORD_BITS} bits")
+            require_ord_bits(digits.p, horizon, f"digit_horizon {horizon} puts {digits.p}**H")
             digits = digits.truncate(horizon)
         return cls(p, QuadReal.parse(theta), digits)
 

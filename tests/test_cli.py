@@ -367,6 +367,21 @@ def test_digit_horizon_at_the_bound_finishes(tmp_path):
     assert json.loads(proc.stdout)["inputs"]["digits"] == {"p": 2, "ord": 0, "preperiod": [1], "period": [0]}
 
 
+def test_long_preperiod_echo_finishes(tmp_path):
+    # a preperiod is read in halves, not one division a digit: 199 000 digits echo, and 300 000, past
+    # MAX_EXPANSION, are refused before any digit is read
+    for length, code in ((199_000, 0), (300_000, 2)):
+        digits = {"p": 3, "ord": 0, "preperiod": [2] * length, "period": [0]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"p": 3, "theta": "sqrt(2)", "digits": digits}))
+        proc = run_process(["solenoid", "alpha", "--spec", str(path), "--n", "1"], timeout=5)
+        assert proc.returncode == code and "Traceback" not in proc.stderr
+        if code:
+            assert "MAX_EXPANSION" in proc.stderr.strip().splitlines()[-1]
+        else:
+            assert json.loads(proc.stdout)["inputs"]["digits"] == digits
+
+
 def test_bimodule_modulus_bound(capsys):
     # c = 2**64 at level 32 is past the C ssize_t that random.sample indexes by; c = 2**62 is not
     argv = ["bimodule", "verify", "--p", "2", "--theta", "(-1+1*sqrt(2))/1", "--digits", "x=1", "--c0", "1", "--d0", "0",

@@ -720,7 +720,7 @@ def _norm_fits(alpha: QuadReal, theta: QuadReal, c0: int, d0: int) -> bool:
     rational alpha = A/M, g.alpha has the reduced denominator |tau| * M, which must be theta's, and tau > 0.
     """
     tau = alpha * c0 + d0
-    if alpha.is_rational:
+    if alpha.B == 0:
         return tau * alpha.M == theta.M
     step = (theta - _conjugate(theta)) * tau * _conjugate(tau)
     return alpha - _conjugate(alpha) in (step, -step)

@@ -529,16 +529,21 @@ def test_digits_value_is_digit_sum(p, data):
 
 @st.composite
 def long_preperiods(draw) -> PAdic:
-    """Exact values and windows whose unit's numerator dwarfs its denominator: long preperiods, periods below 3000."""
+    """Exact values and windows with long preperiods: units whose numerator dwarfs their denominator (periods below
+    3000), and digit streams of 500 to 4000 digits of preperiod and up to 40 of period read by from_json."""
     p = draw(st.sampled_from([2, 3, 5, 7, 11, 101, 1009]))
-    q = Fraction(draw(st.integers(-(10**30), 10**30)), draw(st.integers(1, 3000)))
-    x = PAdic.from_rational(p, q * Fraction(p) ** draw(st.integers(-5, 5)))
-    return x.truncate(draw(st.integers(-3, 150))) if draw(st.booleans()) else x
+    v = draw(st.integers(-5, 5))
+    if draw(st.booleans()):
+        q = Fraction(draw(st.integers(-(10**30), 10**30)), draw(st.integers(1, 3000)))
+        x = PAdic.from_rational(p, q * Fraction(p) ** v)
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        pre, per = ([rng.randrange(p) for _ in range(draw(st.integers(lo, hi)))] for lo, hi in ((500, 4000), (1, 40)))
+        x = PAdic.from_json({"p": p, "ord": v, "preperiod": pre, "period": per})
+    return x.truncate(draw(st.integers(-3, 5000))) if draw(st.booleans()) else x
 
 
-@PROPERTY
-@given(long_preperiods())
-def test_expansion_is_the_minimal_digit_form(x):
+def assert_minimal_digit_form(x: PAdic) -> None:
     # oracle, by no carry loop: the digits rebuild x through the constructor, the period is primitive (no rotation
     # by a proper divisor of its length fixes it), and the preperiod cannot give its last digit to the period
     v, pre, per = 0 if x.is_zero else x.ord, x.pre, x.per
@@ -563,3 +568,19 @@ def test_expansion_is_the_minimal_digit_form(x):
             else:
                 with pytest.raises(ValueError, match=f"MAX_EXPANSION = {bound} {x.p}-adic digits"):
                     x.to_json()
+
+
+@PROPERTY
+@given(long_preperiods())
+def test_expansion_is_the_minimal_digit_form(x):
+    assert_minimal_digit_form(x)
+
+
+def test_expansion_next_to_powers_of_p():
+    # the preperiod is read up to the least U with p**U > max(num, -num - den), which a float only seeds: X at and
+    # next to a power of p, both signs
+    for p in (2, 3, 5, 1009):
+        for k in (1, 2, 30, 64, 300, 2000):
+            for den in (1, 143):
+                for num in (p**k - 1, p**k + 1, -den - p**k + 1, -den - p**k, -den - p**k - 1):
+                    assert_minimal_digit_form(PAdic.from_rational(p, Fraction(num, den)))
