@@ -28,18 +28,6 @@ from .morita import (
 
 __version__ = "0.1.0"
 
-# the bimodule layer, and numpy with it (for the hats' interpolation tables), loads on first use of one of its names
-_BIMODULE_NAMES = ("BimCtx", "ModElem", "SamplePlan", "identity_suite")
-
-
-def __getattr__(name: str):
-    if name in _BIMODULE_NAMES:
-        from . import bimodule
-
-        return getattr(bimodule, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "PFrac",
     "QuadReal",
@@ -73,9 +61,5 @@ __all__ = [
     "partner_spec",
     "projection_partner",
     "relate_check",
-    "BimCtx",
-    "ModElem",
-    "SamplePlan",
-    "identity_suite",
     "__version__",
 ]

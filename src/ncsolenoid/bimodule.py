@@ -16,9 +16,9 @@ The terms are grouped as {(gamma, t1, t2): Counter((k, m))}.  The algebra
 actions of an inner product on a module element give triple terms keyed by
 integers (act_alg_left, act_alg_right).  Every identity compares multisets
 of terms, atoms by their exact parameters, so it reads exactly 0.0 or inf
-and no float enters a decision.  ModElem.eval stays, to tie the terms to
-the textbook sums.  The classes that level_embed spreads one class over,
-or that an action moves, share one term tuple, read once.
+and no float enters a decision; nothing here evaluates an atom.  The
+classes that level_embed spreads one class over, or that an action moves,
+share one term tuple, read once.
 """
 
 from __future__ import annotations
@@ -34,13 +34,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .exactnum import QuadReal, frac1
 from .morita import ProjectionData, checked_trace, stage
 from .solenoid import SolenoidSpec, alpha_at
 
-TWO_PI_I = 2j * math.pi
+np = None  # bench/tracer.py rebinds this name to time numpy; ROADMAP item 6 deletes it with bimodule.numpy_s
 NO_SUPPORT = None
 _ZERO = QuadReal(0)
 # random_mod_elem samples index classes from range(modulus), whose length must fit a C ssize_t:
@@ -72,19 +70,8 @@ class HatFn:
             raise ValueError("breakpoints must be strictly increasing")
         if self.values[0] != 0 or self.values[-1] != 0:
             raise ValueError("endpoint values must vanish (compact support)")
-        # interpolation tables and exact ends, built once; not fields, so == and hash see only the two tuples
-        object.__setattr__(self, "_xp", np.asarray(self.breakpoints))
-        object.__setattr__(self, "_re", np.asarray([v.real for v in self.values]))
-        object.__setattr__(self, "_im", np.asarray([v.imag for v in self.values]))
+        # the exact ends, built once; not a field, so == and hash see only the two tuples
         object.__setattr__(self, "_ends", (Fraction(self.breakpoints[0]), Fraction(self.breakpoints[-1])))
-
-    def eval(self, t):
-        # two real interps: one complex np.interp is not bit-identical to them
-        t = np.asarray(t, dtype=float)
-        out = np.empty(t.shape, dtype=complex)
-        out.real = np.interp(t, self._xp, self._re, left=0.0, right=0.0)
-        out.imag = np.interp(t, self._xp, self._im, left=0.0, right=0.0)
-        return out
 
     def support(self) -> tuple[Fraction, Fraction]:
         return self._ends
@@ -97,9 +84,7 @@ class AffineAtom:
     Every module action is a translation, a modulation or a dilation, and the
     three compose in closed form into this normal form.  lam is a positive
     Fraction, s and omega are QuadReal, and phi is a QuadReal reduced into
-    [0, 1), so == and hash are exact equality.  The support is exact; eval
-    lowers the parameters to floats, once per atom.  AffineAtom(h) evaluates
-    bit-identically to h.
+    [0, 1), so == and hash are exact equality, and the support is exact.
     """
 
     h: object
@@ -126,40 +111,15 @@ class AffineAtom:
         return AffineAtom(self.h, self.lam, self.s, self.omega + w, self.phi + f)
 
     @functools.cached_property
-    def _floats(self) -> tuple[float, float, float, float]:
-        return float(self.lam), float(self.s), float(self.omega), float(self.phi)
-
-    @functools.cached_property
     def _support(self) -> tuple[QuadReal, QuadReal]:
         lo, hi = self.h.support()
         return self.s + lo * self.lam, self.s + hi * self.lam
-
-    def eval(self, t):
-        lam, s, omega, phi = self._floats
-        t = np.asarray(t, dtype=float)
-        values = self.h.eval((t - s) / lam)
-        if not (omega or phi):
-            return values
-        return np.multiply(np.exp(TWO_PI_I * (omega * t + phi)), values)  # np.multiply: see _class_sum
 
     def support(self) -> tuple[QuadReal, QuadReal]:
         return self._support
 
 
 # -- module elements ----------------------------------------------------------------
-
-
-def _class_sum(pairs, t: np.ndarray) -> np.ndarray:
-    """sum of coef * atom(t) over one class's terms, in term order.
-
-    np.multiply, not `*`: numpy computes `coef * temporary` in place once the
-    temporary reaches 256 KiB, and that can move a complex product by an ulp,
-    so the sum would depend on the size of the grid it is evaluated on.
-    """
-    acc = np.zeros(t.shape, dtype=complex)
-    for coef, atom in pairs:
-        acc += np.multiply(coef, atom.eval(t))
-    return acc
 
 
 def _finite_coef(z) -> complex:
@@ -220,10 +180,6 @@ class ModElem:
     def scaled(self, z: complex) -> "ModElem":
         z = _finite_coef(z)  # checked here too: an empty element has no product to check
         return ModElem(self.modulus, {j: tuple((z * c, atom) for c, atom in pairs) for j, pairs in self.terms.items()})
-
-    def eval(self, t, j: int):
-        t = np.asarray(t, dtype=float)
-        return _class_sum(self.terms.get(j % self.modulus, ()), t)
 
     def indices(self) -> tuple[int, ...]:
         return tuple(sorted(self.terms))

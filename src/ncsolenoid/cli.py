@@ -105,7 +105,8 @@ def _load_spec_file(path: str) -> SolenoidSpec:
     try:
         with open(path) as fh:
             return SolenoidSpec.from_json(json.load(fh))
-    except (ValueError, ZeroDivisionError, OSError, KeyError) as exc:
+    # RecursionError: JSON nested past the decoder's limit
+    except (ValueError, ZeroDivisionError, OSError, KeyError, RecursionError) as exc:
         raise ValueError(f"bad spec file {path}: {exc}") from exc
 
 
@@ -215,7 +216,7 @@ def _cmd_bimodule(args) -> dict:
         raise ValueError(
             f"p * --hats * (floor(tau/c0) + 1) must be at most MAX_P_HATS = {MAX_P_HATS}, got {spec.p} * {args.hats} * {spread}"
         )
-    from .bimodule import SamplePlan  # numpy loads here, for the hats' interpolation tables
+    from .bimodule import SamplePlan  # deferred: the bimodule layer's import cost stays off every other command
 
     seed = _resolve_seed(args.seed)
     report = suite_mod.check_bimodule(spec, proj, args.n, SamplePlan(seed=seed, hats=args.hats))

@@ -2,8 +2,8 @@
 
 Every value here is immutable and every operation is exact; no floating point
 enters any arithmetic or comparison path.  Floats appear only on explicit
-lowering (``float(x)``), for the pointwise values of bimodule atoms, which no
-check reads.
+lowering (``float(x)``), for the float reference of the tests and the
+benchmark; no check reads one.
 """
 
 from __future__ import annotations

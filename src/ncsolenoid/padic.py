@@ -176,6 +176,12 @@ class PAdic:
         gives num's digits and the period (0).  The display bound may refuse before any digit is read: if num > 0, m_s
         <= 0 needs den*h_s >= num, so p**s > num/den; if num < -den, m_s >= -den needs den*(p**s - h_s) >= -num > X, so
         p**s > X/den.  Both give p**s > p**(U - 1)/den, so s > U - 1 - log_p(den) > U - 1 - den.bit_length().
+
+        The period is refused before any carry step, too: m_s/den is in lowest terms, as gcd(m_s, den) = gcd(num, den)
+        = 1 and den is prime to p, so for den > 1 the period's length L is the order of p mod den.  Then den divides
+        p**L - 1, so p**L > den, and den > p**MAX_EXPANSION puts L past the bound.  As p**MAX_EXPANSION >=
+        2**(MAX_EXPANSION * (p.bit_length() - 1)), that needs den.bit_length() > MAX_EXPANSION * (p.bit_length() - 1),
+        which is checked first, so that p**MAX_EXPANSION is built only for such a den.
         """
         if not self.num:
             return 0, (), (0,)
@@ -187,7 +193,9 @@ class PAdic:
             U, P = U - 1, P // p
         while P <= x:
             U, P = U + 1, P * p
-        if U - 1 - den.bit_length() >= MAX_EXPANSION:
+        if U - 1 - den.bit_length() >= MAX_EXPANSION or (
+            den.bit_length() > MAX_EXPANSION * (p.bit_length() - 1) and den > p**MAX_EXPANSION
+        ):
             raise ValueError(_TOO_LONG.format(MAX_EXPANSION, p))
         h = _mod_unit(m, den, P)
         pre, m = _int_digits(h, p, U), (m - den * h) // P

@@ -183,7 +183,7 @@ def check_relate(seed: int, count: int = 4, entries: int = 6) -> dict:
 
 def check_bimodule(spec: SolenoidSpec, proj: ProjectionData, n: int, plan: SamplePlan) -> dict:
     """Module/algebra compatibility identities at one tower level, each decided exactly: 0.0 or inf."""
-    from .bimodule import identity_suite  # numpy loads here, for the hats' interpolation tables
+    from .bimodule import identity_suite  # deferred, as in run_all
 
     report = identity_suite(spec, proj, n, plan)
     # a failed identity reads inf, written as null so the report stays strict JSON
@@ -200,7 +200,7 @@ def check_bimodule(spec: SolenoidSpec, proj: ProjectionData, n: int, plan: Sampl
 
 def run_all(seed: int) -> dict:
     """Aggregate every module's property suite under one seed."""
-    from .bimodule import SamplePlan
+    from .bimodule import SamplePlan  # deferred: cli imports suite, and only suite and bimodule verify need it
 
     spec = default_spec()
     checks = [

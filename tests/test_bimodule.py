@@ -2,6 +2,7 @@
 and the compatibility identity suite at small sample plans."""
 
 import dataclasses
+import functools
 import json
 import math
 import random
@@ -51,6 +52,32 @@ def ctx_at(p: int, n: int) -> BimCtx:
     return BimCtx.build(spec_p(p), ProjectionData(1, 1, 0), n)
 
 
+def hat_eval(h: HatFn, t):
+    """h at t, linear between its breakpoints and 0 outside them: two real interps, one per part."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty(t.shape, dtype=complex)
+    out.real = np.interp(t, h.breakpoints, [v.real for v in h.values], left=0.0, right=0.0)
+    out.imag = np.interp(t, h.breakpoints, [v.imag for v in h.values], left=0.0, right=0.0)
+    return out
+
+
+def atom_eval(atom: AffineAtom, t):
+    """exp(2 pi i (omega t + phi)) h((t - s) / lam) at t, the exact parameters lowered to floats."""
+    lam, s, omega, phi = float(atom.lam), float(atom.s), float(atom.omega), float(atom.phi)
+    t = np.asarray(t, dtype=float)
+    values = hat_eval(atom.h, (t - s) / lam)
+    return np.exp(2j * math.pi * (omega * t + phi)) * values if omega or phi else values
+
+
+def class_eval(F: ModElem, t, j: int):
+    """Class j of F at t: the sum of coef * atom(t) over its terms."""
+    t = np.asarray(t, dtype=float)
+    acc = np.zeros(t.shape, dtype=complex)
+    for coef, atom in F.terms.get(j % F.modulus, ()):
+        acc += coef * atom_eval(atom, t)
+    return acc
+
+
 def term_sum(ctx, groups, side, k, r):
     """Component k at r of an inner product given as exact terms, summed in floats.
 
@@ -69,12 +96,12 @@ def term_sum(ctx, groups, side, k, r):
                 qs = range(math.floor((lo - m) / c - r.max()) - 1, math.ceil((hi - m) / c - r.min()) + 2)
                 for q in qs:
                     t = c * r + (m + c * q)
-                    acc += count * (c1 * A1.eval(t)) * np.conj(c2 * A2.eval(t - k * g))
+                    acc += count * (c1 * atom_eval(A1, t)) * np.conj(c2 * atom_eval(A2, t - k * g))
             else:  # A1((c(r + q) - m) gamma), read as A1((cr - (m - cq)) gamma)
                 qs = range(math.floor((lo / g + m) / c - r.max()) - 1, math.ceil((hi / g + m) / c - r.min()) + 2)
                 for q in qs:
                     u = (c * r - (m - c * q)) * g
-                    acc += count * np.conj(c1 * A1.eval(u)) * (c2 * A2.eval(u + k))
+                    acc += count * np.conj(c1 * atom_eval(A1, u)) * (c2 * atom_eval(A2, u + k))
     return acc
 
 
@@ -95,7 +122,7 @@ def triple_sum(ctx, triples, side, t, j):
     for ((cF, AF), (cG, AG), (cH, AH)), counts in triples.items():
         for (cls, u, v), count in counts.items():
             if cls == j:  # left (u, v) = (x, n), right (n, y): F by u, G by u + v gamma, H by v gamma
-                acc += count * (cF * AF.eval(t - u)) * np.conj(cG * AG.eval(t - u - v * g)) * (cH * AH.eval(t - v * g))
+                acc += count * (cF * atom_eval(AF, t - u)) * np.conj(cG * atom_eval(AG, t - u - v * g)) * (cH * atom_eval(AH, t - v * g))
     return acc
 
 
@@ -105,7 +132,7 @@ def pointwise_diff(A: ModElem, B: ModElem, points: int = 200) -> float:
     if not ends:
         return 0.0
     t = np.linspace(float(min(s[0] for s in ends)) - 1.0, float(max(s[1] for s in ends)) + 1.0, points)
-    return max((float(np.max(np.abs(A.eval(t, j) - B.eval(t, j)))) for j in A.terms.keys() | B.terms.keys()), default=0.0)
+    return max((float(np.max(np.abs(class_eval(A, t, j) - class_eval(B, t, j)))) for j in A.terms.keys() | B.terms.keys()), default=0.0)
 
 
 def sample_r(rng: random.Random, points: int) -> np.ndarray:
@@ -125,7 +152,7 @@ def test_hatfn_validation():
 def test_hatfn_eval_and_support():
     f = HatFn((0.0, 1.0, 2.0), (0j, 2 - 1j, 0j))
     t = np.array([-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
-    vals = f.eval(t)
+    vals = hat_eval(f, t)
     assert vals[0] == 0 and vals[-1] == 0
     assert vals[3] == 2 - 1j
     assert abs(vals[2] - (1 - 0.5j)) < 1e-15
@@ -145,13 +172,13 @@ def test_atom_combinators():
     atom = AffineAtom(f)
     t = np.array([1.5])
     half = Fraction(1, 2)
-    assert abs(atom.shift(half).eval(t)[0] - f.eval(np.array([1.0]))[0]) < 1e-15
+    assert abs(atom_eval(atom.shift(half), t)[0] - hat_eval(f, np.array([1.0]))[0]) < 1e-15
     assert atom.shift(half).support() == (half, Fraction(5, 2))
-    assert abs(atom.dilate(2).eval(np.array([2.0]))[0] - 1.0) < 1e-15
+    assert abs(atom_eval(atom.dilate(2), np.array([2.0]))[0] - 1.0) < 1e-15
     assert atom.dilate(2).support() == (0, 4)
     ph = atom.modulate(Fraction(1, 4), Fraction(1, 8))
-    expect = np.exp(2j * math.pi * (0.25 * 1.5 + 0.125)) * f.eval(t)[0]
-    assert abs(ph.eval(t)[0] - expect) < 1e-15
+    expect = np.exp(2j * math.pi * (0.25 * 1.5 + 0.125)) * hat_eval(f, t)[0]
+    assert abs(atom_eval(ph, t)[0] - expect) < 1e-15
     assert ph.support() == f.support()
     # the phase is kept reduced into [0, 1), so equal maps are equal atoms
     assert atom.modulate(0, Fraction(5, 4)) == atom.modulate(0, Fraction(-3, 4)) == atom.modulate(0, Fraction(1, 4))
@@ -203,7 +230,7 @@ def test_atom_chain_matches_nested_float_maps(seed, steps):
     lo, hi = map(float, atom.support())
     t = np.linspace(lo - 1.0, hi + 1.0, 97)
     size = max(abs(v) for v in h.values)
-    assert float(np.max(np.abs(atom.eval(t) - _nested(h.eval, steps)(t)))) <= 1e-12 * size
+    assert float(np.max(np.abs(atom_eval(atom, t) - _nested(functools.partial(hat_eval, h), steps)(t)))) <= 1e-12 * size
 
 
 @PROPERTY
@@ -234,15 +261,15 @@ def test_term_diff_compares_term_multisets_per_class():
 
 
 def test_modelem_basics():
-    f = HatFn((0.0, 1.0, 2.0), (0j, 1 + 0j, 0j))
+    f = AffineAtom(HatFn((0.0, 1.0, 2.0), (0j, 1 + 0j, 0j)))
     F = ModElem.delta(4, 1, f, coef=2.0)
     G = ModElem.delta(4, 5, f)  # index reduces to 1
     s = F.add(G)
     assert s.indices() == (1,)
     t = np.array([1.0])
-    assert abs(s.eval(t, 1)[0] - 3.0) < 1e-15
-    assert abs(s.scaled(1j).eval(t, 1)[0] - 3j) < 1e-15
-    assert s.support() == (0.0, 2.0)
+    assert abs(class_eval(s, t, 1)[0] - 3.0) < 1e-15
+    assert abs(class_eval(s.scaled(1j), t, 1)[0] - 3j) < 1e-15
+    assert s.support() == (0, 2)
     with pytest.raises(ValueError):
         F.add(ModElem.delta(3, 0, f))
 
@@ -275,11 +302,11 @@ def test_left_generator_action_formulas():
     # U: translate by gamma, index +1
     UF = act_left_gen(ctx, "U", 1, F)
     assert UF.indices() == (2,)
-    assert np.allclose(UF.eval(t, 2), f.eval(t - ctx.gamma_f))
+    assert np.allclose(class_eval(UF, t, 2), hat_eval(f, t - ctx.gamma_f))
     # V: phase exp(2 pi i (t - a j)/c) at the same index
     VF = act_left_gen(ctx, "V", 1, F)
-    expect = np.exp(2j * math.pi * (t - ctx.a * 1) / ctx.c) * f.eval(t)
-    assert np.allclose(VF.eval(t, 1), expect)
+    expect = np.exp(2j * math.pi * (t - ctx.a * 1) / ctx.c) * hat_eval(f, t)
+    assert np.allclose(class_eval(VF, t, 1), expect)
     assert act_left_gen(ctx, "U", 0, F) is F
 
 
@@ -290,10 +317,10 @@ def test_right_generator_action_formulas():
     t = np.array([0.7, 1.3, 2.2])
     FU = act_right_gen(ctx, "U", 1, F)
     assert FU.indices() == ((1 + ctx.d) % 4,)
-    assert np.allclose(FU.eval(t, 1 + ctx.d), f.eval(t - 1.0))
+    assert np.allclose(class_eval(FU, t, 1 + ctx.d), hat_eval(f, t - 1.0))
     FV = act_right_gen(ctx, "V", 1, F)
-    expect = np.exp(2j * math.pi * (t / ctx.gamma_f - 1) / ctx.c) * f.eval(t)
-    assert np.allclose(FV.eval(t, 1), expect)
+    expect = np.exp(2j * math.pi * (t / ctx.gamma_f - 1) / ctx.c) * hat_eval(f, t)
+    assert np.allclose(class_eval(FV, t, 1), expect)
 
 
 def test_commutation_relations_pointwise():
@@ -317,7 +344,7 @@ def test_inner_left_single_summand_frozen():
     A = inner_left(ctx, F, F)
     assert term_ks(A) == [0]
     got = term_sum(ctx, A, "left", 0, np.array([0.1]))[0]
-    fx = f.eval(np.array([0.1]))[0]
+    fx = hat_eval(f, np.array([0.1]))[0]
     assert abs(got - abs(fx) ** 2) < 1e-15
     assert abs(got.imag) < 1e-15
 
@@ -373,10 +400,10 @@ def _per_m_kernel(ctx, F1, F2, side, k, r):
             empty += not ms
             for m in ms:
                 if side == "left":
-                    acc += F1.eval(cc * r + m, j1) * np.conj(F2.eval(cc * r + m - k * g, j2))
+                    acc += class_eval(F1, cc * r + m, j1) * np.conj(class_eval(F2, cc * r + m - k * g, j2))
                 else:
                     u = (cc * r - m) * g
-                    acc += np.conj(F1.eval(u, j1)) * F2.eval(u + k, j2)
+                    acc += np.conj(class_eval(F1, u, j1)) * class_eval(F2, u + k, j2)
     return acc, entries, empty
 
 
@@ -534,12 +561,12 @@ def _action_reference(ctx, F, G, H, side, t, J):
     if side == "left":  # sum_n <F,G>_n((t - aJ)/c) H(t - n gamma, [J - n])
         for n in _reference_ks(ctx, F, G, "left"):
             if (J - n) % c in H.terms:
-                acc += _per_m_kernel(ctx, F, G, "left", n, (t - a * J % c) / c)[0] * H.eval(t - n * g, J - n)
+                acc += _per_m_kernel(ctx, F, G, "left", n, (t - a * J % c) / c)[0] * class_eval(H, t - n * g, J - n)
     else:  # sum_n F(t - n, [J - dn]) <G,H>_n(((t - n)/gamma - (J - dn))/c)
         for n in _reference_ks(ctx, G, H, "right"):
             j = (J - d * n) % c
             if j in F.terms:
-                acc += F.eval(t - n, j) * _per_m_kernel(ctx, G, H, "right", n, ((t - n) / g - j) / c)[0]
+                acc += class_eval(F, t - n, j) * _per_m_kernel(ctx, G, H, "right", n, ((t - n) / g - j) / c)[0]
     return acc
 
 
@@ -579,12 +606,14 @@ def test_imprimitivity_fails_with_a_wrong_a_or_d(field):
 
 @pytest.mark.parametrize("p, n", [(2, 1), (3, 0), (5, 1)])
 def test_identities_evaluate_no_atom(monkeypatch, p, n):
-    # every identity is decided on exact terms: no atom is evaluated, so no float enters a decision
+    # every identity is decided on exact terms: the package has no evaluator, and no exact value is lowered
+    # to a float, as evaluating an atom would lower its parameters
     def refuse(*args):
-        raise AssertionError("an atom was evaluated")
+        raise AssertionError("an exact value was lowered to a float")
 
-    monkeypatch.setattr(HatFn, "eval", refuse)
-    monkeypatch.setattr(AffineAtom, "eval", refuse)
+    assert not any(hasattr(cls, "eval") for cls in (HatFn, AffineAtom, ModElem))
+    monkeypatch.setattr(QuadReal, "__float__", refuse)
+    monkeypatch.setattr(Fraction, "__float__", refuse)
     report = identity_suite(spec_p(p), ProjectionData(1, 1, 0), n, SamplePlan(seed=1, hats=4))
     assert report == dict.fromkeys(bimodule.IDENTITY_KEYS, 0.0)
 
@@ -661,12 +690,12 @@ def test_iota_frozen_example():
     assert iF.indices() == (0, 2)
     t = np.array([0.5, 1.0, 3.0])
     for j in (0, 2):
-        assert np.allclose(iF.eval(t, j), f.eval(t / 2))
+        assert np.allclose(class_eval(iF, t, j), hat_eval(f, t / 2))
     assert iF.support() == (0, 4)  # support dilates by p
     # the 1/sqrt(p)-normalized variant halves every value
     half = level_embed(ctx, F).scaled(1 / math.sqrt(2))
     for j in (0, 2):
-        assert np.allclose(half.eval(t, j), f.eval(t / 2) / math.sqrt(2))
+        assert np.allclose(class_eval(half, t, j), hat_eval(f, t / 2) / math.sqrt(2))
 
 
 def test_scaled_embedding_breaks_inner_compatibility_by_factor_p():
@@ -767,4 +796,4 @@ def test_random_hat_is_compactly_supported():
         lo, hi = h.support()
         assert h.values[0] == 0 and h.values[-1] == 0
         assert lo < hi
-        assert abs(h.eval(np.array([lo - 0.1]))[0]) == 0
+        assert abs(hat_eval(h, np.array([lo - 0.1]))[0]) == 0

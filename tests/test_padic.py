@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -475,6 +476,23 @@ def test_window_json_roundtrip(x, n):
     assert PAdic.from_json(t.to_json()).truncate(n) == t
     pre = t.to_json()["preperiod"]
     assert pre == [t.digit(j) for j in range(t.ord, t.ord + len(pre))] and (not pre or pre[-1])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_long_period_is_refused_before_any_carry_step(monkeypatch, p):
+    # a random period of 210 000 digits: its length is the order of p mod den, so den > p**MAX_EXPANSION refuses
+    # it at once, where the carry loop ran 200 000 steps on a state of L log2(p) bits (29 s at p = 2)
+    rng = random.Random(p)
+    x = PAdic(p, 0, [1], [rng.randrange(p) for _ in range(210_000)])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"MAX_EXPANSION = {MAX_EXPANSION} {p}-adic digits"):
+        x.to_json()
+    assert time.perf_counter() - start < 5
+    # at the bound: -1/(p**10 - 1) = sum_k p**(10 k) has the period 1 0 ... 0 of 10 digits, and den > p**9
+    monkeypatch.setattr(padic, "MAX_EXPANSION", 10)
+    assert PAdic.from_rational(p, Fraction(-1, p**10 - 1)).to_json() == {"p": p, "ord": 0, "preperiod": [], "period": [1] + [0] * 9}
+    with pytest.raises(ValueError, match=f"MAX_EXPANSION = 10 {p}-adic digits"):
+        PAdic.from_rational(p, Fraction(-1, p**11 - 1)).to_json()
 
 
 def test_display_expansion_bound_names_p_not_the_value(monkeypatch):
