@@ -100,15 +100,24 @@ class AffineAtom:
 
     def shift(self, u) -> "AffineAtom":
         """t -> self(t - u)."""
-        return AffineAtom(self.h, self.lam, self.s + u, self.omega, self.phi - self.omega * u)
+        phi = frac1(self.phi - self.omega * u) if self.omega else self.phi
+        return self._moved(self.lam, self.s + u, self.omega, phi)
 
     def dilate(self, q) -> "AffineAtom":
         """t -> self(t / q), for a positive rational q."""
-        return AffineAtom(self.h, self.lam * q, self.s * q, self.omega / q, self.phi)
+        if q <= 0:
+            raise ValueError("dilation factor must be positive")
+        return self._moved(self.lam * q, self.s * q, self.omega / q, self.phi)
 
     def modulate(self, w, f) -> "AffineAtom":
         """t -> exp(2 pi i (w t + f)) self(t)."""
-        return AffineAtom(self.h, self.lam, self.s, self.omega + w, self.phi + f)
+        return self._moved(self.lam, self.s, self.omega + w, frac1(self.phi + f))
+
+    def _moved(self, lam, s, omega, phi) -> "AffineAtom":
+        """This hat under new parameters that a move has kept valid: lam > 0 and phi in [0, 1), not checked again."""
+        atom = object.__new__(AffineAtom)
+        atom.__dict__.update(h=self.h, lam=lam, s=s, omega=omega, phi=phi)
+        return atom
 
     @functools.cached_property
     def _support(self) -> tuple[QuadReal, QuadReal]:
@@ -164,6 +173,13 @@ class ModElem:
             if pairs:
                 key = j % modulus
                 self.terms[key] = self.terms[key] + pairs if key in self.terms else pairs
+
+    @classmethod
+    def _of(cls, modulus: int, terms: dict) -> "ModElem":
+        """An output of this module's own maps: its classes reduced mod modulus, each a nonempty checked tuple."""
+        out = object.__new__(cls)
+        out.modulus, out.terms = modulus, terms
+        return out
 
     @classmethod
     def delta(cls, modulus: int, j: int, atom, coef: complex = 1.0) -> "ModElem":
@@ -257,13 +273,14 @@ def _act_gen(ctx: BimCtx, gen: str, power: int, F: ModElem, unit, step: int, fre
     _check_modulus(ctx, F)
     if power == 0:
         return F
+    M = ctx.modulus
     out: dict = {}
     moved: dict = {}  # classes that share a term tuple share its moved tuple; under V, those that share a phase
     for j, pairs in F.terms.items():
         if gen == "U":
             if id(pairs) not in moved:
                 moved[id(pairs)] = tuple((c, atom.shift(power * unit)) for c, atom in pairs)
-            out[(j + power * step) % ctx.modulus] = moved[id(pairs)]
+            out[(j + power * step) % M] = moved[id(pairs)]
         elif gen == "V":
             phase = (-power * mult * j) % ctx.c  # the numerator of the phase over c
             if (id(pairs), phase) not in moved:
@@ -272,7 +289,7 @@ def _act_gen(ctx: BimCtx, gen: str, power: int, F: ModElem, unit, step: int, fre
             out[j] = moved[id(pairs), phase]
         else:
             raise ValueError(f"unknown generator {gen!r}")
-    return ModElem(ctx.modulus, out)
+    return ModElem._of(M, out)
 
 
 def act_left_gen(ctx: BimCtx, gen: str, power: int, F: ModElem) -> ModElem:
@@ -513,7 +530,7 @@ def level_embed(ctx: BimCtx, F: ModElem) -> ModElem:
         for i in range(p):
             idx = (j * p + i * stride) % target
             out[idx] = out[idx] + spread if idx in out else spread
-    return ModElem(target, out)
+    return ModElem._of(target, out)
 
 
 # -- the identity suite ---------------------------------------------------------------
@@ -592,7 +609,7 @@ IDENTITY_KEYS = (
 
 def _phased(F: ModElem, f) -> ModElem:
     """exp(2 pi i f) F for an exact f: every atom's phase moved by f."""
-    return ModElem(F.modulus, {j: tuple((c, atom.modulate(0, f)) for c, atom in ps) for j, ps in F.terms.items()})
+    return ModElem._of(F.modulus, {j: tuple((c, atom.modulate(0, f)) for c, atom in ps) for j, ps in F.terms.items()})
 
 
 def identity_suite(
@@ -630,10 +647,13 @@ def identity_suite(
         G = random_mod_elem(rng, ctx.modulus)
         H = random_mod_elem(rng, ctx.modulus)
         iF, iG = level_embed(ctx, F), level_embed(ctx, G)
+        # the four level-n generator actions on F, each read by (a) or (b) and by a commutation
+        left = {gen: act_left_gen(ctx, gen, 1, F) for gen in ("U", "V")}
+        right = {gen: act_right_gen(ctx, gen, 1, F) for gen in ("U", "V")}
 
-        for gen in ("U", "V"):
-            for key, act in (("iota_left_action", act_left_gen), ("iota_right_action", act_right_gen)):
-                e = term_diff(level_embed(ctx, act(ctx, gen, 1, F)), act(ctx2, gen, p, iF))
+        for key, act, moved in (("iota_left_action", act_left_gen, left), ("iota_right_action", act_right_gen, right)):
+            for gen in ("U", "V"):
+                e = term_diff(level_embed(ctx, moved[gen]), act(ctx2, gen, p, iF))
                 errs[key] = max(errs[key], e)
 
         FG = inner_left(ctx, F, G)
@@ -643,10 +663,10 @@ def identity_suite(
         errs["psi_right_inner"] = max(errs["psi_right_inner"], e)
 
         e = group_diff(act_alg_left(ctx, FG, H), act_alg_right(ctx, F, inner_right(ctx, G, H)))
-        uv = act_left_gen(ctx, "U", 1, act_left_gen(ctx, "V", 1, F))
-        vu = _phased(act_left_gen(ctx, "V", 1, act_left_gen(ctx, "U", 1, F)), ctx.beta)
-        ruv = act_right_gen(ctx, "V", 1, act_right_gen(ctx, "U", 1, F))
-        rvu = _phased(act_right_gen(ctx, "U", 1, act_right_gen(ctx, "V", 1, F)), ctx.alpha)
+        uv = act_left_gen(ctx, "U", 1, left["V"])
+        vu = _phased(act_left_gen(ctx, "V", 1, left["U"]), ctx.beta)
+        ruv = act_right_gen(ctx, "V", 1, right["U"])
+        rvu = _phased(act_right_gen(ctx, "U", 1, right["V"]), ctx.alpha)
         errs["imprimitivity"] = max(errs["imprimitivity"], e, term_diff(uv, vu), term_diff(ruv, rvu))
 
     return errs

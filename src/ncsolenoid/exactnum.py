@@ -212,6 +212,12 @@ class QuadReal:
     (RadicandMismatchError); the radicand is a per-context constant.  Order
     comparisons are decided exactly by integer squaring, never by floating
     point.
+
+    Arithmetic reads the other operand as the four integers of its normal
+    form (_parts) and normalises its result once (_quad).  Adding an integer
+    k, and negation, keep the normal form with no gcd: a common divisor of B
+    and M divides A + kM exactly when it divides A, so gcd(A + kM, B, M) =
+    gcd(A, B, M) = 1, and gcd(-A, -B, M) = gcd(A, B, M), with M > 0 kept.
     """
 
     __slots__ = ("A", "B", "M", "D")
@@ -241,86 +247,57 @@ class QuadReal:
     def sqrt_of(cls, D: int) -> "QuadReal":
         return cls(0, 1, D)
 
-    # -- coercion -----------------------------------------------------------
-
-    @staticmethod
-    def _lift(x) -> "QuadReal | None":
-        if isinstance(x, QuadReal):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return _quad(x.numerator, 0, x.denominator, 0)
-        if isinstance(x, PFrac):
-            return _quad(x.j, 0, x.p**x.k, 0)
-        return None
-
-    def _radicand_with(self, other: "QuadReal") -> int:
-        if self.B and other.B and self.D != other.D:
-            raise RadicandMismatchError(f"sqrt({self.D}) vs sqrt({other.D})")
-        return self.D or other.D
-
     # -- ring / field operations -------------------------------------------
 
+    def _add(self, A: int, B: int, M: int, D: int) -> "QuadReal":
+        """self + (A + B*sqrt(D))/M, for the integers that _parts reads off the other operand."""
+        if M == 1 and not B:  # an integer: no gcd (see the class docstring)
+            return _new(self.A + A * self.M, self.B, self.M, self.D)
+        return _quad(self.A * M + A * self.M, self.B * M + B * self.M, self.M * M, D)
+
     def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        D = self._radicand_with(o)
-        return _quad(self.A * o.M + o.A * self.M, self.B * o.M + o.B * self.M, self.M * o.M, D)
+        o = _parts(other, self.D)
+        return NotImplemented if o is None else self._add(*o)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _quad(-self.A, -self.B, self.M, self.D)
+        return _new(-self.A, -self.B, self.M, self.D)
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        D = self._radicand_with(o)
-        return _quad(self.A * o.M - o.A * self.M, self.B * o.M - o.B * self.M, self.M * o.M, D)
+        o = _parts(other, self.D)
+        return NotImplemented if o is None else self._add(-o[0], -o[1], o[2], o[3])
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        o = _parts(other, self.D)
+        return NotImplemented if o is None else (-self)._add(*o)
 
     def __mul__(self, other):
-        o = self._lift(other)
+        o = _parts(other, self.D)
         if o is None:
             return NotImplemented
-        D = self._radicand_with(o)
-        A1, B1, A2, B2 = self.A, self.B, o.A, o.B
-        return _quad(A1 * A2 + B1 * B2 * D, A1 * B2 + B1 * A2, self.M * o.M, D)
+        A, B, M, D = o
+        return _quad(self.A * A + self.B * B * D, self.A * B + self.B * A, self.M * M, D)
 
     __rmul__ = __mul__
 
-    def _inverse(self) -> "QuadReal":
-        A, B, M, D = self.A, self.B, self.M, self.D
-        # the norm A^2 - B^2 D vanishes only at 0, because D is squarefree
-        norm = A * A - B * B * D
-        if norm == 0:
-            raise ZeroDivisionError("QuadReal division by zero")
-        return _quad(M * A, -M * B, norm, D)
-
     def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o._inverse()
+        o = _parts(other, self.D)
+        return NotImplemented if o is None else _div(self.A, self.B, self.M, *o)
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
+        o = _parts(other, self.D)
         if o is None:
             return NotImplemented
-        return o * self._inverse()
+        A, B, M, D = o
+        return _div(A, B, M, self.A, self.B, self.M, D)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return (self**(-n))._inverse()
-        out = _quad(1, 0, 1, 0)
+            return 1 / self**(-n)
+        out = _new(1, 0, 1, 0)
         base = self
         while n:
             if n & 1:
@@ -331,20 +308,18 @@ class QuadReal:
 
     # -- exact order --------------------------------------------------------
 
-    def _sign(self) -> int:
-        A, B = self.A, self.B
+    def _cmp(self, other) -> int:
+        """The sign of self - other: that of its numerator over M1 M2 > 0, read with no gcd."""
+        o = _parts(other, self.D)
+        if o is None:
+            raise TypeError(f"cannot compare QuadReal with {type(other).__name__}")
+        A, B, M, D = o
+        A, B = self.A * M - A * self.M, self.B * M - B * self.M
         if B == 0 or A == 0 or (A > 0) == (B > 0):
             s = A or B
             return (s > 0) - (s < 0)
         # A and B have opposite signs: the larger of A^2 and B^2 D wins
-        aa, bb = A * A, B * B * self.D
-        return 1 if (aa > bb) == (A > 0) else -1
-
-    def _cmp(self, other) -> int:
-        o = self._lift(other)
-        if o is None:
-            raise TypeError(f"cannot compare QuadReal with {type(other).__name__}")
-        return (self - o)._sign()
+        return 1 if (A * A > B * B * D) == (A > 0) else -1
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -359,10 +334,8 @@ class QuadReal:
         return self._cmp(other) >= 0
 
     def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.A == o.A and self.B == o.B and self.M == o.M and self.D == o.D
+        o = _parts(other)  # no radicand check: values over two radicands are unequal
+        return NotImplemented if o is None else (self.A, self.B, self.M, self.D) == o
 
     def __hash__(self):
         if self.B == 0:
@@ -452,19 +425,54 @@ class QuadReal:
         return cls(parse_rational(s))
 
 
+def _parts(x, D: int = 0) -> tuple[int, int, int, int] | None:
+    """The exact real x as the integers (A, B, M, D') of its normal form, building no QuadReal; else None.
+
+    D' is the radicand x shares with a value over D (0 when that is rational),
+    so the caller reads its operands over one field: RadicandMismatchError
+    if x and that value are irrational over two different radicands.
+    """
+    if isinstance(x, QuadReal):
+        if x.B and D and x.D != D:
+            raise RadicandMismatchError(f"sqrt({D}) vs sqrt({x.D})")
+        return x.A, x.B, x.M, x.D or D
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, x.denominator, D
+    if isinstance(x, PFrac):
+        M = x.p**x.k
+        g = math.gcd(x.j, M)  # 1 unless p is composite
+        return x.j // g, 0, M // g, D
+    return None
+
+
+def _new(A: int, B: int, M: int, D: int) -> QuadReal:
+    """The QuadReal of integers already in normal form."""
+    x = object.__new__(QuadReal)
+    x.A, x.B, x.M, x.D = A, B, M, D if B else 0
+    return x
+
+
 def _quad(A: int, B: int, M: int, D: int) -> QuadReal:
     """An arithmetic result (A + B*sqrt(D))/M, M != 0, over an already squarefree D, in normal form."""
     if M < 0:
         A, B, M = -A, -B, -M
     g = math.gcd(A, B, M)
-    x = object.__new__(QuadReal)
-    x.A, x.B, x.M, x.D = A // g, B // g, M // g, D if B else 0
-    return x
+    return _new(A // g, B // g, M // g, D)
+
+
+def _div(A1: int, B1: int, M1: int, A2: int, B2: int, M2: int, D: int) -> QuadReal:
+    """(A1 + B1 sqrt D)/M1 over (A2 + B2 sqrt D)/M2 = M2 (A1 + B1 sqrt D)(A2 - B2 sqrt D) / (M1 norm)."""
+    # the norm A2^2 - B2^2 D vanishes only at 0, because D is squarefree
+    norm = A2 * A2 - B2 * B2 * D
+    if norm == 0:
+        raise ZeroDivisionError("QuadReal division by zero")
+    return _quad(M2 * (A1 * A2 - B1 * B2 * D), M2 * (B1 * A2 - A1 * B2), M1 * norm, D)
 
 
 def frac1(x) -> QuadReal:
     """Reduce an exact real mod 1 into [0, 1)."""
-    q = QuadReal._lift(x)
-    if q is None:
+    o = _parts(x)
+    if o is None:
         raise TypeError(f"cannot reduce {type(x).__name__} mod 1")
+    q = _new(*o)
     return q - math.floor(q)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .exactnum import PFrac, QuadReal, frac1
+from .exactnum import PFrac, QuadReal, _new, _parts, frac1
 from .padic import PAdic
 from .solenoid import SeqWindow, SolenoidSpec, alpha_at
 
@@ -76,10 +76,10 @@ class PhaseArg:
 
     @classmethod
     def of(cls, x) -> "PhaseArg":
-        t = QuadReal._lift(x)
+        t = _parts(x)
         if t is None:
             raise TypeError(f"cannot take {type(x).__name__} mod 1")
-        return cls(t)
+        return cls(_new(*t))
 
     @property
     def value(self) -> QuadReal:

@@ -647,6 +647,39 @@ def test_sections_are_finite_by_construction():
         F.scaled(1e300)  # a product of finite coefficients that overflows
 
 
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_internal_builds_keep_the_checked_invariants(p, n):
+    # the actions, level_embed and _phased build their elements and atoms unchecked: each must be what the
+    # validating constructors would build from the same data
+    ctx = ctx_at(p, n)
+    rng = random.Random(10 * p + n)
+    outs = []
+    for _ in range(3):
+        F = random_mod_elem(rng, ctx.modulus)
+        for act in (act_left_gen, act_right_gen):
+            for gen, other in (("U", "V"), ("V", "U")):
+                for power in (1, p):
+                    moved = act(ctx, gen, power, F)
+                    outs += [moved, act(ctx, other, 1, moved)]  # a shift after a modulation moves the phase too
+        outs += [level_embed(ctx, F), bimodule._phased(F, ctx.beta), bimodule._phased(F, ctx.alpha)]
+    for out in outs:
+        assert ModElem(out.modulus, out.terms) == out
+        for pairs in out.terms.values():
+            for _, atom in pairs:
+                assert AffineAtom(atom.h, atom.lam, atom.s, atom.omega, atom.phi) == atom
+                assert 0 <= atom.phi < 1
+
+
+def test_checked_constructors_still_refuse():
+    atom = AffineAtom(HatFn((0.0, 0.5, 1.0), (0j, 1 + 0j, 0j)))
+    for q in (0, -2):
+        with pytest.raises(ValueError, match="positive"):
+            atom.dilate(q)
+    with pytest.raises(ValueError, match="finite"):
+        ModElem(4, {1: ((complex(math.inf, 0.0), atom),)})
+
+
 def test_inf_deviation_fails_the_report(monkeypatch):
     # a 1/sqrt(p)-scaled embedding fails both inner-product identities, which read inf and are written as null
     embed = bimodule.level_embed

@@ -345,9 +345,11 @@ def test_rationals_hash_and_compare_like_fractions(q, n):
 @given(rationals, rationals.filter(bool), rationals, rationals.filter(bool), st.lists(squarefree, min_size=2, max_size=2, unique=True))
 def test_mixed_radicands_raise(a1, b1, a2, b2, radicands):
     x, y = QuadReal(a1, b1, radicands[0]), QuadReal(a2, b2, radicands[1])
-    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y, lambda: x < y):
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y, lambda: x < y,
+               lambda: x.__radd__(y), lambda: x.__rsub__(y), lambda: x.__rmul__(y), lambda: x.__rtruediv__(y)):
         with pytest.raises(RadicandMismatchError):
             op()
+    assert x != y and not x == y  # equality reads no common field: unequal, not an error
 
 
 @PROPERTY
@@ -371,3 +373,74 @@ def test_discriminant_frozen():
     assert QuadReal.parse("sqrt(2)").discriminant() == 8
     assert QuadReal.parse("(1+sqrt(2))/3").discriminant() == 72
     assert QuadReal(Fraction(7, 3)).discriminant() == 0
+
+
+def assert_normal(z, D: int) -> None:
+    """z is a QuadReal in normal form over D or over Q."""
+    assert type(z) is QuadReal
+    assert z.M > 0 and math.gcd(z.A, z.B, z.M) == 1
+    assert (z.B == 0) == (z.D == 0) and z.D in (0, D)
+
+
+# an operand y of each type the arithmetic reads, with its value (a, b) in Fractions over the radicand D
+OPERAND_KINDS = st.sampled_from(["int", "bool", "Fraction", "PFrac", "rational QuadReal", "irrational QuadReal"])
+
+
+@st.composite
+def operands(draw, D: int):
+    kind = draw(OPERAND_KINDS)
+    if kind == "int":
+        y = draw(st.integers(-10**20, 10**20))
+    elif kind == "bool":
+        y = draw(st.booleans())
+    elif kind == "Fraction":
+        y = draw(rationals)
+    elif kind == "PFrac":
+        # a composite base too: j / p**k is then not always in lowest terms
+        y = PFrac(draw(st.sampled_from([2, 3, 4, 6])), draw(st.integers(-200, 200)), draw(st.integers(0, 6)))
+    elif kind == "rational QuadReal":
+        y = QuadReal(draw(rationals))
+    else:
+        y = QuadReal(draw(rationals), draw(rationals.filter(bool)), D)
+    if isinstance(y, QuadReal):
+        return y, Fraction(y.A, y.M), Fraction(y.B, y.M)
+    return y, Fraction(y.as_fraction() if isinstance(y, PFrac) else y), Fraction(0)
+
+
+@PROPERTY
+@given(st.data(), rationals, rationals, squarefree)
+def test_every_operand_type_gives_the_normal_form(data, a1, b1, D):
+    x = QuadReal(a1, b1, D)
+    y, a2, b2 = data.draw(operands(D))
+
+    def quotient(a1, b1, a2, b2):
+        norm = a2 * a2 - b2 * b2 * D
+        return (a1 * a2 - b1 * b2 * D) / norm, (b1 * a2 - a1 * b2) / norm
+
+    cases = [
+        (lambda: x + y, lambda: (a1 + a2, b1 + b2)),
+        (lambda: y + x, lambda: (a1 + a2, b1 + b2)),
+        (lambda: x - y, lambda: (a1 - a2, b1 - b2)),
+        (lambda: y - x, lambda: (a2 - a1, b2 - b1)),
+        (lambda: x * y, lambda: (a1 * a2 + b1 * b2 * D, a1 * b2 + b1 * a2)),
+        (lambda: y * x, lambda: (a1 * a2 + b1 * b2 * D, a1 * b2 + b1 * a2)),
+        (lambda: x / y, lambda: quotient(a1, b1, a2, b2)),
+        (lambda: y / x, lambda: quotient(a2, b2, a1, b1)),
+    ]
+    for op, ref in cases:
+        try:
+            a, b = ref()
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                op()
+            continue
+        z = op()
+        assert_normal(z, D)
+        assert (Fraction(z.A, z.M), Fraction(z.B, z.M)) == (a, b)
+        if not b:
+            assert z == a and hash(z) == hash(a)
+    assert_normal(-x, D)
+    assert x._cmp(y) == ref_sign(a1 - a2, b1 - b2, D)
+    # y is read in its normal form too: equal to the QuadReal of its value, and reduced mod 1 into normal form
+    assert QuadReal(a2, b2, D) == y
+    assert_normal(frac1(y), D)

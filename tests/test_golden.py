@@ -58,6 +58,9 @@ ARGVS = [
     ["suite", "--seed", "0"],
     ["suite", "--seed", "3"],
     *(["bimodule", "verify", "--p", p, THETA, "--digits", "x=1", "--c0", "1", "--d0", "0"] for p in ("2", "7")),
+    # the levels the bimodule-levels benchmark runs, where each draw's actions are shared
+    *(["bimodule", "verify", "--p", p, THETA, "--digits", "x=1", "--c0", "1", "--d0", "0", "--n", n]
+      for p, n in (("3", "1"), ("2", "2"))),
     *(["morita", "certify", "--spec-a", "{%s}" % a, "--spec-b", "{%s}" % b] for a, b in PAIRS),
     ["padic", "inv", "--p", "5", "--value", "7"],
     ["padic", "inv", "--p", "7", "--value=-22/49"],
@@ -90,6 +93,10 @@ GOLDEN = {
         [0, "e2664a9b00f3c465993dfdc4d10e6798f76203aafe34ace2c947f25f783f146e"],
     "bimodule verify --p 7 --theta=-1+sqrt(2) --digits x=1 --c0 1 --d0 0":
         [0, "e52b1253799ca097205c7cf618ba7bb4fc09ec058bab209711f5791c7c474c71"],
+    "bimodule verify --p 3 --theta=-1+sqrt(2) --digits x=1 --c0 1 --d0 0 --n 1":
+        [0, "97c78d689c78eefb0ee6472c814e95c23117a67a9addcf58b27877d4b9f12dd5"],
+    "bimodule verify --p 2 --theta=-1+sqrt(2) --digits x=1 --c0 1 --d0 0 --n 2":
+        [0, "ac9488af85e4313e7e499e2523eb72728ba29fc8e5cbe7147ec7a1709c5a121a"],
     "morita certify --spec-a {first} --spec-b {first-partner}":
         [0, "95b1ee4a05d481dcf2048c592263ecfcfd8cbc458113c8c797011deb5e782071"],
     "morita certify --spec-a {a} --spec-b {planted}":
