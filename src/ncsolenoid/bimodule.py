@@ -12,11 +12,13 @@ interval, and stands for Per[g] in component k, Per[g](r) = sum_q g(r + q):
     left:   g(r) = c1 A1(cr + m) conj(c2 A2(cr + m - k gamma)),   k = j1 - j2,   m = a j1 mod c;
     right:  g(r) = conj(c1 A1((cr - m) gamma)) c2 A2((cr - m) gamma + k),   k = a (j2 - j1),   m = -j1 mod c.
 
-The terms are grouped as {(gamma, t1, t2): Counter((k, m))}.  The algebra
-actions of an inner product on a module element give triple terms keyed by
-integers (act_alg_left, act_alg_right).  Every identity compares multisets
-of terms, atoms by their exact parameters, so it reads exactly 0.0 or inf
-and no float enters a decision; nothing here evaluates an atom.  The
+The terms are grouped as {(gamma, t1, t2): {(k, m): count}}, a plain dict
+of positive counts, so two groupings are the same multiset exactly when
+they are equal dicts.  The algebra actions of an inner product on a module
+element give triple terms keyed by integers (act_alg_left, act_alg_right),
+counted the same way.  Every identity compares multisets of terms, atoms by
+their exact parameters, so it reads exactly 0.0 or inf and no float enters
+a decision; nothing here evaluates an atom.  The
 classes that level_embed spreads one class over, or that an action moves,
 share one term tuple, read once.
 """
@@ -30,7 +32,6 @@ import functools
 import math
 import random
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,6 +42,7 @@ from .solenoid import SolenoidSpec, alpha_at
 np = None  # bench/tracer.py rebinds this name to time numpy; ROADMAP item 6 deletes it with bimodule.numpy_s
 NO_SUPPORT = None
 _ZERO = QuadReal(0)
+_ONE = QuadReal(1)
 # random_mod_elem samples index classes from range(modulus), whose length must fit a C ssize_t:
 # p = 2 reaches it past level 31 (c = 2^62), p = 3 past level 19
 MAX_MODULUS = sys.maxsize
@@ -55,7 +57,8 @@ class HatFn:
 
     Every breakpoint and value must be finite: a section is a compactly
     supported continuous function, so a non-finite hat is not one.  The
-    support is the pair of end breakpoints as exact Fractions.
+    support is the pair of end breakpoints as exact Fractions; quad_ends holds
+    the same pair as QuadReal, which the atoms' supports are built from.
     """
 
     breakpoints: tuple[float, ...]
@@ -70,8 +73,14 @@ class HatFn:
             raise ValueError("breakpoints must be strictly increasing")
         if self.values[0] != 0 or self.values[-1] != 0:
             raise ValueError("endpoint values must vanish (compact support)")
-        # the exact ends, built once; not a field, so == and hash see only the two tuples
-        object.__setattr__(self, "_ends", (Fraction(self.breakpoints[0]), Fraction(self.breakpoints[-1])))
+        # the exact ends and the hash, built once; not fields, so == and hash see only the two tuples
+        lo, hi = Fraction(self.breakpoints[0]), Fraction(self.breakpoints[-1])
+        object.__setattr__(self, "_ends", (lo, hi))
+        object.__setattr__(self, "quad_ends", (QuadReal(lo), QuadReal(hi)))
+        object.__setattr__(self, "_hash", hash((self.breakpoints, self.values)))
+
+    def __hash__(self):
+        return self._hash
 
     def support(self) -> tuple[Fraction, Fraction]:
         return self._ends
@@ -83,49 +92,59 @@ class AffineAtom:
 
     Every module action is a translation, a modulation or a dilation, and the
     three compose in closed form into this normal form.  lam is a positive
-    Fraction, s and omega are QuadReal, and phi is a QuadReal reduced into
-    [0, 1), so == and hash are exact equality, and the support is exact.
+    QuadReal (an int or a Fraction is converted), s and omega are QuadReal,
+    and phi is a QuadReal reduced into [0, 1), so == and hash are exact
+    equality, and the support is exact.  The hash and the support are each
+    computed once, on first use, and kept in the instance dict.
     """
 
-    h: object
-    lam: Fraction = Fraction(1)
+    h: HatFn
+    lam: QuadReal = _ONE
     s: QuadReal = _ZERO
     omega: QuadReal = _ZERO
     phi: QuadReal = _ZERO
 
     def __post_init__(self):
-        if self.lam <= 0:
+        lam = self.lam if isinstance(self.lam, QuadReal) else QuadReal(self.lam)
+        if lam <= 0:
             raise ValueError("dilation factor must be positive")
+        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "phi", frac1(self.phi))
+
+    @staticmethod
+    def _of(h, lam: QuadReal, s, omega, phi) -> "AffineAtom":
+        """The atom of parameters already valid, lam a positive QuadReal and phi in [0, 1): not checked again."""
+        atom = object.__new__(AffineAtom)
+        atom.__dict__.update(h=h, lam=lam, s=s, omega=omega, phi=phi)
+        return atom
 
     def shift(self, u) -> "AffineAtom":
         """t -> self(t - u)."""
         phi = frac1(self.phi - self.omega * u) if self.omega else self.phi
-        return self._moved(self.lam, self.s + u, self.omega, phi)
+        return AffineAtom._of(self.h, self.lam, self.s + u, self.omega, phi)
 
     def dilate(self, q) -> "AffineAtom":
         """t -> self(t / q), for a positive rational q."""
         if q <= 0:
             raise ValueError("dilation factor must be positive")
-        return self._moved(self.lam * q, self.s * q, self.omega / q, self.phi)
+        return AffineAtom._of(self.h, self.lam * q, self.s * q, self.omega / q, self.phi)
 
     def modulate(self, w, f) -> "AffineAtom":
         """t -> exp(2 pi i (w t + f)) self(t)."""
-        return self._moved(self.lam, self.s, self.omega + w, frac1(self.phi + f))
+        return AffineAtom._of(self.h, self.lam, self.s, self.omega + w, frac1(self.phi + f))
 
-    def _moved(self, lam, s, omega, phi) -> "AffineAtom":
-        """This hat under new parameters that a move has kept valid: lam > 0 and phi in [0, 1), not checked again."""
-        atom = object.__new__(AffineAtom)
-        atom.__dict__.update(h=self.h, lam=lam, s=s, omega=omega, phi=phi)
-        return atom
-
-    @functools.cached_property
-    def _support(self) -> tuple[QuadReal, QuadReal]:
-        lo, hi = self.h.support()
-        return self.s + lo * self.lam, self.s + hi * self.lam
+    def __hash__(self):
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = hash((self.h, self.lam, self.s, self.omega, self.phi))
+        return cached
 
     def support(self) -> tuple[QuadReal, QuadReal]:
-        return self._support
+        cached = self.__dict__.get("_support")
+        if cached is None:
+            lo, hi = self.h.quad_ends
+            cached = self.__dict__["_support"] = (self.s + lo * self.lam, self.s + hi * self.lam)
+        return cached
 
 
 # -- module elements ----------------------------------------------------------------
@@ -218,7 +237,10 @@ class ModElem:
 
 @dataclass(frozen=True)
 class BimCtx:
-    """Level-2n kernel constants: exact alpha, beta and gamma, checked, with their float lowerings."""
+    """Level-2n kernel constants: exact alpha, beta and gamma, checked, with their float lowerings.
+
+    modulus, inv_gamma, left_freq and right_freq are computed once per context, on first use (with_gamma's too).
+    """
 
     spec: SolenoidSpec
     proj: ProjectionData
@@ -243,9 +265,21 @@ class BimCtx:
             raise ArithmeticError(f"Mobius identity fails at level {n}")
         return cls(spec, proj, n, line.c, line.d, mob.a, mob.b, alpha, beta, gamma)
 
-    @property
+    @functools.cached_property
     def modulus(self) -> int:
         return abs(self.c)
+
+    @functools.cached_property
+    def inv_gamma(self) -> QuadReal:
+        return 1 / self.gamma
+
+    @functools.cached_property
+    def left_freq(self) -> Fraction:  # the left V is exp(2 pi i (t - am)/c) ...
+        return Fraction(1, self.c)
+
+    @functools.cached_property
+    def right_freq(self) -> QuadReal:  # ... and the right V exp(2 pi i (t/gamma - m)/c)
+        return self.inv_gamma / self.c
 
     # float lowerings: nothing here reads them; bench/workloads.py checks them against its reference
     alpha_f = property(lambda self: float(self.alpha))
@@ -276,30 +310,33 @@ def _act_gen(ctx: BimCtx, gen: str, power: int, F: ModElem, unit, step: int, fre
     M = ctx.modulus
     out: dict = {}
     moved: dict = {}  # classes that share a term tuple share its moved tuple; under V, those that share a phase
-    for j, pairs in F.terms.items():
-        if gen == "U":
+    if gen == "U":
+        u = power * unit
+        for j, pairs in F.terms.items():
             if id(pairs) not in moved:
-                moved[id(pairs)] = tuple((c, atom.shift(power * unit)) for c, atom in pairs)
+                moved[id(pairs)] = tuple((c, atom.shift(u)) for c, atom in pairs)
             out[(j + power * step) % M] = moved[id(pairs)]
-        elif gen == "V":
+    elif gen == "V":
+        w = power * freq
+        for j, pairs in F.terms.items():
             phase = (-power * mult * j) % ctx.c  # the numerator of the phase over c
             if (id(pairs), phase) not in moved:
                 f = Fraction(phase, ctx.c)
-                moved[id(pairs), phase] = tuple((c, atom.modulate(power * freq, f)) for c, atom in pairs)
+                moved[id(pairs), phase] = tuple((c, atom.modulate(w, f)) for c, atom in pairs)
             out[j] = moved[id(pairs), phase]
-        else:
-            raise ValueError(f"unknown generator {gen!r}")
+    else:
+        raise ValueError(f"unknown generator {gen!r}")
     return ModElem._of(M, out)
 
 
 def act_left_gen(ctx: BimCtx, gen: str, power: int, F: ModElem) -> ModElem:
     """U: F(t - gamma, [m-1]); V: exp(2 pi i (t - am)/c) F(t, [m]); integer powers."""
-    return _act_gen(ctx, gen, power, F, ctx.gamma, 1, Fraction(1, ctx.c), ctx.a)
+    return _act_gen(ctx, gen, power, F, ctx.gamma, 1, ctx.left_freq, ctx.a)
 
 
 def act_right_gen(ctx: BimCtx, gen: str, power: int, F: ModElem) -> ModElem:
     """U: F(t - 1, [m-d]); V: exp(2 pi i (t/gamma - m)/c) F(t, [m]); integer powers."""
-    return _act_gen(ctx, gen, power, F, 1, ctx.d, 1 / (ctx.gamma * ctx.c), 1)
+    return _act_gen(ctx, gen, power, F, 1, ctx.d, ctx.right_freq, 1)
 
 
 # -- inner products as exact terms -----------------------------------------------------
@@ -362,20 +399,44 @@ def _aligned_pairs(F1: ModElem, F2: ModElem, M: int, key, window, m_of) -> dict:
     return out
 
 
+def _tally(keys) -> dict:
+    """The multiset of keys as a plain dict of positive counts, so two are the same multiset exactly when equal."""
+    counts: dict = {}
+    for key in keys:
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _merge(out: dict, key, counts: dict) -> None:
+    """out[key] += counts, both multisets as plain dicts of positive counts."""
+    have = out.get(key)
+    if have is None:
+        out[key] = counts
+    else:
+        for x, count in counts.items():
+            have[x] = have.get(x, 0) + count
+
+
 def _terms(ctx: BimCtx, F1: ModElem, F2: ModElem, key, window, m_of) -> dict:
-    """{(gamma, t1, t2): Counter((k, m))} over the aligned pairs, each term pair kept at the k its supports allow."""
+    """{(gamma, t1, t2): {(k, m): count}} over the aligned pairs, each term pair kept at the k its supports allow.
+
+    A pair of single-atom tuples keeps the hull window as it is: one atom's
+    span is its support, so the window of its two terms is the hull window.
+    """
     _check_modulus(ctx, F1)
     _check_modulus(ctx, F2)
-    if not ctx.gamma > 0:
-        raise ValueError(f"gamma must be positive, got {ctx.gamma}")
+    g = ctx.gamma
+    if not g > 0:
+        raise ValueError(f"gamma must be positive, got {g}")
     out: dict = {}
     for pairs1, pairs2, hull_window, km in _aligned_pairs(F1, F2, ctx.modulus, key, window, m_of).values():
+        one = len(pairs1) == len(pairs2) == 1
         for t1 in pairs1:
             for t2 in pairs2:
-                first, last = _open_range(*window(t1[1].support(), t2[1].support()))
+                first, last = hull_window if one else _open_range(*window(t1[1].support(), t2[1].support()))
                 kept = km if (first, last) == hull_window else [x for x in km if first <= x[0] <= last]
                 if kept:
-                    out.setdefault((ctx.gamma, t1, t2), Counter()).update(kept)
+                    _merge(out, (g, t1, t2), _tally(kept))
     return out
 
 
@@ -386,8 +447,8 @@ def inner_left(ctx: BimCtx, F1: ModElem, F2: ModElem) -> dict:
     the m-sum over m + cZ is Per of one term per pair of atoms.  The atoms
     overlap where k*gamma lies strictly between lo1 - hi2 and hi1 - lo2.
     """
-    g, M = ctx.gamma, ctx.modulus
-    window = lambda s1, s2: ((s1[0] - s2[1]) / g, (s1[1] - s2[0]) / g)
+    M = ctx.modulus
+    window = lambda s1, s2: ((s1[0] - s2[1]) * ctx.inv_gamma, (s1[1] - s2[0]) * ctx.inv_gamma)
     return _terms(ctx, F1, F2, lambda j: -j, window, lambda j1: ctx.a * j1 % M)
 
 
@@ -397,7 +458,7 @@ def inner_right(ctx: BimCtx, F1: ModElem, F2: ModElem) -> dict:
     [-m] = [j1] forces m = -j1 mod c, and k = a(j2 - j1) mod c.  The atoms
     overlap where k lies strictly between lo2 - hi1 and hi2 - lo1.
     """
-    g, M = ctx.gamma, ctx.modulus
+    M = ctx.modulus
     window = lambda s1, s2: (s2[0] - s1[1], s2[1] - s1[0])
     return _terms(ctx, F1, F2, lambda j: ctx.a * j, window, lambda j1: -j1 % M)
 
@@ -424,9 +485,9 @@ def embed_terms(ctx: BimCtx, groups: dict) -> dict:
     """
     p, c = ctx.spec.p, ctx.c
     return {
-        (g, (c1, A1.dilate(p)), (c2, A2.dilate(p))): Counter(
-            {(k * p, p * (m + c * i)): count for (k, m), count in counts.items() for i in range(p)}
-        )
+        (g, (c1, A1.dilate(p)), (c2, A2.dilate(p))): {
+            (k * p, p * (m + c * i)): count for (k, m), count in counts.items() for i in range(p)
+        }
         for (g, (c1, A1), (c2, A2)), counts in groups.items()
     }
 
@@ -435,7 +496,7 @@ def embed_terms(ctx: BimCtx, groups: dict) -> dict:
 
 
 def act_alg_left(ctx: BimCtx, FG: dict, H: ModElem) -> dict:
-    """<F,G>_L . H as triple terms {(tF, tG, tH): Counter((class, x, n))}.
+    """<F,G>_L . H as triple terms {(tF, tG, tH): {(class, x, n): count}}.
 
     (A.H)(t, [j + n]) = sum_n A_n((t - abar)/c) H(t - n gamma, [j]), abar =
     a(j + n) mod c (A_n is 1-periodic).  At r = (t - abar)/c, the term (n, m0,
@@ -445,7 +506,7 @@ def act_alg_left(ctx: BimCtx, FG: dict, H: ModElem) -> dict:
     F meets H and G meets H (F meets G where the term was kept).
     """
     _check_modulus(ctx, H)
-    c, a, g = ctx.c, ctx.a, ctx.gamma
+    c, a, inv_g = ctx.c, ctx.a, ctx.inv_gamma
     out: dict = {}
     for (_, tF, tG), counts in FG.items():
         (loF, hiF), (loG, hiG) = tF[1].support(), tG[1].support()
@@ -454,21 +515,23 @@ def act_alg_left(ctx: BimCtx, FG: dict, H: ModElem) -> dict:
                 loH, hiH = tH[1].support()
                 x_lo, x_hi = _open_range(loH - hiG, hiH - loG)
                 # F moved by x meets H moved by n gamma where n gamma lies strictly between these
-                n_windows = [_open_range((x - hiH + loF) / g, (x - loH + hiF) / g) for x in range(x_lo, x_hi + 1)]
-                moved: Counter = Counter()
+                n_windows = [
+                    _open_range((x - hiH + loF) * inv_g, (x - loH + hiF) * inv_g) for x in range(x_lo, x_hi + 1)
+                ]
+                moved: dict = {}
                 for (n, m0), count in counts.items():
                     cls = (j + n) % c
                     for x in _residues(x_lo, x_hi, a * cls - m0, c):
                         first, last = n_windows[x - x_lo]
                         if first <= n <= last:
-                            moved[cls, x, n] += count
+                            moved[cls, x, n] = moved.get((cls, x, n), 0) + count
                 if moved:
-                    out.setdefault((tF, tG, tH), Counter()).update(moved)
+                    _merge(out, (tF, tG, tH), moved)
     return out
 
 
 def act_alg_right(ctx: BimCtx, F: ModElem, GH: dict) -> dict:
-    """F . <G,H>_R as triple terms {(tF, tG, tH): Counter((class, n, y))}.
+    """F . <G,H>_R as triple terms {(tF, tG, tH): {(class, n, y): count}}.
 
     (F.A)(t, [j + dn]) = sum_n F(t - n, [j]) A_n(((t - n)/gamma - j)/c).  There
     the term (n, m0, tG, tH) of <G,H>_R sums conj G(t - n - y gamma) H(t - y
@@ -484,7 +547,7 @@ def act_alg_right(ctx: BimCtx, F: ModElem, GH: dict) -> dict:
     jF + d u mod c, because a d = 1 mod c.
     """
     _check_modulus(ctx, F)
-    c, d, inv_g = ctx.c, ctx.d, 1 / ctx.gamma
+    c, d, inv_g = ctx.c, ctx.d, ctx.inv_gamma
     out: dict = {}
     for (_, tG, tH), counts in GH.items():
         (loG, hiG), (loH, hiH) = tG[1].support(), tH[1].support()
@@ -492,14 +555,14 @@ def act_alg_right(ctx: BimCtx, F: ModElem, GH: dict) -> dict:
             for tF in pairs:
                 loF, hiF = tF[1].support()
                 y_lo, y_hi = _open_range((loF - hiG) * inv_g, (hiF - loG) * inv_g)
-                moved: Counter = Counter()
+                moved: dict = {}
                 for (n, m0), count in counts.items():
                     first, last = _open_range((loF - hiH + n) * inv_g, (hiF - loH + n) * inv_g)
                     cls = (j + d * n) % c
                     for y in _residues(max(first, y_lo), min(last, y_hi), j + m0, c):
-                        moved[cls, n, y] += count
+                        moved[cls, n, y] = moved.get((cls, n, y), 0) + count
                 if moved:
-                    out.setdefault((tF, tG, tH), Counter()).update(moved)
+                    _merge(out, (tF, tG, tH), moved)
     return out
 
 
@@ -575,8 +638,10 @@ def random_mod_elem(rng: random.Random, modulus: int) -> ModElem:
     terms = {}
     for j in rng.sample(range(modulus), k=min(modulus, rng.randint(1, 2))):
         coef = complex(rng.gauss(0, 1), rng.gauss(0, 1))
-        terms[j] = ((coef, AffineAtom(random_hat(rng))),)
-    return ModElem(modulus, terms)
+        # the identity's parameters (lam 1, s = omega = phi = 0) and a finite coefficient in a class below
+        # modulus: already valid, so neither the atom nor the element is checked again
+        terms[j] = ((coef, AffineAtom._of(random_hat(rng), _ONE, _ZERO, _ZERO, _ZERO)),)
+    return ModElem._of(modulus, terms)
 
 
 def term_diff(A: ModElem, B: ModElem) -> float:
@@ -590,11 +655,11 @@ def term_diff(A: ModElem, B: ModElem) -> float:
         raise ValueError("modulus mismatch in comparison")
     classes = A.terms.keys() | B.terms.keys()
     pairs = {(id(a), id(b)): (a, b) for a, b in ((A.terms.get(j, ()), B.terms.get(j, ())) for j in classes)}
-    return 0.0 if all(a == b or Counter(a) == Counter(b) for a, b in pairs.values()) else math.inf
+    return 0.0 if all(a == b or _tally(a) == _tally(b) for a, b in pairs.values()) else math.inf
 
 
 def group_diff(A: dict, B: dict) -> float:
-    """0.0 if two groupings of terms, {group: Counter(key)}, are the same multiset, else math.inf."""
+    """0.0 if two groupings of terms, {group: {key: count}}, are the same multiset, else math.inf."""
     return 0.0 if A == B else math.inf
 
 

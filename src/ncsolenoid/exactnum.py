@@ -471,8 +471,12 @@ def _div(A1: int, B1: int, M1: int, A2: int, B2: int, M2: int, D: int) -> QuadRe
 
 def frac1(x) -> QuadReal:
     """Reduce an exact real mod 1 into [0, 1)."""
-    o = _parts(x)
-    if o is None:
-        raise TypeError(f"cannot reduce {type(x).__name__} mod 1")
-    q = _new(*o)
-    return q - math.floor(q)
+    if isinstance(x, QuadReal):
+        q = x
+    else:
+        o = _parts(x)
+        if o is None:
+            raise TypeError(f"cannot reduce {type(x).__name__} mod 1")
+        q = _new(*o)
+    f = math.floor(q)
+    return q - f if f else q

@@ -244,6 +244,31 @@ def test_atom_laws_hold_as_equality(steps, u, q, w, f):
     assert (moved == atom.shift(u).modulate(w, f)) == (frac1(w * u) == 0)
 
 
+@PROPERTY
+@given(STEPS, EXACT, FACTORS, st.integers(1, 5))
+def test_atom_caches_match_fresh_atoms(steps, u, q, k):
+    # the hash and the support are computed once and kept: atoms equal by two routes read equal caches, each
+    # filled in its own order, and a fresh atom of the same parameters reads the same, lam given as an int, a
+    # Fraction or a QuadReal
+    h = HatFn((0.0, 0.4, 1.1), (0j, 1 - 1j, 0j))
+    atom = _chain(AffineAtom(h).dilate(k), steps)
+    hash(atom), atom.support()  # filled before every move below: no move may carry them over
+    for moved in (atom.shift(u), atom.dilate(q), atom.modulate(u, q)):
+        fresh = AffineAtom(h, moved.lam, moved.s, moved.omega, moved.phi)
+        assert hash(moved) == hash(fresh) and moved.support() == fresh.support()
+    a, b = atom.shift(u).dilate(q), atom.dilate(q).shift(q * u)
+    support, hashed = a.support(), hash(a)
+    assert a == b and hash(b) == hashed and b.support() == support
+    lam = atom.lam
+    forms = [lam, lam.as_fraction()] + ([lam.as_int()] if lam.as_int() is not None else [])
+    for form in forms:
+        fresh = AffineAtom(h, form, atom.s, atom.omega, atom.phi)
+        assert type(fresh.lam) is QuadReal
+        assert fresh == atom and hash(fresh) == hash(atom) and fresh.support() == atom.support()
+    if not steps:  # lam = k is an integer here, so the int form was read
+        assert forms[-1] == k and type(forms[-1]) is int
+
+
 def test_term_diff_compares_term_multisets_per_class():
     a = AffineAtom(HatFn((0.0, 0.5, 1.0), (0j, 1 + 0j, 0j)))
     b = a.shift(1)
@@ -258,6 +283,39 @@ def test_term_diff_compares_term_multisets_per_class():
         assert term_diff(shared, ModElem(2, {j: A.terms[0], 1 - j: A.terms[0][:1]})) == math.inf
     with pytest.raises(ValueError):
         A.add(ModElem.delta(2, 1, a, coef=complex(math.nan, 1.0)))  # a non-finite term is not a section
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 0), (7, 0)])
+def test_term_groups_are_plain_dicts_of_positive_counts(p, n):
+    # every grouping is a plain dict of plain dicts of positive int counts, so == is multiset equality; one
+    # count more or one term fewer is a different multiset
+    ctx = ctx_at(p, n)
+    rng = random.Random(50 + 10 * p + n)
+    checked = 0
+    for _ in range(3):
+        F, G, H = _planted(rng, ctx.modulus, 1.0), random_mod_elem(rng, ctx.modulus), _planted(rng, ctx.modulus, 0.5j)
+        FG = inner_left(ctx, F, G)
+        groups = [FG, inner_right(ctx, F, G), embed_terms(ctx, FG), act_alg_left(ctx, FG, H)]
+        groups.append(act_alg_right(ctx, F, inner_right(ctx, G, H)))
+        for A in groups:
+            assert type(A) is dict
+            for counts in A.values():
+                assert type(counts) is dict and counts
+                assert all(type(v) is int and v > 0 for v in counts.values())
+            for key, counts in list(A.items())[:3]:
+                x = next(iter(counts))
+                for step in (1, -1):  # one count more, one term fewer (a count or group that reaches 0 goes)
+                    B = {**A, key: {k: n for k, n in {**counts, x: counts[x] + step}.items() if n}}
+                    B = {g: c for g, c in B.items() if c}
+                    assert group_diff(A, B) == group_diff(B, A) == math.inf
+                checked += 1
+            assert group_diff(A, {g: dict(reversed(c.items())) for g, c in reversed(A.items())}) == 0.0
+        for moved in (act_left_gen(ctx, "U", 1, F), act_right_gen(ctx, "V", 1, F), level_embed(ctx, F)):
+            for j, pairs in moved.terms.items():
+                assert term_diff(moved, ModElem(moved.modulus, {**moved.terms, j: pairs[::-1]})) == 0.0
+                assert term_diff(moved, ModElem(moved.modulus, {**moved.terms, j: pairs + pairs[:1]})) == math.inf
+                assert term_diff(moved, ModElem(moved.modulus, {**moved.terms, j: pairs[1:]})) == math.inf
+    assert checked > 30
 
 
 def test_modelem_basics():
