@@ -33,9 +33,8 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactnum import QuadReal, frac1
+from .exactnum import QuadReal, _quad, frac1
 from .morita import ProjectionData, checked_trace, stage
 from .solenoid import SolenoidSpec, alpha_at
 
@@ -57,8 +56,8 @@ class HatFn:
 
     Every breakpoint and value must be finite: a section is a compactly
     supported continuous function, so a non-finite hat is not one.  The
-    support is the pair of end breakpoints as exact Fractions; quad_ends holds
-    the same pair as QuadReal, which the atoms' supports are built from.
+    support is the pair of end breakpoints as the QuadReals that the floats
+    equal, which the atoms' supports are built from.
     """
 
     breakpoints: tuple[float, ...]
@@ -74,15 +73,13 @@ class HatFn:
         if self.values[0] != 0 or self.values[-1] != 0:
             raise ValueError("endpoint values must vanish (compact support)")
         # the exact ends and the hash, built once; not fields, so == and hash see only the two tuples
-        lo, hi = Fraction(self.breakpoints[0]), Fraction(self.breakpoints[-1])
-        object.__setattr__(self, "_ends", (lo, hi))
-        object.__setattr__(self, "quad_ends", (QuadReal(lo), QuadReal(hi)))
+        object.__setattr__(self, "_ends", (QuadReal(self.breakpoints[0]), QuadReal(self.breakpoints[-1])))
         object.__setattr__(self, "_hash", hash((self.breakpoints, self.values)))
 
     def __hash__(self):
         return self._hash
 
-    def support(self) -> tuple[Fraction, Fraction]:
+    def support(self) -> tuple[QuadReal, QuadReal]:
         return self._ends
 
 
@@ -142,7 +139,7 @@ class AffineAtom:
     def support(self) -> tuple[QuadReal, QuadReal]:
         cached = self.__dict__.get("_support")
         if cached is None:
-            lo, hi = self.h.quad_ends
+            lo, hi = self.h.support()
             cached = self.__dict__["_support"] = (self.s + lo * self.lam, self.s + hi * self.lam)
         return cached
 
@@ -182,13 +179,10 @@ class ModElem:
             raise ValueError("modulus must be positive")
         self.modulus = modulus
         self.terms = {}
-        checked = set()  # ids of the tuples checked: classes built from one tuple share it
         for j, pairs in (terms or {}).items():
             pairs = tuple(pairs)
-            if id(pairs) not in checked:
-                checked.add(id(pairs))
-                for coef, _ in pairs:
-                    _finite_coef(coef)
+            for coef, _ in pairs:
+                _finite_coef(coef)
             if pairs:
                 key = j % modulus
                 self.terms[key] = self.terms[key] + pairs if key in self.terms else pairs
@@ -239,7 +233,8 @@ class ModElem:
 class BimCtx:
     """Level-2n kernel constants: exact alpha, beta and gamma, checked, with their float lowerings.
 
-    modulus, inv_gamma, left_freq and right_freq are computed once per context, on first use (with_gamma's too).
+    c = c0 p^(2n) is also the modulus of the context's module elements (build refuses c0 < 1).  inv_gamma,
+    left_freq and right_freq are computed once per context, on first use (with_gamma's too).
     """
 
     spec: SolenoidSpec
@@ -266,16 +261,12 @@ class BimCtx:
         return cls(spec, proj, n, line.c, line.d, mob.a, mob.b, alpha, beta, gamma)
 
     @functools.cached_property
-    def modulus(self) -> int:
-        return abs(self.c)
-
-    @functools.cached_property
     def inv_gamma(self) -> QuadReal:
         return 1 / self.gamma
 
     @functools.cached_property
-    def left_freq(self) -> Fraction:  # the left V is exp(2 pi i (t - am)/c) ...
-        return Fraction(1, self.c)
+    def left_freq(self) -> QuadReal:  # the left V is exp(2 pi i (t - am)/c) ...
+        return _quad(1, 0, self.c, 0)
 
     @functools.cached_property
     def right_freq(self) -> QuadReal:  # ... and the right V exp(2 pi i (t/gamma - m)/c)
@@ -287,16 +278,16 @@ class BimCtx:
     gamma_f = property(lambda self: float(self.gamma))
 
     def with_gamma(self, gamma) -> "BimCtx":
-        """This context with gamma replaced by an exact value, or by the Fraction that a float equals."""
-        return dataclasses.replace(self, gamma=QuadReal(Fraction(gamma)) if isinstance(gamma, float) else gamma)
+        """This context with gamma replaced by an exact value, or by the QuadReal that a float equals."""
+        return dataclasses.replace(self, gamma=QuadReal(gamma) if isinstance(gamma, float) else gamma)
 
 
 # -- module actions -----------------------------------------------------------------
 
 
 def _check_modulus(ctx: BimCtx, F: ModElem):
-    if F.modulus != ctx.modulus:
-        raise ValueError(f"element has modulus {F.modulus}, context needs {ctx.modulus}")
+    if F.modulus != ctx.c:
+        raise ValueError(f"element has modulus {F.modulus}, context needs {ctx.c}")
 
 
 def _act_gen(ctx: BimCtx, gen: str, power: int, F: ModElem, unit, step: int, freq, mult: int) -> ModElem:
@@ -307,7 +298,7 @@ def _act_gen(ctx: BimCtx, gen: str, power: int, F: ModElem, unit, step: int, fre
     _check_modulus(ctx, F)
     if power == 0:
         return F
-    M = ctx.modulus
+    M = ctx.c
     out: dict = {}
     moved: dict = {}  # classes that share a term tuple share its moved tuple; under V, those that share a phase
     if gen == "U":
@@ -319,9 +310,9 @@ def _act_gen(ctx: BimCtx, gen: str, power: int, F: ModElem, unit, step: int, fre
     elif gen == "V":
         w = power * freq
         for j, pairs in F.terms.items():
-            phase = (-power * mult * j) % ctx.c  # the numerator of the phase over c
+            phase = (-power * mult * j) % M  # the numerator of the phase over c
             if (id(pairs), phase) not in moved:
-                f = Fraction(phase, ctx.c)
+                f = _quad(phase, 0, M, 0)
                 moved[id(pairs), phase] = tuple((c, atom.modulate(w, f)) for c, atom in pairs)
             out[j] = moved[id(pairs), phase]
     else:
@@ -429,7 +420,7 @@ def _terms(ctx: BimCtx, F1: ModElem, F2: ModElem, key, window, m_of) -> dict:
     if not g > 0:
         raise ValueError(f"gamma must be positive, got {g}")
     out: dict = {}
-    for pairs1, pairs2, hull_window, km in _aligned_pairs(F1, F2, ctx.modulus, key, window, m_of).values():
+    for pairs1, pairs2, hull_window, km in _aligned_pairs(F1, F2, ctx.c, key, window, m_of).values():
         one = len(pairs1) == len(pairs2) == 1
         for t1 in pairs1:
             for t2 in pairs2:
@@ -447,7 +438,7 @@ def inner_left(ctx: BimCtx, F1: ModElem, F2: ModElem) -> dict:
     the m-sum over m + cZ is Per of one term per pair of atoms.  The atoms
     overlap where k*gamma lies strictly between lo1 - hi2 and hi1 - lo2.
     """
-    M = ctx.modulus
+    M = ctx.c
     window = lambda s1, s2: ((s1[0] - s2[1]) * ctx.inv_gamma, (s1[1] - s2[0]) * ctx.inv_gamma)
     return _terms(ctx, F1, F2, lambda j: -j, window, lambda j1: ctx.a * j1 % M)
 
@@ -458,7 +449,7 @@ def inner_right(ctx: BimCtx, F1: ModElem, F2: ModElem) -> dict:
     [-m] = [j1] forces m = -j1 mod c, and k = a(j2 - j1) mod c.  The atoms
     overlap where k lies strictly between lo2 - hi1 and hi2 - lo1.
     """
-    M = ctx.modulus
+    M = ctx.c
     window = lambda s1, s2: (s2[0] - s1[1], s2[1] - s1[0])
     return _terms(ctx, F1, F2, lambda j: ctx.a * j, window, lambda j1: -j1 % M)
 
@@ -696,21 +687,21 @@ def identity_suite(
     (term_diff); (c) and (d) compare inner-product terms (embed_terms), and
     the imprimitivity sum compares triple terms (act_alg_right).
 
-    corrupt_gamma shifts gamma at level n+1 only, by the Fraction the float
+    corrupt_gamma shifts gamma at level n+1 only, by the QuadReal the float
     equals; a nonzero shift must fail (a), demonstrating the harness can fail.
     """
     ctx = BimCtx.build(spec, proj, n)
     ctx2 = BimCtx.build(spec, proj, n + 1)
     if corrupt_gamma:
-        ctx2 = ctx2.with_gamma(ctx2.gamma + Fraction(corrupt_gamma))
+        ctx2 = ctx2.with_gamma(ctx2.gamma + QuadReal(corrupt_gamma))
     rng = random.Random(plan.seed)
     p = spec.p
     errs = {key: 0.0 for key in IDENTITY_KEYS}
 
     for _ in range(plan.hats):
-        F = random_mod_elem(rng, ctx.modulus)
-        G = random_mod_elem(rng, ctx.modulus)
-        H = random_mod_elem(rng, ctx.modulus)
+        F = random_mod_elem(rng, ctx.c)
+        G = random_mod_elem(rng, ctx.c)
+        H = random_mod_elem(rng, ctx.c)
         iF, iG = level_embed(ctx, F), level_embed(ctx, G)
         # the four level-n generator actions on F, each read by (a) or (b) and by a commutation
         left = {gen: act_left_gen(ctx, gen, 1, F) for gen in ("U", "V")}

@@ -4,6 +4,11 @@ Every value here is immutable and every operation is exact; no floating point
 enters any arithmetic or comparison path.  Floats appear only on explicit
 lowering (``float(x)``), for the float reference of the tests and the
 benchmark; no check reads one.
+
+Fraction is the package's input and output type: it is parsed here, read as
+an operand and by == and hash, and built for display.  Between the layers a
+rational travels only in its integer normal form, a PFrac, a QuadReal or a
+PAdic; _parts reads a PFrac or a QuadReal operand as integers, making no Fraction.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ import logging
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactnum import QuadReal, _strip, frac1
 from .padic import PAdic
@@ -137,7 +136,7 @@ def heisenberg_partner_spec(spec: SolenoidSpec) -> SolenoidSpec:
     if spec.digits.is_zero:
         raise ValueError("digit stream x must be nonzero")
     y = spec.digits.invert()
-    fp = y.frac_part().as_fraction()
+    fp = y.frac_part()
     return SolenoidSpec._of(spec.p, 1 / spec.theta + fp, y - fp)
 
 
@@ -203,11 +202,18 @@ def partner_spec(spec: SolenoidSpec, proj: ProjectionData) -> SolenoidSpec:
 
 
 def _partner_spec(spec: SolenoidSpec, proj: ProjectionData, tau: QuadReal) -> SolenoidSpec:
-    """partner_spec for a projection whose trace tau checked_trace has already passed."""
+    """partner_spec for a projection whose trace tau checked_trace has already passed.
+
+    With x = n/d read off the normal form p**ord * num/den (n = num p**ord, d =
+    den; n = 0 for a zero), y = (a0 n - b0 d)/(d0 d - c0 n), whose denominator
+    d u is prime to p by the Condition.  y keeps x's precision: PAdic
+    arithmetic would claim ord(c0) more digits when p divides c0.
+    """
     mob, beta = ab_normalized(TraceLine(0, proj.c0, proj.d0), spec.theta, tau)
-    x = spec.digits.as_fraction()
-    y = (mob.a * x - mob.b) / (proj.d0 - proj.c0 * x)
-    return SolenoidSpec._of(spec.p, beta, PAdic._of(spec.p, y, spec.digits.precision))
+    x = spec.digits
+    n = x.num * x.p**x.ord if x.num else 0
+    y = PAdic._new(x.p, 0, mob.a * n - mob.b * x.den, proj.d0 * x.den - proj.c0 * n, x.precision)
+    return SolenoidSpec._of(spec.p, beta, y)
 
 
 def displayed_mobius(spec: SolenoidSpec, n: int) -> MobiusPair:
@@ -219,14 +225,13 @@ def displayed_mobius(spec: SolenoidSpec, n: int) -> MobiusPair:
     """
     if spec.digits.is_zero or spec.digits.digit(0) == 0:
         raise ValueError("closed forms need x_0 != 0 (x a p-adic unit)")
-    p = spec.p
-    y = spec.digits.invert()
-    a = int(y.truncate_sum(0, 2 * n - 1).as_fraction())
+    c = spec.p ** (2 * n)
     d = -spec.head(2 * n)
-    b_frac = Fraction(a * d + 1, p ** (2 * n))
-    if b_frac.denominator != 1:
-        raise ArithmeticError(f"b at level {n} is not an integer: {b_frac}")
-    return MobiusPair(a, int(b_frac), p ** (2 * n), d)
+    a = spec.digits.invert()._below(2 * n)  # y is a unit known as far as x: head(2n) checked the window
+    b, r = divmod(a * d + 1, c)
+    if r:
+        raise ArithmeticError(f"b at level {n} is not an integer: {a * d + 1}/{c}")
+    return MobiusPair(a, b, c, d)
 
 
 def relate_check(spec: SolenoidSpec, N: int) -> bool:

@@ -9,7 +9,6 @@ is M = Q_p x R, points carried as (q, r) with q p-adic and r exact real.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .exactnum import PFrac, QuadReal, _new, _parts, frac1
@@ -19,7 +18,7 @@ from .solenoid import SeqWindow, SolenoidSpec, alpha_at
 
 @dataclass(frozen=True)
 class GammaElem:
-    """Element of Z[1/p]^2, both coordinates reduced p-power fractions."""
+    """Element of Z[1/p]^2, both coordinates PFracs over one base p."""
 
     first: PFrac
     second: PFrac
@@ -34,8 +33,11 @@ class GammaElem:
 
     @classmethod
     def of(cls, p: int, a, b) -> "GammaElem":
-        mk = lambda z: z if isinstance(z, PFrac) else PFrac.from_fraction(p, Fraction(z))
-        return cls(mk(a), mk(b))
+        """(a, b) over p: each a PFrac of base p or a rational that is one, else ValueError."""
+        a, b = (z if isinstance(z, PFrac) else PFrac.from_fraction(p, z) for z in (a, b))
+        if a.p != p or b.p != p:
+            raise ValueError(f"coordinates over bases {a.p} and {b.p}, not {p}")
+        return cls(a, b)
 
     @classmethod
     def identity(cls, p: int) -> "GammaElem":
@@ -147,8 +149,7 @@ def eta(P1: LatticePoint, P2: LatticePoint) -> PhaseArg:
     short to pin down its negative-index digits raises PrecisionError.
     """
     (a1, _), (_, b2) = P1, P2
-    fp = (a1.q * b2.q).frac_part().as_fraction()
-    return PhaseArg.of(a1.r * b2.r + fp)
+    return PhaseArg.of(a1.r * b2.r + (a1.q * b2.q).frac_part())
 
 
 def eta_bar(P1: LatticePoint, P2: LatticePoint) -> PhaseArg:
@@ -176,8 +177,8 @@ def iota_embed(x: PAdic, theta: QuadReal, g: GammaElem) -> LatticePoint:
     _check_embedding(x, theta, g)
     r1, r2 = g.first, g.second
     p = x.p
-    first = MPoint(x * r1, theta * r1.as_fraction())
-    second = MPoint(PAdic._new(p, -r2.k, r2.j, 1), QuadReal(r2.as_fraction()))
+    first = MPoint(x * r1, theta * r1)
+    second = MPoint(PAdic._new(p, -r2.k, r2.j, 1), _new(*_parts(r2)))
     return (first, second)
 
 
@@ -186,6 +187,6 @@ def lambda_embed(x: PAdic, theta: QuadReal, s: GammaElem) -> LatticePoint:
     _check_embedding(x, theta, s)
     s1, s2 = s.first, s.second
     p = x.p
-    first = MPoint(PAdic._new(p, -s1.k, s1.j, 1), QuadReal(-s1.as_fraction()))
-    second = MPoint(-(x.invert() * s2), QuadReal(s2.as_fraction()) / theta)
+    first = MPoint(PAdic._new(p, -s1.k, s1.j, 1), _new(*_parts(-s1)))
+    second = MPoint(-(x.invert() * s2), s2 / theta)
     return (first, second)

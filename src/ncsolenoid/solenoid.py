@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactnum import QuadReal, _quad, frac1, require_prime
+from .exactnum import PFrac, QuadReal, _quad, frac1, require_prime
 from .padic import PAdic, require_ord_bits
 
 
@@ -214,7 +213,7 @@ def truncate_spec(spec: SolenoidSpec, k: int) -> SolenoidSpec:
     if k == 0:
         return spec
     h = spec.head(k)
-    return SolenoidSpec._of(spec.p, _alpha(spec, k, h), (spec.digits - h) * Fraction(1, spec.p**k))
+    return SolenoidSpec._of(spec.p, _alpha(spec, k, h), (spec.digits - h) * PFrac(spec.p, 1, k))
 
 
 def equal_in_Xi(a: SolenoidSpec, b: SolenoidSpec, N: int) -> bool:

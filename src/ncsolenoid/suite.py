@@ -127,7 +127,14 @@ def check_coherence(spec: SolenoidSpec, entries: int = 12) -> dict:
 
 
 def check_from_even(spec: SolenoidSpec, entries: int = 8) -> dict:
-    """Rebuilding a spec from its even-index window reproduces the sequence."""
+    """Rebuilding a spec from its even-index window reproduces the sequence.
+
+    f = floor(theta) moves into the digit stream first: (theta - f, x + f) has
+    each alpha_n in the same class mod 1, in [0, 1) as from_even_entries reads.
+    """
+    f = math.floor(spec.theta)
+    if f:
+        spec = SolenoidSpec._of(spec.p, spec.theta - f, spec.digits + f)
     try:
         window = alphas(spec, 2 * entries)
         recovered = from_even_entries(spec.p, SeqWindow(window.entries[::2]))

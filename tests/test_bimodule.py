@@ -156,7 +156,7 @@ def test_hatfn_eval_and_support():
     assert vals[0] == 0 and vals[-1] == 0
     assert vals[3] == 2 - 1j
     assert abs(vals[2] - (1 - 0.5j)) < 1e-15
-    assert f.support() == (0.0, 2.0)
+    assert f.support() == (0, 2)
 
 
 def test_hatfn_equality_ignores_cached_tables():
@@ -293,7 +293,7 @@ def test_term_groups_are_plain_dicts_of_positive_counts(p, n):
     rng = random.Random(50 + 10 * p + n)
     checked = 0
     for _ in range(3):
-        F, G, H = _planted(rng, ctx.modulus, 1.0), random_mod_elem(rng, ctx.modulus), _planted(rng, ctx.modulus, 0.5j)
+        F, G, H = _planted(rng, ctx.c, 1.0), random_mod_elem(rng, ctx.c), _planted(rng, ctx.c, 0.5j)
         FG = inner_left(ctx, F, G)
         groups = [FG, inner_right(ctx, F, G), embed_terms(ctx, FG), act_alg_left(ctx, FG, H)]
         groups.append(act_alg_right(ctx, F, inner_right(ctx, G, H)))
@@ -385,7 +385,7 @@ def test_commutation_relations_pointwise():
     rng = random.Random(11)
     for p, n in ((2, 0), (2, 1), (3, 0)):
         ctx = ctx_at(p, n)
-        F = random_mod_elem(rng, ctx.modulus)
+        F = random_mod_elem(rng, ctx.c)
         uv = act_left_gen(ctx, "U", 1, act_left_gen(ctx, "V", 1, F))
         vu = act_left_gen(ctx, "V", 1, act_left_gen(ctx, "U", 1, F))
         assert pointwise_diff(uv, vu.scaled(np.exp(2j * math.pi * ctx.beta_f))) < 1e-9
@@ -416,7 +416,7 @@ def test_inner_products_no_alignment_vanish():
     # the right offsets are integers; a sub-unit gap between integers kills all of them
     h = HatFn((40.4, 40.55, 40.7), (0j, 1 + 0j, 0j))
     assert inner_right(ctx, ModElem.delta(1, 0, AffineAtom(f)), ModElem.delta(1, 0, AffineAtom(h))) == {}
-    empty = ModElem(ctx.modulus)
+    empty = ModElem(ctx.c)
     assert inner_left(ctx, empty, ModElem.delta(1, 0, AffineAtom(f))) == {}
     # supports that only touch, at 0.2 = 0.2 + 0 on the right, do not overlap on an open interval
     touch = AffineAtom(HatFn((0.2, 0.3, 0.4), (0j, 1 + 0j, 0j)))
@@ -431,7 +431,8 @@ def _per_m_kernel(ctx, F1, F2, side, k, r):
     Returns the kernel at (r, k), the number of (j1, j2) entries summed, and how
     many of those had no m in their window.
     """
-    M, cc, g = ctx.modulus, ctx.c, ctx.gamma_f
+    M = cc = ctx.c  # the classes' modulus and the lattice scale are one c
+    g = ctx.gamma_f
     r = np.asarray(r, dtype=float)
     acc = np.zeros(r.shape, dtype=complex)
     entries = empty = 0
@@ -475,7 +476,7 @@ def _planted(rng, M, coef):
 
 def _reference_ks(ctx, F1, F2, side):
     """Every k at which some class pair of F1 and F2 aligns and its float supports meet, as _per_m_kernel reads them."""
-    M, g = ctx.modulus, ctx.gamma_f
+    M, g = ctx.c, ctx.gamma_f
     out = set()
     for j1 in F1.terms:
         lo1, hi1 = (float(x) for x in F1.support(j1))
@@ -511,7 +512,7 @@ def _assert_terms_match_per_m(ctx, F1, F2, side, rs):
 @pytest.mark.parametrize("n", [0, 1])
 def test_inner_kernels_match_per_m_reference(p, n):
     ctx = ctx_at(p, n)
-    M = ctx.modulus
+    M = ctx.c
     rng = random.Random(100 * p + n)
     # the same hats at two classes each give kernels with more than one (j1, j2) entry; a
     # wide hat puts several m in one window, and at a single r point the m window of a
@@ -535,7 +536,7 @@ def test_inner_all_k_matches_per_m_reference(p, n):
     # are read once for all of them
     ctx, ctx2 = ctx_at(p, n), ctx_at(p, n + 1)
     rng = random.Random(200 * p + n)
-    F, G = _planted(rng, ctx.modulus, 1.0), _planted(rng, ctx.modulus, -0.4 + 2j)
+    F, G = _planted(rng, ctx.c, 1.0), _planted(rng, ctx.c, -0.4 + 2j)
     iF, iG = level_embed(ctx, F), level_embed(ctx, G)
     assert len({id(pairs) for pairs in iG.terms.values()}) * p == len(iG.terms)
     line = np.concatenate([np.linspace(0.0, 1.0, 41), [rng.uniform(0.0, 2.0) for _ in range(19)]])
@@ -555,7 +556,7 @@ def test_inner_all_k_matches_per_m_reference(p, n):
 
 def _terms_reference(ctx, F1, F2, side):
     """The inner product's terms from every class pair and term pair, each at the k of its exact open window."""
-    M, g = ctx.modulus, ctx.gamma
+    M, g = ctx.c, ctx.gamma
     out = {}
     for j1, pairs1 in F1.terms.items():
         for j2, pairs2 in F2.terms.items():
@@ -579,8 +580,8 @@ def test_aligned_pairs_match_every_pair_reference(p):
     for n in (0, 1, 2):
         ctx, ctx2 = ctx_at(p, n), ctx_at(p, n + 1)
         for _ in range(3):
-            F, G = _planted(rng, ctx.modulus, 1.0), _planted(rng, ctx.modulus, 0.5 - 1j)
-            cases = [(ctx, F, G), (ctx, G, random_mod_elem(rng, ctx.modulus)), (ctx2, level_embed(ctx, F), level_embed(ctx, G))]
+            F, G = _planted(rng, ctx.c, 1.0), _planted(rng, ctx.c, 0.5 - 1j)
+            cases = [(ctx, F, G), (ctx, G, random_mod_elem(rng, ctx.c)), (ctx2, level_embed(ctx, F), level_embed(ctx, G))]
             for c, F1, F2 in cases:
                 for side, inner in (("left", inner_left), ("right", inner_right)):
                     assert inner(c, F1, F2) == _terms_reference(c, F1, F2, side), (side, n)
@@ -593,13 +594,13 @@ def test_diffs_match_per_class_reference(p):
     rng = random.Random(300 + p)
     line = np.linspace(0.0, 1.0, 33)
     for _ in range(6):
-        F, G = random_mod_elem(rng, ctx.modulus), random_mod_elem(rng, ctx.modulus)
+        F, G = random_mod_elem(rng, ctx.c), random_mod_elem(rng, ctx.c)
         iF, iG = level_embed(ctx, F), level_embed(ctx, G)
         pairs = [
             (level_embed(ctx, act_left_gen(ctx, "U", 1, F)), act_left_gen(ctx2, "U", p, iF)),
             (level_embed(ctx, act_right_gen(ctx, "V", 1, F)), act_right_gen(ctx2, "V", p, iF)),
             (iF, iG),
-            (ModElem(ctx2.modulus), iF),  # classes that only B holds
+            (ModElem(ctx2.c), iF),  # classes that only B holds
         ]
         for A, B in pairs:
             assert (term_diff(A, B) == 0.0) == (pointwise_diff(A, B) <= 1e-12)
@@ -633,7 +634,7 @@ def _action_reference(ctx, F, G, H, side, t, J):
 def test_triple_terms_match_per_m_reference(p, n):
     ctx = ctx_at(p, n)
     rng = random.Random(500 * p + n)
-    F, G, H = _planted(rng, ctx.modulus, 1.0), random_mod_elem(rng, ctx.modulus), _planted(rng, ctx.modulus, 0.3 - 1j)
+    F, G, H = _planted(rng, ctx.c, 1.0), random_mod_elem(rng, ctx.c), _planted(rng, ctx.c, 0.3 - 1j)
     lhs = act_alg_left(ctx, inner_left(ctx, F, G), H)
     rhs = act_alg_right(ctx, F, inner_right(ctx, G, H))
     assert lhs and group_diff(lhs, rhs) == 0.0
@@ -653,7 +654,7 @@ def test_imprimitivity_fails_with_a_wrong_a_or_d(field):
     rng = random.Random(21)
     nonempty = fails = 0
     for _ in range(60):
-        F, G, H = (random_mod_elem(rng, ctx.modulus) for _ in range(3))
+        F, G, H = (random_mod_elem(rng, ctx.c) for _ in range(3))
         lhs = act_alg_left(bad, inner_left(bad, F, G), H)
         rhs = act_alg_right(bad, F, inner_right(bad, G, H))
         assert group_diff(act_alg_left(ctx, inner_left(ctx, F, G), H), act_alg_right(ctx, F, inner_right(ctx, G, H))) == 0.0
@@ -714,7 +715,7 @@ def test_internal_builds_keep_the_checked_invariants(p, n):
     rng = random.Random(10 * p + n)
     outs = []
     for _ in range(3):
-        F = random_mod_elem(rng, ctx.modulus)
+        F = random_mod_elem(rng, ctx.c)
         for act in (act_left_gen, act_right_gen):
             for gen, other in (("U", "V"), ("V", "U")):
                 for power in (1, p):
@@ -758,8 +759,8 @@ def test_inner_products_periodic_and_positive():
     rng = random.Random(13)
     for p, n in ((2, 0), (2, 1), (3, 1)):
         ctx = ctx_at(p, n)
-        F = random_mod_elem(rng, ctx.modulus)
-        G = random_mod_elem(rng, ctx.modulus)
+        F = random_mod_elem(rng, ctx.c)
+        G = random_mod_elem(rng, ctx.c)
         for side, inner in (("left", inner_left), ("right", inner_right)):
             A = inner(ctx, F, G)
             r = sample_r(rng, 80)
@@ -795,8 +796,8 @@ def test_scaled_embedding_breaks_inner_compatibility_by_factor_p():
     rng = random.Random(18)
     ctx = ctx_at(2, 0)
     ctx2 = ctx_at(2, 1)
-    F = random_mod_elem(rng, ctx.modulus)
-    G = random_mod_elem(rng, ctx.modulus)
+    F = random_mod_elem(rng, ctx.c)
+    G = random_mod_elem(rng, ctx.c)
     lhs = embed_terms(ctx, inner_left(ctx, F, G))
     good = inner_left(ctx2, level_embed(ctx, F), level_embed(ctx, G))
     s = 1 / math.sqrt(2)
@@ -817,10 +818,10 @@ def test_scaled_embedding_breaks_inner_compatibility_by_factor_p():
 def test_iota_linearity_is_structural():
     rng = random.Random(14)
     ctx = ctx_at(2, 1)
-    F = random_mod_elem(rng, ctx.modulus)
-    G = random_mod_elem(rng, ctx.modulus)
+    F = random_mod_elem(rng, ctx.c)
+    G = random_mod_elem(rng, ctx.c)
     assert level_embed(ctx, F.add(G)) == level_embed(ctx, F).add(level_embed(ctx, G))
-    assert level_embed(ctx, ModElem(ctx.modulus)) == ModElem(4 * ctx.modulus)
+    assert level_embed(ctx, ModElem(ctx.c)) == ModElem(4 * ctx.c)
 
 
 def test_identity_suite_small_plan_passes():
@@ -847,7 +848,7 @@ def test_action_identities_are_exact_at_every_level(p, n):
     report = identity_suite(spec_p(p), ProjectionData(1, 1, 0), n, plan)
     assert report == dict.fromkeys(bimodule.IDENTITY_KEYS, 0.0)
     ctx = ctx_at(p, n)
-    F = random_mod_elem(random.Random(p + n), ctx.modulus)
+    F = random_mod_elem(random.Random(p + n), ctx.c)
     uv = act_left_gen(ctx, "U", 1, act_left_gen(ctx, "V", 1, F))
     vu = act_left_gen(ctx, "V", 1, act_left_gen(ctx, "U", 1, F))
     assert term_diff(uv, bimodule._phased(vu, ctx.beta)) == 0.0 < term_diff(uv, vu)
@@ -874,8 +875,8 @@ def test_identity_suite_rejects_bad_inputs():
 
 def test_zero_elements_give_exact_zero_deviation():
     ctx = ctx_at(2, 0)
-    empty = ModElem(ctx.modulus)
-    assert term_diff(act_left_gen(ctx, "U", 1, empty), ModElem(ctx.modulus)) == 0.0
+    empty = ModElem(ctx.c)
+    assert term_diff(act_left_gen(ctx, "U", 1, empty), ModElem(ctx.c)) == 0.0
     assert group_diff(inner_left(ctx, empty, empty), {}) == 0.0
     assert group_diff(act_alg_left(ctx, {}, empty), act_alg_right(ctx, empty, {})) == 0.0
 
@@ -884,7 +885,7 @@ def test_random_hat_is_compactly_supported():
     rng = random.Random(17)
     for _ in range(20):
         h = random_hat(rng)
-        lo, hi = h.support()
+        lo, hi = map(float, h.support())
         assert h.values[0] == 0 and h.values[-1] == 0
         assert lo < hi
         assert abs(hat_eval(h, np.array([lo - 0.1]))[0]) == 0

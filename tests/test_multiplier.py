@@ -115,6 +115,15 @@ def test_lambda_embed_frozen():
     assert pt[1].r == 1 / theta
 
 
+def test_gamma_elem_of_keeps_one_base():
+    assert GammaElem.of(3, PFrac(3, 1, 1), Fraction(2, 9)) == GammaElem(PFrac(3, 1, 1), PFrac(3, 2, 2))
+    for a, b in ((PFrac(2, 1, 1), PFrac(2, 3, 0)), (1, PFrac(2, 1, 1))):
+        with pytest.raises(ValueError, match="not 3$"):
+            GammaElem.of(3, a, b)
+    with pytest.raises(ValueError, match="not a p-power fraction"):
+        GammaElem.of(3, Fraction(1, 2), 0)
+
+
 def test_embed_rejects_degenerate_parameters():
     g = GammaElem.of(2, 1, 1)
     with pytest.raises(ValueError):

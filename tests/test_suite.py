@@ -1,14 +1,15 @@
 """Report-producing check runners: shapes, determinism, and failure surfacing."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from ncsolenoid.bimodule import SamplePlan
-from ncsolenoid.morita import ProjectionData
+from ncsolenoid.morita import ProjectionData, certificate_search
 from ncsolenoid.solenoid import SolenoidSpec
 from ncsolenoid.padic import PAdic
-from ncsolenoid.exactnum import QuadReal
+from ncsolenoid.exactnum import PFrac, QuadReal
 from ncsolenoid.suite import (
     check_annihilator,
     check_bimodule,
@@ -33,6 +34,40 @@ def test_individual_checks_pass():
     assert check_from_even(spec, entries=6)["pass"] is True
     assert check_involution(3, count=5)["pass"] is True
     assert check_relate(3, count=2, entries=5)["pass"] is True
+
+
+@pytest.mark.parametrize("theta", ["1+sqrt(2)", "sqrt(2)", "5/2", "-sqrt(3)", "-7/3"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_from_even_reads_theta_outside_the_unit_interval(p, theta):
+    # from_even_entries takes entries in [0, 1): floor(theta) has to move into the digit stream first
+    spec = SolenoidSpec(p, QuadReal.parse(theta), PAdic.from_rational(p, Fraction(3, 5)))
+    assert check_from_even(spec, entries=6) == {"name": "solenoid-from-even", "entries": 6, "pass": True}
+
+
+def _reports() -> str:
+    """Every suite runner, the pinned certify pairs and three bimodule levels, as one JSON string."""
+    from test_golden import PAIRS, SPECS
+
+    specs = {name: SolenoidSpec.from_json(obj) for name, obj in SPECS.items()}
+    reports = [run_all(0), run_all(3)]
+    reports += [certificate_search(specs[a], specs[b]).to_json() for a, b in PAIRS]
+    for p, n in ((2, 1), (7, 0), (3, 1)):
+        spec = SolenoidSpec(p, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(p, 1))
+        reports.append(check_bimodule(spec, ProjectionData(1, 1, 0), n, SamplePlan(seed=0, hats=6)))
+    reports += [check_eta_psi(0, 120, default_spec(3)), check_relate(0), check_involution(0)]
+    return json.dumps(reports, sort_keys=True)
+
+
+def test_rationals_cross_layers_without_fractions(monkeypatch):
+    # inside the package a rational travels as a PFrac, QuadReal or PAdic: no path reads one back as a Fraction
+    want = _reports()
+
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__}.as_fraction read inside the package")
+
+    monkeypatch.setattr(PFrac, "as_fraction", refuse)
+    monkeypatch.setattr(PAdic, "as_fraction", refuse)
+    assert _reports() == want
 
 
 def test_check_condition_reports_gcd():
