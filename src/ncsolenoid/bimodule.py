@@ -92,7 +92,8 @@ class AffineAtom:
     QuadReal (an int or a Fraction is converted), s and omega are QuadReal,
     and phi is a QuadReal reduced into [0, 1), so == and hash are exact
     equality, and the support is exact.  The hash and the support are each
-    computed once, on first use, and kept in the instance dict.
+    computed once, on first use, and kept in the instance dict; an atom made
+    by a move reads its support off its parent's when that is known.
     """
 
     h: HatFn
@@ -109,26 +110,47 @@ class AffineAtom:
         object.__setattr__(self, "phi", frac1(self.phi))
 
     @staticmethod
-    def _of(h, lam: QuadReal, s, omega, phi) -> "AffineAtom":
-        """The atom of parameters already valid, lam a positive QuadReal and phi in [0, 1): not checked again."""
+    def _of(h, lam: QuadReal, s, omega, phi, support=None) -> "AffineAtom":
+        """The atom of parameters already valid, lam a positive QuadReal and phi in [0, 1): not checked again.
+
+        support, if given, is the atom's support, which a move computes from its parent's.
+        """
         atom = object.__new__(AffineAtom)
         atom.__dict__.update(h=h, lam=lam, s=s, omega=omega, phi=phi)
+        if support is not None:
+            atom.__dict__["_support"] = support
         return atom
 
     def shift(self, u) -> "AffineAtom":
-        """t -> self(t - u)."""
+        """t -> self(t - u); a known support moves by u."""
         phi = frac1(self.phi - self.omega * u) if self.omega else self.phi
-        return AffineAtom._of(self.h, self.lam, self.s + u, self.omega, phi)
+        ends = self.__dict__.get("_support")
+        moved = None if ends is None else (ends[0] + u, ends[1] + u)
+        return AffineAtom._of(self.h, self.lam, self.s + u, self.omega, phi, moved)
 
     def dilate(self, q) -> "AffineAtom":
-        """t -> self(t / q), for a positive rational q."""
+        """t -> self(t / q), for a positive rational q; a known support is scaled by q.
+
+        The dilation by an int q is kept on the atom, so the maps that dilate
+        one atom by p (level_embed, embed_terms) share one dilated atom.
+        """
+        if type(q) is int:
+            memo = self.__dict__.get("_dilated")
+            if memo is not None and memo[0] == q:
+                return memo[1]
         if q <= 0:
             raise ValueError("dilation factor must be positive")
-        return AffineAtom._of(self.h, self.lam * q, self.s * q, self.omega / q, self.phi)
+        ends = self.__dict__.get("_support")
+        scaled = None if ends is None else (ends[0] * q, ends[1] * q)
+        out = AffineAtom._of(self.h, self.lam * q, self.s * q, self.omega / q, self.phi, scaled)
+        if type(q) is int:
+            self.__dict__["_dilated"] = (q, out)
+        return out
 
     def modulate(self, w, f) -> "AffineAtom":
-        """t -> exp(2 pi i (w t + f)) self(t)."""
-        return AffineAtom._of(self.h, self.lam, self.s, self.omega + w, frac1(self.phi + f))
+        """t -> exp(2 pi i (w t + f)) self(t), of the same support."""
+        ends = self.__dict__.get("_support")
+        return AffineAtom._of(self.h, self.lam, self.s, self.omega + w, frac1(self.phi + f), ends)
 
     def __hash__(self):
         cached = self.__dict__.get("_hash")
@@ -155,10 +177,16 @@ def _finite_coef(z) -> complex:
     return z
 
 
+def _hull(ends: list):
+    """Exact hull of a list of (lo, hi) intervals, the one interval itself; NO_SUPPORT if there are none."""
+    if len(ends) == 1:
+        return ends[0]
+    return (min(lo for lo, _ in ends), max(hi for _, hi in ends)) if ends else NO_SUPPORT
+
+
 def _span(pairs):
     """Exact hull of the supports of the atoms in (coef, atom) pairs; NO_SUPPORT if there are none."""
-    ends = [atom.support() for _, atom in pairs]
-    return (min(lo for lo, _ in ends), max(hi for _, hi in ends)) if ends else NO_SUPPORT
+    return _hull([atom.support() for _, atom in pairs])
 
 
 class ModElem:
@@ -335,7 +363,7 @@ def act_right_gen(ctx: BimCtx, gen: str, power: int, F: ModElem) -> ModElem:
 
 def _open_range(lo, hi) -> tuple[int, int]:
     """The least and the greatest integer strictly between the exact reals lo and hi."""
-    return math.floor(lo) + 1, -math.floor(-hi) - 1
+    return math.floor(lo) + 1, math.ceil(hi) - 1
 
 
 def _residues(first: int, last: int, r: int, M: int) -> range:
@@ -344,23 +372,25 @@ def _residues(first: int, last: int, r: int, M: int) -> range:
 
 
 def _aligned_pairs(F1: ModElem, F2: ModElem, M: int, key, window, m_of) -> dict:
-    """{(id(pairs1), id(pairs2)): (pairs1, pairs2, hull window, [(k, m)])} over the class pairs that align.
+    """{(id(pairs1), id(pairs2)): (pairs1, pairs2, pair window, [(k, m)])} over the class pairs that align.
 
     A pair aligns at k = key(j2) - key(j1) mod M, and window(s1, s2) gives the
     exact open interval of k at which class hulls s1 and s2 overlap; the
-    integers in it make the hull window, and m = m_of(j1).  For each j1, the
+    integers in it make the pair window, and m = m_of(j1).  For each j1, the
     window against the hull of F2's supports contains every pair's window,
     so only the j2 whose keys fall in the residues of its k (all of them,
     once it spans M or more k) can align; they are bisected from F2's
     classes sorted by key.  Hulls and windows are found once per term tuple
     and once per pair of term tuples: the classes level_embed spreads share
-    one.
+    one.  When F2 holds one term tuple, its span is F2's hull, so every pair
+    window is the hull window.
     """
     tuples2 = {id(pairs): pairs for pairs in F2.terms.values()}
     if not tuples2:
         return {}
     spans = {i: _span(pairs) for i, pairs in tuples2.items()}
-    hull2 = (min(lo for lo, _ in spans.values()), max(hi for _, hi in spans.values()))
+    hull2 = _hull(list(spans.values()))
+    one_tuple = len(spans) == 1
     by_key = sorted((key(j2) % M, id(pairs)) for j2, pairs in F2.terms.items())
     keys = [kk for kk, _ in by_key]
     hulls: dict = {}  # id(pairs1) -> (its span, its window against hull2)
@@ -370,7 +400,8 @@ def _aligned_pairs(F1: ModElem, F2: ModElem, M: int, key, window, m_of) -> dict:
         if id1 not in hulls:
             s1 = _span(pairs1)
             hulls[id1] = (s1, _open_range(*window(s1, hull2)))
-        s1, (first, last) = hulls[id1]
+        s1, hull_window = hulls[id1]
+        first, last = hull_window
         if last < first:
             continue
         k1, m = key(j1), m_of(j1)
@@ -385,7 +416,8 @@ def _aligned_pairs(F1: ModElem, F2: ModElem, M: int, key, window, m_of) -> dict:
         for kk, id2 in near:
             entry = out.get((id1, id2))
             if entry is None:
-                entry = out[id1, id2] = (pairs1, tuples2[id2], _open_range(*window(s1, spans[id2])), [])
+                pair_window = hull_window if one_tuple else _open_range(*window(s1, spans[id2]))
+                entry = out[id1, id2] = (pairs1, tuples2[id2], pair_window, [])
             entry[3].extend((k, m) for k in _residues(*entry[2], kk - k1, M))
     return out
 
@@ -411,8 +443,8 @@ def _merge(out: dict, key, counts: dict) -> None:
 def _terms(ctx: BimCtx, F1: ModElem, F2: ModElem, key, window, m_of) -> dict:
     """{(gamma, t1, t2): {(k, m): count}} over the aligned pairs, each term pair kept at the k its supports allow.
 
-    A pair of single-atom tuples keeps the hull window as it is: one atom's
-    span is its support, so the window of its two terms is the hull window.
+    A pair of single-atom tuples keeps the pair window as it is: one atom's
+    span is its support, so the window of its two terms is the pair window.
     """
     _check_modulus(ctx, F1)
     _check_modulus(ctx, F2)
@@ -420,12 +452,12 @@ def _terms(ctx: BimCtx, F1: ModElem, F2: ModElem, key, window, m_of) -> dict:
     if not g > 0:
         raise ValueError(f"gamma must be positive, got {g}")
     out: dict = {}
-    for pairs1, pairs2, hull_window, km in _aligned_pairs(F1, F2, ctx.c, key, window, m_of).values():
+    for pairs1, pairs2, pair_window, km in _aligned_pairs(F1, F2, ctx.c, key, window, m_of).values():
         one = len(pairs1) == len(pairs2) == 1
         for t1 in pairs1:
             for t2 in pairs2:
-                first, last = hull_window if one else _open_range(*window(t1[1].support(), t2[1].support()))
-                kept = km if (first, last) == hull_window else [x for x in km if first <= x[0] <= last]
+                first, last = pair_window if one else _open_range(*window(t1[1].support(), t2[1].support()))
+                kept = km if (first, last) == pair_window else [x for x in km if first <= x[0] <= last]
                 if kept:
                     _merge(out, (g, t1, t2), _tally(kept))
     return out

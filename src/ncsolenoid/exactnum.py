@@ -219,15 +219,24 @@ class QuadReal:
     point.
 
     Arithmetic reads the other operand as the four integers of its normal
-    form (_parts) and normalises its result once (_quad).  Adding an integer
-    k, and negation, keep the normal form with no gcd: a common divisor of B
-    and M divides A + kM exactly when it divides A, so gcd(A + kM, B, M) =
-    gcd(A, B, M) = 1, and gcd(-A, -B, M) = gcd(A, B, M), with M > 0 kept.
+    form and normalises its result once.  + - and * read a QuadReal or int
+    operand in place, with the radicand check, and build their result
+    themselves; every other operand goes through _parts, and / through _div
+    and _quad.  Adding an integer k, and negation, keep the normal form with
+    no gcd: a common divisor of B and M divides A + kM exactly when it
+    divides A, so gcd(A + kM, B, M) = gcd(A, B, M) = 1, and gcd(-A, -B, M) =
+    gcd(A, B, M), with M > 0 kept.
     """
 
     __slots__ = ("A", "B", "M", "D")
 
     def __init__(self, a=0, b=0, D: int = 0):
+        if type(a) is float and not b and not D:
+            # a float is a dyadic rational, and as_integer_ratio gives it in lowest terms with a positive
+            # denominator (OverflowError for an infinity, ValueError for a nan, as Fraction raises)
+            self.A, self.M = a.as_integer_ratio()
+            self.B = self.D = 0
+            return
         a = a if isinstance(a, (int, Fraction)) else Fraction(a)
         b = b if isinstance(b, (int, Fraction)) else Fraction(b)
         D = int(D)
@@ -254,15 +263,32 @@ class QuadReal:
 
     # -- ring / field operations -------------------------------------------
 
-    def _add(self, A: int, B: int, M: int, D: int) -> "QuadReal":
-        """self + (A + B*sqrt(D))/M, for the integers that _parts reads off the other operand."""
-        if M == 1 and not B:  # an integer: no gcd (see the class docstring)
-            return _new(self.A + A * self.M, self.B, self.M, self.D)
-        return _quad(self.A * M + A * self.M, self.B * M + B * self.M, self.M * M, D)
+    def _add(self, other, sign: int) -> "QuadReal":
+        """self + sign*other, normalised and built here: one gcd, none for an integer other."""
+        A0, B0, M0, D = self.A, self.B, self.M, self.D
+        x = object.__new__(QuadReal)
+        if type(other) is int:
+            x.A, x.B, x.M, x.D = A0 + sign * other * M0, B0, M0, D
+            return x
+        if type(other) is QuadReal:
+            A, B, M = other.A, other.B, other.M
+            if other.D != D:
+                D = _radicand(D, other.D)
+        else:
+            o = _parts(other, D)
+            if o is None:
+                return NotImplemented
+            A, B, M, D = o
+        if M == 1 and not B:
+            x.A, x.B, x.M, x.D = A0 + sign * A * M0, B0, M0, D
+            return x
+        A, B, M = A0 * M + sign * A * M0, B0 * M + sign * B * M0, M0 * M
+        g = math.gcd(A, B, M)
+        x.A, x.B, x.M, x.D = A // g, B // g, M // g, D if B else 0
+        return x
 
     def __add__(self, other):
-        o = _parts(other, self.D)
-        return NotImplemented if o is None else self._add(*o)
+        return self._add(other, 1)
 
     __radd__ = __add__
 
@@ -270,19 +296,33 @@ class QuadReal:
         return _new(-self.A, -self.B, self.M, self.D)
 
     def __sub__(self, other):
-        o = _parts(other, self.D)
-        return NotImplemented if o is None else self._add(-o[0], -o[1], o[2], o[3])
+        return self._add(other, -1)
 
     def __rsub__(self, other):
-        o = _parts(other, self.D)
-        return NotImplemented if o is None else (-self)._add(*o)
+        return (-self)._add(other, 1)
 
     def __mul__(self, other):
-        o = _parts(other, self.D)
-        if o is None:
-            return NotImplemented
-        A, B, M, D = o
-        return _quad(self.A * A + self.B * B * D, self.A * B + self.B * A, self.M * M, D)
+        """self * other, normalised and built here: one gcd, on k and M alone for an integer other k."""
+        A0, B0, M0, D = self.A, self.B, self.M, self.D
+        x = object.__new__(QuadReal)
+        if type(other) is int:
+            # gcd(kA, kB, M) = gcd(k gcd(A, B), M) = gcd(k, M), since gcd(A, B) is prime to M
+            g = math.gcd(other, M0)
+            x.A, x.B, x.M, x.D = A0 * other // g, B0 * other // g, M0 // g, D if other else 0
+            return x
+        if type(other) is QuadReal:
+            A, B, M = other.A, other.B, other.M
+            if other.D != D:
+                D = _radicand(D, other.D)
+        else:
+            o = _parts(other, D)
+            if o is None:
+                return NotImplemented
+            A, B, M, D = o
+        A, B, M = A0 * A + B0 * B * D, A0 * B + B0 * A, M0 * M
+        g = math.gcd(A, B, M)
+        x.A, x.B, x.M, x.D = A // g, B // g, M // g, D if B else 0
+        return x
 
     __rmul__ = __mul__
 
@@ -339,6 +379,8 @@ class QuadReal:
         return self._cmp(other) >= 0
 
     def __eq__(self, other):
+        if type(other) is QuadReal:
+            return self.A == other.A and self.B == other.B and self.M == other.M and self.D == other.D
         o = _parts(other)  # no radicand check: values over two radicands are unequal
         return NotImplemented if o is None else (self.A, self.B, self.M, self.D) == o
 
@@ -358,6 +400,10 @@ class QuadReal:
         # (B > 0) or between -s-1 and -s (B < 0); floor((A + t)/M) = floor(A + t) // M
         s = math.isqrt(B * B * self.D)
         return (A + s) // M if B > 0 else (A - s - 1) // M
+
+    def __ceil__(self) -> int:
+        # an irrational value lies strictly between its floor and the next integer
+        return -(-self.A // self.M) if self.B == 0 else self.__floor__() + 1
 
     def __float__(self) -> float:
         # int / int is correctly rounded, so each term equals float(Fraction(., M))
@@ -438,9 +484,7 @@ def _parts(x, D: int = 0) -> tuple[int, int, int, int] | None:
     if x and that value are irrational over two different radicands.
     """
     if isinstance(x, QuadReal):
-        if x.B and D and x.D != D:
-            raise RadicandMismatchError(f"sqrt({D}) vs sqrt({x.D})")
-        return x.A, x.B, x.M, x.D or D
+        return x.A, x.B, x.M, x.D if x.D == D else _radicand(D, x.D)
     if isinstance(x, (int, Fraction)):
         return x.numerator, 0, x.denominator, D
     if isinstance(x, PFrac):
@@ -448,6 +492,13 @@ def _parts(x, D: int = 0) -> tuple[int, int, int, int] | None:
         g = math.gcd(x.j, M)  # 1 unless p is composite
         return x.j // g, 0, M // g, D
     return None
+
+
+def _radicand(D1: int, D2: int) -> int:
+    """The radicand of a result of operands over D1 and D2 (0 for a rational); RadicandMismatchError for two surds."""
+    if D1 and D2 and D1 != D2:
+        raise RadicandMismatchError(f"sqrt({D1}) vs sqrt({D2})")
+    return D1 or D2
 
 
 def _new(A: int, B: int, M: int, D: int) -> QuadReal:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .exactnum import QuadReal, _strip, frac1
 from .padic import PAdic
-from .solenoid import SeqWindow, SolenoidSpec, _alpha, alphas, level_table, truncate_spec
+from .solenoid import SeqWindow, SolenoidSpec, _alpha, alphas, beyond_horizon, level_table, truncate_spec
 
 log = logging.getLogger(__name__)
 
@@ -134,6 +134,9 @@ def heisenberg_partner_spec(spec: SolenoidSpec) -> SolenoidSpec:
     if not spec.theta:
         raise ValueError("theta must be nonzero")
     if spec.digits.is_zero:
+        H = spec.digits.precision
+        if H < math.inf:  # a window zero to its horizon H: its order needs digit x_H or a later one
+            raise beyond_horizon(H)
         raise ValueError("digit stream x must be nonzero")
     y = spec.digits.invert()
     fp = y.frac_part()
@@ -223,7 +226,7 @@ def displayed_mobius(spec: SolenoidSpec, n: int) -> MobiusPair:
     b = (a*d + 1)/p^(2n); b is an integer because the digit windows of x and
     x^-1 multiply to 1 mod p^(2n).  The determinant of this pair is -1.
     """
-    if spec.digits.is_zero or spec.digits.digit(0) == 0:
+    if spec.x(0) == 0:  # x_0 past a horizon of 0 is named as such
         raise ValueError("closed forms need x_0 != 0 (x a p-adic unit)")
     c = spec.p ** (2 * n)
     d = -spec.head(2 * n)
@@ -244,7 +247,7 @@ def relate_check(spec: SolenoidSpec, N: int) -> bool:
     """
     if not spec.theta:
         raise ValueError("theta must be nonzero")
-    if spec.digits.is_zero or spec.digits.digit(0) == 0:
+    if spec.x(0) == 0:  # x_0 past a horizon of 0 is named as such
         raise ValueError("comparison needs x_0 != 0")
     partner = heisenberg_partner_spec(spec)
     for n, ((alpha, _), (beta, _)) in enumerate(zip(level_table(spec, N), level_table(partner, N))):

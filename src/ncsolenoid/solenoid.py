@@ -23,6 +23,11 @@ class PrimeMismatchError(ValueError):
     """Two objects over different primes were combined."""
 
 
+def beyond_horizon(H: int) -> ValueError:
+    """The error of a read that needs digit x_H of a stream known below its horizon H."""
+    return ValueError(f"digit x_{H} is beyond the known window (horizon {H})")
+
+
 @dataclass(frozen=True)
 class SolenoidSpec:
     """Prime p, exact real theta, digit stream x (a p-adic integer).
@@ -64,7 +69,7 @@ class SolenoidSpec:
             raise ValueError("index must be nonnegative")
         H = self.digits.precision
         if n > H:
-            raise ValueError(f"digit x_{H} is beyond the known window (horizon {H})")
+            raise beyond_horizon(H)
         return self.digits._below(n)
 
     def x(self, n: int) -> int:

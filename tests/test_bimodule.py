@@ -269,6 +269,42 @@ def test_atom_caches_match_fresh_atoms(steps, u, q, k):
         assert forms[-1] == k and type(forms[-1]) is int
 
 
+# dilation factors: rationals, a rational QuadReal, and ints, whose dilations an atom keeps
+DILATIONS = st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(3, 2), QuadReal(Fraction(5, 4)), 2, 3, 7])
+MOVES = st.lists(
+    st.one_of(
+        st.tuples(st.just("shift"), EXACT),
+        st.tuples(st.just("dilate"), DILATIONS),
+        st.tuples(st.just("modulate"), EXACT, EXACT),
+    ),
+    max_size=8,
+)
+
+
+@PROPERTY
+@given(MOVES, st.booleans(), st.sampled_from([2, 3, 7]), DILATIONS)
+def test_moves_keep_the_support_and_dilation_of_a_fresh_atom(steps, filled, q, other):
+    # an atom moved from one whose support is known reads its support off its parent's; it must be the support
+    # of a fresh atom of the same parameters.  A dilation by an int is kept on the atom and handed out again
+    # while the factor is the same: a kept one equals a fresh atom's dilation as much as a new one does
+    h = HatFn((0.0, 0.4, 1.1), (0j, 1 - 1j, 0j))
+    atom = AffineAtom(h)
+    if filled:
+        atom.support()
+    for name, *args in steps:
+        atom = getattr(atom, name)(*args)
+        fresh = lambda: AffineAtom(h, atom.lam, atom.s, atom.omega, atom.phi)  # a new one each call: none keeps any
+        if filled:  # inherited, not computed on first use
+            assert atom.__dict__["_support"] == fresh().support()
+        assert atom == fresh() and hash(atom) == hash(fresh()) and atom.support() == fresh().support()
+        expect = fresh().dilate(q)
+        first = atom.dilate(q)
+        assert atom.dilate(q) is first  # kept
+        assert atom.dilate(other) == fresh().dilate(other)  # another factor, kept in place of q if it is an int
+        for dilated in (first, atom.dilate(q)):
+            assert dilated == expect and hash(dilated) == hash(expect) and dilated.support() == expect.support()
+
+
 def test_term_diff_compares_term_multisets_per_class():
     a = AffineAtom(HatFn((0.0, 0.5, 1.0), (0j, 1 + 0j, 0j)))
     b = a.shift(1)

@@ -539,6 +539,27 @@ def test_heisenberg_partner_stops_at_its_precision(capsys, tmp_path):
         assert capsys.readouterr().err.strip().endswith("digit x_3 is beyond the known window (horizon 3)")
 
 
+@pytest.mark.parametrize("command", ["relate", "heisenberg"])
+def test_unknown_digits_are_refused_for_their_horizon(capsys, tmp_path, command):
+    # a window zero to its horizon is no zero x: with every digit unknown both commands name the horizon, as
+    # check-coherence does; with x_0 = x_1 = x_2 = 0 known, relate reads x_0 = 0 and heisenberg needs x_3
+    theta = "(-1 + 1*sqrt(2))/1"
+    expected = {
+        (0, 1): "digit x_0 is beyond the known window (horizon 0)",
+        (3, 0): "comparison needs x_0 != 0" if command == "relate" else "digit x_3 is beyond the known window (horizon 3)",
+    }
+    for (horizon, x0), message in expected.items():
+        path = tmp_path / "h.json"
+        digits = {"p": 2, "ord": 0, "preperiod": [x0], "period": [0]}
+        path.write_text(json.dumps({"p": 2, "theta": theta, "digits": digits, "digit_horizon": horizon}))
+        argvs = [["morita", command]] + ([["solenoid", "check-coherence"]] if horizon == 0 else [])
+        for argv in argvs:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--spec", str(path)])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.strip().splitlines()[-1] == f"ncsolenoid: error: {message}"
+
+
 def test_multiplier_checks_pass(capsys):
     for sub in ("check-cocycle", "check-annihilator", "check-eta-psi"):
         code, rep = run_json(capsys, ["multiplier", sub, "--seed", "9", "--count", "40"])

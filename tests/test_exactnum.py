@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncsolenoid.exactnum import (
@@ -310,6 +310,9 @@ def test_floor_brackets_value(a, b, D):
     n = math.floor(x)
     assert ref_sign(a - n, b, D) >= 0
     assert ref_sign(a - n - 1, b, D) < 0
+    m = math.ceil(x)
+    assert ref_sign(a - m, b, D) <= 0
+    assert ref_sign(a - m + 1, b, D) > 0
 
 
 @PROPERTY
@@ -440,7 +443,34 @@ def test_every_operand_type_gives_the_normal_form(data, a1, b1, D):
         if not b:
             assert z == a and hash(z) == hash(a)
     assert_normal(-x, D)
-    assert x._cmp(y) == ref_sign(a1 - a2, b1 - b2, D)
+    sign = ref_sign(a1 - a2, b1 - b2, D)
+    assert x._cmp(y) == sign
+    # the order and == on either side: an int, Fraction or PFrac on the left hands the comparison to QuadReal
+    expect = [sign < 0, sign <= 0, sign > 0, sign >= 0, sign == 0, sign != 0]
+    assert [x < y, x <= y, x > y, x >= y, x == y, x != y] == expect
+    assert [y > x, y >= x, y < x, y <= x, y == x, y != x] == expect
     # y is read in its normal form too: equal to the QuadReal of its value, and reduced mod 1 into normal form
     assert QuadReal(a2, b2, D) == y
     assert_normal(frac1(y), D)
+
+
+@PROPERTY
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)  # the least subnormal
+@example(2.2250738585072009e-308)  # the greatest subnormal
+@example(2.0**1000)
+@example(-(2.0**-1074) * 3)
+def test_a_float_is_read_as_the_rational_it_equals(x):
+    q = QuadReal(x)
+    assert_normal(q, 0)
+    assert (q.A, q.B, q.M, q.D) == (Fraction(x).numerator, 0, Fraction(x).denominator, 0)
+    assert q == QuadReal(Fraction(x)) and float(q) == x
+
+
+def test_a_non_finite_float_raises_as_fraction_does():
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises((OverflowError, ValueError)) as want:
+            Fraction(x)
+        with pytest.raises(want.type, match=str(want.value)):
+            QuadReal(x)
