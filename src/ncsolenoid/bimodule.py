@@ -91,9 +91,10 @@ class AffineAtom:
     three compose in closed form into this normal form.  lam is a positive
     QuadReal (an int or a Fraction is converted), s and omega are QuadReal,
     and phi is a QuadReal reduced into [0, 1), so == and hash are exact
-    equality, and the support is exact.  The hash and the support are each
-    computed once, on first use, and kept in the instance dict; an atom made
-    by a move reads its support off its parent's when that is known.
+    equality, and the support is exact.  The five parameters are the atom:
+    the hash and the support are computed from them once, on first use, and
+    kept in the instance dict.  A move computes only the parameters it
+    changes: one that a zero leaves as it is stays the parent's own object.
     """
 
     h: HatFn
@@ -110,26 +111,19 @@ class AffineAtom:
         object.__setattr__(self, "phi", frac1(self.phi))
 
     @staticmethod
-    def _of(h, lam: QuadReal, s, omega, phi, support=None) -> "AffineAtom":
-        """The atom of parameters already valid, lam a positive QuadReal and phi in [0, 1): not checked again.
-
-        support, if given, is the atom's support, which a move computes from its parent's.
-        """
+    def _of(h, lam: QuadReal, s, omega, phi) -> "AffineAtom":
+        """The atom of parameters already valid, lam a positive QuadReal and phi in [0, 1): not checked again."""
         atom = object.__new__(AffineAtom)
         atom.__dict__.update(h=h, lam=lam, s=s, omega=omega, phi=phi)
-        if support is not None:
-            atom.__dict__["_support"] = support
         return atom
 
     def shift(self, u) -> "AffineAtom":
-        """t -> self(t - u); a known support moves by u."""
+        """t -> self(t - u): s moves by u, and phi by -omega*u unless omega is 0."""
         phi = frac1(self.phi - self.omega * u) if self.omega else self.phi
-        ends = self.__dict__.get("_support")
-        moved = None if ends is None else (ends[0] + u, ends[1] + u)
-        return AffineAtom._of(self.h, self.lam, self.s + u, self.omega, phi, moved)
+        return AffineAtom._of(self.h, self.lam, self.s + u, self.omega, phi)
 
     def dilate(self, q) -> "AffineAtom":
-        """t -> self(t / q), for a positive rational q; a known support is scaled by q.
+        """t -> self(t / q), for a positive rational q: lam scales by q, s by q and omega by 1/q unless they are 0.
 
         The dilation by an int q is kept on the atom, so the maps that dilate
         one atom by p (level_embed, embed_terms) share one dilated atom.
@@ -140,17 +134,18 @@ class AffineAtom:
                 return memo[1]
         if q <= 0:
             raise ValueError("dilation factor must be positive")
-        ends = self.__dict__.get("_support")
-        scaled = None if ends is None else (ends[0] * q, ends[1] * q)
-        out = AffineAtom._of(self.h, self.lam * q, self.s * q, self.omega / q, self.phi, scaled)
+        s = self.s * q if self.s else self.s
+        omega = self.omega / q if self.omega else self.omega
+        out = AffineAtom._of(self.h, self.lam * q, s, omega, self.phi)
         if type(q) is int:
             self.__dict__["_dilated"] = (q, out)
         return out
 
     def modulate(self, w, f) -> "AffineAtom":
-        """t -> exp(2 pi i (w t + f)) self(t), of the same support."""
-        ends = self.__dict__.get("_support")
-        return AffineAtom._of(self.h, self.lam, self.s, self.omega + w, frac1(self.phi + f), ends)
+        """t -> exp(2 pi i (w t + f)) self(t): omega moves by w unless w is 0, and phi by f mod 1 unless f is 0."""
+        omega = self.omega + w if w else self.omega
+        phi = frac1(self.phi + f) if f else self.phi
+        return AffineAtom._of(self.h, self.lam, self.s, omega, phi)
 
     def __hash__(self):
         cached = self.__dict__.get("_hash")

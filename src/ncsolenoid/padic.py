@@ -74,6 +74,37 @@ def _int_digits(n: int, p: int, length: int) -> list[int]:
     return _int_digits(lo, p, length // 2) + _int_digits(hi, p, length - length // 2)
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+
+
+def _order_floor(p: int, den: int, cap: int) -> int:
+    """A divisor of the order L of p mod den (den prime to p), read off den's parts q**e with q < 64: their lcm, or the
+    first part past cap.
+
+    L is the lcm of p's orders mod the prime powers q**e exactly dividing den, so each part below divides L, and so does
+    their lcm.  Every such q is prime to p.  For an odd q, let d = ord_q(p) and w = v_q(p**d - 1) >= 1: lifting the
+    exponent, v_q(p**(d k) - 1) = w + v_q(k), and p**m = 1 mod q only for d | m, so the order mod q**e is d *
+    q**max(e - w, 0).  For q = 2 (p odd), v_2(p**m - 1) is v_2(p - 1) < v_2(p**2 - 1) for an odd m and v_2(p**2 - 1) +
+    v_2(m) - 1 for an even m, so the order mod 2**e is a multiple of 2**max(e + 1 - v_2(p**2 - 1), 0): the same form
+    with d = 1 and w = v_2(p**2 - 1) - 1.  A part's power of q is capped at cap.bit_length(): the capped part still
+    divides the part, and as q**cap.bit_length() > cap, one past cap stays past it.
+    """
+    out = 1
+    for q in _SMALL_PRIMES:
+        if den % q:
+            continue
+        den, e = _strip(den, q)
+        d, r = 1, p % q
+        while r > 1:  # d = ord_q(p); 1 for q = 2
+            d, r = d + 1, r * p % q
+        w = _strip(p**d - 1, q)[1] if q > 2 else _strip(p * p - 1, 2)[1] - 1
+        part = d * q ** min(max(e - w, 0), cap.bit_length())
+        if part > cap:
+            return part
+        out = math.lcm(out, part)
+    return out
+
+
 class PAdic:
     """Element of Q_p with an eventually periodic (hence rational) digit stream, in the normal form p**ord * num/den.
 
@@ -181,7 +212,11 @@ class PAdic:
         = 1 and den is prime to p, so for den > 1 the period's length L is the order of p mod den.  Then den divides
         p**L - 1, so p**L > den, and den > p**MAX_EXPANSION puts L past the bound.  As p**MAX_EXPANSION >=
         2**(MAX_EXPANSION * (p.bit_length() - 1)), that needs den.bit_length() > MAX_EXPANSION * (p.bit_length() - 1),
-        which is checked first, so that p**MAX_EXPANSION is built only for such a den.
+        which is checked first, so that p**MAX_EXPANSION is built only for such a den.  Once the preperiod is read,
+        the loop refuses exactly a period L > MAX_EXPANSION - len(pre); _order_floor gives a divisor of L from den's
+        parts q**e with q < 64, so one past that cap is refused before the first step, and no period that fits is.  It
+        is tried only for den > cap, as L <= den.  So 1/10**4299 at p = 2 is refused at once: its order mod 5**4299 is
+        4 * 5**4298.
         """
         if not self.num:
             return 0, (), (0,)
@@ -202,6 +237,9 @@ class PAdic:
         while pre and -den <= (prev := pre[-1] * den + p * m) <= 0:
             m = prev
             pre.pop()
+        cap = MAX_EXPANSION - len(pre)  # the carry loop refuses a period longer than this
+        if den > cap and _order_floor(p, den, cap) > cap:
+            raise ValueError(_TOO_LONG.format(MAX_EXPANSION, p))
         inv_den, per, first = pow(den, -1, p), [], m
         while not per or m != first:
             if len(pre) + len(per) >= MAX_EXPANSION:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncsolenoid import bimodule
+from ncsolenoid import bimodule, exactnum
 from ncsolenoid.bimodule import (
     AffineAtom,
     BimCtx,
@@ -284,9 +284,9 @@ MOVES = st.lists(
 @PROPERTY
 @given(MOVES, st.booleans(), st.sampled_from([2, 3, 7]), DILATIONS)
 def test_moves_keep_the_support_and_dilation_of_a_fresh_atom(steps, filled, q, other):
-    # an atom moved from one whose support is known reads its support off its parent's; it must be the support
-    # of a fresh atom of the same parameters.  A dilation by an int is kept on the atom and handed out again
-    # while the factor is the same: a kept one equals a fresh atom's dilation as much as a new one does
+    # an atom moved from one whose support is known, or not, has the support of a fresh atom of the same
+    # parameters.  A dilation by an int is kept on the atom and handed out again while the factor is the same: a
+    # kept one equals a fresh atom's dilation as much as a new one does
     h = HatFn((0.0, 0.4, 1.1), (0j, 1 - 1j, 0j))
     atom = AffineAtom(h)
     if filled:
@@ -294,8 +294,6 @@ def test_moves_keep_the_support_and_dilation_of_a_fresh_atom(steps, filled, q, o
     for name, *args in steps:
         atom = getattr(atom, name)(*args)
         fresh = lambda: AffineAtom(h, atom.lam, atom.s, atom.omega, atom.phi)  # a new one each call: none keeps any
-        if filled:  # inherited, not computed on first use
-            assert atom.__dict__["_support"] == fresh().support()
         assert atom == fresh() and hash(atom) == hash(fresh()) and atom.support() == fresh().support()
         expect = fresh().dilate(q)
         first = atom.dilate(q)
@@ -303,6 +301,30 @@ def test_moves_keep_the_support_and_dilation_of_a_fresh_atom(steps, filled, q, o
         assert atom.dilate(other) == fresh().dilate(other)  # another factor, kept in place of q if it is an int
         for dilated in (first, atom.dilate(q)):
             assert dilated == expect and hash(dilated) == hash(expect) and dilated.support() == expect.support()
+
+
+@PROPERTY
+@given(MOVES, DILATIONS, EXACT)
+def test_moves_compute_only_the_parameters_they_change(steps, q, f):
+    # a move keeps each parameter that a zero leaves as it is: a dilation keeps omega = 0 with no QuadReal division
+    # and s = 0, and a modulation keeps omega for w = 0 and phi for f = 0; each move equals a fresh atom's
+    h = HatFn((0.0, 0.4, 1.1), (0j, 1 - 1j, 0j))
+    moved = _chain(AffineAtom(h), steps)
+    assert moved.modulate(0, f).omega is moved.omega and moved.modulate(f, 0).phi is moved.phi
+    assert moved.modulate(0, f) == AffineAtom(h, moved.lam, moved.s, moved.omega, moved.phi + f)
+    assert moved.modulate(f, 0) == AffineAtom(h, moved.lam, moved.s, moved.omega + f, moved.phi)
+    assert moved.dilate(q) == AffineAtom(h, moved.lam * q, moved.s * q, moved.omega / q, moved.phi)
+    atom = AffineAtom(h, moved.lam, moved.s, 0, moved.phi)
+    expect = AffineAtom(h, atom.lam, atom.s, atom.omega, atom.phi).dilate(q)
+
+    def no_division(*args):
+        raise AssertionError("a QuadReal division")
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(exactnum, "_div", no_division)
+        dilated = atom.dilate(q)
+    assert dilated.omega is atom.omega and (dilated.s is atom.s) == (not atom.s)
+    assert dilated == expect and hash(dilated) == hash(expect) and dilated.support() == expect.support()
 
 
 def test_term_diff_compares_term_multisets_per_class():

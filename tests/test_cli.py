@@ -156,6 +156,16 @@ def test_padic_inverse_past_the_display_bound_exits_in_bounded_memory():
     assert peak_kib <= 48 * 1024
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_padic_inverse_past_the_display_bound_exits_with_its_message(p):
+    # the period of 1/10**4299 is refused before the carry loop, with the message the loop gives
+    proc = run_process(["padic", "inv", "--p", str(p), "--value", "1e4299"])
+    assert proc.returncode == 2
+    assert proc.stderr.strip().splitlines()[-1] == (
+        f"ncsolenoid: error: the value has more than MAX_EXPANSION = 200000 {p}-adic digits to display"
+    )
+
+
 def test_spec_file_with_large_ord_finishes(tmp_path):
     # the valuation of 2**300000 must not take one big division per factor of 2
     spec = {"p": 2, "theta": "sqrt(2)", "digits": {"p": 2, "ord": 300000, "preperiod": [1], "period": [0]}}

@@ -495,6 +495,42 @@ def test_long_period_is_refused_before_any_carry_step(monkeypatch, p):
         PAdic.from_rational(p, Fraction(-1, p**11 - 1)).to_json()
 
 
+def brute_order(p: int, den: int) -> int:
+    """The least k >= 1 with p**k = 1 mod den, one multiplication a step."""
+    k, r = 1, p % den
+    while r != 1 % den:
+        k, r = k + 1, r * p % den
+    return k
+
+
+# powers of the odd primes below 64, below 500: a product of two has an order that _order_floor reads exactly
+ODD_PARTS = [q**e for q in padic._SMALL_PRIMES[1:] for e in range(1, 9) if q**e < 500]
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3, 5, 7, 61, 1009]), st.integers(1, 2 * 10**5), st.lists(st.sampled_from(ODD_PARTS), max_size=2),
+       st.integers(-2, 10**6))
+def test_order_floor_divides_the_order(p, n, parts, cap):
+    # the period bound reads a divisor of the period's length, so it refuses no period that fits; for a product of
+    # odd prime powers below 64, uncapped, it is the order itself
+    den = n + (n % p == 0)
+    assert brute_order(p, den) % padic._order_floor(p, den, cap) == 0
+    den = math.prod(part for part in parts if part % p)
+    order = brute_order(p, den)
+    assert order % padic._order_floor(p, den, cap) == 0 and padic._order_floor(p, den, den) == order
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_period_past_the_bound_is_refused_before_the_carry_loop(p):
+    # 1/10**4299 has a period whose length is a multiple of p's order mod 5**4299 (p = 2) or 2**4299: each is past
+    # MAX_EXPANSION, so the carry loop, which ran up to the bound in 0.7-2.2 s, is not entered
+    x = PAdic.from_rational(p, Fraction(1, 10**4299))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"MAX_EXPANSION = {MAX_EXPANSION} {p}-adic digits"):
+        x.to_json()
+    assert time.perf_counter() - start < 0.5
+
+
 def test_display_expansion_bound_names_p_not_the_value(monkeypatch):
     # 1/10**4301 is past Python's 4300-digit int-to-string limit, so the message must not print it
     monkeypatch.setattr(padic, "MAX_EXPANSION", 10)

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from ncsolenoid import cli, morita, suite
 from ncsolenoid.bimodule import SamplePlan
 from ncsolenoid.morita import ProjectionData, certificate_search
+from ncsolenoid.multiplier import PhaseArg
 from ncsolenoid.solenoid import SolenoidSpec
 from ncsolenoid.padic import PAdic
 from ncsolenoid.exactnum import PFrac, QuadReal
@@ -120,3 +122,57 @@ def test_reports_carry_no_timings():
     flat = json.dumps(rep)
     for word in ("time", "elapsed", "seconds", "duration"):
         assert word not in flat
+
+
+def _assert_failed(report: dict, entries: str, shapes) -> list:
+    """A failed report: pass false, strict JSON, and every entry of one of the documented key sets."""
+    assert report["pass"] is False and report[entries]
+    json.dumps(report, allow_nan=False)
+    assert all(set(entry) in shapes for entry in report[entries])
+    return report[entries]
+
+
+def _broken_partner(monkeypatch):
+    # the partner of x + p in place of x: its betas differ from the displayed Mobius images of x's alphas
+    honest = morita.heisenberg_partner_spec
+    monkeypatch.setattr(morita, "heisenberg_partner_spec",
+                        lambda spec: honest(SolenoidSpec._of(spec.p, spec.theta, spec.digits + spec.p)))
+
+
+def test_failing_multiplier_checks_report_their_inputs(monkeypatch):
+    nonzero = lambda *args: PhaseArg.of(Fraction(1, 2))
+    monkeypatch.setattr(suite, "cocycle_defect", nonzero)
+    monkeypatch.setattr(suite, "psi_alpha", nonzero)  # the identity normalizes to 1/2, not 0
+    found = _assert_failed(check_cocycle(0, count=3), "violations", ({"r", "s", "t", "defect"}, {"r", "defect"}))
+    assert len(found) == 6 and found[1]["defect"] == "identity normalization"
+    monkeypatch.setattr(suite, "rho", nonzero)
+    assert len(_assert_failed(check_annihilator(0, count=3), "violations", ({"g", "s", "rho"},))) == 3
+    monkeypatch.undo()
+    monkeypatch.setattr(suite, "eta", lambda *args: None)
+    monkeypatch.setattr(suite, "eta_bar", lambda *args: None)
+    found = _assert_failed(check_eta_psi(0, count=2), "violations", ({"kind", "g", "h"},))
+    assert [entry["kind"] for entry in found] == ["eta-vs-psi", "etabar-vs-partner-psi"] * 2
+
+
+def test_failing_morita_checks_report_their_inputs(monkeypatch):
+    _broken_partner(monkeypatch)
+    assert morita.relate_check(default_spec(), 4) is False
+    _assert_failed(check_relate(0, count=2), "failures", ({"p", "theta"},))
+    monkeypatch.undo()
+
+    def raises(spec, entries):
+        raise ArithmeticError("broken")
+
+    monkeypatch.setattr(suite, "relate_check", raises)
+    found = _assert_failed(check_relate(0, count=2), "failures", ({"p", "theta", "error"},))
+    assert {entry["error"] for entry in found} == {"broken"}
+    twice = lambda spec: SolenoidSpec._of(spec.p, spec.theta, spec.digits + 1)  # back is x + 2, not x
+    monkeypatch.setattr(suite, "heisenberg_partner_spec", twice)
+    found = _assert_failed(check_involution(0, count=2), "violations", ({"p", "theta", "n"},))
+    assert all(type(entry["n"]) is int for entry in found)
+
+
+def test_a_failed_check_exits_1(monkeypatch, capsys):
+    _broken_partner(monkeypatch)
+    assert cli.main(["morita", "relate", "--p", "2", "--theta=-1+sqrt(2)", "--digits", "x=1"]) == 1
+    assert json.loads(capsys.readouterr().out)["pass"] is False
