@@ -93,8 +93,9 @@ class AffineAtom:
     and phi is a QuadReal reduced into [0, 1), so == and hash are exact
     equality, and the support is exact.  The five parameters are the atom:
     the hash and the support are computed from them once, on first use, and
-    kept in the instance dict.  A move computes only the parameters it
-    changes: one that a zero leaves as it is stays the parent's own object.
+    kept in the instance dict.  A move leaves a zero omega alone: shift keeps
+    phi, dilate keeps omega with no QuadReal division, and modulate by w = 0
+    keeps omega, each as the parent's own object.
     """
 
     h: HatFn
@@ -123,7 +124,7 @@ class AffineAtom:
         return AffineAtom._of(self.h, self.lam, self.s + u, self.omega, phi)
 
     def dilate(self, q) -> "AffineAtom":
-        """t -> self(t / q), for a positive rational q: lam scales by q, s by q and omega by 1/q unless they are 0.
+        """t -> self(t / q), for a positive rational q: lam and s scale by q, and omega by 1/q unless it is 0.
 
         The dilation by an int q is kept on the atom, so the maps that dilate
         one atom by p (level_embed, embed_terms) share one dilated atom.
@@ -134,18 +135,16 @@ class AffineAtom:
                 return memo[1]
         if q <= 0:
             raise ValueError("dilation factor must be positive")
-        s = self.s * q if self.s else self.s
         omega = self.omega / q if self.omega else self.omega
-        out = AffineAtom._of(self.h, self.lam * q, s, omega, self.phi)
+        out = AffineAtom._of(self.h, self.lam * q, self.s * q, omega, self.phi)
         if type(q) is int:
             self.__dict__["_dilated"] = (q, out)
         return out
 
     def modulate(self, w, f) -> "AffineAtom":
-        """t -> exp(2 pi i (w t + f)) self(t): omega moves by w unless w is 0, and phi by f mod 1 unless f is 0."""
+        """t -> exp(2 pi i (w t + f)) self(t): omega moves by w unless w is 0, and phi by f mod 1."""
         omega = self.omega + w if w else self.omega
-        phi = frac1(self.phi + f) if f else self.phi
-        return AffineAtom._of(self.h, self.lam, self.s, omega, phi)
+        return AffineAtom._of(self.h, self.lam, self.s, omega, frac1(self.phi + f))
 
     def __hash__(self):
         cached = self.__dict__.get("_hash")

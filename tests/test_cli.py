@@ -135,8 +135,10 @@ def test_padic_inverse_long_period_finishes():
 
 
 def test_padic_inverse_past_the_display_bound_exits_in_bounded_memory():
-    # 1/10**1000 has a 3-adic period past MAX_EXPANSION: the expansion stops there (exit 2) holding its digits and
-    # two carry states; a table of every 3 300-bit state took 125 MB.  The child reads its own peak (RUSAGE_SELF;
+    # 1/1009**333 has a 3-adic period past MAX_EXPANSION: the expansion stops there (exit 2) holding its digits and
+    # two carry states; a table of every 3 300-bit state took 125 MB (seen with 1/10**1000, which is now refused
+    # before the carry loop).  Every prime factor of the denominator is at least 64, so the period bound reads
+    # nothing there and the carry loop runs up to MAX_EXPANSION.  The child reads its own peak (RUSAGE_SELF;
     # ru_maxrss is in KiB on Linux): RUSAGE_CHILDREN of this process keeps the largest child it ever waited for.  It
     # is started from a small interpreter, because a process started by fork and exec counts the peak of the one
     # that started it
@@ -144,26 +146,17 @@ def test_padic_inverse_past_the_display_bound_exits_in_bounded_memory():
         import resource, sys
         from ncsolenoid.cli import main
         try:
-            main(["padic", "inv", "--p", "3", "--value", "1e1000"])
+            main(["padic", "inv", "--p", "3", "--value", str(1009**333)])
         except SystemExit as exc:
             print(exc.code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
     """)
+    assert padic._order_floor(3, 1009**333, padic.MAX_EXPANSION) == 1
     hop = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
     proc = subprocess.run([sys.executable, "-c", hop, sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, timeout=10)
     exit_code, peak_kib = map(int, proc.stdout.split())
     assert exit_code == 2 and "MAX_EXPANSION" in proc.stderr
     assert peak_kib <= 48 * 1024
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_padic_inverse_past_the_display_bound_exits_with_its_message(p):
-    # the period of 1/10**4299 is refused before the carry loop, with the message the loop gives
-    proc = run_process(["padic", "inv", "--p", str(p), "--value", "1e4299"])
-    assert proc.returncode == 2
-    assert proc.stderr.strip().splitlines()[-1] == (
-        f"ncsolenoid: error: the value has more than MAX_EXPANSION = 200000 {p}-adic digits to display"
-    )
 
 
 def test_spec_file_with_large_ord_finishes(tmp_path):
@@ -242,6 +235,9 @@ def test_oversized_padic_input_usage_error(argv):
     [
         # the 2-adic period of 1/3**20 has 2*3**19 digits
         (["padic", "inv", "--p", "2", "--value", "3486784401"], "MAX_EXPANSION"),
+        # the 3-adic period of 1/10**4299 is a multiple of 2**4297: refused before the carry loop, with its message
+        (["padic", "inv", "--p", "3", "--value", "1e4299"],
+         f"ncsolenoid: error: the value has more than MAX_EXPANSION = {padic.MAX_EXPANSION} 3-adic digits to display"),
         # a 31-digit radicand: trial division would take about sqrt(D)/2 steps
         (["solenoid", "alpha", "--p", "2", "--theta", "sqrt(1000000000000000000000000000014)", "--digits", "x=1", "--n", "1"],
          "MAX_RADICAND"),
@@ -260,8 +256,8 @@ def test_oversized_padic_input_usage_error(argv):
         # time is linear in the count: 20 000 took about 4 s, so a billion would run for hours
         (["multiplier", "check-eta-psi", "--count", "1000000000"], f"MAX_COUNT = {MAX_COUNT}"),
     ],
-    ids=["long-period-display", "huge-radicand", "huge-entries", "huger-entries", "huge-hats", "least-p-hats", "large-trace",
-         "huge-count"],
+    ids=["long-period-display", "longer-period-display", "huge-radicand", "huge-entries", "huger-entries", "huge-hats",
+         "least-p-hats", "large-trace", "huge-count"],
 )
 def test_unbounded_work_usage_error(argv, bound):
     proc = run_process(argv)

@@ -439,13 +439,17 @@ def test_zero_window_product_depends_only_on_the_window():
 
 
 def test_display_expansion_bound():
-    # 1/3**11 has a 2-adic period of 2*3**10 = 118098 digits, 1/3**12 one of 354294
+    # 1/3**11 has a 2-adic period of 2*3**10 = 118098 digits, 1/3**12 one of 354294 (refused before the carry loop),
+    # and 1/1009**2 one of 504*1009 = 508536: 1009 is past the primes the period bound reads, so the carry loop runs
+    # up to MAX_EXPANSION and refuses it there
     assert MAX_EXPANSION >= 2 * 3**10
     assert len(PAdic.from_rational(2, Fraction(1, 3**11)).per) == 2 * 3**10
-    x = PAdic.from_rational(2, Fraction(1, 3**12))
-    with pytest.raises(ValueError, match="MAX_EXPANSION"):
-        x.to_json()
-    assert x.invert() == 3**12 and x.digit(10**6) in (0, 1)  # values and digit views need no expansion
+    assert padic._order_floor(2, 1009**2, MAX_EXPANSION) == 1
+    for den in (3**12, 1009**2):
+        x = PAdic.from_rational(2, Fraction(1, den))
+        with pytest.raises(ValueError, match="MAX_EXPANSION"):
+            x.to_json()
+        assert x.invert() == den and x.digit(10**6) in (0, 1)  # values and digit views need no expansion
 
 
 def test_window_display_bound_is_the_exact_one(monkeypatch):
@@ -508,8 +512,8 @@ ODD_PARTS = [q**e for q in padic._SMALL_PRIMES[1:] for e in range(1, 9) if q**e 
 
 
 @PROPERTY
-@given(st.sampled_from([2, 3, 5, 7, 61, 1009]), st.integers(1, 2 * 10**5), st.lists(st.sampled_from(ODD_PARTS), max_size=2),
-       st.integers(-2, 10**6))
+@given(st.sampled_from([2, 3, 5, 7, 61, 1009]), st.integers(1, 2 * 10**5),
+       st.lists(st.sampled_from(ODD_PARTS), max_size=2), st.integers(-2, 10**6))
 def test_order_floor_divides_the_order(p, n, parts, cap):
     # the period bound reads a divisor of the period's length, so it refuses no period that fits; for a product of
     # odd prime powers below 64, uncapped, it is the order itself
