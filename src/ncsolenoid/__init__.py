@@ -3,7 +3,6 @@
 from .exactnum import PFrac, QuadReal, RadicandMismatchError, frac1
 from .padic import PAdic, PrecisionError
 from .solenoid import (
-    SeqWindow,
     SolenoidSpec,
     alpha_at,
     alphas,
@@ -35,7 +34,6 @@ __all__ = [
     "frac1",
     "PAdic",
     "PrecisionError",
-    "SeqWindow",
     "SolenoidSpec",
     "alpha_at",
     "alphas",

@@ -175,6 +175,11 @@ def _cmd_multiplier(args) -> dict:
     return report
 
 
+def _window_json(window) -> list:
+    """A window of (n, exact value) pairs as JSON: [[n, "value"], ...]."""
+    return [[n, str(v)] for n, v in window]
+
+
 def _cmd_morita(args) -> dict:
     if args.morita_cmd == "certify":
         a = _load_spec_file(args.spec_a)
@@ -184,7 +189,7 @@ def _cmd_morita(args) -> dict:
 
     spec = _build_spec(args)
     if args.morita_cmd == "heisenberg":
-        return {"inputs": spec.to_json(), "partner": heisenberg_partner(spec, args.entries).to_json()}
+        return {"inputs": spec.to_json(), "partner": _window_json(heisenberg_partner(spec, args.entries))}
     if args.morita_cmd == "projection":
         report = {"inputs": spec.to_json(), "c0": args.c0, "d0": args.d0, "m": args.m}
         try:
@@ -192,7 +197,7 @@ def _cmd_morita(args) -> dict:
         except ConditionError as exc:
             n, c, d = exc.witness
             return {**report, "condition": "fail", "witness": {"n": n, "c": c, "d": d}, "pass": False}
-        return {**report, "condition": "pass", "partner": window.to_json(), "pass": True}
+        return {**report, "condition": "pass", "partner": _window_json(window), "pass": True}
     # relate
     return {
         "inputs": spec.to_json(),

@@ -152,7 +152,7 @@ class PFrac:
         return PFrac(self.p, -self.j, self.k)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, PFrac) else -other)
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, int):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .exactnum import QuadReal, _strip, frac1
 from .padic import PAdic
-from .solenoid import SeqWindow, SolenoidSpec, _alpha, alphas, beyond_horizon, level_table, truncate_spec
+from .solenoid import SolenoidSpec, _alpha, alphas, beyond_horizon, level_table, truncate_spec
 
 log = logging.getLogger(__name__)
 
@@ -80,14 +80,6 @@ class MobiusPair:
         return (alpha * self.a + self.b) / (alpha * self.c + self.d)
 
 
-def validate_projection(spec: SolenoidSpec, proj: ProjectionData) -> QuadReal:
-    """Check 0 < c0*alpha_0 + d0 < m exactly; return the trace value."""
-    tau = spec.theta * proj.c0 + proj.d0
-    if not (QuadReal(0) < tau < QuadReal(proj.m)):
-        raise ValueError(f"trace {tau} outside (0, {proj.m})")
-    return tau
-
-
 def condition_check(p: int, proj: ProjectionData, x0: int) -> bool:
     """gcd(c0 * p, d0 - c0 * x0) == 1, with gcd(a, 0) = |a|."""
     return math.gcd(proj.c0 * p, proj.d0 - proj.c0 * x0) == 1
@@ -143,19 +135,21 @@ def heisenberg_partner_spec(spec: SolenoidSpec) -> SolenoidSpec:
     return SolenoidSpec._of(spec.p, 1 / spec.theta + fp, y - fp)
 
 
-def heisenberg_partner(spec: SolenoidSpec, N: int) -> SeqWindow:
-    """Window of beta_n = 1/(theta p^n) + (sum_{j=-v}^{n-1} y_j p^j)/p^n for n <= N."""
+def heisenberg_partner(spec: SolenoidSpec, N: int) -> tuple[tuple[int, QuadReal], ...]:
+    """The window ((n, beta_n) for 0 <= n <= N), beta_n = 1/(theta p^n) + (sum_{j=-v}^{n-1} y_j p^j)/p^n."""
     return alphas(heisenberg_partner_spec(spec), N)
 
 
 def checked_trace(spec: SolenoidSpec, proj: ProjectionData) -> QuadReal:
-    """The trace tau of validate_projection, once the coprimality condition holds.
+    """The trace tau = c0*alpha_0 + d0, once 0 < tau < m (ValueError otherwise) and the coprimality condition hold.
 
     A failing condition shows at level n <= 1, which is raised as the witness:
     a prime dividing c0 divides d0 too (n = 0), and p dividing d0 - c0*x0
     divides d_2 = d0 - c0*(x0 + x1*p) as well (n = 1).
     """
-    tau = validate_projection(spec, proj)
+    tau = spec.theta * proj.c0 + proj.d0
+    if not (QuadReal(0) < tau < QuadReal(proj.m)):
+        raise ValueError(f"trace {tau} outside (0, {proj.m})")
     if not condition_check(spec.p, proj, spec.x(0)):
         lines = (trace_line(spec, proj, n) for n in (0, 1))
         line = next(L for L in lines if math.gcd(L.c, L.d) != 1)
@@ -183,11 +177,11 @@ def stage(
     return line, mob, beta
 
 
-def projection_partner(spec: SolenoidSpec, proj: ProjectionData, N: int) -> SeqWindow:
-    """Even-index window 2n <= 2N of normalized Mobius images beta_2n in [0,1), one stage per level."""
+def projection_partner(spec: SolenoidSpec, proj: ProjectionData, N: int) -> tuple[tuple[int, QuadReal], ...]:
+    """The even-index window ((2n, beta_2n) for n <= N) of normalized Mobius images in [0,1), one stage per level."""
     tau = checked_trace(spec, proj)  # before level_table: a failing condition wins over a horizon error
     levels = enumerate(level_table(spec, N))
-    return SeqWindow(tuple((2 * n, stage(spec.p, proj, n, level, tau)[2]) for n, level in levels))
+    return tuple((2 * n, stage(spec.p, proj, n, level, tau)[2]) for n, level in levels)
 
 
 def partner_spec(spec: SolenoidSpec, proj: ProjectionData) -> SolenoidSpec:

@@ -13,7 +13,7 @@ from typing import Callable
 
 from .exactnum import PFrac, QuadReal, _new, _parts, frac1
 from .padic import PAdic
-from .solenoid import SeqWindow, SolenoidSpec, alpha_at
+from .solenoid import SolenoidSpec, alpha_at
 
 
 @dataclass(frozen=True)
@@ -127,10 +127,10 @@ def psi_alpha(spec: SolenoidSpec, g: GammaElem, h: GammaElem) -> PhaseArg:
     return PhaseArg.of(alpha_at(spec, k) * (g.first.j * h.second.j))
 
 
-def psi_from_window(window: SeqWindow, g: GammaElem, h: GammaElem) -> PhaseArg:
-    """Same multiplier formula, but the sequence entries come from a window."""
+def psi_from_window(window: tuple[tuple[int, QuadReal], ...], g: GammaElem, h: GammaElem) -> PhaseArg:
+    """Same multiplier formula, with alpha_k looked up in a window of (n, alpha_n) pairs: KeyError if it holds no k."""
     k = g.first.k + h.second.k
-    return PhaseArg.of(window.value(k) * (g.first.j * h.second.j))
+    return PhaseArg.of(dict(window)[k] * (g.first.j * h.second.j))
 
 
 Sigma = Callable[[GammaElem, GammaElem], PhaseArg]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactnum import PFrac, _strip, require_prime
+from .exactnum import PFrac, _strip, is_prime, require_prime
 
 # digits _expand may make for display, at about 1 us each: padic inv of a value whose
 # 2-adic period has 199 932 digits prints in about 0.6 s end to end
@@ -77,9 +77,30 @@ def _int_digits(n: int, p: int, length: int) -> list[int]:
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 
+def _prime_power(r: int) -> tuple[int, int] | None:
+    """(q, e) with r = q**e and q a prime below 2**64, for an r > 1 with no prime factor below 64; None if none.
+
+    Squares come off first: r = s**(2**j) with s no square, so r = q**e needs e = k * 2**j and s = q**k with k odd.
+    For an odd k, x -> x**k permutes the odd residues mod 2**64 (a group of exponent 2**62), so c = pow(s, k**-1 mod
+    2**62, 2**64) is the one odd c < 2**64 with c**k = s mod 2**64, and s = q**k with q < 2**64 gives c = q.  As q**k
+    > 2**(6 k) for q > 64, k runs down from s.bit_length() // 6, and the first c with c**k = s is no power t**i, i > 1:
+    t has no factor below 64 either, and i*k is odd (s is no square), so t would have been found at i*k.  So r is a
+    prime power exactly when that c is prime.
+    """
+    j = 0
+    while (t := math.isqrt(r)) * t == r:
+        r, j = t, j + 1
+    bits, low = r.bit_length(), r % 2**64
+    for k in range(bits // 6 | 1, 0, -2):
+        c = pow(low, pow(k, -1, 2**62), 2**64)
+        if (c.bit_length() - 1) * k < bits <= c.bit_length() * k and c**k == r:  # bit lengths first: one big power
+            return (c, k << j) if is_prime(c) else None
+    return None
+
+
 def _order_floor(p: int, den: int, cap: int) -> int:
-    """A divisor of the order L of p mod den (den prime to p), read off den's parts q**e with q < 64: their lcm, or the
-    first part past cap.
+    """A divisor of the order L of p mod den (den prime to p), read off den's parts q**e with q < 64, and off the rest
+    of den when that is past cap and a power q**e of a prime q < 2**64: their lcm, or the first part past cap.
 
     L is the lcm of p's orders mod the prime powers q**e exactly dividing den, so each part below divides L, and so does
     their lcm.  Every such q is prime to p.  For an odd q, let d = ord_q(p) and w = v_q(p**d - 1) >= 1: lifting the
@@ -88,6 +109,12 @@ def _order_floor(p: int, den: int, cap: int) -> int:
     v_2(m) - 1 for an even m, so the order mod 2**e is a multiple of 2**max(e + 1 - v_2(p**2 - 1), 0): the same form
     with d = 1 and w = v_2(p**2 - 1) - 1.  A part's power of q is capped at cap.bit_length(): the capped part still
     divides the part, and as q**cap.bit_length() > cap, one past cap stays past it.
+
+    The rest of den, once the small primes are stripped, is read only past cap, as L <= den.  When it is q**e with q a
+    prime (_prime_power), d is not searched for, as that needs q - 1 factored.  But d divides q - 1 < q, so q does not
+    divide (q - 1)/d, and the same lifting gives v_q(p**(q - 1) - 1) = w + v_q((q - 1)/d) = w: the order mod q**e is a
+    multiple of q**max(e - w, 0).  w = 1 when p**(q - 1) != 1 mod q**2; a larger w is read mod q**(e + 1), where a
+    residue 0 says w > e.  So 1/1009**1400 at p = 2 is refused at once: its order is a multiple of 1009**1399.
     """
     out = 1
     for q in _SMALL_PRIMES:
@@ -102,6 +129,11 @@ def _order_floor(p: int, den: int, cap: int) -> int:
         if part > cap:
             return part
         out = math.lcm(out, part)
+    if den > max(cap, 1) and (power := _prime_power(den)):
+        q, e = power
+        Q = q * q if pow(p, q - 1, q * q) != 1 else q ** (e + 1)  # w = 1 shows mod q**2; a larger w is read in full
+        part = q ** max(e - _strip(pow(p, q - 1, Q) - 1 or Q, q)[1], 0)
+        return part if part > cap else math.lcm(out, part)
     return out
 
 
@@ -214,9 +246,11 @@ class PAdic:
         2**(MAX_EXPANSION * (p.bit_length() - 1)), that needs den.bit_length() > MAX_EXPANSION * (p.bit_length() - 1),
         which is checked first, so that p**MAX_EXPANSION is built only for such a den.  Once the preperiod is read,
         the loop refuses exactly a period L > MAX_EXPANSION - len(pre); _order_floor gives a divisor of L from den's
-        parts q**e with q < 64, so one past that cap is refused before the first step, and no period that fits is.  It
-        is tried only for den > cap, as L <= den.  So 1/10**4299 at p = 2 is refused at once: its order mod 5**4299 is
-        4 * 5**4298.
+        parts q**e with q < 64, and from the rest of den when that is a prime power, so one past that cap is refused
+        before the first step, and no period that fits is.  It is tried only for den > cap, as L <= den.  So 1/10**4299
+        at p = 2 is refused at once (its order mod 5**4299 is 4 * 5**4298), and so is 1/1009**1400 (a multiple of
+        1009**1399); a den whose rest has two prime factors past 64, such as the product of the primes in [1009,
+        3600), still runs the loop.
         """
         if not self.num:
             return 0, (), (0,)

@@ -4,6 +4,8 @@ A spec packages a prime p, an exact real theta, and a p-adic integer digit
 stream x; the induced sequence alpha_n = (theta + sum_{j<n} x_j p^j) / p^n
 satisfies p*alpha_{n+1} = alpha_n + x_n exactly.  Reducing mod 1 lands in the
 canonical parameter space (entries in [0,1), digit defects in {0,...,p-1}).
+A window is a plain tuple of (index, exact value) pairs, indices increasing;
+each reader checks the index pattern it needs.
 """
 
 from __future__ import annotations
@@ -101,39 +103,6 @@ class SolenoidSpec:
         return cls(p, QuadReal.parse(theta), digits)
 
 
-@dataclass(frozen=True)
-class SeqWindow:
-    """Finite window of sequence entries: (index, exact value) pairs, indices increasing."""
-
-    entries: tuple[tuple[int, QuadReal], ...]
-
-    def __post_init__(self):
-        idx = [n for n, _ in self.entries]
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("window indices must be strictly increasing")
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(n for n, _ in self.entries)
-
-    def value(self, n: int) -> QuadReal:
-        for i, v in self.entries:
-            if i == n:
-                return v
-        raise KeyError(f"index {n} not in window")
-
-    def mod1(self) -> "SeqWindow":
-        return SeqWindow(tuple((n, frac1(v)) for n, v in self.entries))
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def to_json(self) -> list:
-        return [[n, str(v)] for n, v in self.entries]
-
-
 def _alpha(spec: SolenoidSpec, n: int, h: int) -> QuadReal:
     # alpha_n from any h = h_n mod p^n: (A + B sqrt(D))/M + h becomes (A + h M + B sqrt(D))/(M p^n) in one step
     t, scale = spec.theta, spec.p**n
@@ -145,10 +114,10 @@ def alpha_at(spec: SolenoidSpec, n: int) -> QuadReal:
     return _alpha(spec, n, spec.head(n))
 
 
-def alphas(spec: SolenoidSpec, N: int) -> SeqWindow:
-    """Window alpha_0 .. alpha_N from one head read: h_n = h_N mod p^n."""
+def alphas(spec: SolenoidSpec, N: int) -> tuple[tuple[int, QuadReal], ...]:
+    """The window ((0, alpha_0), ..., (N, alpha_N)) from one head read: h_n = h_N mod p^n."""
     h = spec.head(N)
-    return SeqWindow(tuple((n, _alpha(spec, n, h)) for n in range(N + 1)))
+    return tuple((n, _alpha(spec, n, h)) for n in range(N + 1))
 
 
 def level_table(spec: SolenoidSpec, N: int) -> tuple[tuple[QuadReal, int], ...]:
@@ -160,24 +129,22 @@ def level_table(spec: SolenoidSpec, N: int) -> tuple[tuple[QuadReal, int], ...]:
     return tuple((_alpha(spec, 2 * n, h), h % spec.p ** (2 * n)) for n in range(N + 1))
 
 
-def reduce_h(spec: SolenoidSpec, N: int) -> SeqWindow:
-    """Window of alpha_n mod 1 for 0 <= n <= N (the canonical-parameter image)."""
-    return alphas(spec, N).mod1()
+def reduce_h(spec: SolenoidSpec, N: int) -> tuple[tuple[int, QuadReal], ...]:
+    """The window ((n, alpha_n mod 1) for 0 <= n <= N): the canonical-parameter image."""
+    return tuple((n, frac1(v)) for n, v in alphas(spec, N))
 
 
-def coherence_check(window: SeqWindow, p: int, step: int = 1) -> list[int]:
-    """Defects p**step * w_{n+step} - w_n for each adjacent pair; all must be integers.
+def coherence_check(window: tuple[tuple[int, QuadReal], ...], p: int, step: int = 1) -> list[int]:
+    """Defects p**step * w_{n+step} - w_n for each adjacent pair of a window of (n, w_n) pairs; all must be integers.
 
-    Raises CoherenceError naming the first offending pair otherwise.
+    Indices not in steps of `step` raise ValueError; CoherenceError names the first pair whose defect is no integer.
     """
-    idx = window.indices()
-    if len(idx) < 2:
-        return []
+    idx = tuple(n for n, _ in window)
     if any(b - a != step for a, b in zip(idx, idx[1:])):
         raise ValueError(f"window indices {idx} are not consecutive with step {step}")
     defects = []
     scale = p**step
-    for (n, w_n), (m, w_m) in zip(window.entries, window.entries[1:]):
+    for (n, w_n), (m, w_m) in zip(window, window[1:]):
         d = w_m * scale - w_n
         di = d.as_int()
         if di is None:
@@ -186,29 +153,28 @@ def coherence_check(window: SeqWindow, p: int, step: int = 1) -> list[int]:
     return defects
 
 
-def from_even_entries(p: int, even: SeqWindow) -> SolenoidSpec:
-    """Rebuild a spec from even-index entries in [0,1).
+def from_even_entries(p: int, even: tuple[tuple[int, QuadReal], ...]) -> SolenoidSpec:
+    """Rebuild a spec from the window ((0, w_0), (2, w_2), ..., (top, w_top)) of entries in [0,1); ValueError otherwise.
 
     Odd entries are forced by the coherence relation: w_{2n+1} = p*w_{2n+2} mod 1,
     and the step-1 defects of the full window are the digits.  Digits beyond
     the window are unspecified: the returned digit stream has precision top.
     """
-    idx = even.indices()
-    if not idx or idx[0] != 0 or any(n % 2 for n in idx):
+    if not even or even[0][0] != 0 or any(n % 2 for n, _ in even):
         raise ValueError("window must start at 0 and use even indices")
     coherence_check(even, p, 2)
     for n, v in even:
         if not (QuadReal(0) <= v < QuadReal(1)):
             raise ValueError(f"entry at index {n} is {v}, outside [0,1)")
-    full = [even.entries[0][1]]
-    for _, w in even.entries[1:]:
+    full = [even[0][1]]
+    for _, w in even[1:]:
         full += (frac1(w * p), w)
     # each defect is an integer: p w_{2n+1} - w_{2n} = p^2 w_{2n+2} - w_{2n} - p floor(p w_{2n+2})
-    xs = coherence_check(SeqWindow(tuple(enumerate(full))), p)
+    xs = coherence_check(tuple(enumerate(full)), p)
     for n, d in enumerate(xs):
         if not 0 <= d < p:
             raise CoherenceError(f"recovered digit x_{n} = {d} outside 0..{p - 1}")
-    return SolenoidSpec(p, full[0], PAdic(p, 0, xs, (0,)).truncate(idx[-1]))
+    return SolenoidSpec(p, full[0], PAdic(p, 0, xs, (0,)).truncate(even[-1][0]))
 
 
 def truncate_spec(spec: SolenoidSpec, k: int) -> SolenoidSpec:

@@ -32,7 +32,7 @@ from .multiplier import (
     rho,
 )
 from .padic import PAdic
-from .solenoid import SeqWindow, SolenoidSpec, alphas, coherence_check, from_even_entries, reduce_h
+from .solenoid import SolenoidSpec, alphas, coherence_check, from_even_entries, reduce_h
 
 if TYPE_CHECKING:
     from .bimodule import SamplePlan
@@ -137,7 +137,7 @@ def check_from_even(spec: SolenoidSpec, entries: int = 8) -> dict:
         spec = SolenoidSpec._of(spec.p, spec.theta - f, spec.digits + f)
     try:
         window = alphas(spec, 2 * entries)
-        recovered = from_even_entries(spec.p, SeqWindow(window.entries[::2]))
+        recovered = from_even_entries(spec.p, window[::2])
         return {"name": "solenoid-from-even", "entries": entries, "pass": alphas(recovered, 2 * entries) == window}
     except ValueError as exc:
         return {"name": "solenoid-from-even", "entries": entries, "error": str(exc), "pass": False}

@@ -5,6 +5,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,9 +20,9 @@ import ncsolenoid
 from ncsolenoid import cli, exactnum, morita, padic
 from ncsolenoid.cli import COMMANDS, MAX_COUNT, MAX_HATS, MAX_LEVEL, MAX_P_HATS, MAX_TRUNC_K, build_parser, main
 from ncsolenoid.exactnum import MAX_LITERAL_DIGITS, MR_LIMIT, QuadReal
-from ncsolenoid.morita import ProjectionData, heisenberg_partner_spec, projection_partner
+from ncsolenoid.morita import ProjectionData, heisenberg_partner, heisenberg_partner_spec, projection_partner
 from ncsolenoid.padic import MAX_ORD_BITS, PAdic
-from ncsolenoid.solenoid import SeqWindow, SolenoidSpec, from_even_entries, truncate_spec
+from ncsolenoid.solenoid import SolenoidSpec, from_even_entries, truncate_spec
 
 SRC = str(Path(ncsolenoid.__file__).resolve().parents[1])
 SPEC_FLAGS = ["--p", "2", "--theta", "(-1 + 1*sqrt(2))/1", "--digits", "x=1"]
@@ -135,25 +136,26 @@ def test_padic_inverse_long_period_finishes():
 
 
 def test_padic_inverse_past_the_display_bound_exits_in_bounded_memory():
-    # 1/1009**333 has a 3-adic period past MAX_EXPANSION: the expansion stops there (exit 2) holding its digits and
-    # two carry states; a table of every 3 300-bit state took 125 MB (seen with 1/10**1000, which is now refused
-    # before the carry loop).  Every prime factor of the denominator is at least 64, so the period bound reads
-    # nothing there and the carry loop runs up to MAX_EXPANSION.  The child reads its own peak (RUSAGE_SELF;
-    # ru_maxrss is in KiB on Linux): RUSAGE_CHILDREN of this process keeps the largest child it ever waited for.  It
-    # is started from a small interpreter, because a process started by fork and exec counts the peak of the one
-    # that started it
+    # 1/den, den the product of the primes in [1009, 3600) (3 705 bits), has a 3-adic period past MAX_EXPANSION: the
+    # expansion stops there (exit 2) holding its digits and two carry states; a table of every 3 300-bit state took
+    # 125 MB (seen with 1/10**1000, which is now refused before the carry loop).  No prime factor of den is below 64
+    # and den is no prime power, so the period bound reads nothing there and the carry loop runs up to
+    # MAX_EXPANSION.  The child reads its own peak (RUSAGE_SELF; ru_maxrss is in KiB on Linux): RUSAGE_CHILDREN of
+    # this process keeps the largest child it ever waited for.  It is started from a small interpreter, because a
+    # process started by fork and exec counts the peak of the one that started it
     code = textwrap.dedent("""
         import resource, sys
         from ncsolenoid.cli import main
         try:
-            main(["padic", "inv", "--p", "3", "--value", str(1009**333)])
+            main(["padic", "inv", "--p", "3", "--value", sys.argv[1]])
         except SystemExit as exc:
             print(exc.code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
     """)
-    assert padic._order_floor(3, 1009**333, padic.MAX_EXPANSION) == 1
+    den = math.prod(q for q in range(1009, 3600) if exactnum.is_prime(q))
+    assert den.bit_length() == 3705 and padic._order_floor(3, den, padic.MAX_EXPANSION) == 1
     hop = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
-    proc = subprocess.run([sys.executable, "-c", hop, sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
-                          capture_output=True, text=True, timeout=10)
+    proc = subprocess.run([sys.executable, "-c", hop, sys.executable, "-c", code, str(den)],
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=10)
     exit_code, peak_kib = map(int, proc.stdout.split())
     assert exit_code == 2 and "MAX_EXPANSION" in proc.stderr
     assert peak_kib <= 48 * 1024
@@ -238,6 +240,9 @@ def test_oversized_padic_input_usage_error(argv):
         # the 3-adic period of 1/10**4299 is a multiple of 2**4297: refused before the carry loop, with its message
         (["padic", "inv", "--p", "3", "--value", "1e4299"],
          f"ncsolenoid: error: the value has more than MAX_EXPANSION = {padic.MAX_EXPANSION} 3-adic digits to display"),
+        # the 2-adic period of 1/1009**1400 is a multiple of 1009**1399: refused before the carry loop, which took 2 s
+        (["padic", "inv", "--p", "2", "--value", str(1009**1400)],
+         f"ncsolenoid: error: the value has more than MAX_EXPANSION = {padic.MAX_EXPANSION} 2-adic digits to display"),
         # a 31-digit radicand: trial division would take about sqrt(D)/2 steps
         (["solenoid", "alpha", "--p", "2", "--theta", "sqrt(1000000000000000000000000000014)", "--digits", "x=1", "--n", "1"],
          "MAX_RADICAND"),
@@ -256,8 +261,8 @@ def test_oversized_padic_input_usage_error(argv):
         # time is linear in the count: 20 000 took about 4 s, so a billion would run for hours
         (["multiplier", "check-eta-psi", "--count", "1000000000"], f"MAX_COUNT = {MAX_COUNT}"),
     ],
-    ids=["long-period-display", "longer-period-display", "huge-radicand", "huge-entries", "huger-entries", "huge-hats",
-         "least-p-hats", "large-trace", "huge-count"],
+    ids=["long-period-display", "longer-period-display", "prime-power-period-display", "huge-radicand", "huge-entries",
+         "huger-entries", "huge-hats", "least-p-hats", "large-trace", "huge-count"],
 )
 def test_unbounded_work_usage_error(argv, bound):
     proc = run_process(argv)
@@ -574,10 +579,12 @@ def test_multiplier_checks_pass(capsys):
 
 
 def test_morita_heisenberg_window(capsys):
+    # the printed window is [[n, "beta_n"], ...], and reads back as the window itself
     code, rep = run_json(capsys, ["morita", "heisenberg", *SPEC_FLAGS, "--entries", "2"])
     assert code == 0
-    entries = {n: QuadReal.parse(s) for n, s in rep["partner"]}
-    assert entries[0] == QuadReal.sqrt_of(2) + 1
+    partner = tuple((n, QuadReal.parse(s)) for n, s in rep["partner"])
+    spec = SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(2, 1))
+    assert partner == heisenberg_partner(spec, 2) and partner[0] == (0, QuadReal.sqrt_of(2) + 1)
 
 
 def test_partner_group_is_gone(capsys):
@@ -654,7 +661,7 @@ def test_morita_certify_skips_truncations_past_a_horizon(tmp_path):
     # window fits inside the horizon, so none is read, and the horizon is never reached
     a = SolenoidSpec(3, QuadReal.parse("(1 + 1*sqrt(5))/4"), PAdic.from_rational(3, Fraction(2, 5)))
     window = projection_partner(truncate_spec(a, 4), ProjectionData(1, 3, -1), 8)
-    fw = _write_spec(tmp_path / "w.json", from_even_entries(3, SeqWindow(window.entries[:4])))
+    fw = _write_spec(tmp_path / "w.json", from_even_entries(3, window[:4]))
     proc = run_process(["morita", "certify", "--spec-a", fw, "--spec-b", _write_spec(tmp_path / "a.json", a)], timeout=2)
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stdout) == {"pass": False, "status": "inconclusive"}

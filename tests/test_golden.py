@@ -77,6 +77,14 @@ ARGVS = [
     ["solenoid", "alpha", *SPEC, "--n", "3"],
     ["solenoid", "alpha", "--spec", "{a}", "--n", "5"],
     ["solenoid", "alpha", "--spec", "{past-window}", "--n", "4"],
+    # the printed windows, and a projection that fails the Condition
+    ["morita", "heisenberg", *SPEC],
+    ["morita", "heisenberg", "--spec", "{a}", "--entries", "4"],
+    ["morita", "projection", *SPEC, "--c0", "1", "--d0", "0"],
+    ["morita", "projection", *SPEC, "--c0", "2", "--d0", "0"],
+    ["morita", "projection", "--spec", "{a}", "--c0", "1", "--d0", "0", "--entries", "4"],
+    ["solenoid", "check-coherence", "--spec", "{a}"],
+    ["solenoid", "from-even", "--spec", "{a}"],
     ["multiplier", "check-cocycle", "--count", "20"],
     ["multiplier", "check-annihilator", *SPEC],
     ["multiplier", "check-eta-psi", *SPEC],
@@ -149,6 +157,20 @@ GOLDEN = {
         [0, "2f0fc8062ef5d5dc3b1853d74b762de51b4cf8647d15871be8c4f4aabb071356"],
     "solenoid alpha --spec {past-window} --n 4":
         [0, "1aa7b46ad79d8b89bf4edecd9702b55e0b933241ae1520b84b6d08fd63c29f50"],
+    "morita heisenberg --p 2 --theta=-1+sqrt(2) --digits x=1":
+        [0, "c14a530c65d9c3be2c89bff56bc43fd2970e4e7a9f945fa16c4e53c092e742e5"],
+    "morita heisenberg --spec {a} --entries 4":
+        [0, "ee5a80e580a3d2295f5b899c2722faba8f0059bee92e0dfd6ca88ee668b3589e"],
+    "morita projection --p 2 --theta=-1+sqrt(2) --digits x=1 --c0 1 --d0 0":
+        [0, "de823d44c092dfc47dd3a4209385e2349aa4cfede1575ed013d3aeb417b157a7"],
+    "morita projection --p 2 --theta=-1+sqrt(2) --digits x=1 --c0 2 --d0 0":
+        [1, "e9699ea59b7d3b0e80d8f8ced3add665960a8d3e7a6a8ea6cbed120a6bfb19c4"],
+    "morita projection --spec {a} --c0 1 --d0 0 --entries 4":
+        [0, "0c1f6114818ce59930543f8c8f87240247cb453e811ec79072b9511396cb8943"],
+    "solenoid check-coherence --spec {a}":
+        [0, "10d4dba389b462065291bd114ef0c018fec5f041dfa815da3f9b865439d1c092"],
+    "solenoid from-even --spec {a}":
+        [0, "ec8d85f4e48019b274f66f4e9af5b11337a46ff2f5780a02adad76180aaa7cf0"],
     "multiplier check-cocycle --count 20":
         [0, "06c1b046c800da61a4164fa59f5290132115979b0445207b35b4610807ba56e6"],
     "multiplier check-annihilator --p 2 --theta=-1+sqrt(2) --digits x=1":

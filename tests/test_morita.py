@@ -28,6 +28,7 @@ from ncsolenoid.morita import (
     TraceLine,
     ab_normalized,
     certificate_search,
+    checked_trace,
     condition_check,
     displayed_mobius,
     heisenberg_partner,
@@ -37,11 +38,9 @@ from ncsolenoid.morita import (
     projection_partner,
     relate_check,
     trace_line,
-    validate_projection,
 )
 from ncsolenoid.padic import PAdic
 from ncsolenoid.solenoid import (
-    SeqWindow,
     SolenoidSpec,
     alpha_at,
     alphas,
@@ -90,11 +89,11 @@ def test_projection_data_validation():
     with pytest.raises(ValueError):
         ProjectionData(0, 1, 0)
     spec = unit_spec(2, THETA, 1)
-    assert validate_projection(spec, ProjectionData(1, 1, 0)) == THETA
-    with pytest.raises(ValueError):
-        validate_projection(spec, ProjectionData(1, 1, 1))  # trace > m
-    with pytest.raises(ValueError):
-        validate_projection(spec, ProjectionData(1, 1, -1))  # trace < 0
+    assert checked_trace(spec, ProjectionData(1, 1, 0)) == THETA  # meets the Condition
+    with pytest.raises(ValueError, match=r"outside \(0, 1\)$"):
+        checked_trace(spec, ProjectionData(1, 1, 1))  # trace > m, refused before the Condition (which it fails)
+    with pytest.raises(ValueError, match=r"outside \(0, 1\)$"):
+        checked_trace(spec, ProjectionData(1, 1, -1))  # trace < 0
 
 
 def test_trace_line_frozen():
@@ -171,10 +170,9 @@ def test_ab_normalized_matches_a_euclid_completion(c):
 
 def test_heisenberg_partner_frozen_p2():
     spec = unit_spec(2, THETA, 1)
-    win = heisenberg_partner(spec, 2)
-    assert win.value(0) == ROOT2 + 1
-    assert win.value(1) == (ROOT2 + 1) / 2 + Fraction(1, 2)
-    assert win.value(2) == (ROOT2 + 1) / 4 + Fraction(1, 4)
+    assert heisenberg_partner(spec, 2) == (
+        (0, ROOT2 + 1), (1, (ROOT2 + 1) / 2 + Fraction(1, 2)), (2, (ROOT2 + 1) / 4 + Fraction(1, 4)),
+    )
 
 
 def test_heisenberg_partner_frozen_p5():
@@ -182,7 +180,7 @@ def test_heisenberg_partner_frozen_p5():
     theta = frac1(QuadReal.sqrt_of(3) / 2)
     spec = SolenoidSpec(5, theta, PAdic.from_rational(5, 2))
     win = heisenberg_partner(spec, 1)
-    assert win.value(1) == 1 / (theta * 5) + Fraction(3, 5)
+    assert win[1] == (1, 1 / (theta * 5) + Fraction(3, 5))
 
 
 def test_heisenberg_partner_errors():
@@ -196,7 +194,7 @@ def test_heisenberg_window_coherent_after_mod1():
     rng = random.Random(408)
     for p in (2, 3, 5):
         spec = random_unit_spec(rng, p)
-        win = heisenberg_partner(spec, 8).mod1()
+        win = tuple((n, frac1(v)) for n, v in heisenberg_partner(spec, 8))
         defects = coherence_check(win, p, 1)
         assert all(0 <= d < p for d in defects)
 
@@ -220,15 +218,15 @@ def test_heisenberg_partner_nonunit_digits():
     win = heisenberg_partner(spec, 4)
     for n in range(5):
         expect = (1 / (THETA * 3**n)) + y.truncate_sum(y.ord, n - 1).as_fraction() / Fraction(3**n)
-        assert win.value(n) == expect
+        assert win[n] == (n, expect)
 
 
 def test_projection_partner_window_and_coherence():
     spec = unit_spec(2, THETA, 1)
     proj = ProjectionData(1, 1, 0)
     win = projection_partner(spec, proj, 3)
-    assert win.indices() == (0, 2, 4, 6)
-    assert win.value(0) == 2 - ROOT2
+    assert [n for n, _ in win] == [0, 2, 4, 6]
+    assert win[0] == (0, 2 - ROOT2)
     defects = coherence_check(win, 2, 2)
     assert all(isinstance(d, int) and 0 <= d < 4 for d in defects)
 
@@ -324,7 +322,7 @@ def test_partner_spec_is_the_projection_tower(p, c0, rng):
     assert partner.digits.precision == math.inf and partner.digits.ord >= 0
     window = projection_partner(spec, proj, 10)
     assert [beta for _, beta in window] == [frac1(alpha) for alpha, _ in level_table(partner, 10)]
-    assert partner.theta == window.value(0)
+    assert window[0] == (0, partner.theta)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -453,7 +451,7 @@ def test_level_table_matches_alpha_at():
             table = level_table(spec, 9)
             assert table == tuple((alpha_at(spec, 2 * n), _digit_head(spec, 2 * n)) for n in range(10))
             assert all(type(h) is int for _, h in table)
-            assert alphas(spec, 18) == SeqWindow(tuple((n, alpha_at(spec, n)) for n in range(19)))
+            assert alphas(spec, 18) == tuple((n, alpha_at(spec, n)) for n in range(19))
             assert [spec.head(m) for m in range(19)] == [_digit_head(spec, m) for m in range(19)]
 
 
@@ -462,7 +460,7 @@ def test_level_table_stops_where_alpha_at_does():
     for p in (2, 3, 5, 7):
         spec = random_unit_spec(rng, p)
         horizons = [SolenoidSpec(p, spec.theta, spec.digits.truncate(H)) for H in range(8)]
-        horizons.append(from_even_entries(p, SeqWindow(tuple((2 * n, frac1(alpha_at(spec, 2 * n))) for n in range(3)))))
+        horizons.append(from_even_entries(p, tuple((2 * n, frac1(alpha_at(spec, 2 * n))) for n in range(3))))
         for spec_h in horizons:
             H = spec_h.digits.precision
             for m in range(12):
@@ -476,7 +474,7 @@ def test_level_table_stops_where_alpha_at_does():
                             read()
                     continue
                 assert spec_h.head(m) == _digit_head(spec_h, m)
-                assert alphas(spec_h, m) == SeqWindow(tuple((n, alpha_at(spec_h, n)) for n in range(m + 1)))
+                assert alphas(spec_h, m) == tuple((n, alpha_at(spec_h, n)) for n in range(m + 1))
                 if m % 2 == 0:
                     assert level_table(spec_h, m // 2) == tuple(
                         (alpha_at(spec_h, n), _digit_head(spec_h, n)) for n in range(0, m + 1, 2)
@@ -531,7 +529,7 @@ def _planted_projection(rng: random.Random, t: SolenoidSpec) -> ProjectionData:
     return ProjectionData(math.floor(t.theta * c0 + d0) + 1, c0, d0)
 
 
-def _planted_window(rng: random.Random, a: SolenoidSpec, k: int, N: int) -> SeqWindow:
+def _planted_window(rng: random.Random, a: SolenoidSpec, k: int, N: int) -> tuple[tuple[int, QuadReal], ...]:
     """The partner window of a's truncation k through a random (c0, d0) that meets the Condition."""
     t = truncate_spec(a, k)
     return projection_partner(t, _planted_projection(rng, t), N)
@@ -551,7 +549,7 @@ def _random_search_pairs(rng: random.Random, count: int):
         else:
             planted = _planted_window(rng, a, rng.choice((0, 2, 4)), 5)
             keep = 6 if kind == "planted" else rng.randint(1, 5)
-            yield kind, a, from_even_entries(p, SeqWindow(planted.entries[:keep]))
+            yield kind, a, from_even_entries(p, planted[:keep])
 
 
 def _window_matches(a: SolenoidSpec, b: SolenoidSpec, res: CertificateResult, N: int) -> bool:
@@ -664,7 +662,7 @@ def _pinned_search_pairs():
         "wide-planted": (a, from_even_entries(3, projection_partner(truncate_spec(a, 4), ProjectionData(8, 1, 7), 8))),
         "different-fields": (first, unit_spec(2, QuadReal.sqrt_of(3) - 1, 1)),
         # digits known up to x_5 only: entries 8..16 of the window cannot be compared
-        "short-horizon": (a, from_even_entries(3, SeqWindow(planted.entries[:4]))),
+        "short-horizon": (a, from_even_entries(3, planted[:4])),
         # primitive discriminants 8 = 2 * 2^2 and 72 = 18 * 2^2
         "different-discriminants": (first, unit_spec(2, QuadReal.parse("(1+sqrt(2))/3"), 1)),
         "same-field": (first, unit_spec(2, SAME_FIELD, 1)),

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncsolenoid import exactnum, padic
@@ -440,11 +440,11 @@ def test_zero_window_product_depends_only_on_the_window():
 
 def test_display_expansion_bound():
     # 1/3**11 has a 2-adic period of 2*3**10 = 118098 digits, 1/3**12 one of 354294 (refused before the carry loop),
-    # and 1/1009**2 one of 504*1009 = 508536: 1009 is past the primes the period bound reads, so the carry loop runs
-    # up to MAX_EXPANSION and refuses it there
+    # and 1/1009**2 one of 504*1009 = 508536: the period bound reads only its factor 1009 (ord_1009(2) = 504 needs
+    # 1008 factored), which fits, so the carry loop runs up to MAX_EXPANSION and refuses it there
     assert MAX_EXPANSION >= 2 * 3**10
     assert len(PAdic.from_rational(2, Fraction(1, 3**11)).per) == 2 * 3**10
-    assert padic._order_floor(2, 1009**2, MAX_EXPANSION) == 1
+    assert padic._order_floor(2, 1009**2, MAX_EXPANSION) == 1009
     for den in (3**12, 1009**2):
         x = PAdic.from_rational(2, Fraction(1, den))
         with pytest.raises(ValueError, match="MAX_EXPANSION"):
@@ -524,15 +524,69 @@ def test_order_floor_divides_the_order(p, n, parts, cap):
     assert order % padic._order_floor(p, den, cap) == 0 and padic._order_floor(p, den, den) == order
 
 
+PRIMES_BELOW_3600 = [q for q in range(2, 3600) if exactnum.is_prime(q)]
+
+
+def exact_order(p: int, den: int) -> int:
+    """The order of p mod den, den prime to p with no prime factor past 3600: phi(den) cut down a prime at a time."""
+    phi = den
+    for f in PRIMES_BELOW_3600:
+        if den % f == 0:
+            phi = phi // f * (f - 1)
+    n = phi
+    for f in PRIMES_BELOW_3600:
+        while n % f == 0 and pow(p, n // f, den) == 1:
+            n //= f
+    return n
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3, 5, 7, 1009]), st.sampled_from([q for q in PRIMES_BELOW_3600 if q > 64]),
+       st.integers(1, 12), st.sampled_from([1, *ODD_PARTS]), st.integers(-2, 10**6))
+@example(2, 1093, 3, 1, 0)  # 2**1092 = 1 mod 1093**2 (w = 2)
+@example(2, 3511, 2, 25, 0)  # 2**3510 = 1 mod 3511**2: the order mod 3511**2 has no factor 3511
+@example(4812209, 67, 5, 1, 0)  # p = 1 + 16 * 67**3 has p**66 = 1 mod 67**3 (w = 3): the order mod 67**5 is 67**2
+def test_order_floor_reads_a_large_prime_power(p, q, e, part, cap):
+    # past the primes below 64, a rest q**e is read off v_q(p**(q - 1) - 1) alone: the floor divides the order, and
+    # with no other part and cap 0 it is the order's power of q
+    if q == p:
+        q = 1013
+    den = q**e * (part if part % p else 1)
+    assert exact_order(p, den) % padic._order_floor(p, den, cap) == 0
+    assert padic._order_floor(p, q**e, 0) == q ** _strip(exact_order(p, q**e), q)[1]
+
+
+@st.composite
+def primes_below_2_64(draw):
+    n = draw(st.integers(67, 2**64 - 60))
+    while not exactnum.is_prime(n):
+        n += 1
+    return n
+
+
+@PROPERTY
+@given(primes_below_2_64(), primes_below_2_64(), st.integers(1, 40))
+@example(2**64 - 59, 67, 7)  # the largest prime below 2**64, and the least past 64
+@example(67, 71, 3000)
+@example(13008131998661203141, 11103133428834002477, 10)  # a 2-adic root whose bit length fits, and no root
+def test_prime_power_is_found_up_to_2_64(q, r, e):
+    # a rest with no factor below 64 is read as q**e for every prime q below 2**64, and a product of two primes as none
+    assert padic._prime_power(q**e) == (q, e)
+    if q != r:
+        assert padic._prime_power(q**e * r) is None and padic._prime_power((q * r) ** e) is None
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_period_past_the_bound_is_refused_before_the_carry_loop(p):
-    # 1/10**4299 has a period whose length is a multiple of p's order mod 5**4299 (p = 2) or 2**4299: each is past
-    # MAX_EXPANSION, so the carry loop, which ran up to the bound in 0.7-2.2 s, is not entered
-    x = PAdic.from_rational(p, Fraction(1, 10**4299))
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match=f"MAX_EXPANSION = {MAX_EXPANSION} {p}-adic digits"):
-        x.to_json()
-    assert time.perf_counter() - start < 0.5
+    # 1/10**4299 has a period whose length is a multiple of p's order mod 5**4299 (p = 2) or 2**4299, and 1/1009**1400
+    # one that is a multiple of 1009**1399: each is past MAX_EXPANSION, so the carry loop, which ran up to the bound in
+    # 0.7-2.2 s, is not entered
+    for den in (10**4299, 1009**1400):
+        x = PAdic.from_rational(p, Fraction(1, den))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"MAX_EXPANSION = {MAX_EXPANSION} {p}-adic digits"):
+            x.to_json()
+        assert time.perf_counter() - start < 0.5
 
 
 def test_display_expansion_bound_names_p_not_the_value(monkeypatch):

@@ -11,7 +11,6 @@ from ncsolenoid.solenoid import (
     _alpha,
     CoherenceError,
     PrimeMismatchError,
-    SeqWindow,
     SolenoidSpec,
     alpha_at,
     alphas,
@@ -27,10 +26,6 @@ SQRT2 = QuadReal.sqrt_of(2)
 
 def make_spec(p, theta, x):
     return SolenoidSpec(p, theta, PAdic.from_rational(p, x))
-
-
-def window_from_json(obj) -> SeqWindow:
-    return SeqWindow(tuple((int(n), QuadReal.parse(s)) for n, s in obj))
 
 
 def test_alpha_frozen_cases():
@@ -64,7 +59,7 @@ def test_recursion_holds_exactly():
         x = Fraction(rng.randint(1, 99), rng.choice([n for n in range(1, 40) if n % p]))
         spec = make_spec(p, theta, x)
         # the window of one head read and alpha_at's own reads, against the stream's digit view
-        for seq in (alphas(spec, 64).entries, [(n, alpha_at(spec, n)) for n in range(65)]):
+        for seq in (alphas(spec, 64), [(n, alpha_at(spec, n)) for n in range(65)]):
             for (n, a), (_, b) in zip(seq, seq[1:]):
                 assert b * p - a == QuadReal(spec.x(n)) == QuadReal(spec.digits.digit(n))
         for n in range(64):
@@ -83,9 +78,10 @@ def test_spec_validation():
 def test_reduce_h_lands_in_unit_interval():
     spec = make_spec(2, SQRT2 + 1, 3)  # theta deliberately outside [0,1)
     win = reduce_h(spec, 12)
+    assert [n for n, _ in win] == list(range(13))
     for _, v in win:
         assert QuadReal(0) <= v < QuadReal(1)
-    assert win.value(0) == SQRT2 - 1
+    assert win[0] == (0, SQRT2 - 1)
 
 
 def test_reduce_h_is_additive_mod1():
@@ -110,16 +106,16 @@ def test_coherence_check_accepts_and_reports():
     win = reduce_h(spec, 8)
     defects = coherence_check(win, 2, 1)
     assert all(isinstance(d, int) for d in defects)
-    bad = SeqWindow(((0, QuadReal(Fraction(1, 3))), (1, QuadReal(Fraction(1, 3)))))
+    bad = ((0, QuadReal(Fraction(1, 3))), (1, QuadReal(Fraction(1, 3))))
     with pytest.raises(CoherenceError):
         coherence_check(bad, 2, 1)
     with pytest.raises(ValueError):
-        coherence_check(SeqWindow(((0, QuadReal(0)), (3, QuadReal(0)))), 2, 2)
+        coherence_check(((0, QuadReal(0)), (3, QuadReal(0))), 2, 2)
 
 
 def test_even_window_roundtrip_frozen():
     theta = SQRT2 - 1
-    even = SeqWindow(((0, theta), (2, (theta + 1) / 4)))
+    even = ((0, theta), (2, (theta + 1) / 4))
     spec = from_even_entries(2, even)
     assert spec.theta == theta
     assert alpha_at(spec, 1) == (theta + 1) / 2  # forced odd entry
@@ -137,7 +133,7 @@ def test_even_window_roundtrip_random():
         x = rng.randint(0, 120)
         spec = make_spec(p, theta, x)
         N = 6
-        even = SeqWindow(tuple((n, frac1(alpha_at(spec, n))) for n in range(0, N + 1, 2)))
+        even = tuple((n, frac1(alpha_at(spec, n))) for n in range(0, N + 1, 2))
         back = from_even_entries(p, even)
         for n in range(N + 1):
             assert frac1(alpha_at(back, n)) == frac1(alpha_at(spec, n))
@@ -146,9 +142,14 @@ def test_even_window_roundtrip_random():
 
 def test_from_even_entries_rejects_bad_windows():
     with pytest.raises(ValueError):
-        from_even_entries(2, SeqWindow(((0, QuadReal(Fraction(3, 2))), (2, QuadReal(Fraction(3, 8))))))
+        from_even_entries(2, ((0, QuadReal(Fraction(3, 2))), (2, QuadReal(Fraction(3, 8)))))
     with pytest.raises(CoherenceError):
-        from_even_entries(2, SeqWindow(((0, QuadReal(Fraction(1, 3))), (2, QuadReal(Fraction(1, 7))))))
+        from_even_entries(2, ((0, QuadReal(Fraction(1, 3))), (2, QuadReal(Fraction(1, 7)))))
+    # a window that is empty, starts past 0 or holds an odd index, coherent or not
+    half = QuadReal(Fraction(1, 2))
+    for window in ((), ((2, half), (4, half)), ((0, half), (1, half))):
+        with pytest.raises(ValueError, match="^window must start at 0 and use even indices$"):
+            from_even_entries(2, window)
 
 
 def test_truncate_spec_shifts_sequence():
@@ -194,8 +195,3 @@ def test_equal_in_Xi():
     with pytest.raises(PrimeMismatchError):
         equal_in_Xi(a, make_spec(3, QuadReal(0), 1), 2)
 
-
-def test_seqwindow_json_roundtrip():
-    spec = make_spec(5, QuadReal(Fraction(1, 3), Fraction(1, 4), 5), 7)
-    win = reduce_h(spec, 6)
-    assert window_from_json(win.to_json()) == win
