@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncsolenoid.cli import _window_json
 from ncsolenoid.exactnum import MR_LIMIT, QuadReal, frac1
 from ncsolenoid.padic import MAX_ORD_BITS, PAdic
 from ncsolenoid.solenoid import (
@@ -195,3 +197,10 @@ def test_equal_in_Xi():
     with pytest.raises(PrimeMismatchError):
         equal_in_Xi(a, make_spec(3, QuadReal(0), 1), 2)
 
+
+def test_seqwindow_json_roundtrip():
+    # a window prints as [[n, "value"], ...] and reads back as the same (n, value) pairs
+    spec = make_spec(5, QuadReal(Fraction(1, 3), Fraction(1, 4), 5), 7)
+    win = reduce_h(spec, 6)
+    printed = json.loads(json.dumps(_window_json(win)))
+    assert tuple((n, QuadReal.parse(v)) for n, v in printed) == win
