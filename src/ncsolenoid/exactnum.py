@@ -89,6 +89,9 @@ def _check_literal_digits(digits: int) -> None:
                          f"and radicand) may have at most MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits as written")
 
 
+_ZERO_DEN = "the literal {!r} has a zero denominator"
+
+
 def parse_rational(text: str) -> Fraction:
     """Fraction(text), once its numerator and denominator as written fit MAX_LITERAL_DIGITS digits."""
     m = _LITERAL_RE.match(text)
@@ -98,7 +101,10 @@ def parse_rational(text: str) -> Fraction:
         # an exponent of six digits or more is past the bound on one side or the other, however it is written
         shift = (int(exp or 0) if len(exp) < 6 else 10**6) * (-1 if sign == "-" else 1) - len(frac)
         _check_literal_digits(max(len(whole + frac) + max(shift, 0), len(den) or max(-shift, 0) + 1))
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(_ZERO_DEN.format(text.strip())) from None
 
 
 class PFrac:
@@ -461,16 +467,22 @@ class QuadReal:
             _check_literal_digits(len(digits.lstrip("-")))
             return int(digits)
 
+        def den_of(digits: str | None) -> int:
+            den = num(digits) if digits else 1
+            if not den:
+                raise ValueError(_ZERO_DEN.format(s))
+            return den
+
         m = cls._QUAD_RE.fullmatch(s)
         if m:
             _, a, sign, b, D, c = m.groups()
-            den = num(c) if c else 1
+            den = den_of(c)
             bb = num(b or "1") * (1 if sign == "+" else -1)
             return cls(Fraction(num(a), den), Fraction(bb, den), num(D))
         m = cls._SURD_RE.fullmatch(s)
         if m:
             b, D, c = m.groups()
-            den = num(c) if c else 1
+            den = den_of(c)
             bb = -1 if b == "-" else (1 if b in ("", "+") else num(b))
             return cls(0, Fraction(bb, den), num(D))
         return cls(parse_rational(s))

@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactnum import PFrac, _strip, is_prime, require_prime
+from .exactnum import PFrac, _strip, require_prime
 
 # digits _expand may make for display, at about 1 us each: padic inv of a value whose
-# 2-adic period has 199 932 digits prints in about 0.6 s end to end
+# 2-adic period has 199 932 digits prints in about 0.3 s end to end
 MAX_EXPANSION = 200_000
 _TOO_LONG = "the value has more than MAX_EXPANSION = {} {}-adic digits to display"
 # size of p**|ord| a JSON digit stream, and of p**H a spec's digit_horizon H, may carry, counted as |ord| * floor(log2 p)
@@ -74,67 +74,30 @@ def _int_digits(n: int, p: int, length: int) -> list[int]:
     return _int_digits(lo, p, length // 2) + _int_digits(hi, p, length - length // 2)
 
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+def _order(p: int, den: int, cap: int) -> int:
+    """The order L of p mod den (den > 1, prime to p) when L <= cap, and some value past cap otherwise: baby-step
+    giant-step, about 2 * sqrt(cap) multiplications mod den.
 
-
-def _prime_power(r: int) -> tuple[int, int] | None:
-    """(q, e) with r = q**e and q a prime below 2**64, for an r > 1 with no prime factor below 64; None if none.
-
-    Squares come off first: r = s**(2**j) with s no square, so r = q**e needs e = k * 2**j and s = q**k with k odd.
-    For an odd k, x -> x**k permutes the odd residues mod 2**64 (a group of exponent 2**62), so c = pow(s, k**-1 mod
-    2**62, 2**64) is the one odd c < 2**64 with c**k = s mod 2**64, and s = q**k with q < 2**64 gives c = q.  As q**k
-    > 2**(6 k) for q > 64, k runs down from s.bit_length() // 6, and the first c with c**k = s is no power t**i, i > 1:
-    t has no factor below 64 either, and i*k is odd (s is no square), so t would have been found at i*k.  So r is a
-    prime power exactly when that c is prime.
+    The baby steps are p**j mod den for j < B = isqrt(cap) + 1.  A repeat among them, p**j = p**k with j < k < B,
+    means p**(k - j) = 1, so L < B, and the first repeat is p**L = p**0.  Otherwise the baby steps are distinct and
+    L >= B.  Then i0 = ceil(L/B) gives p**(i0 B) = p**j0 with j0 = i0 B - L in [0, B), while a match p**(i B) = p**j
+    at an i < i0 would give p**(i B - j) = 1 with 0 < i B - j <= (i0 - 1) B < L.  So the first giant step i with
+    p**(i B) = p**j gives L = i B - j, and as i0 <= cap // B + 1 for every L <= cap, no match up to there puts L
+    past cap.
     """
-    j = 0
-    while (t := math.isqrt(r)) * t == r:
-        r, j = t, j + 1
-    bits, low = r.bit_length(), r % 2**64
-    for k in range(bits // 6 | 1, 0, -2):
-        c = pow(low, pow(k, -1, 2**62), 2**64)
-        if (c.bit_length() - 1) * k < bits <= c.bit_length() * k and c**k == r:  # bit lengths first: one big power
-            return (c, k << j) if is_prime(c) else None
-    return None
-
-
-def _order_floor(p: int, den: int, cap: int) -> int:
-    """A divisor of the order L of p mod den (den prime to p), read off den's parts q**e with q < 64, and off the rest
-    of den when that is past cap and a power q**e of a prime q < 2**64: their lcm, or the first part past cap.
-
-    L is the lcm of p's orders mod the prime powers q**e exactly dividing den, so each part below divides L, and so does
-    their lcm.  Every such q is prime to p.  For an odd q, let d = ord_q(p) and w = v_q(p**d - 1) >= 1: lifting the
-    exponent, v_q(p**(d k) - 1) = w + v_q(k), and p**m = 1 mod q only for d | m, so the order mod q**e is d *
-    q**max(e - w, 0).  For q = 2 (p odd), v_2(p**m - 1) is v_2(p - 1) < v_2(p**2 - 1) for an odd m and v_2(p**2 - 1) +
-    v_2(m) - 1 for an even m, so the order mod 2**e is a multiple of 2**max(e + 1 - v_2(p**2 - 1), 0): the same form
-    with d = 1 and w = v_2(p**2 - 1) - 1.  A part's power of q is capped at cap.bit_length(): the capped part still
-    divides the part, and as q**cap.bit_length() > cap, one past cap stays past it.
-
-    The rest of den, once the small primes are stripped, is read only past cap, as L <= den.  When it is q**e with q a
-    prime (_prime_power), d is not searched for, as that needs q - 1 factored.  But d divides q - 1 < q, so q does not
-    divide (q - 1)/d, and the same lifting gives v_q(p**(q - 1) - 1) = w + v_q((q - 1)/d) = w: the order mod q**e is a
-    multiple of q**max(e - w, 0).  w = 1 when p**(q - 1) != 1 mod q**2; a larger w is read mod q**(e + 1), where a
-    residue 0 says w > e.  So 1/1009**1400 at p = 2 is refused at once: its order is a multiple of 1009**1399.
-    """
-    out = 1
-    for q in _SMALL_PRIMES:
-        if den % q:
-            continue
-        den, e = _strip(den, q)
-        d, r = 1, p % q
-        while r > 1:  # d = ord_q(p); 1 for q = 2
-            d, r = d + 1, r * p % q
-        w = _strip(p**d - 1, q)[1] if q > 2 else _strip(p * p - 1, 2)[1] - 1
-        part = d * q ** min(max(e - w, 0), cap.bit_length())
-        if part > cap:
-            return part
-        out = math.lcm(out, part)
-    if den > max(cap, 1) and (power := _prime_power(den)):
-        q, e = power
-        Q = q * q if pow(p, q - 1, q * q) != 1 else q ** (e + 1)  # w = 1 shows mod q**2; a larger w is read in full
-        part = q ** max(e - _strip(pow(p, q - 1, Q) - 1 or Q, q)[1], 0)
-        return part if part > cap else math.lcm(out, part)
-    return out
+    B = math.isqrt(cap) + 1
+    baby, r = {}, 1
+    for j in range(B):
+        if r in baby:
+            return j
+        baby[r] = j
+        r = r * p % den
+    y = 1
+    for i in range(1, cap // B + 2):
+        y = y * r % den
+        if y in baby:
+            return i * B - baby[y]
+    return cap + 1
 
 
 class PAdic:
@@ -223,34 +186,30 @@ class PAdic:
         return PFrac(self.p, self._below(h + 1), max(-self.ord, 0))
 
     def _expand(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """Minimal (ord, preperiod, period) of num/den's digits: the preperiod read in halves, the period carried.
+        """Minimal (ord, preperiod, period) of num/den's digits, all read in halves off num/den mod p**(U + L).
 
         Long division takes a carry state m, first num, to m' = (m - d*den)/p with the digit d = m/den mod p, so m/den
         is the value of the digits still to come, and after i digits m_i = (num - den*h_i)/p**i, h_i = num/den mod p**i.
         Those digits are purely periodic exactly when -den <= m <= 0: a block of L digits worth A, 0 <= A <= p**L - 1,
         repeats to -A/(p**L - 1) in [-1, 0]; and m/den in [-1, 0] is -A/(p**L - 1) for L the order of p mod den, with
-        the integer A = -m*(p**L - 1)/den in [0, p**L - 1], whose L digits repeat.  So the step maps the interval into
-        itself, the minimal preperiod ends at the first state m_s in it, and the minimal period when m_s first returns,
-        as a state and the digits after it determine each other.
+        the integer A = -m*(p**L - 1)/den in [0, p**L - 1], whose L digits repeat.
 
         With U least such that p**U > X = max(num, -num - den), the integer m_U lies in [(num + den)/p**U - den,
-        num/p**U], inside (-1 - den, 1), so s <= U: h_U's U digits are the preperiod and U - s period digits, which the
-        walk back m_{i-1} = d_{i-1}*den + p*m_i gives back while it stays in [-den, 0]; a window (den = 1, num >= 0) so
-        gives num's digits and the period (0).  The display bound may refuse before any digit is read: if num > 0, m_s
-        <= 0 needs den*h_s >= num, so p**s > num/den; if num < -den, m_s >= -den needs den*(p**s - h_s) >= -num > X, so
-        p**s > X/den.  Both give p**s > p**(U - 1)/den, so s > U - 1 - log_p(den) > U - 1 - den.bit_length().
+        num/p**U], inside (-1 - den, 1), so the digits from U on are purely periodic.  For den > 1, m_U/den is in
+        lowest terms, as gcd(m_U, den) = gcd(num, den) = 1 and den is prime to p, so a block of L' digits repeats from
+        U exactly when den divides p**L' - 1: the least period is L, the order of p mod den (_order).  For den = 1, m_U
+        is 0 or -1 and L = 1.  So d_j = d_(j+L) for every j >= U, and the minimal preperiod s is 1 + the last j < U with
+        d_j != d_(j+L), or 0: digits purely periodic from s' on with some period L' repeat with L there too, as d_j =
+        d_(j+kL') = d_(j+kL'+L) = d_(j+L) for j >= s' and j + kL' >= U, so s' >= s; and their least period from s on
+        is L, as it is from U on.  No step runs a digit at a time on a den-sized integer.
 
-        The period is refused before any carry step, too: m_s/den is in lowest terms, as gcd(m_s, den) = gcd(num, den)
-        = 1 and den is prime to p, so for den > 1 the period's length L is the order of p mod den.  Then den divides
-        p**L - 1, so p**L > den, and den > p**MAX_EXPANSION puts L past the bound.  As p**MAX_EXPANSION >=
-        2**(MAX_EXPANSION * (p.bit_length() - 1)), that needs den.bit_length() > MAX_EXPANSION * (p.bit_length() - 1),
-        which is checked first, so that p**MAX_EXPANSION is built only for such a den.  Once the preperiod is read,
-        the loop refuses exactly a period L > MAX_EXPANSION - len(pre); _order_floor gives a divisor of L from den's
-        parts q**e with q < 64, and from the rest of den when that is a prime power, so one past that cap is refused
-        before the first step, and no period that fits is.  It is tried only for den > cap, as L <= den.  So 1/10**4299
-        at p = 2 is refused at once (its order mod 5**4299 is 4 * 5**4298), and so is 1/1009**1400 (a multiple of
-        1009**1399); a den whose rest has two prime factors past 64, such as the product of the primes in [1009,
-        3600), still runs the loop.
+        The display bound may refuse before any digit is read: if num > 0, m_s <= 0 needs den*h_s >= num, so p**s >
+        num/den; if num < -den, m_s >= -den needs den*(p**s - h_s) >= -num > X, so p**s > X/den.  Both give p**s >
+        p**(U - 1)/den, so s > U - 1 - log_p(den) > U - 1 - den.bit_length().  And den divides p**L - 1 for den > 1,
+        so p**L > den, and den > p**MAX_EXPANSION puts L past the bound.  As p**MAX_EXPANSION >= 2**(MAX_EXPANSION *
+        (p.bit_length() - 1)), that needs den.bit_length() > MAX_EXPANSION * (p.bit_length() - 1), which is checked
+        first, so that p**MAX_EXPANSION is built only for such a den.  Past those, _order refuses exactly a period L
+        past the bound before any digit is read, and s + L past it is refused once s is.
         """
         if not self.num:
             return 0, (), (0,)
@@ -266,22 +225,16 @@ class PAdic:
             den.bit_length() > MAX_EXPANSION * (p.bit_length() - 1) and den > p**MAX_EXPANSION
         ):
             raise ValueError(_TOO_LONG.format(MAX_EXPANSION, p))
-        h = _mod_unit(m, den, P)
-        pre, m = _int_digits(h, p, U), (m - den * h) // P
-        while pre and -den <= (prev := pre[-1] * den + p * m) <= 0:
-            m = prev
-            pre.pop()
-        cap = MAX_EXPANSION - len(pre)  # the carry loop refuses a period longer than this
-        if den > cap and _order_floor(p, den, cap) > cap:
+        L = _order(p, den, MAX_EXPANSION) if den > 1 else 1
+        if L > MAX_EXPANSION:
             raise ValueError(_TOO_LONG.format(MAX_EXPANSION, p))
-        inv_den, per, first = pow(den, -1, p), [], m
-        while not per or m != first:
-            if len(pre) + len(per) >= MAX_EXPANSION:
-                raise ValueError(_TOO_LONG.format(MAX_EXPANSION, p))
-            d = (m * inv_den) % p
-            per.append(d)
-            m = (m - d * den) // p
-        return self.ord, tuple(pre), tuple(per)
+        digits = _int_digits(_mod_unit(m, den, P * p**L), p, U + L)
+        s = U
+        while s and digits[s - 1] == digits[s - 1 + L]:
+            s -= 1
+        if s + L > MAX_EXPANSION:
+            raise ValueError(_TOO_LONG.format(MAX_EXPANSION, p))
+        return self.ord, tuple(digits[:s]), tuple(digits[s : s + L])
 
     @property
     def is_zero(self) -> bool:

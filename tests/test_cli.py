@@ -92,13 +92,16 @@ def test_bad_theta_usage_error():
         ["SOLENOID_SEED=abc", "suite"],
         ["padic", "trunc", "--p", "2", "--value", "11", "--k", "-1"],
         ["padic", "trunc", "--p", "2", "--value", "11", "--k", str(MAX_TRUNC_K + 1)],
+        ["padic", "inv", "--p", "2", "--value", "1/0"],
+        ["solenoid", "alpha", "--p", "2", "--theta", "(1+sqrt(2))/0", "--digits", "x=1", "--n", "1"],
     ],
     ids=[
         "negative-index", "zero-theta", "zero-denominator-digits",
         "negative-certify-entries", "negative-heisenberg-entries", "negative-coherence-entries", "negative-count",
         "projection-zero-m", "projection-zero-c0", "condition-zero-c0", "condition-nonprime-p",
         "annihilator-zero-theta", "eta-psi-zero-theta", "annihilator-zero-digits", "alpha-huge-level",
-        "non-integer-env-seed", "negative-trunc-k", "trunc-k-over-bound",
+        "non-integer-env-seed", "negative-trunc-k", "trunc-k-over-bound", "zero-denominator-value",
+        "zero-denominator-theta",
     ],
 )
 def test_domain_errors_usage_error(capsys, monkeypatch, tmp_path, argv):
@@ -111,6 +114,9 @@ def test_domain_errors_usage_error(capsys, monkeypatch, tmp_path, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.strip().splitlines()[-1].startswith("ncsolenoid")
+    zero = [a.removeprefix("x=") for a in argv if a.endswith("/0")]  # a zero denominator names its literal
+    if zero:
+        assert err.strip().splitlines()[-1] == f"ncsolenoid: error: the literal '{zero[0]}' has a zero denominator"
 
 
 def test_padic_inverse_frozen(capsys):
@@ -137,12 +143,11 @@ def test_padic_inverse_long_period_finishes():
 
 def test_padic_inverse_past_the_display_bound_exits_in_bounded_memory():
     # 1/den, den the product of the primes in [1009, 3600) (3 705 bits), has a 3-adic period past MAX_EXPANSION: the
-    # expansion stops there (exit 2) holding its digits and two carry states; a table of every 3 300-bit state took
-    # 125 MB (seen with 1/10**1000, which is now refused before the carry loop).  No prime factor of den is below 64
-    # and den is no prime power, so the period bound reads nothing there and the carry loop runs up to
-    # MAX_EXPANSION.  The child reads its own peak (RUSAGE_SELF; ru_maxrss is in KiB on Linux): RUSAGE_CHILDREN of
-    # this process keeps the largest child it ever waited for.  It is started from a small interpreter, because a
-    # process started by fork and exec counts the peak of the one that started it
+    # order of 3 mod den is found past the bound from a table of isqrt(MAX_EXPANSION) + 1 residues mod den, and the
+    # expansion stops there (exit 2) before any digit is read; a table of every 3 300-bit carry state took 125 MB
+    # (seen with 1/10**1000).  The child reads its own peak (RUSAGE_SELF; ru_maxrss is in KiB on Linux):
+    # RUSAGE_CHILDREN of this process keeps the largest child it ever waited for.  It is started from a small
+    # interpreter, because a process started by fork and exec counts the peak of the one that started it
     code = textwrap.dedent("""
         import resource, sys
         from ncsolenoid.cli import main
@@ -152,7 +157,7 @@ def test_padic_inverse_past_the_display_bound_exits_in_bounded_memory():
             print(exc.code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
     """)
     den = math.prod(q for q in range(1009, 3600) if exactnum.is_prime(q))
-    assert den.bit_length() == 3705 and padic._order_floor(3, den, padic.MAX_EXPANSION) == 1
+    assert den.bit_length() == 3705
     hop = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
     proc = subprocess.run([sys.executable, "-c", hop, sys.executable, "-c", code, str(den)],
                           env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=10)
@@ -237,10 +242,10 @@ def test_oversized_padic_input_usage_error(argv):
     [
         # the 2-adic period of 1/3**20 has 2*3**19 digits
         (["padic", "inv", "--p", "2", "--value", "3486784401"], "MAX_EXPANSION"),
-        # the 3-adic period of 1/10**4299 is a multiple of 2**4297: refused before the carry loop, with its message
+        # the 3-adic period of 1/10**4299 is a multiple of 2**4297: refused by its order, with its message
         (["padic", "inv", "--p", "3", "--value", "1e4299"],
          f"ncsolenoid: error: the value has more than MAX_EXPANSION = {padic.MAX_EXPANSION} 3-adic digits to display"),
-        # the 2-adic period of 1/1009**1400 is a multiple of 1009**1399: refused before the carry loop, which took 2 s
+        # the 2-adic period of 1/1009**1400 is a multiple of 1009**1399: refused by its order (the carry loop took 2 s)
         (["padic", "inv", "--p", "2", "--value", str(1009**1400)],
          f"ncsolenoid: error: the value has more than MAX_EXPANSION = {padic.MAX_EXPANSION} 2-adic digits to display"),
         # a 31-digit radicand: trial division would take about sqrt(D)/2 steps
@@ -702,6 +707,9 @@ def test_morita_certify_bad_file_usage_error(capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["morita", "certify", "--spec-a", str(path), "--spec-b", str(path)])
         assert exc.value.code == 2, obj
+        if i == 0:  # a zero denominator names its literal, not Fraction(1, 0)
+            last = capsys.readouterr().err.strip().splitlines()[-1]
+            assert last == f"ncsolenoid: error: bad spec file {path}: the literal '1/0' has a zero denominator"
 
 
 @pytest.mark.parametrize("command", ["alpha", "certify"])

@@ -156,7 +156,7 @@ def test_frac_part_congruence_random():
 
 def test_rational_frac_part_matches_padic():
     # the fractional part read from the stored rational equals the negative-index
-    # digits of the carry-loop expansion
+    # digits of the minimal expansion
     rng = random.Random(29)
     for _ in range(200):
         p = rng.choice([2, 3, 5])
@@ -439,12 +439,10 @@ def test_zero_window_product_depends_only_on_the_window():
 
 
 def test_display_expansion_bound():
-    # 1/3**11 has a 2-adic period of 2*3**10 = 118098 digits, 1/3**12 one of 354294 (refused before the carry loop),
-    # and 1/1009**2 one of 504*1009 = 508536: the period bound reads only its factor 1009 (ord_1009(2) = 504 needs
-    # 1008 factored), which fits, so the carry loop runs up to MAX_EXPANSION and refuses it there
+    # 1/3**11 has a 2-adic period of 2*3**10 = 118098 digits, and 1/3**12 one of 354294 and 1/1009**2 one of
+    # 504*1009 = 508536, past MAX_EXPANSION: the period's length is the order of 2 mod den, read before any digit
     assert MAX_EXPANSION >= 2 * 3**10
     assert len(PAdic.from_rational(2, Fraction(1, 3**11)).per) == 2 * 3**10
-    assert padic._order_floor(2, 1009**2, MAX_EXPANSION) == 1009
     for den in (3**12, 1009**2):
         x = PAdic.from_rational(2, Fraction(1, den))
         with pytest.raises(ValueError, match="MAX_EXPANSION"):
@@ -499,6 +497,20 @@ def test_long_period_is_refused_before_any_carry_step(monkeypatch, p):
         PAdic.from_rational(p, Fraction(-1, p**11 - 1)).to_json()
 
 
+@pytest.mark.parametrize("p, length", [(2, MAX_EXPANSION - 1), (3, 120_000)])
+def test_long_period_round_trips_through_json(p, length):
+    # a random period that fits the bound is read off one order computation and one residue mod p**(U + L), in
+    # halves: the carry loop took 24 s (p = 2) and 18 s (p = 3) end to end
+    rng = random.Random(p)
+    per = [rng.randrange(p) for _ in range(length)]
+    start = time.perf_counter()
+    x = PAdic(p, 0, [1], per)
+    obj = x.to_json()
+    assert PAdic.from_json(obj) == x
+    assert time.perf_counter() - start < 5
+    assert len(obj["preperiod"]) + len(obj["period"]) <= length + 1 and len(obj["period"]) == length
+
+
 def brute_order(p: int, den: int) -> int:
     """The least k >= 1 with p**k = 1 mod den, one multiplication a step."""
     k, r = 1, p % den
@@ -507,24 +519,10 @@ def brute_order(p: int, den: int) -> int:
     return k
 
 
-# powers of the odd primes below 64, below 500: a product of two has an order that _order_floor reads exactly
-ODD_PARTS = [q**e for q in padic._SMALL_PRIMES[1:] for e in range(1, 9) if q**e < 500]
-
-
-@PROPERTY
-@given(st.sampled_from([2, 3, 5, 7, 61, 1009]), st.integers(1, 2 * 10**5),
-       st.lists(st.sampled_from(ODD_PARTS), max_size=2), st.integers(-2, 10**6))
-def test_order_floor_divides_the_order(p, n, parts, cap):
-    # the period bound reads a divisor of the period's length, so it refuses no period that fits; for a product of
-    # odd prime powers below 64, uncapped, it is the order itself
-    den = n + (n % p == 0)
-    assert brute_order(p, den) % padic._order_floor(p, den, cap) == 0
-    den = math.prod(part for part in parts if part % p)
-    order = brute_order(p, den)
-    assert order % padic._order_floor(p, den, cap) == 0 and padic._order_floor(p, den, den) == order
-
-
 PRIMES_BELOW_3600 = [q for q in range(2, 3600) if exactnum.is_prime(q)]
+# powers of the odd primes below 64, below 500
+ODD_PARTS = [q**e for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+             for e in range(1, 9) if q**e < 500]
 
 
 def exact_order(p: int, den: int) -> int:
@@ -541,47 +539,35 @@ def exact_order(p: int, den: int) -> int:
 
 
 @PROPERTY
-@given(st.sampled_from([2, 3, 5, 7, 1009]), st.sampled_from([q for q in PRIMES_BELOW_3600 if q > 64]),
-       st.integers(1, 12), st.sampled_from([1, *ODD_PARTS]), st.integers(-2, 10**6))
-@example(2, 1093, 3, 1, 0)  # 2**1092 = 1 mod 1093**2 (w = 2)
-@example(2, 3511, 2, 25, 0)  # 2**3510 = 1 mod 3511**2: the order mod 3511**2 has no factor 3511
-@example(4812209, 67, 5, 1, 0)  # p = 1 + 16 * 67**3 has p**66 = 1 mod 67**3 (w = 3): the order mod 67**5 is 67**2
-def test_order_floor_reads_a_large_prime_power(p, q, e, part, cap):
-    # past the primes below 64, a rest q**e is read off v_q(p**(q - 1) - 1) alone: the floor divides the order, and
-    # with no other part and cap 0 it is the order's power of q
+@given(st.sampled_from([2, 3, 5, 7, 61, 1009]), st.integers(2, 2 * 10**5),
+       st.lists(st.sampled_from(ODD_PARTS), max_size=2),
+       st.sampled_from([q for q in PRIMES_BELOW_3600 if q > 64]), st.integers(1, 12), st.integers(0, 10**6))
+@example(2, 2, [], 1093, 3, 0)  # 2**1092 = 1 mod 1093**2: the order mod 1093**3 is 364 * 1093
+@example(2, 2, [25], 3511, 2, 0)  # 2**3510 = 1 mod 3511**2: the order mod 3511**2 * 25 is lcm(1755, 20)
+@example(4812209, 2, [], 67, 5, 0)  # p = 1 + 16 * 67**3 has p**66 = 1 mod 67**3: the order mod 67**5 is 67**2
+def test_order_is_exact_up_to_the_cap(p, n, parts, q, e, cap):
+    # _order reads the order exactly when it is at most cap, and otherwise only that it is past cap: at the cap drawn
+    # and next to the order (both sides), for a den below 2 * 10**5 and for q**e (q past 64) times odd prime powers
+    # below 64; the caps stay below 10**6, as the baby-step table grows with sqrt(cap)
     if q == p:
         q = 1013
-    den = q**e * (part if part % p else 1)
-    assert exact_order(p, den) % padic._order_floor(p, den, cap) == 0
-    assert padic._order_floor(p, q**e, 0) == q ** _strip(exact_order(p, q**e), q)[1]
-
-
-@st.composite
-def primes_below_2_64(draw):
-    n = draw(st.integers(67, 2**64 - 60))
-    while not exactnum.is_prime(n):
-        n += 1
-    return n
-
-
-@PROPERTY
-@given(primes_below_2_64(), primes_below_2_64(), st.integers(1, 40))
-@example(2**64 - 59, 67, 7)  # the largest prime below 2**64, and the least past 64
-@example(67, 71, 3000)
-@example(13008131998661203141, 11103133428834002477, 10)  # a 2-adic root whose bit length fits, and no root
-def test_prime_power_is_found_up_to_2_64(q, r, e):
-    # a rest with no factor below 64 is read as q**e for every prime q below 2**64, and a product of two primes as none
-    assert padic._prime_power(q**e) == (q, e)
-    if q != r:
-        assert padic._prime_power(q**e * r) is None and padic._prime_power((q * r) ** e) is None
+    small = n + (n % p == 0)
+    large = q**e * math.prod(part for part in parts if part % p)
+    for den, order in ((small, brute_order(p, small)), (large, exact_order(p, large))):
+        for c in {c for c in (cap, order - 1, order, order + 1) if 0 <= c <= 10**6}:
+            if order <= c:
+                assert padic._order(p, den, c) == order, (p, den, c)
+            else:
+                assert padic._order(p, den, c) > c, (p, den, c)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_period_past_the_bound_is_refused_before_the_carry_loop(p):
-    # 1/10**4299 has a period whose length is a multiple of p's order mod 5**4299 (p = 2) or 2**4299, and 1/1009**1400
-    # one that is a multiple of 1009**1399: each is past MAX_EXPANSION, so the carry loop, which ran up to the bound in
-    # 0.7-2.2 s, is not entered
-    for den in (10**4299, 1009**1400):
+    # 1/10**4299, 1/1009**1400, 1/(1009**1400 * 1013) and 1/den, den the product of the primes in [1009, 3600), have
+    # periods past MAX_EXPANSION: _order finds each past the bound before any digit is read, where the carry loop ran
+    # up to the bound in 0.6-2.2 s
+    product = math.prod(q for q in PRIMES_BELOW_3600 if q >= 1009)
+    for den in (10**4299, 1009**1400, 1009**1400 * 1013, product):
         x = PAdic.from_rational(p, Fraction(1, den))
         start = time.perf_counter()
         with pytest.raises(ValueError, match=f"MAX_EXPANSION = {MAX_EXPANSION} {p}-adic digits"):
