@@ -538,27 +538,37 @@ def exact_order(p: int, den: int) -> int:
     return n
 
 
+def check_order(p: int, den: int, order: int, cap: int) -> None:
+    """_order reads the order exactly when it is at most the cap, and otherwise only that it is past the cap: at the
+    cap drawn and next to the order (both sides); the caps stay below 10**6, as the baby-step table grows with
+    sqrt(cap)."""
+    for c in {c for c in (cap, order - 1, order, order + 1) if 0 <= c <= 10**6}:
+        if order <= c:
+            assert padic._order(p, den, c) == order, (p, den, c)
+        else:
+            assert padic._order(p, den, c) > c, (p, den, c)
+
+
 @PROPERTY
-@given(st.sampled_from([2, 3, 5, 7, 61, 1009]), st.integers(2, 2 * 10**5),
-       st.lists(st.sampled_from(ODD_PARTS), max_size=2),
+@given(st.sampled_from([2, 3, 5, 7, 61, 1009]), st.integers(2, 2 * 10**5), st.integers(0, 10**6))
+def test_order_is_exact_up_to_the_cap(p, n, cap):
+    # every den below 2 * 10**5, against the order read one multiplication a step
+    den = n + (n % p == 0)
+    check_order(p, den, brute_order(p, den), cap)
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3, 5, 7, 61, 1009]), st.lists(st.sampled_from(ODD_PARTS), max_size=2),
        st.sampled_from([q for q in PRIMES_BELOW_3600 if q > 64]), st.integers(1, 12), st.integers(0, 10**6))
-@example(2, 2, [], 1093, 3, 0)  # 2**1092 = 1 mod 1093**2: the order mod 1093**3 is 364 * 1093
-@example(2, 2, [25], 3511, 2, 0)  # 2**3510 = 1 mod 3511**2: the order mod 3511**2 * 25 is lcm(1755, 20)
-@example(4812209, 2, [], 67, 5, 0)  # p = 1 + 16 * 67**3 has p**66 = 1 mod 67**3: the order mod 67**5 is 67**2
-def test_order_is_exact_up_to_the_cap(p, n, parts, q, e, cap):
-    # _order reads the order exactly when it is at most cap, and otherwise only that it is past cap: at the cap drawn
-    # and next to the order (both sides), for a den below 2 * 10**5 and for q**e (q past 64) times odd prime powers
-    # below 64; the caps stay below 10**6, as the baby-step table grows with sqrt(cap)
+@example(2, [], 1093, 3, 0)  # 2**1092 = 1 mod 1093**2: the order mod 1093**3 is 364 * 1093
+@example(2, [25], 3511, 2, 0)  # 2**3510 = 1 mod 3511**2: the order mod 3511**2 * 25 is lcm(1755, 20)
+@example(4812209, [], 67, 5, 0)  # p = 1 + 16 * 67**3 has p**66 = 1 mod 67**3: the order mod 67**5 is 67**2
+def test_order_reads_a_large_prime_power(p, parts, q, e, cap):
+    # q**e, q past 64, times odd prime powers below 64: the order mod q**e is the order mod q times a power of q
     if q == p:
         q = 1013
-    small = n + (n % p == 0)
-    large = q**e * math.prod(part for part in parts if part % p)
-    for den, order in ((small, brute_order(p, small)), (large, exact_order(p, large))):
-        for c in {c for c in (cap, order - 1, order, order + 1) if 0 <= c <= 10**6}:
-            if order <= c:
-                assert padic._order(p, den, c) == order, (p, den, c)
-            else:
-                assert padic._order(p, den, c) > c, (p, den, c)
+    den = q**e * math.prod(part for part in parts if part % p)
+    check_order(p, den, exact_order(p, den), cap)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
