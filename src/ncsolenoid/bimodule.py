@@ -34,7 +34,7 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .exactnum import QuadReal, _quad, frac1
+from .exactnum import QuadReal, _new, _parts, _quad, _radicand, frac1
 from .morita import ProjectionData, checked_trace, stage
 from .solenoid import SolenoidSpec, alpha_at
 
@@ -45,6 +45,63 @@ _ONE = QuadReal(1)
 # random_mod_elem samples index classes from range(modulus), whose length must fit a C ssize_t:
 # p = 2 reaches it past level 31 (c = 2^62), p = 3 past level 19
 MAX_MODULUS = sys.maxsize
+
+
+# -- exact floors ---------------------------------------------------------------------
+
+
+def _floor(A: int, B: int, M: int, D: int) -> int:
+    """floor((A + B sqrt D)/M) for M > 0 and a squarefree D (D > 1 when B != 0): one isqrt.
+
+    B sqrt D lies strictly between s = isqrt(B^2 D) and s + 1 when B > 0, and
+    between -s - 1 and -s when B < 0, as QuadReal.__floor__ reads it.
+    """
+    if not B:
+        return A // M
+    s = math.isqrt(B * B * D)
+    return (A + s) // M if B > 0 else (A - s - 1) // M
+
+
+def _fused(a: QuadReal, b, c, sign: int = 1, mod1: bool = False) -> QuadReal:
+    """a + sign*b*c for exact reals b and c, reduced into [0, 1) when mod1.
+
+    One product-sum over the operands' integers (RadicandMismatchError for two
+    surds), one gcd, and to reduce, one _floor: the atoms' moves and supports
+    build no intermediate QuadReal.
+    """
+    A1, B1, M1, D = _parts(b, a.D)
+    A2, B2, M2, D = _parts(c, D)
+    M = M1 * M2
+    A = a.A * M + sign * a.M * (A1 * A2 + B1 * B2 * D)
+    B = a.B * M + sign * a.M * (A1 * B2 + B1 * A2)
+    M *= a.M
+    if mod1:
+        A -= _floor(A, B, M, D) * M
+    g = math.gcd(A, B, M)
+    return _new(A // g, B // g, M // g, D)
+
+
+def _scaled(k: int, u: QuadReal, v: QuadReal, g) -> tuple[int, int, int, int]:
+    """(k + u - v)*g as integers (A, B, M, D), M > 0, with no gcd; g is the int 1 or a QuadReal."""
+    D = u.D if u.D == v.D else _radicand(u.D, v.D)
+    Mu, Mv = u.M, v.M
+    A, B, M = (k * Mu + u.A) * Mv - v.A * Mu, u.B * Mv - v.B * Mu, Mu * Mv
+    if type(g) is int:
+        return A, B, M, D
+    if g.D != D:
+        D = _radicand(D, g.D)
+    return A * g.A + B * g.B * D, A * g.B + B * g.A, M * g.M, D
+
+
+def _window(k: int, u1: QuadReal, v1: QuadReal, u2: QuadReal, v2: QuadReal, g=1) -> tuple[int, int]:
+    """The least and the greatest integer strictly between (k + u1 - v1)*g and (k + u2 - v2)*g.
+
+    g is the int 1 or a positive QuadReal.  Each bound is read off the
+    operands' integers, with no gcd and no QuadReal built, and floored by
+    one isqrt; the greatest integer below x is -floor(-x) - 1, and -(k + u2 -
+    v2) = -k + v2 - u2.  Two different surds raise RadicandMismatchError.
+    """
+    return _floor(*_scaled(k, u1, v1, g)) + 1, -_floor(*_scaled(-k, v2, u2, g)) - 1
 
 
 # -- function atoms --------------------------------------------------------------
@@ -95,7 +152,9 @@ class AffineAtom:
     the hash and the support are computed from them once, on first use, and
     kept in the instance dict.  A move leaves a zero omega alone: shift keeps
     phi, dilate keeps omega with no QuadReal division, and modulate by w = 0
-    keeps omega, each as the parent's own object.
+    keeps omega, each as the parent's own object; modulate by f = 0 keeps phi
+    so too.  Each changed parameter is one _fused product-sum: one gcd, and
+    one isqrt where phi is reduced.
     """
 
     h: HatFn
@@ -120,7 +179,7 @@ class AffineAtom:
 
     def shift(self, u) -> "AffineAtom":
         """t -> self(t - u): s moves by u, and phi by -omega*u unless omega is 0."""
-        phi = frac1(self.phi - self.omega * u) if self.omega else self.phi
+        phi = _fused(self.phi, self.omega, u, -1, mod1=True) if self.omega else self.phi
         return AffineAtom._of(self.h, self.lam, self.s + u, self.omega, phi)
 
     def dilate(self, q) -> "AffineAtom":
@@ -142,9 +201,10 @@ class AffineAtom:
         return out
 
     def modulate(self, w, f) -> "AffineAtom":
-        """t -> exp(2 pi i (w t + f)) self(t): omega moves by w unless w is 0, and phi by f mod 1."""
+        """t -> exp(2 pi i (w t + f)) self(t): omega moves by w unless w is 0, and phi by f mod 1 unless f is 0."""
         omega = self.omega + w if w else self.omega
-        return AffineAtom._of(self.h, self.lam, self.s, omega, frac1(self.phi + f))
+        phi = _fused(self.phi, f, 1, mod1=True) if f else self.phi
+        return AffineAtom._of(self.h, self.lam, self.s, omega, phi)
 
     def __hash__(self):
         cached = self.__dict__.get("_hash")
@@ -156,7 +216,7 @@ class AffineAtom:
         cached = self.__dict__.get("_support")
         if cached is None:
             lo, hi = self.h.support()
-            cached = self.__dict__["_support"] = (self.s + lo * self.lam, self.s + hi * self.lam)
+            cached = self.__dict__["_support"] = (_fused(self.s, lo, self.lam), _fused(self.s, hi, self.lam))
         return cached
 
 
@@ -355,9 +415,15 @@ def act_right_gen(ctx: BimCtx, gen: str, power: int, F: ModElem) -> ModElem:
 # -- inner products as exact terms -----------------------------------------------------
 
 
-def _open_range(lo, hi) -> tuple[int, int]:
-    """The least and the greatest integer strictly between the exact reals lo and hi."""
-    return math.floor(lo) + 1, math.ceil(hi) - 1
+def _overlap(s1, s2, g) -> tuple[int, int]:
+    """The integers k at which terms on hulls s1 and s2 are kept: k/g strictly between lo1 - hi2 and hi1 - lo2.
+
+    g = 1/gamma on the left, where k gamma lies there, and g = -1 on the
+    right, where k lies strictly between lo2 - hi1 and hi2 - lo1.
+    """
+    if type(g) is int:
+        return _window(0, s2[0], s1[1], s2[1], s1[0])
+    return _window(0, s1[0], s2[1], s1[1], s2[0], g)
 
 
 def _residues(first: int, last: int, r: int, M: int) -> range:
@@ -365,19 +431,18 @@ def _residues(first: int, last: int, r: int, M: int) -> range:
     return range(first + (r - first) % M, last + 1, M)
 
 
-def _aligned_pairs(F1: ModElem, F2: ModElem, M: int, key, window, m_of) -> dict:
+def _aligned_pairs(F1: ModElem, F2: ModElem, M: int, key, g, m_of) -> dict:
     """{(id(pairs1), id(pairs2)): (pairs1, pairs2, pair window, [(k, m)])} over the class pairs that align.
 
-    A pair aligns at k = key(j2) - key(j1) mod M, and window(s1, s2) gives the
-    exact open interval of k at which class hulls s1 and s2 overlap; the
-    integers in it make the pair window, and m = m_of(j1).  For each j1, the
-    window against the hull of F2's supports contains every pair's window,
-    so only the j2 whose keys fall in the residues of its k (all of them,
-    once it spans M or more k) can align; they are bisected from F2's
-    classes sorted by key.  Hulls and windows are found once per term tuple
-    and once per pair of term tuples: the classes level_embed spreads share
-    one.  When F2 holds one term tuple, its span is F2's hull, so every pair
-    window is the hull window.
+    A pair aligns at k = key(j2) - key(j1) mod M, and _overlap(s1, s2, g)
+    gives the integers k at which class hulls s1 and s2 overlap, the pair
+    window; m = m_of(j1).  For each j1, the window against the hull of F2's
+    supports contains every pair's window, so only the j2 whose keys fall
+    in the residues of its k (all of them, once it spans M or more k) can
+    align; they are bisected from F2's classes sorted by key.  Hulls and
+    windows are found once per term tuple and once per pair of term tuples:
+    the classes level_embed spreads share one.  When F2 holds one term
+    tuple, its span is F2's hull, so every pair window is the hull window.
     """
     tuples2 = {id(pairs): pairs for pairs in F2.terms.values()}
     if not tuples2:
@@ -393,7 +458,7 @@ def _aligned_pairs(F1: ModElem, F2: ModElem, M: int, key, window, m_of) -> dict:
         id1 = id(pairs1)
         if id1 not in hulls:
             s1 = _span(pairs1)
-            hulls[id1] = (s1, _open_range(*window(s1, hull2)))
+            hulls[id1] = (s1, _overlap(s1, hull2, g))
         s1, hull_window = hulls[id1]
         first, last = hull_window
         if last < first:
@@ -410,7 +475,7 @@ def _aligned_pairs(F1: ModElem, F2: ModElem, M: int, key, window, m_of) -> dict:
         for kk, id2 in near:
             entry = out.get((id1, id2))
             if entry is None:
-                pair_window = hull_window if one_tuple else _open_range(*window(s1, spans[id2]))
+                pair_window = hull_window if one_tuple else _overlap(s1, spans[id2], g)
                 entry = out[id1, id2] = (pairs1, tuples2[id2], pair_window, [])
             entry[3].extend((k, m) for k in _residues(*entry[2], kk - k1, M))
     return out
@@ -434,7 +499,7 @@ def _merge(out: dict, key, counts: dict) -> None:
             have[x] = have.get(x, 0) + count
 
 
-def _terms(ctx: BimCtx, F1: ModElem, F2: ModElem, key, window, m_of) -> dict:
+def _terms(ctx: BimCtx, F1: ModElem, F2: ModElem, key, g, m_of) -> dict:
     """{(gamma, t1, t2): {(k, m): count}} over the aligned pairs, each term pair kept at the k its supports allow.
 
     A pair of single-atom tuples keeps the pair window as it is: one atom's
@@ -442,18 +507,18 @@ def _terms(ctx: BimCtx, F1: ModElem, F2: ModElem, key, window, m_of) -> dict:
     """
     _check_modulus(ctx, F1)
     _check_modulus(ctx, F2)
-    g = ctx.gamma
-    if not g > 0:
-        raise ValueError(f"gamma must be positive, got {g}")
+    gamma = ctx.gamma
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
     out: dict = {}
-    for pairs1, pairs2, pair_window, km in _aligned_pairs(F1, F2, ctx.c, key, window, m_of).values():
+    for pairs1, pairs2, pair_window, km in _aligned_pairs(F1, F2, ctx.c, key, g, m_of).values():
         one = len(pairs1) == len(pairs2) == 1
         for t1 in pairs1:
             for t2 in pairs2:
-                first, last = pair_window if one else _open_range(*window(t1[1].support(), t2[1].support()))
+                first, last = pair_window if one else _overlap(t1[1].support(), t2[1].support(), g)
                 kept = km if (first, last) == pair_window else [x for x in km if first <= x[0] <= last]
                 if kept:
-                    _merge(out, (g, t1, t2), _tally(kept))
+                    _merge(out, (gamma, t1, t2), _tally(kept))
     return out
 
 
@@ -465,8 +530,7 @@ def inner_left(ctx: BimCtx, F1: ModElem, F2: ModElem) -> dict:
     overlap where k*gamma lies strictly between lo1 - hi2 and hi1 - lo2.
     """
     M = ctx.c
-    window = lambda s1, s2: ((s1[0] - s2[1]) * ctx.inv_gamma, (s1[1] - s2[0]) * ctx.inv_gamma)
-    return _terms(ctx, F1, F2, lambda j: -j, window, lambda j1: ctx.a * j1 % M)
+    return _terms(ctx, F1, F2, lambda j: -j, ctx.inv_gamma, lambda j1: ctx.a * j1 % M)
 
 
 def inner_right(ctx: BimCtx, F1: ModElem, F2: ModElem) -> dict:
@@ -476,8 +540,7 @@ def inner_right(ctx: BimCtx, F1: ModElem, F2: ModElem) -> dict:
     overlap where k lies strictly between lo2 - hi1 and hi2 - lo1.
     """
     M = ctx.c
-    window = lambda s1, s2: (s2[0] - s1[1], s2[1] - s1[0])
-    return _terms(ctx, F1, F2, lambda j: ctx.a * j, window, lambda j1: -j1 % M)
+    return _terms(ctx, F1, F2, lambda j: ctx.a * j, -1, lambda j1: -j1 % M)
 
 
 def embed_terms(ctx: BimCtx, groups: dict) -> dict:
@@ -530,16 +593,18 @@ def act_alg_left(ctx: BimCtx, FG: dict, H: ModElem) -> dict:
         for j, pairs in H.terms.items():
             for tH in pairs:
                 loH, hiH = tH[1].support()
-                x_lo, x_hi = _open_range(loH - hiG, hiH - loG)
-                # F moved by x meets H moved by n gamma where n gamma lies strictly between these
-                n_windows = [
-                    _open_range((x - hiH + loF) * inv_g, (x - loH + hiF) * inv_g) for x in range(x_lo, x_hi + 1)
-                ]
+                x_lo, x_hi = _window(0, loH, hiG, hiH, loG)
+                # F moved by x meets H moved by n gamma where n gamma lies strictly between x + loF - hiH and
+                # x + hiF - loH: found for the x that a residue reads, once each
+                n_windows: dict = {}
                 moved: dict = {}
                 for (n, m0), count in counts.items():
                     cls = (j + n) % c
                     for x in _residues(x_lo, x_hi, a * cls - m0, c):
-                        first, last = n_windows[x - x_lo]
+                        window = n_windows.get(x)
+                        if window is None:
+                            window = n_windows[x] = _window(x, loF, hiH, hiF, loH, inv_g)
+                        first, last = window
                         if first <= n <= last:
                             moved[cls, x, n] = moved.get((cls, x, n), 0) + count
                 if moved:
@@ -571,10 +636,10 @@ def act_alg_right(ctx: BimCtx, F: ModElem, GH: dict) -> dict:
         for j, pairs in F.terms.items():
             for tF in pairs:
                 loF, hiF = tF[1].support()
-                y_lo, y_hi = _open_range((loF - hiG) * inv_g, (hiF - loG) * inv_g)
+                y_lo, y_hi = _window(0, loF, hiG, hiF, loG, inv_g)
                 moved: dict = {}
                 for (n, m0), count in counts.items():
-                    first, last = _open_range((loF - hiH + n) * inv_g, (hiF - loH + n) * inv_g)
+                    first, last = _window(n, loF, hiH, hiF, loH, inv_g)
                     cls = (j + d * n) % c
                     for y in _residues(max(first, y_lo), min(last, y_hi), j + m0, c):
                         moved[cls, n, y] = moved.get((cls, n, y), 0) + count

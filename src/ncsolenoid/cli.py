@@ -39,14 +39,15 @@ MAX_TRUNC_K = 3000
 # has about 25*n digits, so every accepted level prints within Python's 4300-digit int-to-string limit
 MAX_LEVEL = 100
 # hats of bimodule verify, each one draw of F, G and H whose identities are decided on exact terms.  At --n 0,
-# MAX_HATS hats take about 0.2 s end to end at p = 2 and 7 and 0.3 s at p = 101 (2-core Xeon, Python 3.11)
+# MAX_HATS hats take about 0.15 s end to end at p = 2 and 7 and 0.25 s at p = 101 (2-core Xeon, Python 3.11)
 MAX_HATS = 100
 # each hat spreads over p classes, and the k and y windows of its terms hold about tau/c0 offsets per class pair
 # (tau = c0*theta + d0 < m), so the terms grow with p * hats * (floor(tau/c0) + 1), which MAX_P_HATS bounds: the
-# default 20 hats stay accepted at every p below 1024 while tau < c0.  20 hats at p = 1009 take about 0.45 s,
-# 100 hats at p = 199 about 0.5 s and 1 hat at p = 20479 about 0.6-0.7 s (peak RSS 20, 19 and 60 MB); at p = 2,
-# 1 hat at c0 = 1, d0 = 10238 and at c0 = 7, d0 = 71662 takes about 0.5-0.8 s (peak RSS up to 98 MB).  Past the
-# bound, 1 hat at p = 100003 takes about 4.5 s (207 MB) and 2 hats at p = 2, d0 = 30000 about 3.5 s (171 MB)
+# default 20 hats stay accepted at every p below 1024 while tau < c0.  20 hats at p = 1009 take about 0.4 s,
+# 100 hats at p = 199 about 0.4 s and 1 hat at p = 20479 about 0.45-0.5 s (peak RSS 21, 19 and 60 MB); at p = 2,
+# 1 hat at c0 = 1, d0 = 10238 and at c0 = 7, d0 = 71662 takes about 0.25-0.45 s (peak RSS up to 95 MB).  Past
+# the bound, the check alone takes about 2.0 s (207 MB) for 1 hat at p = 100003 and 1.2 s (150 MB) for 2 hats at
+# p = 2, d0 = 30000
 MAX_P_HATS = 20480
 # --count of the multiplier checks, whose time is linear in it.  On the default spec, MAX_COUNT samples take
 # about 0.3 s end to end for check-cocycle, 0.35 s for check-annihilator and 0.5 s for check-eta-psi; at the
@@ -72,6 +73,14 @@ def _count(text: str) -> int:
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
+    return n
+
+
+def _positive(text: str) -> int:
+    """argparse type for --hats: a positive integer (a negative one would also slip under MAX_P_HATS)."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {n}")
     return n
 
 
@@ -297,7 +306,7 @@ COMMANDS = {
             *_SPEC, *_TRACE,
             _arg("--n", type=_at_most(_count, "MAX_LEVEL", MAX_LEVEL), default=0, help=_LEVEL_HELP),
             _SEED,
-            _arg("--hats", type=_at_most(int, "MAX_HATS", MAX_HATS), default=20, help=f"p * hats * (floor(tau/c0) + 1) at most {MAX_P_HATS}"),
+            _arg("--hats", type=_at_most(_positive, "MAX_HATS", MAX_HATS), default=20, help=f"p * hats * (floor(tau/c0) + 1) at most {MAX_P_HATS}"),
         ),
     }),
     "suite": ("run every module property suite", _cmd_suite, None, (_SEED,)),

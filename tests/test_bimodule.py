@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncsolenoid import bimodule, exactnum
@@ -35,7 +35,7 @@ from ncsolenoid.bimodule import (
     random_mod_elem,
     term_diff,
 )
-from ncsolenoid.exactnum import QuadReal, frac1
+from ncsolenoid.exactnum import QuadReal, RadicandMismatchError, frac1
 from ncsolenoid.morita import ProjectionData
 from ncsolenoid.suite import check_bimodule
 from ncsolenoid.padic import PAdic
@@ -325,6 +325,70 @@ def test_moves_leave_a_zero_omega_alone(steps, q, f):
         dilated = atom.dilate(q)
     assert dilated.omega is atom.omega
     assert dilated == expect and hash(dilated) == hash(expect) and dilated.support() == expect.support()
+
+
+Q = QuadReal
+ROOT2 = QuadReal.sqrt_of(2)
+
+
+@st.composite
+def window_args(draw):
+    """(k, u1, v1, u2, v2, g) over one radicand D: each operand a surd of Q(sqrt D), a rational or a dyadic hat end.
+
+    Numerators reach 2^80, so isqrt reads more than a float's 53 bits; g is the int 1, a positive surd or a
+    positive rational (the inverse gamma of a rational theta).
+    """
+    D = draw(st.sampled_from([2, 3, 5, 6, 999_983]))
+    ints = st.integers(-(2**80), 2**80) | st.integers(-40, 40)
+    dens = st.integers(1, 2**40) | st.integers(1, 12)
+    surd = st.builds(lambda a, b, m: Q(Fraction(a, m), Fraction(b, m), D), ints, ints.filter(bool), dens)
+    rational = st.builds(Fraction, ints, dens).map(Q)
+    dyadic = st.floats(-1e6, 1e6, allow_nan=False).map(Q)  # as HatFn reads its float ends
+    end = surd | rational | dyadic
+    g = draw(st.just(1) | surd | rational)
+    if g != 1:
+        g = -g if g < 0 else g or Q(1)
+    return draw(st.integers(-50, 50)), draw(end), draw(end), draw(end), draw(end), g
+
+
+@PROPERTY
+@given(window_args())
+# exact integer ends, which an open window leaves out: supports that only touch (-2 and 1 - 1 = 0 with g = 1),
+# the surd ends sqrt2 * sqrt2 = 2 and 2 sqrt2 * sqrt2 = 4, 3/3 and 6/3 with g = 1/3, and 0 and 3 with g = 3
+@example((0, Q(0.0), Q(2.0), Q(1.0), Q(1.0), 1))
+@example((0, ROOT2, Q(0), 2 * ROOT2, Q(0), ROOT2))
+@example((5, Q(-1.5), Q(0.5), Q(Fraction(4, 3)), Q(Fraction(1, 3)), Q(Fraction(1, 3))))
+@example((-1, 1 - ROOT2, -ROOT2, 2 + ROOT2, ROOT2, Q(3)))
+def test_window_matches_quadreal_floors(args):
+    # the window read off the operands' integers is the open range of the QuadReal bounds
+    k, u1, v1, u2, v2, g = args
+    lo, hi = (k + u1 - v1) * g, (k + u2 - v2) * g
+    assert bimodule._window(k, u1, v1, u2, v2, g) == (math.floor(lo) + 1, math.ceil(hi) - 1)
+
+
+def test_window_refuses_two_surds():
+    root3 = QuadReal.sqrt_of(3)
+    for args in [(ROOT2, root3, Q(1), Q(2), 1), (Q(0), Q(1), ROOT2, root3, 1), (ROOT2, Q(0), ROOT2, Q(0), root3)]:
+        with pytest.raises(RadicandMismatchError):
+            bimodule._window(0, *args)
+
+
+@PROPERTY
+@given(window_args(), st.sampled_from([1, -1]), st.booleans())
+def test_fused_matches_quadreal_arithmetic(args, sign, mod1):
+    # one product-sum with one gcd equals the normalised QuadReal result, reduced mod 1 by frac1
+    _, a, b, c, _, g = args
+    for x, y in ((b, c), (b, g), (g, 1), (c, Fraction(-3, 7))):
+        want = a + sign * x * y
+        assert bimodule._fused(a, x, y, sign, mod1) == (frac1(want) if mod1 else want)
+
+
+def test_modulate_by_zero_keeps_phi():
+    # a modulation by f = 0 keeps phi as its parent's own object; any other f moves it
+    atom = AffineAtom(HatFn((0.0, 0.4, 1.1), (0j, 1 - 1j, 0j)), phi=Fraction(1, 3)).shift(ROOT2).modulate(ROOT2, 0)
+    for zero in (0, Fraction(0), Q(0)):
+        assert atom.modulate(ROOT2, zero).phi is atom.phi
+    assert atom.modulate(0, Fraction(2, 3)).phi == 0 and atom.modulate(0, 1).phi is not atom.phi
 
 
 def test_term_diff_compares_term_multisets_per_class():
@@ -702,6 +766,51 @@ def test_triple_terms_match_per_m_reference(p, n):
         for side, triples in (("left", lhs), ("right", rhs)):
             want = _action_reference(ctx, F, G, H, side, t, J)
             assert float(np.max(np.abs(triple_sum(ctx, triples, side, t, J) - want))) <= 1e-12, (side, J)
+
+
+def _triples_reference(ctx, groups, E, side):
+    """act_alg_left(groups, E) (left) or act_alg_right(E, groups) (right) from every integer of each exact window.
+
+    Each x (left) or y (right) from the floor to the ceiling of its window is kept where QuadReal comparisons
+    put it strictly inside, and its offset n too: no floor of a bound, and every residue is tested.
+    """
+    c, a, d, g = ctx.c, ctx.a, ctx.d, ctx.gamma
+    out = {}
+    for (_, t1, t2), counts in groups.items():
+        (lo1, hi1), (lo2, hi2) = t1[1].support(), t2[1].support()
+        for j, pairs in E.terms.items():
+            for tE in pairs:
+                lo, hi = tE[1].support()
+                if side == "left":  # t1 = tF, t2 = tG, tE = tH: x between loH - hiG and hiH - loG
+                    x_lo, x_hi = lo - hi2, hi - lo2
+                    for x in range(math.floor(x_lo), math.ceil(x_hi) + 1):
+                        for (n, m0), count in counts.items():
+                            cls = (j + n) % c
+                            if (x - a * cls + m0) % c == 0 and x_lo < x < x_hi and x - hi + lo1 < n * g < x - lo + hi1:
+                                out.setdefault((t1, t2, tE), Counter())[cls, x, n] += count
+                else:  # t1 = tG, t2 = tH, tE = tF: y gamma between loF - hiG and hiF - loG
+                    y_lo, y_hi = lo - hi1, hi - lo1
+                    for y in range(math.floor(y_lo / g), math.ceil(y_hi / g) + 1):
+                        for (n, m0), count in counts.items():
+                            if (y - j - m0) % c == 0 and y_lo < y * g < y_hi and lo - hi2 + n < y * g < hi - lo2 + n:
+                                out.setdefault((tE, t1, t2), Counter())[(j + d * n) % c, n, y] += count
+    return {key: dict(counts) for key, counts in out.items()}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_triple_terms_match_every_window_reference(p, n):
+    # every x and y of each exact window, against the residues and the lazy n-windows; at n = 2, c is past the
+    # x range of the narrow hats, so most x have no residue and no n-window
+    ctx = ctx_at(p, n)
+    rng = random.Random(600 * p + n)
+    F, G, H = _planted(rng, ctx.c, 1.0), random_mod_elem(rng, ctx.c), _planted(rng, ctx.c, 0.3 - 1j)
+    for X, Y, Z in ((F, G, H), (H, F, G), (F, F, H)):
+        lhs = act_alg_left(ctx, inner_left(ctx, X, Y), Z)
+        rhs = act_alg_right(ctx, X, inner_right(ctx, Y, Z))
+        assert lhs and group_diff(lhs, rhs) == 0.0
+        assert group_diff(lhs, _triples_reference(ctx, inner_left(ctx, X, Y), Z, "left")) == 0.0
+        assert group_diff(rhs, _triples_reference(ctx, inner_right(ctx, Y, Z), X, "right")) == 0.0
 
 
 @pytest.mark.parametrize("field", ["a", "d"])

@@ -94,6 +94,8 @@ def test_bad_theta_usage_error():
         ["padic", "trunc", "--p", "2", "--value", "11", "--k", str(MAX_TRUNC_K + 1)],
         ["padic", "inv", "--p", "2", "--value", "1/0"],
         ["solenoid", "alpha", "--p", "2", "--theta", "(1+sqrt(2))/0", "--digits", "x=1", "--n", "1"],
+        ["bimodule", "verify", *SPEC_FLAGS, "--c0", "1", "--d0", "0", "--hats", "0"],
+        ["bimodule", "verify", *SPEC_FLAGS, "--c0", "1", "--d0", "0", "--hats=-3"],
     ],
     ids=[
         "negative-index", "zero-theta", "zero-denominator-digits",
@@ -101,7 +103,7 @@ def test_bad_theta_usage_error():
         "projection-zero-m", "projection-zero-c0", "condition-zero-c0", "condition-nonprime-p",
         "annihilator-zero-theta", "eta-psi-zero-theta", "annihilator-zero-digits", "alpha-huge-level",
         "non-integer-env-seed", "negative-trunc-k", "trunc-k-over-bound", "zero-denominator-value",
-        "zero-denominator-theta",
+        "zero-denominator-theta", "zero-hats", "negative-hats",
     ],
 )
 def test_domain_errors_usage_error(capsys, monkeypatch, tmp_path, argv):
@@ -117,6 +119,8 @@ def test_domain_errors_usage_error(capsys, monkeypatch, tmp_path, argv):
     zero = [a.removeprefix("x=") for a in argv if a.endswith("/0")]  # a zero denominator names its literal
     if zero:
         assert err.strip().splitlines()[-1] == f"ncsolenoid: error: the literal '{zero[0]}' has a zero denominator"
+    if any(a.startswith("--hats") for a in argv):  # a sample below one hat names its flag
+        assert ": error: argument --hats: must be positive, got " in err.strip().splitlines()[-1]
 
 
 def test_padic_inverse_frozen(capsys):
