@@ -231,16 +231,10 @@ def _finite_coef(z) -> complex:
     return z
 
 
-def _hull(ends: list):
-    """Exact hull of a list of (lo, hi) intervals, the one interval itself; NO_SUPPORT if there are none."""
-    if len(ends) == 1:
-        return ends[0]
-    return (min(lo for lo, _ in ends), max(hi for _, hi in ends)) if ends else NO_SUPPORT
-
-
 def _span(pairs):
     """Exact hull of the supports of the atoms in (coef, atom) pairs; NO_SUPPORT if there are none."""
-    return _hull([atom.support() for _, atom in pairs])
+    ends = [atom.support() for _, atom in pairs]
+    return (min(lo for lo, _ in ends), max(hi for _, hi in ends)) if ends else NO_SUPPORT
 
 
 class ModElem:
@@ -416,7 +410,7 @@ def act_right_gen(ctx: BimCtx, gen: str, power: int, F: ModElem) -> ModElem:
 
 
 def _overlap(s1, s2, g) -> tuple[int, int]:
-    """The integers k at which terms on hulls s1 and s2 are kept: k/g strictly between lo1 - hi2 and hi1 - lo2.
+    """The integers k at which terms on supports s1 and s2 are kept: k/g strictly between lo1 - hi2 and hi1 - lo2.
 
     g = 1/gamma on the left, where k gamma lies there, and g = -1 on the
     right, where k lies strictly between lo2 - hi1 and hi2 - lo1.
@@ -429,56 +423,6 @@ def _overlap(s1, s2, g) -> tuple[int, int]:
 def _residues(first: int, last: int, r: int, M: int) -> range:
     """The integers = r mod M in [first, last], increasing."""
     return range(first + (r - first) % M, last + 1, M)
-
-
-def _aligned_pairs(F1: ModElem, F2: ModElem, M: int, key, g, m_of) -> dict:
-    """{(id(pairs1), id(pairs2)): (pairs1, pairs2, pair window, [(k, m)])} over the class pairs that align.
-
-    A pair aligns at k = key(j2) - key(j1) mod M, and _overlap(s1, s2, g)
-    gives the integers k at which class hulls s1 and s2 overlap, the pair
-    window; m = m_of(j1).  For each j1, the window against the hull of F2's
-    supports contains every pair's window, so only the j2 whose keys fall
-    in the residues of its k (all of them, once it spans M or more k) can
-    align; they are bisected from F2's classes sorted by key.  Hulls and
-    windows are found once per term tuple and once per pair of term tuples:
-    the classes level_embed spreads share one.  When F2 holds one term
-    tuple, its span is F2's hull, so every pair window is the hull window.
-    """
-    tuples2 = {id(pairs): pairs for pairs in F2.terms.values()}
-    if not tuples2:
-        return {}
-    spans = {i: _span(pairs) for i, pairs in tuples2.items()}
-    hull2 = _hull(list(spans.values()))
-    one_tuple = len(spans) == 1
-    by_key = sorted((key(j2) % M, id(pairs)) for j2, pairs in F2.terms.items())
-    keys = [kk for kk, _ in by_key]
-    hulls: dict = {}  # id(pairs1) -> (its span, its window against hull2)
-    out: dict = {}
-    for j1, pairs1 in F1.terms.items():
-        id1 = id(pairs1)
-        if id1 not in hulls:
-            s1 = _span(pairs1)
-            hulls[id1] = (s1, _overlap(s1, hull2, g))
-        s1, hull_window = hulls[id1]
-        first, last = hull_window
-        if last < first:
-            continue
-        k1, m = key(j1), m_of(j1)
-        lo = (first + k1) % M  # key residues of k in [first, last]: [lo, hi) read mod M
-        hi = lo + last - first + 1
-        if hi - lo >= M:
-            near = by_key
-        elif hi <= M:
-            near = by_key[bisect.bisect_left(keys, lo) : bisect.bisect_left(keys, hi)]
-        else:
-            near = by_key[bisect.bisect_left(keys, lo) :] + by_key[: bisect.bisect_left(keys, hi - M)]
-        for kk, id2 in near:
-            entry = out.get((id1, id2))
-            if entry is None:
-                pair_window = hull_window if one_tuple else _overlap(s1, spans[id2], g)
-                entry = out[id1, id2] = (pairs1, tuples2[id2], pair_window, [])
-            entry[3].extend((k, m) for k in _residues(*entry[2], kk - k1, M))
-    return out
 
 
 def _tally(keys) -> dict:
@@ -499,26 +443,61 @@ def _merge(out: dict, key, counts: dict) -> None:
             have[x] = have.get(x, 0) + count
 
 
-def _terms(ctx: BimCtx, F1: ModElem, F2: ModElem, key, g, m_of) -> dict:
-    """{(gamma, t1, t2): {(k, m): count}} over the aligned pairs, each term pair kept at the k its supports allow.
+def _terms(ctx: BimCtx, F1: ModElem, F2: ModElem, u: int, v: int, g) -> dict:
+    """{(gamma, t1, t2): {(k, m): count}}: every term pair of two aligned classes, at each k its supports allow.
 
-    A pair of single-atom tuples keeps the pair window as it is: one atom's
-    span is its support, so the window of its two terms is the pair window.
+    Classes j1 of F1 and j2 of F2 align at k = u*(j2 - j1) mod c, with m =
+    v*j1 mod c.  The classes are grouped by the term tuple they share
+    (level_embed spreads one over p classes), and each term pair t1, t2 of a
+    pair of tuples has its own window [first, last] of k, _overlap of the two
+    supports, found once.  The keys u*j2 of k in that window are [first +
+    u*j1, last + u*j1] read mod c: for each j1 of t1's tuple they are
+    bisected from the sorted keys of t2's tuple's classes (every key, once
+    the window holds c or more k), and _residues reads each k.  So the work
+    is the windows, one bisect per class of each term pair that overlaps,
+    and the terms kept.
     """
     _check_modulus(ctx, F1)
     _check_modulus(ctx, F2)
     gamma = ctx.gamma
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
+    M = ctx.c
+    rows: dict = {}  # id(pairs1) -> (pairs1, its classes j1)
+    for j1, pairs in F1.terms.items():
+        rows.setdefault(id(pairs), (pairs, []))[1].append(j1)
+    keys: dict = {}  # id(pairs2) -> (pairs2, the keys u*j2 mod c of its classes), sorted below
+    for j2, pairs in F2.terms.items():
+        keys.setdefault(id(pairs), (pairs, []))[1].append(u * j2 % M)
+    for _, ks in keys.values():
+        ks.sort()
     out: dict = {}
-    for pairs1, pairs2, pair_window, km in _aligned_pairs(F1, F2, ctx.c, key, g, m_of).values():
-        one = len(pairs1) == len(pairs2) == 1
-        for t1 in pairs1:
-            for t2 in pairs2:
-                first, last = pair_window if one else _overlap(t1[1].support(), t2[1].support(), g)
-                kept = km if (first, last) == pair_window else [x for x in km if first <= x[0] <= last]
-                if kept:
-                    _merge(out, (gamma, t1, t2), _tally(kept))
+    for pairs1, js in rows.values():
+        for pairs2, ks in keys.values():
+            for t1 in pairs1:
+                s1 = t1[1].support()
+                for t2 in pairs2:
+                    first, last = _overlap(s1, t2[1].support(), g)
+                    width = last - first + 1
+                    if width <= 0:
+                        continue
+                    counts: dict = {}
+                    for j1 in js:
+                        k1, m = u * j1, v * j1 % M
+                        lo = (first + k1) % M  # the keys of k in [first, last]: [lo, hi) read mod M
+                        hi = lo + width
+                        if width >= M:
+                            near = ks
+                        elif hi <= M:
+                            near = ks[bisect.bisect_left(ks, lo) : bisect.bisect_left(ks, hi)]
+                        else:
+                            near = ks[bisect.bisect_left(ks, lo) :] + ks[: bisect.bisect_left(ks, hi - M)]
+                        for kk in near:
+                            for k in _residues(first, last, kk - k1, M):
+                                km = k, m
+                                counts[km] = counts.get(km, 0) + 1
+                    if counts:
+                        _merge(out, (gamma, t1, t2), counts)
     return out
 
 
@@ -529,8 +508,7 @@ def inner_left(ctx: BimCtx, F1: ModElem, F2: ModElem) -> dict:
     the m-sum over m + cZ is Per of one term per pair of atoms.  The atoms
     overlap where k*gamma lies strictly between lo1 - hi2 and hi1 - lo2.
     """
-    M = ctx.c
-    return _terms(ctx, F1, F2, lambda j: -j, ctx.inv_gamma, lambda j1: ctx.a * j1 % M)
+    return _terms(ctx, F1, F2, -1, ctx.a, ctx.inv_gamma)
 
 
 def inner_right(ctx: BimCtx, F1: ModElem, F2: ModElem) -> dict:
@@ -539,8 +517,7 @@ def inner_right(ctx: BimCtx, F1: ModElem, F2: ModElem) -> dict:
     [-m] = [j1] forces m = -j1 mod c, and k = a(j2 - j1) mod c.  The atoms
     overlap where k lies strictly between lo2 - hi1 and hi2 - lo1.
     """
-    M = ctx.c
-    return _terms(ctx, F1, F2, lambda j: ctx.a * j, -1, lambda j1: -j1 % M)
+    return _terms(ctx, F1, F2, ctx.a, -1, -1)
 
 
 def embed_terms(ctx: BimCtx, groups: dict) -> dict:
@@ -759,6 +736,25 @@ def _phased(F: ModElem, f) -> ModElem:
     return ModElem._of(F.modulus, {j: tuple((c, atom.modulate(0, f)) for c, atom in ps) for j, ps in F.terms.items()})
 
 
+def _batches(elements) -> list[ModElem]:
+    """The elements summed, in order, into batches in which no two hold a term of one (coef, hat) label.
+
+    An element that holds a label of its batch's starts a new batch; labels
+    may repeat within one element.
+    """
+    batches: list = []
+    seen: set = set()
+    for F in elements:
+        labels = {(coef, atom.h) for pairs in F.terms.values() for coef, atom in pairs}
+        if batches and seen.isdisjoint(labels):
+            batches[-1] = batches[-1].add(F)
+            seen |= labels
+        else:
+            batches.append(F)
+            seen = labels
+    return batches
+
+
 def identity_suite(
     spec: SolenoidSpec,
     proj: ProjectionData,
@@ -778,6 +774,27 @@ def identity_suite(
     (term_diff); (c) and (d) compare inner-product terms (embed_terms), and
     the imprimitivity sum compares triple terms (act_alg_right).
 
+    Every draw of (F, G, H) is made first, in order.  The six linear checks,
+    (a) and (b) for U and V and the two commutations, are then decided once
+    per batch (_batches) on the sum of its draws' F; the bilinear ones, (c),
+    (d) and the triple-term sum, once per draw.  This is exact:
+
+    - Each linear check compares two composites of act_left_gen,
+      act_right_gen, level_embed and _phased.  Each of these maps is
+      term-wise: it sends the term (coef, atom) of class j to terms of
+      classes fixed by j, with atoms fixed by j and the atom, so the image
+      of a sum is the sum of the images, class by class.  Each output term
+      keeps the coef and the hat of its input term: no move changes h.
+    - So give each term its label (coef, hat).  In a batch no label occurs
+      in two draws, and every term of a composite of one draw's F carries a
+      label of that draw.  Restricted to one label, each class's multiset of
+      the sum's composite is the multiset of the one draw that owns the
+      label.  term_diff of the sums thus reads 0.0 exactly when, for every
+      draw, it reads 0.0 on that draw's F.
+    - The report is a max over the draws of 0.0 or inf, so it is the same.
+      Random float hats do not repeat a label across draws in practice;
+      _batches splits a batch where one does, so the proof assumes nothing.
+
     corrupt_gamma shifts gamma at level n+1 only, by the QuadReal the float
     equals; a nonzero shift must fail (a), demonstrating the harness can fail.
     """
@@ -788,32 +805,30 @@ def identity_suite(
     rng = random.Random(plan.seed)
     p = spec.p
     errs = {key: 0.0 for key in IDENTITY_KEYS}
+    draws = [tuple(random_mod_elem(rng, ctx.c) for _ in range(3)) for _ in range(plan.hats)]  # (F, G, H)
 
-    for _ in range(plan.hats):
-        F = random_mod_elem(rng, ctx.c)
-        G = random_mod_elem(rng, ctx.c)
-        H = random_mod_elem(rng, ctx.c)
-        iF, iG = level_embed(ctx, F), level_embed(ctx, G)
-        # the four level-n generator actions on F, each read by (a) or (b) and by a commutation
-        left = {gen: act_left_gen(ctx, gen, 1, F) for gen in ("U", "V")}
-        right = {gen: act_right_gen(ctx, gen, 1, F) for gen in ("U", "V")}
-
-        for key, act, moved in (("iota_left_action", act_left_gen, left), ("iota_right_action", act_right_gen, right)):
+    for S in _batches([F for F, _, _ in draws]):
+        iS = level_embed(ctx, S)
+        # the commutations: U V = e(beta) V U on the left, V U = e(alpha) U V on the right
+        for key, act, first, second, phase in (
+            ("iota_left_action", act_left_gen, "U", "V", ctx.beta),
+            ("iota_right_action", act_right_gen, "V", "U", ctx.alpha),
+        ):
+            moved = {gen: act(ctx, gen, 1, S) for gen in ("U", "V")}
             for gen in ("U", "V"):
-                e = term_diff(level_embed(ctx, moved[gen]), act(ctx2, gen, p, iF))
-                errs[key] = max(errs[key], e)
+                errs[key] = max(errs[key], term_diff(level_embed(ctx, moved[gen]), act(ctx2, gen, p, iS)))
+            e = term_diff(act(ctx, first, 1, moved[second]), _phased(act(ctx, second, 1, moved[first]), phase))
+            errs["imprimitivity"] = max(errs["imprimitivity"], e)
+            del moved  # one side's moved elements, and the dilations they keep, at a time
 
+    for F, G, H in draws:
+        iF, iG = level_embed(ctx, F), level_embed(ctx, G)
         FG = inner_left(ctx, F, G)
         e = group_diff(embed_terms(ctx, FG), inner_left(ctx2, iF, iG))
         errs["phi_left_inner"] = max(errs["phi_left_inner"], e)
         e = group_diff(embed_terms(ctx, inner_right(ctx, F, G)), inner_right(ctx2, iF, iG))
         errs["psi_right_inner"] = max(errs["psi_right_inner"], e)
-
         e = group_diff(act_alg_left(ctx, FG, H), act_alg_right(ctx, F, inner_right(ctx, G, H)))
-        uv = act_left_gen(ctx, "U", 1, left["V"])
-        vu = _phased(act_left_gen(ctx, "V", 1, left["U"]), ctx.beta)
-        ruv = act_right_gen(ctx, "V", 1, right["U"])
-        rvu = _phased(act_right_gen(ctx, "U", 1, right["V"]), ctx.alpha)
-        errs["imprimitivity"] = max(errs["imprimitivity"], e, term_diff(uv, vu), term_diff(ruv, rvu))
+        errs["imprimitivity"] = max(errs["imprimitivity"], e)
 
     return errs

@@ -39,15 +39,15 @@ MAX_TRUNC_K = 3000
 # has about 25*n digits, so every accepted level prints within Python's 4300-digit int-to-string limit
 MAX_LEVEL = 100
 # hats of bimodule verify, each one draw of F, G and H whose identities are decided on exact terms.  At --n 0,
-# MAX_HATS hats take about 0.15 s end to end at p = 2 and 7 and 0.25 s at p = 101 (2-core Xeon, Python 3.11)
+# MAX_HATS hats take about 0.15 s end to end at p = 2 and 7 and 0.2 s at p = 101 (2-core Xeon, Python 3.11)
 MAX_HATS = 100
 # each hat spreads over p classes, and the k and y windows of its terms hold about tau/c0 offsets per class pair
 # (tau = c0*theta + d0 < m), so the terms grow with p * hats * (floor(tau/c0) + 1), which MAX_P_HATS bounds: the
-# default 20 hats stay accepted at every p below 1024 while tau < c0.  20 hats at p = 1009 take about 0.4 s,
-# 100 hats at p = 199 about 0.4 s and 1 hat at p = 20479 about 0.45-0.5 s (peak RSS 21, 19 and 60 MB); at p = 2,
-# 1 hat at c0 = 1, d0 = 10238 and at c0 = 7, d0 = 71662 takes about 0.25-0.45 s (peak RSS up to 95 MB).  Past
-# the bound, the check alone takes about 2.0 s (207 MB) for 1 hat at p = 100003 and 1.2 s (150 MB) for 2 hats at
-# p = 2, d0 = 30000
+# default 20 hats stay accepted at every p below 1024 while tau < c0.  20 hats at p = 1009 take about 0.25 s,
+# 100 hats at p = 199 about 0.25 s and 1 hat at p = 20479 about 0.4-0.5 s (peak RSS 20, 19 and 59 MB); at p = 2,
+# 1 hat at c0 = 1, d0 = 10238 and at c0 = 7, d0 = 71662 takes about 0.3-0.5 s (peak RSS 53 and 94 MB).  Past
+# the bound, the check alone takes about 2.0-2.5 s (215-226 MB) for 1 hat at p = 100003 and 1.5-1.8 s (150 MB)
+# for 2 hats at p = 2, d0 = 30000
 MAX_P_HATS = 20480
 # --count of the multiplier checks, whose time is linear in it.  On the default spec, MAX_COUNT samples take
 # about 0.3 s end to end for check-cocycle, 0.35 s for check-annihilator and 0.5 s for check-eta-psi; at the
@@ -223,9 +223,11 @@ def _cmd_check(args) -> dict:
 
 
 def _cmd_bimodule(args) -> dict:
+    if args.c0 < 1:  # the kernels need c0 >= 1; the shared --c0 flag stays open to morita projection's c0 < 0
+        raise ValueError(f"argument --c0: must be positive, got {args.c0}")
     spec = _build_spec(args)
     proj = ProjectionData(args.m, args.c0, args.d0)
-    spread = math.floor(checked_trace(spec, proj) / proj.c0) + 1 if proj.c0 > 0 else 1  # c0 < 1 fails in BimCtx.build
+    spread = math.floor(checked_trace(spec, proj) / proj.c0) + 1
     if spec.p * args.hats * spread > MAX_P_HATS:
         raise ValueError(
             f"p * --hats * (floor(tau/c0) + 1) must be at most MAX_P_HATS = {MAX_P_HATS}, got {spec.p} * {args.hats} * {spread}"

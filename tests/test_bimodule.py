@@ -709,6 +709,60 @@ def test_aligned_pairs_match_every_pair_reference(p):
                     assert inner(c, F1, F2) == _terms_reference(c, F1, F2, side), (side, n)
 
 
+def _assert_terms_match_every_pair(ctx, ctx2, F, G):
+    """Both inner products of F and G at ctx, and of their embeddings at ctx2, against _terms_reference."""
+    for c, F1, F2 in ((ctx, F, G), (ctx, G, F), (ctx2, level_embed(ctx, F), level_embed(ctx, G))):
+        for side, inner in (("left", inner_left), ("right", inner_right)):
+            want = _terms_reference(c, F1, F2, side)
+            assert want and inner(c, F1, F2) == want, (side, c.n)
+
+
+def test_terms_match_every_pair_reference_at_wide_windows():
+    # tau = theta + 40 puts about 40/c k of a window in every residue mod c, at c = 1 and at c = 4 a level up, so
+    # each window spans c or more k
+    spec, proj = spec_p(2), ProjectionData(41, 1, 40)
+    ctx, ctx2 = BimCtx.build(spec, proj, 0), BimCtx.build(spec, proj, 1)
+    assert float(1 / ctx.gamma) / proj.c0 > 8 * ctx2.c
+    rng = random.Random(40)
+    for _ in range(3):
+        _assert_terms_match_every_pair(ctx, ctx2, _planted(rng, ctx.c, 1.0), random_mod_elem(rng, ctx.c))
+
+
+def test_terms_match_every_pair_reference_at_many_classes():
+    # at p = 101 the embedded elements spread each class over 101 classes of c = 101**2; two draws
+    ctx, ctx2 = ctx_at(101, 0), ctx_at(101, 1)
+    rng = random.Random(101)
+    for _ in range(2):
+        F, G = random_mod_elem(rng, ctx.c), random_mod_elem(rng, ctx.c)
+        for side, inner in (("left", inner_left), ("right", inner_right)):
+            iF, iG = level_embed(ctx, F), level_embed(ctx, G)
+            assert inner(ctx2, iF, iG) == _terms_reference(ctx2, iF, iG, side), side
+
+
+def _paired(rng, M, coef):
+    """Classes that each hold a narrow and a wide atom, so the term pairs of one pair of tuples have other windows."""
+    terms = {}
+    for j in rng.sample(range(M), min(M, 3)):
+        wide = AffineAtom(HatFn((-0.8 * M - 5, 0.1, 0.6 * M + 5), (0j, 1.0 - 0.5j, 0j)))  # random_hat's are narrower
+        terms[j] = ((coef, AffineAtom(random_hat(rng))), (0.5j * coef, wide.shift(Fraction(rng.randrange(-9, 9), 7))))
+    return ModElem(M, terms)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [0, 1])
+def test_terms_of_two_atom_classes_match_every_pair_reference(p, n):
+    # each term pair of a pair of tuples is kept at its own window, not at the window of the tuples' first pair
+    ctx, ctx2 = ctx_at(p, n), ctx_at(p, n + 1)
+    rng = random.Random(600 + 10 * p + n)
+    for _ in range(2):
+        F, G = _paired(rng, ctx.c, 1.0), _paired(rng, ctx.c, 0.3 - 1j)
+        for pairs in (*F.terms.values(), *G.terms.values()):
+            (lo1, hi1), (lo2, hi2) = (atom.support() for _, atom in pairs)
+            assert hi1 - lo1 < hi2 - lo2
+        _assert_terms_match_every_pair(ctx, ctx2, F, G)
+        _assert_terms_match_every_pair(ctx, ctx2, F, _planted(rng, ctx.c, -0.4 + 2j))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_diffs_match_per_class_reference(p):
     # an exact comparison reads 0.0 exactly where the float values of its two sides agree
@@ -1030,6 +1084,142 @@ def test_identity_suite_detects_a_gamma_off_below_any_tolerance(shift):
     plan = SamplePlan(seed=0, hats=6, r_points=120, t_points=120)
     report = identity_suite(spec_p(2), ProjectionData(1, 1, 0), 0, plan, corrupt_gamma=shift)
     assert report["iota_left_action"] == report["phi_left_inner"] == report["psi_right_inner"] == math.inf
+
+
+def _per_draw_suite(spec, proj, n, plan, corrupt_gamma=0.0):
+    """identity_suite with every identity decided on every draw, read through the module so monkeypatches apply."""
+    bm = bimodule
+    ctx = bm.BimCtx.build(spec, proj, n)
+    ctx2 = bm.BimCtx.build(spec, proj, n + 1)
+    if corrupt_gamma:
+        ctx2 = ctx2.with_gamma(ctx2.gamma + QuadReal(corrupt_gamma))
+    rng = random.Random(plan.seed)
+    p = spec.p
+    errs = dict.fromkeys(bm.IDENTITY_KEYS, 0.0)
+    for _ in range(plan.hats):
+        F = bm.random_mod_elem(rng, ctx.c)
+        G = bm.random_mod_elem(rng, ctx.c)
+        H = bm.random_mod_elem(rng, ctx.c)
+        iF, iG = bm.level_embed(ctx, F), bm.level_embed(ctx, G)
+        left = {gen: bm.act_left_gen(ctx, gen, 1, F) for gen in ("U", "V")}
+        right = {gen: bm.act_right_gen(ctx, gen, 1, F) for gen in ("U", "V")}
+        for key, act, moved in (("iota_left_action", bm.act_left_gen, left), ("iota_right_action", bm.act_right_gen, right)):
+            for gen in ("U", "V"):
+                errs[key] = max(errs[key], bm.term_diff(bm.level_embed(ctx, moved[gen]), act(ctx2, gen, p, iF)))
+        FG = bm.inner_left(ctx, F, G)
+        e = bm.group_diff(bm.embed_terms(ctx, FG), bm.inner_left(ctx2, iF, iG))
+        errs["phi_left_inner"] = max(errs["phi_left_inner"], e)
+        e = bm.group_diff(bm.embed_terms(ctx, bm.inner_right(ctx, F, G)), bm.inner_right(ctx2, iF, iG))
+        errs["psi_right_inner"] = max(errs["psi_right_inner"], e)
+        e = bm.group_diff(bm.act_alg_left(ctx, FG, H), bm.act_alg_right(ctx, F, bm.inner_right(ctx, G, H)))
+        uv = bm.act_left_gen(ctx, "U", 1, left["V"])
+        vu = bm._phased(bm.act_left_gen(ctx, "V", 1, left["U"]), ctx.beta)
+        ruv = bm.act_right_gen(ctx, "V", 1, right["U"])
+        rvu = bm._phased(bm.act_right_gen(ctx, "U", 1, right["V"]), ctx.alpha)
+        errs["imprimitivity"] = max(errs["imprimitivity"], e, bm.term_diff(uv, vu), bm.term_diff(ruv, rvu))
+    return errs
+
+
+def _mutate(monkeypatch, mutation):
+    """Install one of the mutations that the suite must still catch: a wrong a or d, or the scaled embedding."""
+    if mutation in ("a", "d"):
+        build = BimCtx.build
+
+        def bad_build(cls, *args):
+            ctx = build(*args)
+            return dataclasses.replace(ctx, **{mutation: getattr(ctx, mutation) + 1})
+
+        monkeypatch.setattr(BimCtx, "build", classmethod(bad_build))
+    elif mutation == "scaled":
+        embed = bimodule.level_embed
+        monkeypatch.setattr(bimodule, "level_embed", lambda ctx, F: embed(ctx, F).scaled(1 / math.sqrt(ctx.spec.p)))
+
+
+def _count_batches(monkeypatch) -> list:
+    """The number of batches of each identity_suite call made from now on."""
+    sizes, batches = [], bimodule._batches
+
+    def counted(elements):
+        out = batches(elements)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(bimodule, "_batches", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_identity_suite_matches_per_draw_reference(monkeypatch, p, n):
+    # the linear identities decided once on the sum of the draws give the report of deciding them on every draw,
+    # on the true contexts and on each mutation that must fail
+    spec, proj = spec_p(p), ProjectionData(1, 1, 0)
+    sizes = _count_batches(monkeypatch)
+    seen = set()
+    for mutation in (None, "gamma", "a", "d", "scaled"):
+        with monkeypatch.context() as m:
+            _mutate(m, mutation)
+            corrupt = 1e-15 if mutation == "gamma" else 0.0
+            for hats, seed in ((1, 10 * p + n), (2, 7), (6, n), (6, 100 + p)):
+                plan = SamplePlan(seed=seed, hats=hats)
+                report = identity_suite(spec, proj, n, plan, corrupt_gamma=corrupt)
+                assert report == _per_draw_suite(spec, proj, n, plan, corrupt_gamma=corrupt), (mutation, hats, seed)
+                seen.add((mutation, math.inf in report.values()))
+    assert set(sizes) == {1}  # random hats never repeat a label, so every plan is one batch
+    # the scaled embedding fails (c) and (d) only where the draws' inner products hold terms, surely at c = 1
+    assert {(None, False), ("gamma", True)} | ({("scaled", True)} if n == 0 else set()) <= seen
+
+
+def test_a_fault_in_one_draw_fails_its_batch(monkeypatch):
+    # a shift off by 10**-6 for the hat of the fourth draw's F only: summed with five good draws, both action
+    # identities still read inf
+    spec, proj, plan = spec_p(3), ProjectionData(1, 1, 0), SamplePlan(seed=4, hats=6)
+    rng = random.Random(plan.seed)
+    draws = [[random_mod_elem(rng, 1) for _ in range(3)] for _ in range(plan.hats)]
+    bad = {atom.h for pairs in draws[3][0].terms.values() for _, atom in pairs}
+    assert not bad & {atom.h for F, _, _ in draws[:3] + draws[4:] for pairs in F.terms.values() for _, atom in pairs}
+    shift = AffineAtom.shift
+
+    def faulty(self, u):
+        out = shift(self, u)
+        if self.h not in bad:
+            return out
+        return AffineAtom._of(out.h, out.lam, out.s + QuadReal(Fraction(1, 10**6)), out.omega, out.phi)
+
+    sizes = _count_batches(monkeypatch)
+    assert identity_suite(spec, proj, 0, plan) == dict.fromkeys(bimodule.IDENTITY_KEYS, 0.0)
+    monkeypatch.setattr(AffineAtom, "shift", faulty)
+    report = identity_suite(spec, proj, 0, plan)
+    assert report["iota_left_action"] == report["iota_right_action"] == math.inf
+    assert report == _per_draw_suite(spec, proj, 0, plan)
+    assert sizes == [1, 1]
+
+
+@pytest.mark.parametrize("p, n", [(2, 0), (3, 1), (7, 0)])
+def test_a_repeated_label_splits_the_batch(monkeypatch, p, n):
+    # the second draw's F is the first one again: its labels meet the batch's, so the linear identities run on
+    # two batches, and the report is still that of every draw
+    spec, proj, plan = spec_p(p), ProjectionData(1, 1, 0), SamplePlan(seed=p + n, hats=6)
+    draw = bimodule.random_mod_elem
+
+    def repeat_first_f(m):
+        calls = []
+
+        def draw_twice(rng, modulus):
+            calls.append(calls[0] if len(calls) == 3 else draw(rng, modulus))
+            return calls[-1]
+
+        m.setattr(bimodule, "random_mod_elem", draw_twice)
+
+    sizes = _count_batches(monkeypatch)
+    repeat_first_f(monkeypatch)
+    report = identity_suite(spec, proj, n, plan)
+    repeat_first_f(monkeypatch)
+    assert report == _per_draw_suite(spec, proj, n, plan) == dict.fromkeys(bimodule.IDENTITY_KEYS, 0.0)
+    repeat_first_f(monkeypatch)
+    _mutate(monkeypatch, "scaled")
+    assert identity_suite(spec, proj, n, plan)["phi_left_inner"] == math.inf
+    assert sizes == [2, 2]
 
 
 def test_identity_suite_rejects_bad_inputs():

@@ -96,6 +96,7 @@ def test_bad_theta_usage_error():
         ["solenoid", "alpha", "--p", "2", "--theta", "(1+sqrt(2))/0", "--digits", "x=1", "--n", "1"],
         ["bimodule", "verify", *SPEC_FLAGS, "--c0", "1", "--d0", "0", "--hats", "0"],
         ["bimodule", "verify", *SPEC_FLAGS, "--c0", "1", "--d0", "0", "--hats=-3"],
+        ["bimodule", "verify", *SPEC_FLAGS, "--c0", "-1", "--d0", "1"],
     ],
     ids=[
         "negative-index", "zero-theta", "zero-denominator-digits",
@@ -103,7 +104,7 @@ def test_bad_theta_usage_error():
         "projection-zero-m", "projection-zero-c0", "condition-zero-c0", "condition-nonprime-p",
         "annihilator-zero-theta", "eta-psi-zero-theta", "annihilator-zero-digits", "alpha-huge-level",
         "non-integer-env-seed", "negative-trunc-k", "trunc-k-over-bound", "zero-denominator-value",
-        "zero-denominator-theta", "zero-hats", "negative-hats",
+        "zero-denominator-theta", "zero-hats", "negative-hats", "bimodule-negative-c0",
     ],
 )
 def test_domain_errors_usage_error(capsys, monkeypatch, tmp_path, argv):
@@ -121,6 +122,8 @@ def test_domain_errors_usage_error(capsys, monkeypatch, tmp_path, argv):
         assert err.strip().splitlines()[-1] == f"ncsolenoid: error: the literal '{zero[0]}' has a zero denominator"
     if any(a.startswith("--hats") for a in argv):  # a sample below one hat names its flag
         assert ": error: argument --hats: must be positive, got " in err.strip().splitlines()[-1]
+    if argv[0] == "bimodule" and argv[argv.index("--c0") + 1] == "-1":  # so does a c0 below 1, before any kernel
+        assert err.strip().splitlines()[-1] == "ncsolenoid: error: argument --c0: must be positive, got -1"
 
 
 def test_padic_inverse_frozen(capsys):
