@@ -34,7 +34,7 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .exactnum import QuadReal, _new, _parts, _quad, _radicand, frac1
+from .exactnum import QuadReal, _floor, _new, _parts, _quad, _radicand, frac1
 from .morita import ProjectionData, checked_trace, stage
 from .solenoid import SolenoidSpec, alpha_at
 
@@ -45,21 +45,6 @@ _ONE = QuadReal(1)
 # random_mod_elem samples index classes from range(modulus), whose length must fit a C ssize_t:
 # p = 2 reaches it past level 31 (c = 2^62), p = 3 past level 19
 MAX_MODULUS = sys.maxsize
-
-
-# -- exact floors ---------------------------------------------------------------------
-
-
-def _floor(A: int, B: int, M: int, D: int) -> int:
-    """floor((A + B sqrt D)/M) for M > 0 and a squarefree D (D > 1 when B != 0): one isqrt.
-
-    B sqrt D lies strictly between s = isqrt(B^2 D) and s + 1 when B > 0, and
-    between -s - 1 and -s when B < 0, as QuadReal.__floor__ reads it.
-    """
-    if not B:
-        return A // M
-    s = math.isqrt(B * B * D)
-    return (A + s) // M if B > 0 else (A - s - 1) // M
 
 
 def _fused(a: QuadReal, b, c, sign: int = 1, mod1: bool = False) -> QuadReal:

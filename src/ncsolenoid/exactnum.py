@@ -399,13 +399,7 @@ class QuadReal:
         return bool(self.A or self.B)
 
     def __floor__(self) -> int:
-        A, B, M = self.A, self.B, self.M
-        if B == 0:
-            return A // M
-        # B*sqrt(D) is never an integer, so it lies strictly between s and s+1
-        # (B > 0) or between -s-1 and -s (B < 0); floor((A + t)/M) = floor(A + t) // M
-        s = math.isqrt(B * B * self.D)
-        return (A + s) // M if B > 0 else (A - s - 1) // M
+        return _floor(self.A, self.B, self.M, self.D)
 
     def __ceil__(self) -> int:
         # an irrational value lies strictly between its floor and the next integer
@@ -457,7 +451,7 @@ class QuadReal:
 
     @classmethod
     def parse(cls, text: str) -> "QuadReal":
-        """Accept "(a + b*sqrt(D))/c" (b* may be left out), bare surds like "sqrt(2)", and rationals.
+        """Accept "(a + b*sqrt(D))/c" (b* may be left out), bare surds like "sqrt(2)", and rationals; no other surd.
 
         Every integer is measured against MAX_LITERAL_DIGITS before int() reads it.
         """
@@ -485,6 +479,8 @@ class QuadReal:
             den = den_of(c)
             bb = -1 if b == "-" else (1 if b in ("", "+") else num(b))
             return cls(0, Fraction(bb, den), num(D))
+        if "sqrt" in s:
+            raise ValueError(f"the literal {s!r} is not (a + b*sqrt(D))/c, a + b*sqrt(D) or b*sqrt(D)/c")
         return cls(parse_rational(s))
 
 
@@ -535,6 +531,18 @@ def _div(A1: int, B1: int, M1: int, A2: int, B2: int, M2: int, D: int) -> QuadRe
     if norm == 0:
         raise ZeroDivisionError("QuadReal division by zero")
     return _quad(M2 * (A1 * A2 - B1 * B2 * D), M2 * (B1 * A2 - A1 * B2), M1 * norm, D)
+
+
+def _floor(A: int, B: int, M: int, D: int) -> int:
+    """floor((A + B sqrt D)/M) for M > 0 and a squarefree D (D > 1 when B != 0): one isqrt.
+
+    B sqrt D is no integer, so it lies strictly between s = isqrt(B^2 D) and s + 1 when B > 0, and between -s - 1
+    and -s when B < 0; floor((A + t)/M) = floor(A + t) // M.
+    """
+    if not B:
+        return A // M
+    s = math.isqrt(B * B * D)
+    return (A + s) // M if B > 0 else (A - s - 1) // M
 
 
 def frac1(x) -> QuadReal:

@@ -1,6 +1,7 @@
 """Morita partner constructions and the equivalence certificate search.
 
-Two routes to a partner sequence are implemented and cross-checked:
+Two routes to a partner sequence are implemented and cross-checked, each a
+MobiusPair acting on (theta, -x), (f 1; 1 0) and (a0 b0; c0 d0):
 
 * the Heisenberg route beta_n = 1/(theta p^n) + (sum of inverse digits)/p^n,
 * the projection route through trace lines (c_{2n}, d_{2n}) and a Bezout
@@ -20,9 +21,9 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .exactnum import QuadReal, _strip, frac1
-from .padic import PAdic
-from .solenoid import SolenoidSpec, _alpha, alphas, beyond_horizon, level_table, truncate_spec
+from .exactnum import QuadReal, _strip
+from .padic import _mod_unit
+from .solenoid import MobiusPair, SolenoidSpec, _alpha, alphas, beyond_horizon, level_table, truncate_spec
 
 log = logging.getLogger(__name__)
 
@@ -57,27 +58,6 @@ class TraceLine:
     n: int
     c: int
     d: int
-
-
-@dataclass(frozen=True)
-class MobiusPair:
-    """Completed integer matrix (a b; c d) with determinant +1 or -1."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        if self.det not in (1, -1):
-            raise ValueError(f"determinant must be +-1, got {self.det}")
-
-    @property
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-    def apply(self, alpha: QuadReal) -> QuadReal:
-        return (alpha * self.a + self.b) / (alpha * self.c + self.d)
 
 
 def condition_check(p: int, proj: ProjectionData, x0: int) -> bool:
@@ -116,12 +96,12 @@ def ab_normalized(line: TraceLine, alpha_2n: QuadReal, tau: QuadReal) -> tuple[M
 
 
 def heisenberg_partner_spec(spec: SolenoidSpec) -> SolenoidSpec:
-    """Partner spec from the pairing construction.
+    """Partner spec from the pairing construction: the matrix (j p^k; p^k 0) acts, k = ord x.
 
-    theta' collects 1/theta and the fractional digits of x^-1; the digit
-    stream is the integer part of x^-1.  For x a p-adic unit this is exactly
-    (1/theta, x^-1), and applying the construction twice returns the original
-    spec.  x known below H gives x^-1 known below H - 2 ord x.
+    theta' = 1/theta + f collects the fractional digits f = j/p^k of x^-1; the
+    digit stream is x^-1 - f, the integer part.  For x a p-adic unit this is
+    exactly (1/theta, x^-1), and applying the construction twice returns the
+    original spec.
     """
     if not spec.theta:
         raise ValueError("theta must be nonzero")
@@ -130,9 +110,8 @@ def heisenberg_partner_spec(spec: SolenoidSpec) -> SolenoidSpec:
         if H < math.inf:  # a window zero to its horizon H: its order needs digit x_H or a later one
             raise beyond_horizon(H)
         raise ValueError("digit stream x must be nonzero")
-    y = spec.digits.invert()
-    fp = y.frac_part()
-    return SolenoidSpec._of(spec.p, 1 / spec.theta + fp, y - fp)
+    x, q = spec.digits, spec.p**spec.digits.ord
+    return MobiusPair(_mod_unit(x.den, x.num, q), q, q, 0).act(spec)
 
 
 def heisenberg_partner(spec: SolenoidSpec, N: int) -> tuple[tuple[int, QuadReal], ...]:
@@ -188,8 +167,8 @@ def partner_spec(spec: SolenoidSpec, proj: ProjectionData) -> SolenoidSpec:
     """The partner tower as one exact spec (beta_0, y): projection_partner's beta_2n is frac1 of its alpha_2n.
 
     (a0 b0; c0 d0) and beta_0 are ab_normalized's pair and image at level 0,
-    and y = (a0 x - b0)/(d0 - c0 x) for the digit stream x; the precision is
-    kept.  Proof: level 2n's det +1 pair (a b; c0 P, d), P = p^(2n), gives
+    and y = (a0 x - b0)/(d0 - c0 x) for the digit stream x: the pair acts on
+    the spec.  Proof: level 2n's det +1 pair (a b; c0 P, d), P = p^(2n), gives
     (a alpha + b)/tau = a/(c0 P) - 1/(c0 P tau), so P beta_2n = beta_0 + z
     mod P, with z = (a - a0)/c0 an integer (a and a0 both invert d0 mod c0).
     With u = d0 - c0 x, a p-adic unit by the Condition, c0 y + a0 = 1/u and
@@ -199,18 +178,8 @@ def partner_spec(spec: SolenoidSpec, proj: ProjectionData) -> SolenoidSpec:
 
 
 def _partner_spec(spec: SolenoidSpec, proj: ProjectionData, tau: QuadReal) -> SolenoidSpec:
-    """partner_spec for a projection whose trace tau checked_trace has already passed.
-
-    With x = n/d read off the normal form p**ord * num/den (n = num p**ord, d =
-    den; n = 0 for a zero), y = (a0 n - b0 d)/(d0 d - c0 n), whose denominator
-    d u is prime to p by the Condition.  y keeps x's precision: PAdic
-    arithmetic would claim ord(c0) more digits when p divides c0.
-    """
-    mob, beta = ab_normalized(TraceLine(0, proj.c0, proj.d0), spec.theta, tau)
-    x = spec.digits
-    n = x.num * x.p**x.ord if x.num else 0
-    y = PAdic._new(x.p, 0, mob.a * n - mob.b * x.den, proj.d0 * x.den - proj.c0 * n, x.precision)
-    return SolenoidSpec._of(spec.p, beta, y)
+    """partner_spec for a projection whose trace tau checked_trace has already passed: ab_normalized's pair acts."""
+    return ab_normalized(TraceLine(0, proj.c0, proj.d0), spec.theta, tau)[0].act(spec)
 
 
 def displayed_mobius(spec: SolenoidSpec, n: int) -> MobiusPair:

@@ -5,7 +5,8 @@ stream x; the induced sequence alpha_n = (theta + sum_{j<n} x_j p^j) / p^n
 satisfies p*alpha_{n+1} = alpha_n + x_n exactly.  Reducing mod 1 lands in the
 canonical parameter space (entries in [0,1), digit defects in {0,...,p-1}).
 A window is a plain tuple of (index, exact value) pairs, indices increasing;
-each reader checks the index pattern it needs.
+each reader checks the index pattern it needs.  Every spec transform is one
+MobiusPair acting on (theta, -x), with one precision rule.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exactnum import PFrac, QuadReal, _quad, frac1, require_prime
-from .padic import PAdic, require_ord_bits
+from .exactnum import QuadReal, _div, _quad, _strip, frac1, require_prime
+from .padic import PAdic, PrecisionError, require_ord_bits
 
 
 class CoherenceError(ValueError):
@@ -103,6 +104,49 @@ class SolenoidSpec:
         return cls(p, QuadReal.parse(theta), digits)
 
 
+@dataclass(frozen=True)
+class MobiusPair:
+    """(a b; c d), det != 0: Mobius maps of theta and xi = -x, so x' = (a x - b)/(d - c x); multiples act alike."""
+
+    a: int
+    b: int
+    c: int
+    d: int
+
+    def __post_init__(self):
+        if not self.det:
+            raise ValueError("determinant must be nonzero")
+
+    @property
+    def det(self) -> int:
+        return self.a * self.d - self.b * self.c
+
+    def apply(self, alpha: QuadReal) -> QuadReal:
+        """(a alpha + b)/(c alpha + d) for alpha = (A + B sqrt D)/M: (aA + bM + aB sqrt D)/(cA + dM + cB sqrt D)."""
+        a, c, A, B, M = self.a, self.c, alpha.A, alpha.B, alpha.M
+        return _div(a * A + self.b * M, a * B, 1, c * A + self.d * M, c * B, 1, alpha.D)
+
+    def act(self, spec: SolenoidSpec) -> SolenoidSpec:
+        """(g theta, x') for det = +-p^e: x known below H gives x' known below H + e - 2w, w = ord_p(d - c x).
+
+        x' = (a n - b den)/(d den - c n) for x = n/den, n = num p^ord (0 for a zero), and p stripped from the
+        denominator gives w.  Proof: x1 and x2 that agree below H have images that differ by det (xi1 - xi2)/((c xi1 +
+        d)(c xi2 + d)), of order e + ord(x1 - x2) - 2w: at least H + e - 2w, and equal to it when x1 and x2 first
+        differ at digit H.  So the known digits must decide w, and d - c x != 0: c = 0 in a truncation or a shift, the
+        Heisenberg partner refuses a window zero below its horizon, and d0 - c0 x is a unit by the Condition.
+        """
+        p, x = spec.p, spec.digits
+        r, e = _strip(abs(self.det), p)
+        if r != 1:
+            raise ValueError(f"determinant {self.det} is not a unit of Z[1/{p}]")
+        n = x.num * p**x.ord if x.num else 0
+        den, w = _strip(self.d * x.den - self.c * n, p)
+        P = x.precision + e - 2 * w
+        if P < 0:  # x' is a p-adic integer only if its digit -1 is known
+            raise PrecisionError(f"digits end at index {P}, need digit -1")
+        return SolenoidSpec._of(p, self.apply(spec.theta), PAdic._new(p, -w, self.a * n - self.b * x.den, den, P))
+
+
 def _alpha(spec: SolenoidSpec, n: int, h: int) -> QuadReal:
     # alpha_n from any h = h_n mod p^n: (A + B sqrt(D))/M + h becomes (A + h M + B sqrt(D))/(M p^n) in one step
     t, scale = spec.theta, spec.p**n
@@ -178,13 +222,10 @@ def from_even_entries(p: int, even: tuple[tuple[int, QuadReal], ...]) -> Solenoi
 
 
 def truncate_spec(spec: SolenoidSpec, k: int) -> SolenoidSpec:
-    """Drop the first k entries: theta' = alpha_k, digits (x - h_k) / p^k, known below H - k by the product rule."""
+    """Drop the first k entries: the matrix (1 h_k; 0 p^k) acts, so theta' = alpha_k and x' = (x - h_k)/p^k."""
     if k < 0:
         raise ValueError("truncation index must be nonnegative")
-    if k == 0:
-        return spec
-    h = spec.head(k)
-    return SolenoidSpec._of(spec.p, _alpha(spec, k, h), (spec.digits - h) * PFrac(spec.p, 1, k))
+    return MobiusPair(1, spec.head(k), 0, spec.p**k).act(spec)
 
 
 def equal_in_Xi(a: SolenoidSpec, b: SolenoidSpec, N: int) -> bool:

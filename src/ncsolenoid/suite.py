@@ -32,7 +32,7 @@ from .multiplier import (
     rho,
 )
 from .padic import PAdic
-from .solenoid import SolenoidSpec, alphas, coherence_check, from_even_entries, reduce_h
+from .solenoid import MobiusPair, SolenoidSpec, alphas, coherence_check, from_even_entries, reduce_h
 
 if TYPE_CHECKING:
     from .bimodule import SamplePlan
@@ -129,12 +129,13 @@ def check_coherence(spec: SolenoidSpec, entries: int = 12) -> dict:
 def check_from_even(spec: SolenoidSpec, entries: int = 8) -> dict:
     """Rebuilding a spec from its even-index window reproduces the sequence.
 
-    f = floor(theta) moves into the digit stream first: (theta - f, x + f) has
-    each alpha_n in the same class mod 1, in [0, 1) as from_even_entries reads.
+    The shift (1 -f; 0 1), f = floor(theta), moves f into the digit stream
+    first: each alpha_n of (theta - f, x + f) is in the same class mod 1, in
+    [0, 1) as from_even_entries reads.
     """
     f = math.floor(spec.theta)
     if f:
-        spec = SolenoidSpec._of(spec.p, spec.theta - f, spec.digits + f)
+        spec = MobiusPair(1, -f, 0, 1).act(spec)
     try:
         window = alphas(spec, 2 * entries)
         recovered = from_even_entries(spec.p, window[::2])

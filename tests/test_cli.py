@@ -71,6 +71,10 @@ def test_bad_theta_usage_error():
     assert exc.value.code == 2
 
 
+# surds written in an order QuadReal.parse does not read: "1+sqrt(2)/3" is not (1+sqrt(2))/3
+UNREAD_SURDS = ("sqrt(2)-1", "2*sqrt(2)+1", "1+sqrt(2)/3")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -97,6 +101,7 @@ def test_bad_theta_usage_error():
         ["bimodule", "verify", *SPEC_FLAGS, "--c0", "1", "--d0", "0", "--hats", "0"],
         ["bimodule", "verify", *SPEC_FLAGS, "--c0", "1", "--d0", "0", "--hats=-3"],
         ["bimodule", "verify", *SPEC_FLAGS, "--c0", "-1", "--d0", "1"],
+        *(["solenoid", "alpha", "--p", "2", "--theta", t, "--digits", "x=1", "--n", "1"] for t in UNREAD_SURDS),
     ],
     ids=[
         "negative-index", "zero-theta", "zero-denominator-digits",
@@ -105,6 +110,7 @@ def test_bad_theta_usage_error():
         "annihilator-zero-theta", "eta-psi-zero-theta", "annihilator-zero-digits", "alpha-huge-level",
         "non-integer-env-seed", "negative-trunc-k", "trunc-k-over-bound", "zero-denominator-value",
         "zero-denominator-theta", "zero-hats", "negative-hats", "bimodule-negative-c0",
+        "surd-minus-first", "surd-coefficient-first", "surd-over-denominator",
     ],
 )
 def test_domain_errors_usage_error(capsys, monkeypatch, tmp_path, argv):
@@ -124,6 +130,10 @@ def test_domain_errors_usage_error(capsys, monkeypatch, tmp_path, argv):
         assert ": error: argument --hats: must be positive, got " in err.strip().splitlines()[-1]
     if argv[0] == "bimodule" and argv[argv.index("--c0") + 1] == "-1":  # so does a c0 below 1, before any kernel
         assert err.strip().splitlines()[-1] == "ncsolenoid: error: argument --c0: must be positive, got -1"
+    surd = [a for a in argv if a in UNREAD_SURDS]  # a surd in no form that is read names itself and the forms
+    if surd:
+        forms = "(a + b*sqrt(D))/c, a + b*sqrt(D) or b*sqrt(D)/c"
+        assert err.strip().splitlines()[-1] == f"ncsolenoid: error: the literal '{surd[0]}' is not {forms}"
 
 
 def test_padic_inverse_frozen(capsys):

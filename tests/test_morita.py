@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import ncsolenoid
 from ncsolenoid import exactnum, morita
-from ncsolenoid.exactnum import MR_LIMIT, QuadReal, frac1
+from ncsolenoid.exactnum import MR_LIMIT, PFrac, QuadReal, frac1
 from ncsolenoid.morita import (
     MAX_SEARCH_CANDIDATES,
     MAX_SEARCH_LEVEL,
@@ -106,10 +106,17 @@ def test_trace_line_frozen():
 
 
 def test_mobius_pair_validation():
+    # a pair is refused for a determinant 0 when it is built, and for one other than +-p**e when it acts
     MobiusPair(3, -1, 1, 0)  # det +1
     MobiusPair(0, 1, 1, 0)  # det -1
-    with pytest.raises(ValueError):
-        MobiusPair(2, 0, 0, 2)
+    with pytest.raises(ValueError, match="determinant must be nonzero"):
+        MobiusPair(2, 4, 1, 2)
+    spec = unit_spec(2, THETA, 1)
+    with pytest.raises(ValueError, match=r"^determinant 6 is not a unit of Z\[1/2\]$"):
+        MobiusPair(2, 0, 0, 3).act(spec)
+    assert MobiusPair(2, 0, 0, 2).act(spec) == spec  # 2 I acts as I at p = 2
+    with pytest.raises(ValueError, match=r"^determinant 4 is not a unit of Z\[1/3\]$"):
+        MobiusPair(2, 0, 0, 2).act(SolenoidSpec(3, THETA, PAdic.from_rational(3, 1)))
 
 
 def test_ab_normalized_frozen():
@@ -359,6 +366,80 @@ def test_derived_specs_agree_below_their_precision(p, H, e, rng):
         assert alphas(window, precision) == alphas(tower, precision)
         with pytest.raises(ValueError, match=rf"horizon {precision}\)$"):
             alpha_at(window, precision + 1)
+
+
+def _product_rule_truncation(spec: SolenoidSpec, k: int) -> SolenoidSpec:
+    """Reference truncation: (alpha_k, (x - h_k) * p^-k), its precision H - k by PAdic's product rule."""
+    return SolenoidSpec(spec.p, alpha_at(spec, k), (spec.digits - spec.head(k)) * PFrac(spec.p, 1, k))
+
+
+def _inverse_heisenberg(spec: SolenoidSpec) -> SolenoidSpec:
+    """Reference Heisenberg partner: (1/theta + f, x^-1 - f), f the fractional part of x^-1, known below H - 2 ord x."""
+    y = spec.digits.invert()
+    fp = y.frac_part()
+    return SolenoidSpec(spec.p, 1 / spec.theta + fp, y - fp)
+
+
+def _hand_partner(spec: SolenoidSpec, proj: ProjectionData) -> SolenoidSpec:
+    """Reference projection partner: y = (a0 n - b0 den)/(d0 den - c0 n) for x = n/den, at x's precision."""
+    mob, beta = ab_normalized(TraceLine(0, proj.c0, proj.d0), spec.theta, checked_trace(spec, proj))
+    x = spec.digits
+    n = x.num * x.p**x.ord if x.num else 0
+    y = PAdic._new(x.p, 0, mob.a * n - mob.b * x.den, proj.d0 * x.den - proj.c0 * n, x.precision)
+    return SolenoidSpec(spec.p, beta, y)
+
+
+def _product(g: MobiusPair, h: MobiusPair) -> MobiusPair:
+    """The matrix product g h, which acts as h and then g."""
+    return MobiusPair(g.a * h.a + g.b * h.c, g.a * h.b + g.b * h.d, g.c * h.a + g.d * h.c, g.c * h.b + g.d * h.d)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 14), st.integers(0, 3), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_one_precision_rule_is_exact_and_act_equals_what_it_replaces(p, H, e, window, rng):
+    # x of ord e, exact or known below H; x1 and x2 are exact extensions of the window that first differ at digit H.
+    # Each matrix acts as its reference formula, and for a window its claimed precision P = H + e' - 2w is exact:
+    # the images of x1 and x2 agree with the window's below P and differ at digit P
+    unit = random_unit_spec(rng, p)
+    x1 = unit.digits * p**e
+    x2 = x1 + random_unit_spec(rng, p).digits * p**H
+    s1, s2 = SolenoidSpec(p, unit.theta, x1), SolenoidSpec(p, unit.theta, x2)
+    spec = SolenoidSpec(p, unit.theta, x1.truncate(H)) if window else s1
+    k, f = rng.randint(0, H), rng.randint(-9, 9)
+    proj = _planted_projection(rng, s1)
+    shifted = SolenoidSpec(p, spec.theta - f, spec.digits + f)  # check_from_even's shift, by hand
+    cases = [
+        (MobiusPair(1, spec.head(k), 0, p**k), truncate_spec(spec, k), _product_rule_truncation(spec, k), H - k),
+        (MobiusPair(1, -f, 0, 1), shifted, shifted, H),
+        (ab_normalized(TraceLine(0, proj.c0, proj.d0), spec.theta, checked_trace(spec, proj))[0],
+         partner_spec(spec, proj), _hand_partner(spec, proj), H),
+    ]
+    if window and H < 2 * e:
+        with pytest.raises(ValueError):  # x is zero to its horizon, or x^-1 has no known fractional digit
+            heisenberg_partner_spec(spec)
+    else:
+        fp = spec.digits.invert().frac_part()
+        heisenberg = MobiusPair(fp.j, p**fp.k, p**fp.k, 0)
+        cases.append((heisenberg, heisenberg_partner_spec(spec), _inverse_heisenberg(spec), H - 2 * e))
+    for g, built, reference, P in cases:
+        image = g.act(spec)
+        assert image == reference == built
+        for s, i in ((1, 1), (-1, 0), (-1, 2)):  # +-p**i g acts as g does
+            assert MobiusPair(*(s * p**i * v for v in (g.a, g.b, g.c, g.d))).act(spec) == image
+        if window:
+            y1, y2 = g.act(s1), g.act(s2)
+            assert image.digits.precision == P and y1.theta == image.theta == y2.theta
+            assert y1.digits.truncate(P) == image.digits == y2.digits.truncate(P)
+            assert y1.digits.truncate(P + 1) != y2.digits.truncate(P + 1)
+        else:
+            assert image.digits.precision == math.inf
+    j = rng.randint(0, H - k)
+    first = truncate_spec(spec, j)
+    twice = truncate_spec(first, k)
+    assert twice == truncate_spec(spec, j + k) and twice.digits.precision == (H - j - k if window else math.inf)
+    tj, tk = MobiusPair(1, spec.head(j), 0, p**j), MobiusPair(1, first.head(k), 0, p**k)
+    assert _product(tk, tj).act(spec) == twice
 
 
 def test_partner_spec_keeps_the_horizon_and_the_condition():
