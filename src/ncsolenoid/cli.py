@@ -4,7 +4,9 @@ Subcommands map one-to-one onto module operations; reports are JSON with
 sorted keys (or flat text via --format text), exact values serialized as
 strings. Exit status: 0 all checks passed, 1 a check failed, 2 usage error
 (any ValueError or ArithmeticError, mapped in main).
-The seed defaults to the SOLENOID_SEED environment variable, then 0.
+The --seed of suite and bimodule verify defaults to the SOLENOID_SEED
+environment variable, then 0.  The multiplier checks take no seed and no
+count: each decides its identity on one generator per power of p.
 """
 
 from __future__ import annotations
@@ -49,10 +51,6 @@ MAX_HATS = 100
 # the bound, the check alone takes about 2.0-2.5 s (215-226 MB) for 1 hat at p = 100003 and 1.5-1.8 s (150 MB)
 # for 2 hats at p = 2, d0 = 30000
 MAX_P_HATS = 20480
-# --count of the multiplier checks, whose time is linear in it.  On the default spec, MAX_COUNT samples take
-# about 0.3 s end to end for check-cocycle, 0.35 s for check-annihilator and 0.5 s for check-eta-psi; at the
-# largest prime below exactnum.MR_LIMIT, about 0.4 s, 0.45 s and 0.65 s
-MAX_COUNT = 2000
 
 
 def _resolve_seed(value) -> int:
@@ -69,7 +67,7 @@ def _parse_digits(p: int, text: str) -> PAdic:
 
 
 def _count(text: str) -> int:
-    """argparse type for --entries, --count, --k and --n: a nonnegative integer."""
+    """argparse type for --entries, --k and --n: a nonnegative integer."""
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
@@ -172,16 +170,12 @@ def _cmd_solenoid(args) -> dict:
 
 def _cmd_multiplier(args) -> dict:
     spec = _build_spec(args, allow_default=True)
-    seed = _resolve_seed(args.seed)
     runner = {
         "check-cocycle": suite_mod.check_cocycle,
         "check-annihilator": suite_mod.check_annihilator,
         "check-eta-psi": suite_mod.check_eta_psi,
     }[args.multiplier_cmd]
-    report = runner(seed, args.count, spec)
-    report["seed"] = seed
-    report["inputs"] = spec.to_json()
-    return report
+    return {**runner(spec=spec), "inputs": spec.to_json()}
 
 
 def _window_json(window) -> list:
@@ -267,7 +261,6 @@ _SPEC = (
 _SEED = _arg("--seed", type=int, default=None)
 _PADIC = (_arg("--p", type=int, required=True), _arg("--value", required=True, help='rational, e.g. "3" or "3/4"'))
 _TRACE = (_arg("--c0", type=int, required=True), _arg("--d0", type=int, required=True), _arg("--m", type=int, default=1))
-_MULTIPLIER = (*_SPEC, _SEED, _arg("--count", type=_at_most(_count, "MAX_COUNT", MAX_COUNT), default=200))
 _LEVEL_HELP = f"tower level, at most {MAX_LEVEL}"
 
 # group -> (help, handler, dest of the leaf name, {leaf: arguments}); a group without
@@ -287,7 +280,7 @@ COMMANDS = {
         "from-even": (*_SPEC, _entries(8)),
     }),
     "multiplier": ("multiplier and pairing checks", _cmd_multiplier, "multiplier_cmd", {
-        "check-cocycle": _MULTIPLIER, "check-annihilator": _MULTIPLIER, "check-eta-psi": _MULTIPLIER,
+        "check-cocycle": _SPEC, "check-annihilator": _SPEC, "check-eta-psi": _SPEC,
     }),
     "morita": ("partner constructions and certificates", _cmd_morita, "morita_cmd", {
         "heisenberg": (*_SPEC, _entries(6)),

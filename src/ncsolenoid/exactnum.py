@@ -22,7 +22,9 @@ class RadicandMismatchError(ValueError):
 
 
 def _strip(n: int, p: int) -> tuple[int, int]:
-    """(n / p**e, e) with e the exponent of p in the nonzero integer n."""
+    """(n / p**e, e) with e the exponent of p in the nonzero integer n; ValueError for 0, which p divides forever."""
+    if not n:
+        raise ValueError("the exponent of p in 0 is unbounded")
     if p == 2:
         # n & -n is the lowest set bit of n, which is 2**e
         e = (n & -n).bit_length() - 1

@@ -132,15 +132,20 @@ class MobiusPair:
         x' = (a n - b den)/(d den - c n) for x = n/den, n = num p^ord (0 for a zero), and p stripped from the
         denominator gives w.  Proof: x1 and x2 that agree below H have images that differ by det (xi1 - xi2)/((c xi1 +
         d)(c xi2 + d)), of order e + ord(x1 - x2) - 2w: at least H + e - 2w, and equal to it when x1 and x2 first
-        differ at digit H.  So the known digits must decide w, and d - c x != 0: c = 0 in a truncation or a shift, the
-        Heisenberg partner refuses a window zero below its horizon, and d0 - c0 x is a unit by the Condition.
+        differ at digit H.  So the known digits must decide w, and d - c x != 0, else x' is infinity, which is refused:
+        c = 0 in a truncation or a shift, the Heisenberg partner refuses a window zero below its horizon, and d0 - c0 x
+        is a unit by the Condition.
         """
         p, x = spec.p, spec.digits
         r, e = _strip(abs(self.det), p)
         if r != 1:
             raise ValueError(f"determinant {self.det} is not a unit of Z[1/{p}]")
         n = x.num * p**x.ord if x.num else 0
-        den, w = _strip(self.d * x.den - self.c * n, p)
+        den = self.d * x.den - self.c * n
+        if not den:
+            matrix = f"({self.a} {self.b}; {self.c} {self.d})"
+            raise ValueError(f"{matrix} sends x = {x.as_fraction()} to infinity: d - c x = 0")
+        den, w = _strip(den, p)
         P = x.precision + e - 2 * w
         if P < 0:  # x' is a p-adic integer only if its digit -1 is known
             raise PrecisionError(f"digits end at index {P}, need digit -1")

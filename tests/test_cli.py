@@ -18,7 +18,7 @@ import pytest
 
 import ncsolenoid
 from ncsolenoid import cli, exactnum, morita, padic
-from ncsolenoid.cli import COMMANDS, MAX_COUNT, MAX_HATS, MAX_LEVEL, MAX_P_HATS, MAX_TRUNC_K, build_parser, main
+from ncsolenoid.cli import COMMANDS, MAX_HATS, MAX_LEVEL, MAX_P_HATS, MAX_TRUNC_K, build_parser, main
 from ncsolenoid.exactnum import MAX_LITERAL_DIGITS, MR_LIMIT, QuadReal
 from ncsolenoid.morita import ProjectionData, heisenberg_partner, heisenberg_partner_spec, projection_partner
 from ncsolenoid.padic import MAX_ORD_BITS, PAdic
@@ -134,6 +134,8 @@ def test_domain_errors_usage_error(capsys, monkeypatch, tmp_path, argv):
     if surd:
         forms = "(a + b*sqrt(D))/c, a + b*sqrt(D) or b*sqrt(D)/c"
         assert err.strip().splitlines()[-1] == f"ncsolenoid: error: the literal '{surd[0]}' is not {forms}"
+    if argv[0] == "multiplier" and "--count" in argv:  # the multiplier leaves sample nothing, so take no count
+        assert err.strip().splitlines()[-1] == "ncsolenoid: error: unrecognized arguments: --count -4"
 
 
 def test_padic_inverse_frozen(capsys):
@@ -280,11 +282,9 @@ def test_oversized_padic_input_usage_error(argv):
         # the terms grow with tau/c0 as well: 2 hats at tau = 30000 + theta used to run past 60 s
         (["bimodule", "verify", *SPEC_FLAGS, "--c0", "1", "--d0", "30000", "--m", "30001", "--hats", "2"],
          f"MAX_P_HATS = {MAX_P_HATS}, got 2 * 2 * 30001"),
-        # time is linear in the count: 20 000 took about 4 s, so a billion would run for hours
-        (["multiplier", "check-eta-psi", "--count", "1000000000"], f"MAX_COUNT = {MAX_COUNT}"),
     ],
     ids=["long-period-display", "longer-period-display", "prime-power-period-display", "huge-radicand", "huge-entries",
-         "huger-entries", "huge-hats", "least-p-hats", "large-trace", "huge-count"],
+         "huger-entries", "huge-hats", "least-p-hats", "large-trace"],
 )
 def test_unbounded_work_usage_error(argv, bound):
     proc = run_process(argv)
@@ -470,11 +470,9 @@ BIMODULE_ARGV = ["bimodule", "verify", *SPEC_FLAGS, "--c0", "1", "--d0", "0"]
 @pytest.mark.parametrize(
     "leaf, flag, bound, limit",
     [(BIMODULE_ARGV, "--hats", "MAX_HATS", MAX_HATS),
-     (["multiplier", "check-eta-psi"], "--count", "MAX_COUNT", MAX_COUNT),
      (["solenoid", "alpha", *SPEC_FLAGS], "--n", "MAX_LEVEL", MAX_LEVEL),
      (["padic", "trunc", "--p", "2", "--value", "11"], "--k", "MAX_TRUNC_K", MAX_TRUNC_K)],
-    ids=["--hats-MAX_HATS-100", "--count-MAX_COUNT-2000", "--n-MAX_LEVEL-100",
-         "--k-MAX_TRUNC_K-3000"],
+    ids=["--hats-MAX_HATS-100", "--n-MAX_LEVEL-100", "--k-MAX_TRUNC_K-3000"],
 )
 def test_sample_size_bound(capsys, leaf, flag, bound, limit):
     argv = [*leaf, flag]
@@ -486,12 +484,12 @@ def test_sample_size_bound(capsys, leaf, flag, bound, limit):
 
 
 @pytest.mark.parametrize("leaf", ["check-eta-psi", "check-annihilator"])
-def test_largest_count_at_largest_prime_finishes(leaf):
+def test_multiplier_check_at_largest_prime_finishes(leaf):
     # PAdic arithmetic proves its prime once, in from_rational: proving it again for every result made
-    # check-eta-psi take about 10 s here, and check-annihilator about 5 s
+    # check-eta-psi over 2000 sampled pairs take about 10 s here, and check-annihilator about 5 s
     spec = ["--p", str(MR_LIMIT - 168), "--theta=-1+sqrt(2)", "--digits", "3/5"]
     start = time.perf_counter()
-    proc = run_process(["multiplier", leaf, *spec, "--count", str(MAX_COUNT)])
+    proc = run_process(["multiplier", leaf, *spec])
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["pass"] is True
@@ -593,11 +591,35 @@ def test_unknown_digits_are_refused_for_their_horizon(capsys, tmp_path, command)
             assert capsys.readouterr().err.strip().splitlines()[-1] == f"ncsolenoid: error: {message}"
 
 
+@pytest.mark.parametrize("leaf, last", [
+    ("check-cocycle", "digit x_5 is beyond the known window (horizon 5)"),
+    ("check-annihilator", "digits end at index -1, need digit -1"),
+    ("check-eta-psi", "digit x_5 is beyond the known window (horizon 5)"),
+])
+def test_multiplier_check_on_a_window_depends_only_on_the_spec(capsys, monkeypatch, tmp_path, leaf, last):
+    # x = 1 known below 5: random pairs passed check-cocycle at some seeds and exited 2 at seeds 1, 3 and 5, and
+    # failed check-annihilator at seed 1 only; the generators' levels 0..8 read the same digits on every run
+    digits = {"p": 2, "ord": 0, "preperiod": [1], "period": [0]}
+    for horizon, want in ((5, (2, f"ncsolenoid: error: {last}")), (8, (0, ""))):
+        path = tmp_path / f"h{horizon}.json"
+        path.write_text(json.dumps({"p": 2, "theta": "sqrt(2)", "digits": digits, "digit_horizon": horizon}))
+        for seed in ("0", "1", "3", "5"):
+            monkeypatch.setenv("SOLENOID_SEED", seed)
+            try:
+                code = main(["multiplier", leaf, "--spec", str(path)])
+            except SystemExit as exc:
+                code = exc.code
+            err = capsys.readouterr().err.strip().splitlines()
+            assert (code, err[-1] if err else "") == want
+
+
 def test_multiplier_checks_pass(capsys):
-    for sub in ("check-cocycle", "check-annihilator", "check-eta-psi"):
-        code, rep = run_json(capsys, ["multiplier", sub, "--seed", "9", "--count", "40"])
+    # each leaf decides its identity on generators, 2 or 3 evaluations per level: no seed, no count
+    for sub, evaluations in (("check-cocycle", 24), ("check-annihilator", 18), ("check-eta-psi", 18)):
+        code, rep = run_json(capsys, ["multiplier", sub, *SPEC_FLAGS])
         assert code == 0
         assert rep["pass"] is True and rep["violations"] == []
+        assert rep["max_index"] == 8 and rep["evaluations"] == evaluations and "seed" not in rep
 
 
 def test_morita_heisenberg_window(capsys):
@@ -899,8 +921,9 @@ def test_text_format(capsys):
     assert run(capsys, argv) == (0, "inputs:\n  digits:\n    ord: 0\n    p: 2\n    period:\n      - 0\n    preperiod:\n"
                                     "      - 1\n  p: 2\n  theta: 1/3\npartner:\n  -\n    - 0\n    - 3\n  -\n    - 1\n    - 2\n")
     code, out = run(capsys, ["--format", "text", "suite"])
-    assert code == 0 and out.startswith("checks:\n  -\n    count: 200\n    name: multiplier-cocycle\n    pass: True\n"
-                                        "    violations: []\n  -\n    count: 200\n    name: multiplier-annihilator\n")
+    assert code == 0 and out.startswith("checks:\n  -\n    evaluations: 24\n    max_index: 8\n    name: multiplier-cocycle\n"
+                                        "    pass: True\n    violations: []\n  -\n    evaluations: 18\n    max_index: 8\n"
+                                        "    name: multiplier-annihilator\n")
     lines = out.splitlines()
     assert "" not in lines and lines.count("  -") == len(json.loads(run(capsys, ["suite"])[1])["checks"])
 
@@ -940,7 +963,7 @@ def test_commands_run_without_numpy(tmp_path, float_check):
         ["check", "condition", "--p", "2", "--c0", "1", "--d0", "0", "--x0", "1"],
         ["solenoid", "alpha", *SPEC_FLAGS, "--n", "2"],
         ["morita", "certify", "--spec-a", _write_spec(tmp_path / "a.json", a), "--spec-b", _write_spec(tmp_path / "b.json", b)],
-        ["multiplier", "check-cocycle", "--count", "5"],
+        ["multiplier", "check-cocycle"],
     ]
     proc = subprocess.run(
         [sys.executable, "-c", NO_NUMPY_PROBE, json.dumps([*exact, float_check])],
@@ -967,7 +990,7 @@ LEAF_ARGV = {
     ("solenoid", "alpha"): [*SPEC_FLAGS, "--n", "3"],
     ("solenoid", "check-coherence"): [*SPEC_FLAGS, "--entries", "4"],
     ("solenoid", "from-even"): ["--spec", "s.json"],
-    ("multiplier", "check-cocycle"): ["--count", "3", "--seed", "5"],
+    ("multiplier", "check-cocycle"): ["--spec", "s.json"],
     ("multiplier", "check-annihilator"): [*SPEC_FLAGS],
     ("multiplier", "check-eta-psi"): [],
     ("morita", "heisenberg"): [*SPEC_FLAGS, "--entries", "3"],

@@ -85,7 +85,7 @@ ARGVS = [
     ["morita", "projection", "--spec", "{a}", "--c0", "1", "--d0", "0", "--entries", "4"],
     ["solenoid", "check-coherence", "--spec", "{a}"],
     ["solenoid", "from-even", "--spec", "{a}"],
-    ["multiplier", "check-cocycle", "--count", "20"],
+    ["multiplier", "check-cocycle"],
     ["multiplier", "check-annihilator", *SPEC],
     ["multiplier", "check-eta-psi", *SPEC],
     ["check", "condition", "--p", "4", "--c0", "1", "--d0", "0", "--x0", "1"],
@@ -94,9 +94,9 @@ ARGVS = [
 # argv, with spec names for the spec files -> [exit code, SHA-256 of stdout]
 GOLDEN = {
     "suite --seed 0":
-        [0, "c27a19854f6340e060180c809398f5c0e1b12fb7205c0a6ab445e4b51be49b3c"],
+        [0, "5c137de13dab9d311d3ff330522222c4346a8aa9f5678c57290258e6a3e358af"],
     "suite --seed 3":
-        [0, "f6ce2c5f4bcd564a05c09b528890272c3d22991bd590ad245295096c9dbef09d"],
+        [0, "37fdbc900997271f2e860294ba4de7981bb47e96f0374ecb90f32888e080da52"],
     "bimodule verify --p 2 --theta=-1+sqrt(2) --digits x=1 --c0 1 --d0 0":
         [0, "e2664a9b00f3c465993dfdc4d10e6798f76203aafe34ace2c947f25f783f146e"],
     "bimodule verify --p 7 --theta=-1+sqrt(2) --digits x=1 --c0 1 --d0 0":
@@ -171,12 +171,12 @@ GOLDEN = {
         [0, "10d4dba389b462065291bd114ef0c018fec5f041dfa815da3f9b865439d1c092"],
     "solenoid from-even --spec {a}":
         [0, "ec8d85f4e48019b274f66f4e9af5b11337a46ff2f5780a02adad76180aaa7cf0"],
-    "multiplier check-cocycle --count 20":
-        [0, "06c1b046c800da61a4164fa59f5290132115979b0445207b35b4610807ba56e6"],
+    "multiplier check-cocycle":
+        [0, "0b39f6442715f5f12315a5ee7c2a8cdb9e62f07a3bbb14f564fe68c0a16b5cf2"],
     "multiplier check-annihilator --p 2 --theta=-1+sqrt(2) --digits x=1":
-        [0, "ee09d41d732bccfdc17042ec79b47c2a2c148741b022da08dbdbb34f613716f5"],
+        [0, "fd1d8e5b82f4597c494abb35416a61b4f3117712c6e662fc3ee52a595701ddfa"],
     "multiplier check-eta-psi --p 2 --theta=-1+sqrt(2) --digits x=1":
-        [0, "aa2d6fc6e952ee42d0d474119eff46e037c31d7c359194795f0575692ef55b3c"],
+        [0, "7070ac021072ee47663fd186fb835d6cd9b099bf9ce43c695bd31fd86145ac19"],
     "check condition --p 4 --c0 1 --d0 0 --x0 1":
         [2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
 }

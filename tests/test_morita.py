@@ -119,6 +119,32 @@ def test_mobius_pair_validation():
         MobiusPair(2, 0, 0, 2).act(SolenoidSpec(3, THETA, PAdic.from_rational(3, 1)))
 
 
+ZERO_AND_INFINITY = """
+from ncsolenoid.exactnum import QuadReal, _strip
+from ncsolenoid.padic import PAdic
+from ncsolenoid.solenoid import MobiusPair, SolenoidSpec
+for p in (2, 3):
+    spec = lambda x: SolenoidSpec(p, QuadReal.sqrt_of(2), PAdic.from_rational(p, x))
+    for call in (lambda: _strip(0, p), lambda: MobiusPair(0, 1, 1, 0).act(spec(0)), lambda: MobiusPair(1, 0, 1, 1).act(spec(1))):
+        try:
+            call()
+        except ValueError as exc:
+            print(exc)
+"""
+
+
+def test_act_refuses_a_point_sent_to_infinity():
+    # d - c x = 0 sends x to infinity, and _strip(0, p) raised "negative shift count" at p = 2 and looped forever at
+    # p = 3: each now raises, which a subprocess with a time bound shows
+    src = str(Path(ncsolenoid.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", ZERO_AND_INFINITY], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    lines = ["the exponent of p in 0 is unbounded", "(0 1; 1 0) sends x = 0 to infinity: d - c x = 0",
+             "(1 0; 1 1) sends x = 1 to infinity: d - c x = 0"]
+    assert proc.stdout.splitlines() == lines * 2
+
+
 def test_ab_normalized_frozen():
     # (c, d) = (1, 0) at theta = sqrt(2)-1: raw image -1/theta, shifted by 3
     mob, beta = ab_normalized(TraceLine(0, 1, 0), THETA, THETA)

@@ -4,14 +4,27 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncsolenoid import cli, morita, suite
 from ncsolenoid.bimodule import SamplePlan
-from ncsolenoid.morita import ProjectionData, certificate_search
-from ncsolenoid.multiplier import PhaseArg
+from ncsolenoid.morita import ProjectionData, certificate_search, heisenberg_partner
+from ncsolenoid.multiplier import (
+    GammaElem,
+    PhaseArg,
+    cocycle_defect,
+    eta,
+    eta_bar,
+    iota_embed,
+    lambda_embed,
+    psi_alpha,
+    psi_from_window,
+    rho,
+)
 from ncsolenoid.solenoid import SolenoidSpec
 from ncsolenoid.padic import PAdic
-from ncsolenoid.exactnum import PFrac, QuadReal
+from ncsolenoid.exactnum import PFrac, QuadReal, frac1
 from ncsolenoid.suite import (
     check_annihilator,
     check_bimodule,
@@ -140,18 +153,106 @@ def _broken_partner(monkeypatch):
 
 
 def test_failing_multiplier_checks_report_their_inputs(monkeypatch):
+    # one entry per failed comparison, naming the generators of its level: K triples for the cocycle, and the
+    # levels 0..K for the pairings
+    K = suite.K
     nonzero = lambda *args: PhaseArg.of(Fraction(1, 2))
     monkeypatch.setattr(suite, "cocycle_defect", nonzero)
     monkeypatch.setattr(suite, "psi_alpha", nonzero)  # the identity normalizes to 1/2, not 0
-    found = _assert_failed(check_cocycle(0, count=3), "violations", ({"r", "s", "t", "defect"}, {"r", "defect"}))
-    assert len(found) == 6 and found[1]["defect"] == "identity normalization"
+    found = _assert_failed(check_cocycle(), "violations", ({"r", "s", "t", "defect"}, {"r", "defect"}))
+    assert len(found) == 2 * K and found[1]["defect"] == "identity normalization"
+    assert found[0] == {"r": ["1/2", "0"], "s": ["1/2", "0"], "t": ["0", "1"], "defect": "1/2"}
     monkeypatch.setattr(suite, "rho", nonzero)
-    assert len(_assert_failed(check_annihilator(0, count=3), "violations", ({"g", "s", "rho"},))) == 3
+    found = _assert_failed(check_annihilator(), "violations", ({"g", "s", "rho"},))
+    assert len(found) == 2 * (K + 1) and [found[0]["g"], found[1]["s"]] == [["1", "0"]] * 2
     monkeypatch.undo()
     monkeypatch.setattr(suite, "eta", lambda *args: None)
     monkeypatch.setattr(suite, "eta_bar", lambda *args: None)
-    found = _assert_failed(check_eta_psi(0, count=2), "violations", ({"kind", "g", "h"},))
-    assert [entry["kind"] for entry in found] == ["eta-vs-psi", "etabar-vs-partner-psi"] * 2
+    found = _assert_failed(check_eta_psi(), "violations", ({"kind", "g", "h"},))
+    assert [entry["kind"] for entry in found] == ["eta-vs-psi", "etabar-vs-partner-psi"] * (K + 1)
+    assert found[-1]["g"] == [f"1/2^{K}", "0"] and found[-1]["h"] == ["0", "1"]
+
+
+def _gamma(p: int):
+    """Elements of Z[1/p]^2 as the multiplier checks once sampled them: each coordinate j/p^k, |j| <= 40, k <= 4."""
+    coordinate = st.builds(lambda j, k: PFrac(p, j, k), st.integers(-40, 40), st.integers(0, 4))
+    return st.builds(GammaElem, coordinate, coordinate)
+
+
+@st.composite
+def _multiplier_case(draw):
+    """A spec over p in {2, 3, 5, 7}, exact or known below a horizon, and three elements of Z[1/p]^2."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    a, b, D = draw(st.integers(0, 20)), draw(st.integers(1, 6)), draw(st.sampled_from((2, 3, 5)))
+    num = draw(st.integers(-60, 60).filter(bool))
+    den = draw(st.sampled_from([n for n in range(1, 30) if n % p]))
+    x = PAdic.from_rational(p, Fraction(num, den))
+    horizon = draw(st.none() | st.integers(0, 12))
+    theta = frac1(QuadReal(Fraction(a, 21), Fraction(b, 7), D))
+    spec = SolenoidSpec(p, theta, x if horizon is None else x.truncate(horizon))
+    return spec, [draw(_gamma(p)) for _ in range(3)]
+
+
+def _decided(check, spec):
+    try:
+        return check(spec=spec)
+    except ValueError as exc:  # a level reads a digit past the horizon
+        return exc
+
+
+def _times(j: int, v: PhaseArg) -> PhaseArg:
+    return PhaseArg(v.t * j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_multiplier_case())
+def test_generators_decide_the_sampled_multiplier_identities(case):
+    # the sampler these checks used is the oracle of their decision: on every sampled pair each identity holds, and
+    # each compared value is j times its value at the generators (e_k, f) of its level, e_k = (1/p^k, 0), f = (0, 1),
+    # for j/p^k = g1*h2 read off the reduced coordinates.  A pair that reads a digit past the horizon is one whose
+    # level the decided check reads too, so the check raises as well
+    spec, (g, h, s) = case
+    p, x, theta = spec.p, spec.digits, spec.theta
+    e = lambda k: GammaElem(PFrac(p, 1, k), PFrac(p, 0))
+    f = GammaElem(PFrac(p, 0), PFrac(p, 1))
+    level = lambda g, h: (g.first.k + h.second.k, g.first.j * h.second.j)
+    decided = {check: _decided(check, spec) for check in (check_cocycle, check_annihilator, check_eta_psi)}
+
+    def cocycle():
+        sigma = lambda u, v: psi_alpha(spec, u, v)
+        for u, v in ((g, h), (h, s), (g + h, s), (g, h + s)):
+            k, j = level(u, v)
+            assert sigma(u, v) == _times(j, sigma(e(k), f))
+        zero = GammaElem.identity(p)
+        assert cocycle_defect(sigma, g, h, s).is_zero and sigma(g, zero).is_zero and sigma(zero, g).is_zero
+
+    def annihilator():
+        value = lambda u, v: rho(iota_embed(x, theta, u), lambda_embed(x, theta, v))
+        (a, j), (b, i) = level(g, s), level(s, g)
+        assert value(g, s) == _times(j, value(e(a), f)) + _times(i, value(f, e(b)))
+        assert value(g, s).is_zero
+
+    def eta_psi():
+        window = heisenberg_partner(spec, suite.K)
+        k, j = level(g, h)
+        pairs = (
+            (lambda u, v: eta(iota_embed(x, theta, u), iota_embed(x, theta, v)), lambda u, v: psi_alpha(spec, u, v)),
+            (lambda u, v: eta_bar(lambda_embed(x, theta, u), lambda_embed(x, theta, v)),
+             lambda u, v: psi_from_window(window, u, v)),
+        )
+        for pairing, multiplier in pairs:
+            for value in (pairing, multiplier):
+                assert value(g, h) == _times(j, value(e(k), f))
+            assert pairing(g, h) == multiplier(g, h)
+
+    for check, identity in ((check_cocycle, cocycle), (check_annihilator, annihilator), (check_eta_psi, eta_psi)):
+        try:
+            identity()
+        except ValueError:
+            assert isinstance(decided[check], ValueError), check.__name__
+            continue
+        if not isinstance(decided[check], ValueError):
+            assert decided[check]["pass"] is True
 
 
 def test_failing_morita_checks_report_their_inputs(monkeypatch):
