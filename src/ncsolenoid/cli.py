@@ -3,10 +3,11 @@
 Subcommands map one-to-one onto module operations; reports are JSON with
 sorted keys (or flat text via --format text), exact values serialized as
 strings. Exit status: 0 all checks passed, 1 a check failed, 2 usage error
-(any ValueError or ArithmeticError, mapped in main).
-The --seed of suite and bimodule verify defaults to the SOLENOID_SEED
-environment variable, then 0.  The multiplier checks take no seed and no
-count: each decides its identity on one generator per power of p.
+(any ValueError or ArithmeticError, mapped in main).  A read past a spec's
+digit_horizon and a zero x each end with one message, both decided in padic.
+The --seed of suite and bimodule verify is the only seed, default 0; the
+environment is no input.  The multiplier checks take no seed and no count:
+each decides its identity on one generator per power of p.
 """
 
 from __future__ import annotations
@@ -51,12 +52,6 @@ MAX_HATS = 100
 # the bound, the check alone takes about 2.0-2.5 s (215-226 MB) for 1 hat at p = 100003 and 1.5-1.8 s (150 MB)
 # for 2 hats at p = 2, d0 = 30000
 MAX_P_HATS = 20480
-
-
-def _resolve_seed(value) -> int:
-    if value is not None:
-        return value
-    return int(os.environ.get("SOLENOID_SEED", "0"))
 
 
 def _parse_digits(p: int, text: str) -> PAdic:
@@ -228,14 +223,13 @@ def _cmd_bimodule(args) -> dict:
         )
     from .bimodule import SamplePlan  # deferred: the bimodule layer's import cost stays off every other command
 
-    seed = _resolve_seed(args.seed)
-    report = suite_mod.check_bimodule(spec, proj, args.n, SamplePlan(seed=seed, hats=args.hats))
+    report = suite_mod.check_bimodule(spec, proj, args.n, SamplePlan(seed=args.seed, hats=args.hats))
     report["inputs"] = spec.to_json()
     return report
 
 
 def _cmd_suite(args) -> dict:
-    return suite_mod.run_all(_resolve_seed(args.seed))
+    return suite_mod.run_all(args.seed)
 
 
 # -- parser wiring: one table of groups and leaves ---------------------------------
@@ -258,7 +252,7 @@ _SPEC = (
     _arg("--theta", help='exact real, e.g. "(-1 + 1*sqrt(2))/1" or "1/3"'),
     _arg("--digits", help='digit-sequence value, e.g. "x=1" or "3/4"'),
 )
-_SEED = _arg("--seed", type=int, default=None)
+_SEED = _arg("--seed", type=int, default=0)
 _PADIC = (_arg("--p", type=int, required=True), _arg("--value", required=True, help='rational, e.g. "3" or "3/4"'))
 _TRACE = (_arg("--c0", type=int, required=True), _arg("--d0", type=int, required=True), _arg("--m", type=int, default=1))
 _LEVEL_HELP = f"tower level, at most {MAX_LEVEL}"

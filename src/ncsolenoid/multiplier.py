@@ -4,6 +4,9 @@ Phases are exact arguments mod 1 (PhaseArg: an unreduced QuadReal whose class
 in Q(theta)/Z is the phase, reduced into [0,1) only when shown); no complex
 floating point enters any check.  The ambient group for the pairing
 is M = Q_p x R, points carried as (q, r) with q p-adic and r exact real.
+Both embeddings refuse a zero x through PAdic.require_nonzero, and a
+pairing that reads a digit past a window's horizon raises the one
+PrecisionError of PAdic._below.
 """
 
 from __future__ import annotations
@@ -164,8 +167,7 @@ def rho(P1: LatticePoint, P2: LatticePoint) -> PhaseArg:
 
 def _check_embedding(x: PAdic, theta: QuadReal, g: GammaElem) -> None:
     """The inputs both embeddings need: x and theta nonzero, and x and g over one prime."""
-    if x.is_zero:
-        raise ValueError("x must be a nonzero p-adic integer")
+    x.require_nonzero()
     if not theta:
         raise ValueError("theta must be nonzero")
     if x.p != g.p:

@@ -11,6 +11,13 @@ unknown, and an exact value has precision math.inf.  Irrational p-adics are
 supported only as such finite windows.  A window reduces num/den to an
 integer mod p**(precision - ord), and one zero to its precision has ord =
 precision and num = 0, so ==, hash and to_json read only the known digits.
+
+Two refusals are decided here, each with one wording.  _below is the one
+checked read of digits: a read that needs a digit at or past the precision
+H raises PrecisionError `digit x_H is beyond the known window (horizon H)`.
+require_nonzero refuses a zero: the exact zero with `p-adic zero has no
+inverse`, and a window zero to its horizon H, whose ord needs digit x_H,
+with that same PrecisionError.
 """
 
 from __future__ import annotations
@@ -33,6 +40,10 @@ MAX_ORD_BITS = 2**19
 
 class PrecisionError(ValueError):
     """A digit window does not determine the requested quantity."""
+
+
+class ZeroPAdicError(ZeroDivisionError, ValueError):
+    """The exact zero where a nonzero value is needed: a division by zero, and a value outside the input's domain."""
 
 
 def _mod_unit(num: int, den: int, mod: int) -> int:
@@ -172,17 +183,29 @@ class PAdic:
     # -- digit views -----------------------------------------------------------
 
     def _below(self, n: int) -> int:
-        """sum_{j<n} d_j p**(j - min(ord, 0)), the digits below n as one integer; callers keep n <= precision."""
+        """sum_{j<n} d_j p**(j - min(ord, 0)), the digits below n as one integer: the one checked read of digits."""
+        if n > self.precision:
+            raise self._beyond()
         v = self.ord
         if n <= v:
             return 0
         r = _mod_unit(self.num, self.den, self.p ** (n - v))
         return r * self.p**v if v > 0 else r
 
+    def _beyond(self) -> PrecisionError:
+        """The error of a read that needs digit x_H, H the precision: the one wording of an unknown digit."""
+        H = self.precision
+        return PrecisionError(f"digit x_{H} is beyond the known window (horizon {H})")
+
+    def require_nonzero(self) -> None:
+        """Refuse a zero: the exact zero has no inverse, and a window zero below its horizon H needs x_H for an ord."""
+        if self.is_zero:
+            if self.precision == math.inf:
+                raise ZeroPAdicError("p-adic zero has no inverse")
+            raise self._beyond()
+
     def _head(self, h: int) -> PFrac:
-        """Exact digit sum  sum_{j <= h} d_j p**j; PrecisionError past the known digits."""
-        if h >= self.precision:
-            raise PrecisionError(f"digits end at index {self.precision}, need digit {h}")
+        """Exact digit sum  sum_{j <= h} d_j p**j."""
         return PFrac(self.p, self._below(h + 1), max(-self.ord, 0))
 
     def _expand(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -336,10 +359,7 @@ class PAdic:
 
     def invert(self) -> "PAdic":
         """p**-ord * den/num known below precision - 2 * ord: ord flips sign and the relative precision is kept."""
-        if self.is_zero:
-            if self.precision == math.inf:
-                raise ZeroDivisionError("p-adic zero has no inverse")
-            raise PrecisionError("window is zero to full precision; order unknown")
+        self.require_nonzero()
         return PAdic._new(self.p, -self.ord, self.den, self.num, self.precision - 2 * self.ord)
 
     # -- comparisons -----------------------------------------------------------

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .exactnum import QuadReal, _div, _quad, _strip, frac1, require_prime
-from .padic import PAdic, PrecisionError, require_ord_bits
+from .padic import PAdic, require_ord_bits
 
 
 class CoherenceError(ValueError):
@@ -24,11 +24,6 @@ class CoherenceError(ValueError):
 
 class PrimeMismatchError(ValueError):
     """Two objects over different primes were combined."""
-
-
-def beyond_horizon(H: int) -> ValueError:
-    """The error of a read that needs digit x_H of a stream known below its horizon H."""
-    return ValueError(f"digit x_{H} is beyond the known window (horizon {H})")
 
 
 @dataclass(frozen=True)
@@ -70,9 +65,6 @@ class SolenoidSpec:
         """h_n = sum_{j<n} x_j p^j, the digit stream mod p^n."""
         if n < 0:
             raise ValueError("index must be nonnegative")
-        H = self.digits.precision
-        if n > H:
-            raise beyond_horizon(H)
         return self.digits._below(n)
 
     def x(self, n: int) -> int:
@@ -133,8 +125,9 @@ class MobiusPair:
         denominator gives w.  Proof: x1 and x2 that agree below H have images that differ by det (xi1 - xi2)/((c xi1 +
         d)(c xi2 + d)), of order e + ord(x1 - x2) - 2w: at least H + e - 2w, and equal to it when x1 and x2 first
         differ at digit H.  So the known digits must decide w, and d - c x != 0, else x' is infinity, which is refused:
-        c = 0 in a truncation or a shift, the Heisenberg partner refuses a window zero below its horizon, and d0 - c0 x
-        is a unit by the Condition.
+        c = 0 in a truncation or a shift, the Heisenberg partner refuses a zero x (PAdic.require_nonzero), and d0 - c0
+        x is a unit by the Condition.  x' is a p-adic integer only if its digit -1 is known: when H + e - 2w < 0 the
+        image cannot be formed, and the refusal names x's first unknown digit x_H, as any read past H does.
         """
         p, x = spec.p, spec.digits
         r, e = _strip(abs(self.det), p)
@@ -147,8 +140,8 @@ class MobiusPair:
             raise ValueError(f"{matrix} sends x = {x.as_fraction()} to infinity: d - c x = 0")
         den, w = _strip(den, p)
         P = x.precision + e - 2 * w
-        if P < 0:  # x' is a p-adic integer only if its digit -1 is known
-            raise PrecisionError(f"digits end at index {P}, need digit -1")
+        if P < 0:
+            raise x._beyond()
         return SolenoidSpec._of(p, self.apply(spec.theta), PAdic._new(p, -w, self.a * n - self.b * x.den, den, P))
 
 

@@ -110,12 +110,17 @@ def check_annihilator(seed=None, count=None, spec: SolenoidSpec | None = None) -
     mod 1, as frac_p is, so A(j/p^k) = j A(1/p^k) for every representation j/p^k, and A(0) = B(0) = 0.  Hence rho =
     j A(1/p^a) - j' B(1/p^b) for g1 s2 = j/p^a and s1 g2 = j'/p^b, and rho vanishes on every pair whose two products
     have index at most K once rho(iota e_k, lambda f) = A(1/p^k) and rho(iota f, lambda e_k) = -B(1/p^k) vanish for
-    k <= K, with e_k = (1/p^k, 0) and f = (0, 1).  A window x raises where a product reads a digit past its horizon.
+    k <= K, with e_k = (1/p^k, 0) and f = (0, 1).
+
+    For x known below H, the product x x^-1 / p^k that level k pairs is known below H - ord x - k, so its digit -1
+    is known exactly when x's digits below k + ord x are.  x is read below K + ord x first, so a window too short
+    for some level is refused with x's first unknown digit, not a product's.
 
     seed and count are unread, as in check_cocycle.
     """
     spc = spec or default_spec()
     x, theta, f = spc.digits, spc.theta, _gen(spc.p, 0, second=1)
+    x._below(K + x.ord)
     violations = []
     for k in range(K + 1):
         e_k = _gen(spc.p, 1, k)

@@ -9,12 +9,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncsolenoid
 from ncsolenoid import cli, exactnum, morita, padic
@@ -93,7 +96,7 @@ UNREAD_SURDS = ("sqrt(2)-1", "2*sqrt(2)+1", "1+sqrt(2)/3")
         ["multiplier", "check-eta-psi", "--theta", "0", "--p", "2", "--digits", "x=1"],
         ["multiplier", "check-annihilator", "--digits", "0", "--p", "2", "--theta", "sqrt(2)"],
         ["solenoid", "alpha", *SPEC_FLAGS, "--n", "100000"],
-        ["SOLENOID_SEED=abc", "suite"],
+        ["suite", "--seed", "abc"],
         ["padic", "trunc", "--p", "2", "--value", "11", "--k", "-1"],
         ["padic", "trunc", "--p", "2", "--value", "11", "--k", str(MAX_TRUNC_K + 1)],
         ["padic", "inv", "--p", "2", "--value", "1/0"],
@@ -108,15 +111,12 @@ UNREAD_SURDS = ("sqrt(2)-1", "2*sqrt(2)+1", "1+sqrt(2)/3")
         "negative-certify-entries", "negative-heisenberg-entries", "negative-coherence-entries", "negative-count",
         "projection-zero-m", "projection-zero-c0", "condition-zero-c0", "condition-nonprime-p",
         "annihilator-zero-theta", "eta-psi-zero-theta", "annihilator-zero-digits", "alpha-huge-level",
-        "non-integer-env-seed", "negative-trunc-k", "trunc-k-over-bound", "zero-denominator-value",
+        "non-integer-seed", "negative-trunc-k", "trunc-k-over-bound", "zero-denominator-value",
         "zero-denominator-theta", "zero-hats", "negative-hats", "bimodule-negative-c0",
         "surd-minus-first", "surd-coefficient-first", "surd-over-denominator",
     ],
 )
-def test_domain_errors_usage_error(capsys, monkeypatch, tmp_path, argv):
-    if argv[0].startswith("SOLENOID_SEED="):
-        monkeypatch.setenv("SOLENOID_SEED", argv[0].split("=", 1)[1])
-        argv = argv[1:]
+def test_domain_errors_usage_error(capsys, tmp_path, argv):
     spec = _write_spec(tmp_path / "spec.json", SolenoidSpec(2, QuadReal.sqrt_of(2) - 1, PAdic.from_rational(2, 1)))
     with pytest.raises(SystemExit) as exc:
         main([a.replace("{spec}", spec) for a in argv])
@@ -593,24 +593,99 @@ def test_unknown_digits_are_refused_for_their_horizon(capsys, tmp_path, command)
 
 @pytest.mark.parametrize("leaf, last", [
     ("check-cocycle", "digit x_5 is beyond the known window (horizon 5)"),
-    ("check-annihilator", "digits end at index -1, need digit -1"),
+    ("check-annihilator", "digit x_5 is beyond the known window (horizon 5)"),
     ("check-eta-psi", "digit x_5 is beyond the known window (horizon 5)"),
 ])
-def test_multiplier_check_on_a_window_depends_only_on_the_spec(capsys, monkeypatch, tmp_path, leaf, last):
-    # x = 1 known below 5: random pairs passed check-cocycle at some seeds and exited 2 at seeds 1, 3 and 5, and
-    # failed check-annihilator at seed 1 only; the generators' levels 0..8 read the same digits on every run
+def test_multiplier_check_on_a_window_depends_only_on_the_spec(tmp_path, leaf, last):
+    # x = 1 known below 5: random pairs passed check-cocycle at some seeds and exited 2 at others; the generators'
+    # levels 0..8 read the same digits on every run, and each leaf names x's first unknown digit
     digits = {"p": 2, "ord": 0, "preperiod": [1], "period": [0]}
     for horizon, want in ((5, (2, f"ncsolenoid: error: {last}")), (8, (0, ""))):
         path = tmp_path / f"h{horizon}.json"
         path.write_text(json.dumps({"p": 2, "theta": "sqrt(2)", "digits": digits, "digit_horizon": horizon}))
-        for seed in ("0", "1", "3", "5"):
-            monkeypatch.setenv("SOLENOID_SEED", seed)
-            try:
-                code = main(["multiplier", leaf, "--spec", str(path)])
-            except SystemExit as exc:
-                code = exc.code
-            err = capsys.readouterr().err.strip().splitlines()
-            assert (code, err[-1] if err else "") == want
+        code, _, err = _exit(["multiplier", leaf, "--spec", str(path)])
+        err = err.strip().splitlines()
+        assert (code, err[-1] if err else "") == want
+
+
+HORIZON = "digit x_{0} is beyond the known window (horizon {0})"
+ZERO_X = "p-adic zero has no inverse"
+
+
+def _exit(argv) -> tuple[int, str, str]:
+    """main(argv) in-process: exit code, stdout and stderr; any exception but SystemExit propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _spec_file(directory, p: int, x: Fraction, horizon) -> str:
+    """A spec file of theta = sqrt(2) and x, known below horizon (None: exact)."""
+    digits = PAdic.from_rational(p, x).truncate(math.inf if horizon is None else horizon)
+    return _write_spec(Path(directory) / "x.json", SolenoidSpec(p, QuadReal.sqrt_of(2), digits))
+
+
+@pytest.mark.parametrize("x, horizon, leaves, last", [
+    (4, 3, [["morita", "heisenberg"], ["multiplier", "check-annihilator"], ["multiplier", "check-eta-psi"]], HORIZON.format(3)),
+    (0, 3, [["multiplier", "check-annihilator"]], HORIZON.format(3)),
+    (0, None, [["morita", "heisenberg"], ["multiplier", "check-annihilator"], ["multiplier", "check-eta-psi"]], ZERO_X),
+], ids=["x4-h3", "zero-h3", "zero-exact"])
+def test_unknown_digits_and_a_zero_x_have_one_refusal_each(tmp_path, x, horizon, leaves, last):
+    # theta = sqrt(2), p = 2: a read past the horizon names x's first unknown digit x_H, whatever the leaf, and an
+    # exact zero x gets one wording, as padic inv does for the value 0 (x = 1 known below 5: the test above)
+    path = _spec_file(tmp_path, 2, Fraction(x), horizon)
+    argvs = [[*leaf, "--spec", path] for leaf in leaves]
+    if horizon is None:
+        argvs.append(["padic", "inv", "--p", "2", "--value", "0"])
+    for argv in argvs:
+        code, _, err = _exit(argv)
+        assert (code, err.strip().splitlines()[-1]) == (2, f"ncsolenoid: error: {last}"), argv
+
+
+SPEC_LEAVES = st.sampled_from([
+    ["solenoid", "check-coherence"], ["morita", "heisenberg"],
+    ["multiplier", "check-cocycle"], ["multiplier", "check-annihilator"], ["multiplier", "check-eta-psi"],
+]) | st.integers(0, 12).map(lambda n: ["solenoid", "alpha", "--n", str(n)])
+
+
+@st.composite
+def spec_inputs(draw):
+    """(p, x, H): x = p**v * u, u a unit and v <= 2, or x = 0; H None for an exact x, else a horizon up to 12."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    x = Fraction(0)
+    if draw(st.integers(0, 5)):
+        num = draw(st.integers(-40, 40).filter(lambda n: n % p))
+        den = draw(st.integers(1, 30).filter(lambda n: n % p))
+        x = Fraction(num, den) * p ** draw(st.integers(0, 2))
+    return p, x, draw(st.none() | st.integers(0, 12))
+
+
+def _strict(constant):
+    raise ValueError(f"not strict JSON: {constant}")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(spec_inputs(), SPEC_LEAVES)
+def test_spec_reading_leaves_end_in_a_documented_exit(inputs, leaf):
+    # every spec-reading leaf exits 0, 1 or 2 with no traceback, prints strict JSON on 0 and 1, and refuses with one
+    # of two last lines: an exact zero x where one is inverted, or the first unknown digit of the stream read.  That
+    # stream is x, or the Heisenberg partner of x once it is formed: x known below H gives it known below H - 2 ord x
+    p, x, H = inputs
+    with tempfile.TemporaryDirectory() as directory:
+        code, out, err = _exit([*leaf, "--spec", _spec_file(directory, p, x, H)])
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code in (0, 1):
+        json.loads(out, parse_constant=_strict)
+        return
+    want = ZERO_X if H is None and not x else HORIZON.format(H)
+    v = PAdic.from_rational(p, x).ord
+    if leaf[1] in ("heisenberg", "check-eta-psi") and H is not None and 2 * v <= H:
+        want = HORIZON.format(H - 2 * v)
+    assert err.strip().splitlines()[-1] == f"ncsolenoid: error: {want}"
 
 
 def test_multiplier_checks_pass(capsys):
@@ -903,9 +978,10 @@ def test_suite_reproducible_and_env_seed(capsys, monkeypatch):
     code2, out2 = run(capsys, ["suite", "--seed", "11"])
     assert code1 == code2 == 0
     assert out1 == out2  # byte-identical under identical config
+    # the environment is no input: a SOLENOID_SEED left set changes nothing, and --seed alone picks the seed
     monkeypatch.setenv("SOLENOID_SEED", "11")
     code3, out3 = run(capsys, ["suite"])
-    assert code3 == 0 and out3 == out1
+    assert code3 == 0 and out3 == run(capsys, ["suite", "--seed", "0"])[1] != out1
     rep = json.loads(out1)
     assert rep["pass"] is True and len(rep["checks"]) >= 8
 

@@ -209,8 +209,7 @@ def golden_digests(tmp_path, hash_seed: str) -> dict:
     # the key is the argv with spec names, not the temporary paths
     jobs = [(" ".join(argv), [paths[a[1:-1]] if a.startswith("{") else a for a in argv])
             for argv in ARGVS]
-    env = {k: v for k, v in os.environ.items() if k != "SOLENOID_SEED"}
-    env.update(PYTHONPATH=SRC, PYTHONHASHSEED=hash_seed)
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=hash_seed)
     proc = subprocess.run([sys.executable, "-c", DRIVER], input=json.dumps(jobs), env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

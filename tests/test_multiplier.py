@@ -136,7 +136,7 @@ def test_embed_rejects_degenerate_parameters():
 def test_embeddings_share_their_input_check(embed):
     one = PAdic.from_rational(2, 1)
     cases = [
-        ((PAdic.from_rational(2, 0), SQRT2, GammaElem.of(2, 1, 1)), "x must be a nonzero p-adic integer"),
+        ((PAdic.from_rational(2, 0), SQRT2, GammaElem.of(2, 1, 1)), "p-adic zero has no inverse"),
         ((one, QuadReal(0), GammaElem.of(2, 1, 1)), "theta must be nonzero"),
         ((one, SQRT2, GammaElem.of(3, 1, 1)), "prime mismatch between x and lattice point"),
     ]
